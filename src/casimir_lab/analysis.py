@@ -52,6 +52,9 @@ class MeasurementPoint:
     sigma: float
 
     def __post_init__(self):
+        for name, value in (("separation", self.d), ("force", self.f), ("sigma", self.sigma)):
+            if not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value}")
         if self.d <= 0.0:
             raise ValidationError(f"separation must be positive, got {self.d}")
         if self.sigma <= 0.0:

@@ -82,10 +82,15 @@ def _write_manifest(primary_output, command, config, inputs, outputs, seed=None)
         "seed": seed,
     }
     path = f"{primary_output}.manifest.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, manifest)
     return path
+
+
+def _write_json(path, doc):
+    """Write ``doc`` as JSON; NaN or inf raise before the file is opened."""
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
 
 
 def _grid_from_args(args):
@@ -249,9 +254,7 @@ def cmd_fit(args):
         "n_points": len(points),
         "results": [fit_report_dict(fit) for fit in ranked],
     }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(args.out, report)
     outputs = [args.out]
 
     for fit in ranked:

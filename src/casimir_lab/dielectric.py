@@ -17,6 +17,7 @@ and it is exactly where the Drude and plasma descriptions part ways.
 """
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -59,10 +60,14 @@ class DrudeModel:
     gamma: float    # dissipation rate, rad/s
 
     def __post_init__(self):
-        if self.omega_p <= 0.0:
-            raise ValidationError(f"plasma frequency must be positive, got {self.omega_p}")
-        if self.gamma <= 0.0:
-            raise ValidationError(f"dissipation rate must be positive, got {self.gamma}")
+        if not (math.isfinite(self.omega_p) and self.omega_p > 0.0):
+            raise ValidationError(
+                f"plasma frequency must be positive and finite, got {self.omega_p}"
+            )
+        if not (math.isfinite(self.gamma) and self.gamma > 0.0):
+            raise ValidationError(
+                f"dissipation rate must be positive and finite, got {self.gamma}"
+            )
 
     @classmethod
     def from_ev(cls, omega_p_ev, gamma_ev):
@@ -76,8 +81,10 @@ class PlasmaModel:
     omega_p: float  # plasma frequency, rad/s
 
     def __post_init__(self):
-        if self.omega_p <= 0.0:
-            raise ValidationError(f"plasma frequency must be positive, got {self.omega_p}")
+        if not (math.isfinite(self.omega_p) and self.omega_p > 0.0):
+            raise ValidationError(
+                f"plasma frequency must be positive and finite, got {self.omega_p}"
+            )
 
     @classmethod
     def from_ev(cls, omega_p_ev):

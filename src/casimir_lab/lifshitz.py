@@ -9,7 +9,8 @@ spaces across a vacuum gap d is
 with kappa0 = sqrt(k^2 + xi_n^2/c^2), Matsubara frequencies
 xi_n = 2 pi n k_B T / hbar, and the prime halving the n = 0 term.  At T = 0
 the ladder becomes the integral (hbar / 2 pi) int_0^inf dxi of the same
-k-integral, evaluated here on a tensor-product panel grid.
+k-integral, evaluated here as nested 1-D panel integrals: over the
+wavevector for a whole family of frequency nodes, then over frequency.
 
 Everything is computed in the dimensionless variable y = 2 kappa0 d, where
 each kernel decays like exp(-y); the k-integral for Matsubara index n starts
@@ -25,9 +26,7 @@ between those two descriptions is the physics this package exists to model.
 """
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -42,7 +41,7 @@ from .dielectric import (
     eps_imag_axis,
     static_eps,
 )
-from .errors import PfaValidityWarning
+from .errors import ConvergenceError, PfaValidityWarning
 from .quadrature import integrate_decaying, integrate_decaying_2d
 
 __all__ = [
@@ -59,7 +58,6 @@ __all__ = [
     "asymptote_thermal",
     "sensitivity_band",
     "BandResult",
-    "thread_count",
 ]
 
 #: PFA is the only sphere-plane mapping implemented; past this aspect ratio
@@ -97,10 +95,10 @@ class Geometry:
     separation: float  # m
 
     def __post_init__(self):
-        if self.radius <= 0.0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
-        if self.separation <= 0.0:
-            raise ValueError(f"separation must be positive, got {self.separation}")
+        if not (math.isfinite(self.radius) and self.radius > 0.0):
+            raise ValueError(f"radius must be positive and finite, got {self.radius}")
+        if not (math.isfinite(self.separation) and self.separation > 0.0):
+            raise ValueError(f"separation must be positive and finite, got {self.separation}")
 
     @property
     def pfa_ratio(self):
@@ -141,10 +139,17 @@ def reflection_coeffs(k, xi, eps):
     if np.any(k <= 0.0):
         raise ValueError("transverse wavevector must be positive")
     xi = np.asarray(xi, dtype=float)
-    eps = np.asarray(eps, dtype=float)
-    kappa0 = np.sqrt(k * k + (xi / _C) ** 2)
-    # kappa^2 = kappa0^2 + (eps - 1) xi^2/c^2 avoids cancellation for eps ~ 1
-    kappa = np.sqrt(kappa0 ** 2 + (eps - 1.0) * (xi / _C) ** 2)
+    return _fresnel(np.sqrt(k * k + (xi / _C) ** 2), xi / _C, np.asarray(eps, dtype=float))
+
+
+def _fresnel(kappa0, w, eps):
+    """(r_te, r_tm) from the vacuum decay constant kappa0 and w = xi/c.
+
+    Both may carry one common scale factor: the kernels pass y = 2 kappa0 d
+    and x = 2 xi d / c.
+    """
+    # kappa^2 = kappa0^2 + (eps - 1) w^2 avoids cancellation for eps ~ 1
+    kappa = np.sqrt(kappa0 ** 2 + (eps - 1.0) * w ** 2)
     r_te = (kappa0 - kappa) / (kappa0 + kappa)
     r_tm = (eps * kappa0 - kappa) / (eps * kappa0 + kappa)
     return ReflectionPair(r_te, r_tm)
@@ -192,39 +197,36 @@ def _zero_mode_family(model):
     raise TypeError(f"unknown dielectric model {type(model).__name__}")
 
 
-def _sum_log_terms(r_te, r_tm, expy):
-    return np.log1p(-r_te * r_te * expy) + np.log1p(-r_tm * r_tm * expy)
-
-
-def _sum_pressure_terms(r_te, r_tm, expy):
-    s_te = r_te * r_te * expy
-    s_tm = r_tm * r_tm * expy
-    return s_te / (1.0 - s_te) + s_tm / (1.0 - s_tm)
+def _kernel(r, y, kind):
+    """Energy (y ln) or pressure (y^2 Bose) integrand summed over TE and TM."""
+    # in place: on the T = 0 grid every temporary is a whole (x, t) array,
+    # and their number sets the peak memory
+    expy = np.exp(-y)
+    total = np.zeros_like(y)
+    for rp in r:
+        s = rp * rp
+        s *= expy
+        if kind == "energy":
+            total += np.log1p(np.negative(s, out=s), out=s)
+        else:
+            total += np.divide(s, 1.0 - s, out=s)
+    total *= y if kind == "energy" else y * y
+    return total
 
 
 def _zero_mode_integrand(model, d, y, kind):
-    k = y / (2.0 * d)
-    r_te, r_tm = reflection_coeffs_zero_mode(k, model)
-    expy = np.exp(-y)
-    if kind == "energy":
-        return y * _sum_log_terms(r_te, r_tm, expy)
-    return y * y * _sum_pressure_terms(r_te, r_tm, expy)
+    return _kernel(reflection_coeffs_zero_mode(y / (2.0 * d), model), y, kind)
 
 
-def _matsubara_rows_integrand(model, xi, d, t, kind):
-    """Kernel rows for xi > 0, one row per Matsubara index, columns = t nodes."""
-    y_min = (2.0 * xi * d / _C)[:, None]
-    y = y_min + t[None, :]
-    kappa0 = y / (2.0 * d)
-    eps = np.asarray(eps_imag_axis(model, xi))[:, None]
-    xi_c = (xi / _C)[:, None]
-    kappa = np.sqrt(kappa0 ** 2 + (eps - 1.0) * xi_c ** 2)
-    r_te = (kappa0 - kappa) / (kappa0 + kappa)
-    r_tm = (eps * kappa0 - kappa) / (eps * kappa0 + kappa)
-    expy = np.exp(-y)
-    if kind == "energy":
-        return y * _sum_log_terms(r_te, r_tm, expy)
-    return y * y * _sum_pressure_terms(r_te, r_tm, expy)
+def _mode_integrand(model, d, x, t, kind):
+    """Kernel at reduced frequency x = 2 xi d / c > 0 and t = y - x.
+
+    ``x`` and ``t`` broadcast against each other: one row per frequency on
+    the Matsubara ladder, one row per frequency node in the T = 0 integral.
+    """
+    y = x + t
+    eps = np.asarray(eps_imag_axis(model, x * _C / (2.0 * d)))
+    return _kernel(_fresnel(y, x, eps), y, kind)
 
 
 def _matsubara_ladder(d, T, model, spec, kind):
@@ -245,9 +247,10 @@ def _matsubara_ladder(d, T, model, spec, kind):
         spec.rel_tol,
         node_start=spec.k_nodes,
     )
-    xi = 2.0 * math.pi * BOLTZMANN * T / HBAR * np.arange(1, n_cap + 1)
+    # x_n = 2 xi_n d / c with xi_n = 2 pi n k_B T / hbar
+    x = 4.0 * math.pi * BOLTZMANN * T * d / (HBAR * _C) * np.arange(1, n_cap + 1)[:, None]
     rows = integrate_decaying(
-        lambda t: _matsubara_rows_integrand(model, xi, d, t, kind),
+        lambda t: _mode_integrand(model, d, x, t, kind),
         spec.rel_tol,
         node_start=spec.k_nodes,
     )
@@ -259,8 +262,6 @@ def _matsubara_ladder(d, T, model, spec, kind):
     if stop.size == 0:
         achieved = abs(terms[-1]) / max(abs(partial[-1]), np.finfo(float).tiny)
         if n_cap == spec.max_matsubara:
-            from .errors import ConvergenceError
-
             raise ConvergenceError(
                 f"Matsubara ladder not converged after {n_cap} terms", achieved, spec.rel_tol
             )
@@ -269,31 +270,19 @@ def _matsubara_ladder(d, T, model, spec, kind):
 
 
 def _t0_double_integral(d, model, spec, kind):
-    """Zero-temperature tensor-product integral in (x, t) = (2 xi d/c, y - x)."""
-
-    def integrand(x, t):
-        xi = x * _C / (2.0 * d)
-        y = x + t
-        kappa0 = y / (2.0 * d)
-        # xi = 0 on a measure-zero edge; nudge to keep eps(i xi) defined
-        xi_safe = np.maximum(xi, 1e-30)
-        eps = np.asarray(eps_imag_axis(model, xi_safe))
-        kappa = np.sqrt(kappa0 ** 2 + (eps - 1.0) * (xi_safe / _C) ** 2)
-        r_te = (kappa0 - kappa) / (kappa0 + kappa)
-        r_tm = (eps * kappa0 - kappa) / (eps * kappa0 + kappa)
-        expy = np.exp(-y)
-        if kind == "energy":
-            return y * _sum_log_terms(r_te, r_tm, expy)
-        return y * y * _sum_pressure_terms(r_te, r_tm, expy)
-
-    return integrate_decaying_2d(integrand, spec.rel_tol, node_start=spec.k_nodes)
+    """Zero-temperature integral over (x, t) = (2 xi d/c, y - x)."""
+    return integrate_decaying_2d(
+        lambda x, t: _mode_integrand(model, d, x, t, kind),
+        spec.rel_tol,
+        node_start=spec.k_nodes,
+    )
 
 
 def _validate_dT(d, T):
-    if d <= 0.0:
-        raise ValueError(f"separation must be positive, got {d}")
-    if T < 0.0:
-        raise ValueError(f"temperature must be non-negative, got {T}")
+    if not (math.isfinite(d) and d > 0.0):
+        raise ValueError(f"separation must be positive and finite, got {d}")
+    if not (math.isfinite(T) and T >= 0.0):
+        raise ValueError(f"temperature must be non-negative and finite, got {T}")
 
 
 def free_energy_per_area(d, T, model, spec=DEFAULT_SPEC):
@@ -368,10 +357,8 @@ def asymptote_thermal(d, R, T, which):
     zeta(3) R k_B T / (8 d^2) when the TE zero mode is absent ("drude"),
     twice that when it survives ("plasma").
     """
-    if d <= 0.0 or R <= 0.0:
-        raise ValueError("separation and radius must be positive")
-    if T < 0.0:
-        raise ValueError(f"temperature must be non-negative, got {T}")
+    Geometry(radius=R, separation=d)
+    _validate_dT(d, T)
     if which == "drude":
         return ZETA3 * R * BOLTZMANN * T / (8.0 * d * d)
     if which == "plasma":
@@ -379,38 +366,9 @@ def asymptote_thermal(d, R, T, which):
     raise ValueError(f"model family must be 'drude' or 'plasma', got {which!r}")
 
 
-def thread_count():
-    """Worker count for grid evaluation, from CASIMIR_LAB_THREADS (0 = auto)."""
-    raw = os.environ.get("CASIMIR_LAB_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"CASIMIR_LAB_THREADS must be an integer, got {raw!r}") from None
-    if n < 0:
-        raise ValueError(f"CASIMIR_LAB_THREADS must be >= 0, got {n}")
-    if n == 0:
-        return min(4, os.cpu_count() or 1)
-    return n
-
-
-def _map_ordered(fn, items):
-    """Map preserving order; results are identical for any worker count."""
-    items = list(items)
-    workers = thread_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def force_sphere_plane_grid(separations, T, R, model, spec=DEFAULT_SPEC):
-    """Sphere-plane force on a separation grid, evaluated point-independent.
-
-    Grid points are mutually independent, so the result does not depend on
-    how the work is scheduled across threads.
-    """
-    forces = _map_ordered(lambda d: force_sphere_plane(d, T, R, model, spec), separations)
-    return np.array(forces)
+    """Sphere-plane force on a separation grid, one independent point each."""
+    return np.array([force_sphere_plane(d, T, R, model, spec) for d in separations])
 
 
 @dataclass(frozen=True)
@@ -437,7 +395,8 @@ def sensitivity_band(
     Evaluates the force at the four corners of
     (omega_p_range x gamma_range) plus the central parameter set and
     returns the per-separation min/center/max.  The plasma family has no
-    dissipation parameter, so the gamma axis collapses there.
+    dissipation parameter, so the gamma axis collapses there and three
+    curves remain.  Each distinct parameter set is evaluated once.
 
     Parameters
     ----------
@@ -461,24 +420,23 @@ def sensitivity_band(
         raise ValueError("parameter ranges must be positive")
 
     if model_family == "drude":
-        corners = [(wp, g) for wp in (wp_lo, wp_hi) for g in (g_lo, g_hi)]
-        center = (0.5 * (wp_lo + wp_hi), 0.5 * (g_lo + g_hi))
-        make = lambda wp, g: DrudeModel(omega_p=wp, gamma=g)
+        models = [DrudeModel(omega_p=wp, gamma=g) for wp in (wp_lo, wp_hi) for g in (g_lo, g_hi)]
+        center = DrudeModel(omega_p=0.5 * (wp_lo + wp_hi), gamma=0.5 * (g_lo + g_hi))
     elif model_family == "plasma":
-        corners = [(wp, g) for wp in (wp_lo, wp_hi) for g in (g_lo, g_hi)]
-        center = (0.5 * (wp_lo + wp_hi), 0.5 * (g_lo + g_hi))
-        make = lambda wp, g: PlasmaModel(omega_p=wp)
+        models = [PlasmaModel(omega_p=wp) for wp in (wp_lo, wp_hi)]
+        center = PlasmaModel(omega_p=0.5 * (wp_lo + wp_hi))
     else:
         raise ValueError(f"model family must be 'drude' or 'plasma', got {model_family!r}")
 
-    parameter_sets = corners + [center]
-    curves = [
-        force_sphere_plane_grid(d_grid, T, R, make(wp, g), spec) for wp, g in parameter_sets
-    ]
-    stacked = np.vstack(curves)
+    # a degenerate range repeats a parameter set; each distinct one runs once
+    curves = {
+        model: force_sphere_plane_grid(d_grid, T, R, model, spec)
+        for model in dict.fromkeys(models + [center])
+    }
+    stacked = np.vstack(list(curves.values()))
     return BandResult(
         separations=d_grid,
         f_min=stacked.min(axis=0),
-        f_center=curves[-1],
+        f_center=curves[center],
         f_max=stacked.max(axis=0),
     )

@@ -4,6 +4,8 @@ The Lifshitz kernels, once written in the dimensionless variable y = 2*kappa0*d,
 all decay like exp(-y) times a mild prefactor and live on [0, inf).  The scheme
 here covers [0, cutoff] with a fixed panel layout and doubles the node count on
 each panel until the panel estimate is stable relative to the running total.
+Each doubling level evaluates the nodes of every still-unsettled panel in a
+single call of the integrand.
 
 The first few panels are geometrically graded toward zero because several
 kernels contain an integrable y*log(y) endpoint (perfectly reflecting n = 0
@@ -11,7 +13,9 @@ term); grading restores spectral convergence without special-casing any kernel.
 
 Integrands are vectorized: ``f(t)`` receives a 1-D array of nodes and returns
 an array whose last axis matches it.  Leading axes (for example one row per
-Matsubara index) are integrated independently in a single pass.
+Matsubara index) are integrated independently in a single pass.  The 2-D
+integral is the same driver nested: an inner integral over t for a family of
+x nodes, inside an outer integral over x.
 """
 
 from functools import lru_cache
@@ -48,13 +52,6 @@ def panel_edges(cutoff=DEFAULT_CUTOFF):
     return edges
 
 
-def _panel_estimate(f, a, b, n):
-    x, w = gauss_legendre(n)
-    half = 0.5 * (b - a)
-    vals = np.asarray(f(a + half * (x + 1.0)))
-    return half * (vals @ w)
-
-
 def integrate_decaying(f, rel_tol, node_start=8, node_cap=256, cutoff=DEFAULT_CUTOFF):
     """Integrate ``f`` over [0, cutoff] to a relative tolerance.
 
@@ -80,36 +77,41 @@ def integrate_decaying(f, rel_tol, node_start=8, node_cap=256, cutoff=DEFAULT_CU
     numpy.ndarray or float
         Integral(s) of ``f``, one per leading-axis element.
     """
-    edges = panel_edges(cutoff)
-    pairs = list(zip(edges[:-1], edges[1:]))
+    edges = np.array(panel_edges(cutoff))
+    lower, half = edges[:-1], 0.5 * np.diff(edges)
+
+    def estimate(panels, n):
+        # one call of f covers the n nodes of every listed panel
+        x, w = gauss_legendre(n)
+        nodes = lower[panels, None] + half[panels, None] * (x + 1.0)
+        vals = np.asarray(f(nodes.ravel()))
+        return half[panels] * (vals.reshape(vals.shape[:-1] + nodes.shape) @ w)
 
     # First pass fixes the magnitude scale that "relative" refers to.
-    estimates = [_panel_estimate(f, a, b, node_start) for a, b in pairs]
-    total = np.sum(estimates, axis=0)
-    scale = float(np.max(np.abs(total)))
+    panels = np.arange(half.size)
+    estimates = estimate(panels, node_start)
+    scale = float(np.max(np.abs(estimates.sum(axis=-1))))
 
+    n = node_start
     worst = 0.0
-    for i, (a, b) in enumerate(pairs):
-        n = node_start
-        current = estimates[i]
-        while True:
-            n *= 2
-            refined = _panel_estimate(f, a, b, n)
-            change = float(np.max(np.abs(refined - current)))
-            scale = max(scale, float(np.max(np.abs(refined))))
-            current = refined
-            if change <= rel_tol * max(scale, np.finfo(float).tiny):
-                break
-            if n >= node_cap:
-                worst = max(worst, change / max(scale, np.finfo(float).tiny))
-                break
-        estimates[i] = current
+    while panels.size:
+        n *= 2
+        refined = estimate(panels, n)
+        change = np.abs(refined - estimates[..., panels]).reshape(-1, panels.size).max(axis=0)
+        scale = max(scale, float(np.max(np.abs(refined))))
+        estimates[..., panels] = refined
+        unsettled = change > rel_tol * max(scale, np.finfo(float).tiny)
+        if n >= node_cap:
+            if unsettled.any():
+                worst = float(change[unsettled].max()) / max(scale, np.finfo(float).tiny)
+            break
+        panels = panels[unsettled]
 
     if worst > rel_tol:
         raise ConvergenceError(
             "panel quadrature did not settle within the node cap", worst, rel_tol
         )
-    return np.sum(estimates, axis=0)
+    return estimates.sum(axis=-1)
 
 
 def integrate_decaying_2d(f, rel_tol, node_start=8, node_cap=128, cutoff=DEFAULT_CUTOFF):
@@ -119,42 +121,10 @@ def integrate_decaying_2d(f, rel_tol, node_start=8, node_cap=128, cutoff=DEFAULT
     return an (nx, nt) array.  Used for the zero-temperature theory where
     the Matsubara sum becomes an integral over imaginary frequency.
     """
-    edges = panel_edges(cutoff)
-    pairs = list(zip(edges[:-1], edges[1:]))
 
-    def rect_estimate(ax, bx, at, bt, n):
-        x, wx = gauss_legendre(n)
-        hx = 0.5 * (bx - ax)
-        ht = 0.5 * (bt - at)
-        xs = ax + hx * (x + 1.0)
-        ts = at + ht * (x + 1.0)
-        vals = f(xs[:, None], ts[None, :])
-        return hx * ht * (wx @ vals @ wx)
-
-    rects = [(ax, bx, at, bt) for ax, bx in pairs for at, bt in pairs]
-    estimates = [rect_estimate(*r, node_start) for r in rects]
-    total = float(np.sum(estimates))
-    scale = abs(total)
-
-    worst = 0.0
-    for i, r in enumerate(rects):
-        n = node_start
-        current = estimates[i]
-        while True:
-            n *= 2
-            refined = rect_estimate(*r, n)
-            change = abs(refined - current)
-            scale = max(scale, abs(refined))
-            current = refined
-            if change <= rel_tol * max(scale, np.finfo(float).tiny):
-                break
-            if n >= node_cap:
-                worst = max(worst, change / max(scale, np.finfo(float).tiny))
-                break
-        estimates[i] = current
-
-    if worst > rel_tol:
-        raise ConvergenceError(
-            "2-d panel quadrature did not settle within the node cap", worst, rel_tol
+    def inner(x):
+        return integrate_decaying(
+            lambda t: f(x[:, None], t), rel_tol, node_start, node_cap, cutoff
         )
-    return float(np.sum(estimates))
+
+    return float(integrate_decaying(inner, rel_tol, node_start, node_cap, cutoff))

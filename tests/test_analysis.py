@@ -110,6 +110,13 @@ class TestBinning:
         with pytest.raises(ValidationError):
             MeasurementPoint(d=1e-6, f=1e-12, sigma=0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["d", "f", "sigma"])
+    def test_non_finite_point_rejected(self, field, bad):
+        values = {"d": 1e-6, "f": 1e-12, "sigma": 1e-12, field: bad}
+        with pytest.raises(ValidationError, match="must be finite"):
+            MeasurementPoint(**values)
+
 
 class TestFit:
     def test_exact_recovery_noiseless(self):

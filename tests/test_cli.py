@@ -380,6 +380,17 @@ class TestExitCodes:
         )
         assert code == 2
 
+    def test_non_finite_measurement_is_two_and_writes_nothing(self, tmp_path, campaign_csv):
+        lines = campaign_csv.read_text(encoding="utf-8").splitlines()
+        cells = lines[3].split(",")
+        cells[1] = "nan"
+        lines[3] = ",".join(cells)
+        data = tmp_path / "nan.csv"
+        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        report = tmp_path / "report.json"
+        assert main(["fit", "--data", str(data), "--out", str(report)]) == 2
+        assert not report.exists()
+
     def test_degenerate_fit_is_four(self, tmp_path):
         data = tmp_path / "flat.csv"
         lines = ["separation_um,force_pn,sigma_pn"]

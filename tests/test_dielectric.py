@@ -6,6 +6,8 @@ oscillator whose imaginary-axis permittivity is algebraic.  Both comparisons
 probe the full assembly of below-table, in-table and above-table pieces.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,15 @@ class TestAnalyticModels:
             PlasmaModel(omega_p=0.0)
         with pytest.raises(ValidationError):
             ConstantModel(eps=0.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_parameters_rejected(self, bad):
+        with pytest.raises(ValidationError):
+            DrudeModel(omega_p=bad, gamma=1e13)
+        with pytest.raises(ValidationError):
+            DrudeModel(omega_p=1e16, gamma=bad)
+        with pytest.raises(ValidationError):
+            PlasmaModel(omega_p=bad)
 
 
 class TestTabulatedKramersKronig:

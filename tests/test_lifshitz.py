@@ -1,5 +1,5 @@
 """Force engine against closed forms, frozen cross-checked values, and
-internal consistency (derivatives, limits, truncation, threading).
+internal consistency (derivatives, limits, truncation, input validation).
 
 Frozen reference numbers below were computed two independent ways before
 being pinned: the packaged panel quadrature and a brute-force fixed
@@ -8,11 +8,13 @@ cutoff 120), which agreed to nine significant digits.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from casimir_lab import lifshitz
 from casimir_lab.constants import BOLTZMANN, HBAR, SPEED_OF_LIGHT, ZETA3
 from casimir_lab.dielectric import (
     ConstantModel,
@@ -34,7 +36,6 @@ from casimir_lab.lifshitz import (
     reflection_coeffs,
     reflection_coeffs_zero_mode,
     sensitivity_band,
-    thread_count,
 )
 from oracles import (
     classical_slope,
@@ -339,27 +340,23 @@ class TestGeometryAndPfa:
         with pytest.raises(ValueError):
             free_energy_per_area(1e-6, -5.0, gold_drude())
 
-
-class TestGridAndThreads:
-    def test_thread_count_env(self, monkeypatch):
-        monkeypatch.setenv("CASIMIR_LAB_THREADS", "3")
-        assert thread_count() == 3
-        monkeypatch.setenv("CASIMIR_LAB_THREADS", "0")
-        assert thread_count() >= 1
-        monkeypatch.setenv("CASIMIR_LAB_THREADS", "junk")
-        with pytest.raises(ValueError):
-            thread_count()
-        monkeypatch.setenv("CASIMIR_LAB_THREADS", "-2")
-        with pytest.raises(ValueError):
-            thread_count()
-
-    def test_grid_independent_of_thread_count(self, monkeypatch):
-        grid = np.geomspace(0.8e-6, 5e-6, 5)
-        monkeypatch.setenv("CASIMIR_LAB_THREADS", "1")
-        serial = force_sphere_plane_grid(grid, 300.0, R_SPHERE, gold_drude())
-        monkeypatch.setenv("CASIMIR_LAB_THREADS", "4")
-        threaded = force_sphere_plane_grid(grid, 300.0, R_SPHERE, gold_drude())
-        np.testing.assert_allclose(serial, threaded, rtol=1e-8)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("arg", ["d", "T", "R"])
+    def test_non_finite_input_is_rejected(self, arg, bad):
+        args = {"d": 1e-6, "T": 300.0, "R": R_SPHERE, arg: bad}
+        d, T, R = args["d"], args["T"], args["R"]
+        named = re.escape(str(bad))
+        with pytest.raises(ValueError, match=named):
+            force_sphere_plane(d, T, R, gold_drude())
+        with pytest.raises(ValueError, match=named):
+            asymptote_thermal(d, R, T, "drude")
+        if arg != "T":
+            with pytest.raises(ValueError, match=named):
+                Geometry(radius=R, separation=d)
+        if arg != "R":
+            for fn in (free_energy_per_area, pressure_parallel):
+                with pytest.raises(ValueError, match=named):
+                    fn(d, T, gold_drude())
 
 
 class TestSensitivityBand:
@@ -385,6 +382,26 @@ class TestSensitivityBand:
         band_b = sensitivity_band([1e-6], 300.0, self.WP, (5e13, 9e13), "plasma", R_SPHERE)
         assert band_a.f_min[0] == pytest.approx(band_b.f_min[0], rel=1e-12)
         assert band_a.f_max[0] == pytest.approx(band_b.f_max[0], rel=1e-12)
+
+    def test_each_distinct_parameter_set_runs_once(self, monkeypatch):
+        models = []
+        grid = lifshitz.force_sphere_plane_grid
+
+        def counting_grid(separations, T, R, model, spec):
+            models.append(model)
+            return grid(separations, T, R, model, spec)
+
+        monkeypatch.setattr(lifshitz, "force_sphere_plane_grid", counting_grid)
+        for family, distinct in (("drude", 5), ("plasma", 3)):
+            models.clear()
+            sensitivity_band([1e-6], 300.0, self.WP, self.G, family, R_SPHERE)
+            assert len(models) == len(set(models)) == distinct
+
+    def test_grid_is_the_pointwise_force(self):
+        grid = np.geomspace(0.8e-6, 5e-6, 3)
+        forces = force_sphere_plane_grid(grid, 300.0, R_SPHERE, gold_drude())
+        want = [force_sphere_plane(d, 300.0, R_SPHERE, gold_drude()) for d in grid]
+        np.testing.assert_array_equal(forces, want)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):

@@ -98,6 +98,21 @@ def test_vectorized_rows_match_scalar_rows():
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
+def test_oscillatory_kernel_refines_past_the_first_doubling():
+    # int_0^inf e^-y cos(a y) dy = 1/(1 + a^2); at a = 20 the wide panels
+    # need more than the 16 nodes of the first doubling
+    a = 20.0
+    value = integrate_decaying(lambda y: np.exp(-y) * np.cos(a * y), 1e-12)
+    assert value == pytest.approx(1.0 / (1.0 + a * a), rel=1e-9)
+
+
+def test_panel_settles_only_when_every_family_member_does():
+    # the smooth row settles at once; the oscillatory one must still refine
+    a = np.array([0.0, 20.0])
+    got = integrate_decaying(lambda y: np.exp(-y) * np.cos(a[:, None] * y), 1e-12)
+    np.testing.assert_allclose(got, 1.0 / (1.0 + a * a), rtol=0.0, atol=1e-11)
+
+
 def test_2d_log_kernel_zeta4():
     # int int (x+t) ln(1-e^-(x+t)) dx dt = int_0^inf y^2 ln(1-e^-y) dy
     def f(x, t):
@@ -115,6 +130,12 @@ def test_2d_separable_exponential():
     assert integrate_decaying_2d(f, 1e-11) == pytest.approx(1.0, rel=1e-10)
 
 
+def test_2d_oscillatory_inner_integral():
+    a = 5.0
+    value = integrate_decaying_2d(lambda x, t: np.exp(-x - t) * np.cos(a * t), 1e-11)
+    assert value == pytest.approx(1.0 / (1.0 + a * a), rel=1e-9)
+
+
 def test_unreachable_tolerance_raises_with_achieved_estimate():
     with pytest.raises(ConvergenceError) as err:
         integrate_decaying(
@@ -128,5 +149,6 @@ def test_2d_unreachable_tolerance_raises():
         y = x + t
         return y * np.log1p(-np.exp(-y))
 
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ConvergenceError) as err:
         integrate_decaying_2d(f, 1e-13, node_start=4, node_cap=4)
+    assert err.value.achieved > err.value.requested
