@@ -81,6 +81,7 @@ from .lifshitz import (
     QuadratureSpec,
     ReflectionPair,
     asymptote_thermal,
+    force_curvature_sphere_plane,
     force_sphere_plane,
     force_sphere_plane_T0,
     force_sphere_plane_grid,
@@ -129,6 +130,7 @@ __all__ = [
     "free_energy_per_area",
     "pressure_parallel",
     "force_sphere_plane",
+    "force_curvature_sphere_plane",
     "force_sphere_plane_T0",
     "force_sphere_plane_grid",
     "asymptote_thermal",

@@ -19,7 +19,7 @@ from .constants import VACUUM_PERMITTIVITY
 from .corrections import corrected_curve
 from .dielectric import gold_drude, gold_plasma
 from .errors import DegenerateFitError, ValidationError
-from .lifshitz import DEFAULT_SPEC, force_sphere_plane
+from .lifshitz import DEFAULT_SPEC, force_curvature_sphere_plane, force_sphere_plane
 
 __all__ = [
     "MeasurementPoint",
@@ -257,19 +257,20 @@ def standard_model_curves(
     drude = drude if drude is not None else gold_drude()
     plasma = plasma if plasma is not None else gold_plasma()
 
-    def raw(model, T):
-        return lambda d: force_sphere_plane(d, T, R, model, spec)
+    def curve(model, T):
+        return corrected_curve(
+            lambda d: force_sphere_plane(d, T, R, model, spec),
+            lambda d: force_curvature_sphere_plane(d, T, R, model, spec),
+            delta,
+        )
 
     pairs = [
-        ("drude_300k", raw(drude, temperature)),
-        ("plasma_300k", raw(plasma, temperature)),
-        ("drude_t0", raw(drude, 0.0)),
-        ("plasma_t0", raw(plasma, 0.0)),
+        ("drude_300k", drude, temperature),
+        ("plasma_300k", plasma, temperature),
+        ("drude_t0", drude, 0.0),
+        ("plasma_t0", plasma, 0.0),
     ]
-    return [
-        ModelCurve(model_id=name, evaluator=corrected_curve(fn, delta))
-        for name, fn in pairs
-    ]
+    return [ModelCurve(model_id=name, evaluator=curve(model, T)) for name, model, T in pairs]
 
 
 def fit_report_dict(fit):

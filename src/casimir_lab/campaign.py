@@ -16,8 +16,8 @@ the injected truth parameters.
 import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
-from functools import lru_cache
+import numbers
+from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -47,6 +47,14 @@ __all__ = [
 SIGMA_FLOOR = 1e-18
 
 SWEEPS_CSV_HEADER = ["sweep_index", "separation_um", "voltage_v", "force_n", "sigma_n"]
+
+
+def _is_finite_real(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _is_int(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def default_sweep_voltages():
@@ -79,8 +87,28 @@ class CampaignConfig:
     seed: Optional[int] = None
 
     def __post_init__(self):
-        # tuple-ize so configs hash (truth forces are cached per geometry)
-        object.__setattr__(self, "sweep_voltages", tuple(self.sweep_voltages))
+        # types first, by field name, so no comparison below can raise
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type is float and not _is_finite_real(value):
+                raise ValidationError(f"{f.name} must be a finite number, got {value!r}")
+            if f.type is int and not _is_int(value):
+                raise ValidationError(f"{f.name} must be an integer, got {value!r}")
+        if self.seed is not None and not (_is_int(self.seed) and self.seed >= 0):
+            raise ValidationError(
+                f"seed must be a non-negative integer or null, got {self.seed!r}"
+            )
+        bad_voltages = ValidationError(
+            f"sweep_voltages must be a list of finite numbers, got {self.sweep_voltages!r}"
+        )
+        try:
+            voltages = tuple(self.sweep_voltages)
+        except TypeError:
+            raise bad_voltages from None
+        if not all(_is_finite_real(v) for v in voltages):
+            raise bad_voltages
+        # tuple-ize: a frozen config holds no mutable sequence
+        object.__setattr__(self, "sweep_voltages", tuple(float(v) for v in voltages))
         if not 0.0 < self.d_min < self.d_max:
             raise ValidationError(
                 f"need 0 < d_min < d_max, got {self.d_min}, {self.d_max}"
@@ -143,21 +171,6 @@ class DriftSubtraction(NamedTuple):
     slope_sigma: float
 
 
-def _truth_evaluator(config, spec):
-    curves = standard_model_curves(R=config.radius, delta=config.delta_true, spec=spec)
-    for curve in curves:
-        if curve.model_id == config.truth_model_id:
-            return curve.evaluator
-    raise ValidationError(f"unknown truth model {config.truth_model_id!r}")
-
-
-@lru_cache(maxsize=16)
-def _truth_forces(config_key, spec):
-    """Per-separation truth forces; seed-independent, so cached by geometry."""
-    truth = _truth_evaluator(config_key, spec)
-    return tuple(truth(float(d)) for d in config_key.separations())
-
-
 def generate_campaign(config, spec=DEFAULT_SPEC):
     """Simulate a full campaign from a seeded configuration.
 
@@ -181,16 +194,17 @@ def generate_campaign(config, spec=DEFAULT_SPEC):
         raise ValidationError("campaign config needs an explicit seed")
     rng = np.random.default_rng(config.seed)
     seps = config.separations()
-    truth_forces = _truth_forces(replace(config, seed=0), spec)
+    curves = standard_model_curves(R=config.radius, delta=config.delta_true, spec=spec)
+    truth = {c.model_id: c.evaluator for c in curves}[config.truth_model_id]
     sigma = max(config.noise_sigma, SIGMA_FLOOR)
 
     # per-separation pieces that do not change across sweeps
     base = np.array(
         [
-            truth_f
+            truth(float(d))
             + patch_force(d, config.radius, config.v_rms_true, config.delta_true)
             + config.offset_a_true
-            for d, truth_f in zip(seps, truth_forces)
+            for d in seps
         ]
     )
     fluct = np.array([1.0 + (config.delta_true / d) ** 2 for d in seps])
@@ -338,10 +352,7 @@ def config_from_dict(data):
     unknown = set(data) - known
     if unknown:
         raise ValidationError(f"unknown config fields: {sorted(unknown)}")
-    kwargs = dict(data)
-    if "sweep_voltages" in kwargs:
-        kwargs["sweep_voltages"] = tuple(float(v) for v in kwargs["sweep_voltages"])
-    return CampaignConfig(**kwargs)
+    return CampaignConfig(**data)
 
 
 def load_config(path):

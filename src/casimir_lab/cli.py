@@ -20,6 +20,7 @@ Exit codes: 0 success, 2 usage or config error, 3 convergence failure,
 import argparse
 import csv
 import json
+import math
 import secrets
 import sys
 
@@ -69,6 +70,18 @@ BAND_CSV_HEADER = ["separation_um", "f_min_pn", "f_center_pn", "f_max_pn"]
 
 def _fmt(x):
     return format(float(x), ".12g")
+
+
+def finite_float(text):
+    """Flag type: a float, but not nan or +-inf.
+
+    No leading underscore: argparse prints the name in its
+    "invalid finite_float value" message.
+    """
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
 
 
 def _write_manifest(primary_output, command, config, inputs, outputs, seed=None):
@@ -142,13 +155,16 @@ def cmd_force(args):
         runs = [(None, model, args.temp)]
         header = FORCE_CSV_HEADER
 
+    # every force before the file is opened, so a failure leaves no output
+    rows = [
+        ([label] if label is not None else []) + row
+        for label, model, temp in runs
+        for row in _force_rows(grid, force_sphere_plane_grid(grid, temp, R, model, spec))
+    ]
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for label, model, temp in runs:
-            forces = force_sphere_plane_grid(grid, temp, R, model, spec)
-            for row in _force_rows(grid, forces):
-                writer.writerow(([label] if label is not None else []) + row)
+        writer.writerows(rows)
 
     config = {
         "model": "all" if args.all_models else args.model,
@@ -334,15 +350,15 @@ def cmd_band(args):
 
 
 def _add_grid_flags(p, dmin=0.7, dmax=7.0, points=30):
-    p.add_argument("--dmin", type=float, default=dmin, help="smallest separation, um")
-    p.add_argument("--dmax", type=float, default=dmax, help="largest separation, um")
+    p.add_argument("--dmin", type=finite_float, default=dmin, help="smallest separation, um")
+    p.add_argument("--dmax", type=finite_float, default=dmax, help="largest separation, um")
     p.add_argument("--points", type=int, default=points, help="grid size (log-spaced)")
 
 
 def _add_common_physics_flags(p):
-    p.add_argument("--radius-cm", type=float, default=15.6, help="sphere radius, cm")
-    p.add_argument("--wp-ev", type=float, default=GOLD_OMEGA_P_EV, help="plasma energy, eV")
-    p.add_argument("--gamma-ev", type=float, default=GOLD_GAMMA_EV, help="dissipation, eV")
+    p.add_argument("--radius-cm", type=finite_float, default=15.6, help="sphere radius, cm")
+    p.add_argument("--wp-ev", type=finite_float, default=GOLD_OMEGA_P_EV, help="plasma energy, eV")
+    p.add_argument("--gamma-ev", type=finite_float, default=GOLD_GAMMA_EV, help="dissipation, eV")
 
 
 def build_parser():
@@ -358,10 +374,12 @@ def build_parser():
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--model", choices=("drude", "plasma"))
     group.add_argument("--all-models", action="store_true")
-    p.add_argument("--temp", type=float, default=300.0, help="temperature, K (0 = T0 theory)")
+    p.add_argument(
+        "--temp", type=finite_float, default=300.0, help="temperature, K (0 = T0 theory)"
+    )
     _add_grid_flags(p)
     _add_common_physics_flags(p)
-    p.add_argument("--rel-tol", type=float, default=1e-8)
+    p.add_argument("--rel-tol", type=finite_float, default=1e-8)
     p.add_argument("--out", default="force.csv")
     p.set_defaults(func=cmd_force)
 
@@ -376,8 +394,8 @@ def build_parser():
     p = sub.add_parser("fit", help="fit measurement CSV against theory candidates")
     p.add_argument("--data", required=True, help="measurement CSV path")
     p.add_argument("--models", default="all", help="'all' or comma-separated model ids")
-    p.add_argument("--temp", type=float, default=300.0)
-    p.add_argument("--delta-nm", type=float, default=40.0, help="rms gap fluctuation, nm")
+    p.add_argument("--temp", type=finite_float, default=300.0)
+    p.add_argument("--delta-nm", type=finite_float, default=40.0, help="rms gap fluctuation, nm")
     _add_common_physics_flags(p)
     p.add_argument("--subtract", help="write data minus electrostatics minus offset here")
     p.add_argument("--out", default="fit_report.json")
@@ -385,14 +403,14 @@ def build_parser():
 
     p = sub.add_parser("band", help="force envelope over metal-parameter ranges")
     p.add_argument("--family", choices=("drude", "plasma"), default="drude")
-    p.add_argument("--temp", type=float, default=300.0)
+    p.add_argument("--temp", type=finite_float, default=300.0)
     _add_grid_flags(p)
-    p.add_argument("--radius-cm", type=float, default=15.6)
-    p.add_argument("--wp-min-ev", type=float, default=GOLD_OMEGA_P_RANGE_EV[0])
-    p.add_argument("--wp-max-ev", type=float, default=GOLD_OMEGA_P_RANGE_EV[1])
-    p.add_argument("--gamma-min-ev", type=float, default=GOLD_GAMMA_RANGE_EV[0])
-    p.add_argument("--gamma-max-ev", type=float, default=GOLD_GAMMA_RANGE_EV[1])
-    p.add_argument("--rel-tol", type=float, default=1e-8)
+    p.add_argument("--radius-cm", type=finite_float, default=15.6)
+    p.add_argument("--wp-min-ev", type=finite_float, default=GOLD_OMEGA_P_RANGE_EV[0])
+    p.add_argument("--wp-max-ev", type=finite_float, default=GOLD_OMEGA_P_RANGE_EV[1])
+    p.add_argument("--gamma-min-ev", type=finite_float, default=GOLD_GAMMA_RANGE_EV[0])
+    p.add_argument("--gamma-max-ev", type=finite_float, default=GOLD_GAMMA_RANGE_EV[1])
+    p.add_argument("--rel-tol", type=finite_float, default=1e-8)
     p.add_argument("--out", default="band.csv")
     p.set_defaults(func=cmd_band)
 

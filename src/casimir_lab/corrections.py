@@ -6,8 +6,11 @@ and the 1/d capacitance inversion underlying the electrostatic calibration
 returns a separation short by the factor 1 + (delta/d)^2.  Both corrections
 are second order in delta/d, so they are only trusted well away from
 d ~ delta; inside five fluctuation amplitudes the expansion is refused.
+F'' is an input here: :func:`casimir_lab.lifshitz.force_curvature_sphere_plane`
+evaluates it from the engine's own curvature kernel, with no finite difference.
 """
 
+import math
 from dataclasses import dataclass
 
 from .errors import RegimeError, ValidationError
@@ -33,17 +36,19 @@ class FluctuationSpec:
     delta_sigma: float = 0.0
 
     def __post_init__(self):
-        if self.delta < 0.0:
-            raise ValidationError(f"delta must be >= 0, got {self.delta}")
-        if self.delta_sigma < 0.0:
-            raise ValidationError(f"delta_sigma must be >= 0, got {self.delta_sigma}")
+        if not (math.isfinite(self.delta) and self.delta >= 0.0):
+            raise ValidationError(f"delta must be finite and >= 0, got {self.delta}")
+        if not (math.isfinite(self.delta_sigma) and self.delta_sigma >= 0.0):
+            raise ValidationError(
+                f"delta_sigma must be finite and >= 0, got {self.delta_sigma}"
+            )
 
 
 def _check_regime(d, delta):
-    if d <= 0.0:
-        raise ValueError(f"separation must be positive, got {d}")
-    if delta < 0.0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
+    if not (math.isfinite(d) and d > 0.0):
+        raise ValueError(f"separation must be positive and finite, got {d}")
+    if not (math.isfinite(delta) and delta >= 0.0):
+        raise ValueError(f"delta must be finite and >= 0, got {delta}")
     if delta > 0.0 and d <= REGIME_FACTOR * delta:
         raise RegimeError(
             f"d = {d:.3e} m is within {REGIME_FACTOR:g} fluctuation amplitudes "
@@ -51,34 +56,22 @@ def _check_regime(d, delta):
         )
 
 
-def fluctuation_corrected_force(force_curve, d, delta):
+def fluctuation_corrected_force(force, curvature, d, delta):
     """Time-averaged force F(d) + F''(d) delta^2 / 2, in N.
-
-    The second derivative comes from a five-point central stencil with step
-    h = max(1 nm, 1e-3 d), small against every feature of the smooth
-    power-law-like curves this is applied to yet large enough to stay clear
-    of float cancellation.
 
     Parameters
     ----------
-    force_curve : callable
-        Smooth map d (m) -> force (N).
+    force : float
+        F(d) in N.
+    curvature : float
+        F''(d) in N/m^2.
     d : float
         Mean separation in m, must exceed five delta.
     delta : float
         Rms fluctuation amplitude in m.
     """
     _check_regime(d, delta)
-    if delta == 0.0:
-        return force_curve(d)
-    h = max(1e-9, 1e-3 * d)
-    f_m2 = force_curve(d - 2.0 * h)
-    f_m1 = force_curve(d - h)
-    f_0 = force_curve(d)
-    f_p1 = force_curve(d + h)
-    f_p2 = force_curve(d + 2.0 * h)
-    second = (-f_m2 + 16.0 * f_m1 - 30.0 * f_0 + 16.0 * f_p1 - f_p2) / (12.0 * h * h)
-    return f_0 + 0.5 * second * delta * delta
+    return force + 0.5 * curvature * delta * delta
 
 
 def corrected_separation(d_inferred, delta):
@@ -93,26 +86,27 @@ def corrected_separation(d_inferred, delta):
     return d_inferred * (1.0 + ratio * ratio)
 
 
-def correction_uncertainty(force_curve, d, fluct):
+def correction_uncertainty(curvature, d, fluct):
     """Half-spread of the corrected force over delta +- delta_sigma, in N.
 
-    Evaluates :func:`fluctuation_corrected_force` at the one-sigma edges of
-    the fluctuation amplitude; the lower edge is clipped at zero.
+    |F''| ((delta + sigma)^2 - max(delta - sigma, 0)^2) / 4: the correction
+    at the one-sigma edges of the fluctuation amplitude, the lower edge
+    clipped at zero.
     """
     if not isinstance(fluct, FluctuationSpec):
         raise TypeError("fluct must be a FluctuationSpec")
-    if fluct.delta_sigma == 0.0:
-        _check_regime(d, fluct.delta)
-        return 0.0
     hi = fluct.delta + fluct.delta_sigma
     lo = max(fluct.delta - fluct.delta_sigma, 0.0)
-    f_hi = fluctuation_corrected_force(force_curve, d, hi)
-    f_lo = fluctuation_corrected_force(force_curve, d, lo)
-    return abs(f_hi - f_lo) / 2.0
+    _check_regime(d, hi)
+    return 0.5 * abs(curvature) * (hi * hi - lo * lo) / 2.0
 
 
-def corrected_curve(force_curve, delta):
-    """Wrap a raw theory curve as its fluctuation-corrected counterpart."""
+def corrected_curve(force_curve, curvature_curve, delta):
+    """Wrap a raw theory curve and its curvature as the corrected curve.
+
+    With delta = 0 the raw curve itself comes back and no curvature is
+    evaluated.
+    """
     if delta == 0.0:
         return force_curve
-    return lambda d: fluctuation_corrected_force(force_curve, d, delta)
+    return lambda d: fluctuation_corrected_force(force_curve(d), curvature_curve(d), d, delta)

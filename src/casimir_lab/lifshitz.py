@@ -14,7 +14,8 @@ wavevector for a whole family of frequency nodes, then over frequency.
 
 Everything is computed in the dimensionless variable y = 2 kappa0 d, where
 each kernel decays like exp(-y); the k-integral for Matsubara index n starts
-at y_min = 2 xi_n d / c.
+at y_min = 2 xi_n d / c.  At fixed (k, xi) the gap enters only through
+exp(-y), so d/dd of each kernel is the next one of the same family.
 
 Sign convention: free energy negative, attractive pressures and forces
 positive.  That matches how sphere-plane force curves are usually plotted.
@@ -53,6 +54,7 @@ __all__ = [
     "free_energy_per_area",
     "pressure_parallel",
     "force_sphere_plane",
+    "force_curvature_sphere_plane",
     "force_sphere_plane_T0",
     "force_sphere_plane_grid",
     "asymptote_thermal",
@@ -73,15 +75,12 @@ class QuadratureSpec:
 
     rel_tol: float = 1e-8
     max_matsubara: int = 100_000
-    k_nodes: int = 8
 
     def __post_init__(self):
         if not 0.0 < self.rel_tol <= 1e-3:
             raise ValueError(f"rel_tol must be in (0, 1e-3], got {self.rel_tol}")
         if self.max_matsubara < 1:
             raise ValueError(f"max_matsubara must be >= 1, got {self.max_matsubara}")
-        if self.k_nodes < 2:
-            raise ValueError(f"k_nodes must be >= 2, got {self.k_nodes}")
 
 
 DEFAULT_SPEC = QuadratureSpec()
@@ -198,19 +197,24 @@ def _zero_mode_family(model):
 
 
 def _kernel(r, y, kind):
-    """Energy (y ln) or pressure (y^2 Bose) integrand summed over TE and TM."""
+    """Energy y ln(1 - s), pressure y^2 s/(1 - s) or curvature
+    y^3 s/(1 - s)^2 integrand, s = r^2 exp(-y), summed over TE and TM."""
     # in place: on the T = 0 grid every temporary is a whole (x, t) array,
     # and their number sets the peak memory
     expy = np.exp(-y)
     total = np.zeros_like(y)
     for rp in r:
-        s = rp * rp
+        # r comes fresh from _fresnel or the zero-mode dispatch: reuse it
+        s = np.square(rp, out=rp)
         s *= expy
         if kind == "energy":
             total += np.log1p(np.negative(s, out=s), out=s)
         else:
-            total += np.divide(s, 1.0 - s, out=s)
+            q = 1.0 - s
+            total += np.divide(s, q if kind == "pressure" else np.square(q, out=q), out=s)
     total *= y if kind == "energy" else y * y
+    if kind == "curvature":
+        total *= y
     return total
 
 
@@ -232,28 +236,20 @@ def _mode_integrand(model, d, x, t, kind):
 def _matsubara_ladder(d, T, model, spec, kind):
     """Adaptively truncated Matsubara sum of the dimensionless y-integrals.
 
-    Returns sum'_n I_n with I_n = int y^m * kernel dy (m = 1 for energy,
-    2 for pressure).  Terms are evaluated in one vectorized pass up to the
-    exp(-2 xi_n d / c) decay cap, then summed through the first index whose
-    relative contribution drops below rel_tol.
+    Returns sum'_n I_n with I_n the y-integral of the ``kind`` kernel.
+    Terms are evaluated in one vectorized pass up to the exp(-2 xi_n d / c)
+    decay cap, then summed through the first index whose relative
+    contribution drops below rel_tol.
     """
     # Terms decay like exp(-n * 4 pi k_B T d / (hbar c)); at the cap the
     # neglected tail is below exp(-30) of the total.
     decay_cap = math.ceil(15.0 * HBAR * _C / (2.0 * math.pi * BOLTZMANN * T * d)) + 10
     n_cap = min(spec.max_matsubara, decay_cap)
 
-    i_zero = integrate_decaying(
-        lambda y: _zero_mode_integrand(model, d, y, kind),
-        spec.rel_tol,
-        node_start=spec.k_nodes,
-    )
+    i_zero = integrate_decaying(lambda y: _zero_mode_integrand(model, d, y, kind), spec.rel_tol)
     # x_n = 2 xi_n d / c with xi_n = 2 pi n k_B T / hbar
     x = 4.0 * math.pi * BOLTZMANN * T * d / (HBAR * _C) * np.arange(1, n_cap + 1)[:, None]
-    rows = integrate_decaying(
-        lambda t: _mode_integrand(model, d, x, t, kind),
-        spec.rel_tol,
-        node_start=spec.k_nodes,
-    )
+    rows = integrate_decaying(lambda t: _mode_integrand(model, d, x, t, kind), spec.rel_tol)
 
     terms = np.concatenate(([0.5 * i_zero], np.atleast_1d(rows)))
     partial = np.cumsum(terms)
@@ -269,20 +265,28 @@ def _matsubara_ladder(d, T, model, spec, kind):
     return partial[stop[0] + 1]
 
 
-def _t0_double_integral(d, model, spec, kind):
-    """Zero-temperature integral over (x, t) = (2 xi d/c, y - x)."""
-    return integrate_decaying_2d(
-        lambda x, t: _mode_integrand(model, d, x, t, kind),
-        spec.rel_tol,
-        node_start=spec.k_nodes,
-    )
-
-
 def _validate_dT(d, T):
     if not (math.isfinite(d) and d > 0.0):
         raise ValueError(f"separation must be positive and finite, got {d}")
     if not (math.isfinite(T) and T >= 0.0):
         raise ValueError(f"temperature must be non-negative and finite, got {T}")
+
+
+def _lifshitz(d, T, model, spec, kind):
+    """Energy, pressure or curvature per plate area: the (x, t) integral at
+    T = 0 times hbar c / (32 pi^2 d^(3+m)), else the Matsubara ladder times
+    k_B T / (8 pi d^(2+m)), with m = 0, 1, 2."""
+    _validate_dT(d, T)
+    m = ("energy", "pressure", "curvature").index(kind)
+    if T == 0.0:
+        value = integrate_decaying_2d(
+            lambda x, t: _mode_integrand(model, d, x, t, kind), spec.rel_tol
+        )
+        return HBAR * _C / (32.0 * math.pi ** 2 * d ** (3 + m)) * value
+    ladder = _matsubara_ladder(d, T, model, spec, kind)
+    if kind == "energy":
+        return BOLTZMANN * T / (2.0 * math.pi) / (4.0 * d * d) * ladder
+    return BOLTZMANN * T / math.pi / (8.0 * d ** (2 + m)) * ladder
 
 
 def free_energy_per_area(d, T, model, spec=DEFAULT_SPEC):
@@ -305,12 +309,7 @@ def free_energy_per_area(d, T, model, spec=DEFAULT_SPEC):
     float
         F(d, T) <= 0; more negative means stronger attraction.
     """
-    _validate_dT(d, T)
-    if T == 0.0:
-        value = _t0_double_integral(d, model, spec, "energy")
-        return HBAR * _C / (32.0 * math.pi ** 2 * d ** 3) * value
-    ladder = _matsubara_ladder(d, T, model, spec, "energy")
-    return BOLTZMANN * T / (2.0 * math.pi) / (4.0 * d * d) * ladder
+    return _lifshitz(d, T, model, spec, "energy")
 
 
 def pressure_parallel(d, T, model, spec=DEFAULT_SPEC):
@@ -321,12 +320,20 @@ def pressure_parallel(d, T, model, spec=DEFAULT_SPEC):
     s_p = r_p^2 exp(-2 kappa0 d); equal to |dF/dd| of
     :func:`free_energy_per_area`.
     """
-    _validate_dT(d, T)
-    if T == 0.0:
-        value = _t0_double_integral(d, model, spec, "pressure")
-        return HBAR * _C / (32.0 * math.pi ** 2 * d ** 4) * value
-    ladder = _matsubara_ladder(d, T, model, spec, "pressure")
-    return BOLTZMANN * T / math.pi / (8.0 * d ** 3) * ladder
+    return _lifshitz(d, T, model, spec, "pressure")
+
+
+def _sphere_plane(d, R, per_area):
+    """2 pi R |per_area()|, the PFA map, after validating the geometry."""
+    geometry = Geometry(radius=R, separation=d)
+    if not geometry.pfa_valid:
+        warnings.warn(
+            f"d/R = {geometry.pfa_ratio:.2e} exceeds {PFA_RATIO_LIMIT:.0e}; "
+            "the proximity force approximation degrades",
+            PfaValidityWarning,
+            stacklevel=3,
+        )
+    return 2.0 * math.pi * R * abs(per_area())
 
 
 def force_sphere_plane(d, T, R, model, spec=DEFAULT_SPEC):
@@ -335,15 +342,15 @@ def force_sphere_plane(d, T, R, model, spec=DEFAULT_SPEC):
     F = 2 pi R |free_energy_per_area(d, T)|, positive for attraction.
     Warns, without failing, when d/R exceeds the PFA validity ratio.
     """
-    geometry = Geometry(radius=R, separation=d)
-    if not geometry.pfa_valid:
-        warnings.warn(
-            f"d/R = {geometry.pfa_ratio:.2e} exceeds {PFA_RATIO_LIMIT:.0e}; "
-            "the proximity force approximation degrades",
-            PfaValidityWarning,
-            stacklevel=2,
-        )
-    return 2.0 * math.pi * R * abs(free_energy_per_area(d, T, model, spec))
+    return _sphere_plane(d, R, lambda: free_energy_per_area(d, T, model, spec))
+
+
+def force_curvature_sphere_plane(d, T, R, model, spec=DEFAULT_SPEC):
+    """Curvature F'' = 2 pi R |dP/dd| of the PFA sphere-plane force, in N/m^2.
+
+    Validates and warns like :func:`force_sphere_plane`.
+    """
+    return _sphere_plane(d, R, lambda: _lifshitz(d, T, model, spec, "curvature"))
 
 
 def force_sphere_plane_T0(d, R, model, spec=DEFAULT_SPEC):

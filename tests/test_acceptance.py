@@ -190,12 +190,23 @@ def test_06_calibration_round_trip():
 
 def test_07_fluctuation_correction_oracle():
     delta = 40e-9
+    gaps = (0.7e-6, 1e-6, 3e-6, 7e-6)
     for n in (2, 3, 4):
-        curve = lambda d, n=n: 2.5e-27 / d**n
-        for d in (0.7e-6, 1e-6, 3e-6, 7e-6):
-            got = fluctuation_corrected_force(curve, d, delta)
-            want = curve(d) * (1.0 + n * (n + 1) * (delta / d) ** 2 / 2.0)
+        for d in gaps:
+            force = 2.5e-27 / d**n
+            curvature = n * (n + 1) * 2.5e-27 / d ** (n + 2)
+            got = fluctuation_corrected_force(force, curvature, d, delta)
+            want = force * (1.0 + n * (n + 1) * (delta / d) ** 2 / 2.0)
             assert got == pytest.approx(want, rel=1e-6), (n, d)
+
+    # the engine's own curvature: a near-ideal mirror at T = 0 has F ~ d^-3
+    # exactly, so its corrected force is F (1 + 6 (delta/d)^2)
+    mirror = ConstantModel(eps=1e12)
+    curves = standard_model_curves(R_SPHERE, delta, drude=mirror)
+    drude_t0 = next(c for c in curves if c.model_id == "drude_t0")
+    for d in gaps:
+        want = force_sphere_plane_T0(d, R_SPHERE, mirror) * (1.0 + 6.0 * (delta / d) ** 2)
+        assert drude_t0.evaluator(d) == pytest.approx(want, rel=1e-9), d
 
 
 def test_08_sensitivity_band_width():

@@ -1,6 +1,6 @@
 """Virtual measurement campaign: schedule, noise stream, drift removal.
 
-Small configs (few sweeps, few separations) keep the truth-force cache hot
+Small configs (few sweeps, few separations) keep the truth forces cheap
 and the statistical loops fast. The full-size campaign runs once in the
 acceptance suite.
 """
@@ -77,6 +77,42 @@ class TestConfig:
             small_config(truth_model_id="bogus")
         with pytest.raises(ValidationError):
             small_config(sweep_voltages=())
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "d_min",
+            "d_max",
+            "v_rms_true",
+            "v_m_true",
+            "offset_a_true",
+            "noise_sigma",
+            "drift_rate",
+            "delta_true",
+            "radius",
+        ],
+    )
+    def test_non_finite_field_is_named(self, name, bad):
+        with pytest.raises(ValidationError, match=f"^{name} must be a finite number"):
+            config_from_dict({name: bad, "seed": 1})
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("n_sweeps", 2.5),
+            ("n_separations", "30"),
+            ("seed", "abc"),
+            ("seed", 1.5),
+            ("seed", -1),
+            ("sweep_voltages", 3),
+            ("sweep_voltages", [0.0, math.nan]),
+            ("radius", "0.156"),
+        ],
+    )
+    def test_wrong_type_is_named(self, name, value):
+        with pytest.raises(ValidationError, match=f"^{name} must"):
+            config_from_dict({name: value})
 
     def test_separations_are_log_spaced_with_exact_endpoints(self):
         cfg = small_config()

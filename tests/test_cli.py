@@ -6,6 +6,7 @@ simulated campaign and that one uses a reduced sweep count.
 """
 
 import json
+import math
 
 import pytest
 
@@ -202,6 +203,25 @@ class TestSimulate:
         manifest = json.loads((tmp_path / "campaign.csv.manifest.json").read_text())
         assert isinstance(manifest["seed"], int)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_sweeps", 2.5),
+            ("n_separations", "30"),
+            ("seed", "abc"),
+            ("seed", 1.5),
+            ("sweep_voltages", 3),
+            ("v_rms_true", math.nan),
+            ("radius", math.inf),
+        ],
+    )
+    def test_bad_config_field_is_two_and_named(self, tmp_path, capsys, field, value):
+        cfg = self.small_cfg(tmp_path, **{field: value})
+        out = tmp_path / "campaign.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sweeps_out(self, tmp_path):
         cfg = self.small_cfg(tmp_path)
         out = tmp_path / "campaign.csv"
@@ -380,6 +400,30 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["fit", "--data", "campaign.csv", "--delta-nm", "nan"], "--delta-nm"),
+            (["fit", "--data", "campaign.csv", "--radius-cm", "inf"], "--radius-cm"),
+            (["force", "--model", "drude", "--dmin", "nan"], "--dmin"),
+            (["force", "--model", "drude", "--radius-cm", "nan"], "--radius-cm"),
+            (["band", "--dmax", "inf"], "--dmax"),
+            (["band", "--radius-cm=-inf"], "--radius-cm"),
+        ],
+    )
+    def test_non_finite_flag_is_two_and_named(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--out", str(out)])
+        assert err.value.code == 2
+        assert f"argument {flag}: must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_failed_force_writes_nothing(self, tmp_path):
+        out = tmp_path / "force.csv"
+        assert main(["force", "--model", "drude", "--temp", "-1", "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_non_finite_measurement_is_two_and_writes_nothing(self, tmp_path, campaign_csv):
         lines = campaign_csv.read_text(encoding="utf-8").splitlines()
         cells = lines[3].split(",")
@@ -429,3 +473,4 @@ class TestExitCodes:
             ]
         )
         assert code == 3
+        assert not out.exists()

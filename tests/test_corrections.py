@@ -1,9 +1,11 @@
 """Fluctuation corrections against exact power-law differentiation.
 
-For F = K / d^n the corrected force is F (1 + n(n+1)(delta/d)^2 / 2)
-exactly, which pins the finite-difference second derivative to six digits
-and gives closed forms for the uncertainty half-spread as well.
+For F = K / d^n, with F'' = n(n+1) K / d^(n+2), the corrected force is
+F (1 + n(n+1)(delta/d)^2 / 2) exactly, and the uncertainty half-spread has
+a closed form as well.
 """
+
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,55 +24,70 @@ def power_law(K, n):
     return lambda d: K / d**n
 
 
+def power_law_curvature(K, n):
+    return lambda d: n * (n + 1) * K / d ** (n + 2)
+
+
+def corrected(K, n, d, delta):
+    return fluctuation_corrected_force(
+        power_law(K, n)(d), power_law_curvature(K, n)(d), d, delta
+    )
+
+
 class TestCorrectedForce:
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("d_um", [0.7, 1.0, 3.0, 7.0])
     def test_power_law_oracle(self, n, d_um):
         d = d_um * 1e-6
         delta = 40e-9
-        curve = power_law(1e-27, n)
-        got = fluctuation_corrected_force(curve, d, delta)
-        want = curve(d) * (1.0 + n * (n + 1) * (delta / d) ** 2 / 2.0)
+        got = corrected(1e-27, n, d, delta)
+        want = power_law(1e-27, n)(d) * (1.0 + n * (n + 1) * (delta / d) ** 2 / 2.0)
         assert got == pytest.approx(want, rel=1e-6)
 
     def test_ideal_sphere_plane_magnitude(self):
         # n = 3 at d = 0.7 um, delta = 40 nm: multiplier 1 + 6 (delta/d)^2
         d, delta = 0.7e-6, 40e-9
-        curve = power_law(1e-27, 3)
-        got = fluctuation_corrected_force(curve, d, delta)
-        assert got / curve(d) == pytest.approx(1.0 + 6.0 * (delta / d) ** 2, rel=1e-6)
-        assert got / curve(d) == pytest.approx(1.0196, rel=1e-4)
+        force = power_law(1e-27, 3)(d)
+        got = corrected(1e-27, 3, d, delta)
+        assert got / force == pytest.approx(1.0 + 6.0 * (delta / d) ** 2, rel=1e-6)
+        assert got / force == pytest.approx(1.0196, rel=1e-4)
 
     def test_thermal_asymptote_magnitude(self):
         # n = 2 at delta/d = 0.01: multiplier 1 + 3e-4
         d = 1e-6
-        curve = power_law(1e-27, 2)
-        got = fluctuation_corrected_force(curve, d, 0.01 * d)
-        assert got / curve(d) == pytest.approx(1.0 + 3e-4, rel=1e-7)
+        got = corrected(1e-27, 2, d, 0.01 * d)
+        assert got / power_law(1e-27, 2)(d) == pytest.approx(1.0 + 3e-4, rel=1e-7)
 
     def test_zero_delta_is_identity(self):
-        curve = power_law(2e-27, 3)
-        assert fluctuation_corrected_force(curve, 1e-6, 0.0) == curve(1e-6)
+        force = power_law(2e-27, 3)(1e-6)
+        assert fluctuation_corrected_force(force, 1e27, 1e-6, 0.0) == force
 
     @settings(max_examples=40)
     @given(st.floats(min_value=0.1, max_value=10.0))
     def test_commutes_with_force_scaling(self, c):
         d, delta = 1e-6, 40e-9
-        curve = power_law(1e-27, 3)
-        scaled = lambda x: c * curve(x)
-        assert fluctuation_corrected_force(scaled, d, delta) == pytest.approx(
-            c * fluctuation_corrected_force(curve, d, delta), rel=1e-12
+        assert corrected(c * 1e-27, 3, d, delta) == pytest.approx(
+            c * corrected(1e-27, 3, d, delta), rel=1e-12
         )
 
     def test_regime_error_close_to_contact(self):
         with pytest.raises(RegimeError):
-            fluctuation_corrected_force(power_law(1e-27, 3), 150e-9, 40e-9)
+            corrected(1e-27, 3, 150e-9, 40e-9)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            fluctuation_corrected_force(power_law(1e-27, 3), -1e-6, 0.0)
+            fluctuation_corrected_force(1e-9, 1e3, -1e-6, 0.0)
         with pytest.raises(ValueError):
-            fluctuation_corrected_force(power_law(1e-27, 3), 1e-6, -1e-9)
+            corrected(1e-27, 3, 1e-6, -1e-9)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_gap_or_delta_rejected(self, bad):
+        with pytest.raises(ValueError, match=str(bad)):
+            fluctuation_corrected_force(1e-9, 1e3, bad, 40e-9)
+        with pytest.raises(ValueError, match=str(bad)):
+            corrected(1e-27, 3, 1e-6, bad)
+        with pytest.raises(ValueError, match=str(bad)):
+            corrected_separation(1e-6, bad)
 
 
 class TestCorrectedSeparation:
@@ -109,22 +126,38 @@ class TestCorrectedSeparation:
 class TestCorrectionUncertainty:
     def test_zero_sigma_is_zero(self):
         spec = FluctuationSpec(delta=40e-9, delta_sigma=0.0)
-        assert correction_uncertainty(power_law(1e-27, 3), 1e-6, spec) == 0.0
+        assert correction_uncertainty(power_law_curvature(1e-27, 3)(1e-6), 1e-6, spec) == 0.0
 
     def test_analytic_half_spread(self):
         # |corr(d+s) - corr(d-s)|/2 = 6 F * 2 delta sigma / d^2 for K/d^3
         d = 0.7e-6
         delta, sig = 40e-9, 20e-9
-        curve = power_law(1e-27, 3)
-        got = correction_uncertainty(curve, d, FluctuationSpec(delta, sig))
-        want = curve(d) * 6.0 * 2.0 * delta * sig / (d * d)
+        curvature = power_law_curvature(1e-27, 3)(d)
+        got = correction_uncertainty(curvature, d, FluctuationSpec(delta, sig))
+        want = power_law(1e-27, 3)(d) * 6.0 * 2.0 * delta * sig / (d * d)
         assert got == pytest.approx(want, rel=1e-6)
 
+    def test_lower_edge_clipped_at_zero(self):
+        # sigma > delta: the spread runs from no correction to delta + sigma
+        d, delta, sig = 1e-6, 20e-9, 30e-9
+        curvature = power_law_curvature(1e-27, 3)(d)
+        got = correction_uncertainty(curvature, d, FluctuationSpec(delta, sig))
+        assert got == pytest.approx(
+            (corrected(1e-27, 3, d, delta + sig) - power_law(1e-27, 3)(d)) / 2.0, rel=1e-9
+        )
+
     def test_grows_toward_small_separations(self):
-        curve = power_law(1e-27, 3)
+        curvature = power_law_curvature(1e-27, 3)
         spec = FluctuationSpec(40e-9, 20e-9)
-        u = [correction_uncertainty(curve, d * 1e-6, spec) for d in (0.7, 1.0, 2.0, 7.0)]
+        u = [
+            correction_uncertainty(curvature(d * 1e-6), d * 1e-6, spec)
+            for d in (0.7, 1.0, 2.0, 7.0)
+        ]
         assert u[0] > u[1] > u[2] > u[3]
+
+    def test_regime_checked_at_the_upper_edge(self):
+        with pytest.raises(RegimeError):
+            correction_uncertainty(1e3, 250e-9, FluctuationSpec(40e-9, 20e-9))
 
     def test_spec_validation(self):
         with pytest.raises(ValidationError):
@@ -132,15 +165,28 @@ class TestCorrectionUncertainty:
         with pytest.raises(ValidationError):
             FluctuationSpec(delta=1e-9, delta_sigma=-1e-9)
         with pytest.raises(TypeError):
-            correction_uncertainty(power_law(1e-27, 3), 1e-6, 40e-9)
+            correction_uncertainty(1e3, 1e-6, 40e-9)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_spec_rejects_non_finite(self, bad):
+        with pytest.raises(ValidationError, match="delta must"):
+            FluctuationSpec(delta=bad)
+        with pytest.raises(ValidationError, match="delta_sigma must"):
+            FluctuationSpec(delta=1e-9, delta_sigma=bad)
 
 
 class TestCorrectedCurve:
     def test_wrapper_matches_direct_evaluation(self):
-        curve = power_law(1e-27, 3)
-        wrapped = corrected_curve(curve, 40e-9)
-        assert wrapped(1e-6) == fluctuation_corrected_force(curve, 1e-6, 40e-9)
+        curve, curvature = power_law(1e-27, 3), power_law_curvature(1e-27, 3)
+        wrapped = corrected_curve(curve, curvature, 40e-9)
+        assert wrapped(1e-6) == fluctuation_corrected_force(
+            curve(1e-6), curvature(1e-6), 1e-6, 40e-9
+        )
 
     def test_zero_delta_returns_same_callable(self):
         curve = power_law(1e-27, 3)
-        assert corrected_curve(curve, 0.0) is curve
+
+        def curvature(d):
+            raise AssertionError("curvature evaluated at delta = 0")
+
+        assert corrected_curve(curve, curvature, 0.0) is curve

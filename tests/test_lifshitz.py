@@ -28,6 +28,7 @@ from casimir_lab.lifshitz import (
     Geometry,
     QuadratureSpec,
     asymptote_thermal,
+    force_curvature_sphere_plane,
     force_sphere_plane,
     force_sphere_plane_T0,
     force_sphere_plane_grid,
@@ -302,6 +303,31 @@ class TestConsistency:
             )
 
 
+class TestCurvature:
+    """The curvature kernel against derivatives taken outside it."""
+
+    @pytest.mark.parametrize("d_um", [0.7, 3.0])
+    @pytest.mark.parametrize("T", [300.0, 0.0])
+    @pytest.mark.parametrize("model", [gold_drude(), gold_plasma()], ids=["drude", "plasma"])
+    def test_curvature_is_minus_2pi_r_times_the_pressure_slope(self, model, T, d_um):
+        d = d_um * 1e-6
+        h = d / 100.0
+        p = [pressure_parallel(d + k * h, T, model) for k in (-2, -1, 1, 2)]
+        slope = (p[0] - 8.0 * p[1] + 8.0 * p[2] - p[3]) / (12.0 * h)
+        got = force_curvature_sphere_plane(d, T, R_SPHERE, model)
+        assert got == pytest.approx(-2.0 * math.pi * R_SPHERE * slope, rel=2e-6)
+
+    @pytest.mark.parametrize("d_um", [0.7, 3.0])
+    def test_scale_free_mirror_has_power_law_curvature(self, d_um):
+        # a constant eps has no length scale, so at T = 0 the force goes as
+        # d^-3 exactly and F'' = 12 F / d^2
+        d = d_um * 1e-6
+        mirror = ConstantModel(eps=1e12)
+        force = force_sphere_plane_T0(d, R_SPHERE, mirror)
+        got = force_curvature_sphere_plane(d, 0.0, R_SPHERE, mirror)
+        assert got == pytest.approx(12.0 * force / (d * d), rel=1e-9)
+
+
 class TestGeometryAndPfa:
     def test_geometry_validation(self):
         with pytest.raises(ValueError):
@@ -316,8 +342,9 @@ class TestGeometryAndPfa:
         assert f == pytest.approx(2.0 * math.pi * R_SPHERE * abs(e), rel=1e-14)
 
     def test_pfa_warning_past_aspect_ratio(self):
-        with pytest.warns(PfaValidityWarning):
-            force_sphere_plane(2e-4, 300.0, 0.1, gold_drude())
+        for fn in (force_sphere_plane, force_curvature_sphere_plane):
+            with pytest.warns(PfaValidityWarning):
+                fn(2e-4, 300.0, 0.1, gold_drude())
 
     def test_no_warning_in_validity_range(self):
         import warnings
@@ -346,8 +373,9 @@ class TestGeometryAndPfa:
         args = {"d": 1e-6, "T": 300.0, "R": R_SPHERE, arg: bad}
         d, T, R = args["d"], args["T"], args["R"]
         named = re.escape(str(bad))
-        with pytest.raises(ValueError, match=named):
-            force_sphere_plane(d, T, R, gold_drude())
+        for fn in (force_sphere_plane, force_curvature_sphere_plane):
+            with pytest.raises(ValueError, match=named):
+                fn(d, T, R, gold_drude())
         with pytest.raises(ValueError, match=named):
             asymptote_thermal(d, R, T, "drude")
         if arg != "T":
