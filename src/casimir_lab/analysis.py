@@ -95,8 +95,8 @@ class FitResult:
 def log_bin_edges(d_min, d_max, n_bins):
     """Logarithmic bin edges covering [d_min, d_max], widened a hair so the
     extreme points cannot fall outside through rounding."""
-    if d_min <= 0.0 or d_max <= d_min:
-        raise ValueError("need 0 < d_min < d_max")
+    if not 0.0 < d_min < d_max < math.inf:
+        raise ValueError(f"need finite 0 < d_min < d_max, got d_min={d_min}, d_max={d_max}")
     if n_bins < 1:
         raise ValueError(f"n_bins must be >= 1, got {n_bins}")
     pad = 1e-9
@@ -192,10 +192,10 @@ def fit_patch_and_offset(points, curve, R, delta=0.0):
     points = list(points)
     if len(points) < 3:
         raise ValidationError(f"need >= 3 measurement points, got {len(points)}")
-    if R <= 0.0:
-        raise ValueError(f"radius must be positive, got {R}")
-    if delta < 0.0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
+    if not 0.0 < R < math.inf:
+        raise ValueError(f"radius R must be positive and finite, got {R}")
+    if not 0.0 <= delta < math.inf:
+        raise ValueError(f"delta must be finite and >= 0, got {delta}")
 
     d = np.array([p.d for p in points])
     f = np.array([p.f for p in points])

@@ -275,7 +275,7 @@ def eps_imag_axis(model, xi):
     elif isinstance(model, ConstantModel):
         out = np.full(np.shape(xi_arr), model.eps)
     elif isinstance(model, TabulatedModel):
-        out = 1.0 + _tabulated_eps_minus_one(model, xi_arr).reshape(np.shape(xi_arr))
+        out = 1.0 + _tabulated_eps_minus_one(model, xi_arr.ravel()).reshape(xi_arr.shape)
     else:
         raise TypeError(f"unknown dielectric model {type(model).__name__}")
     if np.ndim(xi) == 0:

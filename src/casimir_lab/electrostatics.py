@@ -81,6 +81,9 @@ class SweepSample:
     sigma_f: float
 
     def __post_init__(self):
+        for name, value in (("v", self.v), ("f", self.f), ("sigma_f", self.sigma_f)):
+            if not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value}")
         if self.sigma_f <= 0.0:
             raise ValidationError(f"sigma_f must be positive, got {self.sigma_f}")
 
@@ -246,9 +249,10 @@ def load_sweep_csv(path):
                 v, f, s = (float(cell) for cell in row)
             except ValueError:
                 raise ValidationError(f"line {lineno}: non-numeric value in {row}") from None
-            if s <= 0.0:
-                raise ValidationError(f"line {lineno}: sigma_n must be positive, got {s}")
-            samples.append(SweepSample(v=v, f=f, sigma_f=s))
+            try:
+                samples.append(SweepSample(v=v, f=f, sigma_f=s))
+            except ValidationError as exc:
+                raise ValidationError(f"line {lineno}: {exc}") from None
     return samples
 
 

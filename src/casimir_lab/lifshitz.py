@@ -9,8 +9,9 @@ spaces across a vacuum gap d is
 with kappa0 = sqrt(k^2 + xi_n^2/c^2), Matsubara frequencies
 xi_n = 2 pi n k_B T / hbar, and the prime halving the n = 0 term.  At T = 0
 the ladder becomes the integral (hbar / 2 pi) int_0^inf dxi of the same
-k-integral, evaluated here as nested 1-D panel integrals: over the
-wavevector for a whole family of frequency nodes, then over frequency.
+k-integral, evaluated here as one 2-D integral on tensor-product panel
+cells: each refinement level computes eps(i xi) once per frequency node and
+the kernel on the product of those nodes with the wavevector nodes.
 
 Everything is computed in the dimensionless variable y = 2 kappa0 d, where
 each kernel decays like exp(-y); the k-integral for Matsubara index n starts
@@ -225,8 +226,10 @@ def _zero_mode_integrand(model, d, y, kind):
 def _mode_integrand(model, d, x, t, kind):
     """Kernel at reduced frequency x = 2 xi d / c > 0 and t = y - x.
 
-    ``x`` and ``t`` broadcast against each other: one row per frequency on
-    the Matsubara ladder, one row per frequency node in the T = 0 integral.
+    ``x`` and ``t`` broadcast against each other: a column of Matsubara
+    frequencies against the y nodes on the ladder, (px, 1, n, 1) frequency
+    nodes against (1, pt, 1, n) y nodes in the T = 0 integral.  eps is
+    computed on ``x`` alone, once per frequency.
     """
     y = x + t
     eps = np.asarray(eps_imag_axis(model, x * _C / (2.0 * d)))

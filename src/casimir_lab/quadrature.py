@@ -2,20 +2,15 @@
 
 The Lifshitz kernels, once written in the dimensionless variable y = 2*kappa0*d,
 all decay like exp(-y) times a mild prefactor and live on [0, inf).  The scheme
-here covers [0, cutoff] with a fixed panel layout and doubles the node count on
-each panel until the panel estimate is stable relative to the running total.
-Each doubling level evaluates the nodes of every still-unsettled panel in a
-single call of the integrand.
+covers [0, cutoff] with a fixed panel layout, graded toward zero because several
+kernels have an integrable y*log(y) endpoint, and doubles the node count on each
+cell until its estimate is stable relative to the total.  A cell is a panel in
+1-D and an (x-panel, t-panel) pair in 2-D; one loop refines both, and each
+doubling level evaluates every unsettled cell in a single call of the integrand.
 
-The first few panels are geometrically graded toward zero because several
-kernels contain an integrable y*log(y) endpoint (perfectly reflecting n = 0
-term); grading restores spectral convergence without special-casing any kernel.
-
-Integrands are vectorized: ``f(t)`` receives a 1-D array of nodes and returns
-an array whose last axis matches it.  Leading axes (for example one row per
-Matsubara index) are integrated independently in a single pass.  The 2-D
-integral is the same driver nested: an inner integral over t for a family of
-x nodes, inside an outer integral over x.
+``f(t)`` returns an array whose last axis matches the 1-D node array t;
+leading axes (one row per Matsubara index, say) are integrated independently
+in the same pass.  ``f(x, t)`` returns the broadcast of its node arrays.
 """
 
 from functools import lru_cache
@@ -52,6 +47,35 @@ def panel_edges(cutoff=DEFAULT_CUTOFF):
     return edges
 
 
+def _nodes(cutoff, panels, n):
+    """n Gauss-Legendre nodes on each listed panel, the weights, the half widths."""
+    edges = np.array(panel_edges(cutoff))
+    lower, half = edges[panels], 0.5 * (edges[panels + 1] - edges[panels])
+    x, w = gauss_legendre(n)
+    return lower[:, None] + half[:, None] * (x + 1.0), w, half
+
+
+def _settle(estimate, cells, rel_tol, node_start, node_cap):
+    """Total of the cells of ``estimate(cells, n)`` (last axis), doubling n on
+    each cell until its change is at most rel_tol times the largest first-pass
+    total or cell estimate; one call of ``estimate`` per doubling level."""
+    estimates = estimate(cells, node_start)
+    scale = float(np.max(np.abs(estimates.sum(axis=-1))))
+    n = node_start
+    while cells.size:
+        n *= 2
+        refined = estimate(cells, n)
+        change = np.abs(refined - estimates[..., cells]).reshape(-1, cells.size).max(axis=0)
+        scale = max(scale, float(np.max(np.abs(refined))), np.finfo(float).tiny)
+        estimates[..., cells] = refined
+        unsettled = change > rel_tol * scale
+        if n >= node_cap and unsettled.any():
+            worst = float(change[unsettled].max()) / scale
+            raise ConvergenceError("quadrature did not settle within the node cap", worst, rel_tol)
+        cells = cells[unsettled]
+    return estimates.sum(axis=-1)
+
+
 def integrate_decaying(f, rel_tol, node_start=8, node_cap=256, cutoff=DEFAULT_CUTOFF):
     """Integrate ``f`` over [0, cutoff] to a relative tolerance.
 
@@ -77,54 +101,30 @@ def integrate_decaying(f, rel_tol, node_start=8, node_cap=256, cutoff=DEFAULT_CU
     numpy.ndarray or float
         Integral(s) of ``f``, one per leading-axis element.
     """
-    edges = np.array(panel_edges(cutoff))
-    lower, half = edges[:-1], 0.5 * np.diff(edges)
 
     def estimate(panels, n):
-        # one call of f covers the n nodes of every listed panel
-        x, w = gauss_legendre(n)
-        nodes = lower[panels, None] + half[panels, None] * (x + 1.0)
-        vals = np.asarray(f(nodes.ravel()))
-        return half[panels] * (vals.reshape(vals.shape[:-1] + nodes.shape) @ w)
+        x, w, half = _nodes(cutoff, panels, n)
+        vals = np.asarray(f(x.ravel()))
+        return half * (vals.reshape(vals.shape[:-1] + x.shape) @ w)
 
-    # First pass fixes the magnitude scale that "relative" refers to.
-    panels = np.arange(half.size)
-    estimates = estimate(panels, node_start)
-    scale = float(np.max(np.abs(estimates.sum(axis=-1))))
-
-    n = node_start
-    worst = 0.0
-    while panels.size:
-        n *= 2
-        refined = estimate(panels, n)
-        change = np.abs(refined - estimates[..., panels]).reshape(-1, panels.size).max(axis=0)
-        scale = max(scale, float(np.max(np.abs(refined))))
-        estimates[..., panels] = refined
-        unsettled = change > rel_tol * max(scale, np.finfo(float).tiny)
-        if n >= node_cap:
-            if unsettled.any():
-                worst = float(change[unsettled].max()) / max(scale, np.finfo(float).tiny)
-            break
-        panels = panels[unsettled]
-
-    if worst > rel_tol:
-        raise ConvergenceError(
-            "panel quadrature did not settle within the node cap", worst, rel_tol
-        )
-    return estimates.sum(axis=-1)
+    cells = np.arange(len(panel_edges(cutoff)) - 1)
+    return _settle(estimate, cells, rel_tol, node_start, node_cap)
 
 
 def integrate_decaying_2d(f, rel_tol, node_start=8, node_cap=128, cutoff=DEFAULT_CUTOFF):
     """Integrate ``f(x, t)`` over [0, cutoff]^2 to a relative tolerance.
 
-    ``f`` must accept broadcastable arrays shaped (nx, 1) and (nt,) and
-    return an (nx, nt) array.  Used for the zero-temperature theory where
-    the Matsubara sum becomes an integral over imaginary frequency.
+    Cells are (x-panel, t-panel) pairs.  Each doubling level calls ``f``
+    once, on x shaped (px, 1, n, 1) and t shaped (1, pt, 1, n) over the
+    panels that still hold an unsettled cell; it returns their broadcast.
     """
+    panels = len(panel_edges(cutoff)) - 1
 
-    def inner(x):
-        return integrate_decaying(
-            lambda t: f(x[:, None], t), rel_tol, node_start, node_cap, cutoff
-        )
+    def estimate(cells, n):
+        ix, cx = np.unique(cells // panels, return_inverse=True)
+        it, ct = np.unique(cells % panels, return_inverse=True)
+        (x, w, hx), (t, _, ht) = _nodes(cutoff, ix, n), _nodes(cutoff, it, n)
+        sums = f(x[:, None, :, None], t[None, :, None, :]) @ w @ w
+        return hx[cx] * ht[ct] * sums[cx, ct]
 
-    return float(integrate_decaying(inner, rel_tol, node_start, node_cap, cutoff))
+    return float(_settle(estimate, np.arange(panels * panels), rel_tol, node_start, node_cap))

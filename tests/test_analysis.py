@@ -104,6 +104,13 @@ class TestBinning:
         with pytest.raises(ValidationError):
             bin_points(pts, [2e-6, 1e-6])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_log_edges_reject_non_finite_limits(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            log_bin_edges(bad, 7e-6, 30)
+        with pytest.raises(ValueError, match="finite"):
+            log_bin_edges(0.7e-6, bad, 30)
+
     def test_point_validation(self):
         with pytest.raises(ValidationError):
             MeasurementPoint(d=0.0, f=1e-12, sigma=1e-12)
@@ -216,6 +223,15 @@ class TestFit:
         pts = [MeasurementPoint(d=1e-6, f=(1.0 + i) * 1e-12, sigma=1e-12) for i in range(5)]
         with pytest.raises(DegenerateFitError):
             fit_patch_and_offset(pts, curve, R, DELTA)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_radius_or_delta_is_named(self, bad):
+        curve = cube_curve()
+        pts = synth_points(curve, 0.0, 0.0)
+        with pytest.raises(ValueError, match="radius R"):
+            fit_patch_and_offset(pts, curve, bad, DELTA)
+        with pytest.raises(ValueError, match="delta"):
+            fit_patch_and_offset(pts, curve, R, bad)
 
 
 class TestDiscrimination:

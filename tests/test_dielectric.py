@@ -188,6 +188,14 @@ class TestTabulatedKramersKronig:
         with pytest.raises(ValidationError):
             TabulatedModel(table=table, extrapolation=None, tail_exponent=0.5)
 
+    @pytest.mark.parametrize("shape", [(12, 1), (3, 4), (1, 12), (2, 2, 3), (2, 1, 6, 1)])
+    def test_any_array_shape_matches_the_flat_call(self, shape):
+        model, _, w0 = lorentz_table(n=400)
+        xi = np.geomspace(0.1 * w0, 10.0 * w0, 12)
+        got = eps_imag_axis(model, xi.reshape(shape))
+        assert got.shape == shape
+        np.testing.assert_array_equal(got.ravel(), eps_imag_axis(model, xi))
+
 
 class TestOpticalTable:
     def test_requires_two_rows(self):

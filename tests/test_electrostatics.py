@@ -116,6 +116,13 @@ class TestRegimes:
         with pytest.raises(ValidationError):
             SweepSample(v=0.0, f=0.0, sigma_f=0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["v", "f", "sigma_f"])
+    def test_non_finite_sample_rejected(self, field, bad):
+        values = {"v": 0.01, "f": 1e-12, "sigma_f": 1e-12, field: bad}
+        with pytest.raises(ValidationError, match=f"{field} must be finite"):
+            SweepSample(**values)
+
 
 class TestCalibration:
     VOLTAGES = np.linspace(-50e-3, 50e-3, 11)
@@ -226,4 +233,11 @@ class TestSweepCsv:
             "voltage_v,force_n,sigma_n\n0.0,1e-12,0.0\n", encoding="utf-8"
         )
         with pytest.raises(ValidationError):
+            load_sweep_csv(path)
+
+    @pytest.mark.parametrize("row", ["nan,1e-12,1e-12", "0.01,inf,1e-12", "0.01,1e-12,nan"])
+    def test_non_finite_row_names_its_line(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"voltage_v,force_n,sigma_n\n0.0,1e-12,1e-12\n{row}\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match="line 3: .* must be finite"):
             load_sweep_csv(path)

@@ -239,6 +239,22 @@ class TestIndependentOracles:
 
         assert quad_ratio(CROSSOVER_UM * 0.999e-6) < 1.0 < quad_ratio(CROSSOVER_UM * 1.001e-6)
 
+    @pytest.mark.parametrize("T", [0.0, 300.0])
+    @pytest.mark.parametrize("d_um", [1.0, 3.0])
+    def test_tabulated_drude_table_gives_the_drude_force(self, d_um, T):
+        # a 2000-row table of the Drude eps'' with the Drude continuation
+        # below it and the omega^-3 tail above it is the Drude metal again,
+        # up to the trapezoid error across the table
+        gold = gold_drude()
+        wp, g = gold.omega_p, gold.gamma
+        w = np.geomspace(1e14, 1e17, 2000)
+        table = OpticalTable(omega=w, eps_imag=wp**2 * g / (w * (w**2 + g**2)))
+        model = TabulatedModel(table=table, extrapolation=gold, tail_exponent=3.0)
+        d = d_um * 1e-6
+        assert force_sphere_plane(d, T, R_SPHERE, model) == pytest.approx(
+            force_sphere_plane(d, T, R_SPHERE, gold), rel=1e-6
+        )
+
 
 class TestConsistency:
     def test_pressure_equals_free_energy_derivative(self):

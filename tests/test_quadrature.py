@@ -152,3 +152,46 @@ def test_2d_unreachable_tolerance_raises():
     with pytest.raises(ConvergenceError) as err:
         integrate_decaying_2d(f, 1e-13, node_start=4, node_cap=4)
     assert err.value.achieved > err.value.requested
+
+
+def test_2d_cells_cost_at_most_two_passes_on_a_smooth_integrand():
+    # 11 panels make 121 cells; a smooth integrand settles every cell at the
+    # first doubling, so the 8- and 16-node passes are all it may pay for
+    assert len(panel_edges(DEFAULT_CUTOFF)) - 1 == 11
+    values = 0
+
+    def f(x, t):
+        nonlocal values
+        out = np.exp(-x - t)
+        values += out.size
+        return out
+
+    assert integrate_decaying_2d(f, 1e-10) == pytest.approx(1.0, rel=1e-10)
+    assert values <= 121 * (8**2 + 16**2)
+
+
+def test_2d_call_evaluates_each_frequency_node_once():
+    # x carries the frequency nodes; a (px, 1, n, 1) array lets eps(i xi)
+    # be computed once per node and level, not once per t node
+    calls = []
+
+    def f(x, t):
+        calls.append((x.shape, t.shape))
+        assert np.unique(x).size == x.size
+        assert np.unique(t).size == t.size
+        return np.exp(-x - t) * np.cos(5.0 * t)
+
+    integrate_decaying_2d(f, 1e-11)
+    assert len(calls) > 2
+    for x_shape, t_shape in calls:
+        assert x_shape[1] == x_shape[3] == 1 and t_shape[0] == t_shape[2] == 1
+        assert x_shape[2] == t_shape[3]
+
+
+@pytest.mark.parametrize("g", [0.02, 0.5])
+def test_2d_drude_like_near_pole(g):
+    # int_0^inf e^-x g/(x + g) dx = g e^g E1(g); a Drude eps has the same
+    # pole just left of the frequency origin
+    special = pytest.importorskip("scipy.special")
+    value = integrate_decaying_2d(lambda x, t: np.exp(-x - t) * g / (x + g), 1e-11)
+    assert value == pytest.approx(g * math.exp(g) * special.exp1(g), rel=1e-9)
