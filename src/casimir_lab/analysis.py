@@ -18,7 +18,7 @@ import numpy as np
 from .constants import VACUUM_PERMITTIVITY
 from .corrections import corrected_curve
 from .dielectric import gold_drude, gold_plasma
-from .errors import DegenerateFitError, ValidationError
+from .errors import DegenerateFitError, ValidationError, is_finite_real
 from .lifshitz import DEFAULT_SPEC, force_curvature_sphere_plane, force_sphere_plane
 
 __all__ = [
@@ -53,8 +53,8 @@ class MeasurementPoint:
 
     def __post_init__(self):
         for name, value in (("separation", self.d), ("force", self.f), ("sigma", self.sigma)):
-            if not math.isfinite(value):
-                raise ValidationError(f"{name} must be finite, got {value}")
+            if not is_finite_real(value):
+                raise ValidationError(f"{name} must be finite, got {value!r}")
         if self.d <= 0.0:
             raise ValidationError(f"separation must be positive, got {self.d}")
         if self.sigma <= 0.0:
@@ -130,20 +130,17 @@ def bin_points(points, edges):
     idx = np.searchsorted(edges, d, side="right") - 1
     idx[d == edges[-1]] = edges.size - 2  # right-closed final bin
 
-    merged = []
-    for b in range(edges.size - 1):
-        mask = idx == b
-        if not np.any(mask):
-            continue
-        wsum = w[mask].sum()
-        merged.append(
-            MeasurementPoint(
-                d=float(np.sum(w[mask] * d[mask]) / wsum),
-                f=float(np.sum(w[mask] * f[mask]) / wsum),
-                sigma=float(1.0 / math.sqrt(wsum)),
-            )
+    wsum = np.bincount(idx, weights=w)
+    wd = np.bincount(idx, weights=w * d)
+    wf = np.bincount(idx, weights=w * f)
+    return [
+        MeasurementPoint(
+            d=float(wd[b] / wsum[b]),
+            f=float(wf[b] / wsum[b]),
+            sigma=float(1.0 / math.sqrt(wsum[b])),
         )
-    return merged
+        for b in np.unique(idx)
+    ]
 
 
 def _evaluate_curve(curve, d):

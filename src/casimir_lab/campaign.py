@@ -5,8 +5,17 @@ extreme separations every visit records a full force-vs-voltage sweep, the
 calibration input; everywhere the applied bias sits at the minimizing
 potential and a single force sample is taken.  Gaussian noise and a linear
 long-term drift are layered on top of the analytic force sum, all drawn
-from one seeded stream in schedule order so a campaign is reproducible
-bit for bit.
+from one seeded stream so a campaign is reproducible bit for bit.
+
+The campaign is held as arrays, one row per pass over the grid:
+
+    forces        (n_sweeps, n_separations)  at-minimum force per gap
+    sweep_forces  (n_sweeps, 2, n_voltages)  sweeps at the first, last gap
+
+The noise is one draw of shape (n_sweeps, 2 n_voltages + n_separations).
+Its columns follow the schedule order of one pass: the sweep at the first
+gap, that gap's point, the inner points, the sweep at the last gap, that
+gap's point.
 
 The generated data feed the full analysis chain (drift subtraction, sweep
 calibration, separation correction, model fits) and close the loop back on
@@ -24,7 +33,7 @@ import numpy as np
 
 from .analysis import MeasurementPoint, standard_model_curves, MODEL_IDS
 from .electrostatics import SweepSample, bias_force, patch_force
-from .errors import ValidationError
+from .errors import ValidationError, is_finite_real
 from .lifshitz import DEFAULT_SPEC
 
 __all__ = [
@@ -47,10 +56,6 @@ __all__ = [
 SIGMA_FLOOR = 1e-18
 
 SWEEPS_CSV_HEADER = ["sweep_index", "separation_um", "voltage_v", "force_n", "sigma_n"]
-
-
-def _is_finite_real(value):
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def _is_int(value):
@@ -90,7 +95,7 @@ class CampaignConfig:
         # types first, by field name, so no comparison below can raise
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type is float and not _is_finite_real(value):
+            if f.type is float and not is_finite_real(value):
                 raise ValidationError(f"{f.name} must be a finite number, got {value!r}")
             if f.type is int and not _is_int(value):
                 raise ValidationError(f"{f.name} must be an integer, got {value!r}")
@@ -105,7 +110,7 @@ class CampaignConfig:
             voltages = tuple(self.sweep_voltages)
         except TypeError:
             raise bad_voltages from None
-        if not all(_is_finite_real(v) for v in voltages):
+        if not all(is_finite_real(v) for v in voltages):
             raise bad_voltages
         # tuple-ize: a frozen config holds no mutable sequence
         object.__setattr__(self, "sweep_voltages", tuple(float(v) for v in voltages))
@@ -153,16 +158,54 @@ class SweepRecord:
 
 @dataclass(frozen=True)
 class CampaignResult:
-    """Campaign output: calibration sweeps plus at-minimum force points.
+    """Campaign output as arrays; one row per pass over the separation grid.
 
-    point_sweep_index parallels points and records which schedule pass each
-    point was taken on; drift subtraction needs it.
+    separations (n_sep,) and voltages (n_v,) are the schedule in m and V;
+    forces[k, i] is the at-minimum force of pass k at separations[i];
+    sweep_forces[k, e, j] is the sweep sample of pass k at voltages[j], at
+    the first gap for e = 0 and the last for e = 1.  Every sample carries
+    the same uncertainty sigma, in N.
+
+    points, records and point_sweep_index present the same data as
+    MeasurementPoint and SweepRecord objects, passes outermost; they are
+    built on each access.
     """
 
-    records: tuple
-    points: tuple
-    point_sweep_index: np.ndarray
     separations: np.ndarray
+    voltages: np.ndarray
+    forces: np.ndarray
+    sweep_forces: np.ndarray
+    sigma: float
+
+    @property
+    def points(self):
+        d = np.broadcast_to(self.separations, self.forces.shape)
+        return tuple(
+            MeasurementPoint(d=di, f=fi, sigma=self.sigma)
+            for di, fi in zip(d.ravel().tolist(), self.forces.ravel().tolist())
+        )
+
+    @property
+    def point_sweep_index(self):
+        n_sweeps, n_sep = self.forces.shape
+        return np.repeat(np.arange(n_sweeps), n_sep)
+
+    @property
+    def records(self):
+        ends = self.separations[[0, -1]].tolist()
+        voltages = self.voltages.tolist()
+        return tuple(
+            SweepRecord(
+                nominal_d=ends[e],
+                samples=tuple(
+                    SweepSample(v=v, f=f, sigma_f=self.sigma)
+                    for v, f in zip(voltages, sweep.tolist())
+                ),
+                sweep_index=k,
+            )
+            for k, pair in enumerate(self.sweep_forces)
+            for e, sweep in enumerate(pair)
+        )
 
 
 class DriftSubtraction(NamedTuple):
@@ -180,23 +223,25 @@ def generate_campaign(config, spec=DEFAULT_SPEC):
         + constant offset + drift_rate * sweep_index + Gaussian noise
 
     with the 1 + (delta/d)^2 fluctuation factor applied to both 1/d
-    electrostatic terms.  Noise is drawn from a single numpy Generator in
-    schedule order: sweeps advance outermost, separations inner, sweep
-    voltages before the at-minimum sample.
+    electrostatic terms.  The noise is drawn from one numpy Generator in a
+    single call, its columns in schedule order (see the module docstring).
 
     Returns
     -------
     CampaignResult
         Full sweeps at the two extreme separations of every pass, one
-        at-minimum MeasurementPoint per (pass, separation).
+        at-minimum force per (pass, separation).
     """
     if config.seed is None:
         raise ValidationError("campaign config needs an explicit seed")
-    rng = np.random.default_rng(config.seed)
     seps = config.separations()
+    voltages = np.array(config.sweep_voltages)
+    n_sep, n_v = seps.size, voltages.size
+    noise = np.random.default_rng(config.seed).normal(
+        0.0, config.noise_sigma, size=(config.n_sweeps, 2 * n_v + n_sep)
+    )
     curves = standard_model_curves(R=config.radius, delta=config.delta_true, spec=spec)
     truth = {c.model_id: c.evaluator for c in curves}[config.truth_model_id]
-    sigma = max(config.noise_sigma, SIGMA_FLOOR)
 
     # per-separation pieces that do not change across sweeps
     base = np.array(
@@ -207,41 +252,25 @@ def generate_campaign(config, spec=DEFAULT_SPEC):
             for d in seps
         ]
     )
-    fluct = np.array([1.0 + (config.delta_true / d) ** 2 for d in seps])
-    voltages = tuple(float(v) for v in config.sweep_voltages)
-    endpoint = {0, len(seps) - 1}
+    fluct = 1.0 + (config.delta_true / seps) ** 2
+    ends = [0, n_sep - 1]
+    bias = np.array(
+        [[bias_force(seps[i], config.radius, v, config.v_m_true) for v in voltages] for i in ends]
+    )
+    drift = config.drift_rate * np.arange(config.n_sweeps)
 
-    records = []
-    points = []
-    point_sweep = []
-    for sweep_index in range(config.n_sweeps):
-        drift = config.drift_rate * sweep_index
-        for i, d in enumerate(seps):
-            if i in endpoint:
-                noise = rng.normal(0.0, config.noise_sigma, size=len(voltages))
-                samples = tuple(
-                    SweepSample(
-                        v=v,
-                        f=base[i]
-                        + bias_force(d, config.radius, v, config.v_m_true) * fluct[i]
-                        + drift
-                        + noise[j],
-                        sigma_f=sigma,
-                    )
-                    for j, v in enumerate(voltages)
-                )
-                records.append(
-                    SweepRecord(nominal_d=float(d), samples=samples, sweep_index=sweep_index)
-                )
-            f = base[i] + drift + rng.normal(0.0, config.noise_sigma)
-            points.append(MeasurementPoint(d=float(d), f=float(f), sigma=sigma))
-            point_sweep.append(sweep_index)
-
+    # noise columns of one pass: first sweep, points 0..n_sep-2, last sweep, last point
+    sweep_noise = np.stack([noise[:, :n_v], noise[:, n_v + n_sep - 1 : -1]], axis=1)
+    point_noise = np.concatenate([noise[:, n_v : n_v + n_sep - 1], noise[:, -1:]], axis=1)
+    sweep_forces = (
+        (base[ends, None] + bias * fluct[ends, None]) + drift[:, None, None]
+    ) + sweep_noise
     return CampaignResult(
-        records=tuple(records),
-        points=tuple(points),
-        point_sweep_index=np.array(point_sweep, dtype=int),
         separations=seps,
+        voltages=voltages,
+        forces=(base + drift[:, None]) + point_noise,
+        sweep_forces=sweep_forces,
+        sigma=max(config.noise_sigma, SIGMA_FLOOR),
     )
 
 
@@ -251,105 +280,49 @@ def subtract_drift(campaign):
     Repeated visits to identical conditions (same separation and same
     applied bias) differ only by drift and noise, so a pooled weighted
     regression of force against sweep index, with one intercept per
-    condition and a single shared slope, pins the drift rate.  The slope
-    times the sweep index is then subtracted from every sample, anchoring
-    the campaign at its first pass.
+    condition and a single shared slope, pins the drift rate.  With one
+    visit per condition and pass and one sigma, that regression is the
+    pooled slope of the per-column demeaned data.  The slope times the
+    sweep index is then subtracted from every sample, anchoring the
+    campaign at its first pass.
 
     Returns
     -------
     DriftSubtraction
         (corrected campaign, fitted slope in N/sweep, its one-sigma error).
     """
-    n_sweeps = 1 + (
-        int(campaign.point_sweep_index.max()) if len(campaign.points) else 0
-    )
+    n_sweeps = campaign.forces.shape[0]
     if n_sweeps < 2:
         raise ValidationError("drift estimation needs at least two sweeps")
 
-    # group samples by condition; within each group regress on sweep index.
-    # demeaning per group and pooling is the exact shared-slope WLS solution.
-    groups = {}
+    # one column per condition: every sweep voltage at both ends, every gap
+    y = np.hstack([campaign.sweep_forces.reshape(n_sweeps, -1), campaign.forces])
+    k = np.arange(n_sweeps, dtype=float)
+    dk = k - k.mean()
+    den = y.shape[1] * (dk @ dk)
+    slope = (dk @ (y - y.mean(axis=0))).sum() / den
+    slope_sigma = campaign.sigma / math.sqrt(den)
 
-    def add(key, x, y, w):
-        groups.setdefault(key, []).append((x, y, w))
-
-    for rec in campaign.records:
-        for j, s in enumerate(rec.samples):
-            add(
-                ("sweep", rec.nominal_d, j),
-                rec.sweep_index,
-                s.f,
-                1.0 / (s.sigma_f * s.sigma_f),
-            )
-    for p, idx in zip(campaign.points, campaign.point_sweep_index):
-        add(("point", p.d), int(idx), p.f, 1.0 / (p.sigma * p.sigma))
-
-    num = 0.0
-    den = 0.0
-    for members in groups.values():
-        if len(members) < 2:
-            continue
-        x = np.array([m[0] for m in members], dtype=float)
-        y = np.array([m[1] for m in members])
-        w = np.array([m[2] for m in members])
-        wsum = w.sum()
-        dx = x - np.sum(w * x) / wsum
-        dy = y - np.sum(w * y) / wsum
-        num += np.sum(w * dx * dy)
-        den += np.sum(w * dx * dx)
-    if den == 0.0:
-        raise ValidationError("no condition was visited on two different sweeps")
-    slope = num / den
-    slope_sigma = 1.0 / math.sqrt(den)
-
-    records = tuple(
-        replace(
-            rec,
-            samples=tuple(
-                replace(s, f=s.f - slope * rec.sweep_index) for s in rec.samples
-            ),
-        )
-        for rec in campaign.records
-    )
-    points = tuple(
-        replace(p, f=p.f - slope * int(idx))
-        for p, idx in zip(campaign.points, campaign.point_sweep_index)
-    )
-    corrected = CampaignResult(
-        records=records,
-        points=points,
-        point_sweep_index=campaign.point_sweep_index,
-        separations=campaign.separations,
+    corrected = replace(
+        campaign,
+        forces=campaign.forces - slope * k[:, None],
+        sweep_forces=campaign.sweep_forces - slope * k[:, None, None],
     )
     return DriftSubtraction(campaign=corrected, slope=slope, slope_sigma=slope_sigma)
 
 
 def config_to_dict(config):
     """JSON-ready dict mirroring the config field names."""
-    return {
-        "d_min": config.d_min,
-        "d_max": config.d_max,
-        "n_separations": config.n_separations,
-        "n_sweeps": config.n_sweeps,
-        "sweep_voltages": list(config.sweep_voltages),
-        "truth_model_id": config.truth_model_id,
-        "v_rms_true": config.v_rms_true,
-        "v_m_true": config.v_m_true,
-        "offset_a_true": config.offset_a_true,
-        "noise_sigma": config.noise_sigma,
-        "drift_rate": config.drift_rate,
-        "delta_true": config.delta_true,
-        "radius": config.radius,
-        "seed": config.seed,
-    }
+    data = {f.name: getattr(config, f.name) for f in fields(config)}
+    data["sweep_voltages"] = list(config.sweep_voltages)
+    return data
 
 
 def config_from_dict(data):
     """Build a config from a dict, defaulting any missing field."""
     if not isinstance(data, dict):
         raise ValidationError("campaign config must be a JSON object")
-    known = set(config_to_dict(CampaignConfig(seed=0)))
-    unknown = set(data) - known
+    unknown = set(data) - {f.name for f in fields(CampaignConfig)}
     if unknown:
         raise ValidationError(f"unknown config fields: {sorted(unknown)}")
     return CampaignConfig(**data)

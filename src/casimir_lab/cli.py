@@ -23,6 +23,7 @@ import json
 import math
 import secrets
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -39,7 +40,6 @@ from .analysis import (
 )
 from .campaign import (
     CampaignConfig,
-    config_from_dict,
     config_to_dict,
     generate_campaign,
     load_config,
@@ -189,11 +189,9 @@ def cmd_simulate(args):
         config = CampaignConfig(seed=None)
         inputs = []
     if args.seed is not None:
-        config = config_from_dict({**config_to_dict(config), "seed": args.seed})
+        config = replace(config, seed=args.seed)
     if config.seed is None:
-        config = config_from_dict(
-            {**config_to_dict(config), "seed": secrets.randbits(64)}
-        )
+        config = replace(config, seed=secrets.randbits(64))
 
     result = generate_campaign(config)
     drift = subtract_drift(result)

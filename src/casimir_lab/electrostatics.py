@@ -10,7 +10,6 @@ measured force curve passes through before any Casimir analysis.
 """
 
 import csv
-import enum
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -18,58 +17,19 @@ from typing import NamedTuple
 import numpy as np
 
 from .constants import VACUUM_PERMITTIVITY
-from .errors import CalibrationError, DegenerateFitError, ValidationError
+from .errors import CalibrationError, DegenerateFitError, ValidationError, is_finite_real
 
 __all__ = [
-    "BiasState",
-    "PatchRegime",
-    "PatchModel",
     "SweepSample",
     "CalibrationResult",
     "bias_force",
     "patch_force",
-    "classify_patch_regime",
-    "effective_patch_radius",
     "calibrate_from_sweep",
     "load_sweep_csv",
     "save_sweep_csv",
 ]
 
 SWEEP_CSV_HEADER = ["voltage_v", "force_n", "sigma_n"]
-
-
-@dataclass(frozen=True)
-class BiasState:
-    """Applied bias and minimizing potential, both in volts."""
-
-    v: float
-    v_m: float
-
-    def __post_init__(self):
-        # contact potentials sit at the tens-of-mV scale; a volt-level
-        # offset means a wiring problem, not physics
-        if abs(self.v_m) > 1.0:
-            raise ValidationError(f"|v_m| must be <= 1 V, got {self.v_m}")
-
-
-class PatchRegime(enum.Enum):
-    """Patch correlation length relative to the gap and sqrt(R d)."""
-
-    SUPPRESSED = "suppressed"
-    INTERMEDIATE = "intermediate"
-    LARGE = "large"
-
-
-@dataclass(frozen=True)
-class PatchModel:
-    """Patch-potential amplitude and correlation-length regime."""
-
-    v_rms: float
-    lambda_regime: PatchRegime
-
-    def __post_init__(self):
-        if self.v_rms < 0.0:
-            raise ValidationError(f"v_rms must be >= 0, got {self.v_rms}")
 
 
 @dataclass(frozen=True)
@@ -82,33 +42,10 @@ class SweepSample:
 
     def __post_init__(self):
         for name, value in (("v", self.v), ("f", self.f), ("sigma_f", self.sigma_f)):
-            if not math.isfinite(value):
-                raise ValidationError(f"{name} must be finite, got {value}")
+            if not is_finite_real(value):
+                raise ValidationError(f"{name} must be finite, got {value!r}")
         if self.sigma_f <= 0.0:
             raise ValidationError(f"sigma_f must be positive, got {self.sigma_f}")
-
-
-def effective_patch_radius(R, d):
-    """Interaction radius sqrt(R d) of the sphere-plane proximity zone."""
-    if R <= 0.0 or d <= 0.0:
-        raise ValueError("radius and separation must be positive")
-    return math.sqrt(R * d)
-
-
-def classify_patch_regime(lambda_scale, d, R):
-    """Classify a patch correlation length against the gap geometry.
-
-    Lengths below d/5 count as suppressed: their force contribution decays
-    like exp(-d/lambda) and is dropped entirely, never modelled.  Lengths
-    at or beyond sqrt(R d) average over the whole interaction zone.
-    """
-    if lambda_scale <= 0.0:
-        raise ValueError(f"correlation length must be positive, got {lambda_scale}")
-    if lambda_scale < d / 5.0:
-        return PatchRegime.SUPPRESSED
-    if lambda_scale >= effective_patch_radius(R, d):
-        return PatchRegime.LARGE
-    return PatchRegime.INTERMEDIATE
 
 
 def bias_force(d, R, v, v_m):

@@ -1,9 +1,13 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the finiteness test
+every validating constructor applies before it compares a value.
 
 Every error that callers are expected to branch on gets its own class;
 plain ``ValueError`` is reserved for argument preconditions (negative
 separations, empty arrays and the like).
 """
+
+import math
+import numbers
 
 __all__ = [
     "CasimirLabError",
@@ -14,6 +18,14 @@ __all__ = [
     "RegimeError",
     "PfaValidityWarning",
 ]
+
+
+def is_finite_real(value):
+    """True for a finite real number; False for bool, str, None, nan and inf."""
+    # float first: the numbers.Real check alone costs more than the rest of
+    # a MeasurementPoint, and campaigns build thousands of them
+    real = isinstance(value, (float, numbers.Real)) and not isinstance(value, bool)
+    return real and math.isfinite(value)
 
 
 class CasimirLabError(Exception):

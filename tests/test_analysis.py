@@ -90,6 +90,28 @@ class TestBinning:
         out = bin_points(pts, [0.5e-6, 1e-6, 2e-6, 4e-6])
         assert len(out) == 1
 
+    def test_matches_a_per_bin_loop(self):
+        # reference: each bin summed on its own with math.fsum
+        rng = np.random.default_rng(3)
+        d = rng.uniform(1e-6, 5e-6, 400)
+        f = rng.normal(1e-10, 1e-11, 400)
+        sigma = rng.uniform(0.5e-12, 3e-12, 400)
+        edges = [1e-6, 1.3e-6, 2e-6, 2.1e-6, 4e-6, 5e-6]
+        pts = [MeasurementPoint(d=a, f=b, sigma=c) for a, b, c in zip(d, f, sigma)]
+        out = bin_points(pts, edges)
+        assert len(out) == len(edges) - 1
+        for lo, hi, got in zip(edges, edges[1:], out):
+            members = [p for p in pts if lo <= p.d < hi]
+            w = [1.0 / p.sigma**2 for p in members]
+            wsum = math.fsum(w)
+            assert got.d == pytest.approx(
+                math.fsum(wi * p.d for wi, p in zip(w, members)) / wsum, rel=1e-13, abs=0.0
+            )
+            assert got.f == pytest.approx(
+                math.fsum(wi * p.f for wi, p in zip(w, members)) / wsum, rel=1e-13, abs=0.0
+            )
+            assert got.sigma == pytest.approx(1.0 / math.sqrt(wsum), rel=1e-13, abs=0.0)
+
     def test_log_edges_capture_the_default_grid(self):
         edges = log_bin_edges(0.7e-6, 7e-6, 30)
         out = bin_points(
@@ -117,11 +139,12 @@ class TestBinning:
         with pytest.raises(ValidationError):
             MeasurementPoint(d=1e-6, f=1e-12, sigma=0.0)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "1e-6", None])
     @pytest.mark.parametrize("field", ["d", "f", "sigma"])
     def test_non_finite_point_rejected(self, field, bad):
         values = {"d": 1e-6, "f": 1e-12, "sigma": 1e-12, field: bad}
-        with pytest.raises(ValidationError, match="must be finite"):
+        name = {"d": "separation", "f": "force", "sigma": "sigma"}[field]
+        with pytest.raises(ValidationError, match=f"^{name} must be finite"):
             MeasurementPoint(**values)
 
 

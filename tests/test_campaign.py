@@ -6,6 +6,7 @@ acceptance suite.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -189,7 +190,7 @@ class TestSchedule:
         )
         for v, s in zip(cfg.sweep_voltages, r.samples):
             expect = base + bias_force(d, cfg.radius, v, cfg.v_m_true) * fluct(d)
-            assert s.f == pytest.approx(expect, rel=1e-13)
+            assert s.f == pytest.approx(expect, rel=1e-13, abs=0.0)
             assert s.v == v
         # at-minimum points carry no bias term at all
         p = out.points[0]
@@ -199,7 +200,7 @@ class TestSchedule:
             + patch_force(d0, cfg.radius, cfg.v_rms_true, cfg.delta_true)
             + cfg.offset_a_true
         )
-        assert p.f == pytest.approx(base0, rel=1e-13)
+        assert p.f == pytest.approx(base0, rel=1e-13, abs=0.0)
 
     def test_drift_grows_linearly_with_sweep_index(self):
         rate = 5e-14
@@ -208,19 +209,67 @@ class TestSchedule:
         for (pq, pd, idx) in zip(quiet.points, drifty.points, drifty.point_sweep_index):
             assert pd.f - pq.f == pytest.approx(rate * idx, abs=1e-22)
 
+    @pytest.mark.parametrize("overrides", [{}, {"n_separations": 2}])
+    def test_noise_is_one_stream_in_schedule_order(self, overrides):
+        # oracle: draw the stream call by call, in schedule order (passes
+        # outermost, gaps inner, a gap's sweep before its point)
+        cfg = small_config(drift_rate=3e-14, **overrides)
+        noisy = generate_campaign(cfg)
+        quiet = generate_campaign(replace(cfg, noise_sigma=0.0))
+        rng = np.random.default_rng(cfg.seed)
+        n_v = len(cfg.sweep_voltages)
+        ends = (0, cfg.n_separations - 1)
+        for k in range(cfg.n_sweeps):
+            for i in range(cfg.n_separations):
+                if i in ends:
+                    e = ends.index(i)
+                    draws = rng.normal(0.0, cfg.noise_sigma, size=n_v)
+                    for j in range(n_v):
+                        expect = quiet.sweep_forces[k, e, j] + draws[j]
+                        assert noisy.sweep_forces[k, e, j] == expect
+                draw = rng.normal(0.0, cfg.noise_sigma)
+                assert noisy.forces[k, i] == quiet.forces[k, i] + draw
+
 
 class TestDriftSubtraction:
+    def test_slope_matches_least_squares_with_one_intercept_per_condition(self):
+        cfg = small_config(drift_rate=4e-14, noise_sigma=2e-12, seed=11)
+        out = generate_campaign(cfg)
+        # one row per sample, one intercept column per condition, one
+        # shared slope column; the conditions come from the object API
+        conditions = {}
+        rows = []
+        for rec in out.records:
+            for s in rec.samples:
+                key = ("sweep", rec.nominal_d, s.v)
+                c = conditions.setdefault(key, len(conditions))
+                rows.append((c, rec.sweep_index, s.f))
+        for p, k in zip(out.points, out.point_sweep_index):
+            c = conditions.setdefault(("point", p.d), len(conditions))
+            rows.append((c, int(k), p.f))
+        design = np.zeros((len(rows), len(conditions) + 1))
+        for r, (c, k, _) in enumerate(rows):
+            design[r, c] = 1.0
+            design[r, -1] = k
+        y = np.array([row[2] for row in rows])
+        sigma = max(cfg.noise_sigma, SIGMA_FLOOR)
+        coef = np.linalg.lstsq(design / sigma, y / sigma, rcond=None)[0]
+        cov = np.linalg.inv((design / sigma).T @ (design / sigma))
+        sub = subtract_drift(out)
+        assert sub.slope == pytest.approx(coef[-1], rel=1e-10, abs=0.0)
+        assert sub.slope_sigma == pytest.approx(math.sqrt(cov[-1, -1]), rel=1e-10, abs=0.0)
+
     def test_noiseless_slope_recovery(self):
         rate = 7e-14
         cfg = small_config(noise_sigma=0.0, drift_rate=rate)
         sub = subtract_drift(generate_campaign(cfg))
-        assert sub.slope == pytest.approx(rate, rel=1e-10)
+        assert sub.slope == pytest.approx(rate, rel=1e-10, abs=0.0)
         clean = generate_campaign(small_config(noise_sigma=0.0, drift_rate=0.0))
         for pc, ps in zip(clean.points, sub.campaign.points):
-            assert ps.f == pytest.approx(pc.f, rel=1e-12)
+            assert ps.f == pytest.approx(pc.f, rel=1e-12, abs=0.0)
         for rc, rs in zip(clean.records, sub.campaign.records):
             for sc, ss in zip(rc.samples, rs.samples):
-                assert ss.f == pytest.approx(sc.f, rel=1e-12)
+                assert ss.f == pytest.approx(sc.f, rel=1e-12, abs=0.0)
 
     def test_slope_error_bar_covers_zero_drift(self):
         hits = 0

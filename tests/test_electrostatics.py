@@ -13,14 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from casimir_lab.constants import VACUUM_PERMITTIVITY
 from casimir_lab.electrostatics import (
-    BiasState,
-    PatchModel,
-    PatchRegime,
     SweepSample,
     bias_force,
     calibrate_from_sweep,
-    classify_patch_regime,
-    effective_patch_radius,
     load_sweep_csv,
     patch_force,
     save_sweep_csv,
@@ -94,34 +89,6 @@ class TestForceTerms:
             patch_force(-1e-6, R, 0.01)
         with pytest.raises(ValueError):
             patch_force(1e-6, R, -0.01)
-
-
-class TestRegimes:
-    def test_suppressed_below_a_fifth_of_the_gap(self):
-        assert classify_patch_regime(0.1e-6, 1e-6, R) is PatchRegime.SUPPRESSED
-
-    def test_large_beyond_interaction_radius(self):
-        r_eff = effective_patch_radius(R, 1e-6)
-        assert r_eff == pytest.approx(math.sqrt(R * 1e-6), rel=1e-14)
-        assert classify_patch_regime(2.0 * r_eff, 1e-6, R) is PatchRegime.LARGE
-
-    def test_intermediate_between(self):
-        assert classify_patch_regime(5e-6, 1e-6, R) is PatchRegime.INTERMEDIATE
-
-    def test_types_validate(self):
-        with pytest.raises(ValidationError):
-            BiasState(v=0.01, v_m=1.5)
-        with pytest.raises(ValidationError):
-            PatchModel(v_rms=-1e-3, lambda_regime=PatchRegime.INTERMEDIATE)
-        with pytest.raises(ValidationError):
-            SweepSample(v=0.0, f=0.0, sigma_f=0.0)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("field", ["v", "f", "sigma_f"])
-    def test_non_finite_sample_rejected(self, field, bad):
-        values = {"v": 0.01, "f": 1e-12, "sigma_f": 1e-12, field: bad}
-        with pytest.raises(ValidationError, match=f"{field} must be finite"):
-            SweepSample(**values)
 
 
 class TestCalibration:
@@ -241,3 +208,14 @@ class TestSweepCsv:
         path.write_text(f"voltage_v,force_n,sigma_n\n0.0,1e-12,1e-12\n{row}\n", encoding="utf-8")
         with pytest.raises(ValidationError, match="line 3: .* must be finite"):
             load_sweep_csv(path)
+
+    def test_nonpositive_sigma_rejected(self):
+        with pytest.raises(ValidationError, match="sigma_f must be positive"):
+            SweepSample(v=0.0, f=0.0, sigma_f=0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "0.01", None])
+    @pytest.mark.parametrize("field", ["v", "f", "sigma_f"])
+    def test_non_finite_sample_rejected(self, field, bad):
+        values = {"v": 0.01, "f": 1e-12, "sigma_f": 1e-12, field: bad}
+        with pytest.raises(ValidationError, match=f"{field} must be finite"):
+            SweepSample(**values)
