@@ -44,22 +44,22 @@ def ev_to_angular_frequency(energy_ev):
     Parameters
     ----------
     energy_ev : float
-        Photon energy in electron volts.  Must be non-negative.
+        Photon energy in electron volts.  Must be non-negative and finite.
 
     Returns
     -------
     float
         Angular frequency ``E * e / hbar`` in rad/s.
     """
-    if energy_ev < 0.0:
-        raise ValueError(f"photon energy must be non-negative, got {energy_ev}")
+    if not (math.isfinite(energy_ev) and energy_ev >= 0.0):
+        raise ValueError(f"photon energy must be non-negative and finite, got {energy_ev}")
     return energy_ev * ELEMENTARY_CHARGE / HBAR
 
 
 def angular_frequency_to_ev(omega):
     """Inverse of :func:`ev_to_angular_frequency` (rad/s to eV)."""
-    if omega < 0.0:
-        raise ValueError(f"angular frequency must be non-negative, got {omega}")
+    if not (math.isfinite(omega) and omega >= 0.0):
+        raise ValueError(f"angular frequency must be non-negative and finite, got {omega}")
     return omega * HBAR / ELEMENTARY_CHARGE
 
 
@@ -71,7 +71,7 @@ def matsubara_frequency(n, temperature):
     n : int
         Matsubara index, n >= 0.
     temperature : float
-        Temperature in kelvin, strictly positive.  The T = 0 theory is an
+        Temperature in kelvin, strictly positive and finite.  The T = 0 theory is an
         integral over imaginary frequency, not a Matsubara ladder; use the
         dedicated zero-temperature entry points instead.
 
@@ -84,8 +84,8 @@ def matsubara_frequency(n, temperature):
         raise ValueError(f"Matsubara index must be an integer, got {n!r}")
     if n < 0:
         raise ValueError(f"Matsubara index must be non-negative, got {n}")
-    if temperature <= 0.0:
+    if not (math.isfinite(temperature) and temperature > 0.0):
         raise ValueError(
-            f"temperature must be positive for a Matsubara ladder, got {temperature}"
+            f"temperature must be positive and finite for a Matsubara ladder, got {temperature}"
         )
     return 2.0 * math.pi * n * BOLTZMANN * temperature / HBAR

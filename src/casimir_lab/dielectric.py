@@ -6,7 +6,10 @@ Three model families are supported:
 * ``PlasmaModel``    eps(i xi) = 1 + omega_p^2 / xi^2
 * ``TabulatedModel`` Kramers-Kronig transform of measured eps''(omega),
   assembled piecewise: an analytic Drude or plasma continuation below the
-  table, the trapezoid rule across it, and a power-law tail above it.
+  table, the trapezoid rule across it, and a power-law tail above it,
+  integrated by the package's one quadrature driver,
+  :func:`~casimir_lab.quadrature.integrate_decaying`.  ``static_eps`` of a
+  table without a continuation is the same transform at xi = 0.
 
 ``ConstantModel`` (a fixed permittivity) is kept for ideal-conductor limit
 studies; a very large constant reproduces the perfectly reflecting results.
@@ -25,7 +28,7 @@ import numpy as np
 
 from .constants import ev_to_angular_frequency
 from .errors import ValidationError
-from .quadrature import gauss_legendre
+from .quadrature import integrate_decaying
 
 __all__ = [
     "DrudeModel",
@@ -98,8 +101,8 @@ class ConstantModel:
     eps: float
 
     def __post_init__(self):
-        if self.eps < 1.0:
-            raise ValidationError(f"permittivity must be >= 1, got {self.eps}")
+        if not (math.isfinite(self.eps) and self.eps >= 1.0):
+            raise ValidationError(f"permittivity must be finite and >= 1, got {self.eps}")
 
 
 @dataclass(frozen=True)
@@ -158,9 +161,10 @@ class TabulatedModel:
     tail_exponent: float = 3.0
 
     def __post_init__(self):
-        if self.tail_exponent < 1.0:
+        if not (math.isfinite(self.tail_exponent) and self.tail_exponent >= 1.0):
             raise ValidationError(
-                f"tail exponent must be >= 1 for an integrable tail, got {self.tail_exponent}"
+                "tail exponent must be finite and >= 1 for an integrable tail, "
+                f"got {self.tail_exponent}"
             )
 
 
@@ -192,48 +196,30 @@ def _drude_band_integral(omega_p, gamma, upper, xi):
 
 
 def _table_band_integral(table, xi):
-    """Trapezoid rule for (2/pi) * int omega*eps''/(omega^2+xi^2) over the table."""
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    integrand = (2.0 / np.pi) * table.omega * table.eps_imag / (
-        table.omega ** 2 + xi[:, None] ** 2
-    )
-    return np.trapezoid(integrand, table.omega, axis=-1)
+    """Trapezoid rule in omega for (2/pi) * int omega*eps''/(omega^2+xi^2) over
+    the table: 1/(omega^2+xi^2) times one vector, weights * (2/pi) omega eps''."""
+    omega = table.omega
+    edged = np.pad(omega, 1, mode="edge")
+    weights = (edged[2:] - edged[:-2]) / np.pi * omega * table.eps_imag
+    denom = np.add.outer(xi * xi, omega * omega)
+    return np.reciprocal(denom, out=denom) @ weights
 
 
 def _tail_integral(table, s, xi):
     """Power-law tail above the table, eps'' = eps''(W) (W/omega)^s.
 
-    Substituting omega = W/u maps the tail onto u in (0, 1]:
-    (2/pi) eps''(W) * int_0^1 W^2 u^(s-1) / (W^2 + xi^2 u^2) du.
+    Substituting omega = W e^v gives a decaying integrand on v in [0, inf),
+    (2/pi) eps''(W) * int_0^inf e^(-s v) / (1 + (xi/W)^2 e^(-2 v)) dv, which
+    :func:`integrate_decaying` takes for every xi in one family to 1e-12 of
+    its largest member, the one at the smallest xi.  At xi = 0 it is
+    (2/pi) eps''(W)/s.
     """
-    w = table.omega[-1]
     amp = table.eps_imag[-1]
     if amp == 0.0:
-        return np.zeros_like(np.atleast_1d(np.asarray(xi, dtype=float)))
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-
-    # Node doubling on a fixed panel split of (0, 1]; the integrand is smooth
-    # but steepens near u ~ W/xi when xi >> W.
-    edges = (0.0, 0.125, 0.25, 0.5, 1.0)
-    result = np.zeros(xi.shape)
-    for a, b in zip(edges[:-1], edges[1:]):
-        n = 16
-        prev = None
-        while True:
-            x, wts = gauss_legendre(n)
-            u = a + 0.5 * (b - a) * (x + 1.0)
-            vals = u ** (s - 1.0) * w * w / (w * w + (xi[:, None] * u) ** 2)
-            est = 0.5 * (b - a) * (vals @ wts)
-            if prev is not None and np.max(np.abs(est - prev)) <= 1e-12 * max(
-                np.max(np.abs(est)), np.finfo(float).tiny
-            ):
-                break
-            if n >= 512:
-                break
-            prev = est
-            n *= 2
-        result += est
-    return (2.0 / np.pi) * amp * result
+        return np.zeros(xi.shape)
+    a_sq = (xi / table.omega[-1])[:, None] ** 2
+    tail = integrate_decaying(lambda v: np.exp(-s * v) / (1.0 + a_sq * np.exp(-2.0 * v)), 1e-12)
+    return (2.0 / np.pi) * amp * tail
 
 
 def _tabulated_eps_minus_one(model, xi):
@@ -257,7 +243,7 @@ def eps_imag_axis(model, xi):
     model : DielectricModel
         Drude, plasma, constant or tabulated description.
     xi : float or array_like
-        Imaginary angular frequency in rad/s, strictly positive.
+        Imaginary angular frequency in rad/s, strictly positive and finite.
 
     Returns
     -------
@@ -265,8 +251,12 @@ def eps_imag_axis(model, xi):
         eps(i xi), real and >= 1, shaped like ``xi``.
     """
     xi_arr = np.asarray(xi, dtype=float)
-    if np.any(xi_arr <= 0.0):
-        raise ValueError("xi must be positive; the xi = 0 limit is a model-family dispatch")
+    bad = xi_arr[~(xi_arr > 0.0) | np.isinf(xi_arr)]
+    if bad.size:
+        raise ValueError(
+            f"xi must be positive and finite, got {bad[0]}; "
+            "the xi = 0 limit is a model-family dispatch"
+        )
 
     if isinstance(model, DrudeModel):
         out = 1.0 + model.omega_p ** 2 / (xi_arr * (xi_arr + model.gamma))
@@ -284,14 +274,12 @@ def eps_imag_axis(model, xi):
 
 
 def static_eps(model):
-    """eps(i xi -> 0) where it is finite (constant and bound-charge models)."""
+    """eps(i xi -> 0) where it is finite: a constant model's eps, or the
+    transform of a table without a free-carrier continuation at xi = 0."""
     if isinstance(model, ConstantModel):
         return model.eps
     if isinstance(model, TabulatedModel) and model.extrapolation is None:
-        table = model.table
-        core = np.trapezoid((2.0 / np.pi) * table.eps_imag / table.omega, table.omega)
-        tail = (2.0 / np.pi) * table.eps_imag[-1] / model.tail_exponent
-        return 1.0 + float(core + tail)
+        return 1.0 + _tabulated_eps_minus_one(model, 0.0).item()
     raise ValueError(f"{type(model).__name__} diverges at zero frequency")
 
 
@@ -338,6 +326,8 @@ def load_optical_table(path):
                 raise ValidationError(
                     f"{path}: line {line_no} is out of order (energies must strictly increase)"
                 )
+            if not (math.isfinite(energy) and math.isfinite(eps)):
+                raise ValidationError(f"{path}: line {line_no} is not finite: {row!r}")
             if eps < 0.0:
                 raise ValidationError(f"{path}: line {line_no} has negative eps''")
             energies.append(energy)

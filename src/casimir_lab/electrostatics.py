@@ -48,14 +48,21 @@ class SweepSample:
             raise ValidationError(f"sigma_f must be positive, got {self.sigma_f}")
 
 
+def _require_positive(name, value):
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 def bias_force(d, R, v, v_m):
     """Applied-bias electrostatic force pi eps0 R (v - v_m)^2 / d, in N."""
-    if d <= 0.0:
-        raise ValueError(f"separation must be positive, got {d}")
-    if R <= 0.0:
-        raise ValueError(f"radius must be positive, got {R}")
+    _require_positive("separation d", d)
+    _require_positive("radius R", R)
+    for name, value in (("v", v), ("v_m", v_m)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     dv = v - v_m
     return math.pi * VACUUM_PERMITTIVITY * R * dv * dv / d
+
 
 def patch_force(d, R, v_rms, delta=0.0):
     """Patch-potential force pi eps0 R v_rms^2 / d, in N.
@@ -63,14 +70,11 @@ def patch_force(d, R, v_rms, delta=0.0):
     A nonzero rms separation fluctuation delta rescales the 1/d average by
     1 + (delta/d)^2, the same factor applied to the theory curves.
     """
-    if d <= 0.0:
-        raise ValueError(f"separation must be positive, got {d}")
-    if R <= 0.0:
-        raise ValueError(f"radius must be positive, got {R}")
-    if v_rms < 0.0:
-        raise ValueError(f"v_rms must be >= 0, got {v_rms}")
-    if delta < 0.0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
+    _require_positive("separation d", d)
+    _require_positive("radius R", R)
+    for name, value in (("v_rms", v_rms), ("delta", delta)):
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ValueError(f"{name} must be finite and >= 0, got {value}")
     ratio = delta / d
     return math.pi * VACUUM_PERMITTIVITY * R * v_rms * v_rms / d * (1.0 + ratio * ratio)
 
@@ -119,8 +123,7 @@ def calibrate_from_sweep(samples, R):
     samples = list(samples)
     if len(samples) < 4:
         raise ValidationError(f"need >= 4 sweep samples, got {len(samples)}")
-    if R <= 0.0:
-        raise ValueError(f"radius must be positive, got {R}")
+    _require_positive("radius R", R)
     v = np.array([s.v for s in samples], dtype=float)
     f = np.array([s.f for s in samples], dtype=float)
     sigma = np.array([s.sigma_f for s in samples], dtype=float)

@@ -161,39 +161,33 @@ def reflection_coeffs_zero_mode(k, model):
     Dissipative free-electron metals (Drude family) lose the TE zero mode:
     (0, 1).  Dissipationless ones (plasma family) keep a finite TE
     reflection that depends on k through the plasma wavevector omega_p/c.
-    Constant and bound-charge models take the static dielectric limit.
+    Constant and bound-charge models take the static dielectric limit
+    (0, (eps0 - 1)/(eps0 + 1)).  A tabulated model answers as its
+    continuation below the table, or as ConstantModel(static_eps) without one.
     """
     k = np.asarray(k, dtype=float)
     if np.any(k <= 0.0):
         raise ValueError("transverse wavevector must be positive")
 
-    family = _zero_mode_family(model)
-    if family[0] == "drude":
+    zero = _zero_mode_model(model)
+    if isinstance(zero, DrudeModel):
         return ReflectionPair(np.zeros_like(k), np.ones_like(k))
-    if family[0] == "plasma":
-        kp = family[1] / _C
+    if isinstance(zero, PlasmaModel):
+        kp = zero.omega_p / _C
         root = np.sqrt(k * k + kp * kp)
         return ReflectionPair((k - root) / (k + root), np.ones_like(k))
-    eps0 = family[1]
-    r = (eps0 - 1.0) / (eps0 + 1.0)
+    r = (zero.eps - 1.0) / (zero.eps + 1.0)
     return ReflectionPair(np.zeros_like(k), np.full_like(k, r))
 
 
-def _zero_mode_family(model):
-    """Resolve a model to its zero-frequency family tag."""
-    if isinstance(model, DrudeModel):
-        return ("drude", None)
-    if isinstance(model, PlasmaModel):
-        return ("plasma", model.omega_p)
-    if isinstance(model, ConstantModel):
-        return ("dielectric", model.eps)
+def _zero_mode_model(model):
+    """The Drude, plasma or constant model that sets the xi = 0 reflection."""
     if isinstance(model, TabulatedModel):
-        extra = model.extrapolation
-        if isinstance(extra, DrudeModel):
-            return ("drude", None)
-        if isinstance(extra, PlasmaModel):
-            return ("plasma", extra.omega_p)
-        return ("dielectric", static_eps(model))
+        if model.extrapolation is not None:
+            return model.extrapolation
+        return ConstantModel(static_eps(model))
+    if isinstance(model, (DrudeModel, PlasmaModel, ConstantModel)):
+        return model
     raise TypeError(f"unknown dielectric model {type(model).__name__}")
 
 
@@ -249,7 +243,8 @@ def _matsubara_ladder(d, T, model, spec, kind):
     decay_cap = math.ceil(15.0 * HBAR * _C / (2.0 * math.pi * BOLTZMANN * T * d)) + 10
     n_cap = min(spec.max_matsubara, decay_cap)
 
-    i_zero = integrate_decaying(lambda y: _zero_mode_integrand(model, d, y, kind), spec.rel_tol)
+    zero = _zero_mode_model(model)
+    i_zero = integrate_decaying(lambda y: _zero_mode_integrand(zero, d, y, kind), spec.rel_tol)
     # x_n = 2 xi_n d / c with xi_n = 2 pi n k_B T / hbar
     x = 4.0 * math.pi * BOLTZMANN * T * d / (HBAR * _C) * np.arange(1, n_cap + 1)[:, None]
     rows = integrate_decaying(lambda t: _mode_integrand(model, d, x, t, kind), spec.rel_tol)

@@ -58,8 +58,8 @@ def test_01_ideal_limit_closure():
 
     force = force_sphere_plane_T0(d, R_SPHERE, mirror)
     closed_force = math.pi**3 * HBAR * SPEED_OF_LIGHT * R_SPHERE / (360.0 * d**3)
-    assert force == pytest.approx(closed_force, rel=1e-3)
-    assert force == pytest.approx(424.8e-12, rel=1e-3)
+    assert force == pytest.approx(closed_force, rel=1e-3, abs=0.0)
+    assert force == pytest.approx(424.8e-12, rel=1e-3, abs=0.0)
 
     pressure = pressure_parallel(d, 0.0, mirror)
     closed_pressure = math.pi**2 * HBAR * SPEED_OF_LIGHT / (240.0 * d**4)
@@ -74,7 +74,7 @@ def test_02_thermal_asymptote_and_te_zero_mode_doubling():
     d, T = 50e-6, 300.0
     f_drude = force_sphere_plane(d, T, R_SPHERE, gold_drude())
     target = ZETA3 * R_SPHERE * BOLTZMANN * T / (8.0 * d**2)
-    assert f_drude * d**2 == pytest.approx(target * d**2, rel=0.01)
+    assert f_drude * d**2 == pytest.approx(target * d**2, rel=0.01, abs=0.0)
     # the quoted plateau value, in pN um^2
     assert f_drude * d**2 * 1e24 == pytest.approx(97.05, rel=0.01)
 
@@ -168,7 +168,7 @@ def test_06_calibration_round_trip():
         for v in voltages
     ]
     cal = calibrate_from_sweep(clean, R_SPHERE)
-    assert cal.d == pytest.approx(d_true, rel=1e-10)
+    assert cal.d == pytest.approx(d_true, rel=1e-10, abs=0.0)
     assert cal.v_m == pytest.approx(v_m_true, abs=1e-10)
 
     hits = 0
@@ -197,7 +197,7 @@ def test_07_fluctuation_correction_oracle():
             curvature = n * (n + 1) * 2.5e-27 / d ** (n + 2)
             got = fluctuation_corrected_force(force, curvature, d, delta)
             want = force * (1.0 + n * (n + 1) * (delta / d) ** 2 / 2.0)
-            assert got == pytest.approx(want, rel=1e-6), (n, d)
+            assert got == pytest.approx(want, rel=1e-6, abs=0.0), (n, d)
 
     # the engine's own curvature: a near-ideal mirror at T = 0 has F ~ d^-3
     # exactly, so its corrected force is F (1 + 6 (delta/d)^2)
@@ -206,7 +206,7 @@ def test_07_fluctuation_correction_oracle():
     drude_t0 = next(c for c in curves if c.model_id == "drude_t0")
     for d in gaps:
         want = force_sphere_plane_T0(d, R_SPHERE, mirror) * (1.0 + 6.0 * (delta / d) ** 2)
-        assert drude_t0.evaluator(d) == pytest.approx(want, rel=1e-9), d
+        assert drude_t0.evaluator(d) == pytest.approx(want, rel=1e-9, abs=0.0), d
 
 
 def test_08_sensitivity_band_width():

@@ -61,15 +61,15 @@ class TestBinning:
         ]
         out = bin_points(pts, [0.5e-6, 2e-6])
         assert len(out) == 1
-        assert out[0].f == pytest.approx(12e-12, rel=1e-12)
-        assert out[0].d == pytest.approx(1.1e-6, rel=1e-12)
-        assert out[0].sigma == pytest.approx(2e-12 / math.sqrt(2.0), rel=1e-12)
+        assert out[0].f == pytest.approx(12e-12, rel=1e-12, abs=0.0)
+        assert out[0].d == pytest.approx(1.1e-6, rel=1e-12, abs=0.0)
+        assert out[0].sigma == pytest.approx(2e-12 / math.sqrt(2.0), rel=1e-12, abs=0.0)
 
     def test_sigma_shrinks_as_root_count(self):
         n = 50
         pts = [MeasurementPoint(d=1e-6, f=1e-12, sigma=1e-12) for _ in range(n)]
         out = bin_points(pts, [0.9e-6, 1.1e-6])
-        assert out[0].sigma == pytest.approx(1e-12 / math.sqrt(n), rel=1e-12)
+        assert out[0].sigma == pytest.approx(1e-12 / math.sqrt(n), rel=1e-12, abs=0.0)
 
     def test_inverse_variance_weighting(self):
         pts = [
@@ -78,7 +78,7 @@ class TestBinning:
         ]
         out = bin_points(pts, [0.5e-6, 2e-6])
         w1, w2 = 1.0, 1.0 / 9.0
-        assert out[0].f == pytest.approx(10e-12 * w2 / (w1 + w2), rel=1e-12)
+        assert out[0].f == pytest.approx(10e-12 * w2 / (w1 + w2), rel=1e-12, abs=0.0)
 
     def test_point_outside_edges_is_an_error(self):
         pts = [MeasurementPoint(d=5e-6, f=1e-12, sigma=1e-12)]
@@ -153,8 +153,8 @@ class TestFit:
         curve = cube_curve()
         pts = synth_points(curve, v_rms=5.4e-3, a=-3.0e-12)
         fit = fit_patch_and_offset(pts, curve, R, DELTA)
-        assert fit.v_rms_sq == pytest.approx((5.4e-3) ** 2, rel=1e-9)
-        assert fit.a == pytest.approx(-3.0e-12, rel=1e-9)
+        assert fit.v_rms_sq == pytest.approx((5.4e-3) ** 2, rel=1e-9, abs=0.0)
+        assert fit.a == pytest.approx(-3.0e-12, rel=1e-9, abs=0.0)
         assert fit.chi2_reduced == pytest.approx(0.0, abs=1e-12)
         assert fit.v_rms == pytest.approx(5.4e-3, rel=1e-9)
         assert fit.n_points == 30
@@ -178,8 +178,8 @@ class TestFit:
         ]
         base = fit_patch_and_offset(pts, zero, R, DELTA)
         out = fit_patch_and_offset(scaled, zero, R, DELTA)
-        assert out.v_rms_sq == pytest.approx(c * base.v_rms_sq, rel=1e-9)
-        assert out.a == pytest.approx(c * base.a, rel=1e-9)
+        assert out.v_rms_sq == pytest.approx(c * base.v_rms_sq, rel=1e-9, abs=0.0)
+        assert out.a == pytest.approx(c * base.a, rel=1e-9, abs=0.0)
 
     def test_chi2_invariant_under_reordering(self):
         curve = cube_curve()
@@ -198,8 +198,8 @@ class TestFit:
         moved = [MeasurementPoint(d=p.d, f=p.f + shift, sigma=p.sigma) for p in pts]
         fit = fit_patch_and_offset(pts, curve, R, DELTA)
         refit = fit_patch_and_offset(moved, curve, R, DELTA)
-        assert refit.a - fit.a == pytest.approx(shift, rel=1e-9)
-        assert refit.v_rms_sq == pytest.approx(fit.v_rms_sq, rel=1e-9)
+        assert refit.a - fit.a == pytest.approx(shift, rel=1e-9, abs=0.0)
+        assert refit.v_rms_sq == pytest.approx(fit.v_rms_sq, rel=1e-9, abs=0.0)
         assert refit.chi2_reduced == pytest.approx(fit.chi2_reduced, rel=1e-9)
 
     def test_negative_patch_power_reports_undefined_v_rms(self):
@@ -299,9 +299,9 @@ class TestMeasurementCsv:
         back = load_measurements(path)
         assert len(back) == len(pts)
         for a, b in zip(pts, back):
-            assert b.d == pytest.approx(a.d, rel=1e-11)
-            assert b.f == pytest.approx(a.f, rel=1e-11)
-            assert b.sigma == pytest.approx(a.sigma, rel=1e-11)
+            assert b.d == pytest.approx(a.d, rel=1e-11, abs=0.0)
+            assert b.f == pytest.approx(a.f, rel=1e-11, abs=0.0)
+            assert b.sigma == pytest.approx(a.sigma, rel=1e-11, abs=0.0)
 
     def test_units_are_micron_piconewton(self, tmp_path):
         path = tmp_path / "points.csv"

@@ -118,8 +118,8 @@ class TestConfig:
     def test_separations_are_log_spaced_with_exact_endpoints(self):
         cfg = small_config()
         d = cfg.separations()
-        assert d[0] == pytest.approx(cfg.d_min, rel=1e-15)
-        assert d[-1] == pytest.approx(cfg.d_max, rel=1e-15)
+        assert d[0] == pytest.approx(cfg.d_min, rel=1e-15, abs=0.0)
+        assert d[-1] == pytest.approx(cfg.d_max, rel=1e-15, abs=0.0)
         ratios = d[1:] / d[:-1]
         assert np.allclose(ratios, ratios[0], rtol=1e-12)
 

@@ -20,13 +20,13 @@ def test_exact_si_defining_constants():
 
 
 def test_hbar_consistent_with_planck():
-    assert constants.HBAR == pytest.approx(1.054571817e-34, rel=1e-9)
+    assert constants.HBAR == pytest.approx(1.054571817e-34, rel=1e-9, abs=0.0)
     assert constants.HBAR == constants.PLANCK / (2.0 * math.pi)
 
 
 def test_vacuum_permittivity_codata():
     # measured, not exact; CODATA 2018 central value
-    assert constants.VACUUM_PERMITTIVITY == pytest.approx(8.8541878128e-12, rel=1e-10)
+    assert constants.VACUUM_PERMITTIVITY == pytest.approx(8.8541878128e-12, rel=1e-10, abs=0.0)
 
 
 def test_zeta3_against_direct_summation():
@@ -34,7 +34,7 @@ def test_zeta3_against_direct_summation():
     # partial sum plus the Euler-Maclaurin tail 1/2n^2 - 1/2n^3 + O(n^-5)
     direct = sum(1.0 / k**3 for k in range(n, 0, -1))
     direct += 0.5 / n**2 - 0.5 / n**3
-    assert constants.ZETA3 == pytest.approx(direct, rel=1e-13)
+    assert constants.ZETA3 == pytest.approx(direct, rel=1e-13, abs=0.0)
 
 
 def test_constants_version_tag():
@@ -45,7 +45,7 @@ def test_ev_conversion_value_and_round_trip():
     # 1 eV ~ 1.519267e15 rad/s (e/hbar)
     w = constants.ev_to_angular_frequency(1.0)
     assert w == pytest.approx(1.519267447e15, rel=1e-9)
-    assert constants.angular_frequency_to_ev(w) == pytest.approx(1.0, rel=1e-14)
+    assert constants.angular_frequency_to_ev(w) == pytest.approx(1.0, rel=1e-14, abs=0.0)
     assert constants.ev_to_angular_frequency(0.0) == 0.0
 
 
@@ -77,3 +77,13 @@ def test_matsubara_frequency_domain_errors():
         constants.matsubara_frequency(1, -5.0)
     with pytest.raises(ValueError):
         constants.matsubara_frequency(1.5, 300.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_conversions_reject_non_finite_input(bad):
+    with pytest.raises(ValueError, match="photon energy .* got"):
+        constants.ev_to_angular_frequency(bad)
+    with pytest.raises(ValueError, match="angular frequency .* got"):
+        constants.angular_frequency_to_ev(bad)
+    with pytest.raises(ValueError, match="temperature .* got"):
+        constants.matsubara_frequency(1, bad)

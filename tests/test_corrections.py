@@ -42,7 +42,7 @@ class TestCorrectedForce:
         delta = 40e-9
         got = corrected(1e-27, n, d, delta)
         want = power_law(1e-27, n)(d) * (1.0 + n * (n + 1) * (delta / d) ** 2 / 2.0)
-        assert got == pytest.approx(want, rel=1e-6)
+        assert got == pytest.approx(want, rel=1e-6, abs=0.0)
 
     def test_ideal_sphere_plane_magnitude(self):
         # n = 3 at d = 0.7 um, delta = 40 nm: multiplier 1 + 6 (delta/d)^2
@@ -67,7 +67,7 @@ class TestCorrectedForce:
     def test_commutes_with_force_scaling(self, c):
         d, delta = 1e-6, 40e-9
         assert corrected(c * 1e-27, 3, d, delta) == pytest.approx(
-            c * corrected(1e-27, 3, d, delta), rel=1e-12
+            c * corrected(1e-27, 3, d, delta), rel=1e-12, abs=0.0
         )
 
     def test_regime_error_close_to_contact(self):
@@ -135,7 +135,7 @@ class TestCorrectionUncertainty:
         curvature = power_law_curvature(1e-27, 3)(d)
         got = correction_uncertainty(curvature, d, FluctuationSpec(delta, sig))
         want = power_law(1e-27, 3)(d) * 6.0 * 2.0 * delta * sig / (d * d)
-        assert got == pytest.approx(want, rel=1e-6)
+        assert got == pytest.approx(want, rel=1e-6, abs=0.0)
 
     def test_lower_edge_clipped_at_zero(self):
         # sigma > delta: the spread runs from no correction to delta + sigma
@@ -143,7 +143,7 @@ class TestCorrectionUncertainty:
         curvature = power_law_curvature(1e-27, 3)(d)
         got = correction_uncertainty(curvature, d, FluctuationSpec(delta, sig))
         assert got == pytest.approx(
-            (corrected(1e-27, 3, d, delta + sig) - power_law(1e-27, 3)(d)) / 2.0, rel=1e-9
+            (corrected(1e-27, 3, d, delta + sig) - power_law(1e-27, 3)(d)) / 2.0, rel=1e-9, abs=0.0
         )
 
     def test_grows_toward_small_separations(self):

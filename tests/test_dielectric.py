@@ -20,13 +20,14 @@ from casimir_lab.dielectric import (
     OpticalTable,
     PlasmaModel,
     TabulatedModel,
+    _tail_integral,
     eps_imag_axis,
     gold_drude,
     gold_plasma,
     load_optical_table,
     static_eps,
 )
-from casimir_lab.errors import ValidationError
+from casimir_lab.errors import ConvergenceError, ValidationError
 
 
 def lorentz_table(w0=5e15, gamma=5e14, strength=2.0, n=4000):
@@ -50,7 +51,7 @@ class TestAnalyticModels:
         m = DrudeModel(omega_p=1e16, gamma=5e13)
         xi = 2e15
         assert eps_imag_axis(m, xi) == pytest.approx(
-            1.0 + 1e32 / (xi * (xi + 5e13)), rel=1e-14
+            1.0 + 1e32 / (xi * (xi + 5e13)), rel=1e-14, abs=0.0
         )
 
     def test_gold_drude_at_its_plasma_frequency(self):
@@ -60,7 +61,7 @@ class TestAnalyticModels:
 
     def test_plasma_closed_form(self):
         m = PlasmaModel(omega_p=1e16)
-        assert eps_imag_axis(m, 5e15) == pytest.approx(1.0 + 4.0, rel=1e-14)
+        assert eps_imag_axis(m, 5e15) == pytest.approx(1.0 + 4.0, rel=1e-14, abs=0.0)
 
     def test_constant_model_is_frequency_independent(self):
         m = ConstantModel(eps=11.5)
@@ -110,6 +111,23 @@ class TestAnalyticModels:
             DrudeModel(omega_p=1e16, gamma=bad)
         with pytest.raises(ValidationError):
             PlasmaModel(omega_p=bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_permittivity_and_tail_exponent_rejected(self, bad):
+        with pytest.raises(ValidationError, match=f"permittivity .* got {bad}"):
+            ConstantModel(eps=bad)
+        table = OpticalTable(omega=np.array([1e15, 2e15]), eps_imag=np.array([1.0, 0.5]))
+        with pytest.raises(ValidationError, match=f"tail exponent .* got {bad}"):
+            TabulatedModel(table=table, extrapolation=None, tail_exponent=bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_xi_rejected(self, bad):
+        tabulated, _, _ = lorentz_table(n=50)
+        for m in (gold_drude(), gold_plasma(), ConstantModel(eps=3.0), tabulated):
+            with pytest.raises(ValueError, match=f"xi must be positive and finite, got {bad}"):
+                eps_imag_axis(m, bad)
+            with pytest.raises(ValueError, match=f"got {bad}"):
+                eps_imag_axis(m, np.array([1e15, bad]))
 
 
 class TestTabulatedKramersKronig:
@@ -176,12 +194,50 @@ class TestTabulatedKramersKronig:
         assert s == pytest.approx(3.0, rel=1e-2)
         assert s == pytest.approx(eps_imag_axis(model, 1e-8 * w0), rel=1e-6)
 
+    def test_static_eps_is_the_trapezoid_plus_the_tail(self):
+        # int_0^inf (2/pi) eps''/omega domega: the trapezoid across the rows
+        # and (2/pi) eps''(W) int_W^inf W^s omega^(-s-1) domega = (2/pi) eps''(W)/s
+        model, _, _ = lorentz_table(n=1000)
+        w, e2 = model.table.omega, model.table.eps_imag
+        f = 2.0 / math.pi * e2 / w
+        band = math.fsum(0.5 * (w[i + 1] - w[i]) * (f[i] + f[i + 1]) for i in range(w.size - 1))
+        tail = 2.0 / math.pi * e2[-1] / model.tail_exponent
+        assert static_eps(model) == pytest.approx(1.0 + band + tail, rel=1e-14, abs=0.0)
+
     def test_static_eps_of_constant_model(self):
         assert static_eps(ConstantModel(eps=4.2)) == 4.2
 
     def test_static_eps_rejects_metallic_models(self):
         with pytest.raises(ValueError):
             static_eps(gold_drude())
+
+    @pytest.mark.parametrize("s", [1.0, 3.0])
+    def test_tail_matches_its_closed_form(self, s):
+        # with u = W/omega the tail is (2/pi) eps''(W) int_0^1 u^(s-1)/(1 + a^2 u^2) du,
+        # a = xi/W: arctan(a)/a for s = 1 and (a - arctan a)/a^3 for s = 3;
+        # the latter cancels for small a, so it is summed as its series there
+        def closed_form(a):
+            if s == 1.0:
+                return math.atan(a) / a
+            if a < 0.3:
+                return sum((-a * a) ** k / (2 * k + 3) for k in range(40))
+            return (a - math.atan(a)) / a**3
+
+        w_top, amp = 4e16, 0.37
+        table = OpticalTable(omega=np.array([1e15, w_top]), eps_imag=np.array([2.0, amp]))
+        a = np.geomspace(1e-6, 1e8, 141)
+        got = _tail_integral(table, s, a * w_top)
+        want = 2.0 / math.pi * amp * np.array([closed_form(x) for x in a])
+        scale = 2.0 / math.pi * amp / s
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+    def test_unreachable_tail_tolerance_raises(self):
+        # eps'' ~ omega^(-1e9) drops by e^-60000 within the first quadrature
+        # panel; the tail must say it did not converge, not return a guess
+        table = OpticalTable(omega=np.array([1e15, 2e15]), eps_imag=np.array([1.0, 0.5]))
+        model = TabulatedModel(table=table, extrapolation=None, tail_exponent=1e9)
+        with pytest.raises(ConvergenceError):
+            eps_imag_axis(model, 1e15)
 
     def test_tail_exponent_validation(self):
         table = OpticalTable(omega=np.array([1e15, 2e15]), eps_imag=np.array([1.0, 0.5]))
@@ -244,6 +300,13 @@ class TestTableLoader:
         with pytest.raises(ValidationError) as err:
             load_optical_table(path)
         assert "line 3" in str(err.value)
+
+    @pytest.mark.parametrize("row", ["nan,1.0", "0.2,inf", "inf,1.0", "0.2,-inf"])
+    def test_rejects_non_finite_row(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"photon_energy_ev,eps_imag\n0.1,1.0\n{row}\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match="line 3 is not finite"):
+            load_optical_table(path)
 
     def test_rejects_out_of_order_rows(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -48,7 +48,7 @@ class TestForceTerms:
     def test_bias_quadratic_law(self):
         f1 = bias_force(1e-6, R, 10e-3, 0.0)
         f2 = bias_force(1e-6, R, 20e-3, 0.0)
-        assert f2 == pytest.approx(4.0 * f1, rel=1e-14)
+        assert f2 == pytest.approx(4.0 * f1, rel=1e-14, abs=0.0)
 
     @settings(max_examples=50)
     @given(
@@ -63,7 +63,7 @@ class TestForceTerms:
 
     def test_patch_oracle(self):
         got = patch_force(1e-6, R, 5.4e-3, 0.0)
-        assert got == pytest.approx(126.5e-12, rel=1e-3)
+        assert got == pytest.approx(126.5e-12, rel=1e-3, abs=0.0)
 
     def test_patch_fluctuation_factor(self):
         bare = patch_force(1e-6, R, 5.4e-3, 0.0)
@@ -78,9 +78,9 @@ class TestForceTerms:
     def test_patch_scales_as_vrms_squared_and_inverse_d(self, v_rms, scale):
         f = patch_force(1e-6, R, v_rms)
         assert patch_force(1e-6, R, scale * v_rms) == pytest.approx(
-            scale * scale * f, rel=1e-12
+            scale * scale * f, rel=1e-12, abs=0.0
         )
-        assert patch_force(scale * 1e-6, R, v_rms) == pytest.approx(f / scale, rel=1e-12)
+        assert patch_force(scale * 1e-6, R, v_rms) == pytest.approx(f / scale, rel=1e-12, abs=0.0)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -90,6 +90,20 @@ class TestForceTerms:
         with pytest.raises(ValueError):
             patch_force(1e-6, R, -0.01)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["d", "R", "v", "v_m"])
+    def test_bias_force_rejects_non_finite_argument(self, name, bad):
+        args = {"d": 1e-6, "R": R, "v": 0.02, "v_m": 0.0, name: bad}
+        with pytest.raises(ValueError, match=rf"\b{name} must be .*, got {bad}"):
+            bias_force(**args)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["d", "R", "v_rms", "delta"])
+    def test_patch_force_rejects_non_finite_argument(self, name, bad):
+        args = {"d": 1e-6, "R": R, "v_rms": 5.4e-3, "delta": 0.0, name: bad}
+        with pytest.raises(ValueError, match=rf"\b{name} must be .*, got {bad}"):
+            patch_force(**args)
+
 
 class TestCalibration:
     VOLTAGES = np.linspace(-50e-3, 50e-3, 11)
@@ -97,9 +111,9 @@ class TestCalibration:
     def test_noiseless_round_trip(self):
         d, v_m, f_res = 2e-6, 20e-3, -50e-12
         cal = calibrate_from_sweep(synth_sweep(d, v_m, f_res, self.VOLTAGES), R)
-        assert cal.d == pytest.approx(d, rel=1e-10)
+        assert cal.d == pytest.approx(d, rel=1e-10, abs=0.0)
         assert cal.v_m == pytest.approx(v_m, abs=1e-10)
-        assert cal.f_residual == pytest.approx(f_res, rel=1e-9)
+        assert cal.f_residual == pytest.approx(f_res, rel=1e-9, abs=0.0)
 
     def test_curvature_to_separation_hand_value(self):
         # c2 = 2.1697e-6 N/V^2 with R = 15.6 cm corresponds to d = 2.000 um
@@ -109,7 +123,7 @@ class TestCalibration:
         ]
         cal = calibrate_from_sweep(samples, R)
         assert cal.d == pytest.approx(2.000e-6, rel=2e-4)
-        assert cal.d == pytest.approx(math.pi * VACUUM_PERMITTIVITY * R / c2, rel=1e-12)
+        assert cal.d == pytest.approx(math.pi * VACUUM_PERMITTIVITY * R / c2, rel=1e-12, abs=0.0)
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(min_value=-0.03, max_value=0.03))
@@ -119,7 +133,7 @@ class TestCalibration:
         moved = calibrate_from_sweep(
             synth_sweep(d, v_m + shift, f_res, self.VOLTAGES + shift), R
         )
-        assert moved.d == pytest.approx(base.d, rel=1e-12)
+        assert moved.d == pytest.approx(base.d, rel=1e-12, abs=0.0)
         assert moved.v_m - base.v_m == pytest.approx(shift, abs=1e-12)
 
     def test_noisy_recovery_within_three_sigma_over_seeds(self):
@@ -161,6 +175,12 @@ class TestCalibration:
         with pytest.raises(CalibrationError):
             calibrate_from_sweep(samples, R)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0])
+    def test_rejects_bad_radius(self, bad):
+        samples = synth_sweep(2e-6, 20e-3, -50e-12, self.VOLTAGES)
+        with pytest.raises(ValueError, match=f"radius R must be positive and finite, got {bad}"):
+            calibrate_from_sweep(samples, bad)
+
     def test_rejects_degenerate_voltages(self):
         samples = [SweepSample(v=0.01, f=1e-12, sigma_f=1e-12) for _ in range(6)]
         with pytest.raises(DegenerateFitError):
@@ -175,8 +195,8 @@ class TestSweepCsv:
         back = load_sweep_csv(path)
         assert len(back) == len(samples)
         for a, b in zip(samples, back):
-            assert b.v == pytest.approx(a.v, rel=1e-11)
-            assert b.f == pytest.approx(a.f, rel=1e-11)
+            assert b.v == pytest.approx(a.v, rel=1e-11, abs=0.0)
+            assert b.f == pytest.approx(a.f, rel=1e-11, abs=0.0)
 
     def test_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "bad.csv"

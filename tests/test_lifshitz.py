@@ -22,6 +22,7 @@ from casimir_lab.dielectric import (
     TabulatedModel,
     gold_drude,
     gold_plasma,
+    static_eps,
 )
 from casimir_lab.errors import ConvergenceError, PfaValidityWarning
 from casimir_lab.lifshitz import (
@@ -100,7 +101,7 @@ class TestReflectionCoefficients:
     def test_zero_mode_dielectric_static_limit(self):
         r = reflection_coeffs_zero_mode(1e6, ConstantModel(eps=3.0))
         assert r.r_te == 0.0
-        assert float(r.r_tm) == pytest.approx(0.5, rel=1e-14)
+        assert float(r.r_tm) == pytest.approx(0.5, rel=1e-14, abs=0.0)
 
     def test_zero_mode_tabulated_follows_extrapolation_family(self):
         table = OpticalTable(omega=np.array([1e15, 1e16]), eps_imag=np.array([1.0, 0.1]))
@@ -110,8 +111,18 @@ class TestReflectionCoefficients:
         assert reflection_coeffs_zero_mode(k, drude_tab).r_te == 0.0
         want = reflection_coeffs_zero_mode(k, gold_plasma()).r_te
         assert reflection_coeffs_zero_mode(k, plasma_tab).r_te == pytest.approx(
-            float(want), rel=1e-14
+            float(want), rel=1e-14, abs=0.0
         )
+
+    def test_zero_mode_bound_charge_table_takes_its_static_limit(self):
+        w = np.geomspace(1e14, 1e17, 300)
+        table = OpticalTable(omega=w, eps_imag=1e45 * w / ((1e31 - w**2) ** 2 + (1e14 * w) ** 2))
+        model = TabulatedModel(table=table, extrapolation=None)
+        s = static_eps(model)
+        assert s > 1.5
+        r = reflection_coeffs_zero_mode(np.array([1e4, 1e6]), model)
+        np.testing.assert_array_equal(r.r_te, 0.0)
+        np.testing.assert_array_equal(r.r_tm, (s - 1.0) / (s + 1.0))
 
 
 class TestIdealLimits:
@@ -123,7 +134,7 @@ class TestIdealLimits:
         d = 1e-6
         got = free_energy_per_area(d, 0.0, self.IDEAL)
         want = -math.pi**2 * HBAR * SPEED_OF_LIGHT / (720.0 * d**3)
-        assert got == pytest.approx(want, rel=1e-4)
+        assert got == pytest.approx(want, rel=1e-4, abs=0.0)
 
     def test_t0_pressure(self):
         d = 1e-6
@@ -132,11 +143,15 @@ class TestIdealLimits:
         assert got == pytest.approx(want, rel=1e-4)
 
     def test_high_t_free_energy_is_zeta3_law(self):
-        # classical limit: F -> -zeta(3) k_B T / (8 pi d^2) for ideal mirrors
+        # classical limit: at 50 um and 300 K x_1 = 2 xi_1 d / c ~ 82, so only
+        # the n = 0 term survives.  A ConstantModel takes the static
+        # dielectric limit there, r_TE(0) = 0 and r_TM(0) ~ 1, so the TM mode
+        # alone gives F -> -zeta(3) k_B T / (16 pi d^2), half the
+        # ideal-metal value
         d, T = 50e-6, 300.0
         got = free_energy_per_area(d, T, self.IDEAL)
-        want = -ZETA3 * BOLTZMANN * T / (8.0 * math.pi * d * d)
-        assert got == pytest.approx(want, rel=1e-5)
+        want = -ZETA3 * BOLTZMANN * T / (16.0 * math.pi * d * d)
+        assert got == pytest.approx(want, rel=1e-5, abs=0.0)
 
 
 class TestFrozenForces:
@@ -155,7 +170,7 @@ class TestFrozenForces:
         d = 50e-6
         got = free_energy_per_area(d, 300.0, gold_drude())
         want = -ZETA3 * BOLTZMANN * 300.0 / (16.0 * math.pi * d * d)
-        assert got == pytest.approx(want, rel=1e-9)
+        assert got == pytest.approx(want, rel=1e-9, abs=0.0)
 
     def test_plasma_over_drude_at_fifty_microns(self):
         d = 50e-6
@@ -169,7 +184,7 @@ class TestFrozenForces:
         drude = asymptote_thermal(d, R_SPHERE, T, "drude")
         plasma = asymptote_thermal(d, R_SPHERE, T, "plasma")
         assert drude == pytest.approx(ZETA3 * R_SPHERE * BOLTZMANN * T / (8 * d * d))
-        assert plasma == pytest.approx(2.0 * drude, rel=1e-14)
+        assert plasma == pytest.approx(2.0 * drude, rel=1e-14, abs=0.0)
         with pytest.raises(ValueError):
             asymptote_thermal(d, R_SPHERE, T, "ideal")
 
@@ -252,8 +267,23 @@ class TestIndependentOracles:
         model = TabulatedModel(table=table, extrapolation=gold, tail_exponent=3.0)
         d = d_um * 1e-6
         assert force_sphere_plane(d, T, R_SPHERE, model) == pytest.approx(
-            force_sphere_plane(d, T, R_SPHERE, gold), rel=1e-6
+            force_sphere_plane(d, T, R_SPHERE, gold), rel=1e-6, abs=0.0
         )
+
+
+    def test_bound_charge_zero_mode_is_resolved_once_per_ladder(self, monkeypatch):
+        w = np.geomspace(1e14, 1e17, 300)
+        table = OpticalTable(omega=w, eps_imag=1e45 * w / ((1e31 - w**2) ** 2 + (1e14 * w) ** 2))
+        model = TabulatedModel(table=table, extrapolation=None)
+        calls = []
+
+        def counting(m):
+            calls.append(m)
+            return static_eps(m)
+
+        monkeypatch.setattr(lifshitz, "static_eps", counting)
+        force_sphere_plane(1e-6, 300.0, R_SPHERE, model)
+        assert calls == [model]
 
 
 class TestConsistency:
@@ -355,7 +385,7 @@ class TestGeometryAndPfa:
         d = 1e-6
         f = force_sphere_plane(d, 300.0, R_SPHERE, gold_drude())
         e = free_energy_per_area(d, 300.0, gold_drude())
-        assert f == pytest.approx(2.0 * math.pi * R_SPHERE * abs(e), rel=1e-14)
+        assert f == pytest.approx(2.0 * math.pi * R_SPHERE * abs(e), rel=1e-14, abs=0.0)
 
     def test_pfa_warning_past_aspect_ratio(self):
         for fn in (force_sphere_plane, force_curvature_sphere_plane):
@@ -424,8 +454,8 @@ class TestSensitivityBand:
     def test_plasma_family_ignores_dissipation_axis(self):
         band_a = sensitivity_band([1e-6], 300.0, self.WP, (1e13, 2e13), "plasma", R_SPHERE)
         band_b = sensitivity_band([1e-6], 300.0, self.WP, (5e13, 9e13), "plasma", R_SPHERE)
-        assert band_a.f_min[0] == pytest.approx(band_b.f_min[0], rel=1e-12)
-        assert band_a.f_max[0] == pytest.approx(band_b.f_max[0], rel=1e-12)
+        assert band_a.f_min[0] == pytest.approx(band_b.f_min[0], rel=1e-12, abs=0.0)
+        assert band_a.f_max[0] == pytest.approx(band_b.f_max[0], rel=1e-12, abs=0.0)
 
     def test_each_distinct_parameter_set_runs_once(self, monkeypatch):
         models = []

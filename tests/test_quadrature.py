@@ -33,7 +33,7 @@ ZETA4 = math.pi**4 / 90.0
 def test_gauss_legendre_nodes_integrate_polynomials_exactly():
     x, w = gauss_legendre(6)
     # degree-11 polynomial is exact for 6 nodes
-    assert np.sum(w * x**10) == pytest.approx(2.0 / 11.0, rel=1e-14)
+    assert np.sum(w * x**10) == pytest.approx(2.0 / 11.0, rel=1e-14, abs=0.0)
     assert np.sum(w * x**11) == pytest.approx(0.0, abs=1e-15)
 
 
