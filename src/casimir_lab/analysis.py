@@ -11,7 +11,7 @@ four theory candidates can be compared on equal footing.
 import csv
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -19,7 +19,12 @@ from .constants import VACUUM_PERMITTIVITY
 from .corrections import corrected_curve
 from .dielectric import gold_drude, gold_plasma
 from .errors import DegenerateFitError, ValidationError, is_finite_real
-from .lifshitz import DEFAULT_SPEC, force_curvature_sphere_plane, force_sphere_plane
+from .lifshitz import (
+    DEFAULT_SPEC,
+    force_curvature_sphere_plane,
+    force_sphere_plane,
+    force_sphere_plane_grid,
+)
 
 __all__ = [
     "MeasurementPoint",
@@ -63,10 +68,14 @@ class MeasurementPoint:
 
 @dataclass(frozen=True)
 class ModelCurve:
-    """A named theory force curve, fluctuation corrections already applied."""
+    """A named theory force curve, fluctuation corrections already applied.
+
+    ``evaluator`` maps a gap in m to a force in N: a float gives a float,
+    a 1-D array gives the array of forces, computed as one curve.
+    """
 
     model_id: str
-    evaluator: Callable[[float], float]
+    evaluator: Callable[[Union[float, np.ndarray]], Union[float, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -143,13 +152,6 @@ def bin_points(points, edges):
     ]
 
 
-def _evaluate_curve(curve, d):
-    """Evaluate a ModelCurve at each separation, once per distinct value."""
-    unique, inverse = np.unique(d, return_inverse=True)
-    values = np.array([curve.evaluator(float(x)) for x in unique])
-    return values[inverse]
-
-
 def patch_basis(d, R, delta):
     """Patch-term regressor (pi eps0 R / d)(1 + (delta/d)^2)."""
     d = np.asarray(d, dtype=float)
@@ -198,7 +200,10 @@ def fit_patch_and_offset(points, curve, R, delta=0.0):
     f = np.array([p.f for p in points])
     sigma = np.array([p.sigma for p in points])
 
-    y = f - _evaluate_curve(curve, d)
+    # the curve once, at each distinct separation; a constant curve may
+    # answer with one number
+    unique, inverse = np.unique(d, return_inverse=True)
+    y = f - np.broadcast_to(curve.evaluator(unique), unique.shape)[inverse]
     basis = np.column_stack([patch_basis(d, R, delta), np.ones_like(d)])
 
     # scale columns to unit norm before solving; the patch column is ~1e-11
@@ -249,14 +254,20 @@ def standard_model_curves(
 
     Both metal descriptions at `temperature` and both in their T = 0 limits,
     each wrapped with the fluctuation correction for rms amplitude delta.
-    Defaults use the gold parameter set.
+    Defaults use the gold parameter set.  An array of gaps is one force
+    grid and one curvature curve per candidate.
     """
     drude = drude if drude is not None else gold_drude()
     plasma = plasma if plasma is not None else gold_plasma()
 
     def curve(model, T):
+        def force(d):
+            if np.ndim(d) == 0:
+                return force_sphere_plane(d, T, R, model, spec)
+            return force_sphere_plane_grid(d, T, R, model, spec)
+
         return corrected_curve(
-            lambda d: force_sphere_plane(d, T, R, model, spec),
+            force,
             lambda d: force_curvature_sphere_plane(d, T, R, model, spec),
             delta,
         )

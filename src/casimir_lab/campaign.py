@@ -244,14 +244,10 @@ def generate_campaign(config, spec=DEFAULT_SPEC):
     truth = {c.model_id: c.evaluator for c in curves}[config.truth_model_id]
 
     # per-separation pieces that do not change across sweeps
-    base = np.array(
-        [
-            truth(float(d))
-            + patch_force(d, config.radius, config.v_rms_true, config.delta_true)
-            + config.offset_a_true
-            for d in seps
-        ]
+    patch = np.array(
+        [patch_force(d, config.radius, config.v_rms_true, config.delta_true) for d in seps]
     )
+    base = truth(seps) + patch + config.offset_a_true
     fluct = 1.0 + (config.delta_true / seps) ** 2
     ends = [0, n_sep - 1]
     bias = np.array(

@@ -13,6 +13,8 @@ evaluates it from the engine's own curvature kernel, with no finite difference.
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import RegimeError, ValidationError
 
 __all__ = [
@@ -45,13 +47,16 @@ class FluctuationSpec:
 
 
 def _check_regime(d, delta):
-    if not (math.isfinite(d) and d > 0.0):
-        raise ValueError(f"separation must be positive and finite, got {d}")
+    """Validate a gap, or every gap of an array, against delta."""
+    d = np.asarray(d, dtype=float)
+    bad = d[~(np.isfinite(d) & (d > 0.0))]
+    if bad.size:
+        raise ValueError(f"separation must be positive and finite, got {bad[0]}")
     if not (math.isfinite(delta) and delta >= 0.0):
         raise ValueError(f"delta must be finite and >= 0, got {delta}")
-    if delta > 0.0 and d <= REGIME_FACTOR * delta:
+    if delta > 0.0 and np.min(d, initial=math.inf) <= REGIME_FACTOR * delta:
         raise RegimeError(
-            f"d = {d:.3e} m is within {REGIME_FACTOR:g} fluctuation amplitudes "
+            f"d = {np.min(d):.3e} m is within {REGIME_FACTOR:g} fluctuation amplitudes "
             f"(delta = {delta:.3e} m); second-order correction invalid"
         )
 
@@ -61,12 +66,13 @@ def fluctuation_corrected_force(force, curvature, d, delta):
 
     Parameters
     ----------
-    force : float
+    force : float or numpy.ndarray
         F(d) in N.
-    curvature : float
+    curvature : float or numpy.ndarray
         F''(d) in N/m^2.
-    d : float
-        Mean separation in m, must exceed five delta.
+    d : float or numpy.ndarray
+        Mean separation in m, must exceed five delta; an array of gaps
+        goes with arrays of forces and curvatures.
     delta : float
         Rms fluctuation amplitude in m.
     """
@@ -104,6 +110,7 @@ def correction_uncertainty(curvature, d, fluct):
 def corrected_curve(force_curve, curvature_curve, delta):
     """Wrap a raw theory curve and its curvature as the corrected curve.
 
+    The curves take a gap or an array of gaps, and so does the result.
     With delta = 0 the raw curve itself comes back and no curvature is
     evaluated.
     """

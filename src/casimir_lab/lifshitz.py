@@ -13,6 +13,13 @@ k-integral, evaluated here as one 2-D integral on tensor-product panel
 cells: each refinement level computes eps(i xi) once per frequency node and
 the kernel on the product of those nodes with the wavevector nodes.
 
+Every entry point takes a float or an array of gaps; a float gives a float,
+and a scalar is computed as a grid of one.  At T > 0 the ladder of a whole
+curve shares one eps(i xi_n) evaluation, since xi_n does not depend on the
+gap, and integrates the (gap, n) rows of several gaps in one quadrature
+family.  At T = 0 each gap is its own 2-D integral, which bounds the peak
+memory.
+
 Everything is computed in the dimensionless variable y = 2 kappa0 d, where
 each kernel decays like exp(-y); the k-integral for Matsubara index n starts
 at y_min = 2 xi_n d / c.  At fixed (k, xi) the gap enters only through
@@ -66,6 +73,11 @@ __all__ = [
 #: PFA is the only sphere-plane mapping implemented; past this aspect ratio
 #: its error is no longer negligible and callers get warned.
 PFA_RATIO_LIMIT = 1e-3
+
+#: (gap, n) rows the Matsubara ladder integrates in one family.  Gaps are
+#: chunked up to this many rows and never split; a gap with more rows runs
+#: alone.  Peak memory grows with it: 200 rows cost band 4.7 % in peak RSS.
+_LADDER_ROWS = 80
 
 _C = SPEED_OF_LIGHT
 
@@ -197,7 +209,8 @@ def _kernel(r, y, kind):
     # in place: on the T = 0 grid every temporary is a whole (x, t) array,
     # and their number sets the peak memory
     expy = np.exp(-y)
-    total = np.zeros_like(y)
+    # r may carry a leading gap axis that y lacks (the batched zero modes)
+    total = np.zeros_like(r[0])
     for rp in r:
         # r comes fresh from _fresnel or the zero-mode dispatch: reuse it
         s = np.square(rp, out=rp)
@@ -217,55 +230,91 @@ def _zero_mode_integrand(model, d, y, kind):
     return _kernel(reflection_coeffs_zero_mode(y / (2.0 * d), model), y, kind)
 
 
-def _mode_integrand(model, d, x, t, kind):
+def _mode_integrand(x, t, eps, kind):
     """Kernel at reduced frequency x = 2 xi d / c > 0 and t = y - x.
 
-    ``x`` and ``t`` broadcast against each other: a column of Matsubara
-    frequencies against the y nodes on the ladder, (px, 1, n, 1) frequency
-    nodes against (1, pt, 1, n) y nodes in the T = 0 integral.  eps is
-    computed on ``x`` alone, once per frequency.
+    ``x`` and ``t`` broadcast against each other: a column of (gap, n)
+    Matsubara rows against the y nodes on the ladder, (px, 1, n, 1)
+    frequency nodes against (1, pt, 1, n) y nodes in the T = 0 integral.
+    ``eps`` is eps(i xi) on ``x`` alone, one value per frequency.
     """
     y = x + t
-    eps = np.asarray(eps_imag_axis(model, x * _C / (2.0 * d)))
     return _kernel(_fresnel(y, x, eps), y, kind)
 
 
-def _matsubara_ladder(d, T, model, spec, kind):
-    """Adaptively truncated Matsubara sum of the dimensionless y-integrals.
+def _chunks(rows):
+    """Slices of consecutive gaps holding at most _LADDER_ROWS rows, each
+    gap whole; a gap with more rows than that is a chunk of its own."""
+    start, total = 0, 0
+    for i, count in enumerate(rows):
+        if total and total + count > _LADDER_ROWS:
+            yield slice(start, i)
+            start, total = i, 0
+        total += count
+    yield slice(start, len(rows))
 
-    Returns sum'_n I_n with I_n the y-integral of the ``kind`` kernel.
-    Terms are evaluated in one vectorized pass up to the exp(-2 xi_n d / c)
-    decay cap, then summed through the first index whose relative
-    contribution drops below rel_tol.
+
+def _matsubara_ladder(d, T, model, spec, kind):
+    """Adaptively truncated Matsubara sums of the dimensionless y-integrals.
+
+    Returns sum'_n I_n for each gap of the 1-D array ``d``, with I_n the
+    y-integral of the ``kind`` kernel.  eps(i xi_n) is computed once, up to
+    the largest per-gap cap.  Each chunk of gaps (see :func:`_chunks`) then
+    makes two quadrature calls: one family of its zero modes and one of its
+    (gap, n) rows, x = 4 pi k_B T d n / (hbar c).  Per gap the terms are
+    summed through the first index whose relative contribution drops below
+    rel_tol.
     """
     # Terms decay like exp(-n * 4 pi k_B T d / (hbar c)); at the cap the
-    # neglected tail is below exp(-30) of the total.
-    decay_cap = math.ceil(15.0 * HBAR * _C / (2.0 * math.pi * BOLTZMANN * T * d)) + 10
-    n_cap = min(spec.max_matsubara, decay_cap)
-
+    # neglected tail is below exp(-30) of the total.  Capped in floats, so
+    # a huge decay cap cannot overflow the integer cast.
+    decay_cap = np.ceil(15.0 * HBAR * _C / (2.0 * math.pi * BOLTZMANN * T * d)) + 10.0
+    n_cap = np.minimum(decay_cap, spec.max_matsubara).astype(int)
+    xi = 2.0 * math.pi * BOLTZMANN * T / HBAR * np.arange(1, n_cap.max() + 1)
+    eps = np.asarray(eps_imag_axis(model, xi))
     zero = _zero_mode_model(model)
-    i_zero = integrate_decaying(lambda y: _zero_mode_integrand(zero, d, y, kind), spec.rel_tol)
-    # x_n = 2 xi_n d / c with xi_n = 2 pi n k_B T / hbar
-    x = 4.0 * math.pi * BOLTZMANN * T * d / (HBAR * _C) * np.arange(1, n_cap + 1)[:, None]
-    rows = integrate_decaying(lambda t: _mode_integrand(model, d, x, t, kind), spec.rel_tol)
 
-    terms = np.concatenate(([0.5 * i_zero], np.atleast_1d(rows)))
-    partial = np.cumsum(terms)
-    small = np.abs(terms[1:]) <= spec.rel_tol * np.abs(partial[1:])
-    stop = np.nonzero(small)[0]
-    if stop.size == 0:
-        achieved = abs(terms[-1]) / max(abs(partial[-1]), np.finfo(float).tiny)
-        if n_cap == spec.max_matsubara:
-            raise ConvergenceError(
-                f"Matsubara ladder not converged after {n_cap} terms", achieved, spec.rel_tol
-            )
-        return partial[-1]
-    return partial[stop[0] + 1]
+    ladders = np.empty(d.size)
+    for chunk in _chunks(n_cap):
+        gaps, caps = d[chunk], n_cap[chunk]
+        i_zero = integrate_decaying(
+            lambda y: _zero_mode_integrand(zero, gaps[:, None], y, kind), spec.rel_tol
+        )
+        n = np.concatenate([np.arange(1, cap + 1) for cap in caps])
+        # x_n = 2 xi_n d / c with xi_n = 2 pi n k_B T / hbar
+        x = (np.repeat(4.0 * math.pi * BOLTZMANN * T * gaps / (HBAR * _C), caps) * n)[:, None]
+        eps_rows = eps[n - 1][:, None]
+        rows = integrate_decaying(lambda t: _mode_integrand(x, t, eps_rows, kind), spec.rel_tol)
+        for j, gap_rows in enumerate(np.split(rows, np.cumsum(caps)[:-1])):
+            terms = np.concatenate(([0.5 * i_zero[j]], gap_rows))
+            partial = np.cumsum(terms)
+            small = np.abs(terms[1:]) <= spec.rel_tol * np.abs(partial[1:])
+            stop = np.nonzero(small)[0]
+            if stop.size == 0:
+                achieved = abs(terms[-1]) / max(abs(partial[-1]), np.finfo(float).tiny)
+                if caps[j] == spec.max_matsubara:
+                    raise ConvergenceError(
+                        f"Matsubara ladder not converged after {caps[j]} terms",
+                        achieved,
+                        spec.rel_tol,
+                    )
+                ladders[chunk.start + j] = partial[-1]
+            else:
+                ladders[chunk.start + j] = partial[stop[0] + 1]
+    return ladders
+
+
+def _require_positive(name, value):
+    """ValueError naming the first entry of ``value`` that is not positive
+    and finite; ``value`` is a float or an array."""
+    value = np.asarray(value, dtype=float)
+    bad = value[~(np.isfinite(value) & (value > 0.0))]
+    if bad.size:
+        raise ValueError(f"{name} must be positive and finite, got {bad[0]}")
 
 
 def _validate_dT(d, T):
-    if not (math.isfinite(d) and d > 0.0):
-        raise ValueError(f"separation must be positive and finite, got {d}")
+    _require_positive("separation", d)
     if not (math.isfinite(T) and T >= 0.0):
         raise ValueError(f"temperature must be non-negative and finite, got {T}")
 
@@ -273,18 +322,33 @@ def _validate_dT(d, T):
 def _lifshitz(d, T, model, spec, kind):
     """Energy, pressure or curvature per plate area: the (x, t) integral at
     T = 0 times hbar c / (32 pi^2 d^(3+m)), else the Matsubara ladder times
-    k_B T / (8 pi d^(2+m)), with m = 0, 1, 2."""
+    k_B T / (8 pi d^(2+m)), with m = 0, 1, 2.  ``d`` is a float, which
+    gives a float, or an array of gaps, which gives an array of its shape."""
     _validate_dT(d, T)
     m = ("energy", "pressure", "curvature").index(kind)
+    gaps = np.asarray(d, dtype=float).ravel()
     if T == 0.0:
-        value = integrate_decaying_2d(
-            lambda x, t: _mode_integrand(model, d, x, t, kind), spec.rel_tol
-        )
-        return HBAR * _C / (32.0 * math.pi ** 2 * d ** (3 + m)) * value
-    ladder = _matsubara_ladder(d, T, model, spec, kind)
-    if kind == "energy":
-        return BOLTZMANN * T / (2.0 * math.pi) / (4.0 * d * d) * ladder
-    return BOLTZMANN * T / math.pi / (8.0 * d ** (2 + m)) * ladder
+        values = np.array([_lifshitz_t0(g, model, spec, kind, m) for g in gaps.tolist()])
+    elif gaps.size == 0:
+        values = gaps
+    else:
+        ladder = _matsubara_ladder(gaps, T, model, spec, kind)
+        if kind == "energy":
+            values = BOLTZMANN * T / (2.0 * math.pi) / (4.0 * gaps * gaps) * ladder
+        else:
+            values = BOLTZMANN * T / math.pi / (8.0 * gaps ** (2 + m)) * ladder
+    return float(values[0]) if np.ndim(d) == 0 else values.reshape(np.shape(d))
+
+
+def _lifshitz_t0(d, model, spec, kind, m):
+    """The T = 0 value at one gap: one 2-D integral, eps on its x nodes."""
+    value = integrate_decaying_2d(
+        lambda x, t: _mode_integrand(
+            x, t, np.asarray(eps_imag_axis(model, x * _C / (2.0 * d))), kind
+        ),
+        spec.rel_tol,
+    )
+    return HBAR * _C / (32.0 * math.pi ** 2 * d ** (3 + m)) * value
 
 
 def free_energy_per_area(d, T, model, spec=DEFAULT_SPEC):
@@ -292,8 +356,8 @@ def free_energy_per_area(d, T, model, spec=DEFAULT_SPEC):
 
     Parameters
     ----------
-    d : float
-        Plate separation in m.
+    d : float or array_like
+        Plate separation in m; an array gives the free energy at each gap.
     T : float
         Temperature in K.  T = 0 dispatches to the dedicated
         imaginary-frequency integral rather than a small-T ladder.
@@ -304,8 +368,9 @@ def free_energy_per_area(d, T, model, spec=DEFAULT_SPEC):
 
     Returns
     -------
-    float
-        F(d, T) <= 0; more negative means stronger attraction.
+    float or numpy.ndarray
+        F(d, T) <= 0, shaped like ``d``; more negative means stronger
+        attraction.
     """
     return _lifshitz(d, T, model, spec, "energy")
 
@@ -316,17 +381,20 @@ def pressure_parallel(d, T, model, spec=DEFAULT_SPEC):
     Evaluates the differentiated Lifshitz integrand
     (k_B T / pi) sum'_n int k dk kappa0 sum_p s_p/(1 - s_p) with
     s_p = r_p^2 exp(-2 kappa0 d); equal to |dF/dd| of
-    :func:`free_energy_per_area`.
+    :func:`free_energy_per_area`, and shaped like ``d`` as it is.
     """
     return _lifshitz(d, T, model, spec, "pressure")
 
 
 def _sphere_plane(d, R, per_area):
-    """2 pi R |per_area()|, the PFA map, after validating the geometry."""
-    geometry = Geometry(radius=R, separation=d)
-    if not geometry.pfa_valid:
+    """2 pi R |per_area()|, the PFA map, after validating the radius and
+    every gap of ``d`` and warning once when the largest d/R is too large."""
+    _require_positive("radius", R)
+    _require_positive("separation", d)
+    ratio = np.max(d, initial=0.0) / R
+    if ratio >= PFA_RATIO_LIMIT:
         warnings.warn(
-            f"d/R = {geometry.pfa_ratio:.2e} exceeds {PFA_RATIO_LIMIT:.0e}; "
+            f"d/R = {ratio:.2e} exceeds {PFA_RATIO_LIMIT:.0e}; "
             "the proximity force approximation degrades",
             PfaValidityWarning,
             stacklevel=3,
@@ -337,8 +405,9 @@ def _sphere_plane(d, R, per_area):
 def force_sphere_plane(d, T, R, model, spec=DEFAULT_SPEC):
     """Sphere-plane force via the proximity force approximation, in N.
 
-    F = 2 pi R |free_energy_per_area(d, T)|, positive for attraction.
-    Warns, without failing, when d/R exceeds the PFA validity ratio.
+    F = 2 pi R |free_energy_per_area(d, T)|, positive for attraction, shaped
+    like ``d``.  Warns, without failing, when d/R exceeds the PFA validity
+    ratio.
     """
     return _sphere_plane(d, R, lambda: free_energy_per_area(d, T, model, spec))
 
@@ -346,6 +415,7 @@ def force_sphere_plane(d, T, R, model, spec=DEFAULT_SPEC):
 def force_curvature_sphere_plane(d, T, R, model, spec=DEFAULT_SPEC):
     """Curvature F'' = 2 pi R |dP/dd| of the PFA sphere-plane force, in N/m^2.
 
+    ``d`` is a float or an array of gaps, as for :func:`free_energy_per_area`.
     Validates and warns like :func:`force_sphere_plane`.
     """
     return _sphere_plane(d, R, lambda: _lifshitz(d, T, model, spec, "curvature"))
@@ -372,8 +442,18 @@ def asymptote_thermal(d, R, T, which):
 
 
 def force_sphere_plane_grid(separations, T, R, model, spec=DEFAULT_SPEC):
-    """Sphere-plane force on a separation grid, one independent point each."""
-    return np.array([force_sphere_plane(d, T, R, model, spec) for d in separations])
+    """Sphere-plane force on a 1-D separation grid, in N.
+
+    The forces :func:`force_sphere_plane` gives gap by gap, computed as one
+    curve: at T > 0 one Matsubara ladder over all gaps (eps(i xi_n) once,
+    gaps batched into quadrature families), at T = 0 one 2-D integral per
+    gap.  Every gap is validated before any integral runs; an empty grid
+    gives an empty array.
+    """
+    d = np.asarray(separations, dtype=float)
+    if d.ndim != 1:
+        raise ValueError(f"separation grid must be 1-D, got shape {d.shape}")
+    return _sphere_plane(d, R, lambda: free_energy_per_area(d, T, model, spec))
 
 
 @dataclass(frozen=True)

@@ -291,6 +291,28 @@ class TestDiscrimination:
             assert f_near > f_far > 0.0
 
 
+    def test_evaluator_takes_a_gap_or_an_array_of_gaps(self):
+        gaps = np.array([0.8e-6, 2e-6, 5e-6])
+        for c in standard_model_curves(R=R, delta=DELTA):
+            assert isinstance(c.evaluator(1e-6), float)
+            at_once = c.evaluator(gaps)
+            assert at_once.shape == gaps.shape
+            one_by_one = [c.evaluator(float(d)) for d in gaps]
+            np.testing.assert_allclose(at_once, one_by_one, rtol=1e-13, atol=0.0)
+
+    def test_fit_evaluates_the_curve_once_on_the_distinct_gaps(self):
+        calls = []
+
+        def evaluator(d):
+            calls.append(np.array(d))
+            return 3e-28 / d**3
+
+        pts = synth_points(cube_curve(), v_rms=5e-3, a=0.0)
+        fit_patch_and_offset(pts + pts[::-1], ModelCurve("counted", evaluator), R, DELTA)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], np.unique([p.d for p in pts]))
+
+
 class TestMeasurementCsv:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "points.csv"

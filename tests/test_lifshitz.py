@@ -433,6 +433,81 @@ class TestGeometryAndPfa:
                     fn(d, T, gold_drude())
 
 
+class TestCurvesAsArrays:
+    """A curve is one computation: a float gives a float, an array of gaps
+    one ladder (eps once, (gap, n) rows batched) or one T = 0 integral per
+    gap, and every gap is validated first."""
+
+    GRID = np.geomspace(0.7e-6, 7e-6, 5)
+
+    def test_eps_is_computed_once_per_curve(self, monkeypatch):
+        gold = gold_drude()
+        wp, g = gold.omega_p, gold.gamma
+        w = np.geomspace(1e14, 1e17, 2000)
+        table = OpticalTable(omega=w, eps_imag=wp**2 * g / (w * (w**2 + g**2)))
+        model = TabulatedModel(table=table, extrapolation=gold)
+        calls = []
+        eps = lifshitz.eps_imag_axis
+
+        def counting(m, xi):
+            calls.append(np.size(xi))
+            return eps(m, xi)
+
+        monkeypatch.setattr(lifshitz, "eps_imag_axis", counting)
+        forces = force_sphere_plane_grid(self.GRID, 300.0, R_SPHERE, model)
+        assert len(calls) == 1
+        assert np.all(forces > 0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, -1e-6, 0.0, math.inf])
+    @pytest.mark.parametrize("T", [0.0, 300.0])
+    def test_bad_gap_anywhere_fails_before_any_integral(self, monkeypatch, T, bad):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an integral ran before validation")
+
+        for name in ("integrate_decaying", "integrate_decaying_2d", "eps_imag_axis"):
+            monkeypatch.setattr(lifshitz, name, forbidden)
+        gaps = np.array([1e-6, 2e-6, bad, 3e-6])
+        named = re.escape(str(bad))
+        with pytest.raises(ValueError, match=named):
+            force_sphere_plane_grid(gaps, T, R_SPHERE, gold_drude())
+        with pytest.raises(ValueError, match=named):
+            force_curvature_sphere_plane(gaps, T, R_SPHERE, gold_drude())
+        with pytest.raises(ValueError, match=named):
+            free_energy_per_area(gaps, T, gold_drude())
+
+    @pytest.mark.parametrize("T", [0.0, 300.0])
+    def test_empty_grid_gives_an_empty_array(self, T):
+        out = force_sphere_plane_grid([], T, R_SPHERE, gold_drude())
+        assert isinstance(out, np.ndarray)
+        assert out.shape == (0,)
+
+    def test_grid_must_be_one_dimensional(self):
+        with pytest.raises(ValueError, match="1-D"):
+            force_sphere_plane_grid(self.GRID.reshape(5, 1), 300.0, R_SPHERE, gold_drude())
+
+    def test_float_gives_float_and_arrays_keep_their_shape(self):
+        gold = gold_drude()
+        assert isinstance(free_energy_per_area(1e-6, 300.0, gold), float)
+        assert isinstance(force_curvature_sphere_plane(1e-6, 0.0, R_SPHERE, gold), float)
+        gaps = np.array([[1e-6, 2e-6], [3e-6, 4e-6]])
+        out = pressure_parallel(gaps, 300.0, gold)
+        assert out.shape == (2, 2)
+        np.testing.assert_array_equal(out.ravel(), pressure_parallel(gaps.ravel(), 300.0, gold))
+
+    def test_chunks_keep_gaps_whole_and_isolate_long_ladders(self, monkeypatch):
+        monkeypatch.setattr(lifshitz, "_LADDER_ROWS", 80)
+        chunks = list(lifshitz._chunks([30, 30, 30, 100, 10, 70, 5]))
+        assert [(c.start, c.stop) for c in chunks] == [(0, 2), (2, 3), (3, 4), (4, 6), (6, 7)]
+
+    def test_chunked_curve_matches_gap_by_gap(self):
+        # 0.1 um carries ~190 rows and runs alone; the rest share chunks
+        gaps = np.geomspace(0.1e-6, 7e-6, 12)
+        for model in (gold_drude(), gold_plasma()):
+            got = force_sphere_plane_grid(gaps, 300.0, R_SPHERE, model)
+            want = [force_sphere_plane(d, 300.0, R_SPHERE, model) for d in gaps]
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
 class TestSensitivityBand:
     WP = (1.04e16, 1.37e16)  # rad/s, roughly the gold literature spread
     G = (3.0e13, 9.3e13)
