@@ -255,15 +255,16 @@ def _chunks(rows):
 
 
 def _matsubara_ladder(d, T, model, spec, kind):
-    """Adaptively truncated Matsubara sums of the dimensionless y-integrals.
+    """Matsubara sums of the dimensionless y-integrals, one per gap.
 
     Returns sum'_n I_n for each gap of the 1-D array ``d``, with I_n the
     y-integral of the ``kind`` kernel.  eps(i xi_n) is computed once, up to
     the largest per-gap cap.  Each chunk of gaps (see :func:`_chunks`) then
     makes two quadrature calls: one family of its zero modes and one of its
-    (gap, n) rows, x = 4 pi k_B T d n / (hbar c).  Per gap the terms are
-    summed through the first index whose relative contribution drops below
-    rel_tol.
+    (gap, n) rows, x = 4 pi k_B T d n / (hbar c).  Every computed term is
+    summed, up to the decay cap; a ladder that max_matsubara cuts shorter
+    raises ConvergenceError when its last term still exceeds rel_tol of
+    the sum.
     """
     # Terms decay like exp(-n * 4 pi k_B T d / (hbar c)); at the cap the
     # neglected tail is below exp(-30) of the total.  Capped in floats, so
@@ -285,22 +286,19 @@ def _matsubara_ladder(d, T, model, spec, kind):
         x = (np.repeat(4.0 * math.pi * BOLTZMANN * T * gaps / (HBAR * _C), caps) * n)[:, None]
         eps_rows = eps[n - 1][:, None]
         rows = integrate_decaying(lambda t: _mode_integrand(x, t, eps_rows, kind), spec.rel_tol)
-        for j, gap_rows in enumerate(np.split(rows, np.cumsum(caps)[:-1])):
-            terms = np.concatenate(([0.5 * i_zero[j]], gap_rows))
-            partial = np.cumsum(terms)
-            small = np.abs(terms[1:]) <= spec.rel_tol * np.abs(partial[1:])
-            stop = np.nonzero(small)[0]
-            if stop.size == 0:
-                achieved = abs(terms[-1]) / max(abs(partial[-1]), np.finfo(float).tiny)
-                if caps[j] == spec.max_matsubara:
-                    raise ConvergenceError(
-                        f"Matsubara ladder not converged after {caps[j]} terms",
-                        achieved,
-                        spec.rel_tol,
-                    )
-                ladders[chunk.start + j] = partial[-1]
-            else:
-                ladders[chunk.start + j] = partial[stop[0] + 1]
+        starts = np.cumsum(caps) - caps
+        total = 0.5 * i_zero + np.add.reduceat(rows, starts)
+        # only a ladder that max_matsubara cut short can miss its tolerance
+        achieved = np.abs(rows[starts + caps - 1] / total)
+        unsettled = (decay_cap[chunk] > caps) & (achieved > spec.rel_tol)
+        if unsettled.any():
+            j = np.argmax(unsettled)
+            raise ConvergenceError(
+                f"Matsubara ladder at d = {gaps[j]:.3e} m not converged after {caps[j]} terms",
+                achieved[j],
+                spec.rel_tol,
+            )
+        ladders[chunk] = total
     return ladders
 
 

@@ -323,6 +323,31 @@ class TestConsistency:
             )
         assert err.value.achieved > err.value.requested
 
+    def test_cap_at_the_decay_cap_is_not_a_cut(self):
+        # at 7 um the ladder's own cap is 13 terms; max_matsubara = 13 sums
+        # the same terms, and max_matsubara = 3 cuts a tail below rel_tol
+        d = 7e-6
+        full = free_energy_per_area(d, 300.0, gold_drude())
+        same = free_energy_per_area(d, 300.0, gold_drude(), QuadratureSpec(max_matsubara=13))
+        cut = free_energy_per_area(d, 300.0, gold_drude(), QuadratureSpec(max_matsubara=3))
+        assert same == full
+        assert cut == pytest.approx(full, rel=1e-8, abs=0.0)
+
+    @pytest.mark.parametrize("model", [gold_drude(), gold_plasma()], ids=["drude", "plasma"])
+    def test_ladder_meets_rel_tol_against_a_tight_ladder(self, model):
+        # every term up to the decay cap counts: the slowly decaying tail at
+        # small gaps used to be cut at the first term below rel_tol, which
+        # left the sum off by up to 4e-8 at 0.1 um
+        gaps = np.geomspace(0.1e-6, 7e-6, 9)
+        tight = QuadratureSpec(rel_tol=1e-12)
+        for fn in (free_energy_per_area, pressure_parallel):
+            got = fn(gaps, 300.0, model)
+            want = fn(gaps, 300.0, model, tight)
+            np.testing.assert_allclose(got, want, rtol=1e-8, atol=0.0)
+        got = force_curvature_sphere_plane(gaps, 300.0, R_SPHERE, model)
+        want = force_curvature_sphere_plane(gaps, 300.0, R_SPHERE, model, tight)
+        np.testing.assert_allclose(got, want, rtol=1e-8, atol=0.0)
+
     @settings(max_examples=8, deadline=None)
     @given(st.floats(min_value=0.7, max_value=20.0))
     def test_attraction_and_sign_convention(self, d_um):
@@ -498,6 +523,37 @@ class TestCurvesAsArrays:
         monkeypatch.setattr(lifshitz, "_LADDER_ROWS", 80)
         chunks = list(lifshitz._chunks([30, 30, 30, 100, 10, 70, 5]))
         assert [(c.start, c.stop) for c in chunks] == [(0, 2), (2, 3), (3, 4), (4, 6), (6, 7)]
+
+    @pytest.mark.parametrize("model", [gold_drude(), gold_plasma()], ids=["drude", "plasma"])
+    def test_each_gap_meets_rel_tol_in_a_mixed_chunk(self, monkeypatch, model):
+        # the quadrature settles a family against its largest member; a
+        # small ladder batched with a large one must still meet rel_tol
+        monkeypatch.setattr(lifshitz, "_LADDER_ROWS", 10_000)
+        calls = []
+        integrate = lifshitz.integrate_decaying
+
+        def counting(f, rel_tol):
+            calls.append(rel_tol)
+            return integrate(f, rel_tol)
+
+        gaps = np.array([0.2e-6, 12e-6, 1e-6, 5e-6])
+        tight = QuadratureSpec(rel_tol=1e-12)
+        kinds = {
+            "energy": lambda d, spec: free_energy_per_area(d, 300.0, model, spec),
+            "pressure": lambda d, spec: pressure_parallel(d, 300.0, model, spec),
+            "curvature": lambda d, spec: force_curvature_sphere_plane(
+                d, 300.0, R_SPHERE, model, spec
+            ),
+        }
+        for kind, fn in kinds.items():
+            monkeypatch.setattr(lifshitz, "integrate_decaying", counting)
+            calls.clear()
+            batched = fn(gaps, QuadratureSpec())
+            assert len(calls) == 2, "zero modes and rows, one family each"
+            monkeypatch.setattr(lifshitz, "integrate_decaying", integrate)
+            for d, got in zip(gaps, batched):
+                want = fn(float(d), tight)
+                assert abs(got - want) <= 1e-8 * abs(want), (kind, d)
 
     def test_chunked_curve_matches_gap_by_gap(self):
         # 0.1 um carries ~190 rows and runs alone; the rest share chunks
