@@ -296,8 +296,8 @@ def gold_plasma():
 def load_optical_table(path):
     """Read an optical-data CSV with header ``photon_energy_ev,eps_imag``.
 
-    Energies are converted to angular frequencies; rows must arrive in
-    strictly increasing energy order.  Any malformed row raises
+    Energies are converted to angular frequencies; they must be positive
+    and arrive in strictly increasing order.  Any malformed row raises
     :class:`ValidationError` naming the offending line.
     """
     with open(path, newline="", encoding="utf-8") as handle:
@@ -328,6 +328,8 @@ def load_optical_table(path):
                 )
             if not (math.isfinite(energy) and math.isfinite(eps)):
                 raise ValidationError(f"{path}: line {line_no} is not finite: {row!r}")
+            if energy <= 0.0:
+                raise ValidationError(f"{path}: line {line_no} has a photon energy <= 0")
             if eps < 0.0:
                 raise ValidationError(f"{path}: line {line_no} has negative eps''")
             energies.append(energy)

@@ -308,6 +308,14 @@ class TestTableLoader:
         with pytest.raises(ValidationError, match="line 3 is not finite"):
             load_optical_table(path)
 
+    @pytest.mark.parametrize("row", ["-0.1,1.0", "0.0,1.0"])
+    def test_rejects_non_positive_energy_naming_file_and_line(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"photon_energy_ev,eps_imag\n{row}\n0.2,1.0\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match="line 2 has a photon energy <= 0") as err:
+            load_optical_table(path)
+        assert str(path) in str(err.value)
+
     def test_rejects_out_of_order_rows(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(
