@@ -290,7 +290,6 @@ class TestDiscrimination:
             f_far = c.evaluator(7e-6)
             assert f_near > f_far > 0.0
 
-
     def test_evaluator_takes_a_gap_or_an_array_of_gaps(self):
         gaps = np.array([0.8e-6, 2e-6, 5e-6])
         for c in standard_model_curves(R=R, delta=DELTA):

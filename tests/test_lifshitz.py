@@ -545,15 +545,13 @@ class TestCurvesAsArrays:
                 d, 300.0, R_SPHERE, model, spec
             ),
         }
+        monkeypatch.setattr(lifshitz, "integrate_decaying", counting)
         for kind, fn in kinds.items():
-            monkeypatch.setattr(lifshitz, "integrate_decaying", counting)
+            want = [fn(float(d), tight) for d in gaps]
             calls.clear()
             batched = fn(gaps, QuadratureSpec())
             assert len(calls) == 2, "zero modes and rows, one family each"
-            monkeypatch.setattr(lifshitz, "integrate_decaying", integrate)
-            for d, got in zip(gaps, batched):
-                want = fn(float(d), tight)
-                assert abs(got - want) <= 1e-8 * abs(want), (kind, d)
+            np.testing.assert_allclose(batched, want, rtol=1e-8, atol=0.0, err_msg=kind)
 
     def test_chunked_curve_matches_gap_by_gap(self):
         # 0.1 um carries ~190 rows and runs alone; the rest share chunks
