@@ -112,8 +112,13 @@ def corrected_curve(force_curve, curvature_curve, delta):
 
     The curves take a gap or an array of gaps, and so does the result.
     With delta = 0 the raw curve itself comes back and no curvature is
-    evaluated.
+    evaluated.  Every gap is checked against delta before either curve runs.
     """
     if delta == 0.0:
         return force_curve
-    return lambda d: fluctuation_corrected_force(force_curve(d), curvature_curve(d), d, delta)
+
+    def corrected(d):
+        _check_regime(d, delta)
+        return fluctuation_corrected_force(force_curve(d), curvature_curve(d), d, delta)
+
+    return corrected

@@ -41,6 +41,8 @@ class ConvergenceError(CasimirLabError, RuntimeError):
 
     Attributes
     ----------
+    message : str
+        What failed, without the tolerances.
     achieved : float
         Relative tolerance actually reached when the iteration cap hit.
     requested : float
@@ -49,6 +51,7 @@ class ConvergenceError(CasimirLabError, RuntimeError):
 
     def __init__(self, message, achieved, requested):
         super().__init__(f"{message} (achieved {achieved:.3e}, requested {requested:.3e})")
+        self.message = message
         self.achieved = float(achieved)
         self.requested = float(requested)
 

@@ -9,9 +9,10 @@ spaces across a vacuum gap d is
 with kappa0 = sqrt(k^2 + xi_n^2/c^2), Matsubara frequencies
 xi_n = 2 pi n k_B T / hbar, and the prime halving the n = 0 term.  At T = 0
 the ladder becomes the integral (hbar / 2 pi) int_0^inf dxi of the same
-k-integral, evaluated here as one 2-D integral on tensor-product panel
-cells: each refinement level computes eps(i xi) once per frequency node and
-the kernel on the product of those nodes with the wavevector nodes.
+k-integral, evaluated here as one 2-D integral on the L-shaped rectangle
+layout of :mod:`casimir_lab.quadrature`: each refinement level computes
+eps(i xi) once per frequency node and gathers it for every rectangle whose
+kernel it enters.
 
 Every entry point takes a float or an array of gaps; a float gives a float,
 and a scalar is computed as a grid of one.  At T > 0 the ladder of a whole
@@ -35,7 +36,9 @@ between those two descriptions is the physics this package exists to model.
 """
 
 import math
+import numbers
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -93,8 +96,10 @@ class QuadratureSpec:
     def __post_init__(self):
         if not 0.0 < self.rel_tol <= 1e-3:
             raise ValueError(f"rel_tol must be in (0, 1e-3], got {self.rel_tol}")
-        if self.max_matsubara < 1:
-            raise ValueError(f"max_matsubara must be >= 1, got {self.max_matsubara}")
+        # bool is an Integral, and a float cap (NaN among them) breaks the ladder
+        cap = self.max_matsubara
+        if isinstance(cap, bool) or not isinstance(cap, numbers.Integral) or cap < 1:
+            raise ValueError(f"max_matsubara must be an integer >= 1, got {cap!r}")
 
 
 DEFAULT_SPEC = QuadratureSpec()
@@ -235,9 +240,10 @@ def _mode_integrand(x, t, eps, kind):
     """Kernel at reduced frequency x = 2 xi d / c > 0 and t = y - x.
 
     ``x`` and ``t`` broadcast against each other: a column of (gap, n)
-    Matsubara rows against the y nodes on the ladder, (px, 1, n, 1)
-    frequency nodes against (1, pt, 1, n) y nodes in the T = 0 integral.
-    ``eps`` is eps(i xi) on ``x`` alone, one value per frequency.
+    Matsubara rows against the y nodes on the ladder, the (nc, n, 1)
+    frequency nodes of nc rectangles against their (nc, 1, n) t nodes in the
+    T = 0 integral.  ``eps`` is eps(i xi) shaped like ``x``, one value per
+    frequency.
     """
     y = x + t
     return _kernel(_fresnel(y, x, eps), y, kind)
@@ -279,14 +285,17 @@ def _matsubara_ladder(d, T, model, spec, kind):
     ladders = np.empty(d.size)
     for chunk in _chunks(n_cap):
         gaps, caps = d[chunk], n_cap[chunk]
-        i_zero = integrate_decaying(
-            lambda y: _zero_mode_integrand(zero, gaps[:, None], y, kind), spec.rel_tol
-        )
         n = np.concatenate([np.arange(1, cap + 1) for cap in caps])
         # x_n = 2 xi_n d / c with xi_n = 2 pi n k_B T / hbar
         x = (np.repeat(4.0 * math.pi * BOLTZMANN * T * gaps / (HBAR * _C), caps) * n)[:, None]
         eps_rows = eps[n - 1][:, None]
-        rows = integrate_decaying(lambda t: _mode_integrand(x, t, eps_rows, kind), spec.rel_tol)
+        with _located(gaps, T, kind):
+            i_zero = integrate_decaying(
+                lambda y: _zero_mode_integrand(zero, gaps[:, None], y, kind), spec.rel_tol
+            )
+            rows = integrate_decaying(
+                lambda t: _mode_integrand(x, t, eps_rows, kind), spec.rel_tol
+            )
         starts = np.cumsum(caps) - caps
         total = 0.5 * i_zero + np.add.reduceat(rows, starts)
         # only a ladder that max_matsubara cut short can miss its tolerance
@@ -295,12 +304,30 @@ def _matsubara_ladder(d, T, model, spec, kind):
         if unsettled.any():
             j = np.argmax(unsettled)
             raise ConvergenceError(
-                f"Matsubara ladder at d = {gaps[j]:.3e} m not converged after {caps[j]} terms",
+                f"Matsubara ladder not converged after {caps[j]} terms {_where(gaps[j], T, kind)}",
                 achieved[j],
                 spec.rel_tol,
             )
         ladders[chunk] = total
     return ladders
+
+
+def _where(gaps, T, kind):
+    """Where an evaluation ran: a gap or the range of a chunk of gaps, the
+    temperature and the kind."""
+    lo, hi = np.min(gaps), np.max(gaps)
+    at = f"d = {lo:.3e} m" if lo == hi else f"d in [{lo:.3e}, {hi:.3e}] m"
+    return f"at {at}, T = {T:g} K, {kind}"
+
+
+@contextmanager
+def _located(gaps, T, kind):
+    """Re-raise a ConvergenceError of the block with :func:`_where`."""
+    try:
+        yield
+    except ConvergenceError as exc:
+        message = f"{exc.message} {_where(gaps, T, kind)}"
+        raise ConvergenceError(message, exc.achieved, exc.requested) from exc
 
 
 def _require_positive(name, value):
@@ -340,13 +367,15 @@ def _lifshitz(d, T, model, spec, kind):
 
 
 def _lifshitz_t0(d, model, spec, kind, m):
-    """The T = 0 value at one gap: one 2-D integral, eps on its x nodes."""
-    value = integrate_decaying_2d(
-        lambda x, t: _mode_integrand(
-            x, t, np.asarray(eps_imag_axis(model, x * _C / (2.0 * d))), kind
-        ),
-        spec.rel_tol,
-    )
+    """The T = 0 value at one gap: one 2-D integral.  Each level computes
+    eps once per distinct frequency node, then gathers it per rectangle."""
+
+    def integrand(x, t, row):
+        eps = np.asarray(eps_imag_axis(model, x * _C / (2.0 * d)))
+        return _mode_integrand(x[row], t, eps[row], kind)
+
+    with _located(d, 0.0, kind):
+        value = integrate_decaying_2d(integrand, spec.rel_tol)
     return HBAR * _C / (32.0 * math.pi ** 2 * d ** (3 + m)) * value
 
 

@@ -5,15 +5,18 @@ all decay like exp(-y) times a mild prefactor and live on [0, inf).  The scheme
 covers [0, cutoff] with a fixed panel layout, graded toward zero because several
 kernels have an integrable y*log(y) endpoint, and doubles the node count on each
 cell until its estimate is stable relative to the total.  A cell is a panel in
-1-D and an (x-panel, t-panel) pair in 2-D; one loop refines both, and each
-doubling level evaluates every unsettled cell in a single call of the integrand.
+1-D and a rectangle in 2-D; one loop refines both, and each doubling level
+evaluates every unsettled cell in a single call of the integrand.
 
-``f(t)`` returns an array whose last axis matches the 1-D node array t;
-leading axes (one row per Matsubara index, say) are integrated independently
-in the same pass.  ``f(x, t)`` returns the broadcast of its node arrays.
+The 2-D rectangles form an L-shaped layout.  Only the corner x = t = 0 needs
+the graded t-panels, so the x-panel at 0 pairs with every t-panel and one with
+lower edge a > 0 with a merged t-panel [0, a], then the t-panels above a.  A
+rectangle with x_lo + t_lo >= cutoff/2 holds under exp(-cutoff/2) of the
+total and is dropped: 62 rectangles, not 121 pairs.
 """
 
 from functools import lru_cache
+from itertools import pairwise
 
 import numpy as np
 
@@ -55,6 +58,15 @@ def _nodes(cutoff, panels, n):
     return lower[:, None] + half[:, None] * (x + 1.0), w, half
 
 
+@lru_cache(maxsize=None)
+def _rectangles(cutoff):
+    """x-panel, t lower edge and t half width of each rectangle of the L layout."""
+    edges = panel_edges(cutoff)
+    rects = [(i, lo, 0.5 * (hi - lo)) for i, a in enumerate(edges[:-1])
+             for lo, hi in pairwise([0.0] * (i > 0) + edges[i:]) if a + lo < 0.5 * cutoff]
+    return tuple(np.array(column) for column in zip(*rects))
+
+
 def _settle(estimate, cells, rel_tol, node_start, node_cap):
     """Total of the cells of ``estimate(cells, n)`` (last axis), doubling n on
     each cell until its change is at most rel_tol times the largest first-pass
@@ -79,29 +91,15 @@ def _settle(estimate, cells, rel_tol, node_start, node_cap):
 def integrate_decaying(f, rel_tol, node_start=8, node_cap=256, cutoff=DEFAULT_CUTOFF):
     """Integrate ``f`` over [0, cutoff] to a relative tolerance.
 
-    Parameters
-    ----------
-    f : callable
-        Maps a 1-D array of abscissae to integrand values; the last axis of
-        the result must match the input.  Leading axes are carried through,
-        so a single call can integrate a whole family of kernels.
-    rel_tol : float
-        Target relative tolerance, measured against the largest integral in
-        the family (small members of a family are only resolved in absolute
-        terms; they are always summed into a dominant total downstream).
-    node_start : int
-        Gauss-Legendre node count for the first pass on each panel.
-    node_cap : int
-        Node ceiling per panel; exceeded means ConvergenceError.
-    cutoff : float
-        Upper integration limit; the neglected tail is O(exp(-cutoff)).
-
-    Returns
-    -------
-    numpy.ndarray or float
-        Integral(s) of ``f``, one per leading-axis element.
+    ``f`` maps a 1-D array of abscissae to values whose last axis matches it.
+    Leading axes are carried through, so one call integrates a family of
+    kernels and returns one integral per leading-axis element.  rel_tol is
+    measured against the largest integral of the family (its small members
+    are resolved in absolute terms only; they are always summed into a
+    dominant total downstream).  Each panel starts with node_start
+    Gauss-Legendre nodes; one unsettled at node_cap raises ConvergenceError.
+    The neglected tail beyond cutoff is O(exp(-cutoff)).
     """
-
     def estimate(panels, n):
         x, w, half = _nodes(cutoff, panels, n)
         vals = np.asarray(f(x.ravel()))
@@ -112,19 +110,21 @@ def integrate_decaying(f, rel_tol, node_start=8, node_cap=256, cutoff=DEFAULT_CU
 
 
 def integrate_decaying_2d(f, rel_tol, node_start=8, node_cap=128, cutoff=DEFAULT_CUTOFF):
-    """Integrate ``f(x, t)`` over [0, cutoff]^2 to a relative tolerance.
+    """Integrate f over [0, cutoff]^2 to a relative tolerance.
 
-    Cells are (x-panel, t-panel) pairs.  Each doubling level calls ``f``
-    once, on x shaped (px, 1, n, 1) and t shaped (1, pt, 1, n) over the
-    panels that still hold an unsettled cell; it returns their broadcast.
+    Cells are the rectangles of the L-shaped layout (module docstring).  Each
+    doubling level makes one call ``f(x, t, row)``, which returns (nc, n, n)
+    values: ``x`` (px, n, 1) holds each node of the x-panels with an unsettled
+    rectangle once, ``t`` (nc, 1, n) the t nodes of the nc unsettled
+    rectangles, ``row`` (nc,) their x-panels, so ``x[row]`` broadcasts on ``t``.
     """
-    panels = len(panel_edges(cutoff)) - 1
+    panel, lower, half = _rectangles(cutoff)
 
     def estimate(cells, n):
-        ix, cx = np.unique(cells // panels, return_inverse=True)
-        it, ct = np.unique(cells % panels, return_inverse=True)
-        (x, w, hx), (t, _, ht) = _nodes(cutoff, ix, n), _nodes(cutoff, it, n)
-        sums = f(x[:, None, :, None], t[None, :, None, :]) @ w @ w
-        return hx[cx] * ht[ct] * sums[cx, ct]
+        ix, row = np.unique(panel[cells], return_inverse=True)
+        (x, w, hx), (s, _) = _nodes(cutoff, ix, n), gauss_legendre(n)
+        t = lower[cells, None] + half[cells, None] * (s + 1.0)
+        sums = f(x[:, :, None], t[:, None, :], row) @ w @ w
+        return hx[row] * half[cells] * sums
 
-    return float(_settle(estimate, np.arange(panels * panels), rel_tol, node_start, node_cap))
+    return float(_settle(estimate, np.arange(panel.size), rel_tol, node_start, node_cap))

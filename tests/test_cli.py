@@ -474,3 +474,11 @@ class TestExitCodes:
         )
         assert code == 3
         assert not out.exists()
+
+    def test_unsettled_t0_quadrature_is_three_and_names_the_gap(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        argv = ["force", "--model", "plasma", "--temp", "0", "--dmin", "2", "--dmax", "2",
+                "--points", "1", "--rel-tol", "1e-16", "--out", str(out)]
+        assert main(argv) == 3
+        assert "d = 2.000e-06 m, T = 0 K, energy" in capsys.readouterr().err
+        assert not out.exists()

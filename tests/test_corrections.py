@@ -7,6 +7,7 @@ a closed form as well.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -190,3 +191,20 @@ class TestCorrectedCurve:
             raise AssertionError("curvature evaluated at delta = 0")
 
         assert corrected_curve(curve, curvature, 0.0) is curve
+
+    def test_regime_is_checked_before_either_curve_runs(self):
+        # one gap within 5 delta must cost no force or curvature evaluation
+        calls = []
+
+        def counting(curve):
+            def wrapped(d):
+                calls.append(curve)
+                return curve(d)
+
+            return wrapped
+
+        curve, curvature = power_law(1e-27, 3), power_law_curvature(1e-27, 3)
+        wrapped = corrected_curve(counting(curve), counting(curvature), 40e-9)
+        with pytest.raises(RegimeError):
+            wrapped(np.array([0.15e-6, 1e-6, 2e-6]))
+        assert calls == []

@@ -317,10 +317,32 @@ class TestConsistency:
         assert abs(loose - tight) / abs(tight) < 5e-6
 
     def test_matsubara_cap_raises_convergence_error(self):
-        with pytest.raises(ConvergenceError) as err:
+        with pytest.raises(ConvergenceError, match=r"d = 7\.000e-07 m, T = 300 K, energy") as err:
             free_energy_per_area(
                 0.7e-6, 300.0, gold_drude(), QuadratureSpec(max_matsubara=1)
             )
+        assert err.value.achieved > err.value.requested
+
+    @pytest.mark.parametrize(
+        "d, T, kind, where",
+        [
+            (1e-6, 0.0, "energy", r"at d = 1\.000e-06 m, T = 0 K, energy"),
+            (2e-6, 0.0, "curvature", r"at d = 2\.000e-06 m, T = 0 K, curvature"),
+            (
+                np.array([1e-6, 5e-6, 2e-6]),
+                300.0,
+                "pressure",
+                r"at d in \[1\.000e-06, 5\.000e-06\] m, T = 300 K, pressure",
+            ),
+        ],
+        ids=["t0-energy", "t0-curvature", "300k-chunk"],
+    )
+    def test_unsettled_quadrature_names_where_it_ran(self, d, T, kind, where):
+        # T = 0 names the gap, T > 0 the gap range of the failing chunk
+        spec = QuadratureSpec(rel_tol=1e-16)
+        with pytest.raises(ConvergenceError, match=where) as err:
+            lifshitz._lifshitz(d, T, gold_drude(), spec, kind)
+        assert err.value.requested == 1e-16
         assert err.value.achieved > err.value.requested
 
     def test_cap_at_the_decay_cap_is_not_a_cut(self):
@@ -432,6 +454,16 @@ class TestGeometryAndPfa:
         with pytest.raises(ValueError):
             QuadratureSpec(max_matsubara=0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 2.5, 100.0, True, False])
+    def test_max_matsubara_must_be_an_integer(self, bad):
+        # a float cap used to reach the ladder's integer cast (NaN as a
+        # RuntimeWarning there); a bool is an int to Python but no cap
+        with pytest.raises(ValueError, match="max_matsubara"):
+            QuadratureSpec(max_matsubara=bad)
+
+    def test_max_matsubara_takes_numpy_integers(self):
+        assert QuadratureSpec(max_matsubara=np.int64(13)).max_matsubara == 13
+
     def test_domain_validation(self):
         with pytest.raises(ValueError):
             free_energy_per_area(-1e-6, 300.0, gold_drude())
@@ -465,12 +497,17 @@ class TestCurvesAsArrays:
 
     GRID = np.geomspace(0.7e-6, 7e-6, 5)
 
-    def test_eps_is_computed_once_per_curve(self, monkeypatch):
+    @staticmethod
+    def drude_table():
+        """2000 rows of the exact gold Drude eps'', Drude below the table."""
         gold = gold_drude()
         wp, g = gold.omega_p, gold.gamma
         w = np.geomspace(1e14, 1e17, 2000)
         table = OpticalTable(omega=w, eps_imag=wp**2 * g / (w * (w**2 + g**2)))
-        model = TabulatedModel(table=table, extrapolation=gold)
+        return TabulatedModel(table=table, extrapolation=gold)
+
+    def test_eps_is_computed_once_per_curve(self, monkeypatch):
+        model = self.drude_table()
         calls = []
         eps = lifshitz.eps_imag_axis
 
@@ -482,6 +519,24 @@ class TestCurvesAsArrays:
         forces = force_sphere_plane_grid(self.GRID, 300.0, R_SPHERE, model)
         assert len(calls) == 1
         assert np.all(forces > 0.0)
+
+    def test_t0_computes_eps_once_per_frequency_node(self, monkeypatch):
+        # each doubling level computes eps once per distinct frequency node
+        # and gathers it per rectangle; a 2000-row table makes a per-rectangle
+        # eps four times slower.  The tensor-product grid of 121 panel pairs
+        # computed 296 values here; the L-shaped layout must not compute more
+        model = self.drude_table()
+        values = []
+        eps = lifshitz.eps_imag_axis
+
+        def counting(m, xi):
+            values.append(np.size(xi))
+            return eps(m, xi)
+
+        monkeypatch.setattr(lifshitz, "eps_imag_axis", counting)
+        force = force_sphere_plane_T0(1e-6, R_SPHERE, model)
+        assert force > 0.0
+        assert sum(values) <= 296
 
     @pytest.mark.parametrize("bad", [math.nan, -1e-6, 0.0, math.inf])
     @pytest.mark.parametrize("T", [0.0, 300.0])

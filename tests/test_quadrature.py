@@ -113,13 +113,20 @@ def test_panel_settles_only_when_every_family_member_does():
     np.testing.assert_allclose(got, 1.0 / (1.0 + a * a), rtol=0.0, atol=1e-11)
 
 
-def test_2d_log_kernel_zeta4():
-    # int int (x+t) ln(1-e^-(x+t)) dx dt = int_0^inf y^2 ln(1-e^-y) dy
-    def f(x, t):
-        y = x + t
-        return y * np.log1p(-np.exp(-y))
+def on_rectangles(g):
+    """The integrand call of integrate_decaying_2d for a plain g(x, t): the
+    x nodes are gathered per rectangle and broadcast against its t nodes."""
+    return lambda x, t, row: g(x[row], t)
 
-    value = integrate_decaying_2d(f, 1e-11)
+
+def log_kernel(x, t):
+    # int int (x+t) ln(1-e^-(x+t)) dx dt = int_0^inf y^2 ln(1-e^-y) dy
+    y = x + t
+    return y * np.log1p(-np.exp(-y))
+
+
+def test_2d_log_kernel_zeta4():
+    value = integrate_decaying_2d(on_rectangles(log_kernel), 1e-11)
     assert value == pytest.approx(-math.pi**4 / 45.0, rel=1e-10)
 
 
@@ -127,12 +134,22 @@ def test_2d_separable_exponential():
     def f(x, t):
         return np.exp(-x) * np.exp(-t)
 
-    assert integrate_decaying_2d(f, 1e-11) == pytest.approx(1.0, rel=1e-10)
+    assert integrate_decaying_2d(on_rectangles(f), 1e-11) == pytest.approx(1.0, rel=1e-10)
+
+
+@pytest.mark.parametrize("k, j", [(k, j) for k in range(5) for j in range(5 - k)])
+def test_2d_moments_away_from_the_corner(k, j):
+    # int int x^k t^j e^-(x+t) dx dt = k! j!; for j + k > 0 the mass sits
+    # away from x = t = 0, on the merged t-panels and the wide panels
+    f = on_rectangles(lambda x, t: x**k * t**j * np.exp(-x - t))
+    value = integrate_decaying_2d(f, 1e-12)
+    assert value == pytest.approx(math.factorial(k) * math.factorial(j), rel=1e-10, abs=0.0)
 
 
 def test_2d_oscillatory_inner_integral():
     a = 5.0
-    value = integrate_decaying_2d(lambda x, t: np.exp(-x - t) * np.cos(a * t), 1e-11)
+    f = on_rectangles(lambda x, t: np.exp(-x - t) * np.cos(a * t))
+    value = integrate_decaying_2d(f, 1e-11)
     assert value == pytest.approx(1.0 / (1.0 + a * a), rel=1e-9)
 
 
@@ -145,47 +162,47 @@ def test_unreachable_tolerance_raises_with_achieved_estimate():
 
 
 def test_2d_unreachable_tolerance_raises():
-    def f(x, t):
-        y = x + t
-        return y * np.log1p(-np.exp(-y))
-
     with pytest.raises(ConvergenceError) as err:
-        integrate_decaying_2d(f, 1e-13, node_start=4, node_cap=4)
+        integrate_decaying_2d(on_rectangles(log_kernel), 1e-13, node_start=4, node_cap=4)
     assert err.value.achieved > err.value.requested
 
 
 def test_2d_cells_cost_at_most_two_passes_on_a_smooth_integrand():
-    # 11 panels make 121 cells; a smooth integrand settles every cell at the
-    # first doubling, so the 8- and 16-node passes are all it may pay for
+    # 11 panels make an L-shaped layout of 62 rectangles (121 panel pairs,
+    # less the merged t-panels and the corner beyond cutoff/2); a smooth
+    # integrand settles every one at the first doubling, so the 8- and
+    # 16-node passes are all it may pay for
     assert len(panel_edges(DEFAULT_CUTOFF)) - 1 == 11
     values = 0
 
-    def f(x, t):
+    def f(x, t, row):
         nonlocal values
-        out = np.exp(-x - t)
+        out = np.exp(-x[row] - t)
         values += out.size
         return out
 
     assert integrate_decaying_2d(f, 1e-10) == pytest.approx(1.0, rel=1e-10)
-    assert values <= 121 * (8**2 + 16**2)
+    assert values <= 62 * (8**2 + 16**2)
 
 
 def test_2d_call_evaluates_each_frequency_node_once():
-    # x carries the frequency nodes; a (px, 1, n, 1) array lets eps(i xi)
-    # be computed once per node and level, not once per t node
+    # x carries the frequency nodes, each distinct one once per call, so
+    # eps(i xi) is computed once per node and level, not once per rectangle
+    # or t node; row gathers them for the (nc, 1, n) t nodes
     calls = []
 
-    def f(x, t):
-        calls.append((x.shape, t.shape))
+    def f(x, t, row):
+        calls.append((x.shape, t.shape, row.shape))
         assert np.unique(x).size == x.size
-        assert np.unique(t).size == t.size
-        return np.exp(-x - t) * np.cos(5.0 * t)
+        assert np.all(np.isin(np.arange(len(x)), row))
+        return np.exp(-x[row] - t) * np.cos(5.0 * t)
 
     integrate_decaying_2d(f, 1e-11)
     assert len(calls) > 2
-    for x_shape, t_shape in calls:
-        assert x_shape[1] == x_shape[3] == 1 and t_shape[0] == t_shape[2] == 1
-        assert x_shape[2] == t_shape[3]
+    for x_shape, t_shape, row_shape in calls:
+        assert x_shape[2] == t_shape[1] == 1
+        assert x_shape[1] == t_shape[2]
+        assert row_shape == (t_shape[0],)
 
 
 @pytest.mark.parametrize("g", [0.02, 0.5])
@@ -193,5 +210,6 @@ def test_2d_drude_like_near_pole(g):
     # int_0^inf e^-x g/(x + g) dx = g e^g E1(g); a Drude eps has the same
     # pole just left of the frequency origin
     special = pytest.importorskip("scipy.special")
-    value = integrate_decaying_2d(lambda x, t: np.exp(-x - t) * g / (x + g), 1e-11)
+    f = on_rectangles(lambda x, t: np.exp(-x - t) * g / (x + g))
+    value = integrate_decaying_2d(f, 1e-11)
     assert value == pytest.approx(g * math.exp(g) * special.exp1(g), rel=1e-9)
