@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .analysis import (
     FitResult,
-    MeasurementPoint,
+    Measurements,
     ModelCurve,
     MODEL_IDS,
     bin_points,
@@ -24,7 +24,6 @@ from .analysis import (
 from .campaign import (
     CampaignConfig,
     CampaignResult,
-    SweepRecord,
     generate_campaign,
     load_config,
     save_config,
@@ -150,7 +149,7 @@ __all__ = [
     "correction_uncertainty",
     "corrected_curve",
     # analysis
-    "MeasurementPoint",
+    "Measurements",
     "ModelCurve",
     "FitResult",
     "MODEL_IDS",
@@ -164,7 +163,6 @@ __all__ = [
     # campaign
     "CampaignConfig",
     "CampaignResult",
-    "SweepRecord",
     "generate_campaign",
     "subtract_drift",
     "load_config",

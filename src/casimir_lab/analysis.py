@@ -27,7 +27,7 @@ from .lifshitz import (
 )
 
 __all__ = [
-    "MeasurementPoint",
+    "Measurements",
     "ModelCurve",
     "FitResult",
     "MODEL_IDS",
@@ -48,22 +48,74 @@ MEASUREMENT_CSV_HEADER = ["separation_um", "force_pn", "sigma_pn"]
 MODEL_IDS = ("drude_300k", "plasma_300k", "drude_t0", "plasma_t0")
 
 
-@dataclass(frozen=True)
-class MeasurementPoint:
-    """One calibrated force measurement: separation, force, sigma (SI)."""
+def _bad_row(message, row):
+    """ValidationError naming a row of a series; ``row`` is kept on it."""
+    exc = ValidationError(f"{message} (row {row})")
+    exc.row = row
+    return exc
 
-    d: float
-    f: float
-    sigma: float
+
+def _column(name, value):
+    """``value`` as a new read-only 1-D float array.  A list is checked entry
+    by entry, since numpy reads [1.0, True] as floats and [1.0, "2"] as
+    strings; an array needs an integer or float dtype."""
+    a = np.asarray(value)
+    if a.ndim != 1:
+        raise ValidationError(f"{name} must be 1-D, got an array of shape {a.shape}")
+    if a.dtype.kind not in "iuf" or not isinstance(value, np.ndarray):
+        items = np.asarray(value, dtype=object).tolist()
+        row = next((i for i, v in enumerate(items) if not is_finite_real(v)), None)
+        if row is not None:
+            raise _bad_row(f"{name} must be finite, got {items[row]!r}", row)
+        if a.dtype.kind not in "iuf":
+            raise ValidationError(f"{name} must be a numeric array, got dtype {a.dtype}")
+    a = a.astype(float)
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True, eq=False)
+class Measurements:
+    """A series of calibrated force measurements, in SI.
+
+    ``d``, ``f`` and ``sigma`` are read-only 1-D float arrays of one length:
+    separation, force and its one-sigma uncertainty of each row.  Every
+    value must be finite, and d and sigma positive; a ValidationError names
+    the field and the first bad row.  ``==`` is identity, as a field-wise
+    comparison of arrays has no single truth value.
+    """
+
+    d: np.ndarray
+    f: np.ndarray
+    sigma: np.ndarray
 
     def __post_init__(self):
-        for name, value in (("separation", self.d), ("force", self.f), ("sigma", self.sigma)):
-            if not is_finite_real(value):
-                raise ValidationError(f"{name} must be finite, got {value!r}")
-        if self.d <= 0.0:
-            raise ValidationError(f"separation must be positive, got {self.d}")
-        if self.sigma <= 0.0:
-            raise ValidationError(f"sigma must be positive, got {self.sigma}")
+        d, f, sigma = (
+            _column(name, getattr(self, attr))
+            for attr, name in (("d", "separation"), ("f", "force"), ("sigma", "sigma"))
+        )
+        if not d.size == f.size == sigma.size:
+            raise ValidationError(
+                f"d, f and sigma need one length, got {d.size}, {f.size} and {sigma.size}"
+            )
+        # a row's checks in this order; the first bad row is reported
+        checks = (
+            ("separation must be finite", d, ~np.isfinite(d)),
+            ("force must be finite", f, ~np.isfinite(f)),
+            ("sigma must be finite", sigma, ~np.isfinite(sigma)),
+            ("separation must be positive", d, d <= 0.0),
+            ("sigma must be positive", sigma, sigma <= 0.0),
+        )
+        bad = np.stack([mask for _, _, mask in checks])
+        if bad.any():
+            row = int(np.argmax(bad.any(axis=0)))
+            stem, column, _ = checks[int(np.argmax(bad[:, row]))]
+            raise _bad_row(f"{stem}, got {float(column[row])}", row)
+        for attr, column in (("d", d), ("f", f), ("sigma", sigma)):
+            object.__setattr__(self, attr, column)
+
+    def __len__(self):
+        return self.d.size
 
 
 @dataclass(frozen=True)
@@ -113,25 +165,22 @@ def log_bin_edges(d_min, d_max, n_bins):
 
 
 def bin_points(points, edges):
-    """Merge points into inverse-variance weighted bin averages.
+    """Merge the rows of a Measurements into inverse-variance weighted bin
+    averages, returned as a Measurements with one row per non-empty bin.
 
     Per bin: force is the weighted mean with weights 1/sigma^2, separation
     the same weighted mean, and the combined sigma is (sum 1/sigma_i^2)^-1/2.
     Empty bins are dropped; a point outside [edges[0], edges[-1]] is an
     error, not a silent drop.
     """
-    points = list(points)
     edges = np.asarray(list(edges), dtype=float)
     if edges.ndim != 1 or edges.size < 2:
         raise ValidationError("need at least two bin edges")
     if np.any(np.diff(edges) <= 0.0):
         raise ValidationError("bin edges must be strictly increasing")
-    if not points:
-        return []
 
-    d = np.array([p.d for p in points])
-    f = np.array([p.f for p in points])
-    w = np.array([1.0 / (p.sigma * p.sigma) for p in points])
+    d, f = points.d, points.f
+    w = 1.0 / (points.sigma * points.sigma)
     if np.any(d < edges[0]) or np.any(d > edges[-1]):
         bad = d[(d < edges[0]) | (d > edges[-1])][0]
         raise ValidationError(f"point at d = {bad:.6e} m lies outside the bin edges")
@@ -142,14 +191,9 @@ def bin_points(points, edges):
     wsum = np.bincount(idx, weights=w)
     wd = np.bincount(idx, weights=w * d)
     wf = np.bincount(idx, weights=w * f)
-    return [
-        MeasurementPoint(
-            d=float(wd[b] / wsum[b]),
-            f=float(wf[b] / wsum[b]),
-            sigma=float(1.0 / math.sqrt(wsum[b])),
-        )
-        for b in np.unique(idx)
-    ]
+    filled = np.unique(idx)
+    wsum = wsum[filled]
+    return Measurements(d=wd[filled] / wsum, f=wf[filled] / wsum, sigma=1.0 / np.sqrt(wsum))
 
 
 def patch_basis(d, R, delta):
@@ -168,8 +212,8 @@ def fit_patch_and_offset(points, curve, R, delta=0.0):
 
     Parameters
     ----------
-    points : sequence of MeasurementPoint
-        At least three, spanning at least two distinct separations.
+    points : Measurements
+        At least three rows, spanning at least two distinct separations.
     curve : ModelCurve
         Theory candidate, fluctuation corrections already applied.
     R : float
@@ -188,7 +232,6 @@ def fit_patch_and_offset(points, curve, R, delta=0.0):
     DegenerateFitError
         Collinear basis, e.g. all points at one separation.
     """
-    points = list(points)
     if len(points) < 3:
         raise ValidationError(f"need >= 3 measurement points, got {len(points)}")
     if not 0.0 < R < math.inf:
@@ -196,9 +239,7 @@ def fit_patch_and_offset(points, curve, R, delta=0.0):
     if not 0.0 <= delta < math.inf:
         raise ValueError(f"delta must be finite and >= 0, got {delta}")
 
-    d = np.array([p.d for p in points])
-    f = np.array([p.f for p in points])
-    sigma = np.array([p.sigma for p in points])
+    d, f, sigma = points.d, points.f, points.sigma
 
     # the curve once, at each distinct separation; a constant curve may
     # answer with one number
@@ -295,8 +336,9 @@ def fit_report_dict(fit):
 
 
 def load_measurements(path):
-    """Read measurement points from a `separation_um,force_pn,sigma_pn` CSV."""
-    points = []
+    """Read a Measurements from a `separation_um,force_pn,sigma_pn` CSV; a
+    ValidationError names the line of a bad row."""
+    rows, lines = [], []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -310,28 +352,23 @@ def load_measurements(path):
             if len(row) != 3:
                 raise ValidationError(f"line {lineno}: expected 3 columns, got {len(row)}")
             try:
-                d_um, f_pn, s_pn = (float(cell) for cell in row)
+                rows.append([float(cell) for cell in row])
             except ValueError:
                 raise ValidationError(f"line {lineno}: non-numeric value in {row}") from None
-            try:
-                points.append(
-                    MeasurementPoint(d=d_um * 1e-6, f=f_pn * 1e-12, sigma=s_pn * 1e-12)
-                )
-            except ValidationError as exc:
-                raise ValidationError(f"line {lineno}: {exc}") from None
-    return points
+            lines.append(lineno)
+    d_um, f_pn, s_pn = np.array(rows, dtype=float).reshape(-1, 3).T
+    try:
+        return Measurements(d=d_um * 1e-6, f=f_pn * 1e-12, sigma=s_pn * 1e-12)
+    except ValidationError as exc:
+        raise ValidationError(f"line {lines[exc.row]}: {exc}") from None
 
 
 def save_measurements(path, points):
-    """Write measurement points as a `separation_um,force_pn,sigma_pn` CSV."""
+    """Write a Measurements as a `separation_um,force_pn,sigma_pn` CSV."""
+    columns = (points.d * 1e6, points.f * 1e12, points.sigma * 1e12)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(MEASUREMENT_CSV_HEADER)
-        for p in points:
-            writer.writerow(
-                [
-                    format(p.d * 1e6, ".12g"),
-                    format(p.f * 1e12, ".12g"),
-                    format(p.sigma * 1e12, ".12g"),
-                ]
-            )
+        writer.writerows(
+            [format(x, ".12g") for x in row] for row in zip(*(c.tolist() for c in columns))
+        )

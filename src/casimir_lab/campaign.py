@@ -15,7 +15,8 @@ The campaign is held as arrays, one row per pass over the grid:
 The noise is one draw of shape (n_sweeps, 2 n_voltages + n_separations).
 Its columns follow the schedule order of one pass: the sweep at the first
 gap, that gap's point, the inner points, the sweep at the last gap, that
-gap's point.
+gap's point.  The analysis reads the points as one Measurements, and
+the sweeps CSV is written straight from the arrays.
 
 The generated data feed the full analysis chain (drift subtraction, sweep
 calibration, separation correction, model fits) and close the loop back on
@@ -25,20 +26,18 @@ the injected truth parameters.
 import csv
 import json
 import math
-import numbers
 from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .analysis import MeasurementPoint, standard_model_curves, MODEL_IDS
-from .electrostatics import SweepSample, bias_force, patch_force
-from .errors import ValidationError, is_finite_real
+from .analysis import Measurements, standard_model_curves, MODEL_IDS
+from .electrostatics import bias_force, patch_force
+from .errors import ValidationError, is_finite_real, is_integer
 from .lifshitz import DEFAULT_SPEC
 
 __all__ = [
     "CampaignConfig",
-    "SweepRecord",
     "CampaignResult",
     "DriftSubtraction",
     "default_sweep_voltages",
@@ -51,15 +50,12 @@ __all__ = [
     "save_sweeps_csv",
 ]
 
-#: keeps MeasurementPoint/SweepSample sigma invariants satisfiable for
-#: noiseless campaigns; negligible against any physical force scale
+#: keeps the positive-sigma invariant of Measurements and SweepSample
+#: satisfiable for noiseless campaigns; negligible against any physical
+#: force scale
 SIGMA_FLOOR = 1e-18
 
 SWEEPS_CSV_HEADER = ["sweep_index", "separation_um", "voltage_v", "force_n", "sigma_n"]
-
-
-def _is_int(value):
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def default_sweep_voltages():
@@ -97,9 +93,9 @@ class CampaignConfig:
             value = getattr(self, f.name)
             if f.type is float and not is_finite_real(value):
                 raise ValidationError(f"{f.name} must be a finite number, got {value!r}")
-            if f.type is int and not _is_int(value):
+            if f.type is int and not is_integer(value):
                 raise ValidationError(f"{f.name} must be an integer, got {value!r}")
-        if self.seed is not None and not (_is_int(self.seed) and self.seed >= 0):
+        if self.seed is not None and not (is_integer(self.seed) and self.seed >= 0):
             raise ValidationError(
                 f"seed must be a non-negative integer or null, got {self.seed!r}"
             )
@@ -144,19 +140,6 @@ class CampaignConfig:
 
 
 @dataclass(frozen=True)
-class SweepRecord:
-    """One voltage sweep at fixed nominal separation."""
-
-    nominal_d: float
-    samples: tuple
-    sweep_index: int
-
-    def __post_init__(self):
-        if len(self.samples) == 0:
-            raise ValidationError("sweep record needs at least one sample")
-
-
-@dataclass(frozen=True)
 class CampaignResult:
     """Campaign output as arrays; one row per pass over the separation grid.
 
@@ -164,11 +147,8 @@ class CampaignResult:
     forces[k, i] is the at-minimum force of pass k at separations[i];
     sweep_forces[k, e, j] is the sweep sample of pass k at voltages[j], at
     the first gap for e = 0 and the last for e = 1.  Every sample carries
-    the same uncertainty sigma, in N.
-
-    points, records and point_sweep_index present the same data as
-    MeasurementPoint and SweepRecord objects, passes outermost; they are
-    built on each access.
+    the same uncertainty sigma, in N.  :attr:`points` reads the forces as
+    one Measurements and :func:`save_sweeps_csv` writes the sweeps.
     """
 
     separations: np.ndarray
@@ -179,32 +159,13 @@ class CampaignResult:
 
     @property
     def points(self):
-        d = np.broadcast_to(self.separations, self.forces.shape)
-        return tuple(
-            MeasurementPoint(d=di, f=fi, sigma=self.sigma)
-            for di, fi in zip(d.ravel().tolist(), self.forces.ravel().tolist())
-        )
-
-    @property
-    def point_sweep_index(self):
-        n_sweeps, n_sep = self.forces.shape
-        return np.repeat(np.arange(n_sweeps), n_sep)
-
-    @property
-    def records(self):
-        ends = self.separations[[0, -1]].tolist()
-        voltages = self.voltages.tolist()
-        return tuple(
-            SweepRecord(
-                nominal_d=ends[e],
-                samples=tuple(
-                    SweepSample(v=v, f=f, sigma_f=self.sigma)
-                    for v, f in zip(voltages, sweep.tolist())
-                ),
-                sweep_index=k,
-            )
-            for k, pair in enumerate(self.sweep_forces)
-            for e, sweep in enumerate(pair)
+        """The forces as one Measurements, passes outermost: row
+        k * n_sep + i is forces[k, i] at separations[i]."""
+        n_sweeps = self.forces.shape[0]
+        return Measurements(
+            d=np.tile(self.separations, n_sweeps),
+            f=self.forces.ravel(),
+            sigma=np.full(self.forces.size, self.sigma),
         )
 
 
@@ -335,19 +296,19 @@ def save_config(path, config):
         fh.write("\n")
 
 
-def save_sweeps_csv(path, records):
-    """Write all sweep records to one CSV, keyed by sweep index and gap."""
+def save_sweeps_csv(path, campaign):
+    """Write every sweep of a CampaignResult to one CSV, one row per sample:
+    passes in order, in each the first gap's sweep before the last gap's,
+    voltages in schedule order."""
+    ends = [format(d * 1e6, ".12g") for d in campaign.separations[[0, -1]].tolist()]
+    voltages = [format(v, ".12g") for v in campaign.voltages.tolist()]
+    sigma = format(campaign.sigma, ".12g")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(SWEEPS_CSV_HEADER)
-        for rec in records:
-            for s in rec.samples:
-                writer.writerow(
-                    [
-                        rec.sweep_index,
-                        format(rec.nominal_d * 1e6, ".12g"),
-                        format(s.v, ".12g"),
-                        format(s.f, ".12g"),
-                        format(s.sigma_f, ".12g"),
-                    ]
-                )
+        writer.writerows(
+            [k, ends[e], v, format(f, ".12g"), sigma]
+            for k, pair in enumerate(campaign.sweep_forces.tolist())
+            for e, sweep in enumerate(pair)
+            for v, f in zip(voltages, sweep)
+        )

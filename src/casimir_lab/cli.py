@@ -197,15 +197,14 @@ def cmd_simulate(args):
     drift = subtract_drift(result)
     campaign = drift.campaign
 
-    if args.no_bin:
-        points = list(campaign.points)
-    else:
+    points = campaign.points
+    if not args.no_bin:
         edges = log_bin_edges(config.d_min, config.d_max, config.n_separations)
-        points = bin_points(campaign.points, edges)
+        points = bin_points(points, edges)
     save_measurements(args.out, points)
     outputs = [args.out]
     if args.sweeps_out is not None:
-        save_sweeps_csv(args.sweeps_out, campaign.records)
+        save_sweeps_csv(args.sweeps_out, campaign)
         outputs.append(args.sweeps_out)
 
     _write_manifest(
@@ -277,15 +276,8 @@ def cmd_fit(args):
 
     if args.subtract is not None:
         best = ranked[0]
-        cleaned = [
-            type(p)(
-                d=p.d,
-                f=p.f - best.v_rms_sq * float(patch_basis(p.d, R, delta)) - best.a,
-                sigma=p.sigma,
-            )
-            for p in points
-        ]
-        save_measurements(args.subtract, cleaned)
+        resid = points.f - best.v_rms_sq * patch_basis(points.d, R, delta) - best.a
+        save_measurements(args.subtract, replace(points, f=resid))
         outputs.append(args.subtract)
 
     config = {

@@ -11,6 +11,8 @@ piconewtons appear only at I/O boundaries.
 
 import math
 
+from .errors import is_integer
+
 __all__ = [
     "HBAR",
     "SPEED_OF_LIGHT",
@@ -80,7 +82,7 @@ def matsubara_frequency(n, temperature):
     float
         Imaginary angular frequency in rad/s.  Zero for n = 0.
     """
-    if not isinstance(n, (int,)) or isinstance(n, bool):
+    if not is_integer(n):
         raise ValueError(f"Matsubara index must be an integer, got {n!r}")
     if n < 0:
         raise ValueError(f"Matsubara index must be non-negative, got {n}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RegimeError, ValidationError
+from .errors import RegimeError, ValidationError, require_positive
 
 __all__ = [
     "FluctuationSpec",
@@ -48,10 +48,7 @@ class FluctuationSpec:
 
 def _check_regime(d, delta):
     """Validate a gap, or every gap of an array, against delta."""
-    d = np.asarray(d, dtype=float)
-    bad = d[~(np.isfinite(d) & (d > 0.0))]
-    if bad.size:
-        raise ValueError(f"separation must be positive and finite, got {bad[0]}")
+    require_positive("separation", d)
     if not (math.isfinite(delta) and delta >= 0.0):
         raise ValueError(f"delta must be finite and >= 0, got {delta}")
     if delta > 0.0 and np.min(d, initial=math.inf) <= REGIME_FACTOR * delta:

@@ -17,7 +17,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .constants import VACUUM_PERMITTIVITY
-from .errors import CalibrationError, DegenerateFitError, ValidationError, is_finite_real
+from .errors import CalibrationError, DegenerateFitError, ValidationError
+from .errors import is_finite_real, require_positive
 
 __all__ = [
     "SweepSample",
@@ -48,15 +49,10 @@ class SweepSample:
             raise ValidationError(f"sigma_f must be positive, got {self.sigma_f}")
 
 
-def _require_positive(name, value):
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{name} must be positive and finite, got {value}")
-
-
 def bias_force(d, R, v, v_m):
     """Applied-bias electrostatic force pi eps0 R (v - v_m)^2 / d, in N."""
-    _require_positive("separation d", d)
-    _require_positive("radius R", R)
+    require_positive("separation d", d)
+    require_positive("radius R", R)
     for name, value in (("v", v), ("v_m", v_m)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
@@ -70,8 +66,8 @@ def patch_force(d, R, v_rms, delta=0.0):
     A nonzero rms separation fluctuation delta rescales the 1/d average by
     1 + (delta/d)^2, the same factor applied to the theory curves.
     """
-    _require_positive("separation d", d)
-    _require_positive("radius R", R)
+    require_positive("separation d", d)
+    require_positive("radius R", R)
     for name, value in (("v_rms", v_rms), ("delta", delta)):
         if not (math.isfinite(value) and value >= 0.0):
             raise ValueError(f"{name} must be finite and >= 0, got {value}")
@@ -123,7 +119,7 @@ def calibrate_from_sweep(samples, R):
     samples = list(samples)
     if len(samples) < 4:
         raise ValidationError(f"need >= 4 sweep samples, got {len(samples)}")
-    _require_positive("radius R", R)
+    require_positive("radius R", R)
     v = np.array([s.v for s in samples], dtype=float)
     f = np.array([s.f for s in samples], dtype=float)
     sigma = np.array([s.sigma_f for s in samples], dtype=float)

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the finiteness test
-every validating constructor applies before it compares a value.
+"""Exception types shared across the package, and the type and domain
+tests every validating constructor applies before it compares a value.
 
 Every error that callers are expected to branch on gets its own class;
 plain ``ValueError`` is reserved for argument preconditions (negative
@@ -8,6 +8,8 @@ separations, empty arrays and the like).
 
 import math
 import numbers
+
+import numpy as np
 
 __all__ = [
     "CasimirLabError",
@@ -22,10 +24,22 @@ __all__ = [
 
 def is_finite_real(value):
     """True for a finite real number; False for bool, str, None, nan and inf."""
-    # float first: the numbers.Real check alone costs more than the rest of
-    # a MeasurementPoint, and campaigns build thousands of them
-    real = isinstance(value, (float, numbers.Real)) and not isinstance(value, bool)
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
     return real and math.isfinite(value)
+
+
+def is_integer(value):
+    """True for an integer; False for bool, which Python counts as one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def require_positive(name, value):
+    """ValueError naming the first entry of ``value`` that is not positive
+    and finite; ``value`` is a float or an array."""
+    value = np.asarray(value, dtype=float)
+    bad = value[~(np.isfinite(value) & (value > 0.0))]
+    if bad.size:
+        raise ValueError(f"{name} must be positive and finite, got {bad[0]}")
 
 
 class CasimirLabError(Exception):

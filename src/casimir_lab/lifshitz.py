@@ -36,7 +36,6 @@ between those two descriptions is the physics this package exists to model.
 """
 
 import math
-import numbers
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -53,7 +52,7 @@ from .dielectric import (
     eps_imag_axis,
     static_eps,
 )
-from .errors import ConvergenceError, PfaValidityWarning
+from .errors import ConvergenceError, PfaValidityWarning, is_integer, require_positive
 from .quadrature import integrate_decaying, integrate_decaying_2d
 
 __all__ = [
@@ -96,9 +95,9 @@ class QuadratureSpec:
     def __post_init__(self):
         if not 0.0 < self.rel_tol <= 1e-3:
             raise ValueError(f"rel_tol must be in (0, 1e-3], got {self.rel_tol}")
-        # bool is an Integral, and a float cap (NaN among them) breaks the ladder
+        # a float cap (NaN among them) breaks the ladder
         cap = self.max_matsubara
-        if isinstance(cap, bool) or not isinstance(cap, numbers.Integral) or cap < 1:
+        if not is_integer(cap) or cap < 1:
             raise ValueError(f"max_matsubara must be an integer >= 1, got {cap!r}")
 
 
@@ -330,17 +329,8 @@ def _located(gaps, T, kind):
         raise ConvergenceError(message, exc.achieved, exc.requested) from exc
 
 
-def _require_positive(name, value):
-    """ValueError naming the first entry of ``value`` that is not positive
-    and finite; ``value`` is a float or an array."""
-    value = np.asarray(value, dtype=float)
-    bad = value[~(np.isfinite(value) & (value > 0.0))]
-    if bad.size:
-        raise ValueError(f"{name} must be positive and finite, got {bad[0]}")
-
-
 def _validate_dT(d, T):
-    _require_positive("separation", d)
+    require_positive("separation", d)
     if not (math.isfinite(T) and T >= 0.0):
         raise ValueError(f"temperature must be non-negative and finite, got {T}")
 
@@ -417,8 +407,8 @@ def pressure_parallel(d, T, model, spec=DEFAULT_SPEC):
 def _sphere_plane(d, R, per_area):
     """2 pi R |per_area()|, the PFA map, after validating the radius and
     every gap of ``d`` and warning once when the largest d/R is too large."""
-    _require_positive("radius", R)
-    _require_positive("separation", d)
+    require_positive("radius", R)
+    require_positive("separation", d)
     ratio = np.max(d, initial=0.0) / R
     if ratio >= PFA_RATIO_LIMIT:
         warnings.warn(

@@ -50,10 +50,17 @@ def panel_edges(cutoff=DEFAULT_CUTOFF):
     return edges
 
 
+@lru_cache(maxsize=None)
+def _panels(cutoff):
+    """The edges of :func:`panel_edges`, each panel's lower edge and half width."""
+    edges = np.array(panel_edges(cutoff))
+    return edges, edges[:-1], 0.5 * np.diff(edges)
+
+
 def _nodes(cutoff, panels, n):
     """n Gauss-Legendre nodes on each listed panel, the weights, the half widths."""
-    edges = np.array(panel_edges(cutoff))
-    lower, half = edges[panels], 0.5 * (edges[panels + 1] - edges[panels])
+    _, lower, half = _panels(cutoff)
+    lower, half = lower[panels], half[panels]
     x, w = gauss_legendre(n)
     return lower[:, None] + half[:, None] * (x + 1.0), w, half
 
@@ -61,7 +68,7 @@ def _nodes(cutoff, panels, n):
 @lru_cache(maxsize=None)
 def _rectangles(cutoff):
     """x-panel, t lower edge and t half width of each rectangle of the L layout."""
-    edges = panel_edges(cutoff)
+    edges = _panels(cutoff)[0].tolist()
     rects = [(i, lo, 0.5 * (hi - lo)) for i, a in enumerate(edges[:-1])
              for lo, hi in pairwise([0.0] * (i > 0) + edges[i:]) if a + lo < 0.5 * cutoff]
     return tuple(np.array(column) for column in zip(*rects))
@@ -105,7 +112,7 @@ def integrate_decaying(f, rel_tol, node_start=8, node_cap=256, cutoff=DEFAULT_CU
         vals = np.asarray(f(x.ravel()))
         return half * (vals.reshape(vals.shape[:-1] + x.shape) @ w)
 
-    cells = np.arange(len(panel_edges(cutoff)) - 1)
+    cells = np.arange(_panels(cutoff)[1].size)
     return _settle(estimate, cells, rel_tol, node_start, node_cap)
 
 

@@ -6,6 +6,8 @@ in the acceptance suite.
 """
 
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from casimir_lab.analysis import (
     MODEL_IDS,
-    MeasurementPoint,
+    Measurements,
     ModelCurve,
     bin_points,
     discriminate_models,
@@ -36,59 +38,70 @@ def cube_curve(K=3e-28):
     return ModelCurve("synthetic", lambda d: K / d**3)
 
 
+def series(d, f, sigma):
+    """A Measurements from columns, scalars broadcast to the common length."""
+    return Measurements(*np.broadcast_arrays(d, f, sigma))
+
+
+def take(points, index):
+    """The rows ``index`` of ``points``, in that order."""
+    return Measurements(points.d[index], points.f[index], points.sigma[index])
+
+
 def synth_points(curve, v_rms, a, sigma=1e-12, rng=None, d_grid=D_GRID, delta=DELTA):
-    pts = []
+    f = []
     for d in d_grid:
-        f = curve.evaluator(float(d)) + patch_force(float(d), R, v_rms, delta) + a
+        fd = curve.evaluator(float(d)) + patch_force(float(d), R, v_rms, delta) + a
         if rng is not None:
-            f += rng.normal(0.0, sigma)
-        pts.append(MeasurementPoint(d=float(d), f=float(f), sigma=sigma))
-    return pts
+            fd += rng.normal(0.0, sigma)
+        f.append(fd)
+    return series(d_grid, f, sigma)
 
 
 class TestBinning:
     def test_one_point_per_bin_is_identity(self):
-        pts = [MeasurementPoint(d=d, f=d * 1e-6, sigma=1e-12) for d in (1e-6, 2e-6, 4e-6)]
+        d = np.array([1e-6, 2e-6, 4e-6])
+        pts = series(d, d * 1e-6, 1e-12)
         edges = [0.5e-6, 1.5e-6, 3e-6, 5e-6]
         out = bin_points(pts, edges)
-        assert [p.d for p in out] == [p.d for p in pts]
-        assert [p.f for p in out] == [p.f for p in pts]
+        assert isinstance(out, Measurements)
+        assert out.d.tolist() == pts.d.tolist()
+        assert out.f.tolist() == pts.f.tolist()
 
     def test_equal_sigma_pair_averages(self):
-        pts = [
-            MeasurementPoint(d=1.0e-6, f=10e-12, sigma=2e-12),
-            MeasurementPoint(d=1.2e-6, f=14e-12, sigma=2e-12),
-        ]
+        pts = series([1.0e-6, 1.2e-6], [10e-12, 14e-12], 2e-12)
         out = bin_points(pts, [0.5e-6, 2e-6])
         assert len(out) == 1
-        assert out[0].f == pytest.approx(12e-12, rel=1e-12, abs=0.0)
-        assert out[0].d == pytest.approx(1.1e-6, rel=1e-12, abs=0.0)
-        assert out[0].sigma == pytest.approx(2e-12 / math.sqrt(2.0), rel=1e-12, abs=0.0)
+        assert out.f[0] == pytest.approx(12e-12, rel=1e-12, abs=0.0)
+        assert out.d[0] == pytest.approx(1.1e-6, rel=1e-12, abs=0.0)
+        assert out.sigma[0] == pytest.approx(2e-12 / math.sqrt(2.0), rel=1e-12, abs=0.0)
 
     def test_sigma_shrinks_as_root_count(self):
         n = 50
-        pts = [MeasurementPoint(d=1e-6, f=1e-12, sigma=1e-12) for _ in range(n)]
+        pts = series(np.full(n, 1e-6), 1e-12, 1e-12)
         out = bin_points(pts, [0.9e-6, 1.1e-6])
-        assert out[0].sigma == pytest.approx(1e-12 / math.sqrt(n), rel=1e-12, abs=0.0)
+        assert out.sigma[0] == pytest.approx(1e-12 / math.sqrt(n), rel=1e-12, abs=0.0)
 
     def test_inverse_variance_weighting(self):
-        pts = [
-            MeasurementPoint(d=1e-6, f=0.0, sigma=1e-12),
-            MeasurementPoint(d=1e-6, f=10e-12, sigma=3e-12),
-        ]
+        pts = series(1e-6, [0.0, 10e-12], [1e-12, 3e-12])
         out = bin_points(pts, [0.5e-6, 2e-6])
         w1, w2 = 1.0, 1.0 / 9.0
-        assert out[0].f == pytest.approx(10e-12 * w2 / (w1 + w2), rel=1e-12, abs=0.0)
+        assert out.f[0] == pytest.approx(10e-12 * w2 / (w1 + w2), rel=1e-12, abs=0.0)
 
     def test_point_outside_edges_is_an_error(self):
-        pts = [MeasurementPoint(d=5e-6, f=1e-12, sigma=1e-12)]
+        pts = series([5e-6], 1e-12, 1e-12)
         with pytest.raises(ValidationError):
             bin_points(pts, [0.5e-6, 2e-6])
 
     def test_empty_bins_dropped(self):
-        pts = [MeasurementPoint(d=0.6e-6, f=1e-12, sigma=1e-12)]
+        pts = series([0.6e-6], 1e-12, 1e-12)
         out = bin_points(pts, [0.5e-6, 1e-6, 2e-6, 4e-6])
         assert len(out) == 1
+
+    def test_no_points_give_no_bins(self):
+        out = bin_points(series([], [], []), [0.5e-6, 1e-6])
+        assert isinstance(out, Measurements)
+        assert len(out) == 0
 
     def test_matches_a_per_bin_loop(self):
         # reference: each bin summed on its own with math.fsum
@@ -97,30 +110,27 @@ class TestBinning:
         f = rng.normal(1e-10, 1e-11, 400)
         sigma = rng.uniform(0.5e-12, 3e-12, 400)
         edges = [1e-6, 1.3e-6, 2e-6, 2.1e-6, 4e-6, 5e-6]
-        pts = [MeasurementPoint(d=a, f=b, sigma=c) for a, b, c in zip(d, f, sigma)]
-        out = bin_points(pts, edges)
+        out = bin_points(Measurements(d, f, sigma), edges)
         assert len(out) == len(edges) - 1
-        for lo, hi, got in zip(edges, edges[1:], out):
-            members = [p for p in pts if lo <= p.d < hi]
-            w = [1.0 / p.sigma**2 for p in members]
+        for b, (lo, hi) in enumerate(zip(edges, edges[1:])):
+            members = [i for i in range(d.size) if lo <= d[i] < hi]
+            w = [1.0 / sigma[i] ** 2 for i in members]
             wsum = math.fsum(w)
-            assert got.d == pytest.approx(
-                math.fsum(wi * p.d for wi, p in zip(w, members)) / wsum, rel=1e-13, abs=0.0
+            assert out.d[b] == pytest.approx(
+                math.fsum(wi * d[i] for wi, i in zip(w, members)) / wsum, rel=1e-13, abs=0.0
             )
-            assert got.f == pytest.approx(
-                math.fsum(wi * p.f for wi, p in zip(w, members)) / wsum, rel=1e-13, abs=0.0
+            assert out.f[b] == pytest.approx(
+                math.fsum(wi * f[i] for wi, i in zip(w, members)) / wsum, rel=1e-13, abs=0.0
             )
-            assert got.sigma == pytest.approx(1.0 / math.sqrt(wsum), rel=1e-13, abs=0.0)
+            assert out.sigma[b] == pytest.approx(1.0 / math.sqrt(wsum), rel=1e-13, abs=0.0)
 
     def test_log_edges_capture_the_default_grid(self):
         edges = log_bin_edges(0.7e-6, 7e-6, 30)
-        out = bin_points(
-            [MeasurementPoint(d=float(d), f=1e-12, sigma=1e-12) for d in D_GRID], edges
-        )
+        out = bin_points(series(D_GRID, 1e-12, 1e-12), edges)
         assert len(out) == 30
 
     def test_bad_edges(self):
-        pts = [MeasurementPoint(d=1e-6, f=1e-12, sigma=1e-12)]
+        pts = series([1e-6], 1e-12, 1e-12)
         with pytest.raises(ValidationError):
             bin_points(pts, [1e-6])
         with pytest.raises(ValidationError):
@@ -134,18 +144,73 @@ class TestBinning:
             log_bin_edges(0.7e-6, bad, 30)
 
     def test_point_validation(self):
-        with pytest.raises(ValidationError):
-            MeasurementPoint(d=0.0, f=1e-12, sigma=1e-12)
-        with pytest.raises(ValidationError):
-            MeasurementPoint(d=1e-6, f=1e-12, sigma=0.0)
+        for bad in (0.0, -1e-6):
+            named = rf"^separation must be positive, got {bad} \(row 1\)$"
+            with pytest.raises(ValidationError, match=named):
+                series([1e-6, bad], 1e-12, 1e-12)
+        for bad in (0.0, -1e-12):
+            named = rf"^sigma must be positive, got {bad} \(row 1\)$"
+            with pytest.raises(ValidationError, match=named):
+                series([1e-6, 2e-6], 1e-12, [1e-12, bad])
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "1e-6", None])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "1e-6", None, True])
     @pytest.mark.parametrize("field", ["d", "f", "sigma"])
     def test_non_finite_point_rejected(self, field, bad):
-        values = {"d": 1e-6, "f": 1e-12, "sigma": 1e-12, field: bad}
+        # the bad value sits in row 1 of a list, next to a good one
+        good = {"d": 1e-6, "f": 1e-12, "sigma": 1e-12}
+        values = {k: [v, v] for k, v in good.items()}
+        values[field] = [good[field], bad]
         name = {"d": "separation", "f": "force", "sigma": "sigma"}[field]
-        with pytest.raises(ValidationError, match=f"^{name} must be finite"):
-            MeasurementPoint(**values)
+        named = rf"^{name} must be finite, got {re.escape(repr(bad))} \(row 1\)$"
+        with pytest.raises(ValidationError, match=named):
+            Measurements(**values)
+
+    @pytest.mark.parametrize(
+        "column",
+        [
+            np.array([True, False]),
+            np.array(["1e-6", "2e-6"]),
+            np.array([1e-6, 2e-6], dtype=object),
+        ],
+        ids=["bool", "str", "object"],
+    )
+    def test_non_numeric_array_rejected(self, column):
+        with pytest.raises(ValidationError, match="^separation must be"):
+            Measurements(column, [1e-12, 1e-12], [1e-12, 1e-12])
+
+    def test_first_bad_row_is_named_across_fields(self):
+        # row 1 holds a bad sigma, row 2 a bad separation: row 1 is named
+        with pytest.raises(ValidationError, match=r"^sigma must be finite, got nan \(row 1\)$"):
+            series([1e-6, 2e-6, math.nan], 1e-12, [1e-12, math.nan, 1e-12])
+        # within a row, finiteness comes before sign, and d before f
+        with pytest.raises(ValidationError, match=r"^force must be finite, got inf \(row 0\)$"):
+            series([-1e-6], [math.inf], [1e-12])
+
+    @pytest.mark.parametrize(
+        "columns, message",
+        [
+            (([1e-6, 2e-6], [1e-12], [1e-12, 1e-12]), "one length, got 2, 1 and 2"),
+            (([[1e-6, 2e-6]], [[1e-12]], [[1e-12]]), r"separation must be 1-D, .*\(1, 2\)"),
+            ((1e-6, 1e-12, 1e-12), r"separation must be 1-D, .*\(\)"),
+        ],
+        ids=["unequal", "2-D", "scalar"],
+    )
+    def test_shape_rejected(self, columns, message):
+        with pytest.raises(ValidationError, match=message):
+            Measurements(*columns)
+
+    def test_columns_are_read_only_copies(self):
+        d = np.array([1e-6, 2e-6])
+        pts = series(d, 1e-12, 1e-12)
+        d[0] = 5e-6
+        assert pts.d[0] == 1e-6
+        for column in (pts.d, pts.f, pts.sigma):
+            assert column.dtype == float
+            with pytest.raises(ValueError):
+                column[0] = 1.0
+        # identity, not a field-wise array comparison that cannot be truthy
+        assert pts == pts
+        assert pts != series(pts.d, pts.f, pts.sigma)
 
 
 class TestFit:
@@ -173,9 +238,7 @@ class TestFit:
         zero = ModelCurve("zero", lambda d: 0.0)
         rng = np.random.default_rng(11)
         pts = synth_points(zero, v_rms=4e-3, a=-2e-12, rng=rng)
-        scaled = [
-            MeasurementPoint(d=p.d, f=c * p.f, sigma=p.sigma) for p in pts
-        ]
+        scaled = replace(pts, f=c * pts.f)
         base = fit_patch_and_offset(pts, zero, R, DELTA)
         out = fit_patch_and_offset(scaled, zero, R, DELTA)
         assert out.v_rms_sq == pytest.approx(c * base.v_rms_sq, rel=1e-9, abs=0.0)
@@ -186,8 +249,7 @@ class TestFit:
         rng = np.random.default_rng(3)
         pts = synth_points(curve, v_rms=5e-3, a=-2e-12, rng=rng)
         fit = fit_patch_and_offset(pts, curve, R, DELTA)
-        rng.shuffle(pts)
-        refit = fit_patch_and_offset(pts, curve, R, DELTA)
+        refit = fit_patch_and_offset(take(pts, rng.permutation(len(pts))), curve, R, DELTA)
         assert refit.chi2_reduced == pytest.approx(fit.chi2_reduced, rel=1e-12)
 
     def test_constant_shift_lands_in_offset_only(self):
@@ -195,7 +257,7 @@ class TestFit:
         rng = np.random.default_rng(5)
         pts = synth_points(curve, v_rms=5e-3, a=-2e-12, rng=rng)
         shift = 7.5e-12
-        moved = [MeasurementPoint(d=p.d, f=p.f + shift, sigma=p.sigma) for p in pts]
+        moved = replace(pts, f=pts.f + shift)
         fit = fit_patch_and_offset(pts, curve, R, DELTA)
         refit = fit_patch_and_offset(moved, curve, R, DELTA)
         assert refit.a - fit.a == pytest.approx(shift, rel=1e-9, abs=0.0)
@@ -205,10 +267,7 @@ class TestFit:
     def test_negative_patch_power_reports_undefined_v_rms(self):
         # data sit below the theory curve: the fit wants negative V_rms^2
         curve = cube_curve()
-        pts = [
-            MeasurementPoint(d=float(d), f=curve.evaluator(float(d)) - 50e-12 * (1e-6 / d), sigma=1e-12)
-            for d in D_GRID
-        ]
+        pts = series(D_GRID, curve.evaluator(D_GRID) - 50e-12 * (1e-6 / D_GRID), 1e-12)
         fit = fit_patch_and_offset(pts, curve, R, DELTA)
         assert fit.v_rms_sq < 0.0
         assert fit.v_rms is None
@@ -237,13 +296,13 @@ class TestFit:
 
     def test_too_few_points(self):
         curve = cube_curve()
-        pts = synth_points(curve, 0.0, 0.0)[:2]
+        pts = take(synth_points(curve, 0.0, 0.0), slice(2))
         with pytest.raises(ValidationError):
             fit_patch_and_offset(pts, curve, R, DELTA)
 
     def test_single_separation_is_degenerate(self):
         curve = cube_curve()
-        pts = [MeasurementPoint(d=1e-6, f=(1.0 + i) * 1e-12, sigma=1e-12) for i in range(5)]
+        pts = series(1e-6, (1.0 + np.arange(5)) * 1e-12, 1e-12)
         with pytest.raises(DegenerateFitError):
             fit_patch_and_offset(pts, curve, R, DELTA)
 
@@ -307,9 +366,10 @@ class TestDiscrimination:
             return 3e-28 / d**3
 
         pts = synth_points(cube_curve(), v_rms=5e-3, a=0.0)
-        fit_patch_and_offset(pts + pts[::-1], ModelCurve("counted", evaluator), R, DELTA)
+        both_ways = take(pts, np.r_[0 : len(pts), len(pts) - 1 : -1 : -1])
+        fit_patch_and_offset(both_ways, ModelCurve("counted", evaluator), R, DELTA)
         assert len(calls) == 1
-        np.testing.assert_array_equal(calls[0], np.unique([p.d for p in pts]))
+        np.testing.assert_array_equal(calls[0], np.unique(pts.d))
 
 
 class TestMeasurementCsv:
@@ -319,20 +379,23 @@ class TestMeasurementCsv:
         save_measurements(path, pts)
         back = load_measurements(path)
         assert len(back) == len(pts)
-        for a, b in zip(pts, back):
-            assert b.d == pytest.approx(a.d, rel=1e-11, abs=0.0)
-            assert b.f == pytest.approx(a.f, rel=1e-11, abs=0.0)
-            assert b.sigma == pytest.approx(a.sigma, rel=1e-11, abs=0.0)
+        for column in ("d", "f", "sigma"):
+            np.testing.assert_allclose(
+                getattr(back, column), getattr(pts, column), rtol=1e-11, atol=0.0
+            )
+        save_measurements(tmp_path / "again.csv", back)
+        assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
     def test_units_are_micron_piconewton(self, tmp_path):
         path = tmp_path / "points.csv"
         path.write_text(
             "separation_um,force_pn,sigma_pn\n1,500,2\n", encoding="utf-8"
         )
-        (p,) = load_measurements(path)
-        assert p.d == pytest.approx(1e-6)
-        assert p.f == pytest.approx(500e-12)
-        assert p.sigma == pytest.approx(2e-12)
+        p = load_measurements(path)
+        assert len(p) == 1
+        assert p.d[0] == pytest.approx(1e-6, rel=1e-15, abs=0.0)
+        assert p.f[0] == pytest.approx(500e-12, rel=1e-15, abs=0.0)
+        assert p.sigma[0] == pytest.approx(2e-12, rel=1e-15, abs=0.0)
 
     def test_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -357,3 +420,17 @@ class TestMeasurementCsv:
         with pytest.raises(ValidationError) as err:
             load_measurements(path)
         assert "line 2" in str(err.value)
+
+    def test_bad_row_after_blank_lines_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "separation_um,force_pn,sigma_pn\n1,500,2\n\n\n2,nan,2\n3,500,2\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ValidationError, match=r"^line 5: force must be finite"):
+            load_measurements(path)
+
+    def test_header_only_file_gives_no_rows(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("separation_um,force_pn,sigma_pn\n", encoding="utf-8")
+        assert len(load_measurements(path)) == 0

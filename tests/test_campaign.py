@@ -30,7 +30,12 @@ from casimir_lab.analysis import (
     standard_model_curves,
 )
 from casimir_lab.corrections import corrected_separation
-from casimir_lab.electrostatics import bias_force, calibrate_from_sweep, patch_force
+from casimir_lab.electrostatics import (
+    SweepSample,
+    bias_force,
+    calibrate_from_sweep,
+    patch_force,
+)
 from casimir_lab.errors import ValidationError
 
 
@@ -146,31 +151,36 @@ class TestSchedule:
         cfg = small_config()
         out = generate_campaign(cfg)
         # full voltage sweeps only at the closest and farthest separations
-        assert len(out.records) == 2 * cfg.n_sweeps
-        d = cfg.separations()
-        assert {r.nominal_d for r in out.records} == {d[0], d[-1]}
-        for r in out.records:
-            assert len(r.samples) == len(cfg.sweep_voltages)
-        # one minimized-bias point per separation per sweep
-        assert len(out.points) == cfg.n_sweeps * cfg.n_separations
-        assert out.point_sweep_index.shape == (len(out.points),)
-        assert set(np.unique(out.point_sweep_index)) == set(range(cfg.n_sweeps))
+        n_v = len(cfg.sweep_voltages)
+        assert out.sweep_forces.shape == (cfg.n_sweeps, 2, n_v)
+        np.testing.assert_array_equal(out.separations, cfg.separations())
+        np.testing.assert_array_equal(out.voltages, cfg.sweep_voltages)
+        # one minimized-bias point per separation per sweep, passes outermost:
+        # row k * n_sep + i of points is forces[k, i] at separations[i]
+        assert out.forces.shape == (cfg.n_sweeps, cfg.n_separations)
+        points = out.points
+        assert len(points) == cfg.n_sweeps * cfg.n_separations
+        shape = out.forces.shape
+        np.testing.assert_array_equal(
+            points.d.reshape(shape), np.broadcast_to(out.separations, shape)
+        )
+        np.testing.assert_array_equal(points.f.reshape(shape), out.forces)
 
     def test_same_seed_is_bit_identical(self):
         a = generate_campaign(small_config())
         b = generate_campaign(small_config())
-        for ra, rb in zip(a.records, b.records):
-            assert [s.f for s in ra.samples] == [s.f for s in rb.samples]
-        assert [p.f for p in a.points] == [p.f for p in b.points]
+        assert a.sweep_forces.tolist() == b.sweep_forces.tolist()
+        assert a.points.f.tolist() == b.points.f.tolist()
 
     def test_different_seeds_differ(self):
         a = generate_campaign(small_config(seed=1))
         b = generate_campaign(small_config(seed=2))
-        assert any(pa.f != pb.f for pa, pb in zip(a.points, b.points))
+        assert np.any(a.points.f != b.points.f)
 
     def test_sigma_floor_applies(self):
         out = generate_campaign(small_config(noise_sigma=0.0))
-        assert all(p.sigma == SIGMA_FLOOR for p in out.points)
+        assert out.sigma == SIGMA_FLOOR
+        assert np.all(out.points.sigma == SIGMA_FLOOR)
 
     def test_noiseless_samples_match_constructed_truth(self):
         cfg = small_config(noise_sigma=0.0, drift_rate=0.0)
@@ -181,33 +191,34 @@ class TestSchedule:
             if c.model_id == cfg.truth_model_id
         )
         fluct = lambda d: 1.0 + (cfg.delta_true / d) ** 2
-        r = out.records[0]
-        d = r.nominal_d
+        # the first pass's sweep at the first gap
+        d = float(out.separations[0])
         base = (
             curve.evaluator(d)
             + patch_force(d, cfg.radius, cfg.v_rms_true, cfg.delta_true)
             + cfg.offset_a_true
         )
-        for v, s in zip(cfg.sweep_voltages, r.samples):
+        for j, v in enumerate(cfg.sweep_voltages):
             expect = base + bias_force(d, cfg.radius, v, cfg.v_m_true) * fluct(d)
-            assert s.f == pytest.approx(expect, rel=1e-13, abs=0.0)
-            assert s.v == v
+            assert out.sweep_forces[0, 0, j] == pytest.approx(expect, rel=1e-13, abs=0.0)
+            assert out.voltages[j] == v
         # at-minimum points carry no bias term at all
-        p = out.points[0]
-        d0 = p.d
+        points = out.points
+        d0 = float(points.d[0])
         base0 = (
             curve.evaluator(d0)
             + patch_force(d0, cfg.radius, cfg.v_rms_true, cfg.delta_true)
             + cfg.offset_a_true
         )
-        assert p.f == pytest.approx(base0, rel=1e-13, abs=0.0)
+        assert points.f[0] == pytest.approx(base0, rel=1e-13, abs=0.0)
 
     def test_drift_grows_linearly_with_sweep_index(self):
         rate = 5e-14
         quiet = generate_campaign(small_config(noise_sigma=0.0, drift_rate=0.0))
         drifty = generate_campaign(small_config(noise_sigma=0.0, drift_rate=rate))
-        for (pq, pd, idx) in zip(quiet.points, drifty.points, drifty.point_sweep_index):
-            assert pd.f - pq.f == pytest.approx(rate * idx, abs=1e-22)
+        n_sep = drifty.separations.size
+        for row, (fq, fd) in enumerate(zip(quiet.points.f, drifty.points.f)):
+            assert fd - fq == pytest.approx(rate * (row // n_sep), abs=1e-22)
 
     @pytest.mark.parametrize("overrides", [{}, {"n_separations": 2}])
     def test_noise_is_one_stream_in_schedule_order(self, overrides):
@@ -236,17 +247,19 @@ class TestDriftSubtraction:
         cfg = small_config(drift_rate=4e-14, noise_sigma=2e-12, seed=11)
         out = generate_campaign(cfg)
         # one row per sample, one intercept column per condition, one
-        # shared slope column; the conditions come from the object API
+        # shared slope column; the conditions are keyed by gap and voltage
         conditions = {}
         rows = []
-        for rec in out.records:
-            for s in rec.samples:
-                key = ("sweep", rec.nominal_d, s.v)
-                c = conditions.setdefault(key, len(conditions))
-                rows.append((c, rec.sweep_index, s.f))
-        for p, k in zip(out.points, out.point_sweep_index):
-            c = conditions.setdefault(("point", p.d), len(conditions))
-            rows.append((c, int(k), p.f))
+        ends = out.separations[[0, -1]]
+        for k, pair in enumerate(out.sweep_forces):
+            for gap, sweep in zip(ends, pair):
+                for v, f in zip(out.voltages, sweep):
+                    c = conditions.setdefault(("sweep", gap, v), len(conditions))
+                    rows.append((c, k, f))
+        n_sep = out.separations.size
+        for row, (d, f) in enumerate(zip(out.points.d, out.points.f)):
+            c = conditions.setdefault(("point", d), len(conditions))
+            rows.append((c, row // n_sep, f))
         design = np.zeros((len(rows), len(conditions) + 1))
         for r, (c, k, _) in enumerate(rows):
             design[r, c] = 1.0
@@ -265,11 +278,10 @@ class TestDriftSubtraction:
         sub = subtract_drift(generate_campaign(cfg))
         assert sub.slope == pytest.approx(rate, rel=1e-10, abs=0.0)
         clean = generate_campaign(small_config(noise_sigma=0.0, drift_rate=0.0))
-        for pc, ps in zip(clean.points, sub.campaign.points):
-            assert ps.f == pytest.approx(pc.f, rel=1e-12, abs=0.0)
-        for rc, rs in zip(clean.records, sub.campaign.records):
-            for sc, ss in zip(rc.samples, rs.samples):
-                assert ss.f == pytest.approx(sc.f, rel=1e-12, abs=0.0)
+        np.testing.assert_allclose(sub.campaign.points.f, clean.points.f, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(
+            sub.campaign.sweep_forces, clean.sweep_forces, rtol=1e-12, atol=0.0
+        )
 
     def test_slope_error_bar_covers_zero_drift(self):
         hits = 0
@@ -291,8 +303,12 @@ class TestPipelineClosure:
         cfg = small_config(noise_sigma=0.0)
         out = generate_campaign(cfg)
         d_sched = cfg.separations()
-        near = [r for r in out.records if r.nominal_d == d_sched[0]][0]
-        cal = calibrate_from_sweep(list(near.samples), cfg.radius)
+        assert out.separations[0] == d_sched[0]
+        near = [
+            SweepSample(v=v, f=f, sigma_f=out.sigma)
+            for v, f in zip(out.voltages.tolist(), out.sweep_forces[0, 0].tolist())
+        ]
+        cal = calibrate_from_sweep(near, cfg.radius)
         assert cal.v_m == pytest.approx(cfg.v_m_true, abs=1e-4)
         # generator applies the fluctuation factor to the bias force, so the
         # curvature-inferred distance is d / (1 + (delta/d)^2); undoing it
@@ -333,7 +349,7 @@ class TestSweepsCsv:
         cfg = small_config(n_sweeps=2)
         out = generate_campaign(cfg)
         path = tmp_path / "sweeps.csv"
-        save_sweeps_csv(path, out.records)
+        save_sweeps_csv(path, out)
         lines = path.read_text(encoding="utf-8").strip().splitlines()
         assert lines[0] == ",".join(SWEEPS_CSV_HEADER)
         n_rows = 2 * cfg.n_sweeps * len(cfg.sweep_voltages)
@@ -341,3 +357,23 @@ class TestSweepsCsv:
         first = lines[1].split(",")
         assert int(first[0]) == 0
         assert float(first[1]) == pytest.approx(cfg.d_min * 1e6, rel=1e-9)
+
+    def test_rows_follow_passes_gaps_and_voltages(self, tmp_path):
+        # oracle: one row per sample, passes in order, in each the first
+        # gap's sweep before the last gap's, voltages in schedule order, and
+        # every number the .12g text of the campaign's arrays
+        cfg = small_config(n_sweeps=3, drift_rate=2e-14)
+        out = generate_campaign(cfg)
+        path = tmp_path / "sweeps.csv"
+        save_sweeps_csv(path, out)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        g = lambda x: format(x, ".12g")
+        expect = [
+            ",".join([str(k), g(gap * 1e6), g(v), g(out.sweep_forces[k, e, j]), g(out.sigma)])
+            for k in range(cfg.n_sweeps)
+            for e, gap in enumerate((cfg.separations()[0], cfg.separations()[-1]))
+            for j, v in enumerate(cfg.sweep_voltages)
+        ]
+        assert lines[1:] == expect
+        n_v = len(cfg.sweep_voltages)
+        assert float(lines[1].split(",")[1]) < float(lines[1 + n_v].split(",")[1])
