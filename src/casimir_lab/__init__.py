@@ -37,13 +37,10 @@ from .constants import (
     VACUUM_PERMITTIVITY,
     ZETA3,
     ev_to_angular_frequency,
-    matsubara_frequency,
 )
 from .corrections import (
-    FluctuationSpec,
     corrected_curve,
     corrected_separation,
-    correction_uncertainty,
     fluctuation_corrected_force,
 )
 from .dielectric import (
@@ -76,13 +73,11 @@ from .errors import (
     ValidationError,
 )
 from .lifshitz import (
-    Geometry,
     QuadratureSpec,
     ReflectionPair,
     asymptote_thermal,
     force_curvature_sphere_plane,
     force_sphere_plane,
-    force_sphere_plane_T0,
     force_sphere_plane_grid,
     free_energy_per_area,
     pressure_parallel,
@@ -109,7 +104,6 @@ __all__ = [
     "ZETA3",
     "CONSTANTS_VERSION",
     "ev_to_angular_frequency",
-    "matsubara_frequency",
     # dielectric models
     "DrudeModel",
     "PlasmaModel",
@@ -121,7 +115,6 @@ __all__ = [
     "gold_plasma",
     "load_optical_table",
     # engine
-    "Geometry",
     "QuadratureSpec",
     "ReflectionPair",
     "reflection_coeffs",
@@ -130,7 +123,6 @@ __all__ = [
     "pressure_parallel",
     "force_sphere_plane",
     "force_curvature_sphere_plane",
-    "force_sphere_plane_T0",
     "force_sphere_plane_grid",
     "asymptote_thermal",
     "sensitivity_band",
@@ -143,10 +135,8 @@ __all__ = [
     "load_sweep_csv",
     "save_sweep_csv",
     # corrections
-    "FluctuationSpec",
     "fluctuation_corrected_force",
     "corrected_separation",
-    "correction_uncertainty",
     "corrected_curve",
     # analysis
     "Measurements",

@@ -15,10 +15,10 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .constants import VACUUM_PERMITTIVITY
 from .corrections import corrected_curve
 from .dielectric import gold_drude, gold_plasma
-from .errors import DegenerateFitError, ValidationError, is_finite_real
+from .electrostatics import patch_force
+from .errors import DegenerateFitError, ValidationError, is_finite_real, is_integer
 from .lifshitz import (
     DEFAULT_SPEC,
     force_curvature_sphere_plane,
@@ -130,13 +130,14 @@ class ModelCurve:
     evaluator: Callable[[Union[float, np.ndarray]], Union[float, np.ndarray]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitResult:
     """Weighted least-squares output for one theory candidate.
 
     covariance is 2x2 over (v_rms_sq, a) in SI units.  v_rms_sq may come out
     negative when the theory overshoots the data; v_rms is then undefined
-    rather than clamped, so chi^2 comparisons stay unbiased.
+    rather than clamped, so chi^2 comparisons stay unbiased.  ``==`` is
+    identity, as on Measurements.
     """
 
     model_id: str
@@ -158,8 +159,8 @@ def log_bin_edges(d_min, d_max, n_bins):
     extreme points cannot fall outside through rounding."""
     if not 0.0 < d_min < d_max < math.inf:
         raise ValueError(f"need finite 0 < d_min < d_max, got d_min={d_min}, d_max={d_max}")
-    if n_bins < 1:
-        raise ValueError(f"n_bins must be >= 1, got {n_bins}")
+    if not is_integer(n_bins) or n_bins < 1:
+        raise ValueError(f"n_bins must be an integer >= 1, got {n_bins!r}")
     pad = 1e-9
     return np.geomspace(d_min * (1.0 - pad), d_max * (1.0 + pad), n_bins + 1)
 
@@ -176,6 +177,8 @@ def bin_points(points, edges):
     edges = np.asarray(list(edges), dtype=float)
     if edges.ndim != 1 or edges.size < 2:
         raise ValidationError("need at least two bin edges")
+    if not np.all(np.isfinite(edges)):
+        raise ValidationError(f"bin edges must be finite, got {edges[~np.isfinite(edges)][0]}")
     if np.any(np.diff(edges) <= 0.0):
         raise ValidationError("bin edges must be strictly increasing")
 
@@ -194,13 +197,6 @@ def bin_points(points, edges):
     filled = np.unique(idx)
     wsum = wsum[filled]
     return Measurements(d=wd[filled] / wsum, f=wf[filled] / wsum, sigma=1.0 / np.sqrt(wsum))
-
-
-def patch_basis(d, R, delta):
-    """Patch-term regressor (pi eps0 R / d)(1 + (delta/d)^2)."""
-    d = np.asarray(d, dtype=float)
-    ratio = delta / d
-    return math.pi * VACUUM_PERMITTIVITY * R / d * (1.0 + ratio * ratio)
 
 
 def fit_patch_and_offset(points, curve, R, delta=0.0):
@@ -231,6 +227,9 @@ def fit_patch_and_offset(points, curve, R, delta=0.0):
         Fewer than three points.
     DegenerateFitError
         Collinear basis, e.g. all points at one separation.
+    ValueError
+        The curve gives a non-finite force; the message names the model and
+        the smallest such gap.
     """
     if len(points) < 3:
         raise ValidationError(f"need >= 3 measurement points, got {len(points)}")
@@ -244,8 +243,13 @@ def fit_patch_and_offset(points, curve, R, delta=0.0):
     # the curve once, at each distinct separation; a constant curve may
     # answer with one number
     unique, inverse = np.unique(d, return_inverse=True)
-    y = f - np.broadcast_to(curve.evaluator(unique), unique.shape)[inverse]
-    basis = np.column_stack([patch_basis(d, R, delta), np.ones_like(d)])
+    theory = np.broadcast_to(curve.evaluator(unique), unique.shape)
+    if not np.all(np.isfinite(theory)):
+        bad = unique[~np.isfinite(theory)][0]
+        raise ValueError(f"model {curve.model_id} gives a non-finite force at d = {bad:.6e} m")
+    y = f - theory[inverse]
+    # the patch force at unit V_rms is the regressor of V_rms^2
+    basis = np.column_stack([patch_force(d, R, 1.0, delta), np.ones_like(d)])
 
     # scale columns to unit norm before solving; the patch column is ~1e-11
     # in SI and would otherwise swamp the conditioning test

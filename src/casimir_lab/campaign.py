@@ -18,9 +18,9 @@ gap, that gap's point, the inner points, the sweep at the last gap, that
 gap's point.  The analysis reads the points as one Measurements, and
 the sweeps CSV is written straight from the arrays.
 
-The generated data feed the full analysis chain (drift subtraction, sweep
-calibration, separation correction, model fits) and close the loop back on
-the injected truth parameters.
+Drift subtraction, binning and the model fits read the points and close
+the loop back on the injected truth parameters.  The sweeps are an export
+only: no command reads them back.
 """
 
 import csv
@@ -139,7 +139,7 @@ class CampaignConfig:
         return np.geomspace(self.d_min, self.d_max, self.n_separations)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CampaignResult:
     """Campaign output as arrays; one row per pass over the separation grid.
 
@@ -148,7 +148,8 @@ class CampaignResult:
     sweep_forces[k, e, j] is the sweep sample of pass k at voltages[j], at
     the first gap for e = 0 and the last for e = 1.  Every sample carries
     the same uncertainty sigma, in N.  :attr:`points` reads the forces as
-    one Measurements and :func:`save_sweeps_csv` writes the sweeps.
+    one Measurements and :func:`save_sweeps_csv` writes the sweeps.  ``==``
+    is identity, as on Measurements.
     """
 
     separations: np.ndarray
@@ -205,9 +206,7 @@ def generate_campaign(config, spec=DEFAULT_SPEC):
     truth = {c.model_id: c.evaluator for c in curves}[config.truth_model_id]
 
     # per-separation pieces that do not change across sweeps
-    patch = np.array(
-        [patch_force(d, config.radius, config.v_rms_true, config.delta_true) for d in seps]
-    )
+    patch = patch_force(seps, config.radius, config.v_rms_true, config.delta_true)
     base = truth(seps) + patch + config.offset_a_true
     fluct = 1.0 + (config.delta_true / seps) ** 2
     ends = [0, n_sep - 1]

@@ -34,7 +34,6 @@ from .analysis import (
     load_measurements,
     log_bin_edges,
     bin_points,
-    patch_basis,
     save_measurements,
     standard_model_curves,
 )
@@ -56,6 +55,7 @@ from .dielectric import (
     PlasmaModel,
     ev_to_angular_frequency,
 )
+from .electrostatics import patch_force
 from .errors import (
     CalibrationError,
     ConvergenceError,
@@ -276,7 +276,7 @@ def cmd_fit(args):
 
     if args.subtract is not None:
         best = ranked[0]
-        resid = points.f - best.v_rms_sq * patch_basis(points.d, R, delta) - best.a
+        resid = points.f - best.v_rms_sq * patch_force(points.d, R, 1.0, delta) - best.a
         save_measurements(args.subtract, replace(points, f=resid))
         outputs.append(args.subtract)
 

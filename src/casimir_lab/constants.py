@@ -11,8 +11,6 @@ piconewtons appear only at I/O boundaries.
 
 import math
 
-from .errors import is_integer
-
 __all__ = [
     "HBAR",
     "SPEED_OF_LIGHT",
@@ -22,8 +20,6 @@ __all__ = [
     "ZETA3",
     "CONSTANTS_VERSION",
     "ev_to_angular_frequency",
-    "angular_frequency_to_ev",
-    "matsubara_frequency",
 ]
 
 #: 2018 CODATA. h and e are exact; hbar carries the full double rounding of h/2pi.
@@ -57,37 +53,3 @@ def ev_to_angular_frequency(energy_ev):
         raise ValueError(f"photon energy must be non-negative and finite, got {energy_ev}")
     return energy_ev * ELEMENTARY_CHARGE / HBAR
 
-
-def angular_frequency_to_ev(omega):
-    """Inverse of :func:`ev_to_angular_frequency` (rad/s to eV)."""
-    if not (math.isfinite(omega) and omega >= 0.0):
-        raise ValueError(f"angular frequency must be non-negative and finite, got {omega}")
-    return omega * HBAR / ELEMENTARY_CHARGE
-
-
-def matsubara_frequency(n, temperature):
-    """n-th boson Matsubara frequency ``xi_n = 2 pi n k_B T / hbar`` in rad/s.
-
-    Parameters
-    ----------
-    n : int
-        Matsubara index, n >= 0.
-    temperature : float
-        Temperature in kelvin, strictly positive and finite.  The T = 0 theory is an
-        integral over imaginary frequency, not a Matsubara ladder; use the
-        dedicated zero-temperature entry points instead.
-
-    Returns
-    -------
-    float
-        Imaginary angular frequency in rad/s.  Zero for n = 0.
-    """
-    if not is_integer(n):
-        raise ValueError(f"Matsubara index must be an integer, got {n!r}")
-    if n < 0:
-        raise ValueError(f"Matsubara index must be non-negative, got {n}")
-    if not (math.isfinite(temperature) and temperature > 0.0):
-        raise ValueError(
-            f"temperature must be positive and finite for a Matsubara ladder, got {temperature}"
-        )
-    return 2.0 * math.pi * n * BOLTZMANN * temperature / HBAR

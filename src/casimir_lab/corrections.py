@@ -11,39 +11,20 @@ evaluates it from the engine's own curvature kernel, with no finite difference.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RegimeError, ValidationError, require_positive
+from .errors import RegimeError, require_positive
 
 __all__ = [
-    "FluctuationSpec",
     "fluctuation_corrected_force",
     "corrected_separation",
-    "correction_uncertainty",
     "corrected_curve",
 ]
 
 #: expansion in (delta/d)^2 breaks down once the gap is within a few
 #: fluctuation amplitudes of contact
 REGIME_FACTOR = 5.0
-
-
-@dataclass(frozen=True)
-class FluctuationSpec:
-    """Rms separation fluctuation and its one-sigma uncertainty, in m."""
-
-    delta: float
-    delta_sigma: float = 0.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.delta) and self.delta >= 0.0):
-            raise ValidationError(f"delta must be finite and >= 0, got {self.delta}")
-        if not (math.isfinite(self.delta_sigma) and self.delta_sigma >= 0.0):
-            raise ValidationError(
-                f"delta_sigma must be finite and >= 0, got {self.delta_sigma}"
-            )
 
 
 def _check_regime(d, delta):
@@ -87,21 +68,6 @@ def corrected_separation(d_inferred, delta):
     _check_regime(d_inferred, delta)
     ratio = delta / d_inferred
     return d_inferred * (1.0 + ratio * ratio)
-
-
-def correction_uncertainty(curvature, d, fluct):
-    """Half-spread of the corrected force over delta +- delta_sigma, in N.
-
-    |F''| ((delta + sigma)^2 - max(delta - sigma, 0)^2) / 4: the correction
-    at the one-sigma edges of the fluctuation amplitude, the lower edge
-    clipped at zero.
-    """
-    if not isinstance(fluct, FluctuationSpec):
-        raise TypeError("fluct must be a FluctuationSpec")
-    hi = fluct.delta + fluct.delta_sigma
-    lo = max(fluct.delta - fluct.delta_sigma, 0.0)
-    _check_regime(d, hi)
-    return 0.5 * abs(curvature) * (hi * hi - lo * lo) / 2.0
 
 
 def corrected_curve(force_curve, curvature_curve, delta):

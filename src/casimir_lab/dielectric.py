@@ -105,9 +105,13 @@ class ConstantModel:
             raise ValidationError(f"permittivity must be finite and >= 1, got {self.eps}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OpticalTable:
-    """Measured imaginary permittivity on a strictly increasing frequency grid."""
+    """Measured imaginary permittivity on a strictly increasing frequency grid.
+
+    ``==`` and ``hash`` are identity, as a field-wise comparison of arrays
+    has no single truth value; a TabulatedModel holding it stays hashable.
+    """
 
     omega: np.ndarray     # rad/s
     eps_imag: np.ndarray  # dimensionless

@@ -56,7 +56,6 @@ from .errors import ConvergenceError, PfaValidityWarning, is_integer, require_po
 from .quadrature import integrate_decaying, integrate_decaying_2d
 
 __all__ = [
-    "Geometry",
     "QuadratureSpec",
     "ReflectionPair",
     "reflection_coeffs",
@@ -65,7 +64,6 @@ __all__ = [
     "pressure_parallel",
     "force_sphere_plane",
     "force_curvature_sphere_plane",
-    "force_sphere_plane_T0",
     "force_sphere_plane_grid",
     "asymptote_thermal",
     "sensitivity_band",
@@ -102,28 +100,6 @@ class QuadratureSpec:
 
 
 DEFAULT_SPEC = QuadratureSpec()
-
-
-@dataclass(frozen=True)
-class Geometry:
-    """Sphere-plane geometry: radius of curvature R and gap d."""
-
-    radius: float      # m
-    separation: float  # m
-
-    def __post_init__(self):
-        if not (math.isfinite(self.radius) and self.radius > 0.0):
-            raise ValueError(f"radius must be positive and finite, got {self.radius}")
-        if not (math.isfinite(self.separation) and self.separation > 0.0):
-            raise ValueError(f"separation must be positive and finite, got {self.separation}")
-
-    @property
-    def pfa_ratio(self):
-        return self.separation / self.radius
-
-    @property
-    def pfa_valid(self):
-        return self.pfa_ratio < PFA_RATIO_LIMIT
 
 
 class ReflectionPair(NamedTuple):
@@ -439,18 +415,13 @@ def force_curvature_sphere_plane(d, T, R, model, spec=DEFAULT_SPEC):
     return _sphere_plane(d, R, lambda: _lifshitz(d, T, model, spec, "curvature"))
 
 
-def force_sphere_plane_T0(d, R, model, spec=DEFAULT_SPEC):
-    """Zero-temperature sphere-plane force (PFA), in N."""
-    return force_sphere_plane(d, 0.0, R, model, spec)
-
-
 def asymptote_thermal(d, R, T, which):
     """Closed-form large-separation thermal force, in N.
 
     zeta(3) R k_B T / (8 d^2) when the TE zero mode is absent ("drude"),
-    twice that when it survives ("plasma").
+    twice that when it survives ("plasma"); shaped like ``d``.
     """
-    Geometry(radius=R, separation=d)
+    require_positive("radius", R)
     _validate_dT(d, T)
     if which == "drude":
         return ZETA3 * R * BOLTZMANN * T / (8.0 * d * d)
@@ -474,9 +445,10 @@ def force_sphere_plane_grid(separations, T, R, model, spec=DEFAULT_SPEC):
     return _sphere_plane(d, R, lambda: free_energy_per_area(d, T, model, spec))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BandResult:
-    """Force envelope over a Drude/plasma parameter box."""
+    """Force envelope over a Drude/plasma parameter box; ``==`` is identity,
+    as a field-wise comparison of arrays has no single truth value."""
 
     separations: np.ndarray
     f_min: np.ndarray

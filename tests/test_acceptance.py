@@ -30,7 +30,6 @@ from casimir_lab import (
     ev_to_angular_frequency,
     fluctuation_corrected_force,
     force_sphere_plane,
-    force_sphere_plane_T0,
     force_sphere_plane_grid,
     eps_imag_axis,
     generate_campaign,
@@ -56,7 +55,7 @@ def test_01_ideal_limit_closure():
     mirror = ConstantModel(eps=1e12)
     d = 1e-6
 
-    force = force_sphere_plane_T0(d, R_SPHERE, mirror)
+    force = force_sphere_plane(d, 0.0, R_SPHERE, mirror)
     closed_force = math.pi**3 * HBAR * SPEED_OF_LIGHT * R_SPHERE / (360.0 * d**3)
     assert force == pytest.approx(closed_force, rel=1e-3, abs=0.0)
     assert force == pytest.approx(424.8e-12, rel=1e-3, abs=0.0)
@@ -205,7 +204,7 @@ def test_07_fluctuation_correction_oracle():
     curves = standard_model_curves(R_SPHERE, delta, drude=mirror)
     drude_t0 = next(c for c in curves if c.model_id == "drude_t0")
     for d in gaps:
-        want = force_sphere_plane_T0(d, R_SPHERE, mirror) * (1.0 + 6.0 * (delta / d) ** 2)
+        want = force_sphere_plane(d, 0.0, R_SPHERE, mirror) * (1.0 + 6.0 * (delta / d) ** 2)
         assert drude_t0.evaluator(d) == pytest.approx(want, rel=1e-9, abs=0.0), d
 
 

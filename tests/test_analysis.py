@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from casimir_lab.analysis import (
     MODEL_IDS,
+    FitResult,
     Measurements,
     ModelCurve,
     bin_points,
@@ -26,8 +27,11 @@ from casimir_lab.analysis import (
     save_measurements,
     standard_model_curves,
 )
+from casimir_lab.campaign import CampaignResult
+from casimir_lab.dielectric import OpticalTable, TabulatedModel
 from casimir_lab.electrostatics import patch_force
 from casimir_lab.errors import DegenerateFitError, ValidationError
+from casimir_lab.lifshitz import BandResult
 
 R = 0.156
 DELTA = 40e-9
@@ -135,6 +139,20 @@ class TestBinning:
             bin_points(pts, [1e-6])
         with pytest.raises(ValidationError):
             bin_points(pts, [2e-6, 1e-6])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_edges_rejected(self, bad):
+        # a NaN first edge used to merge every point into one bin
+        pts = series([1.5e-6, 2.5e-6], 1e-12, 1e-12)
+        for edges in ([bad, 1e-6, 2e-6, 3e-6], [1e-6, 2e-6, 3e-6, bad]):
+            with pytest.raises(ValidationError, match=f"finite, got {bad}"):
+                bin_points(pts, edges)
+
+    @pytest.mark.parametrize("bad", [2.5, 30.0, True, "30"])
+    def test_log_edges_need_an_integer_bin_count(self, bad):
+        with pytest.raises(ValueError, match="n_bins must be an integer"):
+            log_bin_edges(0.7e-6, 7e-6, bad)
+        assert log_bin_edges(0.7e-6, 7e-6, np.int64(3)).size == 4
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_log_edges_reject_non_finite_limits(self, bad):
@@ -316,6 +334,17 @@ class TestFit:
             fit_patch_and_offset(pts, curve, R, bad)
 
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_theory_names_model_and_gap(self, bad):
+        # a NaN curve used to give chi2_reduced = nan, which ranks anywhere
+        pts = synth_points(cube_curve(), 0.0, 0.0)
+        curve = ModelCurve("broken", lambda d: np.where(d > 2e-6, bad, 3e-28 / d**3))
+        first = D_GRID[D_GRID > 2e-6][0]
+        message = f"broken gives a non-finite force at d = {first:.6e} m"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fit_patch_and_offset(pts, curve, R, DELTA)
+
+
 class TestDiscrimination:
     def test_truth_curve_ranks_first(self):
         truth = cube_curve()
@@ -434,3 +463,27 @@ class TestMeasurementCsv:
         path = tmp_path / "empty.csv"
         path.write_text("separation_um,force_pn,sigma_pn\n", encoding="utf-8")
         assert len(load_measurements(path)) == 0
+
+
+def _columns(count):
+    return [np.array([1.0, 2.0]) for _ in range(count)]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: CampaignResult(*_columns(2), np.ones((3, 2)), np.ones((3, 2, 2)), 1e-12),
+        lambda: FitResult("drude_300k", 1e-5, 0.0, np.eye(2), 1.0, 30),
+        lambda: BandResult(*_columns(4)),
+        lambda: OpticalTable(*_columns(2)),
+        lambda: TabulatedModel(OpticalTable(*_columns(2)), None),
+    ],
+    ids=["CampaignResult", "FitResult", "BandResult", "OpticalTable", "TabulatedModel"],
+)
+def test_results_holding_arrays_compare_by_identity(make):
+    # a field-wise comparison of arrays raised ValueError, and a
+    # TabulatedModel could not be hashed through its table
+    a, b = make(), make()
+    assert a == a
+    assert a != b
+    assert len({a, b}) == 2

@@ -1,8 +1,7 @@
 """Fluctuation corrections against exact power-law differentiation.
 
 For F = K / d^n, with F'' = n(n+1) K / d^(n+2), the corrected force is
-F (1 + n(n+1)(delta/d)^2 / 2) exactly, and the uncertainty half-spread has
-a closed form as well.
+F (1 + n(n+1)(delta/d)^2 / 2) exactly.
 """
 
 import math
@@ -12,13 +11,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from casimir_lab.corrections import (
-    FluctuationSpec,
     corrected_curve,
     corrected_separation,
-    correction_uncertainty,
     fluctuation_corrected_force,
 )
-from casimir_lab.errors import RegimeError, ValidationError
+from casimir_lab.errors import RegimeError
 
 
 def power_law(K, n):
@@ -122,58 +119,6 @@ class TestCorrectedSeparation:
     def test_regime_error(self):
         with pytest.raises(RegimeError):
             corrected_separation(100e-9, 40e-9)
-
-
-class TestCorrectionUncertainty:
-    def test_zero_sigma_is_zero(self):
-        spec = FluctuationSpec(delta=40e-9, delta_sigma=0.0)
-        assert correction_uncertainty(power_law_curvature(1e-27, 3)(1e-6), 1e-6, spec) == 0.0
-
-    def test_analytic_half_spread(self):
-        # |corr(d+s) - corr(d-s)|/2 = 6 F * 2 delta sigma / d^2 for K/d^3
-        d = 0.7e-6
-        delta, sig = 40e-9, 20e-9
-        curvature = power_law_curvature(1e-27, 3)(d)
-        got = correction_uncertainty(curvature, d, FluctuationSpec(delta, sig))
-        want = power_law(1e-27, 3)(d) * 6.0 * 2.0 * delta * sig / (d * d)
-        assert got == pytest.approx(want, rel=1e-6, abs=0.0)
-
-    def test_lower_edge_clipped_at_zero(self):
-        # sigma > delta: the spread runs from no correction to delta + sigma
-        d, delta, sig = 1e-6, 20e-9, 30e-9
-        curvature = power_law_curvature(1e-27, 3)(d)
-        got = correction_uncertainty(curvature, d, FluctuationSpec(delta, sig))
-        assert got == pytest.approx(
-            (corrected(1e-27, 3, d, delta + sig) - power_law(1e-27, 3)(d)) / 2.0, rel=1e-9, abs=0.0
-        )
-
-    def test_grows_toward_small_separations(self):
-        curvature = power_law_curvature(1e-27, 3)
-        spec = FluctuationSpec(40e-9, 20e-9)
-        u = [
-            correction_uncertainty(curvature(d * 1e-6), d * 1e-6, spec)
-            for d in (0.7, 1.0, 2.0, 7.0)
-        ]
-        assert u[0] > u[1] > u[2] > u[3]
-
-    def test_regime_checked_at_the_upper_edge(self):
-        with pytest.raises(RegimeError):
-            correction_uncertainty(1e3, 250e-9, FluctuationSpec(40e-9, 20e-9))
-
-    def test_spec_validation(self):
-        with pytest.raises(ValidationError):
-            FluctuationSpec(delta=-1e-9)
-        with pytest.raises(ValidationError):
-            FluctuationSpec(delta=1e-9, delta_sigma=-1e-9)
-        with pytest.raises(TypeError):
-            correction_uncertainty(1e3, 1e-6, 40e-9)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_spec_rejects_non_finite(self, bad):
-        with pytest.raises(ValidationError, match="delta must"):
-            FluctuationSpec(delta=bad)
-        with pytest.raises(ValidationError, match="delta_sigma must"):
-            FluctuationSpec(delta=1e-9, delta_sigma=bad)
 
 
 class TestCorrectedCurve:

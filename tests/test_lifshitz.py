@@ -26,12 +26,10 @@ from casimir_lab.dielectric import (
 )
 from casimir_lab.errors import ConvergenceError, PfaValidityWarning
 from casimir_lab.lifshitz import (
-    Geometry,
     QuadratureSpec,
     asymptote_thermal,
     force_curvature_sphere_plane,
     force_sphere_plane,
-    force_sphere_plane_T0,
     force_sphere_plane_grid,
     free_energy_per_area,
     pressure_parallel,
@@ -156,7 +154,7 @@ class TestIdealLimits:
 
 class TestFrozenForces:
     def test_drude_t0_at_one_micron(self):
-        got = force_sphere_plane_T0(1e-6, R_SPHERE, gold_drude())
+        got = force_sphere_plane(1e-6, 0.0, R_SPHERE, gold_drude())
         assert got * 1e12 == pytest.approx(DRUDE_T0_1UM_PN, rel=1e-7)
 
     def test_drude_300k_fd2_at_seven_microns(self):
@@ -194,9 +192,8 @@ class TestFrozenForces:
         gold = gold_drude()
 
         def gap(d):
-            return force_sphere_plane(d, 300.0, R_SPHERE, gold) - force_sphere_plane_T0(
-                d, R_SPHERE, gold
-            )
+            hot = force_sphere_plane(d, 300.0, R_SPHERE, gold)
+            return hot - force_sphere_plane(d, 0.0, R_SPHERE, gold)
 
         assert gap(CROSSOVER_UM * 0.97e-6) < 0.0
         assert gap(CROSSOVER_UM * 1.03e-6) > 0.0
@@ -230,9 +227,8 @@ class TestIndependentOracles:
 
         # a real metal is weaker at T = 0, so Drude gold has crossed already
         gold = gold_drude()
-        assert force_sphere_plane(d_ideal, T, R_SPHERE, gold) > force_sphere_plane_T0(
-            d_ideal, R_SPHERE, gold
-        )
+        hot = force_sphere_plane(d_ideal, T, R_SPHERE, gold)
+        assert hot > force_sphere_plane(d_ideal, 0.0, R_SPHERE, gold)
         assert CROSSOVER_UM * 1e-6 < d_ideal
 
     def test_drude_thermal_ratio_matches_scipy_quadrature(self):
@@ -416,17 +412,24 @@ class TestCurvature:
         # d^-3 exactly and F'' = 12 F / d^2
         d = d_um * 1e-6
         mirror = ConstantModel(eps=1e12)
-        force = force_sphere_plane_T0(d, R_SPHERE, mirror)
+        force = force_sphere_plane(d, 0.0, R_SPHERE, mirror)
         got = force_curvature_sphere_plane(d, 0.0, R_SPHERE, mirror)
         assert got == pytest.approx(12.0 * force / (d * d), rel=1e-9)
 
 
 class TestGeometryAndPfa:
     def test_geometry_validation(self):
-        with pytest.raises(ValueError):
-            Geometry(radius=-1.0, separation=1e-6)
-        with pytest.raises(ValueError):
-            Geometry(radius=0.1, separation=0.0)
+        for R, d, name in ((-1.0, 1e-6, "radius"), (0.1, 0.0, "separation")):
+            with pytest.raises(ValueError, match=name):
+                force_sphere_plane(d, 300.0, R, gold_drude())
+            with pytest.raises(ValueError, match=name):
+                asymptote_thermal(d, R, 300.0, "drude")
+
+    def test_asymptote_takes_an_array_of_gaps(self):
+        gaps = np.array([5e-6, 10e-6])
+        got = asymptote_thermal(gaps, R_SPHERE, 300.0, "plasma")
+        want = [asymptote_thermal(d, R_SPHERE, 300.0, "plasma") for d in gaps.tolist()]
+        assert got.tolist() == want
 
     def test_pfa_is_the_plate_energy_times_2pi_r(self):
         d = 1e-6
@@ -481,9 +484,6 @@ class TestGeometryAndPfa:
                 fn(d, T, R, gold_drude())
         with pytest.raises(ValueError, match=named):
             asymptote_thermal(d, R, T, "drude")
-        if arg != "T":
-            with pytest.raises(ValueError, match=named):
-                Geometry(radius=R, separation=d)
         if arg != "R":
             for fn in (free_energy_per_area, pressure_parallel):
                 with pytest.raises(ValueError, match=named):
@@ -520,6 +520,24 @@ class TestCurvesAsArrays:
         assert len(calls) == 1
         assert np.all(forces > 0.0)
 
+    def test_ladder_frequencies_are_the_matsubara_frequencies(self, monkeypatch):
+        # xi_n = 2 pi n k_B T / hbar: ~2.4679e14 rad/s for n = 1 at 300 K,
+        # linear in n and in T
+        ladders = []
+        eps = lifshitz.eps_imag_axis
+
+        def recording(m, xi):
+            ladders.append(np.array(xi))
+            return eps(m, xi)
+
+        monkeypatch.setattr(lifshitz, "eps_imag_axis", recording)
+        for T in (300.0, 600.0):
+            force_sphere_plane(1e-6, T, R_SPHERE, gold_drude())
+        room, hot = ladders
+        assert room[0] == pytest.approx(2.4679e14, rel=1e-4, abs=0.0)
+        assert room[6] == pytest.approx(7.0 * room[0], rel=1e-14, abs=0.0)
+        assert hot == pytest.approx(2.0 * room[: hot.size], rel=1e-14, abs=0.0)
+
     def test_t0_computes_eps_once_per_frequency_node(self, monkeypatch):
         # each doubling level computes eps once per distinct frequency node
         # and gathers it per rectangle; a 2000-row table makes a per-rectangle
@@ -534,7 +552,7 @@ class TestCurvesAsArrays:
             return eps(m, xi)
 
         monkeypatch.setattr(lifshitz, "eps_imag_axis", counting)
-        force = force_sphere_plane_T0(1e-6, R_SPHERE, model)
+        force = force_sphere_plane(1e-6, 0.0, R_SPHERE, model)
         assert force > 0.0
         assert sum(values) <= 296
 
