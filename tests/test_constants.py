@@ -6,9 +6,11 @@ package source; a typo in either place shows up as a mismatch.
 
 import math
 
+import numpy as np
 import pytest
 
-from casimir_lab import constants
+from casimir_lab import constants, lifshitz
+from casimir_lab.dielectric import gold_drude
 
 
 def test_exact_si_defining_constants():
@@ -53,6 +55,34 @@ def test_ev_conversion_value_and_round_trip():
 def test_ev_conversion_rejects_negative_energy():
     with pytest.raises(ValueError):
         constants.ev_to_angular_frequency(-0.1)
+
+
+def _ladder_frequencies(monkeypatch, T):
+    """The xi_n at which a Matsubara sum evaluates eps at temperature T."""
+    ladders = []
+    eps = lifshitz.eps_imag_axis
+
+    def recording(m, xi):
+        ladders.append(np.array(xi))
+        return eps(m, xi)
+
+    monkeypatch.setattr(lifshitz, "eps_imag_axis", recording)
+    lifshitz.force_sphere_plane(1e-6, T, 0.156, gold_drude())
+    (xi,) = ladders
+    return xi
+
+
+def test_matsubara_frequency_room_temperature(monkeypatch):
+    # first Matsubara frequency at 300 K, 2 pi k_B T / hbar, and xi_n = n xi_1
+    xi = _ladder_frequencies(monkeypatch, 300.0)
+    assert xi[0] == pytest.approx(2.4679e14, rel=1e-4, abs=0.0)
+    assert xi[6] == pytest.approx(7.0 * xi[0], rel=1e-14, abs=0.0)
+
+
+def test_matsubara_frequency_scales_linearly_with_temperature(monkeypatch):
+    room = _ladder_frequencies(monkeypatch, 300.0)
+    hot = _ladder_frequencies(monkeypatch, 600.0)
+    assert hot == pytest.approx(2.0 * room[: hot.size], rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -520,24 +520,6 @@ class TestCurvesAsArrays:
         assert len(calls) == 1
         assert np.all(forces > 0.0)
 
-    def test_ladder_frequencies_are_the_matsubara_frequencies(self, monkeypatch):
-        # xi_n = 2 pi n k_B T / hbar: ~2.4679e14 rad/s for n = 1 at 300 K,
-        # linear in n and in T
-        ladders = []
-        eps = lifshitz.eps_imag_axis
-
-        def recording(m, xi):
-            ladders.append(np.array(xi))
-            return eps(m, xi)
-
-        monkeypatch.setattr(lifshitz, "eps_imag_axis", recording)
-        for T in (300.0, 600.0):
-            force_sphere_plane(1e-6, T, R_SPHERE, gold_drude())
-        room, hot = ladders
-        assert room[0] == pytest.approx(2.4679e14, rel=1e-4, abs=0.0)
-        assert room[6] == pytest.approx(7.0 * room[0], rel=1e-14, abs=0.0)
-        assert hot == pytest.approx(2.0 * room[: hot.size], rel=1e-14, abs=0.0)
-
     def test_t0_computes_eps_once_per_frequency_node(self, monkeypatch):
         # each doubling level computes eps once per distinct frequency node
         # and gathers it per rectangle; a 2000-row table makes a per-rectangle
