@@ -8,7 +8,6 @@ exact minimum and an exact covariance, and the reduced chi^2 values of the
 four theory candidates can be compared on equal footing.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
@@ -18,9 +17,9 @@ import numpy as np
 from .corrections import corrected_curve
 from .dielectric import gold_drude, gold_plasma
 from .electrostatics import patch_force
-from .errors import DegenerateFitError, ValidationError, is_finite_real, is_integer
+from .errors import DegenerateFitError, ValidationError, bad_row, is_finite_real, is_integer
+from .fileio import read_table, write_table
 from .lifshitz import (
-    DEFAULT_SPEC,
     force_curvature_sphere_plane,
     force_sphere_plane,
     force_sphere_plane_grid,
@@ -48,13 +47,6 @@ MEASUREMENT_CSV_HEADER = ["separation_um", "force_pn", "sigma_pn"]
 MODEL_IDS = ("drude_300k", "plasma_300k", "drude_t0", "plasma_t0")
 
 
-def _bad_row(message, row):
-    """ValidationError naming a row of a series; ``row`` is kept on it."""
-    exc = ValidationError(f"{message} (row {row})")
-    exc.row = row
-    return exc
-
-
 def _column(name, value):
     """``value`` as a new read-only 1-D float array.  A list is checked entry
     by entry, since numpy reads [1.0, True] as floats and [1.0, "2"] as
@@ -66,7 +58,7 @@ def _column(name, value):
         items = np.asarray(value, dtype=object).tolist()
         row = next((i for i, v in enumerate(items) if not is_finite_real(v)), None)
         if row is not None:
-            raise _bad_row(f"{name} must be finite, got {items[row]!r}", row)
+            raise bad_row(f"{name} must be finite, got {items[row]!r} (row {row})", row)
         if a.dtype.kind not in "iuf":
             raise ValidationError(f"{name} must be a numeric array, got dtype {a.dtype}")
     a = a.astype(float)
@@ -110,7 +102,7 @@ class Measurements:
         if bad.any():
             row = int(np.argmax(bad.any(axis=0)))
             stem, column, _ = checks[int(np.argmax(bad[:, row]))]
-            raise _bad_row(f"{stem}, got {float(column[row])}", row)
+            raise bad_row(f"{stem}, got {float(column[row])} (row {row})", row)
         for attr, column in (("d", d), ("f", f), ("sigma", sigma)):
             object.__setattr__(self, attr, column)
 
@@ -287,14 +279,7 @@ def discriminate_models(points, curves, R, delta=0.0):
     return sorted(fits, key=lambda fit: fit.chi2_reduced)
 
 
-def standard_model_curves(
-    R,
-    delta,
-    temperature=300.0,
-    drude=None,
-    plasma=None,
-    spec=DEFAULT_SPEC,
-):
+def standard_model_curves(R, delta, temperature=300.0, drude=None, plasma=None):
     """Build the canonical four-candidate set for model discrimination.
 
     Both metal descriptions at `temperature` and both in their T = 0 limits,
@@ -308,12 +293,12 @@ def standard_model_curves(
     def curve(model, T):
         def force(d):
             if np.ndim(d) == 0:
-                return force_sphere_plane(d, T, R, model, spec)
-            return force_sphere_plane_grid(d, T, R, model, spec)
+                return force_sphere_plane(d, T, R, model)
+            return force_sphere_plane_grid(d, T, R, model)
 
         return corrected_curve(
             force,
-            lambda d: force_curvature_sphere_plane(d, T, R, model, spec),
+            lambda d: force_curvature_sphere_plane(d, T, R, model),
             delta,
         )
 
@@ -340,39 +325,17 @@ def fit_report_dict(fit):
 
 
 def load_measurements(path):
-    """Read a Measurements from a `separation_um,force_pn,sigma_pn` CSV; a
-    ValidationError names the line of a bad row."""
-    rows, lines = [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != MEASUREMENT_CSV_HEADER:
-            raise ValidationError(
-                f"expected header {','.join(MEASUREMENT_CSV_HEADER)}, got {header}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ValidationError(f"line {lineno}: expected 3 columns, got {len(row)}")
-            try:
-                rows.append([float(cell) for cell in row])
-            except ValueError:
-                raise ValidationError(f"line {lineno}: non-numeric value in {row}") from None
-            lines.append(lineno)
-    d_um, f_pn, s_pn = np.array(rows, dtype=float).reshape(-1, 3).T
-    try:
-        return Measurements(d=d_um * 1e-6, f=f_pn * 1e-12, sigma=s_pn * 1e-12)
-    except ValidationError as exc:
-        raise ValidationError(f"line {lines[exc.row]}: {exc}") from None
+    """Read a Measurements from a `separation_um,force_pn,sigma_pn` CSV.  A
+    ValidationError names the file and the line of a malformed or refused
+    row, the first such line if there are several."""
+    return read_table(
+        path,
+        MEASUREMENT_CSV_HEADER,
+        lambda d_um, f_pn, s_pn: Measurements(d=d_um * 1e-6, f=f_pn * 1e-12, sigma=s_pn * 1e-12),
+    )
 
 
 def save_measurements(path, points):
     """Write a Measurements as a `separation_um,force_pn,sigma_pn` CSV."""
     columns = (points.d * 1e6, points.f * 1e12, points.sigma * 1e12)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MEASUREMENT_CSV_HEADER)
-        writer.writerows(
-            [format(x, ".12g") for x in row] for row in zip(*(c.tolist() for c in columns))
-        )
+    write_table(path, MEASUREMENT_CSV_HEADER, zip(*(c.tolist() for c in columns)))

@@ -23,7 +23,6 @@ the loop back on the injected truth parameters.  The sweeps are an export
 only: no command reads them back.
 """
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field, fields, replace
@@ -34,7 +33,7 @@ import numpy as np
 from .analysis import Measurements, standard_model_curves, MODEL_IDS
 from .electrostatics import bias_force, patch_force
 from .errors import ValidationError, is_finite_real, is_integer
-from .lifshitz import DEFAULT_SPEC
+from .fileio import write_json, write_table
 
 __all__ = [
     "CampaignConfig",
@@ -176,7 +175,7 @@ class DriftSubtraction(NamedTuple):
     slope_sigma: float
 
 
-def generate_campaign(config, spec=DEFAULT_SPEC):
+def generate_campaign(config):
     """Simulate a full campaign from a seeded configuration.
 
     Every force sample is the analytic sum
@@ -202,7 +201,7 @@ def generate_campaign(config, spec=DEFAULT_SPEC):
     noise = np.random.default_rng(config.seed).normal(
         0.0, config.noise_sigma, size=(config.n_sweeps, 2 * n_v + n_sep)
     )
-    curves = standard_model_curves(R=config.radius, delta=config.delta_true, spec=spec)
+    curves = standard_model_curves(R=config.radius, delta=config.delta_true)
     truth = {c.model_id: c.evaluator for c in curves}[config.truth_model_id]
 
     # per-separation pieces that do not change across sweeps
@@ -290,24 +289,19 @@ def load_config(path):
 
 
 def save_config(path, config):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config_to_dict(config), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, config_to_dict(config))
 
 
 def save_sweeps_csv(path, campaign):
     """Write every sweep of a CampaignResult to one CSV, one row per sample:
     passes in order, in each the first gap's sweep before the last gap's,
     voltages in schedule order."""
-    ends = [format(d * 1e6, ".12g") for d in campaign.separations[[0, -1]].tolist()]
-    voltages = [format(v, ".12g") for v in campaign.voltages.tolist()]
-    sigma = format(campaign.sigma, ".12g")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEPS_CSV_HEADER)
-        writer.writerows(
-            [k, ends[e], v, format(f, ".12g"), sigma]
-            for k, pair in enumerate(campaign.sweep_forces.tolist())
-            for e, sweep in enumerate(pair)
-            for v, f in zip(voltages, sweep)
-        )
+    ends = (campaign.separations[[0, -1]] * 1e6).tolist()
+    voltages = campaign.voltages.tolist()
+    rows = (
+        [k, ends[e], v, f, campaign.sigma]
+        for k, pair in enumerate(campaign.sweep_forces.tolist())
+        for e, sweep in enumerate(pair)
+        for v, f in zip(voltages, sweep)
+    )
+    write_table(path, SWEEPS_CSV_HEADER, rows)

@@ -18,8 +18,6 @@ Exit codes: 0 success, 2 usage or config error, 3 convergence failure,
 """
 
 import argparse
-import csv
-import json
 import math
 import secrets
 import sys
@@ -56,20 +54,12 @@ from .dielectric import (
     ev_to_angular_frequency,
 )
 from .electrostatics import patch_force
-from .errors import (
-    CalibrationError,
-    ConvergenceError,
-    DegenerateFitError,
-    ValidationError,
-)
+from .errors import ConvergenceError, DegenerateFitError, ValidationError
+from .fileio import write_json, write_table
 from .lifshitz import QuadratureSpec, force_sphere_plane_grid, sensitivity_band
 
 FORCE_CSV_HEADER = ["separation_um", "force_pn", "f_times_d_pn_um", "f_times_d2_pn_um2"]
 BAND_CSV_HEADER = ["separation_um", "f_min_pn", "f_center_pn", "f_max_pn"]
-
-
-def _fmt(x):
-    return format(float(x), ".12g")
 
 
 def finite_float(text):
@@ -95,15 +85,8 @@ def _write_manifest(primary_output, command, config, inputs, outputs, seed=None)
         "seed": seed,
     }
     path = f"{primary_output}.manifest.json"
-    _write_json(path, manifest)
+    write_json(path, manifest)
     return path
-
-
-def _write_json(path, doc):
-    """Write ``doc`` as JSON; NaN or inf raise before the file is opened."""
-    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
 
 
 def _grid_from_args(args):
@@ -120,16 +103,6 @@ def _grid_from_args(args):
 
 def _quad_spec(args):
     return QuadratureSpec(rel_tol=args.rel_tol)
-
-
-def _force_rows(separations, forces):
-    for d, f in zip(separations, forces):
-        yield [
-            _fmt(d * 1e6),
-            _fmt(f * 1e12),
-            _fmt(f * d * 1e18),
-            _fmt(f * d * d * 1e24),
-        ]
 
 
 def cmd_force(args):
@@ -156,15 +129,13 @@ def cmd_force(args):
         header = FORCE_CSV_HEADER
 
     # every force before the file is opened, so a failure leaves no output
-    rows = [
-        ([label] if label is not None else []) + row
-        for label, model, temp in runs
-        for row in _force_rows(grid, force_sphere_plane_grid(grid, temp, R, model, spec))
-    ]
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    rows = []
+    for label, model, temp in runs:
+        f = force_sphere_plane_grid(grid, temp, R, model, spec)
+        columns = (grid * 1e6, f * 1e12, f * grid * 1e18, f * grid * grid * 1e24)
+        for row in zip(*(c.tolist() for c in columns)):
+            rows.append(row if label is None else (label, *row))
+    write_table(args.out, header, rows)
 
     config = {
         "model": "all" if args.all_models else args.model,
@@ -267,7 +238,7 @@ def cmd_fit(args):
         "n_points": len(points),
         "results": [fit_report_dict(fit) for fit in ranked],
     }
-    _write_json(args.out, report)
+    write_json(args.out, report)
     outputs = [args.out]
 
     for fit in ranked:
@@ -316,11 +287,8 @@ def cmd_band(args):
         R,
         spec,
     )
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(BAND_CSV_HEADER)
-        for d, lo, mid, hi in zip(band.separations, band.f_min, band.f_center, band.f_max):
-            writer.writerow([_fmt(d * 1e6), _fmt(lo * 1e12), _fmt(mid * 1e12), _fmt(hi * 1e12)])
+    columns = (band.separations * 1e6, band.f_min * 1e12, band.f_center * 1e12, band.f_max * 1e12)
+    write_table(args.out, BAND_CSV_HEADER, zip(*(c.tolist() for c in columns)))
 
     config = {
         "family": args.family,
@@ -415,7 +383,7 @@ def main(argv=None):
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (DegenerateFitError, CalibrationError) as exc:
+    except DegenerateFitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except (ValidationError, ValueError, OSError) as exc:

@@ -19,15 +19,15 @@ coefficients are an analytic-limit decision that belongs to the force engine,
 and it is exactly where the Drude and plasma descriptions part ways.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from .constants import ev_to_angular_frequency
-from .errors import ValidationError
+from .constants import ELEMENTARY_CHARGE, HBAR, ev_to_angular_frequency
+from .errors import ValidationError, bad_row
+from .fileio import read_table
 from .quadrature import integrate_decaying
 
 __all__ = [
@@ -109,8 +109,11 @@ class ConstantModel:
 class OpticalTable:
     """Measured imaginary permittivity on a strictly increasing frequency grid.
 
-    ``==`` and ``hash`` are identity, as a field-wise comparison of arrays
-    has no single truth value; a TabulatedModel holding it stays hashable.
+    At least two rows; every value finite, the frequencies positive and
+    eps'' non-negative.  A ValidationError names the first bad row (counted
+    from 1 in the message) and keeps its 0-based index.  ``==`` and ``hash``
+    are identity, as a field-wise comparison of arrays has no single truth
+    value; a TabulatedModel holding it stays hashable.
     """
 
     omega: np.ndarray     # rad/s
@@ -123,18 +126,19 @@ class OpticalTable:
             raise ValidationError("optical table needs matching 1-d frequency and eps'' columns")
         if omega.size < 2:
             raise ValidationError(f"optical table needs at least 2 rows, got {omega.size}")
-        if not np.all(np.isfinite(omega)) or not np.all(np.isfinite(eps_imag)):
-            raise ValidationError("optical table contains non-finite entries")
-        if omega[0] <= 0.0:
-            raise ValidationError("optical table frequencies must be positive")
-        bad = np.nonzero(np.diff(omega) <= 0.0)[0]
-        if bad.size:
-            raise ValidationError(
-                f"optical table frequencies must be strictly increasing; row {bad[0] + 2} is not"
-            )
-        neg = np.nonzero(eps_imag < 0.0)[0]
-        if neg.size:
-            raise ValidationError(f"eps'' must be non-negative; row {neg[0] + 1} is negative")
+        # a row's checks in this order; the first bad row is reported
+        checks = (
+            ("optical table contains non-finite entries; row {} has one",
+             ~(np.isfinite(omega) & np.isfinite(eps_imag))),
+            ("optical table frequencies must be positive; row {} is not", omega <= 0.0),
+            ("optical table frequencies must be strictly increasing; row {} is not",
+             np.r_[False, omega[1:] <= omega[:-1]]),
+            ("eps'' must be non-negative; row {} is negative", eps_imag < 0.0),
+        )
+        bad = np.stack([mask for _, mask in checks])
+        if bad.any():
+            row = int(np.argmax(bad.any(axis=0)))
+            raise bad_row(checks[int(np.argmax(bad[:, row]))][0].format(row + 1), row)
         omega.setflags(write=False)
         eps_imag.setflags(write=False)
         object.__setattr__(self, "omega", omega)
@@ -301,44 +305,14 @@ def load_optical_table(path):
     """Read an optical-data CSV with header ``photon_energy_ev,eps_imag``.
 
     Energies are converted to angular frequencies; they must be positive
-    and arrive in strictly increasing order.  Any malformed row raises
-    :class:`ValidationError` naming the offending line.
+    and arrive in strictly increasing order.  A ValidationError names the
+    file and the line of a malformed or refused row, the first such line
+    if there are several.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file") from None
-        if [h.strip() for h in header] != ["photon_energy_ev", "eps_imag"]:
-            raise ValidationError(
-                f"{path}: expected header 'photon_energy_ev,eps_imag', got {','.join(header)!r}"
-            )
-        energies = []
-        eps_vals = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != 2:
-                raise ValidationError(f"{path}: line {line_no} has {len(row)} columns, expected 2")
-            try:
-                energy = float(row[0])
-                eps = float(row[1])
-            except ValueError:
-                raise ValidationError(f"{path}: line {line_no} is not numeric: {row!r}") from None
-            if energies and energy <= energies[-1]:
-                raise ValidationError(
-                    f"{path}: line {line_no} is out of order (energies must strictly increase)"
-                )
-            if not (math.isfinite(energy) and math.isfinite(eps)):
-                raise ValidationError(f"{path}: line {line_no} is not finite: {row!r}")
-            if energy <= 0.0:
-                raise ValidationError(f"{path}: line {line_no} has a photon energy <= 0")
-            if eps < 0.0:
-                raise ValidationError(f"{path}: line {line_no} has negative eps''")
-            energies.append(energy)
-            eps_vals.append(eps)
-    if len(energies) < 2:
-        raise ValidationError(f"{path}: need at least 2 data rows, got {len(energies)}")
-    omega = np.array([ev_to_angular_frequency(e) for e in energies])
-    return OpticalTable(omega=omega, eps_imag=np.array(eps_vals))
+
+    def table(energy_ev, eps_imag):
+        # ev_to_angular_frequency's operations in its order, so omega is
+        # bit-identical; OpticalTable refuses a row whose energy is <= 0
+        return OpticalTable(omega=energy_ev * ELEMENTARY_CHARGE / HBAR, eps_imag=eps_imag)
+
+    return read_table(path, ["photon_energy_ev", "eps_imag"], table)

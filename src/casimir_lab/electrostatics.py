@@ -9,7 +9,6 @@ along (vertex height).  That inversion is the calibration step every
 measured force curve passes through before any Casimir analysis.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -18,7 +17,8 @@ import numpy as np
 
 from .constants import VACUUM_PERMITTIVITY
 from .errors import CalibrationError, DegenerateFitError, ValidationError
-from .errors import is_finite_real, require_positive
+from .errors import bad_row, is_finite_real, require_positive
+from .fileio import read_table, write_table
 
 __all__ = [
     "SweepSample",
@@ -166,38 +166,24 @@ def calibrate_from_sweep(samples, R):
     return CalibrationResult(d=d, v_m=v_m, f_residual=f_res, covariance=covariance)
 
 
-def load_sweep_csv(path):
-    """Read sweep samples from a `voltage_v,force_n,sigma_n` CSV file."""
+def _samples(v, f, sigma):
+    """A SweepSample per row of three columns; a refused row is named."""
     samples = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != SWEEP_CSV_HEADER:
-            raise ValidationError(
-                f"expected header {','.join(SWEEP_CSV_HEADER)}, got {header}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ValidationError(f"line {lineno}: expected 3 columns, got {len(row)}")
-            try:
-                v, f, s = (float(cell) for cell in row)
-            except ValueError:
-                raise ValidationError(f"line {lineno}: non-numeric value in {row}") from None
-            try:
-                samples.append(SweepSample(v=v, f=f, sigma_f=s))
-            except ValidationError as exc:
-                raise ValidationError(f"line {lineno}: {exc}") from None
+    for row, values in enumerate(zip(v.tolist(), f.tolist(), sigma.tolist())):
+        try:
+            samples.append(SweepSample(*values))
+        except ValidationError as exc:
+            raise bad_row(f"{exc} (row {row})", row) from None
     return samples
+
+
+def load_sweep_csv(path):
+    """Read sweep samples from a `voltage_v,force_n,sigma_n` CSV file.  A
+    ValidationError names the file and the line of a malformed or refused
+    row, the first such line if there are several."""
+    return read_table(path, SWEEP_CSV_HEADER, _samples)
 
 
 def save_sweep_csv(path, samples):
     """Write sweep samples as a `voltage_v,force_n,sigma_n` CSV file."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_CSV_HEADER)
-        for s in samples:
-            writer.writerow(
-                [format(s.v, ".12g"), format(s.f, ".12g"), format(s.sigma_f, ".12g")]
-            )
+    write_table(path, SWEEP_CSV_HEADER, ((s.v, s.f, s.sigma_f) for s in samples))

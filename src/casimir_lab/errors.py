@@ -42,6 +42,13 @@ def require_positive(name, value):
         raise ValueError(f"{name} must be positive and finite, got {bad[0]}")
 
 
+def bad_row(message, row):
+    """ValidationError about row ``row`` (0-based), kept on it as ``row``."""
+    exc = ValidationError(message)
+    exc.row = row
+    return exc
+
+
 class CasimirLabError(Exception):
     """Base class for package-specific errors."""
 

@@ -1,0 +1,79 @@
+"""The package's file formats: UTF-8 CSV tables with one header row and
+numbers to 12 significant digits, and sorted, indented JSON documents.
+
+Every error of the table reader reads ``<path>: line N: <reason>``.
+"""
+
+import csv
+import json
+
+import numpy as np
+
+from .errors import ValidationError
+
+
+def _floats(row, width):
+    if len(row) != width:
+        raise ValidationError(f"expected {width} columns, got {len(row)}")
+    try:
+        return [float(cell) for cell in row]
+    except ValueError:
+        raise ValidationError(f"non-numeric value in {row}") from None
+
+
+def _at(path, line, reason):
+    where = path if line is None else f"{path}: line {line}"
+    return ValidationError(f"{where}: {reason}")
+
+
+def read_table(path, header, build):
+    """``build(*columns)`` of the CSV file at ``path``, one float array per
+    column of ``header``.
+
+    Header cells may be padded with spaces, and blank rows (``,,`` too) are
+    skipped.  A ValidationError of ``build`` carrying a ``row`` index names
+    that row's line; a row it refuses before a malformed line is reported
+    first, so the first bad line is always the one named.
+    """
+    rows, lines, failure = [], [], None
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        got = [cell.strip() for cell in next(reader, [])]
+        if got != header:
+            raise _at(path, 1, f"expected header {','.join(header)}, got {','.join(got)!r}")
+        for line, row in enumerate(reader, start=2):
+            if any(cell.strip() for cell in row):
+                try:
+                    rows.append(_floats(row, len(header)))
+                except ValidationError as exc:
+                    failure = (line, exc)
+                    break
+                lines.append(line)
+    try:
+        table = build(*np.array(rows, dtype=float).reshape(-1, len(header)).T)
+    except ValidationError as exc:
+        row = getattr(exc, "row", None)
+        if row is not None or failure is None:
+            raise _at(path, None if row is None else lines[row], exc) from None
+    if failure is not None:
+        raise _at(path, *failure)
+    return table
+
+
+def write_table(path, header, rows):
+    """Write ``header`` and ``rows`` as CSV: numbers to 12 significant
+    digits, strings as they are."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(
+            [cell if isinstance(cell, str) else format(cell, ".12g") for cell in row]
+            for row in rows
+        )
+
+
+def write_json(path, doc):
+    """Write ``doc`` as JSON; NaN or inf raise before the file is opened."""
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")

@@ -50,28 +50,21 @@ def panel_edges(cutoff=DEFAULT_CUTOFF):
     return edges
 
 
-@lru_cache(maxsize=None)
-def _panels(cutoff):
-    """The edges of :func:`panel_edges`, each panel's lower edge and half width."""
-    edges = np.array(panel_edges(cutoff))
-    return edges, edges[:-1], 0.5 * np.diff(edges)
+_EDGES = panel_edges()
+#: Each panel's lower edge and half width.
+_LOWER, _HALF = np.array(_EDGES[:-1]), 0.5 * np.diff(_EDGES)
+#: x-panel, t lower edge and t half width of each rectangle of the L layout.
+_RECTANGLES = tuple(np.array(column) for column in zip(*[
+    (i, lo, 0.5 * (hi - lo)) for i, a in enumerate(_EDGES[:-1])
+    for lo, hi in pairwise([0.0] * (i > 0) + _EDGES[i:]) if a + lo < 0.5 * DEFAULT_CUTOFF
+]))
 
 
-def _nodes(cutoff, panels, n):
+def _nodes(panels, n):
     """n Gauss-Legendre nodes on each listed panel, the weights, the half widths."""
-    _, lower, half = _panels(cutoff)
-    lower, half = lower[panels], half[panels]
+    lower, half = _LOWER[panels], _HALF[panels]
     x, w = gauss_legendre(n)
     return lower[:, None] + half[:, None] * (x + 1.0), w, half
-
-
-@lru_cache(maxsize=None)
-def _rectangles(cutoff):
-    """x-panel, t lower edge and t half width of each rectangle of the L layout."""
-    edges = _panels(cutoff)[0].tolist()
-    rects = [(i, lo, 0.5 * (hi - lo)) for i, a in enumerate(edges[:-1])
-             for lo, hi in pairwise([0.0] * (i > 0) + edges[i:]) if a + lo < 0.5 * cutoff]
-    return tuple(np.array(column) for column in zip(*rects))
 
 
 def _settle(estimate, cells, rel_tol, node_start, node_cap):
@@ -95,43 +88,43 @@ def _settle(estimate, cells, rel_tol, node_start, node_cap):
     return estimates.sum(axis=-1)
 
 
-def integrate_decaying(f, rel_tol, node_start=8, node_cap=256, cutoff=DEFAULT_CUTOFF):
-    """Integrate ``f`` over [0, cutoff] to a relative tolerance.
+def integrate_decaying(f, rel_tol):
+    """Integrate ``f`` over [0, DEFAULT_CUTOFF] to a relative tolerance.
 
     ``f`` maps a 1-D array of abscissae to values whose last axis matches it.
     Leading axes are carried through, so one call integrates a family of
     kernels and returns one integral per leading-axis element.  rel_tol is
     measured against the largest integral of the family (its small members
     are resolved in absolute terms only; they are always summed into a
-    dominant total downstream).  Each panel starts with node_start
-    Gauss-Legendre nodes; one unsettled at node_cap raises ConvergenceError.
-    The neglected tail beyond cutoff is O(exp(-cutoff)).
+    dominant total downstream).  Each panel starts with 8 Gauss-Legendre
+    nodes; one unsettled at 256 raises ConvergenceError.  The neglected tail
+    beyond the cutoff is O(exp(-cutoff)).
     """
     def estimate(panels, n):
-        x, w, half = _nodes(cutoff, panels, n)
+        x, w, half = _nodes(panels, n)
         vals = np.asarray(f(x.ravel()))
         return half * (vals.reshape(vals.shape[:-1] + x.shape) @ w)
 
-    cells = np.arange(_panels(cutoff)[1].size)
-    return _settle(estimate, cells, rel_tol, node_start, node_cap)
+    return _settle(estimate, np.arange(_LOWER.size), rel_tol, 8, 256)
 
 
-def integrate_decaying_2d(f, rel_tol, node_start=8, node_cap=128, cutoff=DEFAULT_CUTOFF):
-    """Integrate f over [0, cutoff]^2 to a relative tolerance.
+def integrate_decaying_2d(f, rel_tol):
+    """Integrate f over [0, DEFAULT_CUTOFF]^2 to a relative tolerance.
 
-    Cells are the rectangles of the L-shaped layout (module docstring).  Each
+    Cells are the rectangles of the L-shaped layout (module docstring); each
+    starts with 8 x 8 nodes, and one unsettled at 128 x 128 raises.  Each
     doubling level makes one call ``f(x, t, row)``, which returns (nc, n, n)
     values: ``x`` (px, n, 1) holds each node of the x-panels with an unsettled
     rectangle once, ``t`` (nc, 1, n) the t nodes of the nc unsettled
     rectangles, ``row`` (nc,) their x-panels, so ``x[row]`` broadcasts on ``t``.
     """
-    panel, lower, half = _rectangles(cutoff)
+    panel, lower, half = _RECTANGLES
 
     def estimate(cells, n):
         ix, row = np.unique(panel[cells], return_inverse=True)
-        (x, w, hx), (s, _) = _nodes(cutoff, ix, n), gauss_legendre(n)
+        (x, w, hx), (s, _) = _nodes(ix, n), gauss_legendre(n)
         t = lower[cells, None] + half[cells, None] * (s + 1.0)
         sums = f(x[:, :, None], t[:, None, :], row) @ w @ w
         return hx[row] * half[cells] * sums
 
-    return float(_settle(estimate, np.arange(panel.size), rel_tol, node_start, node_cap))
+    return float(_settle(estimate, np.arange(panel.size), rel_tol, 8, 128))

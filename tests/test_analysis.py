@@ -456,7 +456,8 @@ class TestMeasurementCsv:
             "separation_um,force_pn,sigma_pn\n1,500,2\n\n\n2,nan,2\n3,500,2\n",
             encoding="utf-8",
         )
-        with pytest.raises(ValidationError, match=r"^line 5: force must be finite"):
+        named = rf"^{re.escape(str(path))}: line 5: force must be finite"
+        with pytest.raises(ValidationError, match=named):
             load_measurements(path)
 
     def test_header_only_file_gives_no_rows(self, tmp_path):

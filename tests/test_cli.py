@@ -8,9 +8,18 @@ simulated campaign and that one uses a reduced sweep count.
 import json
 import math
 
+import numpy as np
 import pytest
 
 from casimir_lab.cli import main
+from casimir_lab.constants import ev_to_angular_frequency
+from casimir_lab.dielectric import (
+    GOLD_GAMMA_RANGE_EV,
+    GOLD_OMEGA_P_RANGE_EV,
+    gold_drude,
+    gold_plasma,
+)
+from casimir_lab.lifshitz import QuadratureSpec, force_sphere_plane_grid, sensitivity_band
 
 
 def read_csv(path):
@@ -382,6 +391,52 @@ class TestBand:
         lo, mid, hi = (float(x) for x in rows[0][1:])
         assert lo == pytest.approx(mid, rel=1e-12)
         assert hi == pytest.approx(mid, rel=1e-12)
+
+
+def csv_text(header, rows):
+    """The bytes the CLI writes: a header row, CRLF line ends, numbers to 12
+    significant digits."""
+    lines = [header] + [
+        ",".join(cell if isinstance(cell, str) else format(cell, ".12g") for cell in row)
+        for row in rows
+    ]
+    return "".join(line + "\r\n" for line in lines).encode()
+
+
+def test_force_and_band_csv_text(tmp_path):
+    # the values the library gives for the CLI's grid, radius and tolerance
+    grid, R = np.geomspace(1e-6, 2e-6, 2), 15.6 * 1e-2
+    spec = QuadratureSpec(rel_tol=1e-8)
+    flags = ["--dmin", "1", "--dmax", "2", "--points", "2", "--out"]
+
+    runs = [
+        ("drude_300k", gold_drude(), 300.0),
+        ("plasma_300k", gold_plasma(), 300.0),
+        ("drude_t0", gold_drude(), 0.0),
+        ("plasma_t0", gold_plasma(), 0.0),
+    ]
+    rows = []
+    for label, model, T in runs:
+        forces = force_sphere_plane_grid(grid, T, R, model, spec)
+        rows += [
+            (label, d * 1e6, f * 1e12, f * d * 1e18, f * d * d * 1e24)
+            for d, f in zip(grid.tolist(), forces.tolist())
+        ]
+    out = tmp_path / "force.csv"
+    assert main(["force", "--all-models", *flags, str(out)]) == 0
+    header = "model,separation_um,force_pn,f_times_d_pn_um,f_times_d2_pn_um2"
+    assert out.read_bytes() == csv_text(header, rows)
+
+    wp, gamma = (
+        tuple(ev_to_angular_frequency(e) for e in bounds)
+        for bounds in (GOLD_OMEGA_P_RANGE_EV, GOLD_GAMMA_RANGE_EV)
+    )
+    band = sensitivity_band(grid, 300.0, wp, gamma, "drude", R, spec)
+    columns = (band.separations * 1e6, band.f_min * 1e12, band.f_center * 1e12, band.f_max * 1e12)
+    out = tmp_path / "band.csv"
+    assert main(["band", "--family", "drude", *flags, str(out)]) == 0
+    header = "separation_um,f_min_pn,f_center_pn,f_max_pn"
+    assert out.read_bytes() == csv_text(header, zip(*(c.tolist() for c in columns)))
 
 
 class TestExitCodes:

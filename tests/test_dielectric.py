@@ -7,6 +7,7 @@ probe the full assembly of below-table, in-table and above-table pieces.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -305,16 +306,17 @@ class TestTableLoader:
     def test_rejects_non_finite_row(self, tmp_path, row):
         path = tmp_path / "bad.csv"
         path.write_text(f"photon_energy_ev,eps_imag\n0.1,1.0\n{row}\n", encoding="utf-8")
-        with pytest.raises(ValidationError, match="line 3 is not finite"):
+        named = rf"^{re.escape(str(path))}: line 3: optical table contains non-finite entries"
+        with pytest.raises(ValidationError, match=named):
             load_optical_table(path)
 
     @pytest.mark.parametrize("row", ["-0.1,1.0", "0.0,1.0"])
     def test_rejects_non_positive_energy_naming_file_and_line(self, tmp_path, row):
         path = tmp_path / "bad.csv"
         path.write_text(f"photon_energy_ev,eps_imag\n{row}\n0.2,1.0\n", encoding="utf-8")
-        with pytest.raises(ValidationError, match="line 2 has a photon energy <= 0") as err:
+        named = rf"^{re.escape(str(path))}: line 2: optical table frequencies must be positive"
+        with pytest.raises(ValidationError, match=named):
             load_optical_table(path)
-        assert str(path) in str(err.value)
 
     def test_rejects_out_of_order_rows(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -1,0 +1,96 @@
+"""The one CSV boundary, seen through each of the three loaders.
+
+Every loader skips blank rows, accepts a header padded with spaces and
+names the file and the line of a short row, a non-numeric cell or a value
+its container refuses; of two bad lines, the first is named.
+"""
+
+import re
+
+import pytest
+
+from casimir_lab.analysis import load_measurements
+from casimir_lab.dielectric import load_optical_table
+from casimir_lab.electrostatics import load_sweep_csv
+from casimir_lab.errors import ValidationError
+
+#: loader, header, four good rows in file order, a last cell the container
+#: refuses, and the start of its reason
+LOADERS = {
+    "measurements": (
+        load_measurements,
+        "separation_um,force_pn,sigma_pn",
+        ["1,500,2", "2,400,2", "3,300,2", "4,200,2"],
+        "0",
+        "sigma must be positive",
+    ),
+    "sweep": (
+        load_sweep_csv,
+        "voltage_v,force_n,sigma_n",
+        ["-0.01,2e-12,1e-12", "0,1e-12,1e-12", "0.01,2e-12,1e-12", "0.02,5e-12,1e-12"],
+        "0",
+        "sigma_f must be positive",
+    ),
+    "optical": (
+        load_optical_table,
+        "photon_energy_ev,eps_imag",
+        ["0.1,8", "0.2,4", "0.4,2", "0.8,1"],
+        "-1",
+        "eps'' must be non-negative",
+    ),
+}
+
+FAULTS = ("short", "non-numeric", "refused")
+
+
+def spoil(kind, row, fault):
+    """``row`` with ``fault``, and the reason the loader must give."""
+    _, header, _, refused_cell, reason = LOADERS[kind]
+    width = header.count(",") + 1
+    head, last = row.rsplit(",", 1)
+    return {
+        "short": (head, f"expected {width} columns, got {width - 1}"),
+        "non-numeric": (f"{head},oops", "non-numeric value"),
+        "refused": (f"{head},{refused_cell}", reason),
+    }[fault]
+
+
+def write(tmp_path, header, rows):
+    path = tmp_path / "table.csv"
+    path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    return path
+
+
+def at_line(path, line, reason):
+    return rf"^{re.escape(str(path))}: line {line}: {re.escape(reason)}"
+
+
+@pytest.mark.parametrize("kind", LOADERS)
+def test_blank_rows_and_a_padded_header_are_accepted(tmp_path, kind):
+    load, header, good, _, _ = LOADERS[kind]
+    padded = ", ".join(f" {name}" for name in header.split(","))
+    table = load(write(tmp_path, padded, [good[0], ",,", good[1], "", *good[2:]]))
+    assert len(getattr(table, "omega", table)) == 4
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+@pytest.mark.parametrize("kind", LOADERS)
+def test_a_bad_row_names_the_file_and_its_line(tmp_path, kind, fault):
+    load, header, good, _, _ = LOADERS[kind]
+    row, reason = spoil(kind, good[1], fault)
+    # the two blank rows before it count as lines 3 and 4
+    path = write(tmp_path, header, [good[0], ",,", "", row, *good[2:]])
+    with pytest.raises(ValidationError, match=at_line(path, 5, reason)):
+        load(path)
+
+
+@pytest.mark.parametrize("second", FAULTS)
+@pytest.mark.parametrize("first", FAULTS)
+@pytest.mark.parametrize("kind", LOADERS)
+def test_the_first_of_two_bad_lines_is_named(tmp_path, kind, first, second):
+    load, header, good, _, _ = LOADERS[kind]
+    row, reason = spoil(kind, good[1], first)
+    later, _ = spoil(kind, good[3], second)
+    path = write(tmp_path, header, [good[0], row, good[2], later])
+    with pytest.raises(ValidationError, match=at_line(path, 3, reason)):
+        load(path)

@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from casimir_lab import quadrature
 from casimir_lab.constants import ZETA3
 from casimir_lab.errors import ConvergenceError
 from casimir_lab.quadrature import (
@@ -154,17 +153,21 @@ def test_2d_oscillatory_inner_integral():
     assert value == pytest.approx(1.0 / (1.0 + a * a), rel=1e-9)
 
 
+def fast_cosine(y):
+    # cos(1e4 y) turns thousands of times on every panel wider than 1, far more
+    # than the node caps resolve, so no tolerance near 1e-12 is reachable
+    return np.exp(-y) * np.cos(1e4 * y)
+
+
 def test_unreachable_tolerance_raises_with_achieved_estimate():
     with pytest.raises(ConvergenceError) as err:
-        integrate_decaying(
-            lambda y: y * np.log1p(-np.exp(-y)), 1e-12, node_start=4, node_cap=4
-        )
+        integrate_decaying(fast_cosine, 1e-12)
     assert err.value.achieved > err.value.requested
 
 
 def test_2d_unreachable_tolerance_raises():
     with pytest.raises(ConvergenceError) as err:
-        integrate_decaying_2d(on_rectangles(log_kernel), 1e-13, node_start=4, node_cap=4)
+        integrate_decaying_2d(on_rectangles(lambda x, t: fast_cosine(x + t)), 1e-12)
     assert err.value.achieved > err.value.requested
 
 
@@ -184,27 +187,6 @@ def test_2d_cells_cost_at_most_two_passes_on_a_smooth_integrand():
 
     assert integrate_decaying_2d(f, 1e-10) == pytest.approx(1.0, rel=1e-10)
     assert values <= 62 * (8**2 + 16**2)
-
-
-def test_panel_layout_is_built_once_per_cutoff(monkeypatch):
-    # every doubling level of every 1-D and 2-D integral reads one cached
-    # panel table per cutoff; these cutoffs are used by no other test, so
-    # their tables are built here
-    calls = []
-
-    def counted(cutoff=DEFAULT_CUTOFF):
-        calls.append(cutoff)
-        return panel_edges(cutoff)
-
-    monkeypatch.setattr(quadrature, "panel_edges", counted)
-    cutoffs = (41.5, 57.25)
-    for cutoff in cutoffs:
-        for _ in range(3):
-            value = integrate_decaying(lambda y: y * np.log1p(-np.exp(-y)), 1e-12, cutoff=cutoff)
-            assert value == pytest.approx(-ZETA3, rel=1e-12)
-            value = integrate_decaying_2d(on_rectangles(log_kernel), 1e-11, cutoff=cutoff)
-            assert value == pytest.approx(-math.pi**4 / 45.0, rel=1e-10)
-    assert calls == [cutoffs[0], cutoffs[1]]
 
 
 def test_2d_call_evaluates_each_frequency_node_once():
