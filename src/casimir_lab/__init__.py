@@ -76,6 +76,7 @@ from .lifshitz import (
     QuadratureSpec,
     ReflectionPair,
     asymptote_thermal,
+    force_and_curvature_sphere_plane,
     force_curvature_sphere_plane,
     force_sphere_plane,
     force_sphere_plane_grid,
@@ -123,6 +124,7 @@ __all__ = [
     "pressure_parallel",
     "force_sphere_plane",
     "force_curvature_sphere_plane",
+    "force_and_curvature_sphere_plane",
     "force_sphere_plane_grid",
     "asymptote_thermal",
     "sensitivity_band",

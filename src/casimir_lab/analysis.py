@@ -19,11 +19,7 @@ from .dielectric import gold_drude, gold_plasma
 from .electrostatics import patch_force
 from .errors import DegenerateFitError, ValidationError, bad_row, is_finite_real, is_integer
 from .fileio import read_table, write_table
-from .lifshitz import (
-    force_curvature_sphere_plane,
-    force_sphere_plane,
-    force_sphere_plane_grid,
-)
+from .lifshitz import force_and_curvature_sphere_plane, force_sphere_plane
 
 __all__ = [
     "Measurements",
@@ -284,31 +280,21 @@ def standard_model_curves(R, delta, temperature=300.0, drude=None, plasma=None):
 
     Both metal descriptions at `temperature` and both in their T = 0 limits,
     each wrapped with the fluctuation correction for rms amplitude delta.
-    Defaults use the gold parameter set.  An array of gaps is one force
-    grid and one curvature curve per candidate.
+    Defaults use the gold parameter set.  An array of gaps is one engine
+    pass per candidate that gives the force and its curvature together;
+    with delta = 0 the force alone is computed.
     """
     drude = drude if drude is not None else gold_drude()
     plasma = plasma if plasma is not None else gold_plasma()
 
     def curve(model, T):
-        def force(d):
-            if np.ndim(d) == 0:
-                return force_sphere_plane(d, T, R, model)
-            return force_sphere_plane_grid(d, T, R, model)
+        if delta == 0.0:
+            return lambda d: force_sphere_plane(d, T, R, model)
+        return corrected_curve(lambda d: force_and_curvature_sphere_plane(d, T, R, model), delta)
 
-        return corrected_curve(
-            force,
-            lambda d: force_curvature_sphere_plane(d, T, R, model),
-            delta,
-        )
-
-    pairs = [
-        ("drude_300k", drude, temperature),
-        ("plasma_300k", plasma, temperature),
-        ("drude_t0", drude, 0.0),
-        ("plasma_t0", plasma, 0.0),
-    ]
-    return [ModelCurve(model_id=name, evaluator=curve(model, T)) for name, model, T in pairs]
+    # in the order of MODEL_IDS
+    candidates = [(drude, temperature), (plasma, temperature), (drude, 0.0), (plasma, 0.0)]
+    return [ModelCurve(name, curve(*candidate)) for name, candidate in zip(MODEL_IDS, candidates)]
 
 
 def fit_report_dict(fit):

@@ -23,7 +23,6 @@ the loop back on the injected truth parameters.  The sweeps are an export
 only: no command reads them back.
 """
 
-import json
 import math
 from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple, Optional, Sequence
@@ -33,7 +32,7 @@ import numpy as np
 from .analysis import Measurements, standard_model_curves, MODEL_IDS
 from .electrostatics import bias_force, patch_force
 from .errors import ValidationError, is_finite_real, is_integer
-from .fileio import write_json, write_table
+from .fileio import read_json, write_json, write_table
 
 __all__ = [
     "CampaignConfig",
@@ -110,13 +109,9 @@ class CampaignConfig:
         # tuple-ize: a frozen config holds no mutable sequence
         object.__setattr__(self, "sweep_voltages", tuple(float(v) for v in voltages))
         if not 0.0 < self.d_min < self.d_max:
-            raise ValidationError(
-                f"need 0 < d_min < d_max, got {self.d_min}, {self.d_max}"
-            )
+            raise ValidationError(f"need 0 < d_min < d_max, got {self.d_min}, {self.d_max}")
         if self.n_separations < 2:
-            raise ValidationError(
-                f"n_separations must be >= 2, got {self.n_separations}"
-            )
+            raise ValidationError(f"n_separations must be >= 2, got {self.n_separations}")
         if self.n_sweeps < 1:
             raise ValidationError(f"n_sweeps must be >= 1, got {self.n_sweeps}")
         if len(self.sweep_voltages) < 1:
@@ -125,12 +120,9 @@ class CampaignConfig:
             raise ValidationError(
                 f"truth_model_id must be one of {MODEL_IDS}, got {self.truth_model_id!r}"
             )
-        if self.noise_sigma < 0.0:
-            raise ValidationError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        if self.v_rms_true < 0.0:
-            raise ValidationError(f"v_rms_true must be >= 0, got {self.v_rms_true}")
-        if self.delta_true < 0.0:
-            raise ValidationError(f"delta_true must be >= 0, got {self.delta_true}")
+        for name in ("noise_sigma", "v_rms_true", "delta_true"):
+            if getattr(self, name) < 0.0:
+                raise ValidationError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.radius <= 0.0:
             raise ValidationError(f"radius must be positive, got {self.radius}")
 
@@ -284,8 +276,8 @@ def config_from_dict(data):
 
 
 def load_config(path):
-    with open(path, encoding="utf-8") as fh:
-        return config_from_dict(json.load(fh))
+    """Read a config from JSON; every error names the file."""
+    return read_json(path, config_from_dict)
 
 
 def save_config(path, config):

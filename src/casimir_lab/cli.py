@@ -84,9 +84,7 @@ def _write_manifest(primary_output, command, config, inputs, outputs, seed=None)
         "tool_version": __version__,
         "seed": seed,
     }
-    path = f"{primary_output}.manifest.json"
-    write_json(path, manifest)
-    return path
+    write_json(f"{primary_output}.manifest.json", manifest)
 
 
 def _grid_from_args(args):
@@ -101,13 +99,9 @@ def _grid_from_args(args):
     return np.geomspace(args.dmin * 1e-6, args.dmax * 1e-6, args.points)
 
 
-def _quad_spec(args):
-    return QuadratureSpec(rel_tol=args.rel_tol)
-
-
 def cmd_force(args):
     grid = _grid_from_args(args)
-    spec = _quad_spec(args)
+    spec = QuadratureSpec(rel_tol=args.rel_tol)
     R = args.radius_cm * 1e-2
     if R <= 0.0:
         raise ValidationError("--radius-cm must be positive")
@@ -265,28 +259,16 @@ def cmd_fit(args):
 
 def cmd_band(args):
     grid = _grid_from_args(args)
-    spec = _quad_spec(args)
+    spec = QuadratureSpec(rel_tol=args.rel_tol)
     R = args.radius_cm * 1e-2
     if R <= 0.0:
         raise ValidationError("--radius-cm must be positive")
     if args.wp_min_ev <= 0.0 or args.gamma_min_ev <= 0.0:
         raise ValidationError("parameter ranges must be positive")
 
-    band = sensitivity_band(
-        grid,
-        args.temp,
-        (
-            ev_to_angular_frequency(args.wp_min_ev),
-            ev_to_angular_frequency(args.wp_max_ev),
-        ),
-        (
-            ev_to_angular_frequency(args.gamma_min_ev),
-            ev_to_angular_frequency(args.gamma_max_ev),
-        ),
-        args.family,
-        R,
-        spec,
-    )
+    wp = [ev_to_angular_frequency(e) for e in (args.wp_min_ev, args.wp_max_ev)]
+    gamma = [ev_to_angular_frequency(e) for e in (args.gamma_min_ev, args.gamma_max_ev)]
+    band = sensitivity_band(grid, args.temp, wp, gamma, args.family, R, spec)
     columns = (band.separations * 1e6, band.f_min * 1e12, band.f_center * 1e12, band.f_max * 1e12)
     write_table(args.out, BAND_CSV_HEADER, zip(*(c.tolist() for c in columns)))
 
@@ -380,15 +362,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConvergenceError as exc:
+    except (ConvergenceError, ValidationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except DegenerateFitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (ValidationError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if isinstance(exc, ConvergenceError):
+            return 3
+        return 4 if isinstance(exc, DegenerateFitError) else 2
 
 
 if __name__ == "__main__":

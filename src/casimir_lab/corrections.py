@@ -6,8 +6,9 @@ and the 1/d capacitance inversion underlying the electrostatic calibration
 returns a separation short by the factor 1 + (delta/d)^2.  Both corrections
 are second order in delta/d, so they are only trusted well away from
 d ~ delta; inside five fluctuation amplitudes the expansion is refused.
-F'' is an input here: :func:`casimir_lab.lifshitz.force_curvature_sphere_plane`
-evaluates it from the engine's own curvature kernel, with no finite difference.
+F and F'' are inputs here: :func:`casimir_lab.lifshitz.force_and_curvature_sphere_plane`
+evaluates both in one fused engine pass, F'' from the curvature kernel with
+no finite difference, and :func:`corrected_curve` takes that evaluator.
 """
 
 import math
@@ -70,18 +71,15 @@ def corrected_separation(d_inferred, delta):
     return d_inferred * (1.0 + ratio * ratio)
 
 
-def corrected_curve(force_curve, curvature_curve, delta):
-    """Wrap a raw theory curve and its curvature as the corrected curve.
-
-    The curves take a gap or an array of gaps, and so does the result.
-    With delta = 0 the raw curve itself comes back and no curvature is
-    evaluated.  Every gap is checked against delta before either curve runs.
-    """
-    if delta == 0.0:
-        return force_curve
+def corrected_curve(force_and_curvature, delta):
+    """The corrected curve F + F'' delta^2 / 2 of an evaluator that returns
+    (F, F'') of a gap or an array of gaps in one pass.  Every gap is checked
+    against delta before the evaluator runs; at delta = 0 this is F, but F''
+    is still computed, so use the raw curve there."""
 
     def corrected(d):
         _check_regime(d, delta)
-        return fluctuation_corrected_force(force_curve(d), curvature_curve(d), d, delta)
+        force, curvature = force_and_curvature(d)
+        return fluctuation_corrected_force(force, curvature, d, delta)
 
     return corrected

@@ -110,8 +110,8 @@ class OpticalTable:
     """Measured imaginary permittivity on a strictly increasing frequency grid.
 
     At least two rows; every value finite, the frequencies positive and
-    eps'' non-negative.  A ValidationError names the first bad row (counted
-    from 1 in the message) and keeps its 0-based index.  ``==`` and ``hash``
+    eps'' non-negative.  A ValidationError names the first bad row by its
+    0-based index, as Measurements does, and keeps it.  ``==`` and ``hash``
     are identity, as a field-wise comparison of arrays has no single truth
     value; a TabulatedModel holding it stays hashable.
     """
@@ -128,17 +128,17 @@ class OpticalTable:
             raise ValidationError(f"optical table needs at least 2 rows, got {omega.size}")
         # a row's checks in this order; the first bad row is reported
         checks = (
-            ("optical table contains non-finite entries; row {} has one",
+            ("optical table contains non-finite entries",
              ~(np.isfinite(omega) & np.isfinite(eps_imag))),
-            ("optical table frequencies must be positive; row {} is not", omega <= 0.0),
-            ("optical table frequencies must be strictly increasing; row {} is not",
+            ("optical table frequencies must be positive", omega <= 0.0),
+            ("optical table frequencies must be strictly increasing",
              np.r_[False, omega[1:] <= omega[:-1]]),
-            ("eps'' must be non-negative; row {} is negative", eps_imag < 0.0),
+            ("eps'' must be non-negative", eps_imag < 0.0),
         )
         bad = np.stack([mask for _, mask in checks])
         if bad.any():
             row = int(np.argmax(bad.any(axis=0)))
-            raise bad_row(checks[int(np.argmax(bad[:, row]))][0].format(row + 1), row)
+            raise bad_row(f"{checks[int(np.argmax(bad[:, row]))][0]} (row {row})", row)
         omega.setflags(write=False)
         eps_imag.setflags(write=False)
         object.__setattr__(self, "omega", omega)

@@ -1,7 +1,8 @@
 """The package's file formats: UTF-8 CSV tables with one header row and
 numbers to 12 significant digits, and sorted, indented JSON documents.
 
-Every error of the table reader reads ``<path>: line N: <reason>``.
+Every reader error reads ``<path>: line N: <reason>``, or ``<path>: <reason>``
+where no line is to blame.
 """
 
 import csv
@@ -58,6 +59,18 @@ def read_table(path, header, build):
     if failure is not None:
         raise _at(path, *failure)
     return table
+
+
+def read_json(path, build):
+    """``build(document)`` of the JSON file at ``path``; a syntax error
+    names the file and its line, a ValidationError of ``build`` the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return build(json.load(fh))
+        except json.JSONDecodeError as exc:
+            raise _at(path, exc.lineno, exc.msg) from None
+        except ValidationError as exc:
+            raise _at(path, None, exc) from None
 
 
 def write_table(path, header, rows):

@@ -14,20 +14,21 @@ layout of :mod:`casimir_lab.quadrature`: each refinement level computes
 eps(i xi) once per frequency node and gathers it for every rectangle whose
 kernel it enters.
 
-Every entry point takes a float or an array of gaps; a float gives a float,
-and a scalar is computed as a grid of one.  At T > 0 the ladder of a whole
-curve shares one eps(i xi_n) evaluation, since xi_n does not depend on the
-gap, and integrates the (gap, n) rows of several gaps in one quadrature
-family.  At T = 0 each gap is its own 2-D integral, which bounds the peak
-memory.
+Every entry point takes a float or an array of gaps (a float gives a float,
+computed as a grid of one).  At T > 0 a curve is one ladder: one eps(i xi_n)
+evaluation, as xi_n does not depend on the gap, and the (gap, n) rows of
+several gaps in one quadrature family.  At T = 0 each gap is one 2-D
+integral, which bounds the peak memory.
 
-Everything is computed in the dimensionless variable y = 2 kappa0 d, where
-each kernel decays like exp(-y); the k-integral for Matsubara index n starts
-at y_min = 2 xi_n d / c.  At fixed (k, xi) the gap enters only through
-exp(-y), so d/dd of each kernel is the next one of the same family.
+Everything is computed in y = 2 kappa0 d, where each kernel decays like
+exp(-y); the k-integral for Matsubara index n starts at y_min = 2 xi_n d / c.
+At fixed (k, xi) the gap enters only through exp(-y), so d/dd of each kernel
+is the next one of the same family.  The kinds share eps(i xi), the Fresnel
+coefficients and exp(-y), so F and F'' of a fluctuation-corrected curve come
+from one fused pass, each kind refined to rel_tol on its own scale.
 
 Sign convention: free energy negative, attractive pressures and forces
-positive.  That matches how sphere-plane force curves are usually plotted.
+positive, as sphere-plane force curves are usually plotted.
 
 The n = 0 term is a model-family dispatch, never a numerical xi -> 0 limit:
 a dissipative free-electron metal loses its zero-frequency TE mode entirely,
@@ -64,6 +65,7 @@ __all__ = [
     "pressure_parallel",
     "force_sphere_plane",
     "force_curvature_sphere_plane",
+    "force_and_curvature_sphere_plane",
     "force_sphere_plane_grid",
     "asymptote_thermal",
     "sensitivity_band",
@@ -81,6 +83,9 @@ PFA_RATIO_LIMIT = 1e-3
 _LADDER_ROWS = 80
 
 _C = SPEED_OF_LIGHT
+
+#: The kernel kinds, the m-th gaining a factor 1/d^m over the energy.
+_KINDS = ("energy", "pressure", "curvature")
 
 
 @dataclass(frozen=True)
@@ -128,9 +133,8 @@ def reflection_coeffs(k, xi, eps):
         zero-frequency behavior belongs to
         :func:`reflection_coeffs_zero_mode`.
     """
+    require_positive("transverse wavevector", k)
     k = np.asarray(k, dtype=float)
-    if np.any(k <= 0.0):
-        raise ValueError("transverse wavevector must be positive")
     xi = np.asarray(xi, dtype=float)
     return _fresnel(np.sqrt(k * k + (xi / _C) ** 2), xi / _C, np.asarray(eps, dtype=float))
 
@@ -143,8 +147,13 @@ def _fresnel(kappa0, w, eps):
     """
     # kappa^2 = kappa0^2 + (eps - 1) w^2 avoids cancellation for eps ~ 1
     kappa = np.sqrt(kappa0 ** 2 + (eps - 1.0) * w ** 2)
-    r_te = (kappa0 - kappa) / (kappa0 + kappa)
-    r_tm = (eps * kappa0 - kappa) / (eps * kappa0 + kappa)
+    # in place: on the T = 0 grid every temporary is a whole (x, t) array
+    r_te = kappa0 - kappa
+    r_te /= kappa0 + kappa
+    r_tm = eps * kappa0
+    tm_den = r_tm + kappa
+    r_tm -= kappa
+    r_tm /= tm_den
     return ReflectionPair(r_te, r_tm)
 
 
@@ -158,9 +167,8 @@ def reflection_coeffs_zero_mode(k, model):
     (0, (eps0 - 1)/(eps0 + 1)).  A tabulated model answers as its
     continuation below the table, or as ConstantModel(static_eps) without one.
     """
+    require_positive("transverse wavevector", k)
     k = np.asarray(k, dtype=float)
-    if np.any(k <= 0.0):
-        raise ValueError("transverse wavevector must be positive")
 
     zero = _zero_mode_model(model)
     if isinstance(zero, DrudeModel):
@@ -184,34 +192,36 @@ def _zero_mode_model(model):
     raise TypeError(f"unknown dielectric model {type(model).__name__}")
 
 
-def _kernel(r, y, kind):
-    """Energy y ln(1 - s), pressure y^2 s/(1 - s) or curvature
-    y^3 s/(1 - s)^2 integrand, s = r^2 exp(-y), summed over TE and TM."""
+def _kernel(r, y, kinds):
+    """Energy y ln(1 - s), pressure y^2 s/(1 - s) or curvature y^3 s/(1 - s)^2
+    integrand of each of ``kinds``, s = r^2 exp(-y), summed over TE and TM."""
     # in place: on the T = 0 grid every temporary is a whole (x, t) array,
     # and their number sets the peak memory
     expy = np.exp(-y)
     # r may carry a leading gap axis that y lacks (the batched zero modes)
-    total = np.zeros_like(r[0])
+    out = np.zeros((len(kinds),) + r[0].shape)
+    # the energy's log1p overwrites s, so it comes after the other kinds
+    rows = sorted(zip(out, kinds), key=lambda row: row[1] == "energy")
+    q = None  # 1 - s: one buffer for every polarization and kind
     for rp in r:
         # r comes fresh from _fresnel or the zero-mode dispatch: reuse it
         s = np.square(rp, out=rp)
         s *= expy
-        if kind == "energy":
-            total += np.log1p(np.negative(s, out=s), out=s)
-        else:
-            q = 1.0 - s
-            total += np.divide(s, q if kind == "pressure" else np.square(q, out=q), out=s)
-    total *= y if kind == "energy" else y * y
-    if kind == "curvature":
-        total *= y
-    return total
+        for total, kind in rows:
+            if kind == "energy":
+                total += np.log1p(np.negative(s, out=s), out=s)
+            else:
+                q = np.subtract(1.0, s, out=q)
+                total += np.divide(s, q if kind == "pressure" else np.square(q, out=q), out=q)
+    del expy, q  # freed before y * y below
+    for total, kind in rows:
+        total *= y if kind == "energy" else y * y
+        if kind == "curvature":
+            total *= y
+    return out
 
 
-def _zero_mode_integrand(model, d, y, kind):
-    return _kernel(reflection_coeffs_zero_mode(y / (2.0 * d), model), y, kind)
-
-
-def _mode_integrand(x, t, eps, kind):
+def _mode_integrand(x, t, eps, kinds):
     """Kernel at reduced frequency x = 2 xi d / c > 0 and t = y - x.
 
     ``x`` and ``t`` broadcast against each other: a column of (gap, n)
@@ -221,7 +231,7 @@ def _mode_integrand(x, t, eps, kind):
     frequency.
     """
     y = x + t
-    return _kernel(_fresnel(y, x, eps), y, kind)
+    return _kernel(_fresnel(y, x, eps), y, kinds)
 
 
 def _chunks(rows):
@@ -236,17 +246,17 @@ def _chunks(rows):
     yield slice(start, len(rows))
 
 
-def _matsubara_ladder(d, T, model, spec, kind):
-    """Matsubara sums of the dimensionless y-integrals, one per gap.
+def _matsubara_ladder(d, T, model, spec, kinds):
+    """Matsubara sums of the dimensionless y-integrals, one per kind and gap.
 
-    Returns sum'_n I_n for each gap of the 1-D array ``d``, with I_n the
-    y-integral of the ``kind`` kernel.  eps(i xi_n) is computed once, up to
-    the largest per-gap cap.  Each chunk of gaps (see :func:`_chunks`) then
-    makes two quadrature calls: one family of its zero modes and one of its
-    (gap, n) rows, x = 4 pi k_B T d n / (hbar c).  Every computed term is
-    summed, up to the decay cap; a ladder that max_matsubara cuts shorter
-    raises ConvergenceError when its last term still exceeds rel_tol of
-    the sum.
+    Returns sum'_n I_n, shaped (len(kinds), d.size) for the 1-D array ``d``,
+    with I_n the y-integral of each kernel of ``kinds``.  eps(i xi_n) is
+    computed once, up to the largest per-gap cap.  Each chunk of gaps (see
+    :func:`_chunks`) then makes two quadrature calls: one family of its zero
+    modes and one of its (gap, n) rows, x = 4 pi k_B T d n / (hbar c), with
+    every kind in each.  Every computed term is summed, up to the decay cap;
+    a ladder that max_matsubara cuts shorter raises ConvergenceError when
+    its last term still exceeds rel_tol of the sum.
     """
     # Terms decay like exp(-n * 4 pi k_B T d / (hbar c)); at the cap the
     # neglected tail is below exp(-30) of the total.  Capped in floats, so
@@ -257,33 +267,32 @@ def _matsubara_ladder(d, T, model, spec, kind):
     eps = np.asarray(eps_imag_axis(model, xi))
     zero = _zero_mode_model(model)
 
-    ladders = np.empty(d.size)
+    ladders = np.empty((len(kinds), d.size))
     for chunk in _chunks(n_cap):
         gaps, caps = d[chunk], n_cap[chunk]
         n = np.concatenate([np.arange(1, cap + 1) for cap in caps])
         # x_n = 2 xi_n d / c with xi_n = 2 pi n k_B T / hbar
         x = (np.repeat(4.0 * math.pi * BOLTZMANN * T * gaps / (HBAR * _C), caps) * n)[:, None]
-        eps_rows = eps[n - 1][:, None]
-        with _located(gaps, T, kind):
+        eps_rows, column = eps[n - 1][:, None], gaps[:, None]
+        with _located(gaps, T, kinds):
             i_zero = integrate_decaying(
-                lambda y: _zero_mode_integrand(zero, gaps[:, None], y, kind), spec.rel_tol
-            )
-            rows = integrate_decaying(
-                lambda t: _mode_integrand(x, t, eps_rows, kind), spec.rel_tol
-            )
-        starts = np.cumsum(caps) - caps
-        total = 0.5 * i_zero + np.add.reduceat(rows, starts)
-        # only a ladder that max_matsubara cut short can miss its tolerance
-        achieved = np.abs(rows[starts + caps - 1] / total)
-        unsettled = (decay_cap[chunk] > caps) & (achieved > spec.rel_tol)
-        if unsettled.any():
-            j = np.argmax(unsettled)
-            raise ConvergenceError(
-                f"Matsubara ladder not converged after {caps[j]} terms {_where(gaps[j], T, kind)}",
-                achieved[j],
+                lambda y: _kernel(reflection_coeffs_zero_mode(y / (2.0 * column), zero), y, kinds),
                 spec.rel_tol,
             )
-        ladders[chunk] = total
+            rows = integrate_decaying(
+                lambda t: _mode_integrand(x, t, eps_rows, kinds), spec.rel_tol
+            )
+        starts = np.cumsum(caps) - caps
+        total = 0.5 * i_zero + np.add.reduceat(rows, starts, axis=1)
+        # only a ladder that max_matsubara cut short can miss its tolerance
+        achieved = np.abs(rows[:, starts + caps - 1] / total)
+        unsettled = (decay_cap[chunk] > caps) & (achieved > spec.rel_tol)
+        if unsettled.any():
+            k, j = np.unravel_index(np.argmax(unsettled), unsettled.shape)
+            where = _where(gaps[j], T, kinds[k])
+            message = f"Matsubara ladder not converged after {caps[j]} terms {where}"
+            raise ConvergenceError(message, achieved[k, j], spec.rel_tol)
+        ladders[:, chunk] = total
     return ladders
 
 
@@ -296,12 +305,12 @@ def _where(gaps, T, kind):
 
 
 @contextmanager
-def _located(gaps, T, kind):
-    """Re-raise a ConvergenceError of the block with :func:`_where`."""
+def _located(gaps, T, kinds):
+    """Re-raise a ConvergenceError of the block with :func:`_where` of its kind."""
     try:
         yield
     except ConvergenceError as exc:
-        message = f"{exc.message} {_where(gaps, T, kind)}"
+        message = f"{exc.message} {_where(gaps, T, kinds[getattr(exc, 'kind', 0)])}"
         raise ConvergenceError(message, exc.achieved, exc.requested) from exc
 
 
@@ -311,38 +320,40 @@ def _validate_dT(d, T):
         raise ValueError(f"temperature must be non-negative and finite, got {T}")
 
 
-def _lifshitz(d, T, model, spec, kind):
-    """Energy, pressure or curvature per plate area: the (x, t) integral at
-    T = 0 times hbar c / (32 pi^2 d^(3+m)), else the Matsubara ladder times
-    k_B T / (8 pi d^(2+m)), with m = 0, 1, 2.  ``d`` is a float, which
-    gives a float, or an array of gaps, which gives an array of its shape."""
+def _lifshitz(d, T, model, spec, kinds):
+    """Energy, pressure or curvature per plate area of each of ``kinds``, from
+    one pass: the (x, t) integral at T = 0 times hbar c / (32 pi^2 d^(3+m)),
+    else the Matsubara ladder times k_B T / (8 pi d^(2+m)), m = 0, 1, 2.  Per
+    kind a float for a float ``d``, an array of its shape for an array."""
     _validate_dT(d, T)
-    m = ("energy", "pressure", "curvature").index(kind)
     gaps = np.asarray(d, dtype=float).ravel()
+    values = np.empty((len(kinds), gaps.size))
     if T == 0.0:
-        values = np.array([_lifshitz_t0(g, model, spec, kind, m) for g in gaps.tolist()])
-    elif gaps.size == 0:
-        values = gaps
-    else:
-        ladder = _matsubara_ladder(gaps, T, model, spec, kind)
-        if kind == "energy":
-            values = BOLTZMANN * T / (2.0 * math.pi) / (4.0 * gaps * gaps) * ladder
-        else:
-            values = BOLTZMANN * T / math.pi / (8.0 * gaps ** (2 + m)) * ladder
-    return float(values[0]) if np.ndim(d) == 0 else values.reshape(np.shape(d))
+        for j, gap in enumerate(gaps.tolist()):
+            values[:, j] = _lifshitz_t0(gap, model, spec, kinds)
+    elif gaps.size:
+        ladders = _matsubara_ladder(gaps, T, model, spec, kinds)
+        for value, ladder, kind in zip(values, ladders, kinds):
+            m = _KINDS.index(kind)
+            if m == 0:
+                value[:] = BOLTZMANN * T / (2.0 * math.pi) / (4.0 * gaps * gaps) * ladder
+            else:
+                value[:] = BOLTZMANN * T / math.pi / (8.0 * gaps ** (2 + m)) * ladder
+    return [float(v[0]) if np.ndim(d) == 0 else v.reshape(np.shape(d)) for v in values]
 
 
-def _lifshitz_t0(d, model, spec, kind, m):
-    """The T = 0 value at one gap: one 2-D integral.  Each level computes
-    eps once per distinct frequency node, then gathers it per rectangle."""
+def _lifshitz_t0(d, model, spec, kinds):
+    """The T = 0 value of each kind at one gap: one 2-D integral.  Each level
+    computes eps once per distinct frequency node, then gathers it per rectangle."""
 
     def integrand(x, t, row):
         eps = np.asarray(eps_imag_axis(model, x * _C / (2.0 * d)))
-        return _mode_integrand(x[row], t, eps[row], kind)
+        return _mode_integrand(x[row], t, eps[row], kinds)
 
-    with _located(d, 0.0, kind):
-        value = integrate_decaying_2d(integrand, spec.rel_tol)
-    return HBAR * _C / (32.0 * math.pi ** 2 * d ** (3 + m)) * value
+    with _located(d, 0.0, kinds):
+        values = integrate_decaying_2d(integrand, spec.rel_tol)
+    m = [_KINDS.index(kind) for kind in kinds]
+    return [HBAR * _C / (32.0 * math.pi ** 2 * d ** (3 + k)) * v for k, v in zip(m, values)]
 
 
 def free_energy_per_area(d, T, model, spec=DEFAULT_SPEC):
@@ -366,7 +377,7 @@ def free_energy_per_area(d, T, model, spec=DEFAULT_SPEC):
         F(d, T) <= 0, shaped like ``d``; more negative means stronger
         attraction.
     """
-    return _lifshitz(d, T, model, spec, "energy")
+    return _lifshitz(d, T, model, spec, ("energy",))[0]
 
 
 def pressure_parallel(d, T, model, spec=DEFAULT_SPEC):
@@ -377,12 +388,12 @@ def pressure_parallel(d, T, model, spec=DEFAULT_SPEC):
     s_p = r_p^2 exp(-2 kappa0 d); equal to |dF/dd| of
     :func:`free_energy_per_area`, and shaped like ``d`` as it is.
     """
-    return _lifshitz(d, T, model, spec, "pressure")
+    return _lifshitz(d, T, model, spec, ("pressure",))[0]
 
 
-def _sphere_plane(d, R, per_area):
-    """2 pi R |per_area()|, the PFA map, after validating the radius and
-    every gap of ``d`` and warning once when the largest d/R is too large."""
+def _pfa(d, R):
+    """2 pi R, the PFA map's factor, after validating the radius and every
+    gap of ``d`` and warning once when the largest d/R is too large."""
     require_positive("radius", R)
     require_positive("separation", d)
     ratio = np.max(d, initial=0.0) / R
@@ -393,7 +404,7 @@ def _sphere_plane(d, R, per_area):
             PfaValidityWarning,
             stacklevel=3,
         )
-    return 2.0 * math.pi * R * abs(per_area())
+    return 2.0 * math.pi * R
 
 
 def force_sphere_plane(d, T, R, model, spec=DEFAULT_SPEC):
@@ -403,7 +414,7 @@ def force_sphere_plane(d, T, R, model, spec=DEFAULT_SPEC):
     like ``d``.  Warns, without failing, when d/R exceeds the PFA validity
     ratio.
     """
-    return _sphere_plane(d, R, lambda: free_energy_per_area(d, T, model, spec))
+    return _pfa(d, R) * abs(free_energy_per_area(d, T, model, spec))
 
 
 def force_curvature_sphere_plane(d, T, R, model, spec=DEFAULT_SPEC):
@@ -412,7 +423,15 @@ def force_curvature_sphere_plane(d, T, R, model, spec=DEFAULT_SPEC):
     ``d`` is a float or an array of gaps, as for :func:`free_energy_per_area`.
     Validates and warns like :func:`force_sphere_plane`.
     """
-    return _sphere_plane(d, R, lambda: _lifshitz(d, T, model, spec, "curvature"))
+    return _pfa(d, R) * abs(_lifshitz(d, T, model, spec, ("curvature",))[0])
+
+
+def force_and_curvature_sphere_plane(d, T, R, model, spec=DEFAULT_SPEC):
+    """(F, F''), :func:`force_sphere_plane` and :func:`force_curvature_sphere_plane`
+    from one pass: eps(i xi), the Fresnel coefficients and exp(-y) once for
+    both, each settled to rel_tol on its own scale."""
+    pfa = _pfa(d, R)
+    return tuple(pfa * abs(v) for v in _lifshitz(d, T, model, spec, ("energy", "curvature")))
 
 
 def asymptote_thermal(d, R, T, which):
@@ -442,7 +461,7 @@ def force_sphere_plane_grid(separations, T, R, model, spec=DEFAULT_SPEC):
     d = np.asarray(separations, dtype=float)
     if d.ndim != 1:
         raise ValueError(f"separation grid must be 1-D, got shape {d.shape}")
-    return _sphere_plane(d, R, lambda: free_energy_per_area(d, T, model, spec))
+    return _pfa(d, R) * abs(free_energy_per_area(d, T, model, spec))
 
 
 @dataclass(frozen=True, eq=False)

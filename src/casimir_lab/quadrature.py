@@ -68,24 +68,34 @@ def _nodes(panels, n):
 
 
 def _settle(estimate, cells, rel_tol, node_start, node_cap):
-    """Total of the cells of ``estimate(cells, n)`` (last axis), doubling n on
-    each cell until its change is at most rel_tol times the largest first-pass
-    total or cell estimate; one call of ``estimate`` per doubling level."""
-    estimates = estimate(cells, node_start)
-    scale = float(np.max(np.abs(estimates.sum(axis=-1))))
+    """Totals of the cells of ``estimate(cells, n)`` (last axis), doubling n
+    on each cell until its change in every kind is at most rel_tol times the
+    largest first-pass total or cell estimate of that kind's family, the
+    axis before the cells; one call of ``estimate`` per doubling level.  Axes
+    in front of the family index kinds; a ConvergenceError keeps the worst."""
+    first = estimate(cells, node_start)
+    # (kinds, members, cells)
+    estimates = first.reshape((-1,) + np.atleast_2d(first).shape[-2:])
+    kinds, tiny = len(estimates), np.finfo(float).tiny
+    # the change each kind allows a cell: rel_tol times the kind's scale
+    limit = rel_tol * np.maximum(np.abs(estimates.sum(axis=-1)).max(axis=1, keepdims=True), tiny)
     n = node_start
     while cells.size:
         n *= 2
-        refined = estimate(cells, n)
-        change = np.abs(refined - estimates[..., cells]).reshape(-1, cells.size).max(axis=0)
-        scale = max(scale, float(np.max(np.abs(refined))), np.finfo(float).tiny)
+        refined = estimate(cells, n).reshape(kinds, -1, cells.size)
+        change = np.abs(refined - estimates[..., cells]).max(axis=1)
+        scale = np.abs(refined).reshape(kinds, -1).max(axis=1, keepdims=True)
+        limit = np.maximum(limit, rel_tol * scale)
         estimates[..., cells] = refined
-        unsettled = change > rel_tol * scale
+        unsettled = change > limit
         if n >= node_cap and unsettled.any():
-            worst = float(change[unsettled].max()) / scale
-            raise ConvergenceError("quadrature did not settle within the node cap", worst, rel_tol)
-        cells = cells[unsettled]
-    return estimates.sum(axis=-1)
+            worst = (change / limit).max(axis=1) * rel_tol
+            message = "quadrature did not settle within the node cap"
+            exc = ConvergenceError(message, worst.max(), rel_tol)
+            exc.kind = int(np.argmax(worst))
+            raise exc
+        cells = cells[unsettled.any(axis=0)]
+    return estimates.sum(axis=-1).reshape(first.shape[:-1])[()]
 
 
 def integrate_decaying(f, rel_tol):
@@ -94,9 +104,10 @@ def integrate_decaying(f, rel_tol):
     ``f`` maps a 1-D array of abscissae to values whose last axis matches it.
     Leading axes are carried through, so one call integrates a family of
     kernels and returns one integral per leading-axis element.  rel_tol is
-    measured against the largest integral of the family (its small members
-    are resolved in absolute terms only; they are always summed into a
-    dominant total downstream).  Each panel starts with 8 Gauss-Legendre
+    measured against the largest integral of the family, the axis before the
+    abscissae (its small members are resolved in absolute terms only; they
+    are always summed into a dominant total downstream); an axis in front of
+    it holds kinds, each a family.  Each panel starts with 8 Gauss-Legendre
     nodes; one unsettled at 256 raises ConvergenceError.  The neglected tail
     beyond the cutoff is O(exp(-cutoff)).
     """
@@ -117,6 +128,7 @@ def integrate_decaying_2d(f, rel_tol):
     values: ``x`` (px, n, 1) holds each node of the x-panels with an unsettled
     rectangle once, ``t`` (nc, 1, n) the t nodes of the nc unsettled
     rectangles, ``row`` (nc,) their x-panels, so ``x[row]`` broadcasts on ``t``.
+    Each index of axes in front of those is a kind, settled on its own scale.
     """
     panel, lower, half = _RECTANGLES
 
@@ -125,6 +137,6 @@ def integrate_decaying_2d(f, rel_tol):
         (x, w, hx), (s, _) = _nodes(ix, n), gauss_legendre(n)
         t = lower[cells, None] + half[cells, None] * (s + 1.0)
         sums = f(x[:, :, None], t[:, None, :], row) @ w @ w
-        return hx[row] * half[cells] * sums
+        return (hx[row] * half[cells] * sums)[..., None, :]
 
-    return float(_settle(estimate, np.arange(panel.size), rel_tol, 8, 128))
+    return _settle(estimate, np.arange(panel.size), rel_tol, 8, 128)[..., 0][()]

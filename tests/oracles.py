@@ -1,6 +1,6 @@
 """Reference free energies that share no code with `casimir_lab.lifshitz`.
 
-Two oracles for the thermal Casimir free energy between parallel plates:
+Three oracles for the Casimir free energy between parallel plates:
 
 * an ideal metal in closed form: perfect reflection of both polarizations
   at every Matsubara frequency xi_n > 0 and of TM alone at xi_0 = 0 (the
@@ -11,7 +11,10 @@ Two oracles for the thermal Casimir free energy between parallel plates:
 
   with x = 2 d xi_n / c, summed as polylogarithm series in numpy;
 * the Drude metal by adaptive `scipy.integrate.quad`, nested 1-D integrals
-  with an explicit Matsubara sum, for the engine's own dielectric model.
+  with an explicit Matsubara sum, for the engine's own dielectric model;
+* the plasma metal at T = 0 as its series in the skin depth over the gap,
+  the one check of finite-omega_p physics against a formula the engine
+  does not share.
 
 The tests compare the engine against these, and bound the 300 K crossover
 of the Drude curves with the first, so no expected value is taken from the
@@ -117,3 +120,41 @@ def drude_free_energy(d, T, omega_p, gamma):
         moment(n * x1) for n in range(1, math.ceil(_TAIL_EXPONENT / x1) + 1)
     )
     return BOLTZMANN * T / (8.0 * math.pi * d * d) * total
+
+
+#: P/P0 = sum_k p_k x^k for plasma-model plates at T = 0, x = c / (omega_p d)
+#: (Bordag, Mohideen & Mostepanenko, Phys. Rep. 353, 1 (2001); Bordag et
+#: al., Advances in the Casimir Effect, OUP 2009)
+_PLASMA_PRESSURE_SERIES = (
+    1.0,
+    -16.0 / 3.0,
+    24.0,
+    -640.0 / 7.0 * (1.0 - math.pi**2 / 210.0),
+    2800.0 / 9.0 * (1.0 - 163.0 * math.pi**2 / 7350.0),
+)
+
+
+def ideal_t0_pressure(d):
+    """Perfect-mirror attractive pressure at T = 0, pi^2 hbar c / (240 d^4)."""
+    return math.pi**2 * HBAR * SPEED_OF_LIGHT / (240.0 * d**4)
+
+
+def plasma_t0_ratios(d, omega_p, order=3):
+    """(E/E0, P/P0, (dP/dd)/(dP0/dd)) of plasma-model plates at T = 0.
+
+    The series in x = c / (omega_p d) up to x^order, over the perfect-mirror
+    values E0 ~ d^-3, P0 = -dE0/dd and dP0/dd = -4 P0 / d.  Since x ~ 1/d,
+    the k-th energy coefficient is the pressure's times 3/(k + 3) and the
+    k-th slope coefficient the pressure's times (k + 4)/4:
+
+        E/E0 = 1 - 4x + (72/5)x^2 - (320/7)(1 - pi^2/210)x^3 + ...
+        P/P0 = 1 - (16/3)x + 24x^2 - (640/7)(1 - pi^2/210)x^3 + ...
+        slope = 1 - (20/3)x + 36x^2 - 160(1 - pi^2/210)x^3 + ...
+
+    The truncation error is O(x^(order + 1)); order runs up to 4.
+    """
+    x = SPEED_OF_LIGHT / (omega_p * np.asarray(d, dtype=float))
+    k = np.arange(order + 1)
+    p = np.array(_PLASMA_PRESSURE_SERIES[: order + 1])
+    powers = x[..., None] ** k
+    return tuple(powers @ (p * w) for w in (3.0 / (k + 3.0), 1.0, (k + 4.0) / 4.0))

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from casimir_lab import analysis, lifshitz
 from casimir_lab.analysis import (
     MODEL_IDS,
     FitResult,
@@ -28,10 +29,10 @@ from casimir_lab.analysis import (
     standard_model_curves,
 )
 from casimir_lab.campaign import CampaignResult
-from casimir_lab.dielectric import OpticalTable, TabulatedModel
+from casimir_lab.dielectric import OpticalTable, TabulatedModel, gold_drude, gold_plasma
 from casimir_lab.electrostatics import patch_force
 from casimir_lab.errors import DegenerateFitError, ValidationError
-from casimir_lab.lifshitz import BandResult
+from casimir_lab.lifshitz import BandResult, force_sphere_plane
 
 R = 0.156
 DELTA = 40e-9
@@ -386,6 +387,32 @@ class TestDiscrimination:
             assert at_once.shape == gaps.shape
             one_by_one = [c.evaluator(float(d)) for d in gaps]
             np.testing.assert_allclose(at_once, one_by_one, rtol=1e-13, atol=0.0)
+
+    def test_a_corrected_curve_is_one_engine_pass(self, monkeypatch):
+        # F and F'' of every gap come from one pass, not a force pass and a
+        # curvature pass
+        passes = []
+        engine = lifshitz._lifshitz
+
+        def counting(d, T, model, spec, kinds):
+            passes.append(kinds)
+            return engine(d, T, model, spec, kinds)
+
+        monkeypatch.setattr(lifshitz, "_lifshitz", counting)
+        for c in standard_model_curves(R=R, delta=DELTA):
+            passes.clear()
+            c.evaluator(np.array([1e-6, 3e-6]))
+            assert passes == [("energy", "curvature")], c.model_id
+
+    def test_zero_delta_computes_the_force_alone(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("curvature evaluated at delta = 0")
+
+        monkeypatch.setattr(analysis, "force_and_curvature_sphere_plane", forbidden)
+        candidates = [(gold_drude(), 300.0), (gold_plasma(), 300.0), (gold_drude(), 0.0),
+                      (gold_plasma(), 0.0)]
+        for c, (model, T) in zip(standard_model_curves(R=R, delta=0.0), candidates):
+            assert c.evaluator(2e-6) == force_sphere_plane(2e-6, T, R, model)
 
     def test_fit_evaluates_the_curve_once_on_the_distinct_gaps(self):
         calls = []

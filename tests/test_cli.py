@@ -231,6 +231,28 @@ class TestSimulate:
         assert field in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [('{"d_min": ', 1), ('{\n  "seed": 7,\n  "n_sweeps": 4\n', 4)],
+        ids=["cut-in-line-1", "cut-after-line-3"],
+    )
+    def test_malformed_config_is_two_and_names_file_and_line(
+        self, tmp_path, capsys, text, line
+    ):
+        cfg = tmp_path / "truncated.json"
+        cfg.write_text(text, encoding="utf-8")
+        out = tmp_path / "campaign.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {cfg}: line {line}: Expecting ")
+        assert not out.exists()
+
+    def test_refused_config_field_names_the_file(self, tmp_path, capsys):
+        cfg = self.small_cfg(tmp_path, seed="abc")
+        out = tmp_path / "campaign.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: ") and "seed" in err
+
     def test_sweeps_out(self, tmp_path):
         cfg = self.small_cfg(tmp_path)
         out = tmp_path / "campaign.csv"

@@ -26,6 +26,11 @@ def power_law_curvature(K, n):
     return lambda d: n * (n + 1) * K / d ** (n + 2)
 
 
+def power_law_pair(K, n):
+    """(F, F'') of F = K / d^n from one call, as the engine's evaluator gives them."""
+    return lambda d: (power_law(K, n)(d), power_law_curvature(K, n)(d))
+
+
 def corrected(K, n, d, delta):
     return fluctuation_corrected_force(
         power_law(K, n)(d), power_law_curvature(K, n)(d), d, delta
@@ -124,32 +129,29 @@ class TestCorrectedSeparation:
 class TestCorrectedCurve:
     def test_wrapper_matches_direct_evaluation(self):
         curve, curvature = power_law(1e-27, 3), power_law_curvature(1e-27, 3)
-        wrapped = corrected_curve(curve, curvature, 40e-9)
+        wrapped = corrected_curve(power_law_pair(1e-27, 3), 40e-9)
         assert wrapped(1e-6) == fluctuation_corrected_force(
             curve(1e-6), curvature(1e-6), 1e-6, 40e-9
         )
+        gaps = np.array([0.7e-6, 1e-6, 7e-6])
+        np.testing.assert_array_equal(
+            wrapped(gaps), fluctuation_corrected_force(curve(gaps), curvature(gaps), gaps, 40e-9)
+        )
 
-    def test_zero_delta_returns_same_callable(self):
-        curve = power_law(1e-27, 3)
+    def test_zero_delta_gives_the_force_itself(self):
+        gaps = np.array([0.1e-6, 1e-6, 7e-6])
+        wrapped = corrected_curve(power_law_pair(1e-27, 3), 0.0)
+        np.testing.assert_array_equal(wrapped(gaps), power_law(1e-27, 3)(gaps))
 
-        def curvature(d):
-            raise AssertionError("curvature evaluated at delta = 0")
-
-        assert corrected_curve(curve, curvature, 0.0) is curve
-
-    def test_regime_is_checked_before_either_curve_runs(self):
+    def test_regime_is_checked_before_the_evaluator_runs(self):
         # one gap within 5 delta must cost no force or curvature evaluation
         calls = []
 
-        def counting(curve):
-            def wrapped(d):
-                calls.append(curve)
-                return curve(d)
+        def counting(d):
+            calls.append(d)
+            return power_law_pair(1e-27, 3)(d)
 
-            return wrapped
-
-        curve, curvature = power_law(1e-27, 3), power_law_curvature(1e-27, 3)
-        wrapped = corrected_curve(counting(curve), counting(curvature), 40e-9)
+        wrapped = corrected_curve(counting, 40e-9)
         with pytest.raises(RegimeError):
             wrapped(np.array([0.15e-6, 1e-6, 2e-6]))
         assert calls == []

@@ -1,8 +1,11 @@
-"""The one CSV boundary, seen through each of the three loaders.
+"""The one CSV boundary, seen through each of the three loaders, and the
+JSON reader.
 
 Every loader skips blank rows, accepts a header padded with spaces and
 names the file and the line of a short row, a non-numeric cell or a value
-its container refuses; of two bad lines, the first is named.
+its container refuses; of two bad lines, the first is named.  The JSON
+reader names the file and the line of a syntax error, and the file of a
+document its builder refuses.
 """
 
 import re
@@ -13,6 +16,7 @@ from casimir_lab.analysis import load_measurements
 from casimir_lab.dielectric import load_optical_table
 from casimir_lab.electrostatics import load_sweep_csv
 from casimir_lab.errors import ValidationError
+from casimir_lab.fileio import read_json
 
 #: loader, header, four good rows in file order, a last cell the container
 #: refuses, and the start of its reason
@@ -94,3 +98,22 @@ def test_the_first_of_two_bad_lines_is_named(tmp_path, kind, first, second):
     path = write(tmp_path, header, [good[0], row, good[2], later])
     with pytest.raises(ValidationError, match=at_line(path, 3, reason)):
         load(path)
+
+
+def test_json_reader_names_the_file_and_the_line(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text('{\n  "a": 1,\n  "b": [1, 2\n}\n', encoding="utf-8")
+    with pytest.raises(ValidationError, match=at_line(path, 4, "Expecting ',' delimiter")):
+        read_json(path, dict)
+
+
+def test_json_reader_builds_and_names_the_file_of_a_refused_document(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text('{"a": 1}', encoding="utf-8")
+    assert read_json(path, lambda doc: doc["a"] + 1) == 2
+
+    def refuse(doc):
+        raise ValidationError(f"a must be 2, got {doc['a']}")
+
+    with pytest.raises(ValidationError, match=rf"^{re.escape(str(path))}: a must be 2, got 1$"):
+        read_json(path, refuse)

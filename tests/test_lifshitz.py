@@ -28,6 +28,7 @@ from casimir_lab.errors import ConvergenceError, PfaValidityWarning
 from casimir_lab.lifshitz import (
     QuadratureSpec,
     asymptote_thermal,
+    force_and_curvature_sphere_plane,
     force_curvature_sphere_plane,
     force_sphere_plane,
     force_sphere_plane_grid,
@@ -43,6 +44,8 @@ from oracles import (
     ideal_metal_crossover,
     ideal_metal_free_energy,
     ideal_t0_free_energy,
+    ideal_t0_pressure,
+    plasma_t0_ratios,
 )
 
 R_SPHERE = 0.156  # m
@@ -80,6 +83,16 @@ class TestReflectionCoefficients:
     def test_rejects_nonpositive_wavevector(self):
         with pytest.raises(ValueError):
             reflection_coeffs(k=0.0, xi=1e15, eps=2.0)
+
+    @pytest.mark.parametrize("bad", [-1e6, math.nan, math.inf])
+    def test_bad_wavevector_is_named_not_passed_on(self, bad):
+        # a NaN or infinite k used to come back as NaN reflection coefficients
+        k = np.array([1e6, bad])
+        named = rf"transverse wavevector must be positive and finite, got {bad}"
+        with pytest.raises(ValueError, match=named):
+            reflection_coeffs(k=k, xi=1e15, eps=2.0)
+        with pytest.raises(ValueError, match=named):
+            reflection_coeffs_zero_mode(k, gold_plasma())
 
     def test_zero_mode_dissipative_metal_loses_te(self):
         k = np.geomspace(1e4, 1e8, 20)
@@ -250,6 +263,24 @@ class TestIndependentOracles:
 
         assert quad_ratio(CROSSOVER_UM * 0.999e-6) < 1.0 < quad_ratio(CROSSOVER_UM * 1.001e-6)
 
+    def test_plasma_t0_follows_its_skin_depth_series(self):
+        # the series truncated after x^3 is off by O(x^4), under 1e-6 for
+        # d >= 4 um with gold omega_p (x = 6.5e-3 at 4 um); with its x^4 term
+        # the rest is O(x^5), under 3e-8.  Energy, pressure and slope come
+        # from one fused pass at rel_tol 1e-12
+        plasma = gold_plasma()
+        d = np.array([4e-6, 5.5e-6, 7e-6])
+        tight = QuadratureSpec(rel_tol=1e-12)
+        energy, pressure, slope = lifshitz._lifshitz(
+            d, 0.0, plasma, tight, ("energy", "pressure", "curvature")
+        )
+        p0 = ideal_t0_pressure(d)
+        got = (energy / ideal_t0_free_energy(d), pressure / p0, slope / (4.0 * p0 / d))
+        for order, rtol in ((3, 1e-6), (4, 3e-8)):
+            want = plasma_t0_ratios(d, plasma.omega_p, order)
+            for name, g, w in zip(("energy", "pressure", "slope"), got, want):
+                np.testing.assert_allclose(g, w, rtol=rtol, atol=0.0, err_msg=f"{name} x^{order}")
+
     @pytest.mark.parametrize("T", [0.0, 300.0])
     @pytest.mark.parametrize("d_um", [1.0, 3.0])
     def test_tabulated_drude_table_gives_the_drude_force(self, d_um, T):
@@ -337,7 +368,7 @@ class TestConsistency:
         # T = 0 names the gap, T > 0 the gap range of the failing chunk
         spec = QuadratureSpec(rel_tol=1e-16)
         with pytest.raises(ConvergenceError, match=where) as err:
-            lifshitz._lifshitz(d, T, gold_drude(), spec, kind)
+            lifshitz._lifshitz(d, T, gold_drude(), spec, (kind,))
         assert err.value.requested == 1e-16
         assert err.value.achieved > err.value.requested
 
@@ -615,6 +646,68 @@ class TestCurvesAsArrays:
             got = force_sphere_plane_grid(gaps, 300.0, R_SPHERE, model)
             want = [force_sphere_plane(d, 300.0, R_SPHERE, model) for d in gaps]
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+class TestFusedPass:
+    """Force and curvature from one pass: eps, the Fresnel coefficients and
+    exp(-y) once for both, and each kind settled on its own scale."""
+
+    @pytest.mark.parametrize("T", [0.0, 300.0])
+    @pytest.mark.parametrize(
+        "model",
+        [gold_drude(), gold_plasma(), TestCurvesAsArrays.drude_table()],
+        ids=["drude", "plasma", "table"],
+    )
+    def test_each_kind_meets_rel_tol_against_its_own_pass(self, model, T):
+        gaps = np.array([0.5e-6, 2e-6, 7e-6])
+        tight = QuadratureSpec(rel_tol=1e-12)
+        force, curvature = force_and_curvature_sphere_plane(gaps, T, R_SPHERE, model)
+        want_force = force_sphere_plane(gaps, T, R_SPHERE, model, tight)
+        want_curvature = force_curvature_sphere_plane(gaps, T, R_SPHERE, model, tight)
+        np.testing.assert_allclose(force, want_force, rtol=1e-8, atol=0.0)
+        np.testing.assert_allclose(curvature, want_curvature, rtol=1e-8, atol=0.0)
+
+    @pytest.mark.parametrize("T", [0.0, 300.0])
+    def test_makes_the_quadrature_calls_of_one_kind(self, monkeypatch, T):
+        # both kinds ride in each quadrature family, so the fused curve makes
+        # as many quadrature calls as one kind alone; a float gives two floats
+        calls = []
+        for name in ("integrate_decaying", "integrate_decaying_2d"):
+            integrate = getattr(lifshitz, name)
+
+            def counting(f, rel_tol, integrate=integrate):
+                calls.append(f)
+                return integrate(f, rel_tol)
+
+            monkeypatch.setattr(lifshitz, name, counting)
+        force, curvature = force_and_curvature_sphere_plane(1e-6, T, R_SPHERE, gold_drude())
+        assert isinstance(force, float) and isinstance(curvature, float)
+        fused = len(calls)
+        calls.clear()
+        force_sphere_plane(1e-6, T, R_SPHERE, gold_drude())
+        assert fused == len(calls)
+
+    @pytest.mark.parametrize(
+        "T, spec, where",
+        [
+            (0.0, QuadratureSpec(rel_tol=1e-16), r"T = 0 K, (energy|curvature) \("),
+            (300.0, QuadratureSpec(rel_tol=1e-16), r"T = 300 K, (energy|curvature) \("),
+            (300.0, QuadratureSpec(max_matsubara=1), r"1 terms at d = .*, T = 300 K, energy \("),
+        ],
+        ids=["t0-quadrature", "300k-quadrature", "300k-ladder"],
+    )
+    def test_a_fused_error_names_the_kind_that_failed(self, T, spec, where):
+        with pytest.raises(ConvergenceError, match=where) as err:
+            force_and_curvature_sphere_plane(1e-6, T, R_SPHERE, gold_drude(), spec)
+        assert err.value.achieved > err.value.requested
+
+    def test_validates_and_warns_like_the_single_kinds(self):
+        with pytest.raises(ValueError, match="radius"):
+            force_and_curvature_sphere_plane(1e-6, 300.0, -1.0, gold_drude())
+        with pytest.raises(ValueError, match="separation"):
+            force_and_curvature_sphere_plane(np.array([1e-6, 0.0]), 300.0, R_SPHERE, gold_drude())
+        with pytest.warns(PfaValidityWarning):
+            force_and_curvature_sphere_plane(7e-6, 300.0, 1e-3, gold_drude())
 
 
 class TestSensitivityBand:

@@ -113,6 +113,40 @@ def test_panel_settles_only_when_every_family_member_does():
     np.testing.assert_allclose(got, 1.0 / (1.0 + a * a), rtol=0.0, atol=1e-11)
 
 
+def test_each_kind_settles_on_its_own_scale():
+    # an axis in front of the family holds kinds: the oscillatory kind, 1e-9
+    # the size of the other, still meets rel_tol of its own integral
+    a = 20.0
+
+    def f(y):
+        return np.stack([np.exp(-y), 1e-9 * np.exp(-y) * np.cos(a * y)])[:, None]
+
+    got = integrate_decaying(f, 1e-10)
+    assert got.shape == (2, 1)
+    assert got[1, 0] == pytest.approx(1e-9 / (1.0 + a * a), rel=1e-9, abs=0.0)
+
+
+def test_2d_each_kind_settles_on_its_own_scale():
+    a = 5.0
+
+    def f(x, t, row):
+        y = x[row] + t
+        return np.stack([np.exp(-y), 1e-9 * np.exp(-y) * np.cos(a * t)])
+
+    got = integrate_decaying_2d(f, 1e-10)
+    assert got.shape == (2,)
+    assert got[1] == pytest.approx(1e-9 / (1.0 + a * a), rel=1e-9, abs=0.0)
+
+
+def test_the_kind_that_cannot_settle_is_named():
+    with pytest.raises(ConvergenceError) as err:
+        integrate_decaying(lambda y: np.stack([np.exp(-y), fast_cosine(y)]), 1e-12)
+    assert err.value.kind == 0  # a family of two is one kind
+    with pytest.raises(ConvergenceError) as err:
+        integrate_decaying(lambda y: np.stack([np.exp(-y), fast_cosine(y)])[:, None], 1e-12)
+    assert err.value.kind == 1
+
+
 def on_rectangles(g):
     """The integrand call of integrate_decaying_2d for a plain g(x, t): the
     x nodes are gathered per rectangle and broadcast against its t nodes."""
