@@ -4,9 +4,9 @@ The Lifshitz kernels, once written in the dimensionless variable y = 2*kappa0*d,
 all decay like exp(-y) times a mild prefactor and live on [0, inf).  The scheme
 covers [0, cutoff] with a fixed panel layout, graded toward zero because several
 kernels have an integrable y*log(y) endpoint, and doubles the node count on each
-cell until its estimate is stable relative to the total.  A cell is a panel in
-1-D and a rectangle in 2-D; one loop refines both, and each doubling level
-evaluates every unsettled cell in a single call of the integrand.
+cell, 6, 12, 24, ..., until its estimate is stable relative to the total.  A cell
+is a panel in 1-D and a rectangle in 2-D; one loop refines both, and each
+doubling level evaluates every unsettled cell in a single call of the integrand.
 
 The 2-D rectangles form an L-shaped layout.  Only the corner x = t = 0 needs
 the graded t-panels, so the x-panel at 0 pairs with every t-panel and one with
@@ -30,12 +30,14 @@ _GRADED_OPENING = (2.0 ** -14, 2.0 ** -11, 2.0 ** -8, 2.0 ** -5, 2.0 ** -2)
 #: Panels beyond the cutoff contribute ~exp(-cutoff) of the total.
 DEFAULT_CUTOFF = 80.0
 
+#: Nodes per cell axis on the first pass; a smooth cell settles at 6 + 12.
+_NODE_START = 6
+
 
 @lru_cache(maxsize=None)
 def gauss_legendre(n):
     """Cached Gauss-Legendre nodes and weights on [-1, 1]."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
+    return np.polynomial.legendre.leggauss(n)
 
 
 def panel_edges(cutoff=DEFAULT_CUTOFF):
@@ -62,9 +64,8 @@ _RECTANGLES = tuple(np.array(column) for column in zip(*[
 
 def _nodes(panels, n):
     """n Gauss-Legendre nodes on each listed panel, the weights, the half widths."""
-    lower, half = _LOWER[panels], _HALF[panels]
-    x, w = gauss_legendre(n)
-    return lower[:, None] + half[:, None] * (x + 1.0), w, half
+    half, (x, w) = _HALF[panels], gauss_legendre(n)
+    return _LOWER[panels, None] + half[:, None] * (x + 1.0), w, half
 
 
 def _settle(estimate, cells, rel_tol, node_start, node_cap):
@@ -74,8 +75,7 @@ def _settle(estimate, cells, rel_tol, node_start, node_cap):
     axis before the cells; one call of ``estimate`` per doubling level.  Axes
     in front of the family index kinds; a ConvergenceError keeps the worst."""
     first = estimate(cells, node_start)
-    # (kinds, members, cells)
-    estimates = first.reshape((-1,) + np.atleast_2d(first).shape[-2:])
+    estimates = first.reshape((-1,) + np.atleast_2d(first).shape[-2:])  # (kinds, members, cells)
     kinds, tiny = len(estimates), np.finfo(float).tiny
     # the change each kind allows a cell: rel_tol times the kind's scale
     limit = rel_tol * np.maximum(np.abs(estimates.sum(axis=-1)).max(axis=1, keepdims=True), tiny)
@@ -107,8 +107,8 @@ def integrate_decaying(f, rel_tol):
     measured against the largest integral of the family, the axis before the
     abscissae (its small members are resolved in absolute terms only; they
     are always summed into a dominant total downstream); an axis in front of
-    it holds kinds, each a family.  Each panel starts with 8 Gauss-Legendre
-    nodes; one unsettled at 256 raises ConvergenceError.  The neglected tail
+    it holds kinds, each a family.  Each panel starts with 6 Gauss-Legendre
+    nodes; one unsettled at 192 raises ConvergenceError.  The neglected tail
     beyond the cutoff is O(exp(-cutoff)).
     """
     def estimate(panels, n):
@@ -116,14 +116,14 @@ def integrate_decaying(f, rel_tol):
         vals = np.asarray(f(x.ravel()))
         return half * (vals.reshape(vals.shape[:-1] + x.shape) @ w)
 
-    return _settle(estimate, np.arange(_LOWER.size), rel_tol, 8, 256)
+    return _settle(estimate, np.arange(_LOWER.size), rel_tol, _NODE_START, 192)
 
 
 def integrate_decaying_2d(f, rel_tol):
     """Integrate f over [0, DEFAULT_CUTOFF]^2 to a relative tolerance.
 
     Cells are the rectangles of the L-shaped layout (module docstring); each
-    starts with 8 x 8 nodes, and one unsettled at 128 x 128 raises.  Each
+    starts with 6 x 6 nodes, and one unsettled at 96 x 96 raises.  Each
     doubling level makes one call ``f(x, t, row)``, which returns (nc, n, n)
     values: ``x`` (px, n, 1) holds each node of the x-panels with an unsettled
     rectangle once, ``t`` (nc, 1, n) the t nodes of the nc unsettled
@@ -139,4 +139,4 @@ def integrate_decaying_2d(f, rel_tol):
         sums = f(x[:, :, None], t[:, None, :], row) @ w @ w
         return (hx[row] * half[cells] * sums)[..., None, :]
 
-    return _settle(estimate, np.arange(panel.size), rel_tol, 8, 128)[..., 0][()]
+    return _settle(estimate, np.arange(panel.size), rel_tol, _NODE_START, 96)[..., 0][()]

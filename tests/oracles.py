@@ -14,7 +14,9 @@ Three oracles for the Casimir free energy between parallel plates:
   with an explicit Matsubara sum, for the engine's own dielectric model;
 * the plasma metal at T = 0 as its series in the skin depth over the gap,
   the one check of finite-omega_p physics against a formula the engine
-  does not share.
+  does not share;
+* a dilute non-dispersive dielectric at T = 0, whose energy tends to the
+  pairwise-summed Casimir-Polder interaction.
 
 The tests compare the engine against these, and bound the 300 K crossover
 of the Drude curves with the first, so no expected value is taken from the
@@ -158,3 +160,16 @@ def plasma_t0_ratios(d, omega_p, order=3):
     p = np.array(_PLASMA_PRESSURE_SERIES[: order + 1])
     powers = x[..., None] ** k
     return tuple(powers @ (p * w) for w in (3.0 / (k + 3.0), 1.0, (k + 4.0) / 4.0))
+
+
+def dilute_dielectric_t0_energy(d, eta):
+    """Energy per area (J/m^2) of plates with eps = 1 + eta at T = 0, eta -> 0.
+
+    A frequency-independent dielectric has no length scale, so E d^3 does
+    not depend on d; to lowest order in eta it is the Casimir-Polder energy
+    summed pairwise over both half-spaces (Lifshitz, Dzyaloshinskii &
+    Pitaevskii, Adv. Phys. 10, 165 (1961)):
+
+        E d^3 / (hbar c) = -23 eta^2 / (1920 pi^2) + O(eta^3).
+    """
+    return -23.0 * eta**2 * HBAR * SPEED_OF_LIGHT / (1920.0 * math.pi**2 * d**3)

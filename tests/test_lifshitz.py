@@ -40,6 +40,7 @@ from casimir_lab.lifshitz import (
 )
 from oracles import (
     classical_slope,
+    dilute_dielectric_t0_energy,
     drude_free_energy,
     ideal_metal_crossover,
     ideal_metal_free_energy,
@@ -280,6 +281,26 @@ class TestIndependentOracles:
             want = plasma_t0_ratios(d, plasma.omega_p, order)
             for name, g, w in zip(("energy", "pressure", "slope"), got, want):
                 np.testing.assert_allclose(g, w, rtol=rtol, atol=0.0, err_msg=f"{name} x^{order}")
+
+    def test_dilute_dielectric_tends_to_the_pairwise_limit(self):
+        # E d^3 / eta^2 = c0 + c1 eta + O(eta^2): the line through eta = 1e-2
+        # and 1e-3 meets eta = 0 within O(eta_1 eta_2) ~ 1e-5 of the oracle
+        d, tight = 1e-6, QuadratureSpec(rel_tol=1e-12)
+        etas = np.array([1e-2, 1e-3])
+        ratio = [
+            free_energy_per_area(d, 0.0, ConstantModel(eps=1.0 + eta), tight)
+            / dilute_dielectric_t0_energy(d, eta)
+            for eta in etas
+        ]
+        extrapolated = (ratio[1] * etas[0] - ratio[0] * etas[1]) / (etas[0] - etas[1])
+        assert extrapolated == pytest.approx(1.0, rel=5e-5, abs=0.0)
+
+    def test_non_dispersive_dielectric_has_no_length_scale(self):
+        # eps independent of frequency: E d^3 is the same at every gap
+        glass = ConstantModel(eps=2.0)
+        d = np.array([1e-6, 3e-6])
+        energy_d3 = free_energy_per_area(d, 0.0, glass) * d**3
+        assert energy_d3[1] == pytest.approx(energy_d3[0], rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize("T", [0.0, 300.0])
     @pytest.mark.parametrize("d_um", [1.0, 3.0])
@@ -666,6 +687,23 @@ class TestFusedPass:
         want_curvature = force_curvature_sphere_plane(gaps, T, R_SPHERE, model, tight)
         np.testing.assert_allclose(force, want_force, rtol=1e-8, atol=0.0)
         np.testing.assert_allclose(curvature, want_curvature, rtol=1e-8, atol=0.0)
+
+    @pytest.mark.parametrize("T", [0.0, 300.0])
+    @pytest.mark.parametrize(
+        "model",
+        [gold_drude(), gold_plasma(), ConstantModel(eps=2.0), TestCurvesAsArrays.drude_table()],
+        ids=["drude", "plasma", "constant", "table"],
+    )
+    def test_default_rule_stays_a_hundred_times_inside_rel_tol(self, model, T):
+        # the default rel_tol is 1e-8, yet the node rule lands within ~1e-11
+        # of a rel_tol 1e-12 pass; a bound of 1e-10 keeps a later, cheaper
+        # rule from spending that margin unnoticed
+        gaps = np.array([0.7e-6, 3e-6, 7e-6])
+        kinds = ("energy", "curvature")
+        got = lifshitz._lifshitz(gaps, T, model, QuadratureSpec(), kinds)
+        want = lifshitz._lifshitz(gaps, T, model, QuadratureSpec(rel_tol=1e-12), kinds)
+        for kind, g, w in zip(kinds, got, want):
+            np.testing.assert_allclose(g, w, rtol=1e-10, atol=0.0, err_msg=kind)
 
     @pytest.mark.parametrize("T", [0.0, 300.0])
     def test_makes_the_quadrature_calls_of_one_kind(self, monkeypatch, T):

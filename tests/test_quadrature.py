@@ -100,7 +100,7 @@ def test_vectorized_rows_match_scalar_rows():
 
 def test_oscillatory_kernel_refines_past_the_first_doubling():
     # int_0^inf e^-y cos(a y) dy = 1/(1 + a^2); at a = 20 the wide panels
-    # need more than the 16 nodes of the first doubling
+    # need more than the 12 nodes of the first doubling
     a = 20.0
     value = integrate_decaying(lambda y: np.exp(-y) * np.cos(a * y), 1e-12)
     assert value == pytest.approx(1.0 / (1.0 + a * a), rel=1e-9)
@@ -207,9 +207,9 @@ def test_2d_unreachable_tolerance_raises():
 
 def test_2d_cells_cost_at_most_two_passes_on_a_smooth_integrand():
     # 11 panels make an L-shaped layout of 62 rectangles (121 panel pairs,
-    # less the merged t-panels and the corner beyond cutoff/2); a smooth
-    # integrand settles every one at the first doubling, so the 8- and
-    # 16-node passes are all it may pay for
+    # less the merged t-panels and the corner beyond cutoff/2); at this tight
+    # tolerance some rectangles need a third level, 24 x 24, yet the total
+    # stays within two passes of 8 and 16 nodes on every rectangle
     assert len(panel_edges(DEFAULT_CUTOFF)) - 1 == 11
     values = 0
 
@@ -221,6 +221,33 @@ def test_2d_cells_cost_at_most_two_passes_on_a_smooth_integrand():
 
     assert integrate_decaying_2d(f, 1e-10) == pytest.approx(1.0, rel=1e-10)
     assert values <= 62 * (8**2 + 16**2)
+
+
+def counted(g):
+    """g and the number of values it has returned so far, ``[count]``."""
+    values = [0]
+
+    def f(*args):
+        out = g(*args)
+        values[0] += out.size
+        return out
+
+    return f, values
+
+
+def test_2d_smooth_cells_settle_at_the_6_and_12_node_passes():
+    # at the default tolerance a smooth integrand settles every rectangle at
+    # the first doubling, so the 6- and 12-node passes are all it may pay for
+    f, values = counted(on_rectangles(lambda x, t: np.exp(-x - t)))
+    assert integrate_decaying_2d(f, 1e-8) == pytest.approx(1.0, rel=1e-8)
+    assert values[0] <= 62 * (6**2 + 12**2)
+
+
+def test_smooth_panels_settle_at_the_6_and_12_node_passes():
+    # every one of the 11 panels settles at the first doubling
+    f, values = counted(lambda y: np.exp(-y))
+    assert integrate_decaying(f, 1e-8) == pytest.approx(1.0, rel=1e-8)
+    assert values[0] <= 11 * (6 + 12)
 
 
 def test_2d_call_evaluates_each_frequency_node_once():
