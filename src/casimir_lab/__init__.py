@@ -73,7 +73,6 @@ from .errors import (
     ValidationError,
 )
 from .lifshitz import (
-    QuadratureSpec,
     ReflectionPair,
     asymptote_thermal,
     force_and_curvature_sphere_plane,
@@ -116,7 +115,6 @@ __all__ = [
     "gold_plasma",
     "load_optical_table",
     # engine
-    "QuadratureSpec",
     "ReflectionPair",
     "reflection_coeffs",
     "reflection_coeffs_zero_mode",

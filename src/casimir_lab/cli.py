@@ -56,7 +56,7 @@ from .dielectric import (
 from .electrostatics import patch_force
 from .errors import ConvergenceError, DegenerateFitError, ValidationError
 from .fileio import write_json, write_table
-from .lifshitz import QuadratureSpec, force_sphere_plane_grid, sensitivity_band
+from .lifshitz import force_sphere_plane_grid, sensitivity_band
 
 FORCE_CSV_HEADER = ["separation_um", "force_pn", "f_times_d_pn_um", "f_times_d2_pn_um2"]
 BAND_CSV_HEADER = ["separation_um", "f_min_pn", "f_center_pn", "f_max_pn"]
@@ -101,7 +101,6 @@ def _grid_from_args(args):
 
 def cmd_force(args):
     grid = _grid_from_args(args)
-    spec = QuadratureSpec(rel_tol=args.rel_tol)
     R = args.radius_cm * 1e-2
     if R <= 0.0:
         raise ValidationError("--radius-cm must be positive")
@@ -125,7 +124,7 @@ def cmd_force(args):
     # every force before the file is opened, so a failure leaves no output
     rows = []
     for label, model, temp in runs:
-        f = force_sphere_plane_grid(grid, temp, R, model, spec)
+        f = force_sphere_plane_grid(grid, temp, R, model, args.rel_tol)
         columns = (grid * 1e6, f * 1e12, f * grid * 1e18, f * grid * grid * 1e24)
         for row in zip(*(c.tolist() for c in columns)):
             rows.append(row if label is None else (label, *row))
@@ -259,7 +258,6 @@ def cmd_fit(args):
 
 def cmd_band(args):
     grid = _grid_from_args(args)
-    spec = QuadratureSpec(rel_tol=args.rel_tol)
     R = args.radius_cm * 1e-2
     if R <= 0.0:
         raise ValidationError("--radius-cm must be positive")
@@ -268,7 +266,7 @@ def cmd_band(args):
 
     wp = [ev_to_angular_frequency(e) for e in (args.wp_min_ev, args.wp_max_ev)]
     gamma = [ev_to_angular_frequency(e) for e in (args.gamma_min_ev, args.gamma_max_ev)]
-    band = sensitivity_band(grid, args.temp, wp, gamma, args.family, R, spec)
+    band = sensitivity_band(grid, args.temp, wp, gamma, args.family, R, args.rel_tol)
     columns = (band.separations * 1e6, band.f_min * 1e12, band.f_center * 1e12, band.f_max * 1e12)
     write_table(args.out, BAND_CSV_HEADER, zip(*(c.tolist() for c in columns)))
 

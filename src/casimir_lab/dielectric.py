@@ -19,14 +19,13 @@ coefficients are an analytic-limit decision that belongs to the force engine,
 and it is exactly where the Drude and plasma descriptions part ways.
 """
 
-import math
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
 from .constants import ELEMENTARY_CHARGE, HBAR, ev_to_angular_frequency
-from .errors import ValidationError, bad_row
+from .errors import ValidationError, bad_row, is_finite_real
 from .fileio import read_table
 from .quadrature import integrate_decaying
 
@@ -55,6 +54,12 @@ GOLD_OMEGA_P_RANGE_EV = (6.85, 9.00)
 GOLD_GAMMA_RANGE_EV = (0.02, 0.061)
 
 
+def _require_positive(what, value):
+    """ValidationError unless ``value`` is a positive, finite real number."""
+    if not (is_finite_real(value) and value > 0.0):
+        raise ValidationError(f"{what} must be positive and finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DrudeModel:
     """Free-electron metal with dissipation."""
@@ -63,14 +68,8 @@ class DrudeModel:
     gamma: float    # dissipation rate, rad/s
 
     def __post_init__(self):
-        if not (math.isfinite(self.omega_p) and self.omega_p > 0.0):
-            raise ValidationError(
-                f"plasma frequency must be positive and finite, got {self.omega_p}"
-            )
-        if not (math.isfinite(self.gamma) and self.gamma > 0.0):
-            raise ValidationError(
-                f"dissipation rate must be positive and finite, got {self.gamma}"
-            )
+        _require_positive("plasma frequency", self.omega_p)
+        _require_positive("dissipation rate", self.gamma)
 
     @classmethod
     def from_ev(cls, omega_p_ev, gamma_ev):
@@ -84,10 +83,7 @@ class PlasmaModel:
     omega_p: float  # plasma frequency, rad/s
 
     def __post_init__(self):
-        if not (math.isfinite(self.omega_p) and self.omega_p > 0.0):
-            raise ValidationError(
-                f"plasma frequency must be positive and finite, got {self.omega_p}"
-            )
+        _require_positive("plasma frequency", self.omega_p)
 
     @classmethod
     def from_ev(cls, omega_p_ev):
@@ -101,8 +97,8 @@ class ConstantModel:
     eps: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.eps) and self.eps >= 1.0):
-            raise ValidationError(f"permittivity must be finite and >= 1, got {self.eps}")
+        if not (is_finite_real(self.eps) and self.eps >= 1.0):
+            raise ValidationError(f"permittivity must be finite and >= 1, got {self.eps!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,10 +165,16 @@ class TabulatedModel:
     tail_exponent: float = 3.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.tail_exponent) and self.tail_exponent >= 1.0):
+        if not isinstance(self.table, OpticalTable):
+            raise ValidationError(f"table must be an OpticalTable, got {self.table!r}")
+        # the continuation the transform integrates is the one the zero mode takes
+        extra = self.extrapolation
+        if not isinstance(extra, (DrudeModel, PlasmaModel, type(None))):
+            raise ValidationError(f"extrapolation must be Drude, plasma or None, got {extra!r}")
+        if not (is_finite_real(self.tail_exponent) and self.tail_exponent >= 1.0):
             raise ValidationError(
                 "tail exponent must be finite and >= 1 for an integrable tail, "
-                f"got {self.tail_exponent}"
+                f"got {self.tail_exponent!r}"
             )
 
 

@@ -36,10 +36,20 @@ def is_integer(value):
 def require_positive(name, value):
     """ValueError naming the first entry of ``value`` that is not positive
     and finite; ``value`` is a float or an array."""
+    _require(name, value, np.greater, 0.0, "positive and finite")
+
+
+def require_at_least(name, value, floor):
+    """ValueError naming the first entry of ``value`` that is not finite or
+    is below ``floor``; ``value`` is a float or an array."""
+    _require(name, value, np.greater_equal, floor, f"finite and >= {floor:g}")
+
+
+def _require(name, value, compare, bound, domain):
     value = np.asarray(value, dtype=float)
-    bad = value[~(np.isfinite(value) & (value > 0.0))]
+    bad = value[~(np.isfinite(value) & compare(value, bound))]
     if bad.size:
-        raise ValueError(f"{name} must be positive and finite, got {bad[0]}")
+        raise ValueError(f"{name} must be {domain}, got {bad[0]}")
 
 
 def bad_row(message, row):

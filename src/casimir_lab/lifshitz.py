@@ -20,6 +20,11 @@ evaluation, as xi_n does not depend on the gap, and the (gap, n) rows of
 several gaps in one quadrature family.  At T = 0 each gap is one 2-D
 integral, which bounds the peak memory.
 
+The one accuracy setting, ``rel_tol`` in (0, 1e-3] (default 1e-8), is what
+every quadrature settles to.  A ladder has at most ``_MAX_MATSUBARA`` terms
+per gap, a cap that cuts only for T d below ~5e-8 m K; a cut ladder whose
+last term exceeds rel_tol of its sum raises ConvergenceError.
+
 Everything is computed in y = 2 kappa0 d, where each kernel decays like
 exp(-y); the k-integral for Matsubara index n starts at y_min = 2 xi_n d / c.
 At fixed (k, xi) the gap enters only through exp(-y), so d/dd of each kernel
@@ -53,11 +58,11 @@ from .dielectric import (
     eps_imag_axis,
     static_eps,
 )
-from .errors import ConvergenceError, PfaValidityWarning, is_integer, require_positive
+from .errors import ConvergenceError, PfaValidityWarning
+from .errors import is_finite_real, require_at_least, require_positive
 from .quadrature import integrate_decaying, integrate_decaying_2d
 
 __all__ = [
-    "QuadratureSpec",
     "ReflectionPair",
     "reflection_coeffs",
     "reflection_coeffs_zero_mode",
@@ -82,29 +87,13 @@ PFA_RATIO_LIMIT = 1e-3
 #: add ~0.5 MB (1.4 %) to the band workload's peak RSS, 200 rows ~1.7 MB.
 _LADDER_ROWS = 80
 
+#: Matsubara terms one gap sums at most (see the module notes).
+_MAX_MATSUBARA = 100_000
+
 _C = SPEED_OF_LIGHT
 
 #: The kernel kinds, the m-th gaining a factor 1/d^m over the energy.
 _KINDS = ("energy", "pressure", "curvature")
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Numerical accuracy knobs shared by every engine entry point."""
-
-    rel_tol: float = 1e-8
-    max_matsubara: int = 100_000
-
-    def __post_init__(self):
-        if not 0.0 < self.rel_tol <= 1e-3:
-            raise ValueError(f"rel_tol must be in (0, 1e-3], got {self.rel_tol}")
-        # a float cap (NaN among them) breaks the ladder
-        cap = self.max_matsubara
-        if not is_integer(cap) or cap < 1:
-            raise ValueError(f"max_matsubara must be an integer >= 1, got {cap!r}")
-
-
-DEFAULT_SPEC = QuadratureSpec()
 
 
 class ReflectionPair(NamedTuple):
@@ -120,9 +109,9 @@ def reflection_coeffs(k, xi, eps):
     k : float or array_like
         Transverse wavevector in 1/m, strictly positive.
     xi : float or array_like
-        Imaginary angular frequency in rad/s, non-negative.
+        Imaginary angular frequency in rad/s, non-negative and finite.
     eps : float or array_like
-        Permittivity eps(i xi) >= 1.
+        Permittivity eps(i xi), finite and >= 1.
 
     Returns
     -------
@@ -131,9 +120,12 @@ def reflection_coeffs(k, xi, eps):
         kappa = sqrt(k^2 + eps xi^2/c^2).  At xi = 0 with finite eps this
         reduces to the static dielectric limit (r_te = 0); metallic
         zero-frequency behavior belongs to
-        :func:`reflection_coeffs_zero_mode`.
+        :func:`reflection_coeffs_zero_mode`.  A ValueError names the first
+        argument outside its domain.
     """
     require_positive("transverse wavevector", k)
+    require_at_least("xi", xi, 0.0)
+    require_at_least("eps", eps, 1.0)
     k = np.asarray(k, dtype=float)
     xi = np.asarray(xi, dtype=float)
     return _fresnel(np.sqrt(k * k + (xi / _C) ** 2), xi / _C, np.asarray(eps, dtype=float))
@@ -246,7 +238,7 @@ def _chunks(rows):
     yield slice(start, len(rows))
 
 
-def _matsubara_ladder(d, T, model, spec, kinds):
+def _matsubara_ladder(d, T, model, rel_tol, kinds):
     """Matsubara sums of the dimensionless y-integrals, one per kind and gap.
 
     Returns sum'_n I_n, shaped (len(kinds), d.size) for the 1-D array ``d``,
@@ -255,14 +247,14 @@ def _matsubara_ladder(d, T, model, spec, kinds):
     :func:`_chunks`) then makes two quadrature calls: one family of its zero
     modes and one of its (gap, n) rows, x = 4 pi k_B T d n / (hbar c), with
     every kind in each.  Every computed term is summed, up to the decay cap;
-    a ladder that max_matsubara cuts shorter raises ConvergenceError when
+    a ladder that _MAX_MATSUBARA cuts shorter raises ConvergenceError when
     its last term still exceeds rel_tol of the sum.
     """
     # Terms decay like exp(-n * 4 pi k_B T d / (hbar c)); at the cap the
     # neglected tail is below exp(-30) of the total.  Capped in floats, so
     # a huge decay cap cannot overflow the integer cast.
     decay_cap = np.ceil(15.0 * HBAR * _C / (2.0 * math.pi * BOLTZMANN * T * d)) + 10.0
-    n_cap = np.minimum(decay_cap, spec.max_matsubara).astype(int)
+    n_cap = np.minimum(decay_cap, _MAX_MATSUBARA).astype(int)
     xi = 2.0 * math.pi * BOLTZMANN * T / HBAR * np.arange(1, n_cap.max() + 1)
     eps = np.asarray(eps_imag_axis(model, xi))
     zero = _zero_mode_model(model)
@@ -277,21 +269,21 @@ def _matsubara_ladder(d, T, model, spec, kinds):
         with _located(gaps, T, kinds):
             i_zero = integrate_decaying(
                 lambda y: _kernel(reflection_coeffs_zero_mode(y / (2.0 * column), zero), y, kinds),
-                spec.rel_tol,
+                rel_tol,
             )
             rows = integrate_decaying(
-                lambda t: _mode_integrand(x, t, eps_rows, kinds), spec.rel_tol
+                lambda t: _mode_integrand(x, t, eps_rows, kinds), rel_tol
             )
         starts = np.cumsum(caps) - caps
         total = 0.5 * i_zero + np.add.reduceat(rows, starts, axis=1)
-        # only a ladder that max_matsubara cut short can miss its tolerance
+        # only a ladder that _MAX_MATSUBARA cut short can miss its tolerance
         achieved = np.abs(rows[:, starts + caps - 1] / total)
-        unsettled = (decay_cap[chunk] > caps) & (achieved > spec.rel_tol)
+        unsettled = (decay_cap[chunk] > caps) & (achieved > rel_tol)
         if unsettled.any():
             k, j = np.unravel_index(np.argmax(unsettled), unsettled.shape)
             where = _where(gaps[j], T, kinds[k])
             message = f"Matsubara ladder not converged after {caps[j]} terms {where}"
-            raise ConvergenceError(message, achieved[k, j], spec.rel_tol)
+            raise ConvergenceError(message, achieved[k, j], rel_tol)
         ladders[:, chunk] = total
     return ladders
 
@@ -316,47 +308,44 @@ def _located(gaps, T, kinds):
 
 def _validate_dT(d, T):
     require_positive("separation", d)
-    if not (math.isfinite(T) and T >= 0.0):
-        raise ValueError(f"temperature must be non-negative and finite, got {T}")
+    if not (is_finite_real(T) and T >= 0.0):
+        raise ValueError(f"temperature must be a non-negative finite number, got {T!r}")
 
 
-def _lifshitz(d, T, model, spec, kinds):
+def _lifshitz(d, T, model, rel_tol, kinds):
     """Energy, pressure or curvature per plate area of each of ``kinds``, from
     one pass: the (x, t) integral at T = 0 times hbar c / (32 pi^2 d^(3+m)),
     else the Matsubara ladder times k_B T / (8 pi d^(2+m)), m = 0, 1, 2.  Per
-    kind a float for a float ``d``, an array of its shape for an array."""
+    kind a float for a float ``d``, an array of its shape for an array.
+
+    Every entry point comes through here, so d, T and rel_tol are checked
+    once, before any integral runs.
+    """
     _validate_dT(d, T)
+    if not (is_finite_real(rel_tol) and 0.0 < rel_tol <= 1e-3):
+        raise ValueError(f"rel_tol must be a real number in (0, 1e-3], got {rel_tol!r}")
     gaps = np.asarray(d, dtype=float).ravel()
-    values = np.empty((len(kinds), gaps.size))
+    # float, as integer exponents make numpy cast through buffers: +0.15 MB peak RSS
+    m = np.array([[_KINDS.index(kind)] for kind in kinds], dtype=float)
     if T == 0.0:
+        integrals = np.empty((len(kinds), gaps.size))
         for j, gap in enumerate(gaps.tolist()):
-            values[:, j] = _lifshitz_t0(gap, model, spec, kinds)
-    elif gaps.size:
-        ladders = _matsubara_ladder(gaps, T, model, spec, kinds)
-        for value, ladder, kind in zip(values, ladders, kinds):
-            m = _KINDS.index(kind)
-            if m == 0:
-                value[:] = BOLTZMANN * T / (2.0 * math.pi) / (4.0 * gaps * gaps) * ladder
-            else:
-                value[:] = BOLTZMANN * T / math.pi / (8.0 * gaps ** (2 + m)) * ladder
+            # one 2-D integral per gap; each level computes eps once per
+            # distinct frequency node, then gathers it per rectangle
+            def integrand(x, t, row, gap=gap):
+                eps = np.asarray(eps_imag_axis(model, x * _C / (2.0 * gap)))
+                return _mode_integrand(x[row], t, eps[row], kinds)
+
+            with _located(gap, 0.0, kinds):
+                integrals[:, j] = integrate_decaying_2d(integrand, rel_tol)
+        values = HBAR * _C / (32.0 * math.pi ** 2 * gaps ** (3 + m)) * integrals
+    else:
+        ladders = _matsubara_ladder(gaps, T, model, rel_tol, kinds) if gaps.size else 0.0
+        values = BOLTZMANN * T / math.pi / (8.0 * gaps ** (2 + m)) * ladders
     return [float(v[0]) if np.ndim(d) == 0 else v.reshape(np.shape(d)) for v in values]
 
 
-def _lifshitz_t0(d, model, spec, kinds):
-    """The T = 0 value of each kind at one gap: one 2-D integral.  Each level
-    computes eps once per distinct frequency node, then gathers it per rectangle."""
-
-    def integrand(x, t, row):
-        eps = np.asarray(eps_imag_axis(model, x * _C / (2.0 * d)))
-        return _mode_integrand(x[row], t, eps[row], kinds)
-
-    with _located(d, 0.0, kinds):
-        values = integrate_decaying_2d(integrand, spec.rel_tol)
-    m = [_KINDS.index(kind) for kind in kinds]
-    return [HBAR * _C / (32.0 * math.pi ** 2 * d ** (3 + k)) * v for k, v in zip(m, values)]
-
-
-def free_energy_per_area(d, T, model, spec=DEFAULT_SPEC):
+def free_energy_per_area(d, T, model, rel_tol=1e-8):
     """Lifshitz free energy per unit plate area, in J/m^2 (negative).
 
     Parameters
@@ -368,8 +357,8 @@ def free_energy_per_area(d, T, model, spec=DEFAULT_SPEC):
         imaginary-frequency integral rather than a small-T ladder.
     model : DielectricModel
         Plate material response.
-    spec : QuadratureSpec
-        Accuracy parameters.
+    rel_tol : float
+        Relative tolerance in (0, 1e-3]; see the module notes.
 
     Returns
     -------
@@ -377,10 +366,10 @@ def free_energy_per_area(d, T, model, spec=DEFAULT_SPEC):
         F(d, T) <= 0, shaped like ``d``; more negative means stronger
         attraction.
     """
-    return _lifshitz(d, T, model, spec, ("energy",))[0]
+    return _lifshitz(d, T, model, rel_tol, ("energy",))[0]
 
 
-def pressure_parallel(d, T, model, spec=DEFAULT_SPEC):
+def pressure_parallel(d, T, model, rel_tol=1e-8):
     """Attractive pressure between parallel plates, in N/m^2 (positive).
 
     Evaluates the differentiated Lifshitz integrand
@@ -388,7 +377,7 @@ def pressure_parallel(d, T, model, spec=DEFAULT_SPEC):
     s_p = r_p^2 exp(-2 kappa0 d); equal to |dF/dd| of
     :func:`free_energy_per_area`, and shaped like ``d`` as it is.
     """
-    return _lifshitz(d, T, model, spec, ("pressure",))[0]
+    return _lifshitz(d, T, model, rel_tol, ("pressure",))[0]
 
 
 def _pfa(d, R):
@@ -407,31 +396,31 @@ def _pfa(d, R):
     return 2.0 * math.pi * R
 
 
-def force_sphere_plane(d, T, R, model, spec=DEFAULT_SPEC):
+def force_sphere_plane(d, T, R, model, rel_tol=1e-8):
     """Sphere-plane force via the proximity force approximation, in N.
 
     F = 2 pi R |free_energy_per_area(d, T)|, positive for attraction, shaped
     like ``d``.  Warns, without failing, when d/R exceeds the PFA validity
     ratio.
     """
-    return _pfa(d, R) * abs(free_energy_per_area(d, T, model, spec))
+    return _pfa(d, R) * abs(free_energy_per_area(d, T, model, rel_tol))
 
 
-def force_curvature_sphere_plane(d, T, R, model, spec=DEFAULT_SPEC):
+def force_curvature_sphere_plane(d, T, R, model, rel_tol=1e-8):
     """Curvature F'' = 2 pi R |dP/dd| of the PFA sphere-plane force, in N/m^2.
 
     ``d`` is a float or an array of gaps, as for :func:`free_energy_per_area`.
     Validates and warns like :func:`force_sphere_plane`.
     """
-    return _pfa(d, R) * abs(_lifshitz(d, T, model, spec, ("curvature",))[0])
+    return _pfa(d, R) * abs(_lifshitz(d, T, model, rel_tol, ("curvature",))[0])
 
 
-def force_and_curvature_sphere_plane(d, T, R, model, spec=DEFAULT_SPEC):
+def force_and_curvature_sphere_plane(d, T, R, model, rel_tol=1e-8):
     """(F, F''), :func:`force_sphere_plane` and :func:`force_curvature_sphere_plane`
     from one pass: eps(i xi), the Fresnel coefficients and exp(-y) once for
     both, each settled to rel_tol on its own scale."""
     pfa = _pfa(d, R)
-    return tuple(pfa * abs(v) for v in _lifshitz(d, T, model, spec, ("energy", "curvature")))
+    return tuple(pfa * abs(v) for v in _lifshitz(d, T, model, rel_tol, ("energy", "curvature")))
 
 
 def asymptote_thermal(d, R, T, which):
@@ -449,7 +438,7 @@ def asymptote_thermal(d, R, T, which):
     raise ValueError(f"model family must be 'drude' or 'plasma', got {which!r}")
 
 
-def force_sphere_plane_grid(separations, T, R, model, spec=DEFAULT_SPEC):
+def force_sphere_plane_grid(separations, T, R, model, rel_tol=1e-8):
     """Sphere-plane force on a 1-D separation grid, in N.
 
     The forces :func:`force_sphere_plane` gives gap by gap, computed as one
@@ -461,7 +450,7 @@ def force_sphere_plane_grid(separations, T, R, model, spec=DEFAULT_SPEC):
     d = np.asarray(separations, dtype=float)
     if d.ndim != 1:
         raise ValueError(f"separation grid must be 1-D, got shape {d.shape}")
-    return _pfa(d, R) * abs(free_energy_per_area(d, T, model, spec))
+    return _pfa(d, R) * abs(free_energy_per_area(d, T, model, rel_tol))
 
 
 @dataclass(frozen=True, eq=False)
@@ -482,7 +471,7 @@ def sensitivity_band(
     gamma_range,
     model_family,
     R,
-    spec=DEFAULT_SPEC,
+    rel_tol=1e-8,
 ):
     """Force envelope from the metal-parameter uncertainty box.
 
@@ -504,14 +493,16 @@ def sensitivity_band(
         'drude' or 'plasma'.
     R : float
         Sphere radius of curvature in m.
+    rel_tol : float
+        Relative tolerance of every curve, as for :func:`free_energy_per_area`.
     """
     d_grid = np.asarray(list(d_grid), dtype=float)
     if d_grid.size == 0:
         raise ValueError("separation grid must be non-empty")
-    wp_lo, wp_hi = sorted(float(v) for v in omega_p_range)
-    g_lo, g_hi = sorted(float(v) for v in gamma_range)
-    if wp_lo <= 0.0 or g_lo <= 0.0:
-        raise ValueError("parameter ranges must be positive")
+    # both ranges, whatever the family, before any curve runs
+    (wp_lo, wp_hi), (g_lo, g_hi) = (sorted(map(float, r)) for r in (omega_p_range, gamma_range))
+    if not all(math.isfinite(v) and v > 0.0 for v in (wp_lo, wp_hi, g_lo, g_hi)):
+        raise ValueError("parameter ranges must be positive and finite")
 
     if model_family == "drude":
         models = [DrudeModel(omega_p=wp, gamma=g) for wp in (wp_lo, wp_hi) for g in (g_lo, g_hi)]
@@ -524,7 +515,7 @@ def sensitivity_band(
 
     # a degenerate range repeats a parameter set; each distinct one runs once
     curves = {
-        model: force_sphere_plane_grid(d_grid, T, R, model, spec)
+        model: force_sphere_plane_grid(d_grid, T, R, model, rel_tol)
         for model in dict.fromkeys(models + [center])
     }
     stacked = np.vstack(list(curves.values()))

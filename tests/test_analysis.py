@@ -394,9 +394,9 @@ class TestDiscrimination:
         passes = []
         engine = lifshitz._lifshitz
 
-        def counting(d, T, model, spec, kinds):
+        def counting(d, T, model, rel_tol, kinds):
             passes.append(kinds)
-            return engine(d, T, model, spec, kinds)
+            return engine(d, T, model, rel_tol, kinds)
 
         monkeypatch.setattr(lifshitz, "_lifshitz", counting)
         for c in standard_model_curves(R=R, delta=DELTA):

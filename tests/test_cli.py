@@ -19,7 +19,7 @@ from casimir_lab.dielectric import (
     gold_drude,
     gold_plasma,
 )
-from casimir_lab.lifshitz import QuadratureSpec, force_sphere_plane_grid, sensitivity_band
+from casimir_lab.lifshitz import force_sphere_plane_grid, sensitivity_band
 
 
 def read_csv(path):
@@ -428,7 +428,7 @@ def csv_text(header, rows):
 def test_force_and_band_csv_text(tmp_path):
     # the values the library gives for the CLI's grid, radius and tolerance
     grid, R = np.geomspace(1e-6, 2e-6, 2), 15.6 * 1e-2
-    spec = QuadratureSpec(rel_tol=1e-8)
+    rel_tol = 1e-8
     flags = ["--dmin", "1", "--dmax", "2", "--points", "2", "--out"]
 
     runs = [
@@ -439,7 +439,7 @@ def test_force_and_band_csv_text(tmp_path):
     ]
     rows = []
     for label, model, T in runs:
-        forces = force_sphere_plane_grid(grid, T, R, model, spec)
+        forces = force_sphere_plane_grid(grid, T, R, model, rel_tol)
         rows += [
             (label, d * 1e6, f * 1e12, f * d * 1e18, f * d * d * 1e24)
             for d, f in zip(grid.tolist(), forces.tolist())
@@ -453,7 +453,7 @@ def test_force_and_band_csv_text(tmp_path):
         tuple(ev_to_angular_frequency(e) for e in bounds)
         for bounds in (GOLD_OMEGA_P_RANGE_EV, GOLD_GAMMA_RANGE_EV)
     )
-    band = sensitivity_band(grid, 300.0, wp, gamma, "drude", R, spec)
+    band = sensitivity_band(grid, 300.0, wp, gamma, "drude", R, rel_tol)
     columns = (band.separations * 1e6, band.f_min * 1e12, band.f_center * 1e12, band.f_max * 1e12)
     out = tmp_path / "band.csv"
     assert main(["band", "--family", "drude", *flags, str(out)]) == 0

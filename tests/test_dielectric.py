@@ -121,6 +121,35 @@ class TestAnalyticModels:
         with pytest.raises(ValidationError, match=f"tail exponent .* got {bad}"):
             TabulatedModel(table=table, extrapolation=None, tail_exponent=bad)
 
+    @pytest.mark.parametrize("bad", ["1e16", None, True, np.array([1e16])])
+    def test_non_numeric_parameters_rejected(self, bad):
+        # a string or an array used to escape as a TypeError
+        for make, named in (
+            (lambda: DrudeModel(omega_p=bad, gamma=1e13), "plasma frequency"),
+            (lambda: DrudeModel(omega_p=1e16, gamma=bad), "dissipation rate"),
+            (lambda: PlasmaModel(omega_p=bad), "plasma frequency"),
+            (lambda: ConstantModel(eps=bad), "permittivity"),
+        ):
+            with pytest.raises(ValidationError, match=named):
+                make()
+
+    def test_tabulated_model_refuses_a_table_that_is_no_optical_table(self):
+        with pytest.raises(ValidationError, match="OpticalTable"):
+            TabulatedModel(table=np.ones(3), extrapolation=None)
+
+    @pytest.mark.parametrize("extrapolation", [ConstantModel(2.0), "drude", 2.0])
+    def test_tabulated_model_holds_one_continuation(self, extrapolation):
+        # a constant continuation used to be absent from the transform while
+        # the zero mode took its eps: two physics in one model
+        table = OpticalTable(omega=np.array([1e15, 2e15]), eps_imag=np.array([1.0, 0.5]))
+        with pytest.raises(ValidationError, match="extrapolation"):
+            TabulatedModel(table=table, extrapolation=extrapolation)
+
+    def test_tabulated_model_takes_each_allowed_continuation(self):
+        table = OpticalTable(omega=np.array([1e15, 2e15]), eps_imag=np.array([1.0, 0.5]))
+        for extrapolation in (gold_drude(), gold_plasma(), None):
+            assert TabulatedModel(table, extrapolation).extrapolation is extrapolation
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_xi_rejected(self, bad):
         tabulated, _, _ = lorentz_table(n=50)

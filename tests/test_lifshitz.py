@@ -26,7 +26,6 @@ from casimir_lab.dielectric import (
 )
 from casimir_lab.errors import ConvergenceError, PfaValidityWarning
 from casimir_lab.lifshitz import (
-    QuadratureSpec,
     asymptote_thermal,
     force_and_curvature_sphere_plane,
     force_curvature_sphere_plane,
@@ -94,6 +93,31 @@ class TestReflectionCoefficients:
             reflection_coeffs(k=k, xi=1e15, eps=2.0)
         with pytest.raises(ValueError, match=named):
             reflection_coeffs_zero_mode(k, gold_plasma())
+
+    @pytest.mark.parametrize(
+        "xi, eps, named",
+        [
+            (math.nan, 2.0, "xi"),
+            (math.inf, 2.0, "xi"),
+            (-1e15, 2.0, "xi"),
+            (np.array([1e15, math.nan]), 2.0, "xi"),
+            (1e15, math.nan, "eps"),
+            (1e15, math.inf, "eps"),
+            (1e15, 0.5, "eps"),
+            (1e15, np.array([2.0, 0.5]), "eps"),
+        ],
+        ids=["xi-nan", "xi-inf", "xi-negative", "xi-array", "eps-nan", "eps-inf", "eps-below-1",
+             "eps-array"],
+    )
+    def test_out_of_domain_frequency_or_permittivity_is_named(self, xi, eps, named):
+        # NaN used to come back as (nan, nan), and eps = 0.5 as a finite pair
+        with pytest.raises(ValueError, match=rf"^{named} must be finite"):
+            reflection_coeffs(k=1e6, xi=xi, eps=eps)
+
+    def test_static_limit_takes_zero_frequency(self):
+        r = reflection_coeffs(k=1e6, xi=0.0, eps=3.0)
+        assert r.r_te == 0.0
+        assert r.r_tm == pytest.approx(0.5, rel=1e-15)
 
     def test_zero_mode_dissipative_metal_loses_te(self):
         k = np.geomspace(1e4, 1e8, 20)
@@ -271,7 +295,7 @@ class TestIndependentOracles:
         # from one fused pass at rel_tol 1e-12
         plasma = gold_plasma()
         d = np.array([4e-6, 5.5e-6, 7e-6])
-        tight = QuadratureSpec(rel_tol=1e-12)
+        tight = 1e-12
         energy, pressure, slope = lifshitz._lifshitz(
             d, 0.0, plasma, tight, ("energy", "pressure", "curvature")
         )
@@ -285,7 +309,7 @@ class TestIndependentOracles:
     def test_dilute_dielectric_tends_to_the_pairwise_limit(self):
         # E d^3 / eta^2 = c0 + c1 eta + O(eta^2): the line through eta = 1e-2
         # and 1e-3 meets eta = 0 within O(eta_1 eta_2) ~ 1e-5 of the oracle
-        d, tight = 1e-6, QuadratureSpec(rel_tol=1e-12)
+        d, tight = 1e-6, 1e-12
         etas = np.array([1e-2, 1e-3])
         ratio = [
             free_energy_per_area(d, 0.0, ConstantModel(eps=1.0 + eta), tight)
@@ -360,15 +384,14 @@ class TestConsistency:
     def test_tolerance_refinement_is_consistent(self):
         gold = gold_drude()
         d = 1e-6
-        loose = free_energy_per_area(d, 300.0, gold, QuadratureSpec(rel_tol=1e-6))
-        tight = free_energy_per_area(d, 300.0, gold, QuadratureSpec(rel_tol=1e-10))
+        loose = free_energy_per_area(d, 300.0, gold, rel_tol=1e-6)
+        tight = free_energy_per_area(d, 300.0, gold, rel_tol=1e-10)
         assert abs(loose - tight) / abs(tight) < 5e-6
 
-    def test_matsubara_cap_raises_convergence_error(self):
+    def test_matsubara_cap_raises_convergence_error(self, monkeypatch):
+        monkeypatch.setattr(lifshitz, "_MAX_MATSUBARA", 1)
         with pytest.raises(ConvergenceError, match=r"d = 7\.000e-07 m, T = 300 K, energy") as err:
-            free_energy_per_area(
-                0.7e-6, 300.0, gold_drude(), QuadratureSpec(max_matsubara=1)
-            )
+            free_energy_per_area(0.7e-6, 300.0, gold_drude())
         assert err.value.achieved > err.value.requested
 
     @pytest.mark.parametrize(
@@ -387,19 +410,20 @@ class TestConsistency:
     )
     def test_unsettled_quadrature_names_where_it_ran(self, d, T, kind, where):
         # T = 0 names the gap, T > 0 the gap range of the failing chunk
-        spec = QuadratureSpec(rel_tol=1e-16)
         with pytest.raises(ConvergenceError, match=where) as err:
-            lifshitz._lifshitz(d, T, gold_drude(), spec, (kind,))
+            lifshitz._lifshitz(d, T, gold_drude(), 1e-16, (kind,))
         assert err.value.requested == 1e-16
         assert err.value.achieved > err.value.requested
 
-    def test_cap_at_the_decay_cap_is_not_a_cut(self):
-        # at 7 um the ladder's own cap is 13 terms; max_matsubara = 13 sums
-        # the same terms, and max_matsubara = 3 cuts a tail below rel_tol
+    def test_cap_at_the_decay_cap_is_not_a_cut(self, monkeypatch):
+        # at 7 um the ladder's own cap is 13 terms; a term cap of 13 sums
+        # the same terms, and a term cap of 3 cuts a tail below rel_tol
         d = 7e-6
         full = free_energy_per_area(d, 300.0, gold_drude())
-        same = free_energy_per_area(d, 300.0, gold_drude(), QuadratureSpec(max_matsubara=13))
-        cut = free_energy_per_area(d, 300.0, gold_drude(), QuadratureSpec(max_matsubara=3))
+        monkeypatch.setattr(lifshitz, "_MAX_MATSUBARA", 13)
+        same = free_energy_per_area(d, 300.0, gold_drude())
+        monkeypatch.setattr(lifshitz, "_MAX_MATSUBARA", 3)
+        cut = free_energy_per_area(d, 300.0, gold_drude())
         assert same == full
         assert cut == pytest.approx(full, rel=1e-8, abs=0.0)
 
@@ -409,7 +433,7 @@ class TestConsistency:
         # small gaps used to be cut at the first term below rel_tol, which
         # left the sum off by up to 4e-8 at 0.1 um
         gaps = np.geomspace(0.1e-6, 7e-6, 9)
-        tight = QuadratureSpec(rel_tol=1e-12)
+        tight = 1e-12
         for fn in (free_energy_per_area, pressure_parallel):
             got = fn(gaps, 300.0, model)
             want = fn(gaps, 300.0, model, tight)
@@ -501,23 +525,44 @@ class TestGeometryAndPfa:
             warnings.simplefilter("error", PfaValidityWarning)
             force_sphere_plane(1e-6, 300.0, R_SPHERE, gold_drude())
 
-    def test_quadrature_spec_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(rel_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(rel_tol=1e-2)
-        with pytest.raises(ValueError):
-            QuadratureSpec(max_matsubara=0)
+    def test_quadrature_spec_validation(self, monkeypatch):
+        # rel_tol is checked once, by the engine, before any integral runs:
+        # every entry refuses a value outside (0, 1e-3] or not a real number
+        def forbidden(*args, **kwargs):
+            raise AssertionError("integral run before rel_tol was checked")
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 2.5, 100.0, True, False])
-    def test_max_matsubara_must_be_an_integer(self, bad):
-        # a float cap used to reach the ladder's integer cast (NaN as a
-        # RuntimeWarning there); a bool is an int to Python but no cap
-        with pytest.raises(ValueError, match="max_matsubara"):
-            QuadratureSpec(max_matsubara=bad)
+        monkeypatch.setattr(lifshitz, "integrate_decaying", forbidden)
+        monkeypatch.setattr(lifshitz, "integrate_decaying_2d", forbidden)
+        gold, wp, g = gold_drude(), TestSensitivityBand.WP, TestSensitivityBand.G
+        entries = [
+            lambda T, tol: free_energy_per_area(1e-6, T, gold, tol),
+            lambda T, tol: pressure_parallel(1e-6, T, gold, tol),
+            lambda T, tol: force_sphere_plane(1e-6, T, R_SPHERE, gold, tol),
+            lambda T, tol: force_curvature_sphere_plane(1e-6, T, R_SPHERE, gold, tol),
+            lambda T, tol: force_and_curvature_sphere_plane(1e-6, T, R_SPHERE, gold, tol),
+            lambda T, tol: force_sphere_plane_grid([1e-6], T, R_SPHERE, gold, tol),
+            lambda T, tol: sensitivity_band([1e-6], T, wp, g, "drude", R_SPHERE, tol),
+        ]
+        for bad in (0.0, -1e-8, 1e-2, math.nan, math.inf, "1e-8", None, True):
+            for T in (0.0, 300.0):
+                for entry in entries:
+                    with pytest.raises(ValueError, match=rf"rel_tol .* got {re.escape(repr(bad))}"):
+                        entry(T, bad)
 
-    def test_max_matsubara_takes_numpy_integers(self):
-        assert QuadratureSpec(max_matsubara=np.int64(13)).max_matsubara == 13
+    def test_rel_tol_takes_its_bounds_and_numpy_floats(self):
+        gold = gold_drude()
+        want = free_energy_per_area(1e-6, 300.0, gold)
+        assert free_energy_per_area(1e-6, 300.0, gold, np.float64(1e-8)) == want
+        loose = free_energy_per_area(1e-6, 300.0, gold, rel_tol=1e-3)
+        assert loose == pytest.approx(want, rel=1e-3, abs=0.0)
+
+    @pytest.mark.parametrize("bad", ["300", np.array([300.0]), None, True])
+    def test_non_numeric_temperature_is_refused(self, bad):
+        # a string or an array used to escape as a TypeError
+        with pytest.raises(ValueError, match="temperature"):
+            force_sphere_plane(1e-6, bad, R_SPHERE, gold_drude())
+        with pytest.raises(ValueError, match="temperature"):
+            asymptote_thermal(1e-6, R_SPHERE, bad, "drude")
 
     def test_domain_validation(self):
         with pytest.raises(ValueError):
@@ -644,19 +689,19 @@ class TestCurvesAsArrays:
             return integrate(f, rel_tol)
 
         gaps = np.array([0.2e-6, 12e-6, 1e-6, 5e-6])
-        tight = QuadratureSpec(rel_tol=1e-12)
+        tight = 1e-12
         kinds = {
-            "energy": lambda d, spec: free_energy_per_area(d, 300.0, model, spec),
-            "pressure": lambda d, spec: pressure_parallel(d, 300.0, model, spec),
-            "curvature": lambda d, spec: force_curvature_sphere_plane(
-                d, 300.0, R_SPHERE, model, spec
+            "energy": lambda d, rel_tol: free_energy_per_area(d, 300.0, model, rel_tol),
+            "pressure": lambda d, rel_tol: pressure_parallel(d, 300.0, model, rel_tol),
+            "curvature": lambda d, rel_tol: force_curvature_sphere_plane(
+                d, 300.0, R_SPHERE, model, rel_tol
             ),
         }
         monkeypatch.setattr(lifshitz, "integrate_decaying", counting)
         for kind, fn in kinds.items():
             want = [fn(float(d), tight) for d in gaps]
             calls.clear()
-            batched = fn(gaps, QuadratureSpec())
+            batched = fn(gaps, 1e-8)
             assert len(calls) == 2, "zero modes and rows, one family each"
             np.testing.assert_allclose(batched, want, rtol=1e-8, atol=0.0, err_msg=kind)
 
@@ -681,7 +726,7 @@ class TestFusedPass:
     )
     def test_each_kind_meets_rel_tol_against_its_own_pass(self, model, T):
         gaps = np.array([0.5e-6, 2e-6, 7e-6])
-        tight = QuadratureSpec(rel_tol=1e-12)
+        tight = 1e-12
         force, curvature = force_and_curvature_sphere_plane(gaps, T, R_SPHERE, model)
         want_force = force_sphere_plane(gaps, T, R_SPHERE, model, tight)
         want_curvature = force_curvature_sphere_plane(gaps, T, R_SPHERE, model, tight)
@@ -700,8 +745,8 @@ class TestFusedPass:
         # rule from spending that margin unnoticed
         gaps = np.array([0.7e-6, 3e-6, 7e-6])
         kinds = ("energy", "curvature")
-        got = lifshitz._lifshitz(gaps, T, model, QuadratureSpec(), kinds)
-        want = lifshitz._lifshitz(gaps, T, model, QuadratureSpec(rel_tol=1e-12), kinds)
+        got = lifshitz._lifshitz(gaps, T, model, 1e-8, kinds)
+        want = lifshitz._lifshitz(gaps, T, model, 1e-12, kinds)
         for kind, g, w in zip(kinds, got, want):
             np.testing.assert_allclose(g, w, rtol=1e-10, atol=0.0, err_msg=kind)
 
@@ -726,17 +771,18 @@ class TestFusedPass:
         assert fused == len(calls)
 
     @pytest.mark.parametrize(
-        "T, spec, where",
+        "T, rel_tol, cap, where",
         [
-            (0.0, QuadratureSpec(rel_tol=1e-16), r"T = 0 K, (energy|curvature) \("),
-            (300.0, QuadratureSpec(rel_tol=1e-16), r"T = 300 K, (energy|curvature) \("),
-            (300.0, QuadratureSpec(max_matsubara=1), r"1 terms at d = .*, T = 300 K, energy \("),
+            (0.0, 1e-16, lifshitz._MAX_MATSUBARA, r"T = 0 K, (energy|curvature) \("),
+            (300.0, 1e-16, lifshitz._MAX_MATSUBARA, r"T = 300 K, (energy|curvature) \("),
+            (300.0, 1e-8, 1, r"1 terms at d = .*, T = 300 K, energy \("),
         ],
         ids=["t0-quadrature", "300k-quadrature", "300k-ladder"],
     )
-    def test_a_fused_error_names_the_kind_that_failed(self, T, spec, where):
+    def test_a_fused_error_names_the_kind_that_failed(self, monkeypatch, T, rel_tol, cap, where):
+        monkeypatch.setattr(lifshitz, "_MAX_MATSUBARA", cap)
         with pytest.raises(ConvergenceError, match=where) as err:
-            force_and_curvature_sphere_plane(1e-6, T, R_SPHERE, gold_drude(), spec)
+            force_and_curvature_sphere_plane(1e-6, T, R_SPHERE, gold_drude(), rel_tol)
         assert err.value.achieved > err.value.requested
 
     def test_validates_and_warns_like_the_single_kinds(self):
@@ -776,9 +822,9 @@ class TestSensitivityBand:
         models = []
         grid = lifshitz.force_sphere_plane_grid
 
-        def counting_grid(separations, T, R, model, spec):
+        def counting_grid(separations, T, R, model, rel_tol):
             models.append(model)
-            return grid(separations, T, R, model, spec)
+            return grid(separations, T, R, model, rel_tol)
 
         monkeypatch.setattr(lifshitz, "force_sphere_plane_grid", counting_grid)
         for family, distinct in (("drude", 5), ("plasma", 3)):
@@ -791,6 +837,20 @@ class TestSensitivityBand:
         forces = force_sphere_plane_grid(grid, 300.0, R_SPHERE, gold_drude())
         want = [force_sphere_plane(d, 300.0, R_SPHERE, gold_drude()) for d in grid]
         np.testing.assert_array_equal(forces, want)
+
+    @pytest.mark.parametrize("family", ["drude", "plasma"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("axis", ["omega_p", "gamma"])
+    def test_non_finite_range_is_refused_before_any_curve(self, monkeypatch, axis, bad, family):
+        # the plasma family used to drop a NaN dissipation bound unseen
+        def forbidden(*args, **kwargs):
+            raise AssertionError("curve computed from a non-finite range")
+
+        monkeypatch.setattr(lifshitz, "force_sphere_plane_grid", forbidden)
+        ranges = {"omega_p": self.WP, "gamma": self.G}
+        ranges[axis] = (ranges[axis][0], bad)
+        with pytest.raises(ValueError, match="positive and finite"):
+            sensitivity_band([1e-6], 300.0, ranges["omega_p"], ranges["gamma"], family, R_SPHERE)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
