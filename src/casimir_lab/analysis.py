@@ -182,7 +182,8 @@ def bin_points(points, edges):
     wsum = np.bincount(idx, weights=w)
     wd = np.bincount(idx, weights=w * d)
     wf = np.bincount(idx, weights=w * f)
-    filled = np.unique(idx)
+    # not np.unique: its first call in a process imports numpy.ma (~15 ms)
+    filled = np.flatnonzero(np.bincount(idx))
     wsum = wsum[filled]
     return Measurements(d=wd[filled] / wsum, f=wf[filled] / wsum, sigma=1.0 / np.sqrt(wsum))
 

@@ -35,17 +35,24 @@ def is_integer(value):
 
 def require_positive(name, value):
     """ValueError naming the first entry of ``value`` that is not positive
-    and finite; ``value`` is a float or an array."""
+    and finite, or is a str, bytes, None or bool; ``value`` is a float or an
+    array."""
     _require(name, value, np.greater, 0.0, "positive and finite")
 
 
 def require_at_least(name, value, floor):
-    """ValueError naming the first entry of ``value`` that is not finite or
-    is below ``floor``; ``value`` is a float or an array."""
+    """ValueError naming the first entry of ``value`` that is not finite, is
+    below ``floor``, or is a str, bytes, None or bool; ``value`` is a float
+    or an array."""
     _require(name, value, np.greater_equal, floor, f"finite and >= {floor:g}")
 
 
 def _require(name, value, compare, bound, domain):
+    if not (isinstance(value, np.ndarray) and value.dtype.kind in "iuf"):
+        # numpy reads "1e-6" and True as floats: refuse them entry by entry
+        for entry in np.asarray(value, dtype=object).flat:
+            if entry is None or isinstance(entry, (str, bytes, bool, np.bool_)):
+                raise ValueError(f"{name} must be {domain}, got {entry!r}")
     value = np.asarray(value, dtype=float)
     bad = value[~(np.isfinite(value) & compare(value, bound))]
     if bad.size:

@@ -9,16 +9,21 @@ spaces across a vacuum gap d is
 with kappa0 = sqrt(k^2 + xi_n^2/c^2), Matsubara frequencies
 xi_n = 2 pi n k_B T / hbar, and the prime halving the n = 0 term.  At T = 0
 the ladder becomes the integral (hbar / 2 pi) int_0^inf dxi of the same
-k-integral, evaluated here as one 2-D integral on the L-shaped rectangle
-layout of :mod:`casimir_lab.quadrature`: each refinement level computes
-eps(i xi) once per frequency node and gathers it for every rectangle whose
-kernel it enters.
+k-integral, evaluated on the L-shaped rectangle layout of
+:mod:`casimir_lab.quadrature` in the reduced variables x = 2 xi d / c and
+t = y - x, whose nodes are the same for every gap: each refinement level
+computes eps(i xi) once per gap and frequency node and gathers it for every
+rectangle whose kernel it enters.
 
 Every entry point takes a float or an array of gaps (a float gives a float,
 computed as a grid of one).  At T > 0 a curve is one ladder: one eps(i xi_n)
 evaluation, as xi_n does not depend on the gap, and the (gap, n) rows of
-several gaps in one quadrature family.  At T = 0 each gap is one 2-D
-integral, which bounds the peak memory.
+several gaps in one quadrature family.  At T = 0 a curve is one 2-D
+integral per chunk of ``_T0_GAPS`` consecutive gaps, each gap settled on
+its own scale; the gaps of a chunk share y = x + t, exp(-y) and y^2, and
+the chunk size bounds the peak memory.  The whole-grid temporaries of the
+Fresnel coefficients and kernels live in buffers reused across doubling
+levels: by every chunk of a T = 0 curve, and within each chunk of a ladder.
 
 The one accuracy setting, ``rel_tol`` in (0, 1e-3] (default 1e-8), is what
 every quadrature settles to.  A ladder has at most ``_MAX_MATSUBARA`` terms
@@ -87,6 +92,12 @@ PFA_RATIO_LIMIT = 1e-3
 #: add ~0.5 MB (1.4 %) to the band workload's peak RSS, 200 rows ~1.7 MB.
 _LADDER_ROWS = 80
 
+#: Gaps one T = 0 integral settles together, each on its own scale; they
+#: share the nodes, y = x + t, exp(-y) and y^2.  Peak memory grows with it:
+#: against one gap a call, 3 gaps add ~0.4 MB (1.1 %) to the curves
+#: workload's peak RSS, 2 gaps ~0.25 MB, 4 ~0.65 MB and 6 ~1.3 MB.
+_T0_GAPS = 3
+
 #: Matsubara terms one gap sums at most (see the module notes).
 _MAX_MATSUBARA = 100_000
 
@@ -128,24 +139,52 @@ def reflection_coeffs(k, xi, eps):
     require_at_least("eps", eps, 1.0)
     k = np.asarray(k, dtype=float)
     xi = np.asarray(xi, dtype=float)
-    return _fresnel(np.sqrt(k * k + (xi / _C) ** 2), xi / _C, np.asarray(eps, dtype=float))
+    kappa0 = np.sqrt(k * k + (xi / _C) ** 2)
+    r = _fresnel(kappa0, xi / _C, np.asarray(eps, dtype=float), _Buffers())
+    return ReflectionPair(*(rp[()] for rp in r))
 
 
-def _fresnel(kappa0, w, eps):
-    """(r_te, r_tm) from the vacuum decay constant kappa0 and w = xi/c.
+class _Buffers:
+    """Named float buffers that one engine call reuses for every kernel
+    evaluation: ``take(name, shape)`` views the buffer as ``shape`` and
+    reallocates it only when it is too small, so the chunks and doubling
+    levels of a curve write into pages already faulted in."""
+
+    def __init__(self):
+        self._flat = {}
+
+    def take(self, name, shape):
+        size = math.prod(shape)
+        flat = self._flat.get(name)
+        if flat is None or flat.size < size:
+            flat = self._flat[name] = np.empty(size)
+        return flat[:size].reshape(shape)
+
+
+def _fresnel(kappa0, w, eps, buffers):
+    """(r_te, r_tm) from the vacuum decay constant kappa0 and w = xi/c, in
+    buffers "r_te" and "r_tm" of ``buffers``, with "exp(-y)" and "kernel"
+    as scratch.
 
     Both may carry one common scale factor: the kernels pass y = 2 kappa0 d
     and x = 2 xi d / c.
     """
-    # kappa^2 = kappa0^2 + (eps - 1) w^2 avoids cancellation for eps ~ 1
-    kappa = np.sqrt(kappa0 ** 2 + (eps - 1.0) * w ** 2)
-    # in place: on the T = 0 grid every temporary is a whole (x, t) array
-    r_te = kappa0 - kappa
-    r_te /= kappa0 + kappa
-    r_tm = eps * kappa0
-    tm_den = r_tm + kappa
+    shape = np.broadcast_shapes(np.shape(kappa0), np.shape(w), np.shape(eps))
+    # kappa^2 = kappa0^2 + (eps - 1) w^2 avoids cancellation for eps ~ 1;
+    # kappa0^2 is spent at once, in the buffer _kernel uses for exp(-y)
+    kappa = buffers.take("r_te", shape)
+    np.add(np.square(kappa0, out=buffers.take("exp(-y)", np.shape(kappa0))),
+           (eps - 1.0) * w ** 2, out=kappa)
+    np.sqrt(kappa, out=kappa)
+    # three whole-grid buffers: r_tm first, then r_te over kappa; the
+    # denominators go where _kernel will put its result
+    r_tm = np.multiply(eps, kappa0, out=buffers.take("r_tm", shape))
+    den = np.add(r_tm, kappa, out=buffers.take("kernel", shape))
     r_tm -= kappa
-    r_tm /= tm_den
+    r_tm /= den
+    np.add(kappa0, kappa, out=den)
+    r_te = np.subtract(kappa0, kappa, out=kappa)
+    r_te /= den
     return ReflectionPair(r_te, r_tm)
 
 
@@ -184,46 +223,54 @@ def _zero_mode_model(model):
     raise TypeError(f"unknown dielectric model {type(model).__name__}")
 
 
-def _kernel(r, y, kinds):
+def _kernel(r, y, kinds, buffers):
     """Energy y ln(1 - s), pressure y^2 s/(1 - s) or curvature y^3 s/(1 - s)^2
-    integrand of each of ``kinds``, s = r^2 exp(-y), summed over TE and TM."""
-    # in place: on the T = 0 grid every temporary is a whole (x, t) array,
-    # and their number sets the peak memory
-    expy = np.exp(-y)
-    # r may carry a leading gap axis that y lacks (the batched zero modes)
-    out = np.zeros((len(kinds),) + r[0].shape)
+    integrand of each of ``kinds``, s = r^2 exp(-y), summed over TE and TM;
+    r is overwritten, and the result is buffer "kernel" of ``buffers``."""
+    # in place: on the T = 0 grid every temporary is a whole (gap, x, t)
+    # array, and their number sets the peak memory
+    expy = buffers.take("exp(-y)", y.shape)
+    np.exp(np.negative(y, out=expy), out=expy)
+    # r may carry a leading gap axis that y lacks (the batched zero modes
+    # and the gaps of a T = 0 chunk), so y, exp(-y) and y^2 serve every gap
+    out = buffers.take("kernel", (len(kinds),) + r[0].shape)
     # the energy's log1p overwrites s, so it comes after the other kinds
     rows = sorted(zip(out, kinds), key=lambda row: row[1] == "energy")
-    q = None  # 1 - s: one buffer for every polarization and kind
-    for rp in r:
-        # r comes fresh from _fresnel or the zero-mode dispatch: reuse it
+    # 1 - s: one buffer for every polarization and kind, if one needs it
+    q = buffers.take("1 - s", r[0].shape) if set(kinds) - {"energy"} else None
+    for p, rp in enumerate(r):
         s = np.square(rp, out=rp)
         s *= expy
+        # TE writes each total, TM adds to it
         for total, kind in rows:
             if kind == "energy":
-                total += np.log1p(np.negative(s, out=s), out=s)
+                term = np.log1p(np.negative(s, out=s), out=s if p else total)
             else:
-                q = np.subtract(1.0, s, out=q)
-                total += np.divide(s, q if kind == "pressure" else np.square(q, out=q), out=q)
-    del expy, q  # freed before y * y below
+                np.subtract(1.0, s, out=q)
+                den = q if kind == "pressure" else np.square(q, out=q)
+                term = np.divide(s, den, out=q if p else total)
+            if p:
+                total += term
+    y2 = np.square(y, out=expy)  # exp(-y) is spent
     for total, kind in rows:
-        total *= y if kind == "energy" else y * y
+        total *= y if kind == "energy" else y2
         if kind == "curvature":
             total *= y
     return out
 
 
-def _mode_integrand(x, t, eps, kinds):
+def _mode_integrand(x, t, eps, kinds, buffers):
     """Kernel at reduced frequency x = 2 xi d / c > 0 and t = y - x.
 
     ``x`` and ``t`` broadcast against each other: a column of (gap, n)
     Matsubara rows against the y nodes on the ladder, the (nc, n, 1)
     frequency nodes of nc rectangles against their (nc, 1, n) t nodes in the
     T = 0 integral.  ``eps`` is eps(i xi) shaped like ``x``, one value per
-    frequency.
+    frequency, or (gaps, nc, n, 1) for the gaps of a T = 0 chunk, which share
+    x and t.
     """
-    y = x + t
-    return _kernel(_fresnel(y, x, eps), y, kinds)
+    y = np.add(x, t, out=buffers.take("y", np.broadcast_shapes(np.shape(x), np.shape(t))))
+    return _kernel(_fresnel(y, x, eps, buffers), y, kinds, buffers)
 
 
 def _chunks(rows):
@@ -266,13 +313,19 @@ def _matsubara_ladder(d, T, model, rel_tol, kinds):
         # x_n = 2 xi_n d / c with xi_n = 2 pi n k_B T / hbar
         x = (np.repeat(4.0 * math.pi * BOLTZMANN * T * gaps / (HBAR * _C), caps) * n)[:, None]
         eps_rows, column = eps[n - 1][:, None], gaps[:, None]
+        # buffers per chunk, not per curve: chunks differ in rows, and a
+        # curve's buffers would grow chunk by chunk, each growth faulting in
+        # fresh pages (band: 690 minor faults against 127)
+        buffers = _Buffers()
         with _located(gaps, T, kinds):
             i_zero = integrate_decaying(
-                lambda y: _kernel(reflection_coeffs_zero_mode(y / (2.0 * column), zero), y, kinds),
+                lambda y: _kernel(
+                    reflection_coeffs_zero_mode(y / (2.0 * column), zero), y, kinds, buffers
+                ),
                 rel_tol,
             )
             rows = integrate_decaying(
-                lambda t: _mode_integrand(x, t, eps_rows, kinds), rel_tol
+                lambda t: _mode_integrand(x, t, eps_rows, kinds, buffers), rel_tol
             )
         starts = np.cumsum(caps) - caps
         total = 0.5 * i_zero + np.add.reduceat(rows, starts, axis=1)
@@ -297,12 +350,19 @@ def _where(gaps, T, kind):
 
 
 @contextmanager
-def _located(gaps, T, kinds):
-    """Re-raise a ConvergenceError of the block with :func:`_where` of its kind."""
+def _located(gaps, T, kinds, each_gap=False):
+    """Re-raise a ConvergenceError of the block with :func:`_where` of its
+    kind.  The error's flat index runs over the kinds, or over (kind, gap)
+    when ``each_gap`` settles every gap of ``gaps`` on its own; then the
+    message names that gap."""
     try:
         yield
     except ConvergenceError as exc:
-        message = f"{exc.message} {_where(gaps, T, kinds[getattr(exc, 'kind', 0)])}"
+        index = getattr(exc, "kind", 0)
+        if each_gap:
+            index, gap = divmod(index, len(gaps))
+            gaps = gaps[gap]
+        message = f"{exc.message} {_where(gaps, T, kinds[index])}"
         raise ConvergenceError(message, exc.achieved, exc.requested) from exc
 
 
@@ -328,16 +388,23 @@ def _lifshitz(d, T, model, rel_tol, kinds):
     # float, as integer exponents make numpy cast through buffers: +0.15 MB peak RSS
     m = np.array([[_KINDS.index(kind)] for kind in kinds], dtype=float)
     if T == 0.0:
+        # every chunk has the same node grid, so one set of buffers serves
+        # them all without growing
+        buffers = _Buffers()
         integrals = np.empty((len(kinds), gaps.size))
-        for j, gap in enumerate(gaps.tolist()):
-            # one 2-D integral per gap; each level computes eps once per
-            # distinct frequency node, then gathers it per rectangle
-            def integrand(x, t, row, gap=gap):
-                eps = np.asarray(eps_imag_axis(model, x * _C / (2.0 * gap)))
-                return _mode_integrand(x[row], t, eps[row], kinds)
+        for start in range(0, gaps.size, _T0_GAPS):
+            chunk = gaps[start:start + _T0_GAPS]
+            column = chunk[:, None, None, None]
 
-            with _located(gap, 0.0, kinds):
-                integrals[:, j] = integrate_decaying_2d(integrand, rel_tol)
+            # one 2-D integral per chunk, each (kind, gap) settled on its own
+            # scale; each level computes eps once per gap and distinct
+            # frequency node, then gathers it per rectangle
+            def integrand(x, t, row, column=column):
+                eps = np.asarray(eps_imag_axis(model, x * _C / (2.0 * column)))
+                return _mode_integrand(x[row], t, eps[:, row], kinds, buffers)
+
+            with _located(chunk, 0.0, kinds, each_gap=True):
+                integrals[:, start:start + _T0_GAPS] = integrate_decaying_2d(integrand, rel_tol)
         values = HBAR * _C / (32.0 * math.pi ** 2 * gaps ** (3 + m)) * integrals
     else:
         ladders = _matsubara_ladder(gaps, T, model, rel_tol, kinds) if gaps.size else 0.0
@@ -441,16 +508,17 @@ def asymptote_thermal(d, R, T, which):
 def force_sphere_plane_grid(separations, T, R, model, rel_tol=1e-8):
     """Sphere-plane force on a 1-D separation grid, in N.
 
-    The forces :func:`force_sphere_plane` gives gap by gap, computed as one
-    curve: at T > 0 one Matsubara ladder over all gaps (eps(i xi_n) once,
-    gaps batched into quadrature families), at T = 0 one 2-D integral per
-    gap.  Every gap is validated before any integral runs; an empty grid
+    The forces :func:`force_sphere_plane` gives gap by gap, to within
+    rel_tol, computed as one curve: at T > 0 one Matsubara ladder over all
+    gaps (eps(i xi_n) once, gaps batched into quadrature families), at T = 0
+    one 2-D integral per chunk of a few gaps, each gap settled on its own
+    scale.  Every gap is validated before any integral runs; an empty grid
     gives an empty array.
     """
-    d = np.asarray(separations, dtype=float)
-    if d.ndim != 1:
-        raise ValueError(f"separation grid must be 1-D, got shape {d.shape}")
-    return _pfa(d, R) * abs(free_energy_per_area(d, T, model, rel_tol))
+    if np.ndim(separations) != 1:
+        raise ValueError(f"separation grid must be 1-D, got shape {np.shape(separations)}")
+    pfa = _pfa(separations, R)
+    return pfa * abs(free_energy_per_area(np.asarray(separations, dtype=float), T, model, rel_tol))
 
 
 @dataclass(frozen=True, eq=False)
@@ -496,13 +564,15 @@ def sensitivity_band(
     rel_tol : float
         Relative tolerance of every curve, as for :func:`free_energy_per_area`.
     """
-    d_grid = np.asarray(list(d_grid), dtype=float)
-    if d_grid.size == 0:
+    d_grid = list(d_grid)
+    if not d_grid:
         raise ValueError("separation grid must be non-empty")
+    require_positive("separation", d_grid)
+    d_grid = np.asarray(d_grid, dtype=float)
     # both ranges, whatever the family, before any curve runs
+    require_positive("omega_p_range", omega_p_range)
+    require_positive("gamma_range", gamma_range)
     (wp_lo, wp_hi), (g_lo, g_hi) = (sorted(map(float, r)) for r in (omega_p_range, gamma_range))
-    if not all(math.isfinite(v) and v > 0.0 for v in (wp_lo, wp_hi, g_lo, g_hi)):
-        raise ValueError("parameter ranges must be positive and finite")
 
     if model_family == "drude":
         models = [DrudeModel(omega_p=wp, gamma=g) for wp in (wp_lo, wp_hi) for g in (g_lo, g_hi)]

@@ -7,10 +7,14 @@ simulated campaign and that one uses a reduced sweep count.
 
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import casimir_lab
 from casimir_lab.cli import main
 from casimir_lab.constants import ev_to_angular_frequency
 from casimir_lab.dielectric import (
@@ -559,3 +563,27 @@ class TestExitCodes:
         assert main(argv) == 3
         assert "d = 2.000e-06 m, T = 0 K, energy" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_a_cli_run_imports_neither_numpy_polynomial_nor_numpy_ma(tmp_path):
+    # numpy.polynomial (the Gauss-Legendre rule) and numpy.ma (the first
+    # np.unique call in a process) cost a fresh interpreter ~20 ms together;
+    # a clean process is needed, since pytest's plugins may import both
+    src = str(Path(casimir_lab.__file__).resolve().parents[1])
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "from casimir_lab.cli import main\n"
+        "for argv in (\n"
+        "    ['simulate', '--seed', '1', '--out', 'campaign.csv'],\n"
+        "    ['fit', '--data', 'campaign.csv', '--models', 'all', '--out', 'report.json'],\n"
+        "    ['force', '--all-models', '--out', 'curves.csv'],\n"
+        "):\n"
+        "    assert main(argv) == 0, argv\n"
+        "print(sorted(m for m in ('numpy.polynomial', 'numpy.ma') if m in sys.modules))\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"

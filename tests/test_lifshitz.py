@@ -405,8 +405,16 @@ class TestConsistency:
                 "pressure",
                 r"at d in \[1\.000e-06, 5\.000e-06\] m, T = 300 K, pressure",
             ),
+            # the three gaps share one T = 0 integral; 5 um is the one that
+            # is furthest from settling when each gap runs alone too
+            (
+                np.array([1e-6, 5e-6, 2e-6]),
+                0.0,
+                "energy",
+                r"at d = 5\.000e-06 m, T = 0 K, energy \(",
+            ),
         ],
-        ids=["t0-energy", "t0-curvature", "300k-chunk"],
+        ids=["t0-energy", "t0-curvature", "300k-chunk", "t0-chunk"],
     )
     def test_unsettled_quadrature_names_where_it_ran(self, d, T, kind, where):
         # T = 0 names the gap, T > 0 the gap range of the failing chunk
@@ -563,6 +571,30 @@ class TestGeometryAndPfa:
             force_sphere_plane(1e-6, bad, R_SPHERE, gold_drude())
         with pytest.raises(ValueError, match="temperature"):
             asymptote_thermal(1e-6, R_SPHERE, bad, "drude")
+
+    @pytest.mark.parametrize("bad", ["0.156", b"0.156", None, True])
+    def test_non_numeric_radius_is_refused(self, bad):
+        # numpy reads "0.156" as a float, and the string used to escape as a
+        # TypeError from the PFA factor
+        with pytest.raises(ValueError, match=rf"radius must be .*, got {re.escape(repr(bad))}"):
+            force_sphere_plane(1e-6, 300.0, bad, gold_drude())
+
+    @pytest.mark.parametrize("bad", ["1e-6", b"1e-6", None, True])
+    def test_non_numeric_gap_is_refused(self, bad):
+        # a string gap used to escape as numpy's UFuncTypeError; in a list
+        # it would have been read as a float
+        named = rf"separation must be .*, got {re.escape(repr(bad))}"
+        with pytest.raises(ValueError, match=named):
+            force_sphere_plane(bad, 300.0, R_SPHERE, gold_drude())
+        with pytest.raises(ValueError, match=named):
+            force_sphere_plane_grid([2e-6, bad], 0.0, R_SPHERE, gold_drude())
+        with pytest.raises(ValueError, match=named):
+            free_energy_per_area([2e-6, bad], 300.0, gold_drude())
+
+    @pytest.mark.parametrize("bad", ["0.156", b"0.156", None, True])
+    def test_non_numeric_radius_of_the_asymptote_is_refused(self, bad):
+        with pytest.raises(ValueError, match=rf"radius must be .*, got {re.escape(repr(bad))}"):
+            asymptote_thermal(1e-6, bad, 300.0, "drude")
 
     def test_domain_validation(self):
         with pytest.raises(ValueError):
@@ -785,6 +817,13 @@ class TestFusedPass:
             force_and_curvature_sphere_plane(1e-6, T, R_SPHERE, gold_drude(), rel_tol)
         assert err.value.achieved > err.value.requested
 
+    def test_a_t0_chunk_error_names_its_kind_and_gap(self):
+        # the worst (kind, gap) of a chunk is the energy at 5 um; decoding
+        # its flat index gap-major would name the curvature at 2 um instead
+        gaps = np.array([1e-6, 5e-6, 2e-6])
+        with pytest.raises(ConvergenceError, match=r"at d = 5\.000e-06 m, T = 0 K, energy \("):
+            lifshitz._lifshitz(gaps, 0.0, gold_drude(), 1e-16, ("curvature", "energy"))
+
     def test_validates_and_warns_like_the_single_kinds(self):
         with pytest.raises(ValueError, match="radius"):
             force_and_curvature_sphere_plane(1e-6, 300.0, -1.0, gold_drude())
@@ -792,6 +831,39 @@ class TestFusedPass:
             force_and_curvature_sphere_plane(np.array([1e-6, 0.0]), 300.0, R_SPHERE, gold_drude())
         with pytest.warns(PfaValidityWarning):
             force_and_curvature_sphere_plane(7e-6, 300.0, 1e-3, gold_drude())
+
+
+class TestZeroTemperatureChunks:
+    """A T = 0 curve is one 2-D integral per chunk of a few gaps, each gap
+    settled on its own scale, so a chunk must not change what a gap gets."""
+
+    @pytest.mark.parametrize(
+        "kinds", [("energy",), ("energy", "curvature")], ids=["energy", "fused"]
+    )
+    @pytest.mark.parametrize(
+        "model",
+        [gold_drude(), gold_plasma(), ConstantModel(eps=1.001), TestCurvesAsArrays.drude_table()],
+        ids=["drude", "plasma", "dilute", "table"],
+    )
+    def test_a_partial_chunk_matches_each_gap_alone(self, monkeypatch, model, kinds):
+        # one gap more than a chunk holds: a full chunk, then a chunk of one
+        gaps = np.geomspace(0.7e-6, 7e-6, lifshitz._T0_GAPS + 1)
+        calls = []
+        integrate = lifshitz.integrate_decaying_2d
+
+        def counting(f, rel_tol):
+            calls.append(rel_tol)
+            return integrate(f, rel_tol)
+
+        monkeypatch.setattr(lifshitz, "integrate_decaying_2d", counting)
+        got = lifshitz._lifshitz(gaps, 0.0, model, 1e-8, kinds)
+        assert len(calls) == 2
+        alone = [lifshitz._lifshitz(d, 0.0, model, 1e-8, kinds) for d in gaps.tolist()]
+        tight = lifshitz._lifshitz(gaps, 0.0, model, 1e-12, kinds)
+        for k, kind in enumerate(kinds):
+            want = [values[k] for values in alone]
+            np.testing.assert_allclose(got[k], want, rtol=1e-8, atol=0.0, err_msg=kind)
+            np.testing.assert_allclose(got[k], tight[k], rtol=1e-10, atol=0.0, err_msg=kind)
 
 
 class TestSensitivityBand:
@@ -851,6 +923,20 @@ class TestSensitivityBand:
         ranges[axis] = (ranges[axis][0], bad)
         with pytest.raises(ValueError, match="positive and finite"):
             sensitivity_band([1e-6], 300.0, ranges["omega_p"], ranges["gamma"], family, R_SPHERE)
+
+    @pytest.mark.parametrize("bad", ["1.3e16", b"1.3e16", None, True])
+    @pytest.mark.parametrize("axis", ["omega_p", "gamma"])
+    def test_non_numeric_range_is_refused_before_any_curve(self, monkeypatch, axis, bad):
+        # float("1.3e16") used to turn a string range into a band
+        def forbidden(*args, **kwargs):
+            raise AssertionError("curve computed from a non-numeric range")
+
+        monkeypatch.setattr(lifshitz, "force_sphere_plane_grid", forbidden)
+        ranges = {"omega_p": self.WP, "gamma": self.G}
+        ranges[axis] = (bad, ranges[axis][1])
+        named = rf"{axis}_range must be .*, got {re.escape(repr(bad))}"
+        with pytest.raises(ValueError, match=named):
+            sensitivity_band([1e-6], 300.0, ranges["omega_p"], ranges["gamma"], "drude", R_SPHERE)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):

@@ -16,6 +16,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.polynomial.legendre import leggauss
 
 from casimir_lab.constants import ZETA3
 from casimir_lab.errors import ConvergenceError
@@ -35,6 +36,16 @@ def test_gauss_legendre_nodes_integrate_polynomials_exactly():
     # degree-11 polynomial is exact for 6 nodes
     assert np.sum(w * x**10) == pytest.approx(2.0 / 11.0, rel=1e-14, abs=0.0)
     assert np.sum(w * x**11) == pytest.approx(0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("n", [6 * 2**k for k in range(6)])
+def test_gauss_legendre_is_numpys_rule_to_the_bit(n):
+    # the rule repeats numpy's leggauss steps without importing
+    # numpy.polynomial; every node count the ladder uses must match exactly
+    x, w = gauss_legendre(n)
+    want_x, want_w = leggauss(n)
+    assert np.array_equal(x, want_x)
+    assert np.array_equal(w, want_w)
 
 
 def test_panel_edges_start_graded_and_reach_cutoff():
