@@ -223,12 +223,22 @@ def _tail_integral(table, s, xi):
     :func:`integrate_decaying` takes for every xi in one family to 1e-12 of
     its largest member, the one at the smallest xi.  At xi = 0 it is
     (2/pi) eps''(W)/s.
+
+    The integrand is analytic within pi/2 of the real axis (its nearest
+    poles sit at Im v = +-pi/2) and falls by e over 1/s, so it passes the
+    smaller as its quadrature offset: the graded opening, kept for endpoint
+    singularities, shrinks to a first panel about that wide, which a steep
+    tail needs for its nodes to see e^(-s v) before it underflows.
     """
     amp = table.eps_imag[-1]
     if amp == 0.0:
         return np.zeros(xi.shape)
     a_sq = (xi / table.omega[-1])[:, None] ** 2
-    tail = integrate_decaying(lambda v: np.exp(-s * v) / (1.0 + a_sq * np.exp(-2.0 * v)), 1e-12)
+    tail = integrate_decaying(
+        lambda v: np.exp(-s * v) / (1.0 + a_sq * np.exp(-2.0 * v)),
+        1e-12,
+        min(0.5 * np.pi, 1.0 / s),
+    )
     return (2.0 / np.pi) * amp * tail
 
 

@@ -17,8 +17,11 @@ rectangle whose kernel it enters.
 
 Every entry point takes a float or an array of gaps (a float gives a float,
 computed as a grid of one).  At T > 0 a curve is one ladder: one eps(i xi_n)
-evaluation, as xi_n does not depend on the gap, and the (gap, n) rows of
-several gaps in one quadrature family.  At T = 0 a curve is one 2-D
+evaluation, as xi_n does not depend on the gap, the zero modes of up to
+``_LADDER_ROWS`` gaps in one quadrature family, and the (gap, n) rows of
+several gaps in another.  A row starts at y = x_n > 0, clear of the y ln y
+endpoint at y = 0, so a row family passes its smallest x_n to the
+quadrature, which thins its graded opening.  At T = 0 a curve is one 2-D
 integral per chunk of ``_T0_GAPS`` consecutive gaps, each gap settled on
 its own scale; the gaps of a chunk share y = x + t, exp(-y) and y^2, and
 the chunk size bounds the peak memory.  The whole-grid temporaries of the
@@ -88,8 +91,9 @@ PFA_RATIO_LIMIT = 1e-3
 
 #: (gap, n) rows the Matsubara ladder integrates in one family.  Gaps are
 #: chunked up to this many rows and never split; a gap with more rows runs
-#: alone.  Peak memory grows with it: against one gap per family, 80 rows
-#: add ~0.5 MB (1.4 %) to the band workload's peak RSS, 200 rows ~1.7 MB.
+#: alone.  The zero modes settle in families of up to this many gaps.  Peak
+#: memory grows with it: against one gap per family, 80 rows add ~0.5 MB
+#: (1.4 %) to the band workload's peak RSS, 200 rows ~1.7 MB.
 _LADDER_ROWS = 80
 
 #: Gaps one T = 0 integral settles together, each on its own scale; they
@@ -290,12 +294,14 @@ def _matsubara_ladder(d, T, model, rel_tol, kinds):
 
     Returns sum'_n I_n, shaped (len(kinds), d.size) for the 1-D array ``d``,
     with I_n the y-integral of each kernel of ``kinds``.  eps(i xi_n) is
-    computed once, up to the largest per-gap cap.  Each chunk of gaps (see
-    :func:`_chunks`) then makes two quadrature calls: one family of its zero
-    modes and one of its (gap, n) rows, x = 4 pi k_B T d n / (hbar c), with
-    every kind in each.  Every computed term is summed, up to the decay cap;
-    a ladder that _MAX_MATSUBARA cuts shorter raises ConvergenceError when
-    its last term still exceeds rel_tol of the sum.
+    computed once, up to the largest per-gap cap.  The zero modes settle
+    first, one quadrature call per ``_LADDER_ROWS`` gaps (one on a 30-gap
+    curve); then each chunk of gaps (see :func:`_chunks`) makes one call for
+    its (gap, n) rows, x = 4 pi k_B T d n / (hbar c), on the panel layout of
+    its smallest x.  Every kind rides in each call.  Every computed term is
+    summed, up to the decay cap; a ladder that _MAX_MATSUBARA cuts shorter
+    raises ConvergenceError when its last term still exceeds rel_tol of the
+    sum.
     """
     # Terms decay like exp(-n * 4 pi k_B T d / (hbar c)); at the cap the
     # neglected tail is below exp(-30) of the total.  Capped in floats, so
@@ -306,29 +312,38 @@ def _matsubara_ladder(d, T, model, rel_tol, kinds):
     eps = np.asarray(eps_imag_axis(model, xi))
     zero = _zero_mode_model(model)
 
+    # zero modes on y = 2 k d, whose y ln y endpoint keeps the full layout
+    i_zero = np.empty((len(kinds), d.size))
+    for start in range(0, d.size, _LADDER_ROWS):
+        family = slice(start, start + _LADDER_ROWS)
+        column, buffers = d[family, None], _Buffers()
+        with _located(d[family], T, kinds):
+            i_zero[:, family] = integrate_decaying(
+                lambda y: _kernel(
+                    reflection_coeffs_zero_mode(y / (2.0 * column), zero), y, kinds, buffers
+                ),
+                rel_tol,
+            )
+
     ladders = np.empty((len(kinds), d.size))
     for chunk in _chunks(n_cap):
         gaps, caps = d[chunk], n_cap[chunk]
         n = np.concatenate([np.arange(1, cap + 1) for cap in caps])
         # x_n = 2 xi_n d / c with xi_n = 2 pi n k_B T / hbar
         x = (np.repeat(4.0 * math.pi * BOLTZMANN * T * gaps / (HBAR * _C), caps) * n)[:, None]
-        eps_rows, column = eps[n - 1][:, None], gaps[:, None]
+        eps_rows = eps[n - 1][:, None]
         # buffers per chunk, not per curve: chunks differ in rows, and a
         # curve's buffers would grow chunk by chunk, each growth faulting in
         # fresh pages (band: 690 minor faults against 127)
         buffers = _Buffers()
+        # a row in t = y - x_n has its y ln y endpoint at t = -x_n, so the
+        # smallest x_n of the chunk is how far the graded opening may thin
         with _located(gaps, T, kinds):
-            i_zero = integrate_decaying(
-                lambda y: _kernel(
-                    reflection_coeffs_zero_mode(y / (2.0 * column), zero), y, kinds, buffers
-                ),
-                rel_tol,
-            )
             rows = integrate_decaying(
-                lambda t: _mode_integrand(x, t, eps_rows, kinds, buffers), rel_tol
+                lambda t: _mode_integrand(x, t, eps_rows, kinds, buffers), rel_tol, x.min()
             )
         starts = np.cumsum(caps) - caps
-        total = 0.5 * i_zero + np.add.reduceat(rows, starts, axis=1)
+        total = 0.5 * i_zero[:, chunk] + np.add.reduceat(rows, starts, axis=1)
         # only a ladder that _MAX_MATSUBARA cut short can miss its tolerance
         achieved = np.abs(rows[:, starts + caps - 1] / total)
         unsettled = (decay_cap[chunk] > caps) & (achieved > rel_tol)

@@ -8,6 +8,11 @@ cell, 6, 12, 24, ..., until its estimate is stable relative to the total.  A cel
 is a panel in 1-D and a rectangle in 2-D; one loop refines both, and each
 doubling level evaluates every unsettled cell in a single call of the integrand.
 
+An integrand that stays smooth for a distance ``offset`` from 0, such as a
+Matsubara row written in t = y - x_n, has no endpoint for the grading to
+resolve: the 1-D driver drops every graded edge below offset/8, so the
+first panel stays narrower than about ``offset``.
+
 The 2-D rectangles form an L-shaped layout.  Only the corner x = t = 0 needs
 the graded t-panels, so the x-panel at 0 pairs with every t-panel and one with
 lower edge a > 0 with a merged t-panel [0, a], then the t-panels above a.  A
@@ -15,6 +20,7 @@ rectangle with x_lo + t_lo >= cutoff/2 holds under exp(-cutoff/2) of the
 total and is dropped: 62 rectangles, not 121 pairs.
 """
 
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import pairwise
 
@@ -85,8 +91,14 @@ def panel_edges(cutoff=DEFAULT_CUTOFF):
 
 
 _EDGES = panel_edges()
-#: Each panel's lower edge and half width.
-_LOWER, _HALF = np.array(_EDGES[:-1]), 0.5 * np.diff(_EDGES)
+#: Each panel's lower edge and half width, by the number of graded opening
+#: edges dropped; built at import, as one built mid-curve would outlive the
+#: curve's temporaries in the heap and fragment it.
+_PANELS = tuple(
+    (np.array(edges[:-1]), 0.5 * np.diff(edges))
+    for edges in (_EDGES[:1] + _EDGES[1 + skip:] for skip in range(len(_GRADED_OPENING) + 1))
+)
+
 #: x-panel, t lower edge and t half width of each rectangle of the L layout.
 _RECTANGLES = tuple(np.array(column) for column in zip(*[
     (i, lo, 0.5 * (hi - lo)) for i, a in enumerate(_EDGES[:-1])
@@ -94,10 +106,12 @@ _RECTANGLES = tuple(np.array(column) for column in zip(*[
 ]))
 
 
-def _nodes(panels, n):
-    """n Gauss-Legendre nodes on each listed panel, the weights, the half widths."""
-    half, (x, w) = _HALF[panels], gauss_legendre(n)
-    return _LOWER[panels, None] + half[:, None] * (x + 1.0), w, half
+def _nodes(panels, n, skip=0):
+    """n Gauss-Legendre nodes on each listed panel of the layout without the
+    first ``skip`` graded edges, the weights, the half widths."""
+    lower, half = _PANELS[skip]
+    half, (x, w) = half[panels], gauss_legendre(n)
+    return lower[panels, None] + half[:, None] * (x + 1.0), w, half
 
 
 def _settle(estimate, cells, rel_tol, node_start, node_cap):
@@ -130,7 +144,7 @@ def _settle(estimate, cells, rel_tol, node_start, node_cap):
     return estimates.sum(axis=-1).reshape(first.shape[:-1])[()]
 
 
-def integrate_decaying(f, rel_tol):
+def integrate_decaying(f, rel_tol, offset=0.0):
     """Integrate ``f`` over [0, DEFAULT_CUTOFF] to a relative tolerance.
 
     ``f`` maps a 1-D array of abscissae to values whose last axis matches it.
@@ -142,13 +156,21 @@ def integrate_decaying(f, rel_tol):
     it holds kinds, each a family.  Each panel starts with 6 Gauss-Legendre
     nodes; one unsettled at 192 raises ConvergenceError.  The neglected tail
     beyond the cutoff is O(exp(-cutoff)).
+
+    ``offset`` >= 0 is how far from 0 every member of ``f`` stays smooth:
+    the distance to its nearest singularity (y = 0 for a kernel written in
+    t = y - offset) or the length over which it changes by a factor e.
+    Every graded opening edge below offset/8 is dropped; at 0, the default,
+    the full layout is used.
     """
+    skip = bisect_left(_GRADED_OPENING, offset / 8.0)
+
     def estimate(panels, n):
-        x, w, half = _nodes(panels, n)
+        x, w, half = _nodes(panels, n, skip)
         vals = np.asarray(f(x.ravel()))
         return half * (vals.reshape(vals.shape[:-1] + x.shape) @ w)
 
-    return _settle(estimate, np.arange(_LOWER.size), rel_tol, _NODE_START, 192)
+    return _settle(estimate, np.arange(len(_EDGES) - 1 - skip), rel_tol, _NODE_START, 192)
 
 
 def integrate_decaying_2d(f, rel_tol):

@@ -12,6 +12,7 @@ import re
 import numpy as np
 import pytest
 
+from casimir_lab import dielectric
 from casimir_lab.constants import ev_to_angular_frequency
 from casimir_lab.dielectric import (
     GOLD_GAMMA_EV,
@@ -260,6 +261,28 @@ class TestTabulatedKramersKronig:
         want = 2.0 / math.pi * amp * np.array([closed_form(x) for x in a])
         scale = 2.0 / math.pi * amp / s
         assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("s", [3.0, 1.0, 0.5])
+    def test_tail_on_the_thinned_opening_matches_the_full_opening(self, monkeypatch, s):
+        # the tail's integrand is analytic within pi/2 of the real axis, so
+        # it may skip the graded opening panels; over nine decades of xi it
+        # must land where the full opening does, on a 2000-row Drude table
+        # and a 601-row Lorentz table
+        gold = gold_drude()
+        wp, g = gold.omega_p, gold.gamma
+        w = np.geomspace(1e14, 1e17, 2000)
+        tables = [
+            OpticalTable(omega=w, eps_imag=wp**2 * g / (w * (w**2 + g**2))),
+            lorentz_table(n=601)[0].table,
+        ]
+        xi = np.geomspace(1e11, 1e20, 3000)
+        got = [_tail_integral(table, s, xi) for table in tables]
+        integrate = dielectric.integrate_decaying
+        monkeypatch.setattr(
+            dielectric, "integrate_decaying", lambda f, rel_tol, offset=0.0: integrate(f, rel_tol)
+        )
+        for table, tail in zip(tables, got):
+            np.testing.assert_allclose(tail, _tail_integral(table, s, xi), rtol=1e-14, atol=0.0)
 
     def test_unreachable_tail_tolerance_raises(self):
         # eps'' ~ omega^(-1e9) drops by e^-60000 within the first quadrature

@@ -716,9 +716,9 @@ class TestCurvesAsArrays:
         calls = []
         integrate = lifshitz.integrate_decaying
 
-        def counting(f, rel_tol):
+        def counting(f, rel_tol, offset=0.0):
             calls.append(rel_tol)
-            return integrate(f, rel_tol)
+            return integrate(f, rel_tol, offset)
 
         gaps = np.array([0.2e-6, 12e-6, 1e-6, 5e-6])
         tight = 1e-12
@@ -790,9 +790,9 @@ class TestFusedPass:
         for name in ("integrate_decaying", "integrate_decaying_2d"):
             integrate = getattr(lifshitz, name)
 
-            def counting(f, rel_tol, integrate=integrate):
+            def counting(f, rel_tol, *offset, integrate=integrate):
                 calls.append(f)
-                return integrate(f, rel_tol)
+                return integrate(f, rel_tol, *offset)
 
             monkeypatch.setattr(lifshitz, name, counting)
         force, curvature = force_and_curvature_sphere_plane(1e-6, T, R_SPHERE, gold_drude())
@@ -831,6 +831,92 @@ class TestFusedPass:
             force_and_curvature_sphere_plane(np.array([1e-6, 0.0]), 300.0, R_SPHERE, gold_drude())
         with pytest.warns(PfaValidityWarning):
             force_and_curvature_sphere_plane(7e-6, 300.0, 1e-3, gold_drude())
+
+
+class TestLadderLayout:
+    """The (gap, n) rows of a ladder start at y = x_n, away from the y ln y
+    endpoint, so their quadrature thins the graded opening; the zero modes,
+    which do reach y = 0, settle in families of up to _LADDER_ROWS gaps."""
+
+    @staticmethod
+    def zero_mode_calls(monkeypatch):
+        """Patch the ladder's quadrature to record, per call, whether its
+        integrand took the zero-mode reflection coefficients."""
+        calls, seen = [], []
+        integrate = lifshitz.integrate_decaying
+        zero_mode = lifshitz.reflection_coeffs_zero_mode
+
+        def counting(f, rel_tol, offset=0.0):
+            seen.clear()
+            result = integrate(f, rel_tol, offset)
+            calls.append(bool(seen))
+            return result
+
+        def zero_mode_seen(k, model):
+            seen.append(model)
+            return zero_mode(k, model)
+
+        monkeypatch.setattr(lifshitz, "integrate_decaying", counting)
+        monkeypatch.setattr(lifshitz, "reflection_coeffs_zero_mode", zero_mode_seen)
+        return calls
+
+    def test_a_curve_computes_two_thirds_of_the_values_and_one_zero_family(self, monkeypatch):
+        # with the full graded opening on every row family and one zero-mode
+        # family per chunk of rows, this curve computed 130,932 kernel values
+        # in 45 kernel calls, over 18 quadrature calls of which 9 zero-mode
+        values = []
+        kernel = lifshitz._kernel
+
+        def counting(r, y, kinds, buffers):
+            out = kernel(r, y, kinds, buffers)
+            values.append(out[0].size)
+            return out
+
+        monkeypatch.setattr(lifshitz, "_kernel", counting)
+        calls = self.zero_mode_calls(monkeypatch)
+        gaps = np.geomspace(0.7e-6, 7e-6, 30)
+        forces = force_sphere_plane_grid(gaps, 300.0, R_SPHERE, gold_drude())
+        assert np.all(forces > 0.0)
+        assert sum(values) <= 2 * 130_932 / 3
+        assert calls.count(True) == 1
+
+    def test_small_zero_families_match_gap_by_gap(self, monkeypatch):
+        # a cap of 5 rows splits 12 gaps into three zero-mode families, and
+        # every (gap, n) row chunk holds one gap
+        monkeypatch.setattr(lifshitz, "_LADDER_ROWS", 5)
+        calls = self.zero_mode_calls(monkeypatch)
+        gaps = np.geomspace(0.1e-6, 7e-6, 12)
+        for model in (gold_drude(), gold_plasma()):
+            calls.clear()
+            got = force_sphere_plane_grid(gaps, 300.0, R_SPHERE, model)
+            assert calls.count(True) == 3
+            want = [force_sphere_plane(d, 300.0, R_SPHERE, model) for d in gaps]
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("T", [1.0, 10.0, 77.0, 300.0])
+    @pytest.mark.parametrize(
+        "model",
+        [gold_drude(), gold_plasma(), ConstantModel(eps=2.0), ConstantModel(eps=1.001)],
+        ids=["drude", "plasma", "constant", "dilute"],
+    )
+    def test_thinned_rows_match_a_tight_pass_on_the_full_opening(self, monkeypatch, model, T):
+        # x_1 = 4 pi k_B T d / (hbar c) runs from ~4e-3 (1 K, 0.7 um) to ~20
+        # (300 K, 12 um), so the row families drop from one to all five
+        # graded edges.  A gap is left out where its ladder has more than
+        # 8,000 terms (1 K below ~0.7 um), which keeps the tight pass near
+        # 100 MB of whole-grid buffers
+        gaps = np.array([0.1, 0.2, 0.4, 0.7, 1.5, 3.0, 6.0, 12.0]) * 1e-6
+        terms = 15.0 * HBAR * SPEED_OF_LIGHT / (2.0 * math.pi * BOLTZMANN * T * gaps)
+        gaps = gaps[terms <= 8_000]
+        kinds = ("energy", "curvature")
+        got = lifshitz._lifshitz(gaps, T, model, 1e-8, kinds)
+        integrate = lifshitz.integrate_decaying
+        monkeypatch.setattr(
+            lifshitz, "integrate_decaying", lambda f, rel_tol, offset=0.0: integrate(f, rel_tol)
+        )
+        want = lifshitz._lifshitz(gaps, T, model, 1e-12, kinds)
+        for kind, g, w in zip(kinds, got, want):
+            np.testing.assert_allclose(g, w, rtol=1e-10, atol=0.0, err_msg=kind)
 
 
 class TestZeroTemperatureChunks:

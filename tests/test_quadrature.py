@@ -21,6 +21,7 @@ from numpy.polynomial.legendre import leggauss
 from casimir_lab.constants import ZETA3
 from casimir_lab.errors import ConvergenceError
 from casimir_lab.quadrature import (
+    _GRADED_OPENING,
     DEFAULT_CUTOFF,
     gauss_legendre,
     integrate_decaying,
@@ -96,6 +97,40 @@ def test_scaled_exponential_family(a):
     # slower down to a = 0.5 where the cutoff tail is still < 1e-12
     value = integrate_decaying(lambda y: y * np.exp(-a * y), 1e-11)
     assert value == pytest.approx(1.0 / (a * a), rel=1e-9)
+
+
+def shifted_bose_integrals(a):
+    """int_a^inf y ln(1 - e^-y) dy = -(a Li2(e^-a) + Li3(e^-a)) and
+    int_a^inf y^2 e^-y/(1 - e^-y) dy = sum_k e^(-ka) (a^2/k + 2a/k^2 + 2/k^3),
+    each summed term by term from the geometric series of 1/(1 - e^-y)."""
+    k = np.arange(1.0, math.ceil(40.0 / a) + 50.0)
+    z = np.exp(-k * a)
+    log_kernel = -math.fsum(z * (a / k**2 + 1.0 / k**3))
+    bose_kernel = math.fsum(z * (a * a / k + 2.0 * a / k**2 + 2.0 / k**3))
+    return log_kernel, bose_kernel
+
+
+@pytest.mark.parametrize(
+    "a",
+    [8.0 * e * (1.0 + sign * 1e-3) for e in _GRADED_OPENING for sign in (-1, 1)] + [1.15, 11.5],
+)
+def test_offset_layout_against_shifted_closed_forms(a):
+    # written in t = y - a, each kernel's y ln y or 1/y endpoint sits at
+    # t = -a; just below and just above 8 e, the graded edge e is kept or
+    # dropped, and either way the thinned opening must still resolve it
+    def f(t):
+        y = t + a
+        return np.stack([y * np.log1p(-np.exp(-y)), y * y / np.expm1(y)])[:, None]
+
+    got = integrate_decaying(f, 1e-12, a)[:, 0]
+    np.testing.assert_allclose(got, shifted_bose_integrals(a), rtol=1e-12, atol=0.0)
+
+
+def test_zero_offset_is_the_default_layout():
+    def f(t):
+        return np.stack([t * np.log1p(-np.exp(-t)), np.exp(-t) * np.cos(20.0 * t)])
+
+    assert np.array_equal(integrate_decaying(f, 1e-12, 0.0), integrate_decaying(f, 1e-12))
 
 
 def test_vectorized_rows_match_scalar_rows():
