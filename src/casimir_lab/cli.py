@@ -18,6 +18,7 @@ Exit codes: 0 success, 2 usage or config error, 3 convergence failure,
 """
 
 import argparse
+import functools
 import math
 import secrets
 import sys
@@ -299,6 +300,7 @@ def _add_common_physics_flags(p):
     p.add_argument("--gamma-ev", type=finite_float, default=GOLD_GAMMA_EV, help="dissipation, eV")
 
 
+@functools.cache  # parsing leaves the parser as it was; main reuses it
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="casimir-lab",

@@ -25,7 +25,7 @@ from typing import Union
 import numpy as np
 
 from .constants import ELEMENTARY_CHARGE, HBAR, ev_to_angular_frequency
-from .errors import ValidationError, bad_row, is_finite_real
+from .errors import ConvergenceError, ValidationError, bad_row, is_finite_real
 from .fileio import read_table
 from .quadrature import integrate_decaying
 
@@ -228,7 +228,8 @@ def _tail_integral(table, s, xi):
     poles sit at Im v = +-pi/2) and falls by e over 1/s, so it passes the
     smaller as its quadrature offset: the graded opening, kept for endpoint
     singularities, shrinks to a first panel about that wide, which a steep
-    tail needs for its nodes to see e^(-s v) before it underflows.
+    tail needs for its nodes to see e^(-s v) before it underflows.  A tail
+    too steep for any node to see raises ConvergenceError.
     """
     amp = table.eps_imag[-1]
     if amp == 0.0:
@@ -239,6 +240,10 @@ def _tail_integral(table, s, xi):
         1e-12,
         min(0.5 * np.pi, 1.0 / s),
     )
+    # the integrand is positive, so a 0 is every node's value underflowing
+    if not tail.all():
+        message = f"tail integral underflowed to 0 at tail exponent {s:g}"
+        raise ConvergenceError(message, 1.0, 1e-12)
     return (2.0 / np.pi) * amp * tail
 
 

@@ -18,19 +18,21 @@ rectangle whose kernel it enters.
 Every entry point takes a float or an array of gaps (a float gives a float,
 computed as a grid of one).  At T > 0 a curve is one ladder: one eps(i xi_n)
 evaluation, as xi_n does not depend on the gap, the zero modes of up to
-``_LADDER_ROWS`` gaps in one quadrature family, and the (gap, n) rows of
-several gaps in another.  A row starts at y = x_n > 0, clear of the y ln y
-endpoint at y = 0, so a row family passes its smallest x_n to the
-quadrature, which thins its graded opening.  At T = 0 a curve is one 2-D
-integral per chunk of ``_T0_GAPS`` consecutive gaps, each gap settled on
-its own scale; the gaps of a chunk share y = x + t, exp(-y) and y^2, and
-the chunk size bounds the peak memory.  The whole-grid temporaries of the
-Fresnel coefficients and kernels live in buffers reused across doubling
-levels: by every chunk of a T = 0 curve, and within each chunk of a ladder.
+``_LADDER_ROWS`` gaps in one quadrature family, and the (gap, n) rows of the
+curve packed into families of ``_LADDER_ROWS`` rows, so memory is bounded at
+any T.  A gap's rows stop below x_n = 2 xi_n d / c = DEFAULT_CUTOFF/2 = 40,
+where its terms fall under exp(-40) of the sum.  A row starts at y = x_n,
+clear of the y ln y endpoint at y = 0, so a row family passes its smallest
+x_n to the quadrature, which thins its graded opening.  At T = 0 a curve is
+one 2-D integral per chunk of ``_T0_GAPS`` consecutive gaps, each gap
+settled on its own scale; the gaps of a chunk share y = x + t, exp(-y) and
+y^2, and the chunk size bounds the peak memory.  The whole-grid temporaries
+of the Fresnel coefficients and kernels live in buffers reused across
+doubling levels and by every chunk of a curve.
 
 The one accuracy setting, ``rel_tol`` in (0, 1e-3] (default 1e-8), is what
 every quadrature settles to.  A ladder has at most ``_MAX_MATSUBARA`` terms
-per gap, a cap that cuts only for T d below ~5e-8 m K; a cut ladder whose
+per gap, a cap that cuts only for T d below ~7.3e-8 m K; a cut ladder whose
 last term exceeds rel_tol of its sum raises ConvergenceError.
 
 Everything is computed in y = 2 kappa0 d, where each kernel decays like
@@ -68,7 +70,7 @@ from .dielectric import (
 )
 from .errors import ConvergenceError, PfaValidityWarning
 from .errors import is_finite_real, require_at_least, require_positive
-from .quadrature import integrate_decaying, integrate_decaying_2d
+from .quadrature import DEFAULT_CUTOFF, integrate_decaying, integrate_decaying_2d
 
 __all__ = [
     "ReflectionPair",
@@ -89,11 +91,12 @@ __all__ = [
 #: its error is no longer negligible and callers get warned.
 PFA_RATIO_LIMIT = 1e-3
 
-#: (gap, n) rows the Matsubara ladder integrates in one family.  Gaps are
-#: chunked up to this many rows and never split; a gap with more rows runs
-#: alone.  The zero modes settle in families of up to this many gaps.  Peak
-#: memory grows with it: against one gap per family, 80 rows add ~0.5 MB
-#: (1.4 %) to the band workload's peak RSS, 200 rows ~1.7 MB.
+#: (gap, n) rows the Matsubara ladder integrates in one family: a curve's
+#: rows are packed gap after gap into families of this many, the last one
+#: shorter, so a ladder's memory is bounded at any T.  The zero modes settle
+#: in families of up to this many gaps.  Peak memory grows with it: against
+#: one gap per family, 80 rows add ~0.5 MB (1.4 %) to the band workload's
+#: peak RSS, 200 rows ~1.7 MB.
 _LADDER_ROWS = 80
 
 #: Gaps one T = 0 integral settles together, each on its own scale; they
@@ -277,36 +280,22 @@ def _mode_integrand(x, t, eps, kinds, buffers):
     return _kernel(_fresnel(y, x, eps, buffers), y, kinds, buffers)
 
 
-def _chunks(rows):
-    """Slices of consecutive gaps holding at most _LADDER_ROWS rows, each
-    gap whole; a gap with more rows than that is a chunk of its own."""
-    start, total = 0, 0
-    for i, count in enumerate(rows):
-        if total and total + count > _LADDER_ROWS:
-            yield slice(start, i)
-            start, total = i, 0
-        total += count
-    yield slice(start, len(rows))
-
-
 def _matsubara_ladder(d, T, model, rel_tol, kinds):
     """Matsubara sums of the dimensionless y-integrals, one per kind and gap.
 
     Returns sum'_n I_n, shaped (len(kinds), d.size) for the 1-D array ``d``,
-    with I_n the y-integral of each kernel of ``kinds``.  eps(i xi_n) is
-    computed once, up to the largest per-gap cap.  The zero modes settle
-    first, one quadrature call per ``_LADDER_ROWS`` gaps (one on a 30-gap
-    curve); then each chunk of gaps (see :func:`_chunks`) makes one call for
-    its (gap, n) rows, x = 4 pi k_B T d n / (hbar c), on the panel layout of
-    its smallest x.  Every kind rides in each call.  Every computed term is
-    summed, up to the decay cap; a ladder that _MAX_MATSUBARA cuts shorter
-    raises ConvergenceError when its last term still exceeds rel_tol of the
-    sum.
+    with I_n the y-integral of each kernel of ``kinds``, n = 1 and every n
+    with x_n = 4 pi k_B T d n / (hbar c) below DEFAULT_CUTOFF/2.  The zero
+    modes settle first, one quadrature call per ``_LADDER_ROWS`` gaps; then
+    the (gap, n) rows of the curve, gap after gap, in chunks of
+    ``_LADDER_ROWS``, each on the panel layout of its smallest x.  Every kind
+    rides in each call.  A ladder that _MAX_MATSUBARA cuts shorter raises
+    ConvergenceError when its last term still exceeds rel_tol of the sum.
     """
-    # Terms decay like exp(-n * 4 pi k_B T d / (hbar c)); at the cap the
-    # neglected tail is below exp(-30) of the total.  Capped in floats, so
-    # a huge decay cap cannot overflow the integer cast.
-    decay_cap = np.ceil(15.0 * HBAR * _C / (2.0 * math.pi * BOLTZMANN * T * d)) + 10.0
+    dx = 4.0 * math.pi * BOLTZMANN * T * d / (HBAR * _C)
+    # past x_n = 40 terms are below exp(-40) of the sum, the T = 0 layout's
+    # bound; capped in floats, so a huge ladder cannot overflow the cast
+    decay_cap = np.maximum(np.ceil(0.5 * DEFAULT_CUTOFF / dx) - 1.0, 1.0)
     n_cap = np.minimum(decay_cap, _MAX_MATSUBARA).astype(int)
     xi = 2.0 * math.pi * BOLTZMANN * T / HBAR * np.arange(1, n_cap.max() + 1)
     eps = np.asarray(eps_imag_axis(model, xi))
@@ -325,34 +314,31 @@ def _matsubara_ladder(d, T, model, rel_tol, kinds):
                 rel_tol,
             )
 
-    ladders = np.empty((len(kinds), d.size))
-    for chunk in _chunks(n_cap):
-        gaps, caps = d[chunk], n_cap[chunk]
-        n = np.concatenate([np.arange(1, cap + 1) for cap in caps])
-        # x_n = 2 xi_n d / c with xi_n = 2 pi n k_B T / hbar
-        x = (np.repeat(4.0 * math.pi * BOLTZMANN * T * gaps / (HBAR * _C), caps) * n)[:, None]
-        eps_rows = eps[n - 1][:, None]
-        # buffers per chunk, not per curve: chunks differ in rows, and a
-        # curve's buffers would grow chunk by chunk, each growth faulting in
-        # fresh pages (band: 690 minor faults against 127)
-        buffers = _Buffers()
+    # row r of the curve is term n[r] of gap[r]
+    starts = np.cumsum(n_cap) - n_cap
+    gap = np.repeat(np.arange(d.size), n_cap)
+    n = np.arange(gap.size) - starts[gap] + 1
+    rows = np.empty((len(kinds), gap.size))
+    buffers = _Buffers()  # every chunk but the last has _LADDER_ROWS rows
+    for start in range(0, gap.size, _LADDER_ROWS):
+        chunk = slice(start, start + _LADDER_ROWS)
+        x = (dx[gap[chunk]] * n[chunk])[:, None]
+        eps_rows = eps[n[chunk] - 1][:, None]
         # a row in t = y - x_n has its y ln y endpoint at t = -x_n, so the
         # smallest x_n of the chunk is how far the graded opening may thin
-        with _located(gaps, T, kinds):
-            rows = integrate_decaying(
+        with _located(d[gap[chunk]], T, kinds):
+            rows[:, chunk] = integrate_decaying(
                 lambda t: _mode_integrand(x, t, eps_rows, kinds, buffers), rel_tol, x.min()
             )
-        starts = np.cumsum(caps) - caps
-        total = 0.5 * i_zero[:, chunk] + np.add.reduceat(rows, starts, axis=1)
-        # only a ladder that _MAX_MATSUBARA cut short can miss its tolerance
-        achieved = np.abs(rows[:, starts + caps - 1] / total)
-        unsettled = (decay_cap[chunk] > caps) & (achieved > rel_tol)
-        if unsettled.any():
-            k, j = np.unravel_index(np.argmax(unsettled), unsettled.shape)
-            where = _where(gaps[j], T, kinds[k])
-            message = f"Matsubara ladder not converged after {caps[j]} terms {where}"
-            raise ConvergenceError(message, achieved[k, j], rel_tol)
-        ladders[:, chunk] = total
+    ladders = 0.5 * i_zero + np.add.reduceat(rows, starts, axis=1)
+    # only a ladder that _MAX_MATSUBARA cut short can miss its tolerance
+    achieved = np.abs(rows[:, starts + n_cap - 1] / ladders)
+    unsettled = (decay_cap > n_cap) & (achieved > rel_tol)
+    if unsettled.any():
+        k, j = np.unravel_index(np.argmax(unsettled), unsettled.shape)
+        where = _where(d[j], T, kinds[k])
+        message = f"Matsubara ladder not converged after {n_cap[j]} terms {where}"
+        raise ConvergenceError(message, achieved[k, j], rel_tol)
     return ladders
 
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import casimir_lab
-from casimir_lab.cli import main
+from casimir_lab.cli import build_parser, main
 from casimir_lab.constants import ev_to_angular_frequency
 from casimir_lab.dielectric import (
     GOLD_GAMMA_RANGE_EV,
@@ -161,6 +161,24 @@ class TestForce:
         main(argv + ["--out", str(a)])
         main(argv + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_one_parser_serves_calls_with_different_flags(self, tmp_path):
+        # the parser is built once per process; a flag set by one call must
+        # not become the next call's default
+        assert build_parser() is build_parser()
+        hot, plain = tmp_path / "hot.csv", tmp_path / "plain.csv"
+        argv = ["force", "--model", "drude", "--temp", "1000", "--dmin", "30", "--dmax", "100",
+                "--points", "3", "--rel-tol", "1e-6", "--out", str(hot)]
+        assert main(argv) == 0
+        assert main(["force", "--model", "plasma", "--points", "2", "--out", str(plain)]) == 0
+        configs = [
+            json.loads(Path(f"{out}.manifest.json").read_text())["config"] for out in (hot, plain)
+        ]
+        keys = ("model", "temperature_k", "dmin_um", "dmax_um", "points", "rel_tol")
+        assert [[c[k] for k in keys] for c in configs] == [
+            ["drude", 1000.0, 30.0, 100.0, 3, 1e-6],
+            ["plasma", 300.0, 0.7, 7.0, 2, 1e-8],
+        ]
 
 
 class TestSimulate:

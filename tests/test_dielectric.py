@@ -292,6 +292,15 @@ class TestTabulatedKramersKronig:
         with pytest.raises(ConvergenceError):
             eps_imag_axis(model, 1e15)
 
+    @pytest.mark.parametrize("s", [1e10, 1e12, 1e13])
+    def test_underflowing_tail_raises(self, s):
+        # e^(-s v) underflows at every node, so the positive integrand sums
+        # to 0; the tail must say so, not return 0 for (2/pi) 0.5/s
+        table = OpticalTable(omega=np.array([1e15, 2e15]), eps_imag=np.array([1.0, 0.5]))
+        model = TabulatedModel(table=table, extrapolation=None, tail_exponent=s)
+        with pytest.raises(ConvergenceError, match="tail integral underflowed"):
+            eps_imag_axis(model, 1e15)
+
     def test_tail_exponent_validation(self):
         table = OpticalTable(omega=np.array([1e15, 2e15]), eps_imag=np.array([1.0, 0.5]))
         with pytest.raises(ValidationError):

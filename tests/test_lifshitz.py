@@ -424,11 +424,12 @@ class TestConsistency:
         assert err.value.achieved > err.value.requested
 
     def test_cap_at_the_decay_cap_is_not_a_cut(self, monkeypatch):
-        # at 7 um the ladder's own cap is 13 terms; a term cap of 13 sums
-        # the same terms, and a term cap of 3 cuts a tail below rel_tol
+        # at 7 um the ladder's own cap is 4 terms (x_n below 40); a term cap
+        # of 4 sums the same terms, and a term cap of 3 cuts a tail below
+        # rel_tol
         d = 7e-6
         full = free_energy_per_area(d, 300.0, gold_drude())
-        monkeypatch.setattr(lifshitz, "_MAX_MATSUBARA", 13)
+        monkeypatch.setattr(lifshitz, "_MAX_MATSUBARA", 4)
         same = free_energy_per_area(d, 300.0, gold_drude())
         monkeypatch.setattr(lifshitz, "_MAX_MATSUBARA", 3)
         cut = free_energy_per_area(d, 300.0, gold_drude())
@@ -703,10 +704,31 @@ class TestCurvesAsArrays:
         assert out.shape == (2, 2)
         np.testing.assert_array_equal(out.ravel(), pressure_parallel(gaps.ravel(), 300.0, gold))
 
-    def test_chunks_keep_gaps_whole_and_isolate_long_ladders(self, monkeypatch):
-        monkeypatch.setattr(lifshitz, "_LADDER_ROWS", 80)
-        chunks = list(lifshitz._chunks([30, 30, 30, 100, 10, 70, 5]))
-        assert [(c.start, c.stop) for c in chunks] == [(0, 2), (2, 3), (3, 4), (4, 6), (6, 7)]
+    def test_rows_pack_into_full_chunks_across_gaps(self, monkeypatch):
+        # 7-row chunks: the gaps' 24, 12, 4 and 1 rows (x_n below 40) fill
+        # six chunks gap after gap, so the 2 um ladder starts in the chunk
+        # where the 1 um one ends, and ends in the one it shares with 5 and
+        # 30 um
+        monkeypatch.setattr(lifshitz, "_LADDER_ROWS", 7)
+        calls = []
+        integrate = lifshitz.integrate_decaying
+
+        def counting(f, rel_tol, offset=0.0):
+            calls.append(offset)
+            return integrate(f, rel_tol, offset)
+
+        monkeypatch.setattr(lifshitz, "integrate_decaying", counting)
+        gaps = np.array([1e-6, 2e-6, 5e-6, 30e-6])
+        x_1 = 4.0 * math.pi * BOLTZMANN * 300.0 * gaps / (HBAR * SPEED_OF_LIGHT)
+        rows = np.maximum(np.ceil(40.0 / x_1) - 1.0, 1.0).astype(int)
+        assert rows.tolist() == [24, 12, 4, 1]
+        for model in (gold_drude(), gold_plasma()):
+            calls.clear()
+            got = force_sphere_plane_grid(gaps, 300.0, R_SPHERE, model)
+            assert calls.count(0.0) == 1, "one zero-mode family"
+            assert len(calls) - 1 == math.ceil(rows.sum() / 7)
+            want = [force_sphere_plane(d, 300.0, R_SPHERE, model) for d in gaps]
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("model", [gold_drude(), gold_plasma()], ids=["drude", "plasma"])
     def test_each_gap_meets_rel_tol_in_a_mixed_chunk(self, monkeypatch, model):
@@ -882,7 +904,7 @@ class TestLadderLayout:
 
     def test_small_zero_families_match_gap_by_gap(self, monkeypatch):
         # a cap of 5 rows splits 12 gaps into three zero-mode families, and
-        # every (gap, n) row chunk holds one gap
+        # packs the (gap, n) rows into chunks of 5, most gaps spanning several
         monkeypatch.setattr(lifshitz, "_LADDER_ROWS", 5)
         calls = self.zero_mode_calls(monkeypatch)
         gaps = np.geomspace(0.1e-6, 7e-6, 12)
@@ -917,6 +939,34 @@ class TestLadderLayout:
         want = lifshitz._lifshitz(gaps, T, model, 1e-12, kinds)
         for kind, g, w in zip(kinds, got, want):
             np.testing.assert_allclose(g, w, rtol=1e-10, atol=0.0, err_msg=kind)
+
+    @pytest.mark.parametrize("T", [1.0, 10.0, 77.0, 300.0])
+    @pytest.mark.parametrize(
+        "model",
+        [gold_drude(), gold_plasma(), ConstantModel(eps=2.0)],
+        ids=["drude", "plasma", "constant"],
+    )
+    def test_ladders_stopped_at_x_40_match_ladders_run_on_to_60(self, monkeypatch, model, T):
+        # a gap's terms stop below x_n = DEFAULT_CUTOFF/2 = 40; run on to 60
+        # (100,000 terms at 1 K and 0.1 um, x_n = 55), the ladders of every
+        # kind must not move by more than 1e-13; a cap of 30/x_1 + 10 terms
+        # is ~9e-11 off at 1 K
+        gaps = np.array([0.1, 0.2, 0.4, 0.7, 1.5, 3.0, 6.0, 12.0]) * 1e-6
+        kinds = ("energy", "pressure", "curvature")
+        got = lifshitz._matsubara_ladder(gaps, T, model, 1e-12, kinds)
+        monkeypatch.setattr(lifshitz, "DEFAULT_CUTOFF", 120.0)
+        want = lifshitz._matsubara_ladder(gaps, T, model, 1e-12, kinds)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("T", [300.0, 1000.0])
+    def test_one_term_ladders_give_the_thermal_asymptote(self, T):
+        # x_1 = 4 pi k_B T d / (hbar c) is 49 at 30 um and 300 K, so each gap
+        # sums one row, below exp(-49) of its n = 0 term, whose Drude TM
+        # reflection is 1: zeta(3) R k_B T / (8 d^2)
+        gaps = np.array([30e-6, 50e-6, 100e-6])
+        got = force_sphere_plane_grid(gaps, T, R_SPHERE, gold_drude())
+        want = asymptote_thermal(gaps, R_SPHERE, T, "drude")
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 class TestZeroTemperatureChunks:
