@@ -18,6 +18,7 @@ from .corrections import corrected_curve
 from .dielectric import gold_drude, gold_plasma
 from .electrostatics import patch_force
 from .errors import DegenerateFitError, ValidationError, bad_row, is_finite_real, is_integer
+from .errors import require_at_least, require_positive
 from .fileio import read_table, write_table
 from .lifshitz import force_and_curvature_sphere_plane, force_sphere_plane
 
@@ -26,6 +27,7 @@ __all__ = [
     "ModelCurve",
     "FitResult",
     "MODEL_IDS",
+    "candidate_models",
     "bin_points",
     "log_bin_edges",
     "fit_patch_and_offset",
@@ -39,7 +41,7 @@ __all__ = [
 MEASUREMENT_CSV_HEADER = ["separation_um", "force_pn", "sigma_pn"]
 
 #: canonical discrimination set: both metal families at room temperature and
-#: in their zero-temperature limits
+#: in their zero-temperature limits; :func:`candidate_models` at 300 K
 MODEL_IDS = ("drude_300k", "plasma_300k", "drude_t0", "plasma_t0")
 
 
@@ -145,8 +147,10 @@ class FitResult:
 def log_bin_edges(d_min, d_max, n_bins):
     """Logarithmic bin edges covering [d_min, d_max], widened a hair so the
     extreme points cannot fall outside through rounding."""
-    if not 0.0 < d_min < d_max < math.inf:
-        raise ValueError(f"need finite 0 < d_min < d_max, got d_min={d_min}, d_max={d_max}")
+    require_positive("d_min", d_min, scalar=True)
+    require_positive("d_max", d_max, scalar=True)
+    if d_max <= d_min:
+        raise ValueError(f"need d_min < d_max, got d_min={d_min}, d_max={d_max}")
     if not is_integer(n_bins) or n_bins < 1:
         raise ValueError(f"n_bins must be an integer >= 1, got {n_bins!r}")
     pad = 1e-9
@@ -222,10 +226,8 @@ def fit_patch_and_offset(points, curve, R, delta=0.0):
     """
     if len(points) < 3:
         raise ValidationError(f"need >= 3 measurement points, got {len(points)}")
-    if not 0.0 < R < math.inf:
-        raise ValueError(f"radius R must be positive and finite, got {R}")
-    if not 0.0 <= delta < math.inf:
-        raise ValueError(f"delta must be finite and >= 0, got {delta}")
+    require_positive("radius R", R, scalar=True)
+    require_at_least("delta", delta, 0.0, scalar=True)
 
     d, f, sigma = points.d, points.f, points.sigma
 
@@ -276,26 +278,36 @@ def discriminate_models(points, curves, R, delta=0.0):
     return sorted(fits, key=lambda fit: fit.chi2_reduced)
 
 
-def standard_model_curves(R, delta, temperature=300.0, drude=None, plasma=None):
-    """Build the canonical four-candidate set for model discrimination.
-
-    Both metal descriptions at `temperature` and both in their T = 0 limits,
-    each wrapped with the fluctuation correction for rms amplitude delta.
-    Defaults use the gold parameter set.  An array of gaps is one engine
-    pass per candidate that gives the force and its curvature together;
-    with delta = 0 the force alone is computed.
-    """
+def candidate_models(temperature=300.0, drude=None, plasma=None):
+    """The four theory candidates as (model_id, model, T): both metal
+    descriptions at `temperature`, tagged with it (``drude_77k`` at 77 K),
+    then both at T = 0 (``drude_t0``, ``plasma_t0``).  Defaults use the gold
+    parameter set; at 300 K the ids are MODEL_IDS, in order."""
+    require_at_least("temperature", temperature, 0.0, scalar=True)
     drude = drude if drude is not None else gold_drude()
     plasma = plasma if plasma is not None else gold_plasma()
+    tag = f"{temperature:g}k"
+    return [
+        (f"drude_{tag}", drude, temperature),
+        (f"plasma_{tag}", plasma, temperature),
+        ("drude_t0", drude, 0.0),
+        ("plasma_t0", plasma, 0.0),
+    ]
+
+
+def standard_model_curves(R, delta, temperature=300.0, drude=None, plasma=None):
+    """The curves of :func:`candidate_models`, each wrapped with the
+    fluctuation correction for rms amplitude delta.  An array of gaps is one
+    engine pass per candidate that gives the force and its curvature
+    together; with delta = 0 the force alone is computed."""
 
     def curve(model, T):
         if delta == 0.0:
             return lambda d: force_sphere_plane(d, T, R, model)
         return corrected_curve(lambda d: force_and_curvature_sphere_plane(d, T, R, model), delta)
 
-    # in the order of MODEL_IDS
-    candidates = [(drude, temperature), (plasma, temperature), (drude, 0.0), (plasma, 0.0)]
-    return [ModelCurve(name, curve(*candidate)) for name, candidate in zip(MODEL_IDS, candidates)]
+    candidates = candidate_models(temperature, drude, plasma)
+    return [ModelCurve(model_id, curve(model, T)) for model_id, model, T in candidates]
 
 
 def fit_report_dict(fit):

@@ -10,7 +10,8 @@ Four subcommands cover the pipeline end to end:
 File boundaries use micrometres, piconewtons, millivolts and electronvolts,
 matching the axes the results are usually plotted in; everything internal is
 SI.  Every command writes a `<output>.manifest.json` recording the resolved
-configuration, inputs, outputs, versions and seed, so any seeded run can be
+configuration (every setting flag as parsed; the campaign config for
+`simulate`), inputs, outputs, versions and seed, so any seeded run can be
 reproduced byte for byte from its manifest alone.
 
 Exit codes: 0 success, 2 usage or config error, 3 convergence failure,
@@ -28,6 +29,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    candidate_models,
     discriminate_models,
     fit_report_dict,
     load_measurements,
@@ -75,9 +77,17 @@ def finite_float(text):
     return value
 
 
-def _write_manifest(primary_output, command, config, inputs, outputs, seed=None):
+#: parsed names that are not settings: the subcommand, its handler, the paths
+_NOT_SETTINGS = ("subcommand", "func", "out", "data", "subtract")
+
+
+def _write_manifest(args, inputs, outputs, config=None, seed=None):
+    """Write `<args.out>.manifest.json`; ``config`` defaults to every
+    setting flag of ``args`` as parsed, under its dest."""
+    if config is None:
+        config = {k: v for k, v in vars(args).items() if k not in _NOT_SETTINGS}
     manifest = {
-        "command": command,
+        "command": args.subcommand,
         "config": config,
         "inputs": list(inputs),
         "outputs": list(outputs),
@@ -85,41 +95,42 @@ def _write_manifest(primary_output, command, config, inputs, outputs, seed=None)
         "tool_version": __version__,
         "seed": seed,
     }
-    write_json(f"{primary_output}.manifest.json", manifest)
+    write_json(f"{args.out}.manifest.json", manifest)
+
+
+def _require_positive_flags(args, *dests):
+    """ValidationError naming the first flag of ``dests`` (each dest spelt
+    as its flag) whose value is not positive."""
+    for dest in dests:
+        if getattr(args, dest) <= 0.0:
+            flag = "--" + dest.replace("_", "-")
+            raise ValidationError(f"{flag} must be positive, got {getattr(args, dest)}")
 
 
 def _grid_from_args(args):
-    if args.dmin <= 0.0:
-        raise ValidationError(f"--dmin must be positive, got {args.dmin}")
-    if args.dmax < args.dmin:
+    if args.dmin_um <= 0.0:
+        raise ValidationError(f"--dmin must be positive, got {args.dmin_um}")
+    if args.dmax_um < args.dmin_um:
         raise ValidationError("--dmax must be >= --dmin")
     if args.points < 1:
         raise ValidationError(f"--points must be >= 1, got {args.points}")
-    if args.points > 1 and args.dmax == args.dmin:
+    if args.points > 1 and args.dmax_um == args.dmin_um:
         raise ValidationError("--points > 1 needs --dmax > --dmin")
-    return np.geomspace(args.dmin * 1e-6, args.dmax * 1e-6, args.points)
+    return np.geomspace(args.dmin_um * 1e-6, args.dmax_um * 1e-6, args.points)
 
 
 def cmd_force(args):
     grid = _grid_from_args(args)
+    _require_positive_flags(args, "radius_cm")
     R = args.radius_cm * 1e-2
-    if R <= 0.0:
-        raise ValidationError("--radius-cm must be positive")
     drude = DrudeModel.from_ev(args.wp_ev, args.gamma_ev)
     plasma = PlasmaModel.from_ev(args.wp_ev)
 
-    if args.all_models:
-        tag = f"{args.temp:g}k"
-        runs = [
-            (f"drude_{tag}", drude, args.temp),
-            (f"plasma_{tag}", plasma, args.temp),
-            ("drude_t0", drude, 0.0),
-            ("plasma_t0", plasma, 0.0),
-        ]
+    if args.model == "all":
+        runs = candidate_models(args.temperature_k, drude, plasma)
         header = ["model"] + FORCE_CSV_HEADER
     else:
-        model = drude if args.model == "drude" else plasma
-        runs = [(None, model, args.temp)]
+        runs = [(None, drude if args.model == "drude" else plasma, args.temperature_k)]
         header = FORCE_CSV_HEADER
 
     # every force before the file is opened, so a failure leaves no output
@@ -130,19 +141,7 @@ def cmd_force(args):
         for row in zip(*(c.tolist() for c in columns)):
             rows.append(row if label is None else (label, *row))
     write_table(args.out, header, rows)
-
-    config = {
-        "model": "all" if args.all_models else args.model,
-        "temperature_k": args.temp,
-        "dmin_um": args.dmin,
-        "dmax_um": args.dmax,
-        "points": args.points,
-        "radius_cm": args.radius_cm,
-        "wp_ev": args.wp_ev,
-        "gamma_ev": args.gamma_ev,
-        "rel_tol": args.rel_tol,
-    }
-    _write_manifest(args.out, "force", config, [], [args.out])
+    _write_manifest(args, [], [args.out])
     return 0
 
 
@@ -172,18 +171,12 @@ def cmd_simulate(args):
         save_sweeps_csv(args.sweeps_out, campaign)
         outputs.append(args.sweeps_out)
 
-    _write_manifest(
-        args.out,
-        "simulate",
-        {
-            **config_to_dict(config),
-            "binned": not args.no_bin,
-            "drift_slope_n_per_sweep": drift.slope,
-        },
-        inputs,
-        outputs,
-        seed=config.seed,
-    )
+    resolved = {
+        **config_to_dict(config),
+        "binned": not args.no_bin,
+        "drift_slope_n_per_sweep": drift.slope,
+    }
+    _write_manifest(args, inputs, outputs, resolved, config.seed)
     print(f"wrote {len(points)} measurement rows to {args.out} (seed {config.seed})")
     return 0
 
@@ -201,17 +194,15 @@ def cmd_fit(args):
     points = load_measurements(args.data)
     if not points:
         raise ValidationError(f"no measurement rows in {args.data}")
-    R = args.radius_cm * 1e-2
-    delta = args.delta_nm * 1e-9
-    if R <= 0.0:
-        raise ValidationError("--radius-cm must be positive")
-    if delta < 0.0:
+    _require_positive_flags(args, "radius_cm")
+    if args.delta_nm < 0.0:
         raise ValidationError("--delta-nm must be >= 0")
+    R, delta = args.radius_cm * 1e-2, args.delta_nm * 1e-9
 
     drude = DrudeModel.from_ev(args.wp_ev, args.gamma_ev)
     plasma = PlasmaModel.from_ev(args.wp_ev)
     curves = standard_model_curves(
-        R=R, delta=delta, temperature=args.temp, drude=drude, plasma=plasma
+        R=R, delta=delta, temperature=args.temperature_k, drude=drude, plasma=plasma
     )
     wanted = _parse_model_ids(args.models)
     if wanted is not None:
@@ -228,7 +219,7 @@ def cmd_fit(args):
         "data": args.data,
         "radius_cm": args.radius_cm,
         "delta_nm": args.delta_nm,
-        "temperature_k": args.temp,
+        "temperature_k": args.temperature_k,
         "n_points": len(points),
         "results": [fit_report_dict(fit) for fit in ranked],
     }
@@ -244,54 +235,40 @@ def cmd_fit(args):
         resid = points.f - best.v_rms_sq * patch_force(points.d, R, 1.0, delta) - best.a
         save_measurements(args.subtract, replace(points, f=resid))
         outputs.append(args.subtract)
-
-    config = {
-        "models": args.models,
-        "radius_cm": args.radius_cm,
-        "delta_nm": args.delta_nm,
-        "temperature_k": args.temp,
-        "wp_ev": args.wp_ev,
-        "gamma_ev": args.gamma_ev,
-    }
-    _write_manifest(args.out, "fit", config, [args.data], outputs)
+    _write_manifest(args, [args.data], outputs)
     return 0
 
 
 def cmd_band(args):
     grid = _grid_from_args(args)
+    ranges = ("wp_min_ev", "wp_max_ev", "gamma_min_ev", "gamma_max_ev")
+    _require_positive_flags(args, "radius_cm", *ranges)
     R = args.radius_cm * 1e-2
-    if R <= 0.0:
-        raise ValidationError("--radius-cm must be positive")
-    if args.wp_min_ev <= 0.0 or args.gamma_min_ev <= 0.0:
-        raise ValidationError("parameter ranges must be positive")
 
     wp = [ev_to_angular_frequency(e) for e in (args.wp_min_ev, args.wp_max_ev)]
     gamma = [ev_to_angular_frequency(e) for e in (args.gamma_min_ev, args.gamma_max_ev)]
-    band = sensitivity_band(grid, args.temp, wp, gamma, args.family, R, args.rel_tol)
+    band = sensitivity_band(grid, args.temperature_k, wp, gamma, args.family, R, args.rel_tol)
     columns = (band.separations * 1e6, band.f_min * 1e12, band.f_center * 1e12, band.f_max * 1e12)
     write_table(args.out, BAND_CSV_HEADER, zip(*(c.tolist() for c in columns)))
-
-    config = {
-        "family": args.family,
-        "temperature_k": args.temp,
-        "dmin_um": args.dmin,
-        "dmax_um": args.dmax,
-        "points": args.points,
-        "radius_cm": args.radius_cm,
-        "wp_min_ev": args.wp_min_ev,
-        "wp_max_ev": args.wp_max_ev,
-        "gamma_min_ev": args.gamma_min_ev,
-        "gamma_max_ev": args.gamma_max_ev,
-        "rel_tol": args.rel_tol,
-    }
-    _write_manifest(args.out, "band", config, [], [args.out])
+    _write_manifest(args, [], [args.out])
     return 0
 
 
-def _add_grid_flags(p, dmin=0.7, dmax=7.0, points=30):
-    p.add_argument("--dmin", type=finite_float, default=dmin, help="smallest separation, um")
-    p.add_argument("--dmax", type=finite_float, default=dmax, help="largest separation, um")
-    p.add_argument("--points", type=int, default=points, help="grid size (log-spaced)")
+def _add_temp_flag(p):
+    p.add_argument(
+        "--temp", dest="temperature_k", type=finite_float, default=300.0,
+        help="temperature, K (0 = T0 theory)",
+    )
+
+
+def _add_grid_flags(p):
+    p.add_argument(
+        "--dmin", dest="dmin_um", type=finite_float, default=0.7, help="smallest separation, um"
+    )
+    p.add_argument(
+        "--dmax", dest="dmax_um", type=finite_float, default=7.0, help="largest separation, um"
+    )
+    p.add_argument("--points", type=int, default=30, help="grid size (log-spaced)")
 
 
 def _add_common_physics_flags(p):
@@ -313,10 +290,8 @@ def build_parser():
     p = sub.add_parser("force", help="theory force curve on a separation grid")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--model", choices=("drude", "plasma"))
-    group.add_argument("--all-models", action="store_true")
-    p.add_argument(
-        "--temp", type=finite_float, default=300.0, help="temperature, K (0 = T0 theory)"
-    )
+    group.add_argument("--all-models", action="store_const", const="all", dest="model")
+    _add_temp_flag(p)
     _add_grid_flags(p)
     _add_common_physics_flags(p)
     p.add_argument("--rel-tol", type=finite_float, default=1e-8)
@@ -334,7 +309,7 @@ def build_parser():
     p = sub.add_parser("fit", help="fit measurement CSV against theory candidates")
     p.add_argument("--data", required=True, help="measurement CSV path")
     p.add_argument("--models", default="all", help="'all' or comma-separated model ids")
-    p.add_argument("--temp", type=finite_float, default=300.0)
+    _add_temp_flag(p)
     p.add_argument("--delta-nm", type=finite_float, default=40.0, help="rms gap fluctuation, nm")
     _add_common_physics_flags(p)
     p.add_argument("--subtract", help="write data minus electrostatics minus offset here")
@@ -343,7 +318,7 @@ def build_parser():
 
     p = sub.add_parser("band", help="force envelope over metal-parameter ranges")
     p.add_argument("--family", choices=("drude", "plasma"), default="drude")
-    p.add_argument("--temp", type=finite_float, default=300.0)
+    _add_temp_flag(p)
     _add_grid_flags(p)
     p.add_argument("--radius-cm", type=finite_float, default=15.6)
     p.add_argument("--wp-min-ev", type=finite_float, default=GOLD_OMEGA_P_RANGE_EV[0])

@@ -11,6 +11,8 @@ piconewtons appear only at I/O boundaries.
 
 import math
 
+from .errors import require_at_least
+
 __all__ = [
     "HBAR",
     "SPEED_OF_LIGHT",
@@ -42,14 +44,13 @@ def ev_to_angular_frequency(energy_ev):
     Parameters
     ----------
     energy_ev : float
-        Photon energy in electron volts.  Must be non-negative and finite.
+        Photon energy in electron volts, a finite real number >= 0.
 
     Returns
     -------
     float
         Angular frequency ``E * e / hbar`` in rad/s.
     """
-    if not (math.isfinite(energy_ev) and energy_ev >= 0.0):
-        raise ValueError(f"photon energy must be non-negative and finite, got {energy_ev}")
+    require_at_least("photon energy", energy_ev, 0.0, scalar=True)
     return energy_ev * ELEMENTARY_CHARGE / HBAR
 

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .errors import RegimeError, require_positive
+from .errors import RegimeError, require_at_least, require_positive
 
 __all__ = [
     "fluctuation_corrected_force",
@@ -31,8 +31,7 @@ REGIME_FACTOR = 5.0
 def _check_regime(d, delta):
     """Validate a gap, or every gap of an array, against delta."""
     require_positive("separation", d)
-    if not (math.isfinite(delta) and delta >= 0.0):
-        raise ValueError(f"delta must be finite and >= 0, got {delta}")
+    require_at_least("delta", delta, 0.0, scalar=True)
     if delta > 0.0 and np.min(d, initial=math.inf) <= REGIME_FACTOR * delta:
         raise RegimeError(
             f"d = {np.min(d):.3e} m is within {REGIME_FACTOR:g} fluctuation amplitudes "

@@ -17,7 +17,7 @@ import numpy as np
 
 from .constants import VACUUM_PERMITTIVITY
 from .errors import CalibrationError, DegenerateFitError, ValidationError
-from .errors import bad_row, is_finite_real, require_positive
+from .errors import bad_row, is_finite_real, require_at_least, require_finite, require_positive
 from .fileio import read_table, write_table
 
 __all__ = [
@@ -53,9 +53,8 @@ def bias_force(d, R, v, v_m):
     """Applied-bias electrostatic force pi eps0 R (v - v_m)^2 / d, in N."""
     require_positive("separation d", d)
     require_positive("radius R", R)
-    for name, value in (("v", v), ("v_m", v_m)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+    require_finite("v", v)
+    require_finite("v_m", v_m)
     dv = v - v_m
     return math.pi * VACUUM_PERMITTIVITY * R * dv * dv / d
 
@@ -68,9 +67,8 @@ def patch_force(d, R, v_rms, delta=0.0):
     """
     require_positive("separation d", d)
     require_positive("radius R", R)
-    for name, value in (("v_rms", v_rms), ("delta", delta)):
-        if not (math.isfinite(value) and value >= 0.0):
-            raise ValueError(f"{name} must be finite and >= 0, got {value}")
+    require_at_least("v_rms", v_rms, 0.0)
+    require_at_least("delta", delta, 0.0, scalar=True)
     ratio = delta / d
     return math.pi * VACUUM_PERMITTIVITY * R * v_rms * v_rms / d * (1.0 + ratio * ratio)
 

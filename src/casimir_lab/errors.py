@@ -22,10 +22,14 @@ __all__ = [
 ]
 
 
+def is_real(value):
+    """True for a real number; False for bool, str, None and complex."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def is_finite_real(value):
-    """True for a finite real number; False for bool, str, None, nan and inf."""
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    return real and math.isfinite(value)
+    """True for a real number (see :func:`is_real`) but nan and inf."""
+    return is_real(value) and math.isfinite(value)
 
 
 def is_integer(value):
@@ -33,27 +37,34 @@ def is_integer(value):
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def require_positive(name, value):
-    """ValueError naming the first entry of ``value`` that is not positive
-    and finite, or is a str, bytes, None or bool; ``value`` is a float or an
-    array."""
-    _require(name, value, np.greater, 0.0, "positive and finite")
+def require_positive(name, value, scalar=False):
+    """ValueError naming the first entry of ``value`` that is not a positive
+    finite real number; ``value`` is a number, or an array or nested list
+    unless ``scalar``."""
+    _require(name, value, np.greater, 0.0, "positive and finite", scalar)
 
 
-def require_at_least(name, value, floor):
-    """ValueError naming the first entry of ``value`` that is not finite, is
-    below ``floor``, or is a str, bytes, None or bool; ``value`` is a float
-    or an array."""
-    _require(name, value, np.greater_equal, floor, f"finite and >= {floor:g}")
+def require_at_least(name, value, floor, scalar=False):
+    """ValueError naming the first entry of ``value`` that is not a finite
+    real number >= ``floor``; otherwise as :func:`require_positive`."""
+    _require(name, value, np.greater_equal, floor, f"finite and >= {floor:g}", scalar)
 
 
-def _require(name, value, compare, bound, domain):
+def require_finite(name, value):
+    """As :func:`require_positive`, for any finite real number."""
+    _require(name, value, np.greater, -math.inf, "finite", False)
+
+
+def _require(name, value, compare, bound, domain, scalar):
     if not (isinstance(value, np.ndarray) and value.dtype.kind in "iuf"):
-        # numpy reads "1e-6" and True as floats: refuse them entry by entry
+        # numpy reads "1e-6" and True as floats, drops the imaginary part of
+        # 1j and fails on a ragged list: refuse each entry that is not real
         for entry in np.asarray(value, dtype=object).flat:
-            if entry is None or isinstance(entry, (str, bytes, bool, np.bool_)):
+            if not is_real(entry):
                 raise ValueError(f"{name} must be {domain}, got {entry!r}")
     value = np.asarray(value, dtype=float)
+    if scalar and value.ndim:
+        raise ValueError(f"{name} must be a number, got an array of shape {value.shape}")
     bad = value[~(np.isfinite(value) & compare(value, bound))]
     if bad.size:
         raise ValueError(f"{name} must be {domain}, got {bad[0]}")

@@ -131,6 +131,14 @@ class TestForce:
         assert labels == {"drude_300k", "plasma_300k", "drude_t0", "plasma_t0"}
         assert len(rows) == 8
 
+    def test_all_models_labels_follow_temp(self, tmp_path):
+        out = tmp_path / "all.csv"
+        argv = ["force", "--all-models", "--temp", "77", "--dmin", "1", "--dmax", "2",
+                "--points", "2", "--out", str(out)]
+        assert main(argv) == 0
+        _, rows = read_csv(out)
+        assert [r[0] for r in rows[::2]] == ["drude_77k", "plasma_77k", "drude_t0", "plasma_t0"]
+
     def test_manifest_written(self, tmp_path):
         out = tmp_path / "force.csv"
         main(
@@ -376,6 +384,18 @@ class TestFit:
             s = float(r[2]) * 1e-12
             assert abs(f - curve.evaluator(d)) < 6 * s
 
+    def test_model_ids_follow_temp(self, tmp_path, campaign_csv, capsys):
+        report = tmp_path / "report.json"
+        argv = ["fit", "--data", str(campaign_csv), "--temp", "77", "--out", str(report)]
+        assert main(argv) == 0
+        ids = [r["model_id"] for r in json.loads(report.read_text())["results"]]
+        assert sorted(ids) == ["drude_77k", "drude_t0", "plasma_77k", "plasma_t0"]
+        assert main(argv + ["--models", "drude_77k"]) == 0
+        assert [r["model_id"] for r in json.loads(report.read_text())["results"]] == ["drude_77k"]
+        # a 300 K id names no candidate at 77 K
+        assert main(argv + ["--models", "drude_300k"]) == 2
+        assert "unknown model ids ['drude_300k']" in capsys.readouterr().err
+
     def test_fit_rerun_byte_identical(self, tmp_path, campaign_csv):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         main(["fit", "--data", str(campaign_csv), "--models", "drude_300k", "--out", str(a)])
@@ -435,6 +455,37 @@ class TestBand:
         lo, mid, hi = (float(x) for x in rows[0][1:])
         assert lo == pytest.approx(mid, rel=1e-12)
         assert hi == pytest.approx(mid, rel=1e-12)
+
+
+@pytest.mark.parametrize("flag", ["--wp-min-ev", "--wp-max-ev", "--gamma-min-ev", "--gamma-max-ev"])
+@pytest.mark.parametrize("value", ["-1", "0"])
+def test_band_names_a_refused_range_flag(tmp_path, capsys, flag, value):
+    out = tmp_path / "band.csv"
+    argv = ["band", f"{flag}={value}", "--dmin", "1", "--dmax", "1", "--points", "1"]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert f"error: {flag} must be positive, got {float(value)}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["force", "fit", "band"])
+def test_manifest_config_is_every_setting_flag(tmp_path, campaign_csv, command):
+    # every flag but the paths is a setting, recorded under its dest as
+    # parsed, so a new flag cannot be left out of the manifest
+    argv = [command] + {
+        "force": ["--all-models", "--temp", "77", "--dmin", "1", "--dmax", "1", "--points", "1"],
+        "fit": ["--data", str(campaign_csv), "--models", "drude_t0", "--delta-nm", "30"],
+        "band": ["--family", "plasma", "--dmin", "1", "--dmax", "1", "--points", "1"],
+    }[command]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 0
+    config = json.loads(Path(f"{out}.manifest.json").read_text())["config"]
+
+    parser = build_parser()
+    sub = next(a for a in parser._actions if a.dest == "subcommand").choices[command]
+    paths = {"out", "data", "subtract"}
+    flags = {a.dest for a in sub._actions if a.option_strings and a.dest not in paths | {"help"}}
+    parsed = vars(parser.parse_args(argv))
+    assert config == {dest: parsed[dest] for dest in flags}
 
 
 def csv_text(header, rows):
