@@ -18,7 +18,7 @@ from .corrections import corrected_curve
 from .dielectric import gold_drude, gold_plasma
 from .electrostatics import patch_force
 from .errors import DegenerateFitError, ValidationError, bad_row, is_finite_real, is_integer
-from .errors import require_at_least, require_positive
+from .errors import require_at_least, require_finite, require_positive
 from .fileio import read_table, write_table
 from .lifshitz import force_and_curvature_sphere_plane, force_sphere_plane
 
@@ -147,8 +147,8 @@ class FitResult:
 def log_bin_edges(d_min, d_max, n_bins):
     """Logarithmic bin edges covering [d_min, d_max], widened a hair so the
     extreme points cannot fall outside through rounding."""
-    require_positive("d_min", d_min, scalar=True)
-    require_positive("d_max", d_max, scalar=True)
+    d_min = require_positive("d_min", d_min, scalar=True)
+    d_max = require_positive("d_max", d_max, scalar=True)
     if d_max <= d_min:
         raise ValueError(f"need d_min < d_max, got d_min={d_min}, d_max={d_max}")
     if not is_integer(n_bins) or n_bins < 1:
@@ -166,11 +166,9 @@ def bin_points(points, edges):
     Empty bins are dropped; a point outside [edges[0], edges[-1]] is an
     error, not a silent drop.
     """
-    edges = np.asarray(list(edges), dtype=float)
-    if edges.ndim != 1 or edges.size < 2:
+    edges = require_finite("bin edges", edges)
+    if np.ndim(edges) != 1 or edges.size < 2:
         raise ValidationError("need at least two bin edges")
-    if not np.all(np.isfinite(edges)):
-        raise ValidationError(f"bin edges must be finite, got {edges[~np.isfinite(edges)][0]}")
     if np.any(np.diff(edges) <= 0.0):
         raise ValidationError("bin edges must be strictly increasing")
 
@@ -226,8 +224,8 @@ def fit_patch_and_offset(points, curve, R, delta=0.0):
     """
     if len(points) < 3:
         raise ValidationError(f"need >= 3 measurement points, got {len(points)}")
-    require_positive("radius R", R, scalar=True)
-    require_at_least("delta", delta, 0.0, scalar=True)
+    R = require_positive("radius R", R, scalar=True)
+    delta = require_at_least("delta", delta, 0.0, scalar=True)
 
     d, f, sigma = points.d, points.f, points.sigma
 
@@ -283,7 +281,7 @@ def candidate_models(temperature=300.0, drude=None, plasma=None):
     descriptions at `temperature`, tagged with it (``drude_77k`` at 77 K),
     then both at T = 0 (``drude_t0``, ``plasma_t0``).  Defaults use the gold
     parameter set; at 300 K the ids are MODEL_IDS, in order."""
-    require_at_least("temperature", temperature, 0.0, scalar=True)
+    temperature = require_at_least("temperature", temperature, 0.0, scalar=True)
     drude = drude if drude is not None else gold_drude()
     plasma = plasma if plasma is not None else gold_plasma()
     tag = f"{temperature:g}k"
@@ -300,6 +298,8 @@ def standard_model_curves(R, delta, temperature=300.0, drude=None, plasma=None):
     fluctuation correction for rms amplitude delta.  An array of gaps is one
     engine pass per candidate that gives the force and its curvature
     together; with delta = 0 the force alone is computed."""
+    R = require_positive("radius R", R, scalar=True)
+    delta = require_at_least("delta", delta, 0.0, scalar=True)
 
     def curve(model, T):
         if delta == 0.0:

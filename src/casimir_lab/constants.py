@@ -11,7 +11,7 @@ piconewtons appear only at I/O boundaries.
 
 import math
 
-from .errors import require_at_least
+from .errors import require_at_least, require_finite
 
 __all__ = [
     "HBAR",
@@ -49,8 +49,8 @@ def ev_to_angular_frequency(energy_ev):
     Returns
     -------
     float
-        Angular frequency ``E * e / hbar`` in rad/s.
+        Angular frequency ``E * e / hbar`` in rad/s, refused if it overflows.
     """
-    require_at_least("photon energy", energy_ev, 0.0, scalar=True)
-    return energy_ev * ELEMENTARY_CHARGE / HBAR
+    energy_ev = require_at_least("photon energy", energy_ev, 0.0, scalar=True)
+    return require_finite("angular frequency", energy_ev * ELEMENTARY_CHARGE / HBAR)
 

@@ -29,14 +29,15 @@ REGIME_FACTOR = 5.0
 
 
 def _check_regime(d, delta):
-    """Validate a gap, or every gap of an array, against delta."""
-    require_positive("separation", d)
-    require_at_least("delta", delta, 0.0, scalar=True)
+    """The checked gap, or gaps, and delta, every gap validated against delta."""
+    d = require_positive("separation", d)
+    delta = require_at_least("delta", delta, 0.0, scalar=True)
     if delta > 0.0 and np.min(d, initial=math.inf) <= REGIME_FACTOR * delta:
         raise RegimeError(
             f"d = {np.min(d):.3e} m is within {REGIME_FACTOR:g} fluctuation amplitudes "
             f"(delta = {delta:.3e} m); second-order correction invalid"
         )
+    return d, delta
 
 
 def fluctuation_corrected_force(force, curvature, d, delta):
@@ -54,7 +55,7 @@ def fluctuation_corrected_force(force, curvature, d, delta):
     delta : float
         Rms fluctuation amplitude in m.
     """
-    _check_regime(d, delta)
+    _, delta = _check_regime(d, delta)
     return force + 0.5 * curvature * delta * delta
 
 
@@ -65,9 +66,9 @@ def corrected_separation(d_inferred, delta):
     inversion underestimates the true mean separation; the quadratic factor
     undoes that bias.
     """
-    _check_regime(d_inferred, delta)
-    ratio = delta / d_inferred
-    return d_inferred * (1.0 + ratio * ratio)
+    d, delta = _check_regime(d_inferred, delta)
+    ratio = delta / d
+    return d * (1.0 + ratio * ratio)
 
 
 def corrected_curve(force_and_curvature, delta):
@@ -77,8 +78,7 @@ def corrected_curve(force_and_curvature, delta):
     is still computed, so use the raw curve there."""
 
     def corrected(d):
-        _check_regime(d, delta)
-        force, curvature = force_and_curvature(d)
-        return fluctuation_corrected_force(force, curvature, d, delta)
+        d, _ = _check_regime(d, delta)
+        return fluctuation_corrected_force(*force_and_curvature(d), d, delta)
 
     return corrected

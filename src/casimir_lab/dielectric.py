@@ -25,7 +25,7 @@ from typing import Union
 import numpy as np
 
 from .constants import ELEMENTARY_CHARGE, HBAR, ev_to_angular_frequency
-from .errors import ConvergenceError, ValidationError, bad_row, is_finite_real
+from .errors import ConvergenceError, ValidationError, bad_row, require_at_least, require_positive
 from .fileio import read_table
 from .quadrature import integrate_decaying
 
@@ -54,12 +54,6 @@ GOLD_OMEGA_P_RANGE_EV = (6.85, 9.00)
 GOLD_GAMMA_RANGE_EV = (0.02, 0.061)
 
 
-def _require_positive(what, value):
-    """ValidationError unless ``value`` is a positive, finite real number."""
-    if not (is_finite_real(value) and value > 0.0):
-        raise ValidationError(f"{what} must be positive and finite, got {value!r}")
-
-
 @dataclass(frozen=True)
 class DrudeModel:
     """Free-electron metal with dissipation."""
@@ -68,8 +62,10 @@ class DrudeModel:
     gamma: float    # dissipation rate, rad/s
 
     def __post_init__(self):
-        _require_positive("plasma frequency", self.omega_p)
-        _require_positive("dissipation rate", self.gamma)
+        # each field keeps the float its check returns, as do the models below
+        for field, name in (("omega_p", "plasma frequency"), ("gamma", "dissipation rate")):
+            value = require_positive(name, getattr(self, field), scalar=True)
+            object.__setattr__(self, field, value)
 
     @classmethod
     def from_ev(cls, omega_p_ev, gamma_ev):
@@ -83,7 +79,8 @@ class PlasmaModel:
     omega_p: float  # plasma frequency, rad/s
 
     def __post_init__(self):
-        _require_positive("plasma frequency", self.omega_p)
+        omega_p = require_positive("plasma frequency", self.omega_p, scalar=True)
+        object.__setattr__(self, "omega_p", omega_p)
 
     @classmethod
     def from_ev(cls, omega_p_ev):
@@ -97,8 +94,8 @@ class ConstantModel:
     eps: float
 
     def __post_init__(self):
-        if not (is_finite_real(self.eps) and self.eps >= 1.0):
-            raise ValidationError(f"permittivity must be finite and >= 1, got {self.eps!r}")
+        eps = require_at_least("permittivity", self.eps, 1.0, scalar=True)
+        object.__setattr__(self, "eps", eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,7 +154,7 @@ class TabulatedModel:
     tail_exponent : float
         eps'' falls off as omega^(-s) above the table, continuous at the
         upper edge.  s = 3 matches the large-frequency behavior of both the
-        Drude and Lorentz oscillator forms.
+        Drude and Lorentz oscillator forms; s >= 1 keeps the tail integrable.
     """
 
     table: OpticalTable
@@ -171,11 +168,8 @@ class TabulatedModel:
         extra = self.extrapolation
         if not isinstance(extra, (DrudeModel, PlasmaModel, type(None))):
             raise ValidationError(f"extrapolation must be Drude, plasma or None, got {extra!r}")
-        if not (is_finite_real(self.tail_exponent) and self.tail_exponent >= 1.0):
-            raise ValidationError(
-                "tail exponent must be finite and >= 1 for an integrable tail, "
-                f"got {self.tail_exponent!r}"
-            )
+        s = require_at_least("tail exponent", self.tail_exponent, 1.0, scalar=True)
+        object.__setattr__(self, "tail_exponent", s)
 
 
 DielectricModel = Union[DrudeModel, PlasmaModel, ConstantModel, TabulatedModel]
@@ -268,29 +262,24 @@ def eps_imag_axis(model, xi):
     model : DielectricModel
         Drude, plasma, constant or tabulated description.
     xi : float or array_like
-        Imaginary angular frequency in rad/s, strictly positive and finite.
+        Imaginary angular frequency in rad/s, strictly positive and finite;
+        the xi = 0 limit is the force engine's model-family dispatch.
 
     Returns
     -------
     float or numpy.ndarray
-        eps(i xi), real and >= 1, shaped like ``xi``.
+        eps(i xi), real and >= 1, shaped like ``xi``.  A metal's eps grows
+        without bound as xi -> 0 and is inf where it overflows a float.
     """
-    xi_arr = np.asarray(xi, dtype=float)
-    bad = xi_arr[~(xi_arr > 0.0) | np.isinf(xi_arr)]
-    if bad.size:
-        raise ValueError(
-            f"xi must be positive and finite, got {bad[0]}; "
-            "the xi = 0 limit is a model-family dispatch"
-        )
-
+    xi = require_positive("xi", xi)
     if isinstance(model, DrudeModel):
-        out = 1.0 + model.omega_p ** 2 / (xi_arr * (xi_arr + model.gamma))
+        out = 1.0 + model.omega_p ** 2 / (xi * (xi + model.gamma))
     elif isinstance(model, PlasmaModel):
-        out = 1.0 + model.omega_p ** 2 / xi_arr ** 2
+        out = 1.0 + model.omega_p ** 2 / (xi * xi)
     elif isinstance(model, ConstantModel):
-        out = np.full(np.shape(xi_arr), model.eps)
+        out = np.full(np.shape(xi), model.eps)
     elif isinstance(model, TabulatedModel):
-        out = 1.0 + _tabulated_eps_minus_one(model, xi_arr.ravel()).reshape(xi_arr.shape)
+        out = 1.0 + _tabulated_eps_minus_one(model, np.ravel(xi)).reshape(np.shape(xi))
     else:
         raise TypeError(f"unknown dielectric model {type(model).__name__}")
     if np.ndim(xi) == 0:

@@ -50,27 +50,27 @@ class SweepSample:
 
 
 def bias_force(d, R, v, v_m):
-    """Applied-bias electrostatic force pi eps0 R (v - v_m)^2 / d, in N."""
-    require_positive("separation d", d)
-    require_positive("radius R", R)
-    require_finite("v", v)
-    require_finite("v_m", v_m)
-    dv = v - v_m
-    return math.pi * VACUUM_PERMITTIVITY * R * dv * dv / d
+    """Applied-bias electrostatic force pi eps0 R (v - v_m)^2 / d, in N; a
+    force that overflows a float is refused, not returned as inf."""
+    d = require_positive("separation d", d)
+    R = require_positive("radius R", R)
+    dv = require_finite("v", v) - require_finite("v_m", v_m)
+    return require_finite("bias force", math.pi * VACUUM_PERMITTIVITY * R * dv * dv / d)
 
 
 def patch_force(d, R, v_rms, delta=0.0):
     """Patch-potential force pi eps0 R v_rms^2 / d, in N.
 
     A nonzero rms separation fluctuation delta rescales the 1/d average by
-    1 + (delta/d)^2, the same factor applied to the theory curves.
+    1 + (delta/d)^2, the same factor applied to the theory curves.  A force
+    that overflows a float is refused, as by :func:`bias_force`.
     """
-    require_positive("separation d", d)
-    require_positive("radius R", R)
-    require_at_least("v_rms", v_rms, 0.0)
-    require_at_least("delta", delta, 0.0, scalar=True)
-    ratio = delta / d
-    return math.pi * VACUUM_PERMITTIVITY * R * v_rms * v_rms / d * (1.0 + ratio * ratio)
+    d = require_positive("separation d", d)
+    R = require_positive("radius R", R)
+    v_rms = require_at_least("v_rms", v_rms, 0.0)
+    ratio = require_at_least("delta", delta, 0.0, scalar=True) / d
+    force = math.pi * VACUUM_PERMITTIVITY * R * v_rms * v_rms / d * (1.0 + ratio * ratio)
+    return require_finite("patch force", force)
 
 
 class CalibrationResult(NamedTuple):
@@ -117,7 +117,7 @@ def calibrate_from_sweep(samples, R):
     samples = list(samples)
     if len(samples) < 4:
         raise ValidationError(f"need >= 4 sweep samples, got {len(samples)}")
-    require_positive("radius R", R)
+    R = require_positive("radius R", R, scalar=True)
     v = np.array([s.v for s in samples], dtype=float)
     f = np.array([s.f for s in samples], dtype=float)
     sigma = np.array([s.sigma_f for s in samples], dtype=float)

@@ -1,9 +1,11 @@
-"""Exception types shared across the package, and the type and domain
-tests every validating constructor applies before it compares a value.
+"""Exception types shared across the package, and the checks every public
+entry applies to its arguments.
 
-Every error that callers are expected to branch on gets its own class;
-plain ``ValueError`` is reserved for argument preconditions (negative
-separations, empty arrays and the like).
+Every error that callers are expected to branch on gets its own class.  A
+check refuses a value with a ``ValidationError`` naming the argument, and
+returns the float or float array it checked, which the caller computes on.
+``ValueError`` itself is left for other preconditions (empty arrays, unknown
+model families and the like).
 """
 
 import math
@@ -38,21 +40,20 @@ def is_integer(value):
 
 
 def require_positive(name, value, scalar=False):
-    """ValueError naming the first entry of ``value`` that is not a positive
-    finite real number; ``value`` is a number, or an array or nested list
-    unless ``scalar``."""
-    _require(name, value, np.greater, 0.0, "positive and finite", scalar)
+    """``value`` once every entry is a positive finite real number: a float
+    for a number or a 0-d array, else a float array.  A ValidationError names
+    the first entry that is not, or an array where ``scalar`` asks a number."""
+    return _require(name, value, np.greater, 0.0, "positive and finite", scalar)
 
 
 def require_at_least(name, value, floor, scalar=False):
-    """ValueError naming the first entry of ``value`` that is not a finite
-    real number >= ``floor``; otherwise as :func:`require_positive`."""
-    _require(name, value, np.greater_equal, floor, f"finite and >= {floor:g}", scalar)
+    """As :func:`require_positive`, for finite real numbers >= ``floor``."""
+    return _require(name, value, np.greater_equal, floor, f"finite and >= {floor:g}", scalar)
 
 
 def require_finite(name, value):
     """As :func:`require_positive`, for any finite real number."""
-    _require(name, value, np.greater, -math.inf, "finite", False)
+    return _require(name, value, np.greater, -math.inf, "finite", False)
 
 
 def _require(name, value, compare, bound, domain, scalar):
@@ -61,13 +62,14 @@ def _require(name, value, compare, bound, domain, scalar):
         # 1j and fails on a ragged list: refuse each entry that is not real
         for entry in np.asarray(value, dtype=object).flat:
             if not is_real(entry):
-                raise ValueError(f"{name} must be {domain}, got {entry!r}")
+                raise ValidationError(f"{name} must be {domain}, got {entry!r}")
     value = np.asarray(value, dtype=float)
     if scalar and value.ndim:
-        raise ValueError(f"{name} must be a number, got an array of shape {value.shape}")
+        raise ValidationError(f"{name} must be a number, got an array of shape {value.shape}")
     bad = value[~(np.isfinite(value) & compare(value, bound))]
     if bad.size:
-        raise ValueError(f"{name} must be {domain}, got {bad[0]}")
+        raise ValidationError(f"{name} must be {domain}, got {bad[0]}")
+    return value if value.ndim else float(value)
 
 
 def bad_row(message, row):
@@ -82,7 +84,8 @@ class CasimirLabError(Exception):
 
 
 class ValidationError(CasimirLabError, ValueError):
-    """Malformed input data (tables, CSV files, configuration documents)."""
+    """Malformed input: an argument outside its domain, a table, a CSV file or
+    a configuration document."""
 
 
 class ConvergenceError(CasimirLabError, RuntimeError):

@@ -69,7 +69,7 @@ from .dielectric import (
     static_eps,
 )
 from .errors import ConvergenceError, PfaValidityWarning
-from .errors import is_finite_real, require_at_least, require_positive
+from .errors import is_finite_real, require_at_least, require_finite, require_positive
 from .quadrature import DEFAULT_CUTOFF, integrate_decaying, integrate_decaying_2d
 
 __all__ = [
@@ -141,13 +141,11 @@ def reflection_coeffs(k, xi, eps):
         :func:`reflection_coeffs_zero_mode`.  A ValueError names the first
         argument outside its domain.
     """
-    require_positive("transverse wavevector", k)
-    require_at_least("xi", xi, 0.0)
-    require_at_least("eps", eps, 1.0)
-    k = np.asarray(k, dtype=float)
-    xi = np.asarray(xi, dtype=float)
+    k = require_positive("transverse wavevector", k)
+    xi = require_at_least("xi", xi, 0.0)
+    eps = require_at_least("eps", eps, 1.0)
     kappa0 = np.sqrt(k * k + (xi / _C) ** 2)
-    r = _fresnel(kappa0, xi / _C, np.asarray(eps, dtype=float), _Buffers())
+    r = _fresnel(kappa0, xi / _C, eps, _Buffers())
     return ReflectionPair(*(rp[()] for rp in r))
 
 
@@ -205,9 +203,7 @@ def reflection_coeffs_zero_mode(k, model):
     (0, (eps0 - 1)/(eps0 + 1)).  A tabulated model answers as its
     continuation below the table, or as ConstantModel(static_eps) without one.
     """
-    require_positive("transverse wavevector", k)
-    k = np.asarray(k, dtype=float)
-
+    k = require_positive("transverse wavevector", k)
     zero = _zero_mode_model(model)
     if isinstance(zero, DrudeModel):
         return ReflectionPair(np.zeros_like(k), np.ones_like(k))
@@ -368,9 +364,8 @@ def _located(gaps, T, kinds, each_gap=False):
 
 
 def _validate_dT(d, T):
-    require_positive("separation", d)
-    if not (is_finite_real(T) and T >= 0.0):
-        raise ValueError(f"temperature must be a non-negative finite number, got {T!r}")
+    """The checked gap or gaps and temperature."""
+    return require_positive("separation", d), require_at_least("temperature", T, 0.0, scalar=True)
 
 
 def _lifshitz(d, T, model, rel_tol, kinds):
@@ -382,10 +377,10 @@ def _lifshitz(d, T, model, rel_tol, kinds):
     Every entry point comes through here, so d, T and rel_tol are checked
     once, before any integral runs.
     """
-    _validate_dT(d, T)
+    d, T = _validate_dT(d, T)
     if not (is_finite_real(rel_tol) and 0.0 < rel_tol <= 1e-3):
         raise ValueError(f"rel_tol must be a real number in (0, 1e-3], got {rel_tol!r}")
-    gaps = np.asarray(d, dtype=float).ravel()
+    gaps = np.ravel(d)
     # float, as integer exponents make numpy cast through buffers: +0.15 MB peak RSS
     m = np.array([[_KINDS.index(kind)] for kind in kinds], dtype=float)
     if T == 0.0:
@@ -451,9 +446,8 @@ def pressure_parallel(d, T, model, rel_tol=1e-8):
 def _pfa(d, R):
     """2 pi R, the PFA map's factor, after validating the radius and every
     gap of ``d`` and warning once when the largest d/R is too large."""
-    require_positive("radius", R)
-    require_positive("separation", d)
-    ratio = np.max(d, initial=0.0) / R
+    R = require_positive("radius", R, scalar=True)
+    ratio = np.max(require_positive("separation", d), initial=0.0) / R
     if ratio >= PFA_RATIO_LIMIT:
         warnings.warn(
             f"d/R = {ratio:.2e} exceeds {PFA_RATIO_LIMIT:.0e}; "
@@ -495,15 +489,15 @@ def asymptote_thermal(d, R, T, which):
     """Closed-form large-separation thermal force, in N.
 
     zeta(3) R k_B T / (8 d^2) when the TE zero mode is absent ("drude"),
-    twice that when it survives ("plasma"); shaped like ``d``.
+    twice that when it survives ("plasma"); shaped like ``d``.  A force too
+    large for a float is refused, not returned as inf.
     """
-    require_positive("radius", R)
-    _validate_dT(d, T)
-    if which == "drude":
-        return ZETA3 * R * BOLTZMANN * T / (8.0 * d * d)
-    if which == "plasma":
-        return ZETA3 * R * BOLTZMANN * T / (4.0 * d * d)
-    raise ValueError(f"model family must be 'drude' or 'plasma', got {which!r}")
+    R = require_positive("radius", R)
+    d, T = _validate_dT(d, T)
+    if which not in ("drude", "plasma"):
+        raise ValueError(f"model family must be 'drude' or 'plasma', got {which!r}")
+    force = ZETA3 * R * BOLTZMANN * T / (8.0 if which == "drude" else 4.0) / d / d
+    return require_finite("thermal force", force)
 
 
 def force_sphere_plane_grid(separations, T, R, model, rel_tol=1e-8):
@@ -516,10 +510,10 @@ def force_sphere_plane_grid(separations, T, R, model, rel_tol=1e-8):
     scale.  Every gap is validated before any integral runs; an empty grid
     gives an empty array.
     """
+    separations = require_positive("separation", separations)
     if np.ndim(separations) != 1:
         raise ValueError(f"separation grid must be 1-D, got shape {np.shape(separations)}")
-    pfa = _pfa(separations, R)
-    return pfa * abs(free_energy_per_area(np.asarray(separations, dtype=float), T, model, rel_tol))
+    return _pfa(separations, R) * abs(free_energy_per_area(separations, T, model, rel_tol))
 
 
 @dataclass(frozen=True, eq=False)
@@ -565,15 +559,18 @@ def sensitivity_band(
     rel_tol : float
         Relative tolerance of every curve, as for :func:`free_energy_per_area`.
     """
-    d_grid = list(d_grid)
-    if not d_grid:
-        raise ValueError("separation grid must be non-empty")
-    require_positive("separation", d_grid)
-    d_grid = np.asarray(d_grid, dtype=float)
+    d_grid = require_positive("separation", d_grid)
+    if np.ndim(d_grid) != 1 or not d_grid.size:
+        shape = np.shape(d_grid)
+        raise ValueError(f"separation grid must be 1-D and non-empty, got shape {shape}")
     # both ranges, whatever the family, before any curve runs
-    require_positive("omega_p_range", omega_p_range)
-    require_positive("gamma_range", gamma_range)
-    (wp_lo, wp_hi), (g_lo, g_hi) = (sorted(map(float, r)) for r in (omega_p_range, gamma_range))
+    ranges = {"omega_p_range": omega_p_range, "gamma_range": gamma_range}
+    for name, pair in ranges.items():
+        pair = require_positive(name, pair)
+        if np.shape(pair) != (2,):
+            raise ValueError(f"{name} must be a (low, high) pair, got shape {np.shape(pair)}")
+        ranges[name] = sorted(pair.tolist())
+    (wp_lo, wp_hi), (g_lo, g_hi) = ranges.values()
 
     if model_family == "drude":
         models = [DrudeModel(omega_p=wp, gamma=g) for wp in (wp_lo, wp_hi) for g in (g_lo, g_hi)]
