@@ -17,8 +17,8 @@ import numpy as np
 from .corrections import corrected_curve
 from .dielectric import gold_drude, gold_plasma
 from .electrostatics import patch_force
-from .errors import DegenerateFitError, ValidationError, bad_row, is_finite_real, is_integer
-from .errors import require_at_least, require_finite, require_positive
+from .errors import DegenerateFitError, ValidationError, is_integer
+from .errors import require_at_least, require_finite, require_positive, require_table
 from .fileio import read_table, write_table
 from .lifshitz import force_and_curvature_sphere_plane, force_sphere_plane
 
@@ -45,25 +45,6 @@ MEASUREMENT_CSV_HEADER = ["separation_um", "force_pn", "sigma_pn"]
 MODEL_IDS = ("drude_300k", "plasma_300k", "drude_t0", "plasma_t0")
 
 
-def _column(name, value):
-    """``value`` as a new read-only 1-D float array.  A list is checked entry
-    by entry, since numpy reads [1.0, True] as floats and [1.0, "2"] as
-    strings; an array needs an integer or float dtype."""
-    a = np.asarray(value)
-    if a.ndim != 1:
-        raise ValidationError(f"{name} must be 1-D, got an array of shape {a.shape}")
-    if a.dtype.kind not in "iuf" or not isinstance(value, np.ndarray):
-        items = np.asarray(value, dtype=object).tolist()
-        row = next((i for i, v in enumerate(items) if not is_finite_real(v)), None)
-        if row is not None:
-            raise bad_row(f"{name} must be finite, got {items[row]!r} (row {row})", row)
-        if a.dtype.kind not in "iuf":
-            raise ValidationError(f"{name} must be a numeric array, got dtype {a.dtype}")
-    a = a.astype(float)
-    a.flags.writeable = False
-    return a
-
-
 @dataclass(frozen=True, eq=False)
 class Measurements:
     """A series of calibrated force measurements, in SI.
@@ -80,28 +61,12 @@ class Measurements:
     sigma: np.ndarray
 
     def __post_init__(self):
-        d, f, sigma = (
-            _column(name, getattr(self, attr))
-            for attr, name in (("d", "separation"), ("f", "force"), ("sigma", "sigma"))
+        columns = require_table(
+            (("separation", self.d), ("force", self.f), ("sigma", self.sigma)),
+            (("separation", "positive", lambda d: d <= 0.0),
+             ("sigma", "positive", lambda sigma: sigma <= 0.0)),
         )
-        if not d.size == f.size == sigma.size:
-            raise ValidationError(
-                f"d, f and sigma need one length, got {d.size}, {f.size} and {sigma.size}"
-            )
-        # a row's checks in this order; the first bad row is reported
-        checks = (
-            ("separation must be finite", d, ~np.isfinite(d)),
-            ("force must be finite", f, ~np.isfinite(f)),
-            ("sigma must be finite", sigma, ~np.isfinite(sigma)),
-            ("separation must be positive", d, d <= 0.0),
-            ("sigma must be positive", sigma, sigma <= 0.0),
-        )
-        bad = np.stack([mask for _, _, mask in checks])
-        if bad.any():
-            row = int(np.argmax(bad.any(axis=0)))
-            stem, column, _ = checks[int(np.argmax(bad[:, row]))]
-            raise bad_row(f"{stem}, got {float(column[row])} (row {row})", row)
-        for attr, column in (("d", d), ("f", f), ("sigma", sigma)):
+        for attr, column in zip(("d", "f", "sigma"), columns):
             object.__setattr__(self, attr, column)
 
     def __len__(self):

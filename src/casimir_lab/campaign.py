@@ -32,6 +32,7 @@ import numpy as np
 from .analysis import Measurements, standard_model_curves, MODEL_IDS
 from .electrostatics import bias_force, patch_force
 from .errors import ValidationError, is_finite_real, is_integer
+from .errors import require_at_least, require_finite, require_positive
 from .fileio import read_json, write_json, write_table
 
 __all__ = [
@@ -97,34 +98,24 @@ class CampaignConfig:
             raise ValidationError(
                 f"seed must be a non-negative integer or null, got {self.seed!r}"
             )
-        bad_voltages = ValidationError(
-            f"sweep_voltages must be a list of finite numbers, got {self.sweep_voltages!r}"
-        )
-        try:
-            voltages = tuple(self.sweep_voltages)
-        except TypeError:
-            raise bad_voltages from None
-        if not all(is_finite_real(v) for v in voltages):
-            raise bad_voltages
+        voltages = require_finite("sweep_voltages", self.sweep_voltages)
+        if np.ndim(voltages) != 1 or not np.size(voltages):
+            raise ValidationError(f"sweep_voltages must be a non-empty list, got {voltages}")
         # tuple-ize: a frozen config holds no mutable sequence
-        object.__setattr__(self, "sweep_voltages", tuple(float(v) for v in voltages))
+        object.__setattr__(self, "sweep_voltages", tuple(voltages.tolist()))
         if not 0.0 < self.d_min < self.d_max:
             raise ValidationError(f"need 0 < d_min < d_max, got {self.d_min}, {self.d_max}")
         if self.n_separations < 2:
             raise ValidationError(f"n_separations must be >= 2, got {self.n_separations}")
         if self.n_sweeps < 1:
             raise ValidationError(f"n_sweeps must be >= 1, got {self.n_sweeps}")
-        if len(self.sweep_voltages) < 1:
-            raise ValidationError("sweep_voltages must be non-empty")
         if self.truth_model_id not in MODEL_IDS:
             raise ValidationError(
                 f"truth_model_id must be one of {MODEL_IDS}, got {self.truth_model_id!r}"
             )
         for name in ("noise_sigma", "v_rms_true", "delta_true"):
-            if getattr(self, name) < 0.0:
-                raise ValidationError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.radius <= 0.0:
-            raise ValidationError(f"radius must be positive, got {self.radius}")
+            require_at_least(name, getattr(self, name), 0.0)
+        require_positive("radius", self.radius)
 
     def separations(self):
         return np.geomspace(self.d_min, self.d_max, self.n_separations)
@@ -230,8 +221,11 @@ def subtract_drift(campaign):
     condition and a single shared slope, pins the drift rate.  With one
     visit per condition and pass and one sigma, that regression is the
     pooled slope of the per-column demeaned data.  The slope times the
-    sweep index is then subtracted from every sample, anchoring the
-    campaign at its first pass.
+    sweep index less its mean is then subtracted from every sample,
+    anchoring the campaign at its mean pass: the slope's error then moves
+    no sample's mean, and the fit's offset error stays what its covariance
+    says.  Anchored at the first pass, that error times the mean index
+    would shift every point by one common offset.
 
     Returns
     -------
@@ -252,8 +246,8 @@ def subtract_drift(campaign):
 
     corrected = replace(
         campaign,
-        forces=campaign.forces - slope * k[:, None],
-        sweep_forces=campaign.sweep_forces - slope * k[:, None, None],
+        forces=campaign.forces - slope * dk[:, None],
+        sweep_forces=campaign.sweep_forces - slope * dk[:, None, None],
     )
     return DriftSubtraction(campaign=corrected, slope=slope, slope_sigma=slope_sigma)
 

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .errors import RegimeError, require_at_least, require_positive
+from .errors import RegimeError, require_at_least, require_finite, require_positive
 
 __all__ = [
     "fluctuation_corrected_force",
@@ -56,6 +56,7 @@ def fluctuation_corrected_force(force, curvature, d, delta):
         Rms fluctuation amplitude in m.
     """
     _, delta = _check_regime(d, delta)
+    force, curvature = require_finite("force", force), require_finite("curvature", curvature)
     return force + 0.5 * curvature * delta * delta
 
 

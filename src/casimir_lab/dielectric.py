@@ -25,7 +25,8 @@ from typing import Union
 import numpy as np
 
 from .constants import ELEMENTARY_CHARGE, HBAR, ev_to_angular_frequency
-from .errors import ConvergenceError, ValidationError, bad_row, require_at_least, require_positive
+from .errors import ConvergenceError, ValidationError, require_at_least, require_positive
+from .errors import require_table
 from .fileio import read_table
 from .quadrature import integrate_decaying
 
@@ -113,27 +114,15 @@ class OpticalTable:
     eps_imag: np.ndarray  # dimensionless
 
     def __post_init__(self):
-        omega = np.asarray(self.omega, dtype=float)
-        eps_imag = np.asarray(self.eps_imag, dtype=float)
-        if omega.ndim != 1 or eps_imag.ndim != 1 or omega.size != eps_imag.size:
-            raise ValidationError("optical table needs matching 1-d frequency and eps'' columns")
+        frequencies = "optical table frequencies"
+        omega, eps_imag = require_table(
+            ((frequencies, self.omega), ("eps''", self.eps_imag)),
+            ((frequencies, "positive", lambda w: w <= 0.0),
+             (frequencies, "strictly increasing", lambda w: np.r_[False, w[1:] <= w[:-1]]),
+             ("eps''", "non-negative", lambda eps: eps < 0.0)),
+        )
         if omega.size < 2:
             raise ValidationError(f"optical table needs at least 2 rows, got {omega.size}")
-        # a row's checks in this order; the first bad row is reported
-        checks = (
-            ("optical table contains non-finite entries",
-             ~(np.isfinite(omega) & np.isfinite(eps_imag))),
-            ("optical table frequencies must be positive", omega <= 0.0),
-            ("optical table frequencies must be strictly increasing",
-             np.r_[False, omega[1:] <= omega[:-1]]),
-            ("eps'' must be non-negative", eps_imag < 0.0),
-        )
-        bad = np.stack([mask for _, mask in checks])
-        if bad.any():
-            row = int(np.argmax(bad.any(axis=0)))
-            raise bad_row(f"{checks[int(np.argmax(bad[:, row]))][0]} (row {row})", row)
-        omega.setflags(write=False)
-        eps_imag.setflags(write=False)
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "eps_imag", eps_imag)
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .constants import VACUUM_PERMITTIVITY
 from .errors import CalibrationError, DegenerateFitError, ValidationError
-from .errors import bad_row, is_finite_real, require_at_least, require_finite, require_positive
+from .errors import require_at_least, require_finite, require_positive, require_table
 from .fileio import read_table, write_table
 
 __all__ = [
@@ -42,11 +42,10 @@ class SweepSample:
     sigma_f: float
 
     def __post_init__(self):
-        for name, value in (("v", self.v), ("f", self.f), ("sigma_f", self.sigma_f)):
-            if not is_finite_real(value):
-                raise ValidationError(f"{name} must be finite, got {value!r}")
-        if self.sigma_f <= 0.0:
-            raise ValidationError(f"sigma_f must be positive, got {self.sigma_f}")
+        # each field keeps the float its check returns
+        for name in ("v", "f", "sigma_f"):
+            object.__setattr__(self, name, require_finite(name, getattr(self, name), scalar=True))
+        require_positive("sigma_f", self.sigma_f)
 
 
 def bias_force(d, R, v, v_m):
@@ -166,13 +165,10 @@ def calibrate_from_sweep(samples, R):
 
 def _samples(v, f, sigma):
     """A SweepSample per row of three columns; a refused row is named."""
-    samples = []
-    for row, values in enumerate(zip(v.tolist(), f.tolist(), sigma.tolist())):
-        try:
-            samples.append(SweepSample(*values))
-        except ValidationError as exc:
-            raise bad_row(f"{exc} (row {row})", row) from None
-    return samples
+    columns = require_table(
+        (("v", v), ("f", f), ("sigma_f", sigma)), (("sigma_f", "positive", lambda s: s <= 0.0),)
+    )
+    return [SweepSample(*row) for row in zip(*(column.tolist() for column in columns))]
 
 
 def load_sweep_csv(path):

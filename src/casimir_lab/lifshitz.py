@@ -70,6 +70,7 @@ from .dielectric import (
 )
 from .errors import ConvergenceError, PfaValidityWarning
 from .errors import is_finite_real, require_at_least, require_finite, require_positive
+from .errors import require_within
 from .quadrature import DEFAULT_CUTOFF, integrate_decaying, integrate_decaying_2d
 
 __all__ = [
@@ -107,6 +108,10 @@ _T0_GAPS = 3
 
 #: Matsubara terms one gap sums at most (see the module notes).
 _MAX_MATSUBARA = 100_000
+
+#: The gaps, in m, every engine entry takes: below 1 nm a continuum
+#: permittivity means nothing, far above 1 km the integrals overflow.
+_GAPS = (1e-9, 1e3)
 
 _C = SPEED_OF_LIGHT
 
@@ -364,8 +369,9 @@ def _located(gaps, T, kinds, each_gap=False):
 
 
 def _validate_dT(d, T):
-    """The checked gap or gaps and temperature."""
-    return require_positive("separation", d), require_at_least("temperature", T, 0.0, scalar=True)
+    """The checked gap or gaps, each within _GAPS, and temperature."""
+    d = require_within("separation", d, *_GAPS)
+    return d, require_at_least("temperature", T, 0.0, scalar=True)
 
 
 def _lifshitz(d, T, model, rel_tol, kinds):
@@ -414,7 +420,7 @@ def free_energy_per_area(d, T, model, rel_tol=1e-8):
     Parameters
     ----------
     d : float or array_like
-        Plate separation in m; an array gives the free energy at each gap.
+        Plate separation in m, 1 nm to 1 km; an array gives one per gap.
     T : float
         Temperature in K.  T = 0 dispatches to the dedicated
         imaginary-frequency integral rather than a small-T ladder.
@@ -447,7 +453,7 @@ def _pfa(d, R):
     """2 pi R, the PFA map's factor, after validating the radius and every
     gap of ``d`` and warning once when the largest d/R is too large."""
     R = require_positive("radius", R, scalar=True)
-    ratio = np.max(require_positive("separation", d), initial=0.0) / R
+    ratio = np.max(require_within("separation", d, *_GAPS), initial=0.0) / R
     if ratio >= PFA_RATIO_LIMIT:
         warnings.warn(
             f"d/R = {ratio:.2e} exceeds {PFA_RATIO_LIMIT:.0e}; "
@@ -493,7 +499,8 @@ def asymptote_thermal(d, R, T, which):
     large for a float is refused, not returned as inf.
     """
     R = require_positive("radius", R)
-    d, T = _validate_dT(d, T)
+    d = require_positive("separation", d)
+    T = require_at_least("temperature", T, 0.0, scalar=True)
     if which not in ("drude", "plasma"):
         raise ValueError(f"model family must be 'drude' or 'plasma', got {which!r}")
     force = ZETA3 * R * BOLTZMANN * T / (8.0 if which == "drude" else 4.0) / d / d

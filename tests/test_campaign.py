@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from casimir_lab import campaign
 from casimir_lab.campaign import (
     SIGMA_FLOOR,
     SWEEPS_CSV_HEADER,
@@ -24,6 +25,7 @@ from casimir_lab.campaign import (
     subtract_drift,
 )
 from casimir_lab.analysis import (
+    ModelCurve,
     bin_points,
     fit_patch_and_offset,
     log_bin_edges,
@@ -278,9 +280,13 @@ class TestDriftSubtraction:
         sub = subtract_drift(generate_campaign(cfg))
         assert sub.slope == pytest.approx(rate, rel=1e-10, abs=0.0)
         clean = generate_campaign(small_config(noise_sigma=0.0, drift_rate=0.0))
-        np.testing.assert_allclose(sub.campaign.points.f, clean.points.f, rtol=1e-12, atol=0.0)
+        # anchored at the mean pass: the clean campaign plus the drift by then
+        shift = rate * (cfg.n_sweeps - 1) / 2.0
         np.testing.assert_allclose(
-            sub.campaign.sweep_forces, clean.sweep_forces, rtol=1e-12, atol=0.0
+            sub.campaign.points.f, clean.points.f + shift, rtol=1e-12, atol=0.0
+        )
+        np.testing.assert_allclose(
+            sub.campaign.sweep_forces, clean.sweep_forces + shift, rtol=1e-12, atol=0.0
         )
 
     def test_slope_error_bar_covers_zero_drift(self):
@@ -291,6 +297,33 @@ class TestDriftSubtraction:
             if abs(sub.slope) < 3.0 * sub.slope_sigma:
                 hits += 1
         assert hits >= 97
+
+    def test_offset_pull_is_calibrated_over_seeds(self, monkeypatch):
+        # campaign -> drift removal -> binning -> truth fit on the default
+        # config, the truth curve computed once.  Anchored at the first
+        # pass, the slope's error times the mean sweep index (191) shifts
+        # every point by one common offset the fit's covariance leaves out:
+        # the pull (a - a_true) / sigma_a then has SD ~1.3 on these seeds
+        config = CampaignConfig(seed=0)
+        seps = config.separations()
+        truth = {c.model_id: c for c in standard_model_curves(config.radius, config.delta_true)}
+        at_grid = truth[config.truth_model_id].evaluator(seps)
+
+        def cached(d):
+            assert np.allclose(d, seps, rtol=1e-12, atol=0.0)
+            return at_grid
+
+        curve = ModelCurve(config.truth_model_id, cached)
+        monkeypatch.setattr(campaign, "standard_model_curves", lambda R, delta: [curve])
+        edges = log_bin_edges(config.d_min, config.d_max, config.n_separations)
+        pulls = []
+        for seed in range(100):
+            out = subtract_drift(generate_campaign(replace(config, seed=seed))).campaign
+            fit = fit_patch_and_offset(bin_points(out.points, edges), curve, config.radius,
+                                       config.delta_true)
+            pulls.append((fit.a - config.offset_a_true) / math.sqrt(fit.covariance[1, 1]))
+        # the SD of 100 unit normals is 1 within 1/sqrt(200); three of those
+        assert abs(np.std(pulls, ddof=1) - 1.0) <= 3.0 / math.sqrt(200.0)
 
     def test_rejects_single_sweep(self):
         with pytest.raises(ValidationError):

@@ -368,7 +368,13 @@ class TestTableLoader:
     def test_rejects_non_finite_row(self, tmp_path, row):
         path = tmp_path / "bad.csv"
         path.write_text(f"photon_energy_ev,eps_imag\n0.1,1.0\n{row}\n", encoding="utf-8")
-        named = rf"^{re.escape(str(path))}: line 3: optical table contains non-finite entries"
+        reason = {
+            "nan,1.0": "optical table frequencies must be finite, got nan",
+            "0.2,inf": "eps'' must be finite, got inf",
+            "inf,1.0": "optical table frequencies must be finite, got inf",
+            "0.2,-inf": "eps'' must be finite, got -inf",
+        }[row]
+        named = rf"^{re.escape(str(path))}: line 3: {re.escape(reason)} \(row 1\)$"
         with pytest.raises(ValidationError, match=named):
             load_optical_table(path)
 

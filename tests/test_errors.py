@@ -4,12 +4,16 @@ computes on the value its check returned.
 
 The shared checks live in ``casimir_lab.errors``; the table below runs each
 checked argument of the public entries against the same set of bad values:
-a numeric string, None, a bool, a complex, nan, inf and a ragged list.
+a numeric string, None, a bool, a complex, nan, inf and a ragged list.  A
+column of a record type (``Measurements``, ``OpticalTable``) gets the bad
+value in its second row, and goes through the table check
+``require_table``; a column that is a number is refused as not 1-D.
 Every callable of ``casimir_lab.__all__`` is in the table or exempt from it
 with a reason.  An array-taking entry gives for an int, an int array, a
 list, a tuple, a numpy scalar or a 0-d array exactly what it gives for the
 float form, and a closed-form entry given a subnormal or huge finite number
-returns a finite result or refuses by name a quantity that overflows.
+returns a finite result or refuses by name a quantity that overflows.  The
+engine's gaps run from 1 nm to 1 km, and a gap outside is refused by name.
 """
 
 import math
@@ -29,7 +33,8 @@ from casimir_lab.corrections import fluctuation_corrected_force
 from casimir_lab.dielectric import ConstantModel, DrudeModel, OpticalTable, PlasmaModel
 from casimir_lab.dielectric import TabulatedModel, eps_imag_axis, gold_drude, gold_plasma
 from casimir_lab.electrostatics import SweepSample, bias_force, calibrate_from_sweep, patch_force
-from casimir_lab.errors import RegimeError, require_at_least, require_finite, require_positive
+from casimir_lab.errors import RegimeError, ValidationError, require_at_least, require_finite
+from casimir_lab.errors import require_positive
 from casimir_lab.lifshitz import asymptote_thermal, force_and_curvature_sphere_plane
 from casimir_lab.lifshitz import force_curvature_sphere_plane, force_sphere_plane
 from casimir_lab.lifshitz import force_sphere_plane_grid, free_energy_per_area
@@ -73,6 +78,10 @@ ENTRIES = [
      "separation"),
     ("fluctuation_corrected_force delta",
      lambda b: fluctuation_corrected_force(1e-9, 1e3, 1e-6, b), "delta"),
+    ("fluctuation_corrected_force force",
+     lambda b: fluctuation_corrected_force(b, 1e3, 1e-6, 1e-9), "force"),
+    ("fluctuation_corrected_force curvature",
+     lambda b: fluctuation_corrected_force(1e-9, b, 1e-6, 1e-9), "curvature"),
     ("corrected_curve delta", lambda b: corrected_curve(lambda d: (1e-9, 1e3), b)(1e-6), "delta"),
     ("ev_to_angular_frequency", ev_to_angular_frequency, "photon energy"),
     ("log_bin_edges d_min", lambda b: log_bin_edges(b, 7e-6, 3), "d_min"),
@@ -128,6 +137,16 @@ ENTRIES = [
     ("SweepSample v", lambda b: SweepSample(b, 0.0, 1e-12), "v"),
     ("SweepSample sigma_f", lambda b: SweepSample(0.0, 0.0, b), "sigma_f"),
     ("CampaignConfig radius", lambda b: CampaignConfig(radius=b), "radius"),
+    # a record's column holds the bad value in row 1, next to a good one
+    ("Measurements d", lambda b: Measurements([1e-6, b], [0.0, 0.0], [1e-12, 1e-12]),
+     "separation"),
+    ("Measurements f", lambda b: Measurements([1e-6, 2e-6], [0.0, b], [1e-12, 1e-12]), "force"),
+    ("Measurements sigma", lambda b: Measurements([1e-6, 2e-6], [0.0, 0.0], [1e-12, b]),
+     "sigma"),
+    ("OpticalTable omega", lambda b: OpticalTable(omega=[1e15, b], eps_imag=[1.0, 0.5]),
+     "optical table frequencies"),
+    ("OpticalTable eps_imag", lambda b: OpticalTable(omega=[1e15, 2e15], eps_imag=[1.0, b]),
+     "eps''"),
 ]
 
 #: callables of ``casimir_lab.__all__`` that ENTRIES leaves out, and why
@@ -144,8 +163,6 @@ EXEMPT = (
     ("FitResult", "result type, built by fit_patch_and_offset"),
     ("CampaignResult", "result type, built by generate_campaign"),
     ("ModelCurve", "holds a name and an evaluator; the evaluator checks its own gaps"),
-    ("Measurements", "table: a refused entry is named with its row (test_analysis)"),
-    ("OpticalTable", "table: a refused entry is named with its row (test_dielectric)"),
     ("load_optical_table", "loader: a refused row names the file and line (test_dielectric)"),
     ("load_sweep_csv", "loader: a refused row names the file and line (test_electrostatics)"),
     ("load_measurements", "loader: a refused row names the file and line (test_analysis)"),
@@ -230,6 +247,10 @@ ARRAY_ENTRIES = [
     ("patch_force v_rms", lambda x: patch_force(1e-6, R, x), (1, 2)),
     ("fluctuation_corrected_force d",
      lambda x: fluctuation_corrected_force(1e-9, 1e3, x, 1e-9), (1, 2)),
+    ("fluctuation_corrected_force force",
+     lambda x: fluctuation_corrected_force(x, 1e3, 1e-6, 1e-9), (1, 2)),
+    ("fluctuation_corrected_force curvature",
+     lambda x: fluctuation_corrected_force(1e-9, x, 1e-6, 1e-9), (1, 2)),
     ("corrected_separation d", lambda x: corrected_separation(x, 1e-9), (1, 2)),
     ("asymptote_thermal d", lambda x: asymptote_thermal(x, R, 300.0, "plasma"), (1, 2)),
     ("reflection_coeffs k", lambda x: reflection_coeffs(x, 1e14, 2.0), (10**6, 2 * 10**6)),
@@ -307,7 +328,7 @@ def test_a_result_that_overflows_is_refused_by_name(call, quantity):
 
 
 #: the closed-form entries, one argument varied.  Not among them: the
-#: engine's gaps, as a subnormal or huge gap overflows inside its integrals,
+#: engine's gaps, which have a stated range (test_engine_gaps_run_from_1_nm_to_1_km),
 #: and eps_imag_axis, whose metal eps(i xi) grows without bound as xi -> 0
 #: and is inf once it overflows, as its docstring says
 CLOSED_FORM = [
@@ -343,3 +364,27 @@ def test_extreme_finite_input_gives_a_finite_result_or_a_named_refusal(call, x):
         assert re.match(r"^[\w ]+ must be ", str(exc)), exc
     else:
         assert np.all(np.isfinite(result))
+
+
+def test_engine_gaps_run_from_1_nm_to_1_km():
+    # outside, a gap used to give nan or -0.0 with RuntimeWarnings, or be
+    # refused under the name of a quantity inside the integrals
+    low, high = 1e-9, 1e3
+    assert np.all(free_energy_per_area([low, high], 0.0, DRUDE) < 0.0)
+    assert free_energy_per_area(high, 300.0, DRUDE) < 0.0
+    refused = r"^separation must be within \[1e-09, 1000\], got "
+    for d in (math.nextafter(low, 0.0), math.nextafter(high, math.inf), 5e-324, 1e200):
+        for call in (lambda: free_energy_per_area(d, 0.0, DRUDE),
+                     lambda: free_energy_per_area([1e-6, d], 300.0, DRUDE),
+                     lambda: force_sphere_plane(d, 300.0, R, DRUDE)):
+            with pytest.raises(ValidationError, match=refused):
+                call()
+
+
+@pytest.mark.parametrize("column", [1j, 1e-6, [[1e-6, 2e-6]]], ids=repr)
+def test_a_record_column_must_be_a_1d_sequence(column):
+    # a complex number used to escape from OpticalTable as a TypeError
+    with pytest.raises(ValidationError, match=r"^optical table frequencies must be 1-D"):
+        OpticalTable(omega=column, eps_imag=[1.0, 0.5])
+    with pytest.raises(ValidationError, match=r"^separation must be 1-D"):
+        Measurements(column, [0.0, 0.0], [1e-12, 1e-12])
