@@ -66,7 +66,8 @@ def default_sweep_voltages():
 class CampaignConfig:
     """Everything that determines a campaign, including its random seed.
 
-    Forces in N, lengths in m, voltages in V; drift_rate is N per sweep.
+    Forces in N, lengths in m, voltages in V; drift_rate is N per sweep,
+    about the mean pass, so offset_a_true is the campaign's mean offset.
     truth_model_id selects the injected theory curve from the canonical
     four-candidate set.
     """
@@ -164,7 +165,7 @@ def generate_campaign(config):
     Every force sample is the analytic sum
 
         fluctuation-corrected theory + patch term + bias term
-        + constant offset + drift_rate * sweep_index + Gaussian noise
+        + constant offset + drift_rate * (sweep_index - mean index) + noise
 
     with the 1 + (delta/d)^2 fluctuation factor applied to both 1/d
     electrostatic terms.  The noise is drawn from one numpy Generator in a
@@ -195,7 +196,7 @@ def generate_campaign(config):
     bias = np.array(
         [[bias_force(seps[i], config.radius, v, config.v_m_true) for v in voltages] for i in ends]
     )
-    drift = config.drift_rate * np.arange(config.n_sweeps)
+    drift = config.drift_rate * (np.arange(config.n_sweeps) - (config.n_sweeps - 1) / 2.0)
 
     # noise columns of one pass: first sweep, points 0..n_sep-2, last sweep, last point
     sweep_noise = np.stack([noise[:, :n_v], noise[:, n_v + n_sep - 1 : -1]], axis=1)
@@ -222,10 +223,10 @@ def subtract_drift(campaign):
     visit per condition and pass and one sigma, that regression is the
     pooled slope of the per-column demeaned data.  The slope times the
     sweep index less its mean is then subtracted from every sample,
-    anchoring the campaign at its mean pass: the slope's error then moves
-    no sample's mean, and the fit's offset error stays what its covariance
-    says.  Anchored at the first pass, that error times the mean index
-    would shift every point by one common offset.
+    anchoring the campaign at its mean pass, where generate_campaign's
+    drift is zero: the slope's error then moves no sample's mean, so the
+    fit's offset error is what its covariance says.  Anchored at the first
+    pass, that error times the mean index would shift every point alike.
 
     Returns
     -------
@@ -238,8 +239,7 @@ def subtract_drift(campaign):
 
     # one column per condition: every sweep voltage at both ends, every gap
     y = np.hstack([campaign.sweep_forces.reshape(n_sweeps, -1), campaign.forces])
-    k = np.arange(n_sweeps, dtype=float)
-    dk = k - k.mean()
+    dk = np.arange(n_sweeps) - (n_sweeps - 1) / 2.0
     den = y.shape[1] * (dk @ dk)
     slope = (dk @ (y - y.mean(axis=0))).sum() / den
     slope_sigma = campaign.sigma / math.sqrt(den)

@@ -55,7 +55,7 @@ def require_at_least(name, value, floor, scalar=False):
 
 def require_finite(name, value, scalar=False):
     """As :func:`require_positive`, for any finite real number."""
-    return _require(name, value, np.isfinite, "finite", scalar)
+    return _require(name, value, lambda v: True, "finite", scalar)
 
 
 def require_within(name, value, low, high):
@@ -65,6 +65,8 @@ def require_within(name, value, low, high):
 
 
 def _require(name, value, ok, domain, scalar):
+    if type(value) is float and math.isfinite(value) and ok(value):
+        return value  # a good float, the common case, skips the array round trip
     if not (isinstance(value, np.ndarray) and value.dtype.kind in "iuf"):
         # numpy reads "1e-6" and True as floats, drops the imaginary part of
         # 1j and fails on a ragged list: refuse each entry that is not real

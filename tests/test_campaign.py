@@ -218,9 +218,10 @@ class TestSchedule:
         rate = 5e-14
         quiet = generate_campaign(small_config(noise_sigma=0.0, drift_rate=0.0))
         drifty = generate_campaign(small_config(noise_sigma=0.0, drift_rate=rate))
-        n_sep = drifty.separations.size
+        n_sep, mean_pass = drifty.separations.size, (drifty.forces.shape[0] - 1) / 2.0
         for row, (fq, fd) in enumerate(zip(quiet.points.f, drifty.points.f)):
-            assert fd - fq == pytest.approx(rate * (row // n_sep), abs=1e-22)
+            # zero at the mean pass, where offset_a_true is the offset
+            assert fd - fq == pytest.approx(rate * (row // n_sep - mean_pass), abs=1e-22)
 
     @pytest.mark.parametrize("overrides", [{}, {"n_separations": 2}])
     def test_noise_is_one_stream_in_schedule_order(self, overrides):
@@ -280,13 +281,9 @@ class TestDriftSubtraction:
         sub = subtract_drift(generate_campaign(cfg))
         assert sub.slope == pytest.approx(rate, rel=1e-10, abs=0.0)
         clean = generate_campaign(small_config(noise_sigma=0.0, drift_rate=0.0))
-        # anchored at the mean pass: the clean campaign plus the drift by then
-        shift = rate * (cfg.n_sweeps - 1) / 2.0
+        np.testing.assert_allclose(sub.campaign.points.f, clean.points.f, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(
-            sub.campaign.points.f, clean.points.f + shift, rtol=1e-12, atol=0.0
-        )
-        np.testing.assert_allclose(
-            sub.campaign.sweep_forces, clean.sweep_forces + shift, rtol=1e-12, atol=0.0
+            sub.campaign.sweep_forces, clean.sweep_forces, rtol=1e-12, atol=0.0
         )
 
     def test_slope_error_bar_covers_zero_drift(self):
@@ -300,11 +297,13 @@ class TestDriftSubtraction:
 
     def test_offset_pull_is_calibrated_over_seeds(self, monkeypatch):
         # campaign -> drift removal -> binning -> truth fit on the default
-        # config, the truth curve computed once.  Anchored at the first
-        # pass, the slope's error times the mean sweep index (191) shifts
-        # every point by one common offset the fit's covariance leaves out:
-        # the pull (a - a_true) / sigma_a then has SD ~1.3 on these seeds
-        config = CampaignConfig(seed=0)
+        # config with a drift, the truth curve computed once.  Anchored at
+        # the first pass, the slope's error times the mean sweep index (191)
+        # shifts every point by one common offset the fit's covariance
+        # leaves out: the pull (a - a_true) / sigma_a then has SD ~1.3 on
+        # these seeds, and a drift left at any pass but the generator's zero
+        # moves its mean
+        config = CampaignConfig(seed=0, drift_rate=7e-14)
         seps = config.separations()
         truth = {c.model_id: c for c in standard_model_curves(config.radius, config.delta_true)}
         at_grid = truth[config.truth_model_id].evaluator(seps)
@@ -322,7 +321,9 @@ class TestDriftSubtraction:
             fit = fit_patch_and_offset(bin_points(out.points, edges), curve, config.radius,
                                        config.delta_true)
             pulls.append((fit.a - config.offset_a_true) / math.sqrt(fit.covariance[1, 1]))
-        # the SD of 100 unit normals is 1 within 1/sqrt(200); three of those
+        # the mean of 100 unit normals is 0 within 1/sqrt(100), their SD 1
+        # within 1/sqrt(200); three of those each
+        assert abs(np.mean(pulls)) <= 3.0 / math.sqrt(100.0)
         assert abs(np.std(pulls, ddof=1) - 1.0) <= 3.0 / math.sqrt(200.0)
 
     def test_rejects_single_sweep(self):
