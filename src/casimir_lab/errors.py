@@ -64,6 +64,11 @@ def require_within(name, value, low, high):
                     f"within [{low:g}, {high:g}]", False)
 
 
+def require_tolerance(value):
+    """``value`` as a float once it is a relative tolerance, in (0, 1e-3]."""
+    return _require("rel_tol", value, lambda v: 0 < v <= 1e-3, "a real number in (0, 1e-3]", True)
+
+
 def _require(name, value, ok, domain, scalar):
     if type(value) is float and math.isfinite(value) and ok(value):
         return value  # a good float, the common case, skips the array round trip

@@ -9,11 +9,11 @@ spaces across a vacuum gap d is
 with kappa0 = sqrt(k^2 + xi_n^2/c^2), Matsubara frequencies
 xi_n = 2 pi n k_B T / hbar, and the prime halving the n = 0 term.  At T = 0
 the ladder becomes the integral (hbar / 2 pi) int_0^inf dxi of the same
-k-integral, evaluated on the L-shaped rectangle layout of
-:mod:`casimir_lab.quadrature` in the reduced variables x = 2 xi d / c and
-t = y - x, whose nodes are the same for every gap: each refinement level
-computes eps(i xi) once per gap and frequency node and gathers it for every
-rectangle whose kernel it enters.
+k-integral, on the L-shaped rectangle layout of :mod:`casimir_lab.quadrature`
+in the reduced variables x = 2 xi d / c and t = y - x, whose nodes are the
+same for every gap: a curve builds x, y, y^2 and exp(-y) of the 6- and
+12-node levels once, and each level computes eps(i xi) once per gap and
+frequency node and gathers it for every rectangle whose kernel it enters.
 
 Every entry point takes a float or an array of gaps (a float gives a float,
 computed as a grid of one).  At T > 0 a curve is one ladder: one eps(i xi_n)
@@ -25,10 +25,10 @@ where its terms fall under exp(-40) of the sum.  A row starts at y = x_n,
 clear of the y ln y endpoint at y = 0, so a row family passes its smallest
 x_n to the quadrature, which thins its graded opening.  At T = 0 a curve is
 one 2-D integral per chunk of ``_T0_GAPS`` consecutive gaps, each gap
-settled on its own scale; the gaps of a chunk share y = x + t, exp(-y) and
-y^2, and the chunk size bounds the peak memory.  The whole-grid temporaries
-of the Fresnel coefficients and kernels live in buffers reused across
-doubling levels and by every chunk of a curve.
+settled on its own scale; the gaps of a chunk share the nodes of the finer
+levels too, and the chunk size bounds the peak memory.  The whole-grid
+temporaries of the Fresnel coefficients and kernels live in buffers reused
+across doubling levels and by every chunk of a curve.
 
 The one accuracy setting, ``rel_tol`` in (0, 1e-3] (default 1e-8), is what
 every quadrature settles to.  A ladder has at most ``_MAX_MATSUBARA`` terms
@@ -69,9 +69,9 @@ from .dielectric import (
     static_eps,
 )
 from .errors import ConvergenceError, PfaValidityWarning
-from .errors import is_finite_real, require_at_least, require_finite, require_positive
+from .errors import require_at_least, require_finite, require_positive, require_tolerance
 from .errors import require_within
-from .quadrature import DEFAULT_CUTOFF, integrate_decaying, integrate_decaying_2d
+from .quadrature import _RECTANGLES, DEFAULT_CUTOFF, integrate_decaying, integrate_decaying_2d
 
 __all__ = [
     "ReflectionPair",
@@ -150,7 +150,7 @@ def reflection_coeffs(k, xi, eps):
     xi = require_at_least("xi", xi, 0.0)
     eps = require_at_least("eps", eps, 1.0)
     kappa0 = np.sqrt(k * k + (xi / _C) ** 2)
-    r = _fresnel(kappa0, xi / _C, eps, _Buffers())
+    r = _fresnel(kappa0, kappa0 * kappa0, xi / _C, eps, _Buffers())
     return ReflectionPair(*(rp[()] for rp in r))
 
 
@@ -171,20 +171,17 @@ class _Buffers:
         return flat[:size].reshape(shape)
 
 
-def _fresnel(kappa0, w, eps, buffers):
-    """(r_te, r_tm) from the vacuum decay constant kappa0 and w = xi/c, in
-    buffers "r_te" and "r_tm" of ``buffers``, with "exp(-y)" and "kernel"
-    as scratch.
+def _fresnel(kappa0, kappa0_2, w, eps, buffers):
+    """(r_te, r_tm) from the vacuum decay constant kappa0, its square and
+    w = xi/c, in buffers "r_te" and "r_tm" of ``buffers``, with "kernel" as
+    scratch.
 
-    Both may carry one common scale factor: the kernels pass y = 2 kappa0 d
-    and x = 2 xi d / c.
+    All may carry one common scale factor: the kernels pass y = 2 kappa0 d,
+    y^2 and x = 2 xi d / c.
     """
     shape = np.broadcast_shapes(np.shape(kappa0), np.shape(w), np.shape(eps))
-    # kappa^2 = kappa0^2 + (eps - 1) w^2 avoids cancellation for eps ~ 1;
-    # kappa0^2 is spent at once, in the buffer _kernel uses for exp(-y)
-    kappa = buffers.take("r_te", shape)
-    np.add(np.square(kappa0, out=buffers.take("exp(-y)", np.shape(kappa0))),
-           (eps - 1.0) * w ** 2, out=kappa)
+    # kappa^2 = kappa0^2 + (eps - 1) w^2 avoids cancellation for eps ~ 1
+    kappa = np.add(kappa0_2, (eps - 1.0) * w ** 2, out=buffers.take("r_te", shape))
     np.sqrt(kappa, out=kappa)
     # three whole-grid buffers: r_tm first, then r_te over kappa; the
     # denominators go where _kernel will put its result
@@ -231,36 +228,35 @@ def _zero_mode_model(model):
     raise TypeError(f"unknown dielectric model {type(model).__name__}")
 
 
-def _kernel(r, y, kinds, buffers):
+def _kernel(r, nodes, kinds, buffers):
     """Energy y ln(1 - s), pressure y^2 s/(1 - s) or curvature y^3 s/(1 - s)^2
     integrand of each of ``kinds``, s = r^2 exp(-y), summed over TE and TM;
-    r is overwritten, and the result is buffer "kernel" of ``buffers``."""
+    ``nodes`` is (y, exp(-y)), r is overwritten, and the result is buffer
+    "kernel" of ``buffers``.  The energy's two logs are one
+    log1p(s_te s_tm - s_te - s_tm), a few ulp from their sum, or
+    ~ulp(1)/((1 - s_te)(1 - s_tm)) as s -> 1; ln((1 - s_te)(1 - s_tm))
+    would drop the digits of s below ulp(1), all a row high up a ladder has.
+    """
     # in place: on the T = 0 grid every temporary is a whole (gap, x, t)
-    # array, and their number sets the peak memory
-    expy = buffers.take("exp(-y)", y.shape)
-    np.exp(np.negative(y, out=expy), out=expy)
-    # r may carry a leading gap axis that y lacks (the batched zero modes
-    # and the gaps of a T = 0 chunk), so y, exp(-y) and y^2 serve every gap
-    out = buffers.take("kernel", (len(kinds),) + r[0].shape)
-    # the energy's log1p overwrites s, so it comes after the other kinds
-    rows = sorted(zip(out, kinds), key=lambda row: row[1] == "energy")
-    # 1 - s: one buffer for every polarization and kind, if one needs it
-    q = buffers.take("1 - s", r[0].shape) if set(kinds) - {"energy"} else None
-    for p, rp in enumerate(r):
-        s = np.square(rp, out=rp)
-        s *= expy
-        # TE writes each total, TM adds to it
-        for total, kind in rows:
-            if kind == "energy":
-                term = np.log1p(np.negative(s, out=s), out=s if p else total)
-            else:
-                np.subtract(1.0, s, out=q)
-                den = q if kind == "pressure" else np.square(q, out=q)
-                term = np.divide(s, den, out=q if p else total)
-            if p:
-                total += term
-    y2 = np.square(y, out=expy)  # exp(-y) is spent
-    for total, kind in rows:
+    # array, and their number sets the peak memory; r may carry a gap axis
+    # that y lacks.  TE writes each total but the energy's, and TM adds its
+    # term from the buffer of s_te, spent by then
+    y, expy = nodes
+    s_te, s_tm = (np.multiply(np.square(rp, out=rp), expy, out=rp) for rp in r)
+    out = buffers.take("kernel", (len(kinds),) + s_te.shape)
+    for p, s in enumerate((s_te, s_tm)):
+        for total, kind in zip(out, kinds):
+            if kind == "energy" and not p:
+                np.subtract(np.multiply(s_te, s_tm, out=total), s_te, out=total)
+                np.log1p(np.subtract(total, s_tm, out=total), out=total)
+            elif kind != "energy":
+                term = np.subtract(1.0, s, out=s_te if p else total)
+                np.divide(s, term if kind == "pressure" else np.square(term, out=term), out=term)
+                if p:
+                    total += term
+    if set(kinds) - {"energy"}:
+        y2 = np.square(y, out=s_te.reshape(-1)[:y.size].reshape(y.shape))  # s_te is spent
+    for total, kind in zip(out, kinds):
         total *= y if kind == "energy" else y2
         if kind == "curvature":
             total *= y
@@ -278,7 +274,15 @@ def _mode_integrand(x, t, eps, kinds, buffers):
     x and t.
     """
     y = np.add(x, t, out=buffers.take("y", np.broadcast_shapes(np.shape(x), np.shape(t))))
-    return _kernel(_fresnel(y, x, eps, buffers), y, kinds, buffers)
+    expy = buffers.take("exp(-y)", y.shape)  # y^2 first, spent at once
+    r = _fresnel(y, np.square(y, out=expy), x, eps, buffers)
+    return _kernel(r, (y, np.exp(np.negative(y, out=expy), out=expy)), kinds, buffers)
+
+
+def _t0_level(x, t, row):
+    """x[row], y = x[row] + t, y^2 and exp(-y) of a T = 0 level, any gap's."""
+    y = x[row] + t
+    return x[row], y, y * y, np.exp(-y)
 
 
 def _matsubara_ladder(d, T, model, rel_tol, kinds):
@@ -309,9 +313,8 @@ def _matsubara_ladder(d, T, model, rel_tol, kinds):
         column, buffers = d[family, None], _Buffers()
         with _located(d[family], T, kinds):
             i_zero[:, family] = integrate_decaying(
-                lambda y: _kernel(
-                    reflection_coeffs_zero_mode(y / (2.0 * column), zero), y, kinds, buffers
-                ),
+                lambda y: _kernel(reflection_coeffs_zero_mode(y / (2.0 * column), zero),
+                                  (y, np.exp(-y)), kinds, buffers),
                 rel_tol,
             )
 
@@ -384,15 +387,13 @@ def _lifshitz(d, T, model, rel_tol, kinds):
     once, before any integral runs.
     """
     d, T = _validate_dT(d, T)
-    if not (is_finite_real(rel_tol) and 0.0 < rel_tol <= 1e-3):
-        raise ValueError(f"rel_tol must be a real number in (0, 1e-3], got {rel_tol!r}")
+    rel_tol = require_tolerance(rel_tol)
     gaps = np.ravel(d)
     # float, as integer exponents make numpy cast through buffers: +0.15 MB peak RSS
     m = np.array([[_KINDS.index(kind)] for kind in kinds], dtype=float)
     if T == 0.0:
-        # every chunk has the same node grid, so one set of buffers serves
-        # them all without growing
-        buffers = _Buffers()
+        # one set of buffers and one table per level on every rectangle serve all chunks
+        buffers, levels = _Buffers(), {}
         integrals = np.empty((len(kinds), gaps.size))
         for start in range(0, gaps.size, _T0_GAPS):
             chunk = gaps[start:start + _T0_GAPS]
@@ -402,8 +403,12 @@ def _lifshitz(d, T, model, rel_tol, kinds):
             # scale; each level computes eps once per gap and distinct
             # frequency node, then gathers it per rectangle
             def integrand(x, t, row, column=column):
-                eps = np.asarray(eps_imag_axis(model, x * _C / (2.0 * column)))
-                return _mode_integrand(x[row], t, eps[:, row], kinds, buffers)
+                eps = np.asarray(eps_imag_axis(model, x * _C / (2.0 * column)))[:, row]
+                if row.size < _RECTANGLES[0].size:
+                    return _mode_integrand(x[row], t, eps, kinds, buffers)
+                n = t.shape[-1]
+                x, y, y2, expy = levels.get(n) or levels.setdefault(n, _t0_level(x, t, row))
+                return _kernel(_fresnel(y, y2, x, eps, buffers), (y, expy), kinds, buffers)
 
             with _located(chunk, 0.0, kinds, each_gap=True):
                 integrals[:, start:start + _T0_GAPS] = integrate_decaying_2d(integrand, rel_tol)

@@ -114,6 +114,24 @@ def _nodes(panels, n, skip=0):
     return lower[panels, None] + half[:, None] * (x + 1.0), w, half
 
 
+def _level(cells, n):
+    """x (px, n, 1), t (nc, 1, n), row, half-width products, weights of ``cells``."""
+    panel, lower, half = _RECTANGLES
+    ix, row = np.unique(panel[cells], return_inverse=True)
+    (x, w, hx), (s, _) = _nodes(ix, n), gauss_legendre(n)
+    t = lower[cells, None] + half[cells, None] * (s + 1.0)
+    return x[:, :, None], t[:, None, :], row, hx[row] * half[cells], w
+
+
+@lru_cache(maxsize=None)
+def _full_level(n):
+    """:func:`_level` of all rectangles, on which levels 6 and 12 always run."""
+    level = _level(np.arange(_RECTANGLES[0].size), n)
+    for array in level[:-1]:  # read-only; the weights are gauss_legendre's
+        array.flags.writeable = False
+    return level
+
+
 def _settle(estimate, cells, rel_tol, node_start, node_cap):
     """Totals of the cells of ``estimate(cells, n)`` (last axis), doubling n
     on each cell until its change in every kind is at most rel_tol times the
@@ -188,13 +206,10 @@ def integrate_decaying_2d(f, rel_tol):
     scale.  A rectangle refines while any element needs it, and a
     ConvergenceError's ``kind`` is the flat (C-order) index of the worst.
     """
-    panel, lower, half = _RECTANGLES
+    cells = np.arange(_RECTANGLES[0].size)
 
-    def estimate(cells, n):
-        ix, row = np.unique(panel[cells], return_inverse=True)
-        (x, w, hx), (s, _) = _nodes(ix, n), gauss_legendre(n)
-        t = lower[cells, None] + half[cells, None] * (s + 1.0)
-        sums = f(x[:, :, None], t[:, None, :], row) @ w @ w
-        return (hx[row] * half[cells] * sums)[..., None, :]
+    def estimate(some, n):
+        x, t, row, area, w = _full_level(n) if some.size == cells.size else _level(some, n)
+        return (area * (f(x, t, row) @ w @ w))[..., None, :]
 
-    return _settle(estimate, np.arange(panel.size), rel_tol, _NODE_START, 96)[..., 0][()]
+    return _settle(estimate, cells, rel_tol, _NODE_START, 96)[..., 0][()]

@@ -27,6 +27,7 @@ from casimir_lab.campaign import (
 from casimir_lab.analysis import (
     ModelCurve,
     bin_points,
+    discriminate_models,
     fit_patch_and_offset,
     log_bin_edges,
     standard_model_curves,
@@ -295,36 +296,49 @@ class TestDriftSubtraction:
                 hits += 1
         assert hits >= 97
 
-    def test_offset_pull_is_calibrated_over_seeds(self, monkeypatch):
-        # campaign -> drift removal -> binning -> truth fit on the default
-        # config with a drift, the truth curve computed once.  Anchored at
-        # the first pass, the slope's error times the mean sweep index (191)
-        # shifts every point by one common offset the fit's covariance
-        # leaves out: the pull (a - a_true) / sigma_a then has SD ~1.3 on
-        # these seeds, and a drift left at any pass but the generator's zero
-        # moves its mean
-        config = CampaignConfig(seed=0, drift_rate=7e-14)
+    @pytest.mark.parametrize("truth_id", ["drude_300k", "plasma_300k"])
+    def test_truth_fit_is_calibrated_over_seeds(self, monkeypatch, truth_id):
+        # campaign -> drift removal -> binning -> four-model fit on the
+        # default config with a drift, each theory curve computed once.
+        # Anchored at the first pass, the slope's error times the mean sweep
+        # index (191) shifts every point by one common offset the fit's
+        # covariance leaves out: the offset pull (a - a_true) / sigma_a then
+        # has SD ~1.3 on these seeds, and a drift left at any pass but the
+        # generator's zero moves its mean
+        config = CampaignConfig(seed=0, drift_rate=7e-14, truth_model_id=truth_id)
         seps = config.separations()
-        truth = {c.model_id: c for c in standard_model_curves(config.radius, config.delta_true)}
-        at_grid = truth[config.truth_model_id].evaluator(seps)
+        curves = []
+        for c in standard_model_curves(config.radius, config.delta_true):
+            at_grid = c.evaluator(seps)
 
-        def cached(d):
-            assert np.allclose(d, seps, rtol=1e-12, atol=0.0)
-            return at_grid
+            def cached(d, at_grid=at_grid):
+                assert np.allclose(d, seps, rtol=1e-12, atol=0.0)
+                return at_grid
 
-        curve = ModelCurve(config.truth_model_id, cached)
-        monkeypatch.setattr(campaign, "standard_model_curves", lambda R, delta: [curve])
+            curves.append(ModelCurve(c.model_id, cached))
+        monkeypatch.setattr(campaign, "standard_model_curves", lambda R, delta: curves)
         edges = log_bin_edges(config.d_min, config.d_max, config.n_separations)
-        pulls = []
+        pulls, chi2, ranked_first = {"a": [], "v_rms_sq": []}, [], []
         for seed in range(100):
             out = subtract_drift(generate_campaign(replace(config, seed=seed))).campaign
-            fit = fit_patch_and_offset(bin_points(out.points, edges), curve, config.radius,
-                                       config.delta_true)
-            pulls.append((fit.a - config.offset_a_true) / math.sqrt(fit.covariance[1, 1]))
+            points = bin_points(out.points, edges)
+            fits = discriminate_models(points, curves, config.radius, config.delta_true)
+            fit = next(fit for fit in fits if fit.model_id == truth_id)
+            sigma = np.sqrt(np.diag(fit.covariance))
+            pulls["v_rms_sq"].append((fit.v_rms_sq - config.v_rms_true ** 2) / sigma[0])
+            pulls["a"].append((fit.a - config.offset_a_true) / sigma[1])
+            chi2.append(fit.chi2_reduced)
+            ranked_first.append(fits[0].model_id)
+        assert ranked_first == [truth_id] * 100
+        # 30 points, 2 parameters: chi2_red is chi2_28 / 28, mean 1 and SD
+        # sqrt(2/28); the mean of 100 within three standard errors
+        assert fit.n_points == 30
+        assert abs(np.mean(chi2) - 1.0) <= 3.0 * math.sqrt(2.0 / 28.0) / math.sqrt(100.0)
         # the mean of 100 unit normals is 0 within 1/sqrt(100), their SD 1
         # within 1/sqrt(200); three of those each
-        assert abs(np.mean(pulls)) <= 3.0 / math.sqrt(100.0)
-        assert abs(np.std(pulls, ddof=1) - 1.0) <= 3.0 / math.sqrt(200.0)
+        for name, pull in pulls.items():
+            assert abs(np.mean(pull)) <= 3.0 / math.sqrt(100.0), name
+            assert abs(np.std(pull, ddof=1) - 1.0) <= 3.0 / math.sqrt(200.0), name
 
     def test_rejects_single_sweep(self):
         with pytest.raises(ValidationError):

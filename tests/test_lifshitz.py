@@ -7,6 +7,7 @@ tensor-product Gauss rule at three resolutions (24/48/96 nodes per panel,
 cutoff 120), which agreed to nine significant digits.
 """
 
+import itertools
 import math
 import re
 
@@ -24,7 +25,7 @@ from casimir_lab.dielectric import (
     gold_plasma,
     static_eps,
 )
-from casimir_lab.errors import ConvergenceError, PfaValidityWarning
+from casimir_lab.errors import ConvergenceError, PfaValidityWarning, ValidationError
 from casimir_lab.lifshitz import (
     asymptote_thermal,
     force_and_curvature_sphere_plane,
@@ -536,7 +537,8 @@ class TestGeometryAndPfa:
 
     def test_quadrature_spec_validation(self, monkeypatch):
         # rel_tol is checked once, by the engine, before any integral runs:
-        # every entry refuses a value outside (0, 1e-3] or not a real number
+        # every entry refuses a value outside (0, 1e-3] or not a real number,
+        # as a ValidationError, not a plain ValueError
         def forbidden(*args, **kwargs):
             raise AssertionError("integral run before rel_tol was checked")
 
@@ -555,7 +557,8 @@ class TestGeometryAndPfa:
         for bad in (0.0, -1e-8, 1e-2, math.nan, math.inf, "1e-8", None, True):
             for T in (0.0, 300.0):
                 for entry in entries:
-                    with pytest.raises(ValueError, match=rf"rel_tol .* got {re.escape(repr(bad))}"):
+                    named = rf"rel_tol .* got {re.escape(repr(bad))}"
+                    with pytest.raises(ValidationError, match=named):
                         entry(T, bad)
 
     def test_rel_tol_takes_its_bounds_and_numpy_floats(self):
@@ -1000,6 +1003,63 @@ class TestZeroTemperatureChunks:
             want = [values[k] for values in alone]
             np.testing.assert_allclose(got[k], want, rtol=1e-8, atol=0.0, err_msg=kind)
             np.testing.assert_allclose(got[k], tight[k], rtol=1e-10, atol=0.0, err_msg=kind)
+
+    def test_a_curve_builds_each_full_level_once(self, monkeypatch):
+        # the 6- and 12-node levels run on every rectangle, on nodes the same
+        # for every gap, so a 30-gap curve's 10 chunks share one build of
+        # each; the kernel values, leading axes included, are those each
+        # chunk computed when it built its own
+        builds, values = [], []
+        build, kernel = lifshitz._t0_level, lifshitz._kernel
+
+        def counting_build(x, t, row):
+            builds.append(t.shape[-1])
+            return build(x, t, row)
+
+        def counting_kernel(*args):
+            out = kernel(*args)
+            values.append(out.size)
+            return out
+
+        monkeypatch.setattr(lifshitz, "_t0_level", counting_build)
+        monkeypatch.setattr(lifshitz, "_kernel", counting_kernel)
+        gaps = np.linspace(0.7e-6, 7e-6, 30)
+        for kinds, want in ((("energy",), 455_760), (("energy", "curvature"), 946_080)):
+            builds.clear()
+            values.clear()
+            lifshitz._lifshitz(gaps, 0.0, gold_drude(), 1e-8, kinds)
+            assert sorted(builds) == [6, 12], kinds
+            assert sum(values) == want, kinds
+
+
+class TestKernel:
+    S = (0.0, 1e-300, 1e-30, 1e-13, 1e-6, 0.5, 1.0 - 1e-6)
+
+    def test_energy_takes_one_log1p_for_both_polarizations(self):
+        """The energy kernel takes ln(1 - s_te) + ln(1 - s_tm) as one
+        log1p(s_te s_tm - s_te - s_tm).
+
+        Each step of that argument rounds a number of size <= 2 by at most
+        ulp(1), 2 ulp(1) in all, so the log is within
+        2 ulp(1)/((1 - s_te)(1 - s_tm)) of the two-log1p sum, plus the ulp
+        each side rounds its own result by.  Where both s <= 0.5 the terms
+        are as accurate relative to themselves, and the two agree to a few
+        ulp.  ln((1 - s_te)(1 - s_tm)) is not the merged form: 1 - s rounds
+        s to a multiple of ulp(1)/2, so s = 1e-13 would keep ~3 digits and
+        s = 1e-30 none, and a Matsubara row far up a ladder is all such s.
+        """
+        pairs = np.array(list(itertools.product(self.S, repeat=2))).T
+        y = np.ones(pairs.shape[1])  # the kernel's factor y is then exact
+        expy = np.exp(-y)
+        r = np.sqrt(pairs / expy)
+        s_te, s_tm = np.square(r) * expy  # as the kernel forms s
+        want = np.log1p(-s_te) + np.log1p(-s_tm)
+        got = lifshitz._kernel(r.copy(), (y, expy), ("energy",), lifshitz._Buffers())[0]
+        small = (s_te <= 0.5) & (s_tm <= 0.5)
+        np.testing.assert_array_max_ulp(got[small], want[small], maxulp=4)
+        ulp = np.finfo(float).eps
+        bound = 2.0 * ulp / ((1.0 - s_te) * (1.0 - s_tm)) + 2.0 * ulp * np.abs(want)
+        assert np.all(np.abs(got - want) <= bound)
 
 
 class TestSensitivityBand:
