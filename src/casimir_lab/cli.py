@@ -121,7 +121,7 @@ def _grid_from_args(args):
 
 def cmd_force(args):
     grid = _grid_from_args(args)
-    _require_positive_flags(args, "radius_cm")
+    _require_positive_flags(args, "radius_cm", "wp_ev", "gamma_ev")
     R = args.radius_cm * 1e-2
     drude = DrudeModel.from_ev(args.wp_ev, args.gamma_ev)
     plasma = PlasmaModel.from_ev(args.wp_ev)
@@ -194,7 +194,7 @@ def cmd_fit(args):
     points = load_measurements(args.data)
     if not points:
         raise ValidationError(f"no measurement rows in {args.data}")
-    _require_positive_flags(args, "radius_cm")
+    _require_positive_flags(args, "radius_cm", "wp_ev", "gamma_ev")
     if args.delta_nm < 0.0:
         raise ValidationError("--delta-nm must be >= 0")
     R, delta = args.radius_cm * 1e-2, args.delta_nm * 1e-9

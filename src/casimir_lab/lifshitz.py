@@ -11,9 +11,10 @@ xi_n = 2 pi n k_B T / hbar, and the prime halving the n = 0 term.  At T = 0
 the ladder becomes the integral (hbar / 2 pi) int_0^inf dxi of the same
 k-integral, on the L-shaped rectangle layout of :mod:`casimir_lab.quadrature`
 in the reduced variables x = 2 xi d / c and t = y - x, whose nodes are the
-same for every gap: a curve builds x, y, y^2 and exp(-y) of the 6- and
-12-node levels once, and each level computes eps(i xi) once per gap and
-frequency node and gathers it for every rectangle whose kernel it enters.
+same for every gap: a curve builds x, y, y^2 and exp(-y) of a level once
+and keeps them while its chunks run that level on the same rectangles, and
+each level computes eps(i xi) once per gap and frequency node and gathers it
+for every rectangle whose kernel it enters.
 
 Every entry point takes a float or an array of gaps (a float gives a float,
 computed as a grid of one).  At T > 0 a curve is one ladder: one eps(i xi_n)
@@ -25,10 +26,11 @@ where its terms fall under exp(-40) of the sum.  A row starts at y = x_n,
 clear of the y ln y endpoint at y = 0, so a row family passes its smallest
 x_n to the quadrature, which thins its graded opening.  At T = 0 a curve is
 one 2-D integral per chunk of ``_T0_GAPS`` consecutive gaps, each gap
-settled on its own scale; the gaps of a chunk share the nodes of the finer
-levels too, and the chunk size bounds the peak memory.  The whole-grid
-temporaries of the Fresnel coefficients and kernels live in buffers reused
-across doubling levels and by every chunk of a curve.
+settled on its own scale in one kernel call per level, and the chunk size
+bounds the peak memory.  The ladder rows and the T = 0 levels build their
+tables and kernels the same way; the whole-grid temporaries of the Fresnel
+coefficients and kernels live in buffers reused across doubling levels and
+by every chunk of a curve.
 
 The one accuracy setting, ``rel_tol`` in (0, 1e-3] (default 1e-8), is what
 every quadrature settles to.  A ladder has at most ``_MAX_MATSUBARA`` terms
@@ -71,7 +73,7 @@ from .dielectric import (
 from .errors import ConvergenceError, PfaValidityWarning
 from .errors import require_at_least, require_finite, require_positive, require_tolerance
 from .errors import require_within
-from .quadrature import _RECTANGLES, DEFAULT_CUTOFF, integrate_decaying, integrate_decaying_2d
+from .quadrature import DEFAULT_CUTOFF, integrate_decaying, integrate_decaying_2d
 
 __all__ = [
     "ReflectionPair",
@@ -100,8 +102,8 @@ PFA_RATIO_LIMIT = 1e-3
 #: peak RSS, 200 rows ~1.7 MB.
 _LADDER_ROWS = 80
 
-#: Gaps one T = 0 integral settles together, each on its own scale; they
-#: share the nodes, y = x + t, exp(-y) and y^2.  Peak memory grows with it:
+#: Gaps one T = 0 integral settles together, each on its own scale, in one
+#: kernel call per level on the curve's tables.  Peak memory grows with it:
 #: against one gap a call, 3 gaps add ~0.4 MB (1.1 %) to the curves
 #: workload's peak RSS, 2 gaps ~0.25 MB, 4 ~0.65 MB and 6 ~1.3 MB.
 _T0_GAPS = 3
@@ -155,10 +157,10 @@ def reflection_coeffs(k, xi, eps):
 
 
 class _Buffers:
-    """Named float buffers that one engine call reuses for every kernel
-    evaluation: ``take(name, shape)`` views the buffer as ``shape`` and
-    reallocates it only when it is too small, so the chunks and doubling
-    levels of a curve write into pages already faulted in."""
+    """Named float buffers, "r_te", "r_tm" and "kernel", that one engine call
+    reuses for every kernel evaluation: ``take(name, shape)`` views the buffer
+    as ``shape`` and reallocates it only when it is too small, so the chunks
+    and doubling levels of a curve write into pages already faulted in."""
 
     def __init__(self):
         self._flat = {}
@@ -263,26 +265,21 @@ def _kernel(r, nodes, kinds, buffers):
     return out
 
 
-def _mode_integrand(x, t, eps, kinds, buffers):
-    """Kernel at reduced frequency x = 2 xi d / c > 0 and t = y - x.
-
-    ``x`` and ``t`` broadcast against each other: a column of (gap, n)
-    Matsubara rows against the y nodes on the ladder, the (nc, n, 1)
-    frequency nodes of nc rectangles against their (nc, 1, n) t nodes in the
-    T = 0 integral.  ``eps`` is eps(i xi) shaped like ``x``, one value per
-    frequency, or (gaps, nc, n, 1) for the gaps of a T = 0 chunk, which share
-    x and t.
-    """
-    y = np.add(x, t, out=buffers.take("y", np.broadcast_shapes(np.shape(x), np.shape(t))))
-    expy = buffers.take("exp(-y)", y.shape)  # y^2 first, spent at once
-    r = _fresnel(y, np.square(y, out=expy), x, eps, buffers)
-    return _kernel(r, (y, np.exp(np.negative(y, out=expy), out=expy)), kinds, buffers)
+def _table(x, t):
+    """x, y = x + t, y^2 and exp(-y) at reduced frequency x = 2 xi d / c > 0
+    and t = y - x: a column of (gap, n) Matsubara rows against the y nodes on
+    the ladder, the (nc, n, 1) frequency nodes of nc rectangles against their
+    (nc, 1, n) t nodes in the T = 0 integral, the same for every gap."""
+    y = x + t
+    return x, y, y * y, np.exp(-y)
 
 
-def _t0_level(x, t, row):
-    """x[row], y = x[row] + t, y^2 and exp(-y) of a T = 0 level, any gap's."""
-    y = x[row] + t
-    return x[row], y, y * y, np.exp(-y)
+def _integrand(table, eps, kinds, buffers):
+    """Kernel of ``kinds`` on a :func:`_table`; ``eps`` is eps(i xi) shaped
+    like its x, one value per frequency, or (gaps, nc, n, 1) for the gaps of
+    a T = 0 chunk, which share the table."""
+    x, y, y2, expy = table
+    return _kernel(_fresnel(y, y2, x, eps, buffers), (y, expy), kinds, buffers)
 
 
 def _matsubara_ladder(d, T, model, rel_tol, kinds):
@@ -332,7 +329,7 @@ def _matsubara_ladder(d, T, model, rel_tol, kinds):
         # smallest x_n of the chunk is how far the graded opening may thin
         with _located(d[gap[chunk]], T, kinds):
             rows[:, chunk] = integrate_decaying(
-                lambda t: _mode_integrand(x, t, eps_rows, kinds, buffers), rel_tol, x.min()
+                lambda t: _integrand(_table(x, t), eps_rows, kinds, buffers), rel_tol, x.min()
             )
     ladders = 0.5 * i_zero + np.add.reduceat(rows, starts, axis=1)
     # only a ladder that _MAX_MATSUBARA cut short can miss its tolerance
@@ -392,8 +389,8 @@ def _lifshitz(d, T, model, rel_tol, kinds):
     # float, as integer exponents make numpy cast through buffers: +0.15 MB peak RSS
     m = np.array([[_KINDS.index(kind)] for kind in kinds], dtype=float)
     if T == 0.0:
-        # one set of buffers and one table per level on every rectangle serve all chunks
-        buffers, levels = _Buffers(), {}
+        # one set of buffers and one table per level serve all chunks
+        buffers, tables = _Buffers(), {}
         integrals = np.empty((len(kinds), gaps.size))
         for start in range(0, gaps.size, _T0_GAPS):
             chunk = gaps[start:start + _T0_GAPS]
@@ -401,14 +398,14 @@ def _lifshitz(d, T, model, rel_tol, kinds):
 
             # one 2-D integral per chunk, each (kind, gap) settled on its own
             # scale; each level computes eps once per gap and distinct
-            # frequency node, then gathers it per rectangle
+            # frequency node, then gathers it per rectangle.  The driver
+            # hands a level that settles the same rectangles the same t
             def integrand(x, t, row, column=column):
                 eps = np.asarray(eps_imag_axis(model, x * _C / (2.0 * column)))[:, row]
-                if row.size < _RECTANGLES[0].size:
-                    return _mode_integrand(x[row], t, eps, kinds, buffers)
                 n = t.shape[-1]
-                x, y, y2, expy = levels.get(n) or levels.setdefault(n, _t0_level(x, t, row))
-                return _kernel(_fresnel(y, y2, x, eps, buffers), (y, expy), kinds, buffers)
+                if tables.get(n, (None,))[0] is not t:
+                    tables[n] = t, _table(x[row], t)
+                return _integrand(tables[n][1], eps, kinds, buffers)
 
             with _located(chunk, 0.0, kinds, each_gap=True):
                 integrals[:, start:start + _T0_GAPS] = integrate_decaying_2d(integrand, rel_tol)

@@ -17,7 +17,8 @@ The 2-D rectangles form an L-shaped layout.  Only the corner x = t = 0 needs
 the graded t-panels, so the x-panel at 0 pairs with every t-panel and one with
 lower edge a > 0 with a merged t-panel [0, a], then the t-panels above a.  A
 rectangle with x_lo + t_lo >= cutoff/2 holds under exp(-cutoff/2) of the
-total and is dropped: 62 rectangles, not 121 pairs.
+total and is dropped: 62 rectangles, not 121 pairs.  A small cache keeps the
+read-only nodes of each 2-D level, keyed by its rectangles and node count.
 """
 
 from bisect import bisect_left
@@ -114,20 +115,16 @@ def _nodes(panels, n, skip=0):
     return lower[panels, None] + half[:, None] * (x + 1.0), w, half
 
 
+@lru_cache(maxsize=16)
 def _level(cells, n):
-    """x (px, n, 1), t (nc, 1, n), row, half-width products, weights of ``cells``."""
+    """x (px, n, 1), t (nc, 1, n), row, half-width products, weights of tuple ``cells``."""
     panel, lower, half = _RECTANGLES
+    cells = np.array(cells)
     ix, row = np.unique(panel[cells], return_inverse=True)
     (x, w, hx), (s, _) = _nodes(ix, n), gauss_legendre(n)
     t = lower[cells, None] + half[cells, None] * (s + 1.0)
-    return x[:, :, None], t[:, None, :], row, hx[row] * half[cells], w
-
-
-@lru_cache(maxsize=None)
-def _full_level(n):
-    """:func:`_level` of all rectangles, on which levels 6 and 12 always run."""
-    level = _level(np.arange(_RECTANGLES[0].size), n)
-    for array in level[:-1]:  # read-only; the weights are gauss_legendre's
+    level = x[:, :, None], t[:, None, :], row, hx[row] * half[cells], w
+    for array in level[:-1]:  # the weights are gauss_legendre's
         array.flags.writeable = False
     return level
 
@@ -200,16 +197,17 @@ def integrate_decaying_2d(f, rel_tol):
     values: ``x`` (px, n, 1) holds each node of the x-panels with an unsettled
     rectangle once, ``t`` (nc, 1, n) the t nodes of the nc unsettled
     rectangles, ``row`` (nc,) their x-panels, so ``x[row]`` broadcasts on ``t``.
+    They are read-only, and a level on the same rectangles with the same n,
+    in any call, gets the same objects while among the 16 last used, so ``f``
+    may keep tables built on a ``t`` until it gets one that ``is not`` it.
 
     Axes in front of those are leading axes, such as kinds x gaps: the result
     has their shape, and each element is an integral settled on its own
     scale.  A rectangle refines while any element needs it, and a
     ConvergenceError's ``kind`` is the flat (C-order) index of the worst.
     """
-    cells = np.arange(_RECTANGLES[0].size)
-
-    def estimate(some, n):
-        x, t, row, area, w = _full_level(n) if some.size == cells.size else _level(some, n)
+    def estimate(cells, n):
+        x, t, row, area, w = _level(tuple(cells.tolist()), n)
         return (area * (f(x, t, row) @ w @ w))[..., None, :]
 
-    return _settle(estimate, cells, rel_tol, _NODE_START, 96)[..., 0][()]
+    return _settle(estimate, np.arange(_RECTANGLES[0].size), rel_tol, _NODE_START, 96)[..., 0][()]

@@ -467,6 +467,20 @@ def test_band_names_a_refused_range_flag(tmp_path, capsys, flag, value):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["force", "fit"])
+@pytest.mark.parametrize("flag", ["--wp-ev", "--gamma-ev"])
+@pytest.mark.parametrize("value", ["-1", "0"])
+def test_force_and_fit_name_a_refused_model_flag(tmp_path, capsys, campaign_csv, command, flag, value):
+    out = tmp_path / "out"
+    argv = {
+        "force": ["force", "--model", "drude", "--dmin", "1", "--dmax", "1", "--points", "1"],
+        "fit": ["fit", "--data", str(campaign_csv)],
+    }[command]
+    assert main(argv + [f"{flag}={value}", "--out", str(out)]) == 2
+    assert f"error: {flag} must be positive, got {float(value)}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["force", "fit", "band"])
 def test_manifest_config_is_every_setting_flag(tmp_path, campaign_csv, command):
     # every flag but the paths is a setting, recorded under its dest as

@@ -1004,31 +1004,57 @@ class TestZeroTemperatureChunks:
             np.testing.assert_allclose(got[k], want, rtol=1e-8, atol=0.0, err_msg=kind)
             np.testing.assert_allclose(got[k], tight[k], rtol=1e-10, atol=0.0, err_msg=kind)
 
-    def test_a_curve_builds_each_full_level_once(self, monkeypatch):
-        # the 6- and 12-node levels run on every rectangle, on nodes the same
-        # for every gap, so a 30-gap curve's 10 chunks share one build of
-        # each; the kernel values, leading axes included, are those each
-        # chunk computed when it built its own
-        builds, values = [], []
-        build, kernel = lifshitz._t0_level, lifshitz._kernel
+    @pytest.mark.parametrize("model", [gold_drude(), gold_plasma()], ids=["drude", "plasma"])
+    def test_chunks_that_settle_different_rectangles_match_each_gap_alone(
+        self, monkeypatch, model
+    ):
+        # 10 nm to 100 um in two chunks, which run the 24-node level on
+        # different rectangles, so the second chunk builds its own table.
+        # The Drude curve's 100 um gap is 1.2e-10 off the tight pass, within
+        # rel_tol = 1e-8 and the same whichever chunk it settles in
+        gaps = np.geomspace(1e-8, 1e-4, 6)
+        builds = []
+        table = lifshitz._table
 
-        def counting_build(x, t, row):
+        def counting_table(x, t):
             builds.append(t.shape[-1])
-            return build(x, t, row)
+            return table(x, t)
+
+        monkeypatch.setattr(lifshitz, "_table", counting_table)
+        got = lifshitz._lifshitz(gaps, 0.0, model, 1e-8, ("energy",))[0]
+        assert builds.count(24) == 2
+        alone = [lifshitz._lifshitz(d, 0.0, model, 1e-8, ("energy",))[0] for d in gaps.tolist()]
+        tight = lifshitz._lifshitz(gaps, 0.0, model, 1e-12, ("energy",))[0]
+        np.testing.assert_allclose(got, alone, rtol=1e-8, atol=0.0)
+        np.testing.assert_allclose(got, tight, rtol=1e-9, atol=0.0)
+
+    def test_a_curve_builds_each_level_once(self, monkeypatch):
+        # a level's nodes are the same for every gap, and on this curve each
+        # level runs on the same rectangles in every chunk: the 6- and 12-node
+        # levels on all of them, the 24-node one on a few, so a 30-gap
+        # curve's 10 chunks share one table of each; the kernel values,
+        # leading axes included, are those each chunk computed when it built
+        # its own
+        builds, values = [], []
+        table, kernel = lifshitz._table, lifshitz._kernel
+
+        def counting_table(x, t):
+            builds.append(t.shape[-1])
+            return table(x, t)
 
         def counting_kernel(*args):
             out = kernel(*args)
             values.append(out.size)
             return out
 
-        monkeypatch.setattr(lifshitz, "_t0_level", counting_build)
+        monkeypatch.setattr(lifshitz, "_table", counting_table)
         monkeypatch.setattr(lifshitz, "_kernel", counting_kernel)
         gaps = np.linspace(0.7e-6, 7e-6, 30)
         for kinds, want in ((("energy",), 455_760), (("energy", "curvature"), 946_080)):
             builds.clear()
             values.clear()
             lifshitz._lifshitz(gaps, 0.0, gold_drude(), 1e-8, kinds)
-            assert sorted(builds) == [6, 12], kinds
+            assert sorted(builds) == [6, 12, 24], kinds
             assert sum(values) == want, kinds
 
 

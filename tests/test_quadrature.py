@@ -316,6 +316,26 @@ def test_2d_call_evaluates_each_frequency_node_once():
         assert row_shape == (t_shape[0],)
 
 
+def test_2d_levels_are_read_only_and_shared_by_calls_on_the_same_cells():
+    # a level's arrays depend only on its rectangles and node count: f may
+    # not write them, and a second integral that settles the same cells at
+    # every level is handed the same objects
+    def recording(calls):
+        def f(x, t, row):
+            assert not any(array.flags.writeable for array in (x, t, row))
+            calls.append((x, t, row))
+            return np.exp(-x[row] - t) * np.cos(5.0 * t)
+
+        return f
+
+    first, second = [], []
+    value = integrate_decaying_2d(recording(first), 1e-11)
+    assert integrate_decaying_2d(recording(second), 1e-11) == value
+    assert len(first) == len(second) > 2
+    for one, two in zip(first, second):
+        assert all(a is b for a, b in zip(one, two))
+
+
 @pytest.mark.parametrize("g", [0.02, 0.5])
 def test_2d_drude_like_near_pole(g):
     # int_0^inf e^-x g/(x + g) dx = g e^g E1(g); a Drude eps has the same
