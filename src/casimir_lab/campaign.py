@@ -193,9 +193,7 @@ def generate_campaign(config):
     base = truth(seps) + patch + config.offset_a_true
     fluct = 1.0 + (config.delta_true / seps) ** 2
     ends = [0, n_sep - 1]
-    bias = np.array(
-        [[bias_force(seps[i], config.radius, v, config.v_m_true) for v in voltages] for i in ends]
-    )
+    bias = bias_force(seps[ends, None], config.radius, voltages, config.v_m_true)
     drift = config.drift_rate * (np.arange(config.n_sweeps) - (config.n_sweeps - 1) / 2.0)
 
     # noise columns of one pass: first sweep, points 0..n_sep-2, last sweep, last point

@@ -58,10 +58,10 @@ def require_finite(name, value, scalar=False):
     return _require(name, value, lambda v: True, "finite", scalar)
 
 
-def require_within(name, value, low, high):
+def require_within(name, value, low, high, scalar=False):
     """As :func:`require_positive`, for real numbers in [low, high]."""
     return _require(name, value, lambda v: (low <= v) & (v <= high),
-                    f"within [{low:g}, {high:g}]", False)
+                    f"within [{low:g}, {high:g}]", scalar)
 
 
 def require_tolerance(value):

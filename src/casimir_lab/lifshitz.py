@@ -33,9 +33,10 @@ coefficients and kernels live in buffers reused across doubling levels and
 by every chunk of a curve.
 
 The one accuracy setting, ``rel_tol`` in (0, 1e-3] (default 1e-8), is what
-every quadrature settles to.  A ladder has at most ``_MAX_MATSUBARA`` terms
-per gap, a cap that cuts only for T d below ~7.3e-8 m K; a cut ladder whose
-last term exceeds rel_tol of its sum raises ConvergenceError.
+every quadrature settles to.  Before any eps(i xi) or integral runs, a
+ValidationError refuses a gap outside ``_GAPS``, a temperature outside
+``_TEMPERATURES`` and, at T > 0, T d below ~7.29e-8 m K, where a ladder
+would need more than ``_MAX_MATSUBARA`` terms; no ladder is ever cut.
 
 Everything is computed in y = 2 kappa0 d, where each kernel decays like
 exp(-y); the k-integral for Matsubara index n starts at y_min = 2 xi_n d / c.
@@ -70,7 +71,7 @@ from .dielectric import (
     eps_imag_axis,
     static_eps,
 )
-from .errors import ConvergenceError, PfaValidityWarning
+from .errors import ConvergenceError, PfaValidityWarning, ValidationError
 from .errors import require_at_least, require_finite, require_positive, require_tolerance
 from .errors import require_within
 from .quadrature import DEFAULT_CUTOFF, integrate_decaying, integrate_decaying_2d
@@ -108,12 +109,18 @@ _LADDER_ROWS = 80
 #: workload's peak RSS, 2 gaps ~0.25 MB, 4 ~0.65 MB and 6 ~1.3 MB.
 _T0_GAPS = 3
 
-#: Matsubara terms one gap sums at most (see the module notes).
+#: Matsubara terms, n = 0 included, one gap's ladder sums at most: a curve
+#: with a gap whose ladder needs more is refused, which sets the floor
+#: T d >= ~7.29e-8 m K at T > 0.
 _MAX_MATSUBARA = 100_000
 
 #: The gaps, in m, every engine entry takes: below 1 nm a continuum
 #: permittivity means nothing, far above 1 km the integrals overflow.
 _GAPS = (1e-9, 1e3)
+
+#: The temperatures, in K, every engine entry takes: far above any solid
+#: plate, and far below the ~1e150 K where the first Matsubara row overflows.
+_TEMPERATURES = (0.0, 1e6)
 
 _C = SPEED_OF_LIGHT
 
@@ -291,15 +298,23 @@ def _matsubara_ladder(d, T, model, rel_tol, kinds):
     modes settle first, one quadrature call per ``_LADDER_ROWS`` gaps; then
     the (gap, n) rows of the curve, gap after gap, in chunks of
     ``_LADDER_ROWS``, each on the panel layout of its smallest x.  Every kind
-    rides in each call.  A ladder that _MAX_MATSUBARA cuts shorter raises
-    ConvergenceError when its last term still exceeds rel_tol of the sum.
+    rides in each call.  A curve with a gap whose ladder needs more than
+    ``_MAX_MATSUBARA`` terms is refused with a ValidationError before eps(i
+    xi) or any integral runs.
     """
     dx = 4.0 * math.pi * BOLTZMANN * T * d / (HBAR * _C)
     # past x_n = 40 terms are below exp(-40) of the sum, the T = 0 layout's
-    # bound; capped in floats, so a huge ladder cannot overflow the cast
-    decay_cap = np.maximum(np.ceil(0.5 * DEFAULT_CUTOFF / dx) - 1.0, 1.0)
-    n_cap = np.minimum(decay_cap, _MAX_MATSUBARA).astype(int)
-    xi = 2.0 * math.pi * BOLTZMANN * T / HBAR * np.arange(1, n_cap.max() + 1)
+    # bound; counted in floats, as a T d that underflows to 0 needs inf rows
+    with np.errstate(divide="ignore"):
+        n_rows = np.maximum(np.ceil(0.5 * DEFAULT_CUTOFF / dx) - 1.0, 1.0)
+    if n_rows.max() + 1.0 > _MAX_MATSUBARA:  # the n = 0 term counts too
+        floor = 0.5 * DEFAULT_CUTOFF * HBAR * _C / (4.0 * math.pi * BOLTZMANN * _MAX_MATSUBARA)
+        raise ValidationError(
+            f"temperature {T:g} K is too low for the gap d = {d.min():.3e} m: a Matsubara "
+            f"ladder sums at most {_MAX_MATSUBARA} terms, so T > 0 needs T d >= {floor:.3g} m K"
+        )
+    n_rows = n_rows.astype(int)
+    xi = 2.0 * math.pi * BOLTZMANN * T / HBAR * np.arange(1, n_rows.max() + 1)
     eps = np.asarray(eps_imag_axis(model, xi))
     zero = _zero_mode_model(model)
 
@@ -316,8 +331,8 @@ def _matsubara_ladder(d, T, model, rel_tol, kinds):
             )
 
     # row r of the curve is term n[r] of gap[r]
-    starts = np.cumsum(n_cap) - n_cap
-    gap = np.repeat(np.arange(d.size), n_cap)
+    starts = np.cumsum(n_rows) - n_rows
+    gap = np.repeat(np.arange(d.size), n_rows)
     n = np.arange(gap.size) - starts[gap] + 1
     rows = np.empty((len(kinds), gap.size))
     buffers = _Buffers()  # every chunk but the last has _LADDER_ROWS rows
@@ -331,30 +346,14 @@ def _matsubara_ladder(d, T, model, rel_tol, kinds):
             rows[:, chunk] = integrate_decaying(
                 lambda t: _integrand(_table(x, t), eps_rows, kinds, buffers), rel_tol, x.min()
             )
-    ladders = 0.5 * i_zero + np.add.reduceat(rows, starts, axis=1)
-    # only a ladder that _MAX_MATSUBARA cut short can miss its tolerance
-    achieved = np.abs(rows[:, starts + n_cap - 1] / ladders)
-    unsettled = (decay_cap > n_cap) & (achieved > rel_tol)
-    if unsettled.any():
-        k, j = np.unravel_index(np.argmax(unsettled), unsettled.shape)
-        where = _where(d[j], T, kinds[k])
-        message = f"Matsubara ladder not converged after {n_cap[j]} terms {where}"
-        raise ConvergenceError(message, achieved[k, j], rel_tol)
-    return ladders
-
-
-def _where(gaps, T, kind):
-    """Where an evaluation ran: a gap or the range of a chunk of gaps, the
-    temperature and the kind."""
-    lo, hi = np.min(gaps), np.max(gaps)
-    at = f"d = {lo:.3e} m" if lo == hi else f"d in [{lo:.3e}, {hi:.3e}] m"
-    return f"at {at}, T = {T:g} K, {kind}"
+    return 0.5 * i_zero + np.add.reduceat(rows, starts, axis=1)
 
 
 @contextmanager
 def _located(gaps, T, kinds, each_gap=False):
-    """Re-raise a ConvergenceError of the block with :func:`_where` of its
-    kind.  The error's flat index runs over the kinds, or over (kind, gap)
+    """Re-raise a ConvergenceError of the block with where it ran: a gap or
+    the range of a chunk of gaps, the temperature and the kind.  The error's
+    flat index runs over the kinds, or over (kind, gap)
     when ``each_gap`` settles every gap of ``gaps`` on its own; then the
     message names that gap."""
     try:
@@ -364,14 +363,10 @@ def _located(gaps, T, kinds, each_gap=False):
         if each_gap:
             index, gap = divmod(index, len(gaps))
             gaps = gaps[gap]
-        message = f"{exc.message} {_where(gaps, T, kinds[index])}"
+        lo, hi = np.min(gaps), np.max(gaps)
+        at = f"d = {lo:.3e} m" if lo == hi else f"d in [{lo:.3e}, {hi:.3e}] m"
+        message = f"{exc.message} at {at}, T = {T:g} K, {kinds[index]}"
         raise ConvergenceError(message, exc.achieved, exc.requested) from exc
-
-
-def _validate_dT(d, T):
-    """The checked gap or gaps, each within _GAPS, and temperature."""
-    d = require_within("separation", d, *_GAPS)
-    return d, require_at_least("temperature", T, 0.0, scalar=True)
 
 
 def _lifshitz(d, T, model, rel_tol, kinds):
@@ -381,9 +376,11 @@ def _lifshitz(d, T, model, rel_tol, kinds):
     kind a float for a float ``d``, an array of its shape for an array.
 
     Every entry point comes through here, so d, T and rel_tol are checked
-    once, before any integral runs.
+    once, before any integral runs; the ladder refuses a T d below its floor
+    before it computes anything.
     """
-    d, T = _validate_dT(d, T)
+    d = require_within("separation", d, *_GAPS)
+    T = require_within("temperature", T, *_TEMPERATURES, scalar=True)
     rel_tol = require_tolerance(rel_tol)
     gaps = np.ravel(d)
     # float, as integer exponents make numpy cast through buffers: +0.15 MB peak RSS

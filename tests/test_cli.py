@@ -583,9 +583,24 @@ class TestExitCodes:
         assert f"argument {flag}: must be finite" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_failed_force_writes_nothing(self, tmp_path):
-        out = tmp_path / "force.csv"
-        assert main(["force", "--model", "drude", "--temp", "-1", "--out", str(out)]) == 2
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["force", "--model", "drude", "--temp", "-1"],
+            # below the ladder's floor T d >= 7.29e-8 m K; this used to exit 0
+            # with forces cut short of rel_tol
+            ["force", "--model", "drude", "--temp", "1", "--dmin", "0.005", "--dmax", "0.01",
+             "--points", "2"],
+            # above 1e6 K; these used to exit 0 with nan rows
+            ["force", "--model", "drude", "--temp", "1e200", "--points", "2"],
+            ["band", "--family", "plasma", "--temp", "1e200", "--points", "2"],
+        ],
+        ids=["negative", "below-floor", "force-hot", "band-hot"],
+    )
+    def test_a_refused_temperature_is_two_and_writes_nothing(self, tmp_path, capsys, argv):
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "temperature" in capsys.readouterr().err
         assert not out.exists()
 
     def test_non_finite_measurement_is_two_and_writes_nothing(self, tmp_path, campaign_csv):

@@ -389,12 +389,6 @@ class TestConsistency:
         tight = free_energy_per_area(d, 300.0, gold, rel_tol=1e-10)
         assert abs(loose - tight) / abs(tight) < 5e-6
 
-    def test_matsubara_cap_raises_convergence_error(self, monkeypatch):
-        monkeypatch.setattr(lifshitz, "_MAX_MATSUBARA", 1)
-        with pytest.raises(ConvergenceError, match=r"d = 7\.000e-07 m, T = 300 K, energy") as err:
-            free_energy_per_area(0.7e-6, 300.0, gold_drude())
-        assert err.value.achieved > err.value.requested
-
     @pytest.mark.parametrize(
         "d, T, kind, where",
         [
@@ -423,19 +417,6 @@ class TestConsistency:
             lifshitz._lifshitz(d, T, gold_drude(), 1e-16, (kind,))
         assert err.value.requested == 1e-16
         assert err.value.achieved > err.value.requested
-
-    def test_cap_at_the_decay_cap_is_not_a_cut(self, monkeypatch):
-        # at 7 um the ladder's own cap is 4 terms (x_n below 40); a term cap
-        # of 4 sums the same terms, and a term cap of 3 cuts a tail below
-        # rel_tol
-        d = 7e-6
-        full = free_energy_per_area(d, 300.0, gold_drude())
-        monkeypatch.setattr(lifshitz, "_MAX_MATSUBARA", 4)
-        same = free_energy_per_area(d, 300.0, gold_drude())
-        monkeypatch.setattr(lifshitz, "_MAX_MATSUBARA", 3)
-        cut = free_energy_per_area(d, 300.0, gold_drude())
-        assert same == full
-        assert cut == pytest.approx(full, rel=1e-8, abs=0.0)
 
     @pytest.mark.parametrize("model", [gold_drude(), gold_plasma()], ids=["drude", "plasma"])
     def test_ladder_meets_rel_tol_against_a_tight_ladder(self, model):
@@ -621,6 +602,86 @@ class TestGeometryAndPfa:
             for fn in (free_energy_per_area, pressure_parallel):
                 with pytest.raises(ValueError, match=named):
                     fn(d, T, gold_drude())
+
+
+class TestDomain:
+    """The engine's (T, d) domain is checked before any eps(i xi) or integral
+    runs: T in [0, 1e6] K, and at T > 0 ladders of at most _MAX_MATSUBARA
+    terms, n = 0 included, which is T d >= ~7.29e-8 m K.  Outside it every
+    entry refuses with a ValidationError naming the temperature."""
+
+    ENTRIES = {
+        "free_energy_per_area": lambda d, T: free_energy_per_area(d, T, gold_drude()),
+        "pressure_parallel": lambda d, T: pressure_parallel(d, T, gold_drude()),
+        "force_sphere_plane": lambda d, T: force_sphere_plane(d, T, R_SPHERE, gold_drude()),
+        "force_curvature_sphere_plane":
+            lambda d, T: force_curvature_sphere_plane(d, T, R_SPHERE, gold_drude()),
+        "force_and_curvature_sphere_plane":
+            lambda d, T: force_and_curvature_sphere_plane(d, T, R_SPHERE, gold_drude()),
+        "force_sphere_plane_grid":
+            lambda d, T: force_sphere_plane_grid([d, 2.0 * d], T, R_SPHERE, gold_plasma()),
+        "sensitivity_band": lambda d, T: sensitivity_band(
+            [d], T, (1.3e16, 1.4e16), (3e13, 4e13), "drude", R_SPHERE
+        ).f_max,
+    }
+
+    @staticmethod
+    def work(monkeypatch):
+        """Record the name of every eps(i xi) and integral call the engine
+        makes from here on."""
+        calls = []
+        for name in ("eps_imag_axis", "integrate_decaying", "integrate_decaying_2d"):
+            def counting(*args, name=name, call=getattr(lifshitz, name)):
+                calls.append(name)
+                return call(*args)
+
+            monkeypatch.setattr(lifshitz, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("entry", ENTRIES.values(), ids=ENTRIES.keys())
+    def test_temperatures_run_from_0_to_1e6_k(self, monkeypatch, entry):
+        # from ~1e150 K the first Matsubara row overflowed and a curve came
+        # out as nan; at 1e300 K the refusal named xi
+        assert np.all(np.isfinite(entry(1e-6, 1e6)))
+        calls = self.work(monkeypatch)
+        for T in (2e6, 1e200):
+            with pytest.raises(ValidationError, match=r"^temperature must be within \[0, 1e\+06\]"):
+                entry(1e-6, T)
+        assert calls == []
+
+    @pytest.mark.parametrize("entry", ENTRIES.values(), ids=ENTRIES.keys())
+    def test_the_cap_refuses_only_ladders_longer_than_it(self, monkeypatch, entry):
+        # x_1 = 11.5 at 7 um and 300 K, so the ladder is n = 0 to 3: a cap of
+        # 4 terms sums the same terms, a cap of 3 refuses before any work
+        full = entry(7e-6, 300.0)
+        monkeypatch.setattr(lifshitz, "_MAX_MATSUBARA", 4)
+        assert np.array_equal(entry(7e-6, 300.0), full)
+        monkeypatch.setattr(lifshitz, "_MAX_MATSUBARA", 3)
+        calls = self.work(monkeypatch)
+        with pytest.raises(ValidationError, match=r"^temperature 300 K .* d = 7\.000e-06 m"):
+            entry(7e-6, 300.0)
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "T, inside, below", [(1.0, 73e-9, 72e-9), (4.0, 18.3e-9, 18.1e-9), (77.0, 1e-9, None)]
+    )
+    def test_the_ladder_floor_is_t_d_of_7_29e_8_m_k(self, monkeypatch, T, inside, below):
+        # a gap just inside the floor reaches eps(i xi), which stops it here;
+        # a curve that adds a gap just below is refused whole, by that gap
+        class Reached(Exception):
+            pass
+
+        def reached(model, xi):
+            raise Reached
+
+        monkeypatch.setattr(lifshitz, "eps_imag_axis", reached)
+        with pytest.raises(Reached):
+            free_energy_per_area([1e-6, inside], T, gold_drude())
+        if below is not None:
+            floor = r"T > 0 needs T d >= 7\.29e-08 m K$"
+            named = re.escape(f"temperature {T:g} K is too low for the gap d = {below:.3e} m")
+            with pytest.raises(ValidationError, match=rf"^{named}.*{floor}"):
+                free_energy_per_area([1e-6, inside, below, 2e-6], T, gold_drude())
 
 
 class TestCurvesAsArrays:
@@ -827,19 +888,10 @@ class TestFusedPass:
         force_sphere_plane(1e-6, T, R_SPHERE, gold_drude())
         assert fused == len(calls)
 
-    @pytest.mark.parametrize(
-        "T, rel_tol, cap, where",
-        [
-            (0.0, 1e-16, lifshitz._MAX_MATSUBARA, r"T = 0 K, (energy|curvature) \("),
-            (300.0, 1e-16, lifshitz._MAX_MATSUBARA, r"T = 300 K, (energy|curvature) \("),
-            (300.0, 1e-8, 1, r"1 terms at d = .*, T = 300 K, energy \("),
-        ],
-        ids=["t0-quadrature", "300k-quadrature", "300k-ladder"],
-    )
-    def test_a_fused_error_names_the_kind_that_failed(self, monkeypatch, T, rel_tol, cap, where):
-        monkeypatch.setattr(lifshitz, "_MAX_MATSUBARA", cap)
-        with pytest.raises(ConvergenceError, match=where) as err:
-            force_and_curvature_sphere_plane(1e-6, T, R_SPHERE, gold_drude(), rel_tol)
+    @pytest.mark.parametrize("T", [0.0, 300.0], ids=["t0-quadrature", "300k-quadrature"])
+    def test_a_fused_error_names_the_kind_that_failed(self, T):
+        with pytest.raises(ConvergenceError, match=rf"T = {T:g} K, (energy|curvature) \(") as err:
+            force_and_curvature_sphere_plane(1e-6, T, R_SPHERE, gold_drude(), 1e-16)
         assert err.value.achieved > err.value.requested
 
     def test_a_t0_chunk_error_names_its_kind_and_gap(self):
@@ -951,13 +1003,14 @@ class TestLadderLayout:
     )
     def test_ladders_stopped_at_x_40_match_ladders_run_on_to_60(self, monkeypatch, model, T):
         # a gap's terms stop below x_n = DEFAULT_CUTOFF/2 = 40; run on to 60
-        # (100,000 terms at 1 K and 0.1 um, x_n = 55), the ladders of every
-        # kind must not move by more than 1e-13; a cap of 30/x_1 + 10 terms
-        # is ~9e-11 off at 1 K
+        # (109,334 rows at 1 K and 0.1 um, over the term cap, which this pass
+        # alone raises), the ladders of every kind must not move by more than
+        # 1e-13; a cap of 30/x_1 + 10 terms is ~9e-11 off at 1 K
         gaps = np.array([0.1, 0.2, 0.4, 0.7, 1.5, 3.0, 6.0, 12.0]) * 1e-6
         kinds = ("energy", "pressure", "curvature")
         got = lifshitz._matsubara_ladder(gaps, T, model, 1e-12, kinds)
         monkeypatch.setattr(lifshitz, "DEFAULT_CUTOFF", 120.0)
+        monkeypatch.setattr(lifshitz, "_MAX_MATSUBARA", 200_000)
         want = lifshitz._matsubara_ladder(gaps, T, model, 1e-12, kinds)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
