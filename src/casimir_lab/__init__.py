@@ -26,7 +26,9 @@ from .campaign import (
     CampaignResult,
     generate_campaign,
     load_config,
+    load_sweeps_csv,
     save_config,
+    save_sweeps_csv,
     subtract_drift,
 )
 from .constants import (
@@ -59,9 +61,7 @@ from .electrostatics import (
     SweepSample,
     bias_force,
     calibrate_from_sweep,
-    load_sweep_csv,
     patch_force,
-    save_sweep_csv,
 )
 from .errors import (
     CalibrationError,
@@ -132,8 +132,6 @@ __all__ = [
     "bias_force",
     "patch_force",
     "calibrate_from_sweep",
-    "load_sweep_csv",
-    "save_sweep_csv",
     # corrections
     "fluctuation_corrected_force",
     "corrected_separation",
@@ -157,4 +155,6 @@ __all__ = [
     "subtract_drift",
     "load_config",
     "save_config",
+    "load_sweeps_csv",
+    "save_sweeps_csv",
 ]

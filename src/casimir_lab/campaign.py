@@ -16,11 +16,11 @@ The noise is one draw of shape (n_sweeps, 2 n_voltages + n_separations).
 Its columns follow the schedule order of one pass: the sweep at the first
 gap, that gap's point, the inner points, the sweep at the last gap, that
 gap's point.  The analysis reads the points as one Measurements, and
-the sweeps CSV is written straight from the arrays.
+the sweeps CSV, the package's one sweep format, is written straight from
+the arrays and read back as the sample groups calibrate_from_sweep takes.
 
 Drift subtraction, binning and the model fits read the points and close
-the loop back on the injected truth parameters.  The sweeps are an export
-only: no command reads them back.
+the loop back on the injected truth parameters.
 """
 
 import math
@@ -30,10 +30,10 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .analysis import Measurements, standard_model_curves, MODEL_IDS
-from .electrostatics import bias_force, patch_force
+from .electrostatics import SweepSample, bias_force, patch_force
 from .errors import ValidationError, is_finite_real, is_integer
-from .errors import require_at_least, require_finite, require_positive
-from .fileio import read_json, write_json, write_table
+from .errors import require_at_least, require_finite, require_positive, require_table
+from .fileio import read_json, read_table, write_json, write_table
 
 __all__ = [
     "CampaignConfig",
@@ -46,6 +46,7 @@ __all__ = [
     "config_from_dict",
     "load_config",
     "save_config",
+    "load_sweeps_csv",
     "save_sweeps_csv",
 ]
 
@@ -280,12 +281,26 @@ def save_sweeps_csv(path, campaign):
     """Write every sweep of a CampaignResult to one CSV, one row per sample:
     passes in order, in each the first gap's sweep before the last gap's,
     voltages in schedule order."""
-    ends = (campaign.separations[[0, -1]] * 1e6).tolist()
-    voltages = campaign.voltages.tolist()
-    rows = (
-        [k, ends[e], v, f, campaign.sigma]
-        for k, pair in enumerate(campaign.sweep_forces.tolist())
-        for e, sweep in enumerate(pair)
-        for v, f in zip(voltages, sweep)
-    )
-    write_table(path, SWEEPS_CSV_HEADER, rows)
+    k, e, j = np.indices(campaign.sweep_forces.shape).reshape(3, -1)
+    ends_um = campaign.separations[[0, -1]] * 1e6
+    sigma = np.full(k.size, campaign.sigma)
+    columns = (k, ends_um[e], campaign.voltages[j], campaign.sweep_forces.ravel(), sigma)
+    write_table(path, SWEEPS_CSV_HEADER, zip(*(c.tolist() for c in columns)))
+
+
+def load_sweeps_csv(path):
+    """``{(sweep_index, separation_m): [SweepSample, ...]}`` of the sweeps CSV
+    at ``path``, in file order.  A cell must be finite, an index a non-negative
+    integer, a gap or sigma positive; a ValidationError names line and column."""
+
+    def groups(*cells):
+        columns = require_table(zip(SWEEPS_CSV_HEADER, cells), (
+            ("sweep_index", "a non-negative integer", lambda k: (k < 0) | (k != np.floor(k))),
+            ("separation_um", "positive", lambda d: d <= 0.0),
+            ("sigma_n", "positive", lambda sigma: sigma <= 0.0)))
+        out = {}
+        for k, d_um, *sample in zip(*(column.tolist() for column in columns)):
+            out.setdefault((int(k), d_um * 1e-6), []).append(SweepSample(*sample))
+        return out
+
+    return read_table(path, SWEEPS_CSV_HEADER, groups)

@@ -157,18 +157,15 @@ def cmd_simulate(args):
     if config.seed is None:
         config = replace(config, seed=secrets.randbits(64))
 
-    result = generate_campaign(config)
-    drift = subtract_drift(result)
-    campaign = drift.campaign
-
-    points = campaign.points
+    drift = subtract_drift(generate_campaign(config))
+    points = drift.campaign.points
     if not args.no_bin:
         edges = log_bin_edges(config.d_min, config.d_max, config.n_separations)
         points = bin_points(points, edges)
     save_measurements(args.out, points)
     outputs = [args.out]
     if args.sweeps_out is not None:
-        save_sweeps_csv(args.sweeps_out, campaign)
+        save_sweeps_csv(args.sweeps_out, drift.campaign)
         outputs.append(args.sweeps_out)
 
     resolved = {

@@ -6,7 +6,8 @@ pi eps0 R V_rms^2 / d.  A parabolic fit of force against applied bias
 therefore hands back the separation (from the curvature), the minimizing
 potential (vertex position), and whatever voltage-independent force rides
 along (vertex height).  That inversion is the calibration step every
-measured force curve passes through before any Casimir analysis.
+measured force curve passes through before any Casimir analysis; the file
+of sweeps it reads is campaign's, and this module holds only the physics.
 """
 
 import math
@@ -17,8 +18,7 @@ import numpy as np
 
 from .constants import VACUUM_PERMITTIVITY
 from .errors import CalibrationError, DegenerateFitError, ValidationError
-from .errors import require_at_least, require_finite, require_positive, require_table
-from .fileio import read_table, write_table
+from .errors import require_at_least, require_finite, require_positive
 
 __all__ = [
     "SweepSample",
@@ -26,11 +26,7 @@ __all__ = [
     "bias_force",
     "patch_force",
     "calibrate_from_sweep",
-    "load_sweep_csv",
-    "save_sweep_csv",
 ]
-
-SWEEP_CSV_HEADER = ["voltage_v", "force_n", "sigma_n"]
 
 
 @dataclass(frozen=True)
@@ -162,22 +158,3 @@ def calibrate_from_sweep(samples, R):
     covariance = jac @ cov_c @ jac.T
     return CalibrationResult(d=d, v_m=v_m, f_residual=f_res, covariance=covariance)
 
-
-def _samples(v, f, sigma):
-    """A SweepSample per row of three columns; a refused row is named."""
-    columns = require_table(
-        (("v", v), ("f", f), ("sigma_f", sigma)), (("sigma_f", "positive", lambda s: s <= 0.0),)
-    )
-    return [SweepSample(*row) for row in zip(*(column.tolist() for column in columns))]
-
-
-def load_sweep_csv(path):
-    """Read sweep samples from a `voltage_v,force_n,sigma_n` CSV file.  A
-    ValidationError names the file and the line of a malformed or refused
-    row, the first such line if there are several."""
-    return read_table(path, SWEEP_CSV_HEADER, _samples)
-
-
-def save_sweep_csv(path, samples):
-    """Write sweep samples as a `voltage_v,force_n,sigma_n` CSV file."""
-    write_table(path, SWEEP_CSV_HEADER, ((s.v, s.f, s.sigma_f) for s in samples))

@@ -6,6 +6,7 @@ where no line is to blame.
 """
 
 import csv
+import io
 import json
 
 import numpy as np
@@ -27,29 +28,38 @@ def _at(path, line, reason):
     return ValidationError(f"{where}: {reason}")
 
 
+def _text(path):
+    """The file at ``path`` decoded as UTF-8; a byte that is not is refused by its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise _at(path, line, f"not UTF-8: {exc.reason} 0x{data[exc.start]:02x}") from None
+
+
 def read_table(path, header, build):
     """``build(*columns)`` of the CSV file at ``path``, one float array per
     column of ``header``.
 
     Header cells may be padded with spaces, and blank rows (``,,`` too) are
-    skipped.  A ValidationError of ``build`` carrying a ``row`` index names
-    that row's line; a row it refuses before a malformed line is reported
-    first, so the first bad line is always the one named.
+    skipped.  Of the rows that are malformed or that ``build`` refuses (by a
+    ValidationError carrying a ``row`` index), the first is named by its last
+    physical line; bytes that are not UTF-8 are named before any row.
     """
-    rows, lines, failure = [], [], None
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    rows, lines, got, failure = [], [], None, None
+    reader = csv.reader(io.StringIO(_text(path), newline=""))
+    try:
         got = [cell.strip() for cell in next(reader, [])]
-        if got != header:
-            raise _at(path, 1, f"expected header {','.join(header)}, got {','.join(got)!r}")
-        for line, row in enumerate(reader, start=2):
+        for row in reader if got == header else ():
             if any(cell.strip() for cell in row):
-                try:
-                    rows.append(_floats(row, len(header)))
-                except ValidationError as exc:
-                    failure = (line, exc)
-                    break
-                lines.append(line)
+                rows.append(_floats(row, len(header)))
+                lines.append(reader.line_num)
+    except (csv.Error, ValidationError) as exc:
+        failure = (reader.line_num, exc)
+    if got is not None and got != header:
+        raise _at(path, 1, f"expected header {','.join(header)}, got {','.join(got)!r}")
     try:
         table = build(*np.array(rows, dtype=float).reshape(-1, len(header)).T)
     except ValidationError as exc:
@@ -64,13 +74,13 @@ def read_table(path, header, build):
 def read_json(path, build):
     """``build(document)`` of the JSON file at ``path``; a syntax error
     names the file and its line, a ValidationError of ``build`` the file."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return build(json.load(fh))
-        except json.JSONDecodeError as exc:
-            raise _at(path, exc.lineno, exc.msg) from None
-        except ValidationError as exc:
-            raise _at(path, None, exc) from None
+    text = _text(path)
+    try:
+        return build(json.loads(text))
+    except json.JSONDecodeError as exc:
+        raise _at(path, exc.lineno, exc.msg) from None
+    except ValidationError as exc:
+        raise _at(path, None, exc) from None
 
 
 def write_table(path, header, rows):

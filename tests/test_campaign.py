@@ -6,6 +6,7 @@ acceptance suite.
 """
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +21,7 @@ from casimir_lab.campaign import (
     config_to_dict,
     generate_campaign,
     load_config,
+    load_sweeps_csv,
     save_config,
     save_sweeps_csv,
     subtract_drift,
@@ -364,6 +366,32 @@ class TestPipelineClosure:
         d_corr = corrected_separation(cal.d, cfg.delta_true)
         assert d_corr == pytest.approx(d_sched[0], rel=2e-5)
 
+    def test_calibration_from_the_sweeps_csv_is_calibrated_over_seeds(self, tmp_path):
+        # campaign -> drift removal -> sweeps CSV -> load -> one parabola fit
+        # per sweep, 1,000 sweeps over seeds 0-99.  The generator scales the
+        # bias term by 1 + (delta/d)^2, so the curvature measures the gap
+        # divided by that factor exactly; corrected_separation undoes it only
+        # to O((delta/d)^4), ~0.3 sigma of one sweep at the first gap
+        config = CampaignConfig(n_separations=4, n_sweeps=5, drift_rate=2e-14)
+        path = tmp_path / "sweeps.csv"
+        pulls = {"d": [], "v_m": []}
+        for seed in range(100):
+            out = subtract_drift(generate_campaign(replace(config, seed=seed))).campaign
+            save_sweeps_csv(path, out)
+            for (_, gap), samples in load_sweeps_csv(path).items():
+                cal = calibrate_from_sweep(samples, config.radius)
+                sigma = np.sqrt(np.diag(cal.covariance))
+                d_true = gap / (1.0 + (config.delta_true / gap) ** 2)
+                pulls["d"].append((cal.d - d_true) / sigma[0])
+                pulls["v_m"].append((cal.v_m - config.v_m_true) / sigma[1])
+        # the mean of N unit normals is 0 within 1/sqrt(N), their SD 1
+        # within 1/sqrt(2N); three of those each
+        n = 100 * 5 * 2
+        for name, pull in pulls.items():
+            assert len(pull) == n
+            assert abs(np.mean(pull)) <= 3.0 / math.sqrt(n), name
+            assert abs(np.std(pull, ddof=1) - 1.0) <= 3.0 / math.sqrt(2.0 * n), name
+
     def test_fit_recovers_every_truth_model(self):
         # moderate noise, reduced sweep count; checks parameter pull < 3 sigma
         for model_id in ("drude_300k", "plasma_300k", "drude_t0", "plasma_t0"):
@@ -425,3 +453,50 @@ class TestSweepsCsv:
         assert lines[1:] == expect
         n_v = len(cfg.sweep_voltages)
         assert float(lines[1].split(",")[1]) < float(lines[1 + n_v].split(",")[1])
+
+    def test_load_returns_every_sweep_in_file_order(self, tmp_path):
+        # oracle: one group per (pass, end gap), passes in order, in each the
+        # first gap before the last, samples in schedule order, and every
+        # number the .12g text of the campaign's arrays
+        cfg = small_config(n_sweeps=3, drift_rate=2e-14)
+        out = generate_campaign(cfg)
+        path = tmp_path / "sweeps.csv"
+        save_sweeps_csv(path, out)
+        groups = load_sweeps_csv(path)
+        text = lambda x: float(format(x, ".12g"))
+        ends = [text(gap * 1e6) * 1e-6 for gap in out.separations[[0, -1]]]
+        assert list(groups) == [(k, gap) for k in range(cfg.n_sweeps) for gap in ends]
+        for (k, gap), samples in groups.items():
+            e = ends.index(gap)
+            assert len(samples) == len(cfg.sweep_voltages)
+            assert samples == [
+                SweepSample(text(v), text(f), text(out.sigma))
+                for v, f in zip(out.voltages, out.sweep_forces[k, e])
+            ]
+
+    @pytest.mark.parametrize(
+        "row, reason",
+        [
+            ("-1,0.7,0,1e-12,1e-12", "sweep_index must be a non-negative integer, got -1.0"),
+            ("1.5,0.7,0,1e-12,1e-12", "sweep_index must be a non-negative integer, got 1.5"),
+            ("1,0,0,1e-12,1e-12", "separation_um must be positive, got 0.0"),
+            ("1,-0.7,0,1e-12,1e-12", "separation_um must be positive, got -0.7"),
+            ("1,0.7,0,1e-12,0", "sigma_n must be positive, got 0.0"),
+            ("1,0.7,0,1e-12,-1e-12", "sigma_n must be positive, got -1e-12"),
+            ("1,0.7,nan,1e-12,1e-12", "voltage_v must be finite, got nan"),
+        ],
+    )
+    def test_load_names_the_line_and_column_of_a_refused_row(self, tmp_path, row, reason):
+        path = tmp_path / "sweeps.csv"
+        good = "0,0.7,0,1e-12,1e-12"
+        lines = [",".join(SWEEPS_CSV_HEADER), good, good, row, good]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match=rf"^{re.escape(f'{path}: line 4: {reason}')}"):
+            load_sweeps_csv(path)
+
+    def test_load_refuses_a_single_sweep_file(self, tmp_path):
+        # the three-column voltage_v,force_n,sigma_n format is not read
+        path = tmp_path / "sweep.csv"
+        path.write_text("voltage_v,force_n,sigma_n\n0,1e-12,1e-12\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match=r"line 1: expected header sweep_index,"):
+            load_sweeps_csv(path)

@@ -16,9 +16,7 @@ from casimir_lab.electrostatics import (
     SweepSample,
     bias_force,
     calibrate_from_sweep,
-    load_sweep_csv,
     patch_force,
-    save_sweep_csv,
 )
 from casimir_lab.errors import CalibrationError, DegenerateFitError, ValidationError
 
@@ -187,48 +185,7 @@ class TestCalibration:
             calibrate_from_sweep(samples, R)
 
 
-class TestSweepCsv:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "sweep.csv"
-        samples = synth_sweep(2e-6, 20e-3, -50e-12, np.linspace(-0.05, 0.05, 5))
-        save_sweep_csv(path, samples)
-        back = load_sweep_csv(path)
-        assert len(back) == len(samples)
-        for a, b in zip(samples, back):
-            assert b.v == pytest.approx(a.v, rel=1e-11, abs=0.0)
-            assert b.f == pytest.approx(a.f, rel=1e-11, abs=0.0)
-
-    def test_rejects_wrong_header(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("volts,force,sigma\n0,0,1\n", encoding="utf-8")
-        with pytest.raises(ValidationError):
-            load_sweep_csv(path)
-
-    def test_reports_offending_line(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text(
-            "voltage_v,force_n,sigma_n\n0.0,1e-12,1e-12\n0.01,nope,1e-12\n",
-            encoding="utf-8",
-        )
-        with pytest.raises(ValidationError) as err:
-            load_sweep_csv(path)
-        assert "line 3" in str(err.value)
-
-    def test_rejects_nonpositive_sigma(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text(
-            "voltage_v,force_n,sigma_n\n0.0,1e-12,0.0\n", encoding="utf-8"
-        )
-        with pytest.raises(ValidationError):
-            load_sweep_csv(path)
-
-    @pytest.mark.parametrize("row", ["nan,1e-12,1e-12", "0.01,inf,1e-12", "0.01,1e-12,nan"])
-    def test_non_finite_row_names_its_line(self, tmp_path, row):
-        path = tmp_path / "bad.csv"
-        path.write_text(f"voltage_v,force_n,sigma_n\n0.0,1e-12,1e-12\n{row}\n", encoding="utf-8")
-        with pytest.raises(ValidationError, match="line 3: .* must be finite"):
-            load_sweep_csv(path)
-
+class TestSweepSample:
     def test_nonpositive_sigma_rejected(self):
         with pytest.raises(ValidationError, match="sigma_f must be positive"):
             SweepSample(v=0.0, f=0.0, sigma_f=0.0)

@@ -164,10 +164,10 @@ EXEMPT = (
     ("CampaignResult", "result type, built by generate_campaign"),
     ("ModelCurve", "holds a name and an evaluator; the evaluator checks its own gaps"),
     ("load_optical_table", "loader: a refused row names the file and line (test_dielectric)"),
-    ("load_sweep_csv", "loader: a refused row names the file and line (test_electrostatics)"),
+    ("load_sweeps_csv", "loader: a refused row names the file, line and column (test_campaign)"),
     ("load_measurements", "loader: a refused row names the file and line (test_analysis)"),
     ("load_config", "loader: a refused field names the file (test_campaign, test_cli)"),
-    ("save_sweep_csv", "writer of SweepSamples, checked when built"),
+    ("save_sweeps_csv", "writer of a CampaignResult, built by generate_campaign"),
     ("save_measurements", "writer of a Measurements, checked when built"),
     ("save_config", "writer of a CampaignConfig, checked when built"),
     ("generate_campaign", "takes a CampaignConfig, checked when built"),

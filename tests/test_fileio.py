@@ -2,19 +2,22 @@
 JSON reader.
 
 Every loader skips blank rows, accepts a header padded with spaces and
-names the file and the line of a short row, a non-numeric cell or a value
-its container refuses; of two bad lines, the first is named.  The JSON
-reader names the file and the line of a syntax error, and the file of a
-document its builder refuses.
+names the file and the line of a short row, a non-numeric cell, a cell past
+the csv module's field limit, bytes that are not UTF-8 or a value its
+container refuses; of two bad lines, the first is named, and lines are
+physical lines, so a quoted cell spanning two shifts none of them.  The
+JSON reader names the file and the line of a syntax error or of bytes that
+are not UTF-8, and the file of a document its builder refuses.
 """
 
+import csv
 import re
 
 import pytest
 
 from casimir_lab.analysis import load_measurements
+from casimir_lab.campaign import load_sweeps_csv
 from casimir_lab.dielectric import load_optical_table
-from casimir_lab.electrostatics import load_sweep_csv
 from casimir_lab.errors import ValidationError
 from casimir_lab.fileio import read_json
 
@@ -28,12 +31,13 @@ LOADERS = {
         "0",
         "sigma must be positive",
     ),
-    "sweep": (
-        load_sweep_csv,
-        "voltage_v,force_n,sigma_n",
-        ["-0.01,2e-12,1e-12", "0,1e-12,1e-12", "0.01,2e-12,1e-12", "0.02,5e-12,1e-12"],
+    "sweeps": (
+        load_sweeps_csv,
+        "sweep_index,separation_um,voltage_v,force_n,sigma_n",
+        ["0,0.7,-0.01,2e-12,1e-12", "0,7,0,1e-12,1e-12", "1,0.7,0.01,2e-12,1e-12",
+         "1,7,0.02,5e-12,1e-12"],
         "0",
-        "sigma_f must be positive",
+        "sigma_n must be positive",
     ),
     "optical": (
         load_optical_table,
@@ -45,6 +49,8 @@ LOADERS = {
 }
 
 FAULTS = ("short", "non-numeric", "refused")
+
+NOT_UTF8 = "not UTF-8: invalid start byte 0xff"
 
 
 def spoil(kind, row, fault):
@@ -98,6 +104,43 @@ def test_the_first_of_two_bad_lines_is_named(tmp_path, kind, first, second):
     path = write(tmp_path, header, [good[0], row, good[2], later])
     with pytest.raises(ValidationError, match=at_line(path, 3, reason)):
         load(path)
+
+
+@pytest.mark.parametrize("kind", LOADERS)
+def test_a_cell_past_the_field_limit_names_its_line(tmp_path, kind):
+    load, header, good, _, _ = LOADERS[kind]
+    huge = "1" + "0" * csv.field_size_limit()
+    path = write(tmp_path, header, [good[0], f"{huge},{good[1]}", *good[2:]])
+    with pytest.raises(ValidationError, match=at_line(path, 3, "field larger than field limit")):
+        load(path)
+
+
+@pytest.mark.parametrize("kind", LOADERS)
+def test_a_quoted_cell_over_two_lines_shifts_no_later_line(tmp_path, kind):
+    # the second row's first cell spans lines 3 and 4, so the refused row
+    # after it is on line 5, though it is the file's fourth record
+    load, header, good, _, _ = LOADERS[kind]
+    first, rest = good[1].split(",", 1)
+    row, reason = spoil(kind, good[2], "refused")
+    path = write(tmp_path, header, [good[0], f'"{first}\n",{rest}', row, good[3]])
+    with pytest.raises(ValidationError, match=at_line(path, 5, reason)):
+        load(path)
+
+
+@pytest.mark.parametrize("kind", LOADERS)
+def test_bytes_that_are_not_utf8_name_the_file_and_line(tmp_path, kind):
+    load, header, good, _, _ = LOADERS[kind]
+    path = write(tmp_path, header, [good[0], f"@{good[1]}", *good[2:]])
+    path.write_bytes(path.read_bytes().replace(b"@", b"\xff"))
+    with pytest.raises(ValidationError, match=at_line(path, 3, NOT_UTF8)):
+        load(path)
+
+
+def test_json_reader_refuses_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_bytes(b'{\n  "a": "\xff"\n}\n')
+    with pytest.raises(ValidationError, match=at_line(path, 2, NOT_UTF8)):
+        read_json(path, dict)
 
 
 def test_json_reader_names_the_file_and_the_line(tmp_path):
