@@ -16,8 +16,8 @@ import numpy as np
 
 from .corrections import corrected_curve
 from .dielectric import gold_drude, gold_plasma
-from .electrostatics import patch_force
-from .errors import DegenerateFitError, ValidationError, is_integer
+from .electrostatics import patch_force, weighted_fit
+from .errors import ValidationError, is_integer
 from .errors import require_at_least, require_finite, require_positive, require_table
 from .fileio import read_table, write_table
 from .lifshitz import force_and_curvature_sphere_plane, force_sphere_plane
@@ -205,22 +205,10 @@ def fit_patch_and_offset(points, curve, R, delta=0.0):
     # the patch force at unit V_rms is the regressor of V_rms^2
     basis = np.column_stack([patch_force(d, R, 1.0, delta), np.ones_like(d)])
 
-    # scale columns to unit norm before solving; the patch column is ~1e-11
-    # in SI and would otherwise swamp the conditioning test
-    col_scale = np.linalg.norm(basis, axis=0)
-    design = (basis / col_scale) / sigma[:, None]
-    rhs = y / sigma
-    gram = design.T @ design
-    if np.linalg.cond(gram) > 1e10:
-        raise DegenerateFitError(
-            "patch and offset regressors are collinear; "
-            "need at least two distinct separations"
-        )
-    coeffs = np.linalg.solve(gram, design.T @ rhs) / col_scale
-    cov = np.linalg.inv(gram) / np.outer(col_scale, col_scale)
-
-    resid = (y - basis @ coeffs) / sigma
-    chi2 = float(resid @ resid)
+    coeffs, cov, chi2 = weighted_fit(
+        basis, y, sigma,
+        "patch and offset regressors are collinear; need at least two distinct separations",
+    )
     dof = len(points) - 2
     return FitResult(
         model_id=curve.model_id,
@@ -249,7 +237,7 @@ def candidate_models(temperature=300.0, drude=None, plasma=None):
     temperature = require_at_least("temperature", temperature, 0.0, scalar=True)
     drude = drude if drude is not None else gold_drude()
     plasma = plasma if plasma is not None else gold_plasma()
-    tag = f"{temperature:g}k"
+    tag = f"{temperature + 0.0:g}k"
     return [
         (f"drude_{tag}", drude, temperature),
         (f"plasma_{tag}", plasma, temperature),

@@ -68,6 +68,25 @@ def patch_force(d, R, v_rms, delta=0.0):
     return require_finite("patch force", force)
 
 
+def weighted_fit(basis, y, sigma, degenerate):
+    """(coefficients, covariance, chi2) of the weighted linear least-squares
+    fit of ``y`` on the columns of ``basis``, solved on columns of unit norm so
+    the conditioning test sees degeneracy, not units.  A column of zero or
+    infinite norm, or a condition number above 1e10, raises
+    DegenerateFitError(degenerate)."""
+    col_scale = np.linalg.norm(basis, axis=0)
+    if not np.all(np.isfinite(col_scale) & (col_scale > 0.0)):
+        raise DegenerateFitError(degenerate)
+    design = (basis / col_scale) / sigma[:, None]
+    gram = design.T @ design
+    if np.linalg.cond(gram) > 1e10:
+        raise DegenerateFitError(degenerate)
+    coeffs = np.linalg.solve(gram, design.T @ (y / sigma)) / col_scale
+    cov = np.linalg.inv(gram) / np.outer(col_scale, col_scale)
+    resid = (y - basis @ coeffs) / sigma
+    return coeffs, cov, float(resid @ resid)
+
+
 class CalibrationResult(NamedTuple):
     """Parabola inversion output; covariance is 3x3 over (d, v_m, f_residual)."""
 
@@ -117,25 +136,10 @@ def calibrate_from_sweep(samples, R):
     f = np.array([s.f for s in samples], dtype=float)
     sigma = np.array([s.sigma_f for s in samples], dtype=float)
 
-    # solve in a voltage-scaled basis so conditioning reflects actual
-    # degeneracy, not the mV magnitude of the sweep
-    scale = np.max(np.abs(v))
-    if scale == 0.0:
-        raise DegenerateFitError("all sweep voltages are zero")
-    u = v / scale
-    design = np.column_stack([np.ones_like(u), u, u * u]) / sigma[:, None]
-    rhs = f / sigma
-    gram = design.T @ design
-    if np.linalg.cond(gram) > 1e10:
-        raise DegenerateFitError(
-            "sweep voltages do not span a parabola (singular normal equations)"
-        )
-    coeffs_scaled = np.linalg.solve(gram, design.T @ rhs)
-    cov_scaled = np.linalg.inv(gram)
-
-    unscale = np.array([1.0, 1.0 / scale, 1.0 / scale ** 2])
-    c0, c1, c2 = coeffs_scaled * unscale
-    cov_c = cov_scaled * np.outer(unscale, unscale)
+    (c0, c1, c2), cov_c, _ = weighted_fit(
+        np.column_stack([np.ones_like(v), v, v * v]), f, sigma,
+        "sweep voltages do not span a parabola (singular normal equations)",
+    )
 
     if c2 <= 0.0:
         raise CalibrationError(

@@ -104,7 +104,7 @@ def require_table(columns, rules=()):
             raise ValidationError(f"{name} must be 1-D, got an array of shape {items.shape}")
         for row, entry in enumerate(items if items.dtype == object else ()):
             if not is_real(entry):
-                raise bad_row(f"{name} must be finite, got {entry!r} (row {row})", row)
+                raise bad_row(f"{name} must be finite, got {entry!r}", row)
         arrays[name] = np.array(items, dtype=float)
         arrays[name].flags.writeable = False
     if len({a.size for a in arrays.values()}) > 1:
@@ -116,7 +116,7 @@ def require_table(columns, rules=()):
     if refused.any():
         row = int(np.argmax(refused.any(axis=0)))
         name, domain, _ = checks[int(np.argmax(refused[:, row]))]
-        raise bad_row(f"{name} must be {domain}, got {float(arrays[name][row])} (row {row})", row)
+        raise bad_row(f"{name} must be {domain}, got {float(arrays[name][row])}", row)
     return list(arrays.values())
 
 
@@ -124,10 +124,10 @@ def _and(items):
     return " and ".join(", ".join(map(str, items)).rsplit(", ", 1))
 
 
-def bad_row(message, row):
-    """ValidationError about row ``row`` (0-based), kept on it as ``row``."""
-    exc = ValidationError(message)
-    exc.row = row
+def bad_row(reason, row):
+    """ValidationError "<reason> (row N)", keeping ``row`` (0-based) and ``reason``."""
+    exc = ValidationError(f"{reason} (row {row})")
+    exc.row, exc.reason = row, reason
     return exc
 
 

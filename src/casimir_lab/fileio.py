@@ -44,9 +44,9 @@ def read_table(path, header, build):
     column of ``header``.
 
     Header cells may be padded with spaces, and blank rows (``,,`` too) are
-    skipped.  Of the rows that are malformed or that ``build`` refuses (by a
-    ValidationError carrying a ``row`` index), the first is named by its last
-    physical line; bytes that are not UTF-8 are named before any row.
+    skipped.  Of the rows that are malformed or that ``build`` refuses by
+    :func:`errors.bad_row`, the first is named by its last physical line (not
+    its row index); bytes that are not UTF-8 are named before any row.
     """
     rows, lines, got, failure = [], [], None, None
     reader = csv.reader(io.StringIO(_text(path), newline=""))
@@ -63,9 +63,9 @@ def read_table(path, header, build):
     try:
         table = build(*np.array(rows, dtype=float).reshape(-1, len(header)).T)
     except ValidationError as exc:
-        row = getattr(exc, "row", None)
-        if row is not None or failure is None:
-            raise _at(path, None if row is None else lines[row], exc) from None
+        line = lines[exc.row] if hasattr(exc, "row") else None
+        if line is not None or failure is None:
+            raise _at(path, line, getattr(exc, "reason", exc)) from None
     if failure is not None:
         raise _at(path, *failure)
     return table

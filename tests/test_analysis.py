@@ -20,6 +20,7 @@ from casimir_lab.analysis import (
     Measurements,
     ModelCurve,
     bin_points,
+    candidate_models,
     discriminate_models,
     fit_patch_and_offset,
     fit_report_dict,
@@ -378,6 +379,11 @@ class TestDiscrimination:
             f_near = c.evaluator(0.7e-6)
             f_far = c.evaluator(7e-6)
             assert f_near > f_far > 0.0
+
+    def test_negative_zero_temperature_gives_the_ids_of_zero(self):
+        # "-0k" ids would be refused by --models drude_0k
+        assert [m[0] for m in candidate_models(-0.0)] == [m[0] for m in candidate_models(0.0)]
+        assert candidate_models(0.0)[0][0] == "drude_0k"
 
     def test_evaluator_takes_a_gap_or_an_array_of_gaps(self):
         gaps = np.array([0.8e-6, 2e-6, 5e-6])

@@ -17,6 +17,7 @@ from casimir_lab.electrostatics import (
     bias_force,
     calibrate_from_sweep,
     patch_force,
+    weighted_fit,
 )
 from casimir_lab.errors import CalibrationError, DegenerateFitError, ValidationError
 
@@ -180,9 +181,11 @@ class TestCalibration:
             calibrate_from_sweep(samples, bad)
 
     def test_rejects_degenerate_voltages(self):
-        samples = [SweepSample(v=0.01, f=1e-12, sigma_f=1e-12) for _ in range(6)]
-        with pytest.raises(DegenerateFitError):
-            calibrate_from_sweep(samples, R)
+        # one voltage repeated, and all voltages zero (two zero columns)
+        for v in (0.01, 0.0):
+            samples = [SweepSample(v=v, f=1e-12, sigma_f=1e-12) for _ in range(6)]
+            with pytest.raises(DegenerateFitError, match="do not span a parabola"):
+                calibrate_from_sweep(samples, R)
 
 
 class TestSweepSample:
@@ -196,3 +199,47 @@ class TestSweepSample:
         values = {"v": 0.01, "f": 1e-12, "sigma_f": 1e-12, field: bad}
         with pytest.raises(ValidationError, match=f"{field} must be finite"):
             SweepSample(**values)
+
+
+class TestWeightedFit:
+    """The shared solver against an independent oracle: lstsq on the
+    sigma-weighted system, and the covariance and chi^2 computed directly."""
+
+    @staticmethod
+    def problem(columns, seed):
+        rng = np.random.default_rng(seed)
+        x = np.linspace(0.7e-6, 7e-6, 25)
+        basis = np.column_stack([column(x) for column in columns])
+        sigma = rng.uniform(0.5, 2.0, x.size) * 1e-12
+        # each column contributes forces of ~1 pN, the size of the noise
+        rms = np.sqrt(np.mean(basis * basis, axis=0))
+        y = basis @ (rng.normal(size=basis.shape[1]) * 1e-12 / rms)
+        return basis, y + rng.normal(0.0, 1.0, x.size) * sigma, sigma
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("columns", [
+        # the patch/offset basis, its first column ~1e-11 in SI
+        (lambda x: patch_force(x, R, 1.0, 40e-9), np.ones_like),
+        # the sweep parabola on mV voltages
+        (np.ones_like, lambda x: x * 1e4 - 0.03, lambda x: (x * 1e4 - 0.03) ** 2),
+    ], ids=["two_columns", "three_columns"])
+    def test_matches_weighted_lstsq(self, columns, seed):
+        basis, y, sigma = self.problem(columns, seed)
+        coeffs, cov, chi2 = weighted_fit(basis, y, sigma, "unused")
+        design = basis / sigma[:, None]
+        oracle = np.linalg.lstsq(design, y / sigma, rcond=None)[0]
+        np.testing.assert_allclose(coeffs, oracle, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(cov, np.linalg.inv(design.T @ design), rtol=1e-12, atol=0.0)
+        resid = (y - basis @ oracle) / sigma
+        assert chi2 == pytest.approx(resid @ resid, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("column", [0.0, math.inf])
+    def test_a_column_of_zero_or_infinite_norm_is_degenerate(self, column):
+        basis = np.column_stack([np.linspace(1.0, 2.0, 5), np.full(5, column)])
+        with pytest.raises(DegenerateFitError, match="^named$"):
+            weighted_fit(basis, np.ones(5), np.ones(5), "named")
+
+    def test_collinear_columns_are_degenerate(self):
+        x = np.linspace(1.0, 2.0, 5)
+        with pytest.raises(DegenerateFitError, match="^named$"):
+            weighted_fit(np.column_stack([x, 3.0 * x]), x, np.ones(5), "named")
