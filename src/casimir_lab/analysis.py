@@ -201,7 +201,8 @@ def fit_patch_and_offset(points, curve, R, delta=0.0):
     if not np.all(np.isfinite(theory)):
         bad = unique[~np.isfinite(theory)][0]
         raise ValueError(f"model {curve.model_id} gives a non-finite force at d = {bad:.6e} m")
-    y = f - theory[inverse]
+    with np.errstate(over="ignore"):  # an overflow is the fit's to refuse
+        y = f - theory[inverse]
     # the patch force at unit V_rms is the regressor of V_rms^2
     basis = np.column_stack([patch_force(d, R, 1.0, delta), np.ones_like(d)])
 

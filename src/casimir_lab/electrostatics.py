@@ -73,18 +73,33 @@ def weighted_fit(basis, y, sigma, degenerate):
     fit of ``y`` on the columns of ``basis``, solved on columns of unit norm so
     the conditioning test sees degeneracy, not units.  A column of zero or
     infinite norm, or a condition number above 1e10, raises
-    DegenerateFitError(degenerate)."""
+    DegenerateFitError(degenerate).  A weighted system that is not finite,
+    such as y/sigma or the unit columns over sigma, or a fit whose normal
+    equations or results overflow a float, raises ValidationError: the data
+    are out of range, which says nothing of the columns' independence."""
     col_scale = np.linalg.norm(basis, axis=0)
     if not np.all(np.isfinite(col_scale) & (col_scale > 0.0)):
         raise DegenerateFitError(degenerate)
-    design = (basis / col_scale) / sigma[:, None]
-    gram = design.T @ design
-    if np.linalg.cond(gram) > 1e10:
-        raise DegenerateFitError(degenerate)
-    coeffs = np.linalg.solve(gram, design.T @ (y / sigma)) / col_scale
-    cov = np.linalg.inv(gram) / np.outer(col_scale, col_scale)
-    resid = (y - basis @ coeffs) / sigma
-    return coeffs, cov, float(resid @ resid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        design = (basis / col_scale) / sigma[:, None]
+        target = y / sigma
+        gram = design.T @ design
+        _require_finite_system(design, target, gram)
+        if np.linalg.cond(gram) > 1e10:
+            raise DegenerateFitError(degenerate)
+        coeffs = np.linalg.solve(gram, design.T @ target) / col_scale
+        cov = np.linalg.inv(gram) / np.outer(col_scale, col_scale)
+        resid = (y - basis @ coeffs) / sigma
+        chi2 = float(resid @ resid)
+    _require_finite_system(coeffs, cov, chi2)
+    return coeffs, cov, chi2
+
+
+def _require_finite_system(*arrays):
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise ValidationError(
+            "the weighted fit overflows a float: y/sigma or 1/sigma is out of range"
+        )
 
 
 class CalibrationResult(NamedTuple):

@@ -24,13 +24,21 @@ curve packed into families of ``_LADDER_ROWS`` rows, so memory is bounded at
 any T.  A gap's rows stop below x_n = 2 xi_n d / c = DEFAULT_CUTOFF/2 = 40,
 where its terms fall under exp(-40) of the sum.  A row starts at y = x_n,
 clear of the y ln y endpoint at y = 0, so a row family passes its smallest
-x_n to the quadrature, which thins its graded opening.  At T = 0 a curve is
-one 2-D integral per chunk of ``_T0_GAPS`` consecutive gaps, each gap
-settled on its own scale in one kernel call per level, and the chunk size
-bounds the peak memory.  The ladder rows and the T = 0 levels build their
-tables and kernels the same way; the whole-grid temporaries of the Fresnel
-coefficients and kernels live in buffers reused across doubling levels and
-by every chunk of a curve.
+x_n to the quadrature, which thins its graded opening.  At T = 0 the gaps
+computed directly take one 2-D integral per chunk of ``_T0_GAPS``
+consecutive gaps, each gap settled on its own scale in one kernel call per
+level, and the chunk size bounds the peak memory.  A T = 0 curve of at least
+2 ``_T0_NODES`` = 24 gaps, not all equal, is computed so on ``_T0_NODES``
+Chebyshev points in ln d over its range and interpolated to its gaps: the
+reduced integrals d^(3+m) F_m are analytic and vary slowly in ln d.  The
+interpolant is taken only when, for every kind, its last two coefficients,
+its error estimate as the coefficients of a smooth integral decay
+geometrically, are at most rel_tol times the smallest value at the nodes;
+otherwise every gap is computed directly, and the nodes were spent on top.
+Shorter curves, scalars and every T > 0 curve are computed gap by gap.  The
+ladder rows and the T = 0 levels build their tables and kernels the same
+way; the whole-grid temporaries of the Fresnel coefficients and kernels live
+in buffers reused across doubling levels and by every chunk of a curve.
 
 The one accuracy setting, ``rel_tol`` in (0, 1e-3] (default 1e-8), is what
 every quadrature settles to.  Before any eps(i xi) or integral runs, a
@@ -108,6 +116,11 @@ _LADDER_ROWS = 80
 #: against one gap a call, 3 gaps add ~0.4 MB (1.1 %) to the curves
 #: workload's peak RSS, 2 gaps ~0.25 MB, 4 ~0.65 MB and 6 ~1.3 MB.
 _T0_GAPS = 3
+
+#: Chebyshev points in ln d a T = 0 curve of at least twice as many gaps is
+#: interpolated from: on 0.7-7 um the interpolant of gold is ~2.4e-11 off a
+#: tight direct pass (8 points: ~6e-8, 16: ~1e-12).
+_T0_NODES = 12
 
 #: Matsubara terms, n = 0 included, one gap's ladder sums at most: a curve
 #: with a gap whose ladder needs more is refused, which sets the floor
@@ -350,23 +363,79 @@ def _matsubara_ladder(d, T, model, rel_tol, kinds):
 
 
 @contextmanager
-def _located(gaps, T, kinds, each_gap=False):
+def _located(gaps, T, kinds, each_gap=False, span=None):
     """Re-raise a ConvergenceError of the block with where it ran: a gap or
     the range of a chunk of gaps, the temperature and the kind.  The error's
     flat index runs over the kinds, or over (kind, gap)
     when ``each_gap`` settles every gap of ``gaps`` on its own; then the
-    message names that gap."""
+    message names that gap, or the range of ``span`` when given: the curve
+    that gaps such as interpolation nodes, which no caller passed, serve."""
     try:
         yield
     except ConvergenceError as exc:
         index = getattr(exc, "kind", 0)
         if each_gap:
             index, gap = divmod(index, len(gaps))
-            gaps = gaps[gap]
+            gaps = gaps[gap] if span is None else span
         lo, hi = np.min(gaps), np.max(gaps)
         at = f"d = {lo:.3e} m" if lo == hi else f"d in [{lo:.3e}, {hi:.3e}] m"
         message = f"{exc.message} at {at}, T = {T:g} K, {kinds[index]}"
         raise ConvergenceError(message, exc.achieved, exc.requested) from exc
+
+
+def _t0_direct(gaps, model, rel_tol, kinds, span=None):
+    """The (x, t) integral of each of ``kinds`` at each of the 1-D ``gaps``,
+    shaped (len(kinds), gaps.size): one 2-D integral per chunk of
+    ``_T0_GAPS`` gaps, each gap settled on its own scale.  A ConvergenceError
+    names the gap that failed, or the range of ``span`` when the gaps are
+    interpolation nodes that serve that curve."""
+    # one set of buffers and one table per level serve all chunks
+    buffers, tables = _Buffers(), {}
+    integrals = np.empty((len(kinds), gaps.size))
+    for start in range(0, gaps.size, _T0_GAPS):
+        chunk = gaps[start:start + _T0_GAPS]
+        column = chunk[:, None, None, None]
+
+        # each level computes eps once per gap and distinct frequency node,
+        # then gathers it per rectangle.  The driver hands a level that
+        # settles the same rectangles the same t
+        def integrand(x, t, row, column=column):
+            eps = np.asarray(eps_imag_axis(model, x * _C / (2.0 * column)))[:, row]
+            n = t.shape[-1]
+            if tables.get(n, (None,))[0] is not t:
+                tables[n] = t, _table(x[row], t)
+            return _integrand(tables[n][1], eps, kinds, buffers)
+
+        with _located(chunk, 0.0, kinds, each_gap=True, span=span):
+            integrals[:, start:start + _T0_GAPS] = integrate_decaying_2d(integrand, rel_tol)
+    return integrals
+
+
+def _t0_curve(gaps, model, rel_tol, kinds):
+    """:func:`_t0_direct` of ``gaps``, or its Chebyshev interpolant in ln d.
+
+    A curve of at least 2 ``_T0_NODES`` gaps, not all equal, computes the
+    integrals directly on ``_T0_NODES`` Chebyshev points of the first kind
+    in ln d over [min d, max d]; they are smooth there, as d enters only
+    through eps(i x c/2d).  The discrete cosine sum gives the coefficients
+    c_j of the interpolant sum_j c_j T_j(u).  It is taken when, for every
+    kind, the last two coefficients are at most rel_tol times the smallest
+    value at the nodes, each gap's error being relative to its own value,
+    and evaluated at the gaps as sum_j c_j cos(j arccos u); otherwise the
+    gaps are computed directly, at ~1.4 times the direct cost in all.
+    """
+    lo, hi = np.log([gaps.min(), gaps.max()]) if gaps.size >= 2 * _T0_NODES else (0.0, 0.0)
+    if lo < hi:
+        degrees = np.arange(_T0_NODES)
+        theta = math.pi * (degrees + 0.5) / _T0_NODES
+        nodes = np.exp(0.5 * (hi + lo) + 0.5 * (hi - lo) * np.cos(theta))
+        at_nodes = _t0_direct(nodes, model, rel_tol, kinds, span=gaps)
+        coeffs = 2.0 / _T0_NODES * at_nodes @ np.cos(np.outer(theta, degrees))
+        coeffs[:, 0] *= 0.5
+        if np.all(np.abs(coeffs[:, -2:]).max(axis=1) <= rel_tol * np.abs(at_nodes).min(axis=1)):
+            u = np.clip((2.0 * np.log(gaps) - hi - lo) / (hi - lo), -1.0, 1.0)
+            return coeffs @ np.cos(np.outer(degrees, np.arccos(u)))
+    return _t0_direct(gaps, model, rel_tol, kinds)
 
 
 def _lifshitz(d, T, model, rel_tol, kinds):
@@ -386,26 +455,7 @@ def _lifshitz(d, T, model, rel_tol, kinds):
     # float, as integer exponents make numpy cast through buffers: +0.15 MB peak RSS
     m = np.array([[_KINDS.index(kind)] for kind in kinds], dtype=float)
     if T == 0.0:
-        # one set of buffers and one table per level serve all chunks
-        buffers, tables = _Buffers(), {}
-        integrals = np.empty((len(kinds), gaps.size))
-        for start in range(0, gaps.size, _T0_GAPS):
-            chunk = gaps[start:start + _T0_GAPS]
-            column = chunk[:, None, None, None]
-
-            # one 2-D integral per chunk, each (kind, gap) settled on its own
-            # scale; each level computes eps once per gap and distinct
-            # frequency node, then gathers it per rectangle.  The driver
-            # hands a level that settles the same rectangles the same t
-            def integrand(x, t, row, column=column):
-                eps = np.asarray(eps_imag_axis(model, x * _C / (2.0 * column)))[:, row]
-                n = t.shape[-1]
-                if tables.get(n, (None,))[0] is not t:
-                    tables[n] = t, _table(x[row], t)
-                return _integrand(tables[n][1], eps, kinds, buffers)
-
-            with _located(chunk, 0.0, kinds, each_gap=True):
-                integrals[:, start:start + _T0_GAPS] = integrate_decaying_2d(integrand, rel_tol)
+        integrals = _t0_curve(gaps, model, rel_tol, kinds)
         values = HBAR * _C / (32.0 * math.pi ** 2 * gaps ** (3 + m)) * integrals
     else:
         ladders = _matsubara_ladder(gaps, T, model, rel_tol, kinds) if gaps.size else 0.0
@@ -513,8 +563,11 @@ def force_sphere_plane_grid(separations, T, R, model, rel_tol=1e-8):
     rel_tol, computed as one curve: at T > 0 one Matsubara ladder over all
     gaps (eps(i xi_n) once, gaps batched into quadrature families), at T = 0
     one 2-D integral per chunk of a few gaps, each gap settled on its own
-    scale.  Every gap is validated before any integral runs; an empty grid
-    gives an empty array.
+    scale.  A T = 0 grid of 24 or more gaps, not all equal, is interpolated
+    in ln d from 12 Chebyshev nodes over its range when the interpolant's
+    last two coefficients, its error estimate, are at most rel_tol times the
+    smallest node value, and computed gap by gap otherwise.  Every gap is validated
+    before any integral runs; an empty grid gives an empty array.
     """
     separations = require_positive("separation", separations)
     if np.ndim(separations) != 1:

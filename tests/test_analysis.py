@@ -284,6 +284,14 @@ class TestFit:
         assert refit.v_rms_sq == pytest.approx(fit.v_rms_sq, rel=1e-9, abs=0.0)
         assert refit.chi2_reduced == pytest.approx(fit.chi2_reduced, rel=1e-9)
 
+    def test_forces_whose_residuals_overflow_are_refused(self):
+        # 1e308 N against a curve of -1e308 N leaves residuals past a float:
+        # refused, where the fit used to return NaN with a RuntimeWarning
+        curve = ModelCurve("huge", lambda d: np.full_like(d, -1e308))
+        pts = series(D_GRID, np.full(D_GRID.size, 1e308), 1e-12)
+        with pytest.raises(ValidationError, match="overflows a float"):
+            fit_patch_and_offset(pts, curve, R, DELTA)
+
     def test_negative_patch_power_reports_undefined_v_rms(self):
         # data sit below the theory curve: the fit wants negative V_rms^2
         curve = cube_curve()

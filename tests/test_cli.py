@@ -632,6 +632,21 @@ class TestExitCodes:
         )
         assert code == 4
 
+    @pytest.mark.parametrize("force, sigma", [("1.5e308", "1.0"), ("100", "1e-300")],
+                             ids=["huge_force", "tiny_sigma"])
+    def test_an_overflowing_fit_is_two_and_writes_nothing(self, tmp_path, capsys, force, sigma):
+        # four distinct separations: the patch and offset are not collinear,
+        # so this is out-of-range data (2), not a degenerate fit (4)
+        data = tmp_path / "huge.csv"
+        lines = ["separation_um,force_pn,sigma_pn"]
+        lines += [f"{d},{force},{sigma}" for d in (1.0, 2.0, 3.0, 4.0)]
+        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        report = tmp_path / "r.json"
+        argv = ["fit", "--data", str(data), "--models", "drude_300k", "--out", str(report)]
+        assert main(argv) == 2
+        assert "overflows a float" in capsys.readouterr().err
+        assert not report.exists()
+
     def test_unreachable_tolerance_is_three(self, tmp_path):
         out = tmp_path / "x.csv"
         code = main(

@@ -6,6 +6,7 @@ the noiseless case and within the fit covariance under noise.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -238,6 +239,24 @@ class TestWeightedFit:
         basis = np.column_stack([np.linspace(1.0, 2.0, 5), np.full(5, column)])
         with pytest.raises(DegenerateFitError, match="^named$"):
             weighted_fit(basis, np.ones(5), np.ones(5), "named")
+
+    @pytest.mark.parametrize("y, sigma", [
+        # y/sigma is finite, but the normal equations' right side overflows
+        (np.array([1.5e308, -1.5e308, 1.5e308, -1.5e308, 1.5e308]), np.ones(5)),
+        (np.full(5, -1.5e308), np.ones(5)),
+        # independent unit columns, whose Gram matrix over sigma^2 overflows
+        (np.ones(5), np.full(5, 1e-300)),
+        # a y that is already past a float
+        (np.array([1.0, 2.0, math.inf, 4.0, 5.0]), np.ones(5)),
+    ], ids=["alternating_y", "negative_y", "tiny_sigma", "infinite_y"])
+    def test_a_non_finite_weighted_system_is_refused(self, y, sigma):
+        # a ValidationError, not NaN results with a RuntimeWarning, nor a
+        # DegenerateFitError for columns that are independent
+        x = np.linspace(1.0, 2.0, 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="overflows a float"):
+                weighted_fit(np.column_stack([1.0 / x, np.ones(5)]), y, sigma, "named")
 
     def test_collinear_columns_are_degenerate(self):
         x = np.linspace(1.0, 2.0, 5)

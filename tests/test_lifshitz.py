@@ -7,6 +7,7 @@ tensor-product Gauss rule at three resolutions (24/48/96 nodes per panel,
 cutoff 120), which agreed to nine significant digits.
 """
 
+import functools
 import itertools
 import math
 import re
@@ -1084,10 +1085,12 @@ class TestZeroTemperatureChunks:
     def test_a_curve_builds_each_level_once(self, monkeypatch):
         # a level's nodes are the same for every gap, and on this curve each
         # level runs on the same rectangles in every chunk: the 6- and 12-node
-        # levels on all of them, the 24-node one on a few, so a 30-gap
-        # curve's 10 chunks share one table of each; the kernel values,
-        # leading axes included, are those each chunk computed when it built
-        # its own
+        # levels on all of them, the 24-node one on a few, so the chunks
+        # share one table of each.  A 30-gap curve is interpolated from its
+        # 12 Chebyshev nodes in ln d, 4 chunks of 3; the direct path's 10
+        # chunks computed 455,760 and 946,080 kernel values, leading axes
+        # included.  23 gaps are fewer than twice the nodes: computed
+        # directly, 8 chunks, the last of 2 gaps
         builds, values = [], []
         table, kernel = lifshitz._table, lifshitz._kernel
 
@@ -1102,13 +1105,128 @@ class TestZeroTemperatureChunks:
 
         monkeypatch.setattr(lifshitz, "_table", counting_table)
         monkeypatch.setattr(lifshitz, "_kernel", counting_kernel)
-        gaps = np.linspace(0.7e-6, 7e-6, 30)
-        for kinds, want in ((("energy",), 455_760), (("energy", "curvature"), 946_080)):
+        for points, kinds, want in (
+            (30, ("energy",), 182_304),
+            (30, ("energy", "curvature"), 378_432),
+            (23, ("energy",), 349_416),
+            (23, ("energy", "curvature"), 725_328),
+        ):
             builds.clear()
             values.clear()
-            lifshitz._lifshitz(gaps, 0.0, gold_drude(), 1e-8, kinds)
-            assert sorted(builds) == [6, 12, 24], kinds
-            assert sum(values) == want, kinds
+            lifshitz._lifshitz(np.linspace(0.7e-6, 7e-6, points), 0.0, gold_drude(), 1e-8, kinds)
+            assert sorted(builds) == [6, 12, 24], (points, kinds)
+            assert sum(values) == want, (points, kinds)
+
+
+class TestZeroTemperatureInterpolant:
+    """A T = 0 curve of at least 2 ``_T0_NODES`` gaps is a Chebyshev
+    interpolant in ln d of the integrals at ``_T0_NODES`` nodes, taken only
+    when its trailing coefficients say it meets rel_tol; otherwise, and for
+    shorter curves, every gap is computed directly."""
+
+    GRIDS = {
+        "linspace": np.linspace(0.7e-6, 7e-6, 30),
+        "geomspace": np.geomspace(0.7e-6, 7e-6, 30),
+        "wide": np.geomspace(1e-8, 1e-4, 30),
+    }
+    MODELS = {
+        "drude": gold_drude(),
+        "plasma": gold_plasma(),
+        "eps2": ConstantModel(eps=2.0),
+        "table": TestCurvesAsArrays.drude_table(),
+    }
+    KINDS = [("energy",), ("pressure",), ("curvature",), ("energy", "curvature")]
+
+    @staticmethod
+    def kernel_values(monkeypatch):
+        values = []
+        kernel = lifshitz._kernel
+
+        def counting_kernel(*args):
+            out = kernel(*args)
+            values.append(out.size)
+            return out
+
+        monkeypatch.setattr(lifshitz, "_kernel", counting_kernel)
+        return values
+
+    @classmethod
+    @functools.cache
+    def tight(cls, grid, model):
+        """A direct 1e-12 pass of every kind, which no interpolant passes for."""
+        return lifshitz._t0_direct(cls.GRIDS[grid], cls.MODELS[model], 1e-12, lifshitz._KINDS)
+
+    @pytest.mark.parametrize("kinds", KINDS, ids=["energy", "pressure", "curvature", "fused"])
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_every_gap_meets_rel_tol_at_most_one_and_a_half_times_the_direct_cost(
+        self, monkeypatch, grid, model, kinds
+    ):
+        # a rejected interpolant costs its 12 nodes on top of the 30 gaps
+        tight = self.tight(grid, model)[[lifshitz._KINDS.index(kind) for kind in kinds]]
+        gaps, model = self.GRIDS[grid], self.MODELS[model]
+        values = self.kernel_values(monkeypatch)
+        for rel_tol in (1e-8, 1e-10):
+            values.clear()
+            direct = lifshitz._t0_direct(gaps, model, rel_tol, kinds)
+            direct_cost = sum(values)
+            values.clear()
+            got = lifshitz._t0_curve(gaps, model, rel_tol, kinds)
+            assert sum(values) <= 1.5 * direct_cost, rel_tol
+            assert np.all(np.abs(got / tight - 1.0) <= rel_tol), rel_tol
+
+    @pytest.mark.parametrize(
+        "gaps, kind, rel_tol",
+        [
+            (np.geomspace(1e-8, 1e-4, 30), "pressure", 1e-3),
+            (np.geomspace(1e-8, 1e-6, 30), "energy", 3e-5),
+        ],
+        ids=["wide-pressure", "small-gaps-energy"],
+    )
+    def test_trailing_coefficients_are_weighed_against_the_smallest_value(
+        self, gaps, kind, rel_tol
+    ):
+        # weighed against the largest coefficient, these trailing ones pass
+        # and the curves miss rel_tol by up to 1.9 times (wide-pressure), as
+        # the reduced integrals shrink toward small gaps
+        got = lifshitz._t0_curve(gaps, gold_drude(), rel_tol, (kind,))
+        tight = lifshitz._t0_direct(gaps, gold_drude(), 1e-12, (kind,))
+        assert np.all(np.abs(got / tight - 1.0) <= rel_tol)
+
+    @pytest.mark.parametrize("model", [gold_drude(), gold_plasma()], ids=["drude", "plasma"])
+    def test_the_benchmark_grid_is_interpolated_at_under_half_the_cost(self, monkeypatch, model):
+        grid = np.geomspace(0.7e-6, 7e-6, 30)
+        values = self.kernel_values(monkeypatch)
+        direct = lifshitz._t0_direct(grid, model, 1e-8, ("energy",))
+        direct_cost = sum(values)
+        values.clear()
+        got = lifshitz._lifshitz(grid, 0.0, model, 1e-8, ("energy",))[0]
+        assert sum(values) < 0.5 * direct_cost
+        want = HBAR * SPEED_OF_LIGHT / (32.0 * math.pi ** 2 * grid ** 3) * direct[0]
+        np.testing.assert_allclose(got, want, rtol=1e-8, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "gaps",
+        [
+            np.linspace(0.7e-6, 7e-6, 2 * lifshitz._T0_NODES - 1),
+            np.full(2 * lifshitz._T0_NODES, 1e-6),
+        ],
+        ids=["one-gap-short", "one-distinct-gap"],
+    )
+    def test_a_curve_without_an_interpolant_is_the_direct_path_bit_for_bit(self, gaps):
+        kinds = ("energy", "curvature")
+        got = lifshitz._t0_curve(gaps, gold_drude(), 1e-8, kinds)
+        np.testing.assert_array_equal(got, lifshitz._t0_direct(gaps, gold_drude(), 1e-8, kinds))
+
+    def test_an_error_at_a_node_names_the_curves_gap_range(self):
+        # the nodes are no gaps of the caller's: the message names the
+        # range of the curve's gaps, not the node's own gap
+        gaps = np.geomspace(1e-6, 5e-6, 30)
+        where = r"at d in \[1\.000e-06, 5\.000e-06\] m, T = 0 K, energy \("
+        with pytest.raises(ConvergenceError, match=where) as err:
+            lifshitz._lifshitz(gaps, 0.0, gold_drude(), 1e-16, ("energy",))
+        assert err.value.requested == 1e-16
+        assert err.value.achieved > err.value.requested
 
 
 class TestKernel:
