@@ -89,17 +89,20 @@ class CampaignConfig:
     seed: Optional[int] = None
 
     def __post_init__(self):
-        # types first, by field name, so no comparison below can raise
+        # types first, by field name, so no comparison below can raise; each
+        # number keeps the Python float or int it was checked as
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type is float and not is_finite_real(value):
                 raise ValidationError(f"{f.name} must be a finite number, got {value!r}")
             if f.type is int and not is_integer(value):
                 raise ValidationError(f"{f.name} must be an integer, got {value!r}")
-        if self.seed is not None and not (is_integer(self.seed) and self.seed >= 0):
-            raise ValidationError(
-                f"seed must be a non-negative integer or null, got {self.seed!r}"
-            )
+            if f.type in (float, int):
+                object.__setattr__(self, f.name, f.type(value))
+        seed = self.seed
+        if seed is not None and not (is_integer(seed) and seed >= 0):
+            raise ValidationError(f"seed must be a non-negative integer or null, got {seed!r}")
+        object.__setattr__(self, "seed", None if seed is None else int(seed))
         voltages = require_finite("sweep_voltages", self.sweep_voltages)
         if np.ndim(voltages) != 1 or not np.size(voltages):
             raise ValidationError(f"sweep_voltages must be a non-empty list, got {voltages}")

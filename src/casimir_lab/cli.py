@@ -209,6 +209,9 @@ def cmd_fit(args):
             raise ValidationError(
                 f"unknown model ids {missing}; choose from {sorted(by_id)}"
             )
+        repeated = sorted({m for m in wanted if wanted.count(m) > 1})
+        if repeated:
+            raise ValidationError(f"model ids named more than once: {repeated}")
         curves = [by_id[m] for m in wanted]
 
     ranked = discriminate_models(points, curves, R, delta)

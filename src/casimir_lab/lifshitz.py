@@ -28,17 +28,14 @@ x_n to the quadrature, which thins its graded opening.  At T = 0 the gaps
 computed directly take one 2-D integral per chunk of ``_T0_GAPS``
 consecutive gaps, each gap settled on its own scale in one kernel call per
 level, and the chunk size bounds the peak memory.  A T = 0 curve of at least
-2 ``_T0_NODES`` = 24 gaps, not all equal, is computed so on ``_T0_NODES``
-Chebyshev points in ln d over its range and interpolated to its gaps: the
-reduced integrals d^(3+m) F_m are analytic and vary slowly in ln d.  The
-interpolant is taken only when, for every kind, its last two coefficients,
-its error estimate as the coefficients of a smooth integral decay
-geometrically, are at most rel_tol times the smallest value at the nodes;
-otherwise every gap is computed directly, and the nodes were spent on top.
-Shorter curves, scalars and every T > 0 curve are computed gap by gap.  The
-ladder rows and the T = 0 levels build their tables and kernels the same
-way; the whole-grid temporaries of the Fresnel coefficients and kernels live
-in buffers reused across doubling levels and by every chunk of a curve.
+2 ``_T0_NODES`` = 24 gaps, not all equal, is interpolated in ln d from
+``_T0_NODES`` Chebyshev points over its range where the interpolant's error
+estimate allows (:func:`_t0_curve`); shorter curves, scalars and every T > 0
+curve are computed gap by gap.  The zero modes (the n = 0 row at x = 0), the
+ladder rows and the T = 0 levels read x, y, y^2 and exp(-y) from one node
+table and share one kernel; the whole-grid temporaries of the Fresnel
+coefficients and kernels live in buffers reused across doubling levels and
+by every family or chunk of a curve.
 
 The one accuracy setting, ``rel_tol`` in (0, 1e-3] (default 1e-8), is what
 every quadrature settles to.  Before any eps(i xi) or integral runs, a
@@ -250,20 +247,20 @@ def _zero_mode_model(model):
     raise TypeError(f"unknown dielectric model {type(model).__name__}")
 
 
-def _kernel(r, nodes, kinds, buffers):
+def _kernel(r, table, kinds, buffers):
     """Energy y ln(1 - s), pressure y^2 s/(1 - s) or curvature y^3 s/(1 - s)^2
     integrand of each of ``kinds``, s = r^2 exp(-y), summed over TE and TM;
-    ``nodes`` is (y, exp(-y)), r is overwritten, and the result is buffer
-    "kernel" of ``buffers``.  The energy's two logs are one
-    log1p(s_te s_tm - s_te - s_tm), a few ulp from their sum, or
+    y, y^2 and exp(-y) come from the :func:`_table`, r is overwritten, and
+    the result is buffer "kernel" of ``buffers``.  The energy's two logs are
+    one log1p(s_te s_tm - s_te - s_tm), a few ulp from their sum, or
     ~ulp(1)/((1 - s_te)(1 - s_tm)) as s -> 1; ln((1 - s_te)(1 - s_tm))
     would drop the digits of s below ulp(1), all a row high up a ladder has.
     """
     # in place: on the T = 0 grid every temporary is a whole (gap, x, t)
     # array, and their number sets the peak memory; r may carry a gap axis
-    # that y lacks.  TE writes each total but the energy's, and TM adds its
-    # term from the buffer of s_te, spent by then
-    y, expy = nodes
+    # that the table lacks.  TE writes each total but the energy's, and TM
+    # adds its term from the buffer of s_te, spent by then
+    _, y, y2, expy = table
     s_te, s_tm = (np.multiply(np.square(rp, out=rp), expy, out=rp) for rp in r)
     out = buffers.take("kernel", (len(kinds),) + s_te.shape)
     for p, s in enumerate((s_te, s_tm)):
@@ -276,8 +273,6 @@ def _kernel(r, nodes, kinds, buffers):
                 np.divide(s, term if kind == "pressure" else np.square(term, out=term), out=term)
                 if p:
                     total += term
-    if set(kinds) - {"energy"}:
-        y2 = np.square(y, out=s_te.reshape(-1)[:y.size].reshape(y.shape))  # s_te is spent
     for total, kind in zip(out, kinds):
         total *= y if kind == "energy" else y2
         if kind == "curvature":
@@ -286,10 +281,11 @@ def _kernel(r, nodes, kinds, buffers):
 
 
 def _table(x, t):
-    """x, y = x + t, y^2 and exp(-y) at reduced frequency x = 2 xi d / c > 0
-    and t = y - x: a column of (gap, n) Matsubara rows against the y nodes on
-    the ladder, the (nc, n, 1) frequency nodes of nc rectangles against their
-    (nc, 1, n) t nodes in the T = 0 integral, the same for every gap."""
+    """x, y = x + t, y^2 and exp(-y), what every :func:`_kernel` call reads,
+    at reduced frequency x = 2 xi d / c and t = y - x: x = 0 or a column of
+    (gap, n) Matsubara rows against the y nodes on the ladder, the (nc, n, 1)
+    frequency nodes of nc rectangles against their (nc, 1, n) t nodes in the
+    T = 0 integral, the same for every gap."""
     y = x + t
     return x, y, y * y, np.exp(-y)
 
@@ -298,8 +294,8 @@ def _integrand(table, eps, kinds, buffers):
     """Kernel of ``kinds`` on a :func:`_table`; ``eps`` is eps(i xi) shaped
     like its x, one value per frequency, or (gaps, nc, n, 1) for the gaps of
     a T = 0 chunk, which share the table."""
-    x, y, y2, expy = table
-    return _kernel(_fresnel(y, y2, x, eps, buffers), (y, expy), kinds, buffers)
+    x, y, y2, _ = table
+    return _kernel(_fresnel(y, y2, x, eps, buffers), table, kinds, buffers)
 
 
 def _matsubara_ladder(d, T, model, rel_tol, kinds):
@@ -331,15 +327,17 @@ def _matsubara_ladder(d, T, model, rel_tol, kinds):
     eps = np.asarray(eps_imag_axis(model, xi))
     zero = _zero_mode_model(model)
 
-    # zero modes on y = 2 k d, whose y ln y endpoint keeps the full layout
-    i_zero = np.empty((len(kinds), d.size))
+    # zero modes on y = 2 k d, the n = 0 row at x = 0, whose y ln y
+    # endpoint keeps the full layout.  They and the rows share the buffers:
+    # every family but the last has _LADDER_ROWS members
+    buffers, i_zero = _Buffers(), np.empty((len(kinds), d.size))
     for start in range(0, d.size, _LADDER_ROWS):
         family = slice(start, start + _LADDER_ROWS)
-        column, buffers = d[family, None], _Buffers()
+        column = d[family, None]
         with _located(d[family], T, kinds):
             i_zero[:, family] = integrate_decaying(
                 lambda y: _kernel(reflection_coeffs_zero_mode(y / (2.0 * column), zero),
-                                  (y, np.exp(-y)), kinds, buffers),
+                                  _table(0.0, y), kinds, buffers),
                 rel_tol,
             )
 
@@ -348,7 +346,6 @@ def _matsubara_ladder(d, T, model, rel_tol, kinds):
     gap = np.repeat(np.arange(d.size), n_rows)
     n = np.arange(gap.size) - starts[gap] + 1
     rows = np.empty((len(kinds), gap.size))
-    buffers = _Buffers()  # every chunk but the last has _LADDER_ROWS rows
     for start in range(0, gap.size, _LADDER_ROWS):
         chunk = slice(start, start + _LADDER_ROWS)
         x = (dx[gap[chunk]] * n[chunk])[:, None]
@@ -364,12 +361,10 @@ def _matsubara_ladder(d, T, model, rel_tol, kinds):
 
 @contextmanager
 def _located(gaps, T, kinds, each_gap=False, span=None):
-    """Re-raise a ConvergenceError of the block with where it ran: a gap or
-    the range of a chunk of gaps, the temperature and the kind.  The error's
-    flat index runs over the kinds, or over (kind, gap)
-    when ``each_gap`` settles every gap of ``gaps`` on its own; then the
-    message names that gap, or the range of ``span`` when given: the curve
-    that gaps such as interpolation nodes, which no caller passed, serve."""
+    """Re-raise a ConvergenceError of the block with where it ran: the gap or
+    range of ``gaps``, the temperature and the kind.  With ``each_gap`` the
+    error's flat index runs over (kind, gap) and the message names that gap,
+    or the range of ``span``, the curve that interpolation nodes serve."""
     try:
         yield
     except ConvergenceError as exc:
@@ -560,14 +555,11 @@ def force_sphere_plane_grid(separations, T, R, model, rel_tol=1e-8):
     """Sphere-plane force on a 1-D separation grid, in N.
 
     The forces :func:`force_sphere_plane` gives gap by gap, to within
-    rel_tol, computed as one curve: at T > 0 one Matsubara ladder over all
-    gaps (eps(i xi_n) once, gaps batched into quadrature families), at T = 0
-    one 2-D integral per chunk of a few gaps, each gap settled on its own
-    scale.  A T = 0 grid of 24 or more gaps, not all equal, is interpolated
-    in ln d from 12 Chebyshev nodes over its range when the interpolant's
-    last two coefficients, its error estimate, are at most rel_tol times the
-    smallest node value, and computed gap by gap otherwise.  Every gap is validated
-    before any integral runs; an empty grid gives an empty array.
+    rel_tol, computed as one curve (see the module notes): at T > 0 one
+    Matsubara ladder over all gaps, at T = 0 chunks of a few gaps or, on 24
+    or more gaps, an interpolant in ln d where its error estimate allows.
+    Every gap is validated before any integral runs; an empty grid gives an
+    empty array.
     """
     separations = require_positive("separation", separations)
     if np.ndim(separations) != 1:

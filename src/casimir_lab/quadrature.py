@@ -129,18 +129,18 @@ def _level(cells, n):
     return level
 
 
-def _settle(estimate, cells, rel_tol, node_start, node_cap):
+def _settle(estimate, cells, rel_tol, node_cap):
     """Totals of the cells of ``estimate(cells, n)`` (last axis), doubling n
     on each cell until its change in every kind is at most rel_tol times the
     largest first-pass total or cell estimate of that kind's family, the
     axis before the cells; one call of ``estimate`` per doubling level.  Axes
     in front of the family index kinds; a ConvergenceError keeps the worst."""
-    first = estimate(cells, node_start)
+    first = estimate(cells, _NODE_START)
     estimates = first.reshape((-1,) + np.atleast_2d(first).shape[-2:])  # (kinds, members, cells)
     kinds, tiny = len(estimates), np.finfo(float).tiny
     # the change each kind allows a cell: rel_tol times the kind's scale
     limit = rel_tol * np.maximum(np.abs(estimates.sum(axis=-1)).max(axis=1, keepdims=True), tiny)
-    n = node_start
+    n = _NODE_START
     while cells.size:
         n *= 2
         refined = estimate(cells, n).reshape(kinds, -1, cells.size)
@@ -185,7 +185,7 @@ def integrate_decaying(f, rel_tol, offset=0.0):
         vals = np.asarray(f(x.ravel()))
         return half * (vals.reshape(vals.shape[:-1] + x.shape) @ w)
 
-    return _settle(estimate, np.arange(len(_EDGES) - 1 - skip), rel_tol, _NODE_START, 192)
+    return _settle(estimate, np.arange(len(_EDGES) - 1 - skip), rel_tol, 192)
 
 
 def integrate_decaying_2d(f, rel_tol):
@@ -210,4 +210,4 @@ def integrate_decaying_2d(f, rel_tol):
         x, t, row, area, w = _level(tuple(cells.tolist()), n)
         return (area * (f(x, t, row) @ w @ w))[..., None, :]
 
-    return _settle(estimate, np.arange(_RECTANGLES[0].size), rel_tol, _NODE_START, 96)[..., 0][()]
+    return _settle(estimate, np.arange(_RECTANGLES[0].size), rel_tol, 96)[..., 0][()]

@@ -140,6 +140,28 @@ class TestConfig:
         save_config(path, cfg)
         assert load_config(path) == cfg
 
+    def test_numpy_numbers_are_kept_as_python_numbers(self, tmp_path):
+        # numpy scalars and an int radius are stored as the Python int or
+        # float they were checked as, so the config writes as JSON
+        cfg = small_config(
+            n_sweeps=np.int64(5),
+            n_separations=np.int32(6),
+            seed=np.int64(3),
+            d_min=np.float64(0.8e-6),
+            noise_sigma=np.float32(0.5),
+            radius=1,
+        )
+        for name, kind in (("n_sweeps", int), ("n_separations", int), ("seed", int),
+                           ("d_min", float), ("noise_sigma", float), ("radius", float)):
+            assert type(getattr(cfg, name)) is kind, name
+        assert (cfg.n_sweeps, cfg.n_separations, cfg.seed) == (5, 6, 3)
+        assert (cfg.d_min, cfg.noise_sigma, cfg.radius) == (0.8e-6, 0.5, 1.0)
+        path = tmp_path / "cfg.json"
+        save_config(path, cfg)
+        back = load_config(path)
+        assert back == cfg
+        assert all(type(getattr(back, name)) is type(getattr(cfg, name)) for name in vars(cfg))
+
     def test_unknown_field_rejected(self):
         d = config_to_dict(small_config())
         d["mystery"] = 1

@@ -396,6 +396,20 @@ class TestFit:
         assert main(argv + ["--models", "drude_300k"]) == 2
         assert "unknown model ids ['drude_300k']" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("models", ["drude_t0,drude_t0", "plasma_t0,drude_300k,plasma_t0"])
+    def test_a_model_id_named_twice_is_two_and_writes_nothing(
+        self, tmp_path, campaign_csv, capsys, models
+    ):
+        report = tmp_path / "report.json"
+        argv = ["fit", "--data", str(campaign_csv), "--models", models, "--out", str(report)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "model ids named more than once: ['" in captured.err
+        assert models.split(",")[0] in captured.err
+        assert captured.out == ""
+        assert not report.exists()
+        assert not tmp_path.joinpath("report.json.manifest.json").exists()
+
     def test_fit_rerun_byte_identical(self, tmp_path, campaign_csv):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         main(["fit", "--data", str(campaign_csv), "--models", "drude_300k", "--out", str(a)])

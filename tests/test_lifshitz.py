@@ -945,8 +945,8 @@ class TestLadderLayout:
         values = []
         kernel = lifshitz._kernel
 
-        def counting(r, y, kinds, buffers):
-            out = kernel(r, y, kinds, buffers)
+        def counting(r, table, kinds, buffers):
+            out = kernel(r, table, kinds, buffers)
             values.append(out[0].size)
             return out
 
@@ -1246,17 +1246,52 @@ class TestKernel:
         s = 1e-30 none, and a Matsubara row far up a ladder is all such s.
         """
         pairs = np.array(list(itertools.product(self.S, repeat=2))).T
-        y = np.ones(pairs.shape[1])  # the kernel's factor y is then exact
-        expy = np.exp(-y)
+        table = lifshitz._table(0.0, np.ones(pairs.shape[1]))  # the factor y is then exact
+        expy = table[3]
         r = np.sqrt(pairs / expy)
         s_te, s_tm = np.square(r) * expy  # as the kernel forms s
         want = np.log1p(-s_te) + np.log1p(-s_tm)
-        got = lifshitz._kernel(r.copy(), (y, expy), ("energy",), lifshitz._Buffers())[0]
+        got = lifshitz._kernel(r.copy(), table, ("energy",), lifshitz._Buffers())[0]
         small = (s_te <= 0.5) & (s_tm <= 0.5)
         np.testing.assert_array_max_ulp(got[small], want[small], maxulp=4)
         ulp = np.finfo(float).eps
         bound = 2.0 * ulp / ((1.0 - s_te) * (1.0 - s_tm)) + 2.0 * ulp * np.abs(want)
         assert np.all(np.abs(got - want) <= bound)
+
+    #: |r| <= 1 at y != 1, so y, y^2 and y^3 differ; x = t = y/2 exactly
+    R = (0.0, 1e-150, 1e-15, 1e-3, 0.5, 0.99, 1.0)
+    Y = (1e-3, 0.3, 2.5, 17.0)
+
+    def rows(self):
+        """A table of the Y as a column, r of every (r_te, r_tm) pair of R
+        on each row, and s = r^2 exp(-y) as the kernel forms it."""
+        half = 0.5 * np.array(self.Y)[:, None]
+        table = lifshitz._table(half, half)
+        pairs = np.array(list(itertools.product(self.R, repeat=2))).T
+        r = np.repeat(pairs[:, None, :], len(self.Y), axis=1)
+        return table, r, np.square(r) * table[3]
+
+    @pytest.mark.parametrize("kind, power", [("pressure", 1), ("curvature", 2)])
+    def test_pressure_and_curvature_against_their_sums(self, kind, power):
+        # pressure y^2 sum s/(1 - s), curvature y^3 sum s/(1 - s)^2, with
+        # y^2 read from the table
+        table, r, (s_te, s_tm) = self.rows()
+        y = table[1]
+        assert np.array_equal(y[:, 0], self.Y)
+        want = y ** (power + 1) * (s_te / (1.0 - s_te) ** power + s_tm / (1.0 - s_tm) ** power)
+        got = lifshitz._kernel(r, table, (kind,), lifshitz._Buffers())[0]
+        assert got.shape == want.shape
+        np.testing.assert_array_max_ulp(got, want, maxulp=4)
+
+    @pytest.mark.parametrize(
+        "kinds", [("energy", "curvature"), lifshitz._KINDS], ids=["energy-curvature", "all"]
+    )
+    def test_a_fused_call_gives_each_kind_its_single_call_bit_for_bit(self, kinds):
+        table, r, _ = self.rows()
+        fused = lifshitz._kernel(r.copy(), table, kinds, lifshitz._Buffers())
+        for kind, got in zip(kinds, fused):
+            alone = lifshitz._kernel(r.copy(), table, (kind,), lifshitz._Buffers())[0]
+            np.testing.assert_array_equal(got, alone, err_msg=kind)
 
 
 class TestSensitivityBand:
