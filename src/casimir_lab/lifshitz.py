@@ -18,10 +18,14 @@ for every rectangle whose kernel it enters.
 
 Every entry point takes a float or an array of gaps (a float gives a float,
 computed as a grid of one).  At T > 0 a curve is one ladder: one eps(i xi_n)
-evaluation, as xi_n does not depend on the gap, the zero modes of up to
-``_LADDER_ROWS`` gaps in one quadrature family, and the (gap, n) rows of the
-curve packed into families of ``_LADDER_ROWS`` rows, so memory is bounded at
-any T.  A gap's rows stop below x_n = 2 xi_n d / c = DEFAULT_CUTOFF/2 = 40,
+evaluation per model, as xi_n does not depend on the gap, the Drude zero mode
+in closed form and any other of up to ``_LADDER_ROWS`` gaps in one
+quadrature family, and the (gap, n) rows of the curve packed into families
+of ``_LADDER_ROWS`` rows, so memory is bounded at any T.  The rows do not
+depend on the model either, so the parameter sets of a sensitivity band
+share one ladder: a model axis rides through every row family next to the
+kinds, and more than three models take fewer rows to a family to hold its
+memory.  A gap's rows stop below x_n = 2 xi_n d / c = DEFAULT_CUTOFF/2 = 40,
 where its terms fall under exp(-40) of the sum.  A row starts at y = x_n,
 clear of the y ln y endpoint at y = 0, so a row family passes its smallest
 x_n to the quadrature, which thins its graded opening.  At T = 0 the gaps
@@ -31,11 +35,11 @@ level, and the chunk size bounds the peak memory.  A T = 0 curve of at least
 2 ``_T0_NODES`` = 24 gaps, not all equal, is interpolated in ln d from
 ``_T0_NODES`` Chebyshev points over its range where the interpolant's error
 estimate allows (:func:`_t0_curve`); shorter curves, scalars and every T > 0
-curve are computed gap by gap.  The zero modes (the n = 0 row at x = 0), the
-ladder rows and the T = 0 levels read x, y, y^2 and exp(-y) from one node
-table and share one kernel; the whole-grid temporaries of the Fresnel
-coefficients and kernels live in buffers reused across doubling levels and
-by every family or chunk of a curve.
+curve are computed gap by gap.  The integrated zero modes (the n = 0 row at
+x = 0), the ladder rows and the T = 0 levels read x, y, y^2 and exp(-y) from
+one node table and share one kernel; the whole-grid temporaries of the
+Fresnel coefficients and kernels live in buffers reused across doubling
+levels and by every family or chunk of a curve.
 
 The one accuracy setting, ``rel_tol`` in (0, 1e-3] (default 1e-8), is what
 every quadrature settles to.  Before any eps(i xi) or integral runs, a
@@ -48,7 +52,8 @@ exp(-y); the k-integral for Matsubara index n starts at y_min = 2 xi_n d / c.
 At fixed (k, xi) the gap enters only through exp(-y), so d/dd of each kernel
 is the next one of the same family.  The kinds share eps(i xi), the Fresnel
 coefficients and exp(-y), so F and F'' of a fluctuation-corrected curve come
-from one fused pass, each kind refined to rel_tol on its own scale.
+from one fused pass, each kind refined to rel_tol on its own scale, and so
+does every model of a ladder.
 
 Sign convention: free energy negative, attractive pressures and forces
 positive, as sphere-plane force curves are usually plotted.
@@ -57,6 +62,8 @@ The n = 0 term is a model-family dispatch, never a numerical xi -> 0 limit:
 a dissipative free-electron metal loses its zero-frequency TE mode entirely,
 a dissipationless one keeps it.  The finite-temperature force difference
 between those two descriptions is the physics this package exists to model.
+With r = (0, 1) the Drude term is a zeta(3) closed form; the plasma and
+dielectric ones are integrated.
 """
 
 import math
@@ -102,10 +109,15 @@ PFA_RATIO_LIMIT = 1e-3
 
 #: (gap, n) rows the Matsubara ladder integrates in one family: a curve's
 #: rows are packed gap after gap into families of this many, the last one
-#: shorter, so a ladder's memory is bounded at any T.  The zero modes settle
-#: in families of up to this many gaps.  Peak memory grows with it: against
-#: one gap per family, 80 rows add ~0.5 MB (1.4 %) to the band workload's
-#: peak RSS, 200 rows ~1.7 MB.
+#: shorter, so a ladder's memory is bounded at any T.  Every model of a
+#: ladder rides in each family, and one of more than three models holds
+#: 3 _LADDER_ROWS (model, row) pairs to a family.  The zero modes settle in
+#: families of up to this many gaps.  Peak memory grows with it: against one
+#: gap per family, 80 rows add ~0.5 MB (1.4 %) to the band workload's peak
+#: RSS, 200 rows ~1.7 MB.  One ladder for the band's five Drude models and
+#: one for its three plasma models, both 240 (model, row) pairs to a family,
+#: add ~0.43 MB against a ladder per model; 80-row families of the five
+#: Drude models would add ~0.74 MB.
 _LADDER_ROWS = 80
 
 #: Gaps one T = 0 integral settles together, each on its own scale, in one
@@ -136,6 +148,11 @@ _C = SPEED_OF_LIGHT
 
 #: The kernel kinds, the m-th gaining a factor 1/d^m over the energy.
 _KINDS = ("energy", "pressure", "curvature")
+
+#: The Drude zero mode's y-integral of each kind: with r = (0, 1) at every
+#: gap the kernels are sums over j of y^(m+1) exp(-j y) times -1/j, 1 and j,
+#: so the integrals are -zeta(3), 2 zeta(3) and 6 zeta(3).
+_DRUDE_ZERO_MODE = {"energy": -ZETA3, "pressure": 2.0 * ZETA3, "curvature": 6.0 * ZETA3}
 
 
 class ReflectionPair(NamedTuple):
@@ -257,9 +274,9 @@ def _kernel(r, table, kinds, buffers):
     would drop the digits of s below ulp(1), all a row high up a ladder has.
     """
     # in place: on the T = 0 grid every temporary is a whole (gap, x, t)
-    # array, and their number sets the peak memory; r may carry a gap axis
-    # that the table lacks.  TE writes each total but the energy's, and TM
-    # adds its term from the buffer of s_te, spent by then
+    # array, and their number sets the peak memory; r may carry a gap or a
+    # model axis that the table lacks.  TE writes each total but the
+    # energy's, and TM adds its term from the buffer of s_te, spent by then
     _, y, y2, expy = table
     s_te, s_tm = (np.multiply(np.square(rp, out=rp), expy, out=rp) for rp in r)
     out = buffers.take("kernel", (len(kinds),) + s_te.shape)
@@ -292,24 +309,30 @@ def _table(x, t):
 
 def _integrand(table, eps, kinds, buffers):
     """Kernel of ``kinds`` on a :func:`_table`; ``eps`` is eps(i xi) shaped
-    like its x, one value per frequency, or (gaps, nc, n, 1) for the gaps of
-    a T = 0 chunk, which share the table."""
+    like its x, one value per frequency, with a leading axis for the models
+    of a ladder, or (gaps, nc, n, 1) for the gaps of a T = 0 chunk, which
+    share the table."""
     x, y, y2, _ = table
     return _kernel(_fresnel(y, y2, x, eps, buffers), table, kinds, buffers)
 
 
-def _matsubara_ladder(d, T, model, rel_tol, kinds):
-    """Matsubara sums of the dimensionless y-integrals, one per kind and gap.
+def _matsubara_ladder(d, T, models, rel_tol, kinds):
+    """Matsubara sums of the dimensionless y-integrals, one per kind, model
+    and gap.
 
-    Returns sum'_n I_n, shaped (len(kinds), d.size) for the 1-D array ``d``,
-    with I_n the y-integral of each kernel of ``kinds``, n = 1 and every n
-    with x_n = 4 pi k_B T d n / (hbar c) below DEFAULT_CUTOFF/2.  The zero
-    modes settle first, one quadrature call per ``_LADDER_ROWS`` gaps; then
-    the (gap, n) rows of the curve, gap after gap, in chunks of
-    ``_LADDER_ROWS``, each on the panel layout of its smallest x.  Every kind
-    rides in each call.  A curve with a gap whose ladder needs more than
-    ``_MAX_MATSUBARA`` terms is refused with a ValidationError before eps(i
-    xi) or any integral runs.
+    Returns sum'_n I_n, shaped (len(kinds), len(models), d.size) for the 1-D
+    array ``d``, with I_n the y-integral of each kernel of ``kinds``, n = 1
+    and every n with x_n = 4 pi k_B T d n / (hbar c) below DEFAULT_CUTOFF/2.
+    The rows, xi_n and node tables do not depend on the model, only eps(i
+    xi_n) does: it is computed once per model, and every model rides in each
+    row family, each (kind, model) settled on its own scale.  The zero modes
+    come first, the Drude one in closed form, any other one quadrature call
+    per distinct zero-mode model and ``_LADDER_ROWS`` gaps; then the (gap, n)
+    rows of the curve, gap after gap, in families of ``_LADDER_ROWS`` rows,
+    or of 3 ``_LADDER_ROWS`` (model, row) pairs for more than three models,
+    each on the panel layout of its smallest x.  A curve with a gap whose
+    ladder needs more than ``_MAX_MATSUBARA`` terms is refused with a
+    ValidationError before eps(i xi) or any integral runs.
     """
     dx = 4.0 * math.pi * BOLTZMANN * T * d / (HBAR * _C)
     # past x_n = 40 terms are below exp(-40) of the sum, the T = 0 layout's
@@ -324,47 +347,56 @@ def _matsubara_ladder(d, T, model, rel_tol, kinds):
         )
     n_rows = n_rows.astype(int)
     xi = 2.0 * math.pi * BOLTZMANN * T / HBAR * np.arange(1, n_rows.max() + 1)
-    eps = np.asarray(eps_imag_axis(model, xi))
-    zero = _zero_mode_model(model)
+    eps = np.array([eps_imag_axis(model, xi) for model in models])
+    # an error names the model only where the ladder has more than one
+    named = models if len(models) > 1 else ()
 
     # zero modes on y = 2 k d, the n = 0 row at x = 0, whose y ln y
-    # endpoint keeps the full layout.  They and the rows share the buffers:
-    # every family but the last has _LADDER_ROWS members
-    buffers, i_zero = _Buffers(), np.empty((len(kinds), d.size))
-    for start in range(0, d.size, _LADDER_ROWS):
-        family = slice(start, start + _LADDER_ROWS)
-        column = d[family, None]
-        with _located(d[family], T, kinds):
-            i_zero[:, family] = integrate_decaying(
-                lambda y: _kernel(reflection_coeffs_zero_mode(y / (2.0 * column), zero),
-                                  _table(0.0, y), kinds, buffers),
-                rel_tol,
-            )
+    # endpoint keeps the full layout.  They and the rows share the buffers
+    buffers, i_zero = _Buffers(), np.empty((len(kinds), len(models), d.size))
+    zeros = [_zero_mode_model(model) for model in models]
+    for zero in dict.fromkeys(zeros):
+        members = [j for j, other in enumerate(zeros) if other == zero]
+        if isinstance(zero, DrudeModel):
+            i_zero[:, members] = [[[_DRUDE_ZERO_MODE[kind]]] for kind in kinds]
+            continue
+        for start in range(0, d.size, _LADDER_ROWS):
+            family = slice(start, start + _LADDER_ROWS)
+            column = d[family, None]
+            with _located(d[family], T, kinds, (zero,) if named else ()):
+                i_zero[:, members, family] = integrate_decaying(
+                    lambda y: _kernel(reflection_coeffs_zero_mode(y / (2.0 * column), zero),
+                                      _table(0.0, y), kinds, buffers),
+                    rel_tol,
+                )[:, None]
 
     # row r of the curve is term n[r] of gap[r]
     starts = np.cumsum(n_rows) - n_rows
     gap = np.repeat(np.arange(d.size), n_rows)
     n = np.arange(gap.size) - starts[gap] + 1
-    rows = np.empty((len(kinds), gap.size))
-    for start in range(0, gap.size, _LADDER_ROWS):
-        chunk = slice(start, start + _LADDER_ROWS)
+    rows = np.empty((len(kinds), len(models), gap.size))
+    size = max(1, min(_LADDER_ROWS, 3 * _LADDER_ROWS // len(models)))
+    for start in range(0, gap.size, size):
+        chunk = slice(start, start + size)
         x = (dx[gap[chunk]] * n[chunk])[:, None]
-        eps_rows = eps[n[chunk] - 1][:, None]
+        eps_rows = eps[:, n[chunk] - 1, None]
         # a row in t = y - x_n has its y ln y endpoint at t = -x_n, so the
         # smallest x_n of the chunk is how far the graded opening may thin
-        with _located(d[gap[chunk]], T, kinds):
-            rows[:, chunk] = integrate_decaying(
+        with _located(d[gap[chunk]], T, kinds, named):
+            rows[..., chunk] = integrate_decaying(
                 lambda t: _integrand(_table(x, t), eps_rows, kinds, buffers), rel_tol, x.min()
             )
-    return 0.5 * i_zero + np.add.reduceat(rows, starts, axis=1)
+    return 0.5 * i_zero + np.add.reduceat(rows, starts, axis=-1)
 
 
 @contextmanager
-def _located(gaps, T, kinds, each_gap=False, span=None):
+def _located(gaps, T, kinds, models=(), each_gap=False, span=None):
     """Re-raise a ConvergenceError of the block with where it ran: the gap or
-    range of ``gaps``, the temperature and the kind.  With ``each_gap`` the
-    error's flat index runs over (kind, gap) and the message names that gap,
-    or the range of ``span``, the curve that interpolation nodes serve."""
+    range of ``gaps``, the temperature, the kind and, given ``models``, the
+    model.  The error's flat index runs over (kind, model), or (kind) without
+    ``models``; with ``each_gap`` over (kind, gap), and the message names
+    that gap, or the range of ``span``, the curve that interpolation nodes
+    serve."""
     try:
         yield
     except ConvergenceError as exc:
@@ -372,9 +404,11 @@ def _located(gaps, T, kinds, each_gap=False, span=None):
         if each_gap:
             index, gap = divmod(index, len(gaps))
             gaps = gaps[gap] if span is None else span
+        kind, model = divmod(index, max(len(models), 1))
         lo, hi = np.min(gaps), np.max(gaps)
         at = f"d = {lo:.3e} m" if lo == hi else f"d in [{lo:.3e}, {hi:.3e}] m"
-        message = f"{exc.message} at {at}, T = {T:g} K, {kinds[index]}"
+        of = f" of {models[model]!r}" if models else ""
+        message = f"{exc.message} at {at}, T = {T:g} K, {kinds[kind]}{of}"
         raise ConvergenceError(message, exc.achieved, exc.requested) from exc
 
 
@@ -433,11 +467,12 @@ def _t0_curve(gaps, model, rel_tol, kinds):
     return _t0_direct(gaps, model, rel_tol, kinds)
 
 
-def _lifshitz(d, T, model, rel_tol, kinds):
-    """Energy, pressure or curvature per plate area of each of ``kinds``, from
-    one pass: the (x, t) integral at T = 0 times hbar c / (32 pi^2 d^(3+m)),
-    else the Matsubara ladder times k_B T / (8 pi d^(2+m)), m = 0, 1, 2.  Per
-    kind a float for a float ``d``, an array of its shape for an array.
+def _lifshitz_models(d, T, models, rel_tol, kinds):
+    """Energy, pressure or curvature per plate area of each of ``kinds`` and
+    ``models`` at the gaps of ``d``, shaped (len(kinds), len(models),
+    d.size), from one pass: the (x, t) integral at T = 0, one curve per
+    model, times hbar c / (32 pi^2 d^(3+m)), else one Matsubara ladder for
+    every model times k_B T / (8 pi d^(2+m)), m = 0, 1, 2.
 
     Every entry point comes through here, so d, T and rel_tol are checked
     once, before any integral runs; the ladder refuses a T d below its floor
@@ -448,13 +483,18 @@ def _lifshitz(d, T, model, rel_tol, kinds):
     rel_tol = require_tolerance(rel_tol)
     gaps = np.ravel(d)
     # float, as integer exponents make numpy cast through buffers: +0.15 MB peak RSS
-    m = np.array([[_KINDS.index(kind)] for kind in kinds], dtype=float)
+    m = np.array([[[_KINDS.index(kind)]] for kind in kinds], dtype=float)
     if T == 0.0:
-        integrals = _t0_curve(gaps, model, rel_tol, kinds)
-        values = HBAR * _C / (32.0 * math.pi ** 2 * gaps ** (3 + m)) * integrals
-    else:
-        ladders = _matsubara_ladder(gaps, T, model, rel_tol, kinds) if gaps.size else 0.0
-        values = BOLTZMANN * T / math.pi / (8.0 * gaps ** (2 + m)) * ladders
+        integrals = np.stack([_t0_curve(gaps, model, rel_tol, kinds) for model in models], axis=1)
+        return HBAR * _C / (32.0 * math.pi ** 2 * gaps ** (3 + m)) * integrals
+    ladders = _matsubara_ladder(gaps, T, models, rel_tol, kinds) if gaps.size else 0.0
+    return BOLTZMANN * T / math.pi / (8.0 * gaps ** (2 + m)) * ladders
+
+
+def _lifshitz(d, T, model, rel_tol, kinds):
+    """:func:`_lifshitz_models` of the one ``model``: per kind a float for a
+    float ``d``, an array of its shape for an array."""
+    values = _lifshitz_models(d, T, (model,), rel_tol, kinds)[:, 0]
     return [float(v[0]) if np.ndim(d) == 0 else v.reshape(np.shape(d)) for v in values]
 
 
@@ -593,7 +633,9 @@ def sensitivity_band(
     (omega_p_range x gamma_range) plus the central parameter set and
     returns the per-separation min/center/max.  The plasma family has no
     dissipation parameter, so the gamma axis collapses there and three
-    curves remain.  Each distinct parameter set is evaluated once.
+    curves remain.  Each distinct parameter set is evaluated once: at T > 0
+    one ladder for every distinct parameter set, as they share its rows and
+    node tables, at T = 0 one curve each.
 
     Parameters
     ----------
@@ -633,14 +675,12 @@ def sensitivity_band(
         raise ValueError(f"model family must be 'drude' or 'plasma', got {model_family!r}")
 
     # a degenerate range repeats a parameter set; each distinct one runs once
-    curves = {
-        model: force_sphere_plane_grid(d_grid, T, R, model, rel_tol)
-        for model in dict.fromkeys(models + [center])
-    }
-    stacked = np.vstack(list(curves.values()))
+    distinct = tuple(dict.fromkeys(models + [center]))
+    pfa = _pfa(d_grid, R)
+    forces = pfa * np.abs(_lifshitz_models(d_grid, T, distinct, rel_tol, ("energy",))[0])
     return BandResult(
         separations=d_grid,
-        f_min=stacked.min(axis=0),
-        f_center=curves[center],
-        f_max=stacked.max(axis=0),
+        f_min=forces.min(axis=0),
+        f_center=forces[distinct.index(center)],
+        f_max=forces.max(axis=0),
     )

@@ -20,7 +20,9 @@ from casimir_lab import lifshitz
 from casimir_lab.constants import BOLTZMANN, HBAR, SPEED_OF_LIGHT, ZETA3
 from casimir_lab.dielectric import (
     ConstantModel,
+    DrudeModel,
     OpticalTable,
+    PlasmaModel,
     TabulatedModel,
     gold_drude,
     gold_plasma,
@@ -289,6 +291,25 @@ class TestIndependentOracles:
             assert engine == pytest.approx(got, rel=1e-9)
 
         assert quad_ratio(CROSSOVER_UM * 0.999e-6) < 1.0 < quad_ratio(CROSSOVER_UM * 1.001e-6)
+
+    @pytest.mark.parametrize(
+        "kind, value", [("energy", -ZETA3), ("pressure", 2.0 * ZETA3), ("curvature", 6.0 * ZETA3)]
+    )
+    def test_drude_zero_mode_is_its_zeta3_closed_form(self, kind, value):
+        # r = (0, 1): the kernels are sums over j of y^(m+1) exp(-j y) times
+        # -1/j, 1 and j.  The quadrature of that kernel lands on the closed
+        # form, and a ladder whose only row is below exp(-49) of its n = 0
+        # term is half of it, for a Drude model and a table extrapolating as one
+        def zero_mode(y):
+            r = lifshitz.ReflectionPair(np.zeros_like(y), np.ones_like(y))
+            return lifshitz._kernel(r, lifshitz._table(0.0, y), (kind,), lifshitz._Buffers())
+
+        quadrature = lifshitz.integrate_decaying(zero_mode, 1e-12)[0]
+        assert quadrature == pytest.approx(value, rel=1e-13, abs=0.0)
+        assert lifshitz._DRUDE_ZERO_MODE[kind] == value
+        models = (gold_drude(), TestCurvesAsArrays.drude_table())
+        ladder = lifshitz._matsubara_ladder(np.array([30e-6]), 300.0, models, 1e-8, (kind,))
+        np.testing.assert_allclose(ladder, 0.5 * value, rtol=1e-15, atol=0.0)
 
     def test_plasma_t0_follows_its_skin_depth_series(self):
         # the series truncated after x^3 is off by O(x^4), under 1e-6 for
@@ -787,16 +808,19 @@ class TestCurvesAsArrays:
         x_1 = 4.0 * math.pi * BOLTZMANN * 300.0 * gaps / (HBAR * SPEED_OF_LIGHT)
         rows = np.maximum(np.ceil(40.0 / x_1) - 1.0, 1.0).astype(int)
         assert rows.tolist() == [24, 12, 4, 1]
-        for model in (gold_drude(), gold_plasma()):
+        # the Drude zero mode is a closed form, the plasma one a family
+        for model, zero_families in ((gold_drude(), 0), (gold_plasma(), 1)):
             calls.clear()
             got = force_sphere_plane_grid(gaps, 300.0, R_SPHERE, model)
-            assert calls.count(0.0) == 1, "one zero-mode family"
-            assert len(calls) - 1 == math.ceil(rows.sum() / 7)
+            assert calls.count(0.0) == zero_families
+            assert len(calls) - zero_families == math.ceil(rows.sum() / 7)
             want = [force_sphere_plane(d, 300.0, R_SPHERE, model) for d in gaps]
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
-    @pytest.mark.parametrize("model", [gold_drude(), gold_plasma()], ids=["drude", "plasma"])
-    def test_each_gap_meets_rel_tol_in_a_mixed_chunk(self, monkeypatch, model):
+    @pytest.mark.parametrize(
+        "model, families", [(gold_drude(), 1), (gold_plasma(), 2)], ids=["drude", "plasma"]
+    )
+    def test_each_gap_meets_rel_tol_in_a_mixed_chunk(self, monkeypatch, model, families):
         # the quadrature settles a family against its largest member; a
         # small ladder batched with a large one must still meet rel_tol
         monkeypatch.setattr(lifshitz, "_LADDER_ROWS", 10_000)
@@ -821,7 +845,8 @@ class TestCurvesAsArrays:
             want = [fn(float(d), tight) for d in gaps]
             calls.clear()
             batched = fn(gaps, 1e-8)
-            assert len(calls) == 2, "zero modes and rows, one family each"
+            # rows, and plasma zero modes, one family each
+            assert len(calls) == families
             np.testing.assert_allclose(batched, want, rtol=1e-8, atol=0.0, err_msg=kind)
 
     def test_chunked_curve_matches_gap_by_gap(self):
@@ -956,7 +981,7 @@ class TestLadderLayout:
         forces = force_sphere_plane_grid(gaps, 300.0, R_SPHERE, gold_drude())
         assert np.all(forces > 0.0)
         assert sum(values) <= 2 * 130_932 / 3
-        assert calls.count(True) == 1
+        assert calls.count(True) == 0, "the Drude zero mode is a closed form"
 
     def test_small_zero_families_match_gap_by_gap(self, monkeypatch):
         # a cap of 5 rows splits 12 gaps into three zero-mode families, and
@@ -964,10 +989,10 @@ class TestLadderLayout:
         monkeypatch.setattr(lifshitz, "_LADDER_ROWS", 5)
         calls = self.zero_mode_calls(monkeypatch)
         gaps = np.geomspace(0.1e-6, 7e-6, 12)
-        for model in (gold_drude(), gold_plasma()):
+        for model, zero_families in ((gold_drude(), 0), (gold_plasma(), 3)):
             calls.clear()
             got = force_sphere_plane_grid(gaps, 300.0, R_SPHERE, model)
-            assert calls.count(True) == 3
+            assert calls.count(True) == zero_families
             want = [force_sphere_plane(d, 300.0, R_SPHERE, model) for d in gaps]
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
@@ -1009,10 +1034,10 @@ class TestLadderLayout:
         # 1e-13; a cap of 30/x_1 + 10 terms is ~9e-11 off at 1 K
         gaps = np.array([0.1, 0.2, 0.4, 0.7, 1.5, 3.0, 6.0, 12.0]) * 1e-6
         kinds = ("energy", "pressure", "curvature")
-        got = lifshitz._matsubara_ladder(gaps, T, model, 1e-12, kinds)
+        got = lifshitz._matsubara_ladder(gaps, T, (model,), 1e-12, kinds)
         monkeypatch.setattr(lifshitz, "DEFAULT_CUTOFF", 120.0)
         monkeypatch.setattr(lifshitz, "_MAX_MATSUBARA", 200_000)
-        want = lifshitz._matsubara_ladder(gaps, T, model, 1e-12, kinds)
+        want = lifshitz._matsubara_ladder(gaps, T, (model,), 1e-12, kinds)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("T", [300.0, 1000.0])
@@ -1024,6 +1049,72 @@ class TestLadderLayout:
         got = force_sphere_plane_grid(gaps, T, R_SPHERE, gold_drude())
         want = asymptote_thermal(gaps, R_SPHERE, T, "drude")
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+class TestModelAxis:
+    """At T > 0 every model of a curve rides in one ladder: the rows, xi_n and
+    node tables are shared, eps(i xi_n) is computed once per model, and each
+    (kind, model) settles on its own scale."""
+
+    MODELS = (
+        gold_drude(),
+        gold_plasma(),
+        ConstantModel(eps=2.0),
+        DrudeModel(omega_p=1e15, gamma=1e14),
+    )
+    GAPS = np.geomspace(0.2e-6, 12e-6, 7)
+
+    @pytest.mark.parametrize(
+        "kinds", [("energy",), ("pressure",), ("energy", "curvature")], ids=["e", "p", "e+c"]
+    )
+    def test_a_ladder_of_four_models_matches_each_model_alone(self, kinds):
+        got = lifshitz._lifshitz_models(self.GAPS, 300.0, self.MODELS, 1e-8, kinds)
+        assert got.shape == (len(kinds), len(self.MODELS), self.GAPS.size)
+        for j, model in enumerate(self.MODELS):
+            alone = lifshitz._lifshitz(self.GAPS, 300.0, model, 1e-8, kinds)
+            tight = lifshitz._lifshitz(self.GAPS, 300.0, model, 1e-12, kinds)
+            for kind, g, a, t in zip(kinds, got[:, j], alone, tight):
+                message = f"{kind} of {model!r}"
+                np.testing.assert_allclose(g, a, rtol=1e-8, atol=0.0, err_msg=message)
+                np.testing.assert_allclose(g, t, rtol=1e-8, atol=0.0, err_msg=message)
+
+    def test_four_models_share_families_of_240_model_rows(self, monkeypatch):
+        # one zero-mode family each for the plasma and the constant model,
+        # none for the two Drude ones; the rows run 60 to a family
+        calls = []
+        integrate = lifshitz.integrate_decaying
+
+        def counting(f, rel_tol, offset=0.0):
+            calls.append(offset)
+            return integrate(f, rel_tol, offset)
+
+        monkeypatch.setattr(lifshitz, "integrate_decaying", counting)
+        x_1 = 4.0 * math.pi * BOLTZMANN * 300.0 * self.GAPS / (HBAR * SPEED_OF_LIGHT)
+        rows = np.maximum(np.ceil(40.0 / x_1) - 1.0, 1.0).sum()
+        lifshitz._lifshitz_models(self.GAPS, 300.0, self.MODELS, 1e-8, ("energy",))
+        assert calls.count(0.0) == 2
+        assert len(calls) - 2 == math.ceil(rows / 60) > math.ceil(rows / 80)
+
+    @pytest.mark.parametrize(
+        "models, kinds, named",
+        [
+            # rows: the flat index 5 is (kind 1, model 2); read as an index
+            # into the kinds it raised IndexError
+            (
+                (gold_drude(), DrudeModel(omega_p=1.2e16, gamma=5e13), DrudeModel(1e15, 1e14)),
+                ("curvature", "energy"),
+                "energy of DrudeModel(omega_p=1000000000000000.0, gamma=100000000000000.0)",
+            ),
+            # the plasma zero-mode family, model 1 of the ladder
+            ((gold_drude(), gold_plasma()), ("pressure",), "pressure of PlasmaModel("),
+        ],
+        ids=["rows", "zero-mode"],
+    )
+    def test_an_error_past_model_0_names_its_kind_and_model(self, models, kinds, named):
+        gaps = np.array([1e-6, 5e-6, 2e-6])
+        with pytest.raises(ConvergenceError, match=re.escape(f"T = 300 K, {named}")) as err:
+            lifshitz._lifshitz_models(gaps, 300.0, models, 1e-16, kinds)
+        assert err.value.achieved > err.value.requested
 
 
 class TestZeroTemperatureChunks:
@@ -1319,18 +1410,30 @@ class TestSensitivityBand:
         assert band_a.f_max[0] == pytest.approx(band_b.f_max[0], rel=1e-12, abs=0.0)
 
     def test_each_distinct_parameter_set_runs_once(self, monkeypatch):
-        models = []
-        grid = lifshitz.force_sphere_plane_grid
+        # at T > 0 every distinct parameter set rides in one ladder; at T = 0
+        # each is one curve
+        ladders, curves = [], []
+        ladder, curve = lifshitz._matsubara_ladder, lifshitz._t0_curve
 
-        def counting_grid(separations, T, R, model, rel_tol):
-            models.append(model)
-            return grid(separations, T, R, model, rel_tol)
+        def recording_ladder(d, T, models, rel_tol, kinds):
+            ladders.append(models)
+            return ladder(d, T, models, rel_tol, kinds)
 
-        monkeypatch.setattr(lifshitz, "force_sphere_plane_grid", counting_grid)
-        for family, distinct in (("drude", 5), ("plasma", 3)):
-            models.clear()
-            sensitivity_band([1e-6], 300.0, self.WP, self.G, family, R_SPHERE)
+        def recording_curve(gaps, model, rel_tol, kinds):
+            curves.append(model)
+            return curve(gaps, model, rel_tol, kinds)
+
+        monkeypatch.setattr(lifshitz, "_matsubara_ladder", recording_ladder)
+        monkeypatch.setattr(lifshitz, "_t0_curve", recording_curve)
+        for family, kind, distinct in (("drude", DrudeModel, 5), ("plasma", PlasmaModel, 3)):
+            ladders.clear()
+            curves.clear()
+            sensitivity_band([1e-6, 2e-6], 300.0, self.WP, self.G, family, R_SPHERE)
+            [models] = ladders
             assert len(models) == len(set(models)) == distinct
+            assert all(isinstance(model, kind) for model in models)
+            sensitivity_band([1e-6], 0.0, self.WP, self.G, family, R_SPHERE)
+            assert curves == list(models)
 
     def test_grid_is_the_pointwise_force(self):
         grid = np.geomspace(0.8e-6, 5e-6, 3)
@@ -1346,7 +1449,7 @@ class TestSensitivityBand:
         def forbidden(*args, **kwargs):
             raise AssertionError("curve computed from a non-finite range")
 
-        monkeypatch.setattr(lifshitz, "force_sphere_plane_grid", forbidden)
+        monkeypatch.setattr(lifshitz, "_lifshitz_models", forbidden)
         ranges = {"omega_p": self.WP, "gamma": self.G}
         ranges[axis] = (ranges[axis][0], bad)
         with pytest.raises(ValueError, match="positive and finite"):
@@ -1359,7 +1462,7 @@ class TestSensitivityBand:
         def forbidden(*args, **kwargs):
             raise AssertionError("curve computed from a non-numeric range")
 
-        monkeypatch.setattr(lifshitz, "force_sphere_plane_grid", forbidden)
+        monkeypatch.setattr(lifshitz, "_lifshitz_models", forbidden)
         ranges = {"omega_p": self.WP, "gamma": self.G}
         ranges[axis] = (bad, ranges[axis][1])
         named = rf"{axis}_range must be .*, got {re.escape(repr(bad))}"
