@@ -18,28 +18,28 @@ for every rectangle whose kernel it enters.
 
 Every entry point takes a float or an array of gaps (a float gives a float,
 computed as a grid of one).  At T > 0 a curve is one ladder: one eps(i xi_n)
-evaluation per model, as xi_n does not depend on the gap, the Drude zero mode
-in closed form and any other of up to ``_LADDER_ROWS`` gaps in one
-quadrature family, and the (gap, n) rows of the curve packed into families
-of ``_LADDER_ROWS`` rows, so memory is bounded at any T.  The rows do not
-depend on the model either, so the parameter sets of a sensitivity band
-share one ladder: a model axis rides through every row family next to the
-kinds, and more than three models take fewer rows to a family to hold its
-memory.  A gap's rows stop below x_n = 2 xi_n d / c = DEFAULT_CUTOFF/2 = 40,
-where its terms fall under exp(-40) of the sum.  A row starts at y = x_n,
-clear of the y ln y endpoint at y = 0, so a row family passes its smallest
-x_n to the quadrature, which thins its graded opening.  At T = 0 the gaps
+evaluation per model, as xi_n does not depend on the gap, and the (gap, n)
+rows of the curve, n = 0 included, packed into families of ``_LADDER_ROWS``
+rows, so memory is bounded at any T.  The rows do not depend on the model
+either, so the parameter sets of a sensitivity band share one ladder: a
+model axis rides through every row family next to the kinds, and more than
+three models take fewer rows to a family to hold its memory.  A gap's rows
+stop below x_n = 2 xi_n d / c = DEFAULT_CUTOFF/2 = 40, where its terms fall
+under exp(-40) of the sum.  A row n >= 1 starts at y = x_n, clear of the
+y ln y endpoint at y = 0, so a family of them passes its smallest x_n to the
+quadrature, which thins its graded opening; the n = 0 rows, at x = 0, fill
+families of their own on the full opening.  At T = 0 the gaps
 computed directly take one 2-D integral per chunk of ``_T0_GAPS``
 consecutive gaps, each gap settled on its own scale in one kernel call per
 level, and the chunk size bounds the peak memory.  A T = 0 curve of at least
 2 ``_T0_NODES`` = 24 gaps, not all equal, is interpolated in ln d from
 ``_T0_NODES`` Chebyshev points over its range where the interpolant's error
 estimate allows (:func:`_t0_curve`); shorter curves, scalars and every T > 0
-curve are computed gap by gap.  The integrated zero modes (the n = 0 row at
-x = 0), the ladder rows and the T = 0 levels read x, y, y^2 and exp(-y) from
-one node table and share one kernel; the whole-grid temporaries of the
-Fresnel coefficients and kernels live in buffers reused across doubling
-levels and by every family or chunk of a curve.
+curve are computed gap by gap.  The ladder rows and the T = 0 levels read
+y, y^2 and exp(-y) from one node table and share one Fresnel formula and one
+kernel; the whole-grid temporaries of the Fresnel coefficients and kernels
+live in buffers reused across doubling levels and by every family or chunk
+of a curve.
 
 The one accuracy setting, ``rel_tol`` in (0, 1e-3] (default 1e-8), is what
 every quadrature settles to.  Before any eps(i xi) or integral runs, a
@@ -59,17 +59,19 @@ Sign convention: free energy negative, attractive pressures and forces
 positive, as sphere-plane force curves are usually plotted.
 
 The n = 0 term is a model-family dispatch, never a numerical xi -> 0 limit:
-a dissipative free-electron metal loses its zero-frequency TE mode entirely,
-a dissipationless one keeps it.  The finite-temperature force difference
-between those two descriptions is the physics this package exists to model.
-With r = (0, 1) the Drude term is a zeta(3) closed form; the plasma and
-dielectric ones are integrated.
+it picks the Fresnel inputs 1/eps and (eps - 1)(xi/c)^2 at xi = 0, finite
+for every model.  A dissipative free-electron metal, (0, 0), loses its
+zero-frequency TE mode entirely, a dissipationless one keeps it.  The
+finite-temperature force difference between those two descriptions is the
+physics this package exists to model.  A ladder whose zero modes are all
+the Drude r = (0, 1) takes their zeta(3) closed form, any other its rows.
 """
 
 import math
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import pairwise
 from typing import NamedTuple
 
 import numpy as np
@@ -111,13 +113,14 @@ PFA_RATIO_LIMIT = 1e-3
 #: rows are packed gap after gap into families of this many, the last one
 #: shorter, so a ladder's memory is bounded at any T.  Every model of a
 #: ladder rides in each family, and one of more than three models holds
-#: 3 _LADDER_ROWS (model, row) pairs to a family.  The zero modes settle in
-#: families of up to this many gaps.  Peak memory grows with it: against one
-#: gap per family, 80 rows add ~0.5 MB (1.4 %) to the band workload's peak
-#: RSS, 200 rows ~1.7 MB.  One ladder for the band's five Drude models and
-#: one for its three plasma models, both 240 (model, row) pairs to a family,
-#: add ~0.43 MB against a ladder per model; 80-row families of the five
-#: Drude models would add ~0.74 MB.
+#: 3 _LADDER_ROWS (model, row) pairs to a family; the n = 0 rows fill
+#: families of their own.  Peak memory grows with it: against one gap per
+#: family, 80 rows add ~0.5 MB (1.4 %) to the band workload's peak RSS, 200
+#: rows ~1.7 MB.  One ladder for the band's five Drude models and one for
+#: its three plasma models, both 240 (model, row) pairs to a family, add
+#: ~0.43 MB against a ladder per model; 80-row families of the five Drude
+#: models would add ~0.74 MB.  With the plasma band's 90 n = 0 (model, row)
+#: pairs in one family, band peak RSS read -0.05 to +0.09 MB (0.3 %).
 _LADDER_ROWS = 80
 
 #: Gaps one T = 0 integral settles together, each on its own scale, in one
@@ -186,7 +189,7 @@ def reflection_coeffs(k, xi, eps):
     xi = require_at_least("xi", xi, 0.0)
     eps = require_at_least("eps", eps, 1.0)
     kappa0 = np.sqrt(k * k + (xi / _C) ** 2)
-    r = _fresnel(kappa0, kappa0 * kappa0, xi / _C, eps, _Buffers())
+    r = _fresnel(kappa0, kappa0 * kappa0, 1.0 / eps, (eps - 1.0) * (xi / _C) ** 2, _Buffers())
     return ReflectionPair(*(rp[()] for rp in r))
 
 
@@ -207,23 +210,24 @@ class _Buffers:
         return flat[:size].reshape(shape)
 
 
-def _fresnel(kappa0, kappa0_2, w, eps, buffers):
-    """(r_te, r_tm) from the vacuum decay constant kappa0, its square and
-    w = xi/c, in buffers "r_te" and "r_tm" of ``buffers``, with "kernel" as
-    scratch.
-
-    All may carry one common scale factor: the kernels pass y = 2 kappa0 d,
-    y^2 and x = 2 xi d / c.
+def _fresnel(kappa0, kappa0_2, inv_eps, lift, buffers):
+    """(r_te, r_tm) in buffers "r_te" and "r_tm" of ``buffers``, "kernel" as
+    scratch, from the vacuum decay constant kappa0, its square, 1/eps and the
+    lift (eps - 1)(xi/c)^2: kappa^2 = kappa0^2 + lift, r_te = (kappa0 -
+    kappa)/(kappa0 + kappa), r_tm = (kappa0 - kappa/eps)/(kappa0 + kappa/eps).
+    Both inputs are finite at xi = 0 for every model (:func:`_zero_mode`).
+    kappa0 may carry a scale factor, and the lift its square: the kernels
+    pass y = 2 kappa0 d, y^2 and the lift times (2d)^2.
     """
-    shape = np.broadcast_shapes(np.shape(kappa0), np.shape(w), np.shape(eps))
-    # kappa^2 = kappa0^2 + (eps - 1) w^2 avoids cancellation for eps ~ 1
-    kappa = np.add(kappa0_2, (eps - 1.0) * w ** 2, out=buffers.take("r_te", shape))
+    shape = np.broadcast_shapes(np.shape(kappa0), np.shape(inv_eps), np.shape(lift))
+    # kappa^2 = kappa0^2 + lift avoids cancellation for eps ~ 1
+    kappa = np.add(kappa0_2, lift, out=buffers.take("r_te", shape))
     np.sqrt(kappa, out=kappa)
     # three whole-grid buffers: r_tm first, then r_te over kappa; the
     # denominators go where _kernel will put its result
-    r_tm = np.multiply(eps, kappa0, out=buffers.take("r_tm", shape))
-    den = np.add(r_tm, kappa, out=buffers.take("kernel", shape))
-    r_tm -= kappa
+    r_tm = np.multiply(kappa, inv_eps, out=buffers.take("r_tm", shape))
+    den = np.add(kappa0, r_tm, out=buffers.take("kernel", shape))
+    np.subtract(kappa0, r_tm, out=r_tm)
     r_tm /= den
     np.add(kappa0, kappa, out=den)
     r_te = np.subtract(kappa0, kappa, out=kappa)
@@ -232,35 +236,30 @@ def _fresnel(kappa0, kappa0_2, w, eps, buffers):
 
 
 def reflection_coeffs_zero_mode(k, model):
-    """Zero-frequency reflection coefficients by model family.
-
-    Dissipative free-electron metals (Drude family) lose the TE zero mode:
-    (0, 1).  Dissipationless ones (plasma family) keep a finite TE
-    reflection that depends on k through the plasma wavevector omega_p/c.
-    Constant and bound-charge models take the static dielectric limit
-    (0, (eps0 - 1)/(eps0 + 1)).  A tabulated model answers as its
-    continuation below the table, or as ConstantModel(static_eps) without one.
-    """
+    """Zero-frequency reflection coefficients by model family: dissipative
+    free-electron metals (Drude family) lose the TE zero mode, (0, 1);
+    dissipationless ones (plasma family) keep a TE reflection that depends on
+    k through the plasma wavevector omega_p/c; constant and bound-charge
+    models take the static limit (0, (eps0 - 1)/(eps0 + 1)).  A tabulated
+    model answers as its continuation below the table, or as
+    ConstantModel(static_eps) without one."""
     k = require_positive("transverse wavevector", k)
-    zero = _zero_mode_model(model)
-    if isinstance(zero, DrudeModel):
-        return ReflectionPair(np.zeros_like(k), np.ones_like(k))
-    if isinstance(zero, PlasmaModel):
-        kp = zero.omega_p / _C
-        root = np.sqrt(k * k + kp * kp)
-        return ReflectionPair((k - root) / (k + root), np.ones_like(k))
-    r = (zero.eps - 1.0) / (zero.eps + 1.0)
-    return ReflectionPair(np.zeros_like(k), np.full_like(k, r))
+    r = _fresnel(k, k * k, *_zero_mode(model), _Buffers())
+    return ReflectionPair(*(rp[()] for rp in r))
 
 
-def _zero_mode_model(model):
-    """The Drude, plasma or constant model that sets the xi = 0 reflection."""
+def _zero_mode(model):
+    """(1/eps, (eps - 1)(xi/c)^2) of ``model`` at xi = 0, in 1 and 1/m^2:
+    Drude (0, 0), plasma (0, (omega_p/c)^2), constant (1/eps0, 0); a
+    tabulated model takes its continuation, or ConstantModel(static_eps)."""
     if isinstance(model, TabulatedModel):
-        if model.extrapolation is not None:
-            return model.extrapolation
-        return ConstantModel(static_eps(model))
-    if isinstance(model, (DrudeModel, PlasmaModel, ConstantModel)):
-        return model
+        return _zero_mode(model.extrapolation or ConstantModel(static_eps(model)))
+    if isinstance(model, DrudeModel):
+        return 0.0, 0.0
+    if isinstance(model, PlasmaModel):
+        return 0.0, (model.omega_p / _C) ** 2
+    if isinstance(model, ConstantModel):
+        return 1.0 / model.eps, 0.0
     raise TypeError(f"unknown dielectric model {type(model).__name__}")
 
 
@@ -277,7 +276,7 @@ def _kernel(r, table, kinds, buffers):
     # array, and their number sets the peak memory; r may carry a gap or a
     # model axis that the table lacks.  TE writes each total but the
     # energy's, and TM adds its term from the buffer of s_te, spent by then
-    _, y, y2, expy = table
+    y, y2, expy = table
     s_te, s_tm = (np.multiply(np.square(rp, out=rp), expy, out=rp) for rp in r)
     out = buffers.take("kernel", (len(kinds),) + s_te.shape)
     for p, s in enumerate((s_te, s_tm)):
@@ -298,22 +297,22 @@ def _kernel(r, table, kinds, buffers):
 
 
 def _table(x, t):
-    """x, y = x + t, y^2 and exp(-y), what every :func:`_kernel` call reads,
-    at reduced frequency x = 2 xi d / c and t = y - x: x = 0 or a column of
-    (gap, n) Matsubara rows against the y nodes on the ladder, the (nc, n, 1)
-    frequency nodes of nc rectangles against their (nc, 1, n) t nodes in the
-    T = 0 integral, the same for every gap."""
+    """y = x + t, y^2 and exp(-y), what every :func:`_kernel` call reads, at
+    reduced frequency x = 2 xi d / c and t = y - x: a column of (gap, n)
+    Matsubara rows against the y nodes on the ladder, x = 0 on its n = 0
+    rows, the (nc, n, 1) frequency nodes of nc rectangles against their
+    (nc, 1, n) t nodes in the T = 0 integral, the same for every gap."""
     y = x + t
-    return x, y, y * y, np.exp(-y)
+    return y, y * y, np.exp(-y)
 
 
-def _integrand(table, eps, kinds, buffers):
-    """Kernel of ``kinds`` on a :func:`_table`; ``eps`` is eps(i xi) shaped
-    like its x, one value per frequency, with a leading axis for the models
-    of a ladder, or (gaps, nc, n, 1) for the gaps of a T = 0 chunk, which
-    share the table."""
-    x, y, y2, _ = table
-    return _kernel(_fresnel(y, y2, x, eps, buffers), table, kinds, buffers)
+def _integrand(table, inv_eps, lift, kinds, buffers):
+    """Kernel of ``kinds`` on a :func:`_table`; ``inv_eps`` is 1/eps(i xi) and
+    ``lift`` is (eps - 1) x^2, each shaped like the table's x, one value per
+    frequency, with a leading axis for the models of a ladder, or (gaps, nc,
+    n, 1) for the gaps of a T = 0 chunk, which share the table."""
+    y, y2, _ = table
+    return _kernel(_fresnel(y, y2, inv_eps, lift, buffers), table, kinds, buffers)
 
 
 def _matsubara_ladder(d, T, models, rel_tol, kinds):
@@ -321,18 +320,19 @@ def _matsubara_ladder(d, T, models, rel_tol, kinds):
     and gap.
 
     Returns sum'_n I_n, shaped (len(kinds), len(models), d.size) for the 1-D
-    array ``d``, with I_n the y-integral of each kernel of ``kinds``, n = 1
-    and every n with x_n = 4 pi k_B T d n / (hbar c) below DEFAULT_CUTOFF/2.
-    The rows, xi_n and node tables do not depend on the model, only eps(i
-    xi_n) does: it is computed once per model, and every model rides in each
-    row family, each (kind, model) settled on its own scale.  The zero modes
-    come first, the Drude one in closed form, any other one quadrature call
-    per distinct zero-mode model and ``_LADDER_ROWS`` gaps; then the (gap, n)
-    rows of the curve, gap after gap, in families of ``_LADDER_ROWS`` rows,
-    or of 3 ``_LADDER_ROWS`` (model, row) pairs for more than three models,
-    each on the panel layout of its smallest x.  A curve with a gap whose
-    ladder needs more than ``_MAX_MATSUBARA`` terms is refused with a
-    ValidationError before eps(i xi) or any integral runs.
+    array ``d``, with I_n the y-integral of each kernel of ``kinds``, n = 0,
+    1 and every n with x_n = 4 pi k_B T d n / (hbar c) below
+    DEFAULT_CUTOFF/2.  The rows and node tables do not depend on the model,
+    only the Fresnel inputs 1/eps and (eps - 1)(xi_n/c)^2 do, computed once
+    per model and n (n = 0 by :func:`_zero_mode`); every model rides in each
+    family, each (kind, model) settled on its own scale.  A family holds
+    ``_LADDER_ROWS`` (gap, n) rows, or 3 ``_LADDER_ROWS`` (model, row) pairs
+    for more than three models: first the n = 0 rows, on the full panel
+    layout, unless every zero mode is the Drude r = (0, 1) and its zeta(3)
+    closed form, then the n >= 1 rows gap after gap, each family on the
+    layout of its smallest x.  A curve with a gap whose ladder needs more
+    than ``_MAX_MATSUBARA`` terms is refused with a ValidationError before
+    eps(i xi) or any integral runs.
     """
     dx = 4.0 * math.pi * BOLTZMANN * T * d / (HBAR * _C)
     # past x_n = 40 terms are below exp(-40) of the sum, the T = 0 layout's
@@ -348,45 +348,37 @@ def _matsubara_ladder(d, T, models, rel_tol, kinds):
     n_rows = n_rows.astype(int)
     xi = 2.0 * math.pi * BOLTZMANN * T / HBAR * np.arange(1, n_rows.max() + 1)
     eps = np.array([eps_imag_axis(model, xi) for model in models])
+    # column n of each model's 1/eps and lift, n = 0 its zero mode
+    zero = np.array([_zero_mode(model) for model in models])
+    inv_n = np.column_stack([zero[:, 0], 1.0 / eps])
+    lift_n = np.column_stack([zero[:, 1], (eps - 1.0) * (xi / _C) ** 2])
     # an error names the model only where the ladder has more than one
     named = models if len(models) > 1 else ()
 
-    # zero modes on y = 2 k d, the n = 0 row at x = 0, whose y ln y
-    # endpoint keeps the full layout.  They and the rows share the buffers
-    buffers, i_zero = _Buffers(), np.empty((len(kinds), len(models), d.size))
-    zeros = [_zero_mode_model(model) for model in models]
-    for zero in dict.fromkeys(zeros):
-        members = [j for j, other in enumerate(zeros) if other == zero]
-        if isinstance(zero, DrudeModel):
-            i_zero[:, members] = [[[_DRUDE_ZERO_MODE[kind]]] for kind in kinds]
-            continue
-        for start in range(0, d.size, _LADDER_ROWS):
-            family = slice(start, start + _LADDER_ROWS)
-            column = d[family, None]
-            with _located(d[family], T, kinds, (zero,) if named else ()):
-                i_zero[:, members, family] = integrate_decaying(
-                    lambda y: _kernel(reflection_coeffs_zero_mode(y / (2.0 * column), zero),
-                                      _table(0.0, y), kinds, buffers),
-                    rel_tol,
-                )[:, None]
-
-    # row r of the curve is term n[r] of gap[r]
+    # row r of the table is term n[r] of gap[r]: the n = 0 rows, unless
+    # they are all the closed form, then each gap's rows from n = 1.  The
+    # n = 0 rows reach the y ln y endpoint and fill families of their own
+    n_zero = d.size if zero.any() else 0
     starts = np.cumsum(n_rows) - n_rows
-    gap = np.repeat(np.arange(d.size), n_rows)
-    n = np.arange(gap.size) - starts[gap] + 1
-    rows = np.empty((len(kinds), len(models), gap.size))
+    gap = np.concatenate([np.arange(n_zero), np.repeat(np.arange(d.size), n_rows)])
+    n = np.arange(gap.size) - n_zero - starts[gap] + 1
+    n[:n_zero] = 0
+    rows, buffers = np.empty((len(kinds), len(models), gap.size)), _Buffers()
     size = max(1, min(_LADDER_ROWS, 3 * _LADDER_ROWS // len(models)))
-    for start in range(0, gap.size, size):
-        chunk = slice(start, start + size)
+    edges = sorted({*range(0, n_zero, size), *range(n_zero, gap.size, size), gap.size})
+    for start, stop in pairwise(edges):
+        chunk = slice(start, stop)
         x = (dx[gap[chunk]] * n[chunk])[:, None]
-        eps_rows = eps[:, n[chunk] - 1, None]
+        inv = inv_n[:, n[chunk], None]
+        lift = lift_n[:, n[chunk], None] * (2.0 * d[gap[chunk], None]) ** 2
         # a row in t = y - x_n has its y ln y endpoint at t = -x_n, so the
-        # smallest x_n of the chunk is how far the graded opening may thin
+        # smallest x_n of the family is how far the graded opening may thin
         with _located(d[gap[chunk]], T, kinds, named):
             rows[..., chunk] = integrate_decaying(
-                lambda t: _integrand(_table(x, t), eps_rows, kinds, buffers), rel_tol, x.min()
+                lambda t: _integrand(_table(x, t), inv, lift, kinds, buffers), rel_tol, x.min()
             )
-    return 0.5 * i_zero + np.add.reduceat(rows, starts, axis=-1)
+    zero_modes = rows[..., :n_zero] if n_zero else [[[_DRUDE_ZERO_MODE[k]]] for k in kinds]
+    return 0.5 * np.asarray(zero_modes) + np.add.reduceat(rows[..., n_zero:], starts, axis=-1)
 
 
 @contextmanager
@@ -433,7 +425,7 @@ def _t0_direct(gaps, model, rel_tol, kinds, span=None):
             n = t.shape[-1]
             if tables.get(n, (None,))[0] is not t:
                 tables[n] = t, _table(x[row], t)
-            return _integrand(tables[n][1], eps, kinds, buffers)
+            return _integrand(tables[n][1], 1.0 / eps, (eps - 1.0) * x[row] ** 2, kinds, buffers)
 
         with _located(chunk, 0.0, kinds, each_gap=True, span=span):
             integrals[:, start:start + _T0_GAPS] = integrate_decaying_2d(integrand, rel_tol)

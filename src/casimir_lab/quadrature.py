@@ -4,9 +4,9 @@ The Lifshitz kernels, once written in the dimensionless variable y = 2*kappa0*d,
 all decay like exp(-y) times a mild prefactor and live on [0, inf).  The scheme
 covers [0, cutoff] with a fixed panel layout, graded toward zero because several
 kernels have an integrable y*log(y) endpoint, and doubles the node count on each
-cell, 6, 12, 24, ..., until its estimate is stable relative to the total.  A cell
-is a panel in 1-D and a rectangle in 2-D; one loop refines both, and each
-doubling level evaluates every unsettled cell in a single call of the integrand.
+cell, 6, 12, 24, ..., until its estimate is finite and stable relative to the
+total.  A cell is a panel in 1-D and a rectangle in 2-D; one loop refines both,
+and each doubling level evaluates every unsettled cell in one integrand call.
 
 An integrand that stays smooth for a distance ``offset`` from 0, such as a
 Matsubara row written in t = y - x_n, has no endpoint for the grading to
@@ -79,15 +79,14 @@ def _legendre_series(x, c):
     return c0 + c1 * x
 
 
-def panel_edges(cutoff=DEFAULT_CUTOFF):
-    """Panel edges on [0, cutoff]: graded opening, then doubling widths."""
-    edges = [0.0]
-    edges.extend(e for e in _GRADED_OPENING if e < cutoff)
+def panel_edges():
+    """Panel edges on [0, DEFAULT_CUTOFF]: graded opening, then doubling widths."""
+    edges = [0.0, *_GRADED_OPENING]
     width = 2.0
-    while edges[-1] + width < cutoff:
+    while edges[-1] + width < DEFAULT_CUTOFF:
         edges.append(edges[-1] + width)
         width *= 2.0
-    edges.append(float(cutoff))
+    edges.append(DEFAULT_CUTOFF)
     return edges
 
 
@@ -132,31 +131,39 @@ def _level(cells, n):
 def _settle(estimate, cells, rel_tol, node_cap):
     """Totals of the cells of ``estimate(cells, n)`` (last axis), doubling n
     on each cell until its change in every kind is at most rel_tol times the
-    largest first-pass total or cell estimate of that kind's family, the
-    axis before the cells; one call of ``estimate`` per doubling level.  Axes
-    in front of the family index kinds; a ConvergenceError keeps the worst."""
-    first = estimate(cells, _NODE_START)
-    estimates = first.reshape((-1,) + np.atleast_2d(first).shape[-2:])  # (kinds, members, cells)
-    kinds, tiny = len(estimates), np.finfo(float).tiny
-    # the change each kind allows a cell: rel_tol times the kind's scale
-    limit = rel_tol * np.maximum(np.abs(estimates.sum(axis=-1)).max(axis=1, keepdims=True), tiny)
-    n = _NODE_START
-    while cells.size:
-        n *= 2
-        refined = estimate(cells, n).reshape(kinds, -1, cells.size)
-        change = np.abs(refined - estimates[..., cells]).max(axis=1)
-        scale = np.abs(refined).reshape(kinds, -1).max(axis=1, keepdims=True)
-        limit = np.maximum(limit, rel_tol * scale)
-        estimates[..., cells] = refined
-        unsettled = change > limit
-        if n >= node_cap and unsettled.any():
-            worst = (change / limit).max(axis=1) * rel_tol
-            message = "quadrature did not settle within the node cap"
-            exc = ConvergenceError(message, worst.max(), rel_tol)
-            exc.kind = int(np.argmax(worst))
-            raise exc
-        cells = cells[unsettled.any(axis=0)]
-    return estimates.sum(axis=-1).reshape(first.shape[:-1])[()]
+    largest first-pass total or cell estimate of that kind's family (the axis
+    before the cells) at a level where that is finite; one call of
+    ``estimate`` per level.  Axes in front of the family index kinds; a
+    ConvergenceError keeps the worst.  A non-finite estimate never settles,
+    so the floating-point warnings of the levels are this loop's to judge."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        first = estimate(cells, _NODE_START)  # reshaped (kinds, members, cells)
+        estimates = first.reshape((-1,) + np.atleast_2d(first).shape[-2:])
+        kinds, tiny = len(estimates), np.finfo(float).tiny
+
+        def grow(limit, values):  # to rel_tol times each kind's largest finite |value|
+            top = rel_tol * np.abs(values).reshape(kinds, -1).max(axis=1, keepdims=True)
+            return np.maximum(limit, top, out=limit, where=top < np.inf)
+
+        # the change each kind allows a cell: rel_tol times the kind's scale
+        limit = grow(np.full((kinds, 1), rel_tol * tiny), estimates.sum(axis=-1))
+        n = _NODE_START
+        while cells.size:
+            n *= 2
+            refined = estimate(cells, n).reshape(kinds, -1, cells.size)
+            change = np.abs(refined - estimates[..., cells]).max(axis=1)
+            limit = grow(limit, refined)
+            estimates[..., cells] = refined
+            unsettled = ~(change <= limit)  # a NaN change too
+            if n >= node_cap and unsettled.any():
+                # settled cells count 0, even at 0/0; a NaN change counts inf
+                worst = np.where(unsettled, np.fmin(change / limit, np.inf), 0.0).max(axis=1)
+                message = "quadrature did not settle within the node cap"
+                exc = ConvergenceError(message, worst.max() * rel_tol, rel_tol)
+                exc.kind = int(np.argmax(worst))
+                raise exc
+            cells = cells[unsettled.any(axis=0)]
+        return estimates.sum(axis=-1).reshape(first.shape[:-1])[()]
 
 
 def integrate_decaying(f, rel_tol, offset=0.0):

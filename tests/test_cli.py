@@ -691,6 +691,16 @@ class TestExitCodes:
         assert "d = 2.000e-06 m, T = 0 K, energy" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_a_non_finite_ladder_estimate_is_three(self, tmp_path, capsys):
+        # the plasma zero mode's energy kernel rounds to log1p(-1) = -inf
+        # near y = 0 at the finest levels; it used to settle and write inf
+        out = tmp_path / "x.csv"
+        argv = ["force", "--model", "plasma", "--dmin", "7", "--dmax", "7",
+                "--points", "1", "--rel-tol", "1e-16", "--out", str(out)]
+        assert main(argv) == 3
+        assert "T = 300 K, energy (achieved inf" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def test_a_cli_run_imports_neither_numpy_polynomial_nor_numpy_ma(tmp_path):
     # numpy.polynomial (the Gauss-Legendre rule) and numpy.ma (the first

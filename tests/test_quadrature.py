@@ -50,7 +50,7 @@ def test_gauss_legendre_is_numpys_rule_to_the_bit(n):
 
 
 def test_panel_edges_start_graded_and_reach_cutoff():
-    edges = panel_edges(DEFAULT_CUTOFF)
+    edges = panel_edges()
     assert edges[0] == 0.0
     assert edges[-1] == DEFAULT_CUTOFF
     assert np.all(np.diff(edges) > 0.0)
@@ -245,6 +245,32 @@ def test_unreachable_tolerance_raises_with_achieved_estimate():
     assert err.value.achieved > err.value.requested
 
 
+def test_a_non_finite_estimate_never_settles():
+    # sqrt(y) exp(-y) settles at rel_tol 1e-13 with its first panel at 192
+    # nodes; at 96 and 192 its smallest node lies below y = 1e-8.  Made
+    # -inf there, it used to settle at -inf, as the limit took -inf's scale
+    # with a RuntimeWarning: now the cell keeps refining, the limit grows
+    # from finite estimates only, and the error achieved inf, not NaN
+    assert integrate_decaying(lambda y: np.sqrt(y) * np.exp(-y), 1e-13) == pytest.approx(
+        0.5 * math.sqrt(math.pi), rel=1e-13, abs=0.0
+    )
+    with pytest.raises(ConvergenceError) as err:
+        integrate_decaying(
+            lambda y: np.sqrt(y) * np.exp(-y) + np.log(np.where(y < 1e-8, 0.0, 1.0)), 1e-13
+        )
+    assert err.value.achieved == math.inf
+
+
+def test_a_kind_that_settled_at_zero_does_not_make_the_error_nan():
+    # kind 0 is 0 at every node: its limit, rel_tol times the tiny floor,
+    # underflows to 0 at rel_tol 1e-300, and its 0/0 made the error of the
+    # unsettled kind 1 read "achieved nan" and name kind 0
+    with pytest.raises(ConvergenceError) as err:
+        integrate_decaying(lambda y: np.stack([0.0 * y, fast_cosine(y)])[:, None, :], 1e-300)
+    assert err.value.achieved > err.value.requested
+    assert err.value.kind == 1
+
+
 def test_2d_unreachable_tolerance_raises():
     with pytest.raises(ConvergenceError) as err:
         integrate_decaying_2d(on_rectangles(lambda x, t: fast_cosine(x + t)), 1e-12)
@@ -256,7 +282,7 @@ def test_2d_cells_cost_at_most_two_passes_on_a_smooth_integrand():
     # less the merged t-panels and the corner beyond cutoff/2); at this tight
     # tolerance some rectangles need a third level, 24 x 24, yet the total
     # stays within two passes of 8 and 16 nodes on every rectangle
-    assert len(panel_edges(DEFAULT_CUTOFF)) - 1 == 11
+    assert len(panel_edges()) - 1 == 11
     values = 0
 
     def f(x, t, row):
