@@ -129,7 +129,10 @@ def bin_points(points, edges):
     Per bin: force is the weighted mean with weights 1/sigma^2, separation
     the same weighted mean, and the combined sigma is (sum 1/sigma_i^2)^-1/2.
     Empty bins are dropped; a point outside [edges[0], edges[-1]] is an
-    error, not a silent drop.
+    error, not a silent drop.  So is a filled bin whose weights sum to 0 or
+    overflow, or whose weighted separation sum overflows (sigma out of
+    range), or whose weighted force sum overflows (force out of range): the
+    ValidationError names the quantity and the bin, and nothing warns.
     """
     edges = require_finite("bin edges", edges)
     if np.ndim(edges) != 1 or edges.size < 2:
@@ -138,7 +141,6 @@ def bin_points(points, edges):
         raise ValidationError("bin edges must be strictly increasing")
 
     d, f = points.d, points.f
-    w = 1.0 / (points.sigma * points.sigma)
     if np.any(d < edges[0]) or np.any(d > edges[-1]):
         bad = d[(d < edges[0]) | (d > edges[-1])][0]
         raise ValidationError(f"point at d = {bad:.6e} m lies outside the bin edges")
@@ -146,13 +148,23 @@ def bin_points(points, edges):
     idx = np.searchsorted(edges, d, side="right") - 1
     idx[d == edges[-1]] = edges.size - 2  # right-closed final bin
 
-    wsum = np.bincount(idx, weights=w)
-    wd = np.bincount(idx, weights=w * d)
-    wf = np.bincount(idx, weights=w * f)
     # not np.unique: its first call in a process imports numpy.ma (~15 ms)
     filled = np.flatnonzero(np.bincount(idx))
-    wsum = wsum[filled]
-    return Measurements(d=wd[filled] / wsum, f=wf[filled] / wsum, sigma=1.0 / np.sqrt(wsum))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        w = 1.0 / (points.sigma * points.sigma)
+        wsum, wd, wf = (np.bincount(idx, weights=v)[filled] for v in (w, w * d, w * f))
+    for name, bad, sums, what in (
+        ("sigma", ~((wsum > 0.0) & (wsum < np.inf) & np.isfinite(wd)), wsum, "weights 1/sigma^2"),
+        ("force", ~np.isfinite(wf), wf, "weighted forces"),
+    ):
+        if bad.any():
+            i = np.argmax(bad)
+            lo, hi = edges[filled[i]:filled[i] + 2]
+            raise ValidationError(
+                f"{name} is out of range in the bin [{lo:.6e}, {hi:.6e}] m: "
+                f"its {what} sum to {sums[i]:g}"
+            )
+    return Measurements(d=wd / wsum, f=wf / wsum, sigma=1.0 / np.sqrt(wsum))
 
 
 def fit_patch_and_offset(points, curve, R, delta=0.0):

@@ -26,7 +26,7 @@ import numpy as np
 
 from .constants import ELEMENTARY_CHARGE, HBAR, ev_to_angular_frequency
 from .errors import ConvergenceError, ValidationError, require_at_least, require_positive
-from .errors import require_table
+from .errors import require_table, require_within
 from .fileio import read_table
 from .quadrature import integrate_decaying
 
@@ -45,6 +45,8 @@ __all__ = [
     "GOLD_GAMMA_EV",
     "GOLD_OMEGA_P_RANGE_EV",
     "GOLD_GAMMA_RANGE_EV",
+    "MAX_FREQUENCY",
+    "MAX_PERMITTIVITY",
 ]
 
 #: Gold Drude parameters (eV) used as defaults throughout.
@@ -53,6 +55,15 @@ GOLD_GAMMA_EV = 0.051
 #: Spread of values consistent with measured gold optical data (eV).
 GOLD_OMEGA_P_RANGE_EV = (6.85, 9.00)
 GOLD_GAMMA_RANGE_EV = (0.02, 0.061)
+
+#: The largest plasma frequency and dissipation rate, in rad/s (~66 keV;
+#: gold's omega_p is 1.1e16), and the largest constant permittivity a model
+#: takes.  Up to them every engine entry stays finite and warning-free over
+#: its whole domain (gaps 1 nm to 1 km, T 0 to 1e6 K); far past them
+#: omega_p^2, the plasma zero mode (omega_p/c)^2 or the Fresnel lift
+#: (eps - 1)(xi/c)^2 overflows a float.
+MAX_FREQUENCY = 1e20
+MAX_PERMITTIVITY = 1e100
 
 
 @dataclass(frozen=True)
@@ -65,7 +76,7 @@ class DrudeModel:
     def __post_init__(self):
         # each field keeps the float its check returns, as do the models below
         for field, name in (("omega_p", "plasma frequency"), ("gamma", "dissipation rate")):
-            value = require_positive(name, getattr(self, field), scalar=True)
+            value = require_positive(name, getattr(self, field), scalar=True, most=MAX_FREQUENCY)
             object.__setattr__(self, field, value)
 
     @classmethod
@@ -80,7 +91,9 @@ class PlasmaModel:
     omega_p: float  # plasma frequency, rad/s
 
     def __post_init__(self):
-        omega_p = require_positive("plasma frequency", self.omega_p, scalar=True)
+        omega_p = require_positive(
+            "plasma frequency", self.omega_p, scalar=True, most=MAX_FREQUENCY
+        )
         object.__setattr__(self, "omega_p", omega_p)
 
     @classmethod
@@ -95,7 +108,7 @@ class ConstantModel:
     eps: float
 
     def __post_init__(self):
-        eps = require_at_least("permittivity", self.eps, 1.0, scalar=True)
+        eps = require_within("permittivity", self.eps, 1.0, MAX_PERMITTIVITY, scalar=True)
         object.__setattr__(self, "eps", eps)
 
 
@@ -231,7 +244,9 @@ def _tail_integral(table, s, xi):
 
 
 def _tabulated_eps_minus_one(model, xi):
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    """eps(i xi) - 1 of a table, shaped like ``xi``, transformed once per distinct xi."""
+    shape = np.shape(xi)  # numpy < 2 returns a flat inverse
+    xi, inverse = np.unique(xi, return_inverse=True)
     table = model.table
     low = np.zeros(xi.shape)
     extra = model.extrapolation
@@ -240,7 +255,8 @@ def _tabulated_eps_minus_one(model, xi):
     elif isinstance(extra, PlasmaModel):
         # Zero-width free-carrier resonance at omega = 0; its transform is exact.
         low = extra.omega_p ** 2 / xi ** 2
-    return low + _table_band_integral(table, xi) + _tail_integral(table, model.tail_exponent, xi)
+    out = low + _table_band_integral(table, xi) + _tail_integral(table, model.tail_exponent, xi)
+    return out[inverse].reshape(shape)
 
 
 def eps_imag_axis(model, xi):
@@ -268,7 +284,7 @@ def eps_imag_axis(model, xi):
     elif isinstance(model, ConstantModel):
         out = np.full(np.shape(xi), model.eps)
     elif isinstance(model, TabulatedModel):
-        out = 1.0 + _tabulated_eps_minus_one(model, np.ravel(xi)).reshape(np.shape(xi))
+        out = 1.0 + _tabulated_eps_minus_one(model, xi)
     else:
         raise TypeError(f"unknown dielectric model {type(model).__name__}")
     if np.ndim(xi) == 0:

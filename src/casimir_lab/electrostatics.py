@@ -71,20 +71,25 @@ def patch_force(d, R, v_rms, delta=0.0):
 def weighted_fit(basis, y, sigma, degenerate):
     """(coefficients, covariance, chi2) of the weighted linear least-squares
     fit of ``y`` on the columns of ``basis``, solved on columns of unit norm so
-    the conditioning test sees degeneracy, not units.  A column of zero or
-    infinite norm, or a condition number above 1e10, raises
-    DegenerateFitError(degenerate).  A weighted system that is not finite,
-    such as y/sigma or the unit columns over sigma, or a fit whose normal
-    equations or results overflow a float, raises ValidationError: the data
-    are out of range, which says nothing of the columns' independence."""
-    col_scale = np.linalg.norm(basis, axis=0)
-    if not np.all(np.isfinite(col_scale) & (col_scale > 0.0)):
+    the conditioning test sees degeneracy, not units.  Each column's norm is
+    taken on the column divided by the power of two at or below its largest
+    |entry|, an exact scaling that puts that entry in [1, 2), so no finite
+    column's norm overflows or underflows.  A zero or non-finite column, or
+    a condition number above 1e10, raises DegenerateFitError(degenerate).
+    A weighted system that is not finite, such as y/sigma or the unit
+    columns over sigma, or a fit whose column norms, normal equations or
+    results overflow a float, raises ValidationError: the data are out of
+    range, which says nothing of the columns' independence."""
+    peak = np.ldexp(0.5, np.frexp(np.abs(basis).max(axis=0))[1])
+    norm = np.linalg.norm(basis / peak, axis=0)
+    if not np.all(np.isfinite(norm) & (norm > 0.0)):
         raise DegenerateFitError(degenerate)
     with np.errstate(over="ignore", invalid="ignore"):
+        col_scale = peak * norm
         design = (basis / col_scale) / sigma[:, None]
         target = y / sigma
         gram = design.T @ design
-        _require_finite_system(design, target, gram)
+        _require_finite_system(col_scale, design, target, gram)
         if np.linalg.cond(gram) > 1e10:
             raise DegenerateFitError(degenerate)
         coeffs = np.linalg.solve(gram, design.T @ target) / col_scale
@@ -98,7 +103,7 @@ def weighted_fit(basis, y, sigma, degenerate):
 def _require_finite_system(*arrays):
     if not all(np.all(np.isfinite(a)) for a in arrays):
         raise ValidationError(
-            "the weighted fit overflows a float: y/sigma or 1/sigma is out of range"
+            "the weighted fit overflows a float: y/sigma, 1/sigma or a regressor is out of range"
         )
 
 

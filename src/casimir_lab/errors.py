@@ -41,10 +41,14 @@ def is_integer(value):
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def require_positive(name, value, scalar=False):
-    """``value`` once every entry is a positive finite real number: a float
-    for a number or a 0-d array, else a float array.  A ValidationError names
-    the first entry that is not, or an array where ``scalar`` asks a number."""
+def require_positive(name, value, scalar=False, most=math.inf):
+    """``value`` once every entry is a positive finite real number, at most
+    ``most``: a float for a number or a 0-d array, else a float array.  A
+    ValidationError names the first entry that is not, or an array where
+    ``scalar`` asks a number."""
+    if most < math.inf:
+        return _require(name, value, lambda v: (v > 0.0) & (v <= most),
+                        f"positive and at most {most:g}", scalar)
     return _require(name, value, lambda v: v > 0.0, "positive and finite", scalar)
 
 

@@ -11,10 +11,10 @@ xi_n = 2 pi n k_B T / hbar, and the prime halving the n = 0 term.  At T = 0
 the ladder becomes the integral (hbar / 2 pi) int_0^inf dxi of the same
 k-integral, on the L-shaped rectangle layout of :mod:`casimir_lab.quadrature`
 in the reduced variables x = 2 xi d / c and t = y - x, whose nodes are the
-same for every gap: a curve builds x, y, y^2 and exp(-y) of a level once
+same for every gap: a curve builds y, y^2 and exp(-y) of a level once
 and keeps them while its chunks run that level on the same rectangles, and
-each level computes eps(i xi) once per gap and frequency node and gathers it
-for every rectangle whose kernel it enters.
+each level computes eps(i xi) per gap at the frequency nodes of every
+rectangle (a tabulated model transforms each distinct frequency once).
 
 Every entry point takes a float or an array of gaps (a float gives a float,
 computed as a grid of one).  At T > 0 a curve is one ladder: one eps(i xi_n)
@@ -251,9 +251,11 @@ def reflection_coeffs_zero_mode(k, model):
 def _zero_mode(model):
     """(1/eps, (eps - 1)(xi/c)^2) of ``model`` at xi = 0, in 1 and 1/m^2:
     Drude (0, 0), plasma (0, (omega_p/c)^2), constant (1/eps0, 0); a
-    tabulated model takes its continuation, or ConstantModel(static_eps)."""
+    tabulated model takes its continuation, or (1/static_eps, 0)."""
     if isinstance(model, TabulatedModel):
-        return _zero_mode(model.extrapolation or ConstantModel(static_eps(model)))
+        if model.extrapolation is None:
+            return 1.0 / static_eps(model), 0.0
+        return _zero_mode(model.extrapolation)
     if isinstance(model, DrudeModel):
         return 0.0, 0.0
     if isinstance(model, PlasmaModel):
@@ -417,15 +419,13 @@ def _t0_direct(gaps, model, rel_tol, kinds, span=None):
         chunk = gaps[start:start + _T0_GAPS]
         column = chunk[:, None, None, None]
 
-        # each level computes eps once per gap and distinct frequency node,
-        # then gathers it per rectangle.  The driver hands a level that
-        # settles the same rectangles the same t
-        def integrand(x, t, row, column=column):
-            eps = np.asarray(eps_imag_axis(model, x * _C / (2.0 * column)))[:, row]
+        # the driver hands a level that settles the same rectangles the same t
+        def integrand(x, t, column=column):
+            eps = eps_imag_axis(model, x * _C / (2.0 * column))
             n = t.shape[-1]
             if tables.get(n, (None,))[0] is not t:
-                tables[n] = t, _table(x[row], t)
-            return _integrand(tables[n][1], 1.0 / eps, (eps - 1.0) * x[row] ** 2, kinds, buffers)
+                tables[n] = t, _table(x, t)
+            return _integrand(tables[n][1], 1.0 / eps, (eps - 1.0) * x ** 2, kinds, buffers)
 
         with _located(chunk, 0.0, kinds, each_gap=True, span=span):
             integrals[:, start:start + _T0_GAPS] = integrate_decaying_2d(integrand, rel_tol)

@@ -116,13 +116,12 @@ def _nodes(panels, n, skip=0):
 
 @lru_cache(maxsize=16)
 def _level(cells, n):
-    """x (px, n, 1), t (nc, 1, n), row, half-width products, weights of tuple ``cells``."""
+    """x (nc, n, 1), t (nc, 1, n), half-width products, weights of tuple ``cells``."""
     panel, lower, half = _RECTANGLES
     cells = np.array(cells)
-    ix, row = np.unique(panel[cells], return_inverse=True)
-    (x, w, hx), (s, _) = _nodes(ix, n), gauss_legendre(n)
+    (x, w, hx), (s, _) = _nodes(panel[cells], n), gauss_legendre(n)
     t = lower[cells, None] + half[cells, None] * (s + 1.0)
-    level = x[:, :, None], t[:, None, :], row, hx[row] * half[cells], w
+    level = x[:, :, None], t[:, None, :], hx * half[cells], w
     for array in level[:-1]:  # the weights are gauss_legendre's
         array.flags.writeable = False
     return level
@@ -200,10 +199,9 @@ def integrate_decaying_2d(f, rel_tol):
 
     Cells are the rectangles of the L-shaped layout (module docstring); each
     starts with 6 x 6 nodes, and one unsettled at 96 x 96 raises.  Each
-    doubling level makes one call ``f(x, t, row)``, which returns (nc, n, n)
-    values: ``x`` (px, n, 1) holds each node of the x-panels with an unsettled
-    rectangle once, ``t`` (nc, 1, n) the t nodes of the nc unsettled
-    rectangles, ``row`` (nc,) their x-panels, so ``x[row]`` broadcasts on ``t``.
+    doubling level makes one call ``f(x, t)``, which returns (nc, n, n)
+    values: ``x`` (nc, n, 1) holds the x nodes and ``t`` (nc, 1, n) the t
+    nodes of each of the nc unsettled rectangles, so they broadcast.
     They are read-only, and a level on the same rectangles with the same n,
     in any call, gets the same objects while among the 16 last used, so ``f``
     may keep tables built on a ``t`` until it gets one that ``is not`` it.
@@ -214,7 +212,7 @@ def integrate_decaying_2d(f, rel_tol):
     ConvergenceError's ``kind`` is the flat (C-order) index of the worst.
     """
     def estimate(cells, n):
-        x, t, row, area, w = _level(tuple(cells.tolist()), n)
-        return (area * (f(x, t, row) @ w @ w))[..., None, :]
+        x, t, area, w = _level(tuple(cells.tolist()), n)
+        return (area * (f(x, t) @ w @ w))[..., None, :]
 
     return _settle(estimate, np.arange(_RECTANGLES[0].size), rel_tol, 96)[..., 0][()]

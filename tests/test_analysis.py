@@ -7,6 +7,7 @@ in the acceptance suite.
 
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -134,6 +135,23 @@ class TestBinning:
         edges = log_bin_edges(0.7e-6, 7e-6, 30)
         out = bin_points(series(D_GRID, 1e-12, 1e-12), edges)
         assert len(out) == 30
+
+    @pytest.mark.parametrize("f, sigma, name", [
+        # 1/sigma^2 underflows to 0, or overflows to inf
+        (1e-12, 1e300, "sigma"),
+        (1e-12, 1e-200, "sigma"),
+        # finite weights, but their product with the force overflows
+        (1e300, 1e-12, "force"),
+    ])
+    def test_weighted_sums_out_of_range_name_the_quantity(self, f, sigma, name):
+        # a ValidationError naming the bin, with no RuntimeWarning; before,
+        # NaN or inf bin averages were refused as "separation must be finite"
+        pts = series([0.6e-6, 1.2e-6, 1.3e-6], [1e-12, f, f], [1e-12, sigma, sigma])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=rf"^{name} is out of range in the bin "
+                               r"\[1\.000000e-06, 2\.000000e-06\] m"):
+                bin_points(pts, [0.5e-6, 1e-6, 2e-6])
 
     def test_bad_edges(self):
         pts = series([1e-6], 1e-12, 1e-12)

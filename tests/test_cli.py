@@ -9,6 +9,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -274,6 +275,22 @@ class TestSimulate:
         out = tmp_path / "campaign.csv"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {cfg}: line {line}: Expecting ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value, named", [
+        # 1/sigma^2 of every point underflows to 0: this failed as
+        # "separation must be finite, got nan" after a RuntimeWarning
+        ("noise_sigma", 1e300, "sigma"),
+        # the weighted forces overflow: "force must be finite, got inf"
+        ("radius", 1e300, "force"),
+    ])
+    def test_a_bin_out_of_range_names_the_quantity(self, tmp_path, capsys, field, value, named):
+        cfg = self.small_cfg(tmp_path, **{field: value})
+        out = tmp_path / "campaign.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {named} is out of range in the bin ")
         assert not out.exists()
 
     def test_refused_config_field_names_the_file(self, tmp_path, capsys):
@@ -616,6 +633,37 @@ class TestExitCodes:
         assert main(argv + ["--out", str(out)]) == 2
         assert "temperature" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["force", "--model", "drude", "--wp-ev", "1e150"], "plasma frequency"),
+            (["force", "--model", "plasma", "--wp-ev", "1e150"], "plasma frequency"),
+            (["force", "--model", "drude", "--temp", "0", "--wp-ev", "1e150"], "plasma frequency"),
+            (["force", "--model", "drude", "--gamma-ev", "1e150"], "dissipation rate"),
+            (["band", "--wp-max-ev", "1e200"], "plasma frequency"),
+        ],
+        ids=["drude", "plasma", "t0", "gamma", "band"],
+    )
+    def test_an_overflowing_model_parameter_is_two_and_writes_nothing(
+        self, tmp_path, capsys, argv, named
+    ):
+        # these ended in an OverflowError traceback with exit 1
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--points", "2", "--out", str(out)]) == 2
+        assert f"error: {named} must be positive and at most 1e+20" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_an_overflowing_fit_is_two_without_a_warning(self, tmp_path, capsys, campaign_csv):
+        # the patch column's norm overflowed: a RuntimeWarning, then exit 4,
+        # "collinear"; the column is fine and y/sigma really overflows
+        report = tmp_path / "report.json"
+        argv = ["fit", "--data", str(campaign_csv), "--radius-cm", "1e300", "--out", str(report)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv) == 2
+        assert "the weighted fit overflows a float" in capsys.readouterr().err
+        assert not report.exists()
 
     def test_non_finite_measurement_is_two_and_writes_nothing(self, tmp_path, campaign_csv):
         lines = campaign_csv.read_text(encoding="utf-8").splitlines()

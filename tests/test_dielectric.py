@@ -105,6 +105,25 @@ class TestAnalyticModels:
         with pytest.raises(ValidationError):
             ConstantModel(eps=0.5)
 
+    def test_parameters_past_their_bounds_rejected(self):
+        # omega_p = 1.5e165 rad/s (--wp-ev 1e150) ended in an OverflowError
+        # in omega_p^2, and ConstantModel(1e300) in an overflowing lift
+        bound, eps_bound = dielectric.MAX_FREQUENCY, dielectric.MAX_PERMITTIVITY
+        assert DrudeModel(bound, bound).omega_p == bound
+        assert PlasmaModel(bound).omega_p == bound
+        assert ConstantModel(eps_bound).eps == eps_bound
+        past = math.nextafter(bound, math.inf)
+        for make, named in (
+            (lambda: DrudeModel(omega_p=past, gamma=1e13), "plasma frequency"),
+            (lambda: DrudeModel(omega_p=1e16, gamma=past), "dissipation rate"),
+            (lambda: PlasmaModel(omega_p=past), "plasma frequency"),
+            (lambda: DrudeModel.from_ev(1e150, 0.05), "plasma frequency"),
+        ):
+            with pytest.raises(ValidationError, match=rf"^{named} must be positive and at most 1e"):
+                make()
+        with pytest.raises(ValidationError, match=r"^permittivity must be within \[1, 1e\+100\]"):
+            ConstantModel(eps=1e300)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_parameters_rejected(self, bad):
         with pytest.raises(ValidationError):
@@ -313,6 +332,24 @@ class TestTabulatedKramersKronig:
         got = eps_imag_axis(model, xi.reshape(shape))
         assert got.shape == shape
         np.testing.assert_array_equal(got.ravel(), eps_imag_axis(model, xi))
+
+
+    @pytest.mark.parametrize("shape", [(24,), (4, 6), (2, 3, 4, 1)])
+    def test_repeated_frequencies_match_the_distinct_ones_to_the_bit(self, monkeypatch, shape):
+        # the transform runs once per distinct frequency; each repeat gets
+        # the value of the distinct frequencies evaluated on their own
+        model, _, w0 = lorentz_table(n=400)
+        distinct = np.geomspace(0.1 * w0, 10.0 * w0, 6)
+        xi = np.random.default_rng(5).permutation(np.tile(distinct, 4)).reshape(shape)
+        once = eps_imag_axis(model, distinct)
+        sizes = []
+        band = dielectric._table_band_integral
+        monkeypatch.setattr(dielectric, "_table_band_integral",
+                            lambda table, w: sizes.append(w.size) or band(table, w))
+        got = eps_imag_axis(model, xi)
+        assert sizes == [distinct.size]
+        assert got.shape == shape
+        np.testing.assert_array_equal(got, once[np.searchsorted(distinct, xi)])
 
 
 class TestOpticalTable:

@@ -240,6 +240,21 @@ class TestWeightedFit:
         with pytest.raises(DegenerateFitError, match="^named$"):
             weighted_fit(basis, np.ones(5), np.ones(5), "named")
 
+    @pytest.mark.parametrize("scale", [1e300, 1e308])
+    def test_a_finite_column_past_a_float_norm_is_not_degenerate(self, scale):
+        # the 2-norm of scale/x overflows, which called the column degenerate;
+        # scaled by the power of two at or below its largest entry (a power
+        # of two above 1e308 is past a float) it is a column like any other,
+        # and the fit recovers its coefficients
+        x = np.linspace(1.0, 2.0, 5)
+        basis = np.column_stack([scale / x, np.ones(5)])
+        slope = 2.0 / scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            coeffs, cov, chi2 = weighted_fit(basis, slope * basis[:, 0] + 3.0, np.ones(5), "named")
+        np.testing.assert_allclose(coeffs, [slope, 3.0], rtol=1e-12)
+        assert np.all(np.isfinite(cov)) and chi2 < 1e-20
+
     @pytest.mark.parametrize("y, sigma", [
         # y/sigma is finite, but the normal equations' right side overflows
         (np.array([1.5e308, -1.5e308, 1.5e308, -1.5e308, 1.5e308]), np.ones(5)),

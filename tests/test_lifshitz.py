@@ -11,12 +11,13 @@ import functools
 import itertools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from casimir_lab import lifshitz
+from casimir_lab import dielectric, lifshitz
 from casimir_lab.constants import BOLTZMANN, HBAR, SPEED_OF_LIGHT, ZETA3
 from casimir_lab.dielectric import (
     ConstantModel,
@@ -768,6 +769,45 @@ class TestDomain:
             with pytest.raises(ValidationError, match=rf"^{named}.*{floor}"):
                 free_energy_per_area([1e-6, inside, below, 2e-6], T, gold_drude())
 
+    @staticmethod
+    def kinds_at(d, T, model):
+        """Energy, pressure and curvature at one gap, at rel_tol 1e-6, with
+        every warning an error."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = lifshitz._lifshitz_models(np.array([d]), T, (model,), 1e-6, lifshitz._KINDS)
+        return values.ravel()
+
+    @pytest.mark.parametrize(
+        "model",
+        [DrudeModel(1e20, 1e20), DrudeModel(1e20, 1e-300), PlasmaModel(1e20), ConstantModel(1e100)],
+        ids=["drude", "drude-undamped", "plasma", "constant"],
+    )
+    @pytest.mark.parametrize("d, T", [(d, T) for T in (0.0, 300.0, 1e6) for d in (1e-9, 1e3)])
+    def test_models_at_their_bounds_are_finite_at_the_domain_corners(self, model, d, T):
+        # omega_p and gamma up to 1e20 rad/s and eps up to 1e100: far past
+        # them omega_p^2, the plasma zero mode (omega_p/c)^2 or the lift
+        # (eps - 1)(xi/c)^2 overflowed, with an OverflowError or a warning
+        energy, pressure, curvature = self.kinds_at(d, T, model)
+        assert -np.inf < energy < 0.0 < pressure < np.inf and 0.0 < curvature < np.inf
+
+    @pytest.mark.parametrize("d, T", [(1e3, 1e-10), (1e-9, 73.0)])
+    def test_the_bound_plasma_zero_mode_is_finite_at_the_ladder_floor(self, d, T):
+        # ~10^5 Matsubara rows, the n = 0 row at its largest lift
+        energy, pressure, curvature = self.kinds_at(d, T, PlasmaModel(1e20))
+        assert -np.inf < energy < 0.0 < pressure < np.inf and 0.0 < curvature < np.inf
+
+    @pytest.mark.parametrize("T", [0.0, 300.0])
+    def test_a_table_past_the_constant_bound_keeps_its_static_zero_mode(self, T):
+        # the permittivity bound is on a ConstantModel a caller builds, not on
+        # the static eps (~4.6e101 here) of a table without a continuation,
+        # whose zero mode has no lift to overflow
+        w = np.geomspace(1e14, 1e17, 50)
+        model = TabulatedModel(OpticalTable(omega=w, eps_imag=np.full(50, 1e101)), None)
+        assert static_eps(model) > dielectric.MAX_PERMITTIVITY
+        energy, pressure, curvature = self.kinds_at(1e-6, T, model)
+        assert -np.inf < energy < 0.0 < pressure < np.inf and 0.0 < curvature < np.inf
+
 
 class TestCurvesAsArrays:
     """A curve is one computation: a float gives a float, an array of gaps
@@ -800,19 +840,20 @@ class TestCurvesAsArrays:
         assert np.all(forces > 0.0)
 
     def test_t0_computes_eps_once_per_frequency_node(self, monkeypatch):
-        # each doubling level computes eps once per distinct frequency node
-        # and gathers it per rectangle; a 2000-row table makes a per-rectangle
-        # eps four times slower.  The tensor-product grid of 121 panel pairs
-        # computed 296 values here; the L-shaped layout must not compute more
+        # each doubling level hands eps the frequency nodes of every
+        # rectangle, and the tabulated model transforms each distinct one
+        # once; a transform per rectangle makes a 2000-row table five times
+        # slower.  The tensor-product grid of 121 panel pairs transformed 296
+        # frequencies here; the L-shaped layout must not transform more
         model = self.drude_table()
         values = []
-        eps = lifshitz.eps_imag_axis
+        band = dielectric._table_band_integral
 
-        def counting(m, xi):
+        def counting(table, xi):
             values.append(np.size(xi))
-            return eps(m, xi)
+            return band(table, xi)
 
-        monkeypatch.setattr(lifshitz, "eps_imag_axis", counting)
+        monkeypatch.setattr(dielectric, "_table_band_integral", counting)
         force = force_sphere_plane(1e-6, 0.0, R_SPHERE, model)
         assert force > 0.0
         assert sum(values) <= 296

@@ -175,8 +175,8 @@ def test_each_kind_settles_on_its_own_scale():
 def test_2d_each_kind_settles_on_its_own_scale():
     a = 5.0
 
-    def f(x, t, row):
-        y = x[row] + t
+    def f(x, t):
+        y = x + t
         return np.stack([np.exp(-y), 1e-9 * np.exp(-y) * np.cos(a * t)])
 
     got = integrate_decaying_2d(f, 1e-10)
@@ -193,12 +193,6 @@ def test_the_kind_that_cannot_settle_is_named():
     assert err.value.kind == 1
 
 
-def on_rectangles(g):
-    """The integrand call of integrate_decaying_2d for a plain g(x, t): the
-    x nodes are gathered per rectangle and broadcast against its t nodes."""
-    return lambda x, t, row: g(x[row], t)
-
-
 def log_kernel(x, t):
     # int int (x+t) ln(1-e^-(x+t)) dx dt = int_0^inf y^2 ln(1-e^-y) dy
     y = x + t
@@ -206,7 +200,7 @@ def log_kernel(x, t):
 
 
 def test_2d_log_kernel_zeta4():
-    value = integrate_decaying_2d(on_rectangles(log_kernel), 1e-11)
+    value = integrate_decaying_2d(log_kernel, 1e-11)
     assert value == pytest.approx(-math.pi**4 / 45.0, rel=1e-10)
 
 
@@ -214,22 +208,20 @@ def test_2d_separable_exponential():
     def f(x, t):
         return np.exp(-x) * np.exp(-t)
 
-    assert integrate_decaying_2d(on_rectangles(f), 1e-11) == pytest.approx(1.0, rel=1e-10)
+    assert integrate_decaying_2d(f, 1e-11) == pytest.approx(1.0, rel=1e-10)
 
 
 @pytest.mark.parametrize("k, j", [(k, j) for k in range(5) for j in range(5 - k)])
 def test_2d_moments_away_from_the_corner(k, j):
     # int int x^k t^j e^-(x+t) dx dt = k! j!; for j + k > 0 the mass sits
     # away from x = t = 0, on the merged t-panels and the wide panels
-    f = on_rectangles(lambda x, t: x**k * t**j * np.exp(-x - t))
-    value = integrate_decaying_2d(f, 1e-12)
+    value = integrate_decaying_2d(lambda x, t: x**k * t**j * np.exp(-x - t), 1e-12)
     assert value == pytest.approx(math.factorial(k) * math.factorial(j), rel=1e-10, abs=0.0)
 
 
 def test_2d_oscillatory_inner_integral():
     a = 5.0
-    f = on_rectangles(lambda x, t: np.exp(-x - t) * np.cos(a * t))
-    value = integrate_decaying_2d(f, 1e-11)
+    value = integrate_decaying_2d(lambda x, t: np.exp(-x - t) * np.cos(a * t), 1e-11)
     assert value == pytest.approx(1.0 / (1.0 + a * a), rel=1e-9)
 
 
@@ -273,7 +265,7 @@ def test_a_kind_that_settled_at_zero_does_not_make_the_error_nan():
 
 def test_2d_unreachable_tolerance_raises():
     with pytest.raises(ConvergenceError) as err:
-        integrate_decaying_2d(on_rectangles(lambda x, t: fast_cosine(x + t)), 1e-12)
+        integrate_decaying_2d(lambda x, t: fast_cosine(x + t), 1e-12)
     assert err.value.achieved > err.value.requested
 
 
@@ -285,9 +277,9 @@ def test_2d_cells_cost_at_most_two_passes_on_a_smooth_integrand():
     assert len(panel_edges()) - 1 == 11
     values = 0
 
-    def f(x, t, row):
+    def f(x, t):
         nonlocal values
-        out = np.exp(-x[row] - t)
+        out = np.exp(-x - t)
         values += out.size
         return out
 
@@ -310,7 +302,7 @@ def counted(g):
 def test_2d_smooth_cells_settle_at_the_6_and_12_node_passes():
     # at the default tolerance a smooth integrand settles every rectangle at
     # the first doubling, so the 6- and 12-node passes are all it may pay for
-    f, values = counted(on_rectangles(lambda x, t: np.exp(-x - t)))
+    f, values = counted(lambda x, t: np.exp(-x - t))
     assert integrate_decaying_2d(f, 1e-8) == pytest.approx(1.0, rel=1e-8)
     assert values[0] <= 62 * (6**2 + 12**2)
 
@@ -322,24 +314,26 @@ def test_smooth_panels_settle_at_the_6_and_12_node_passes():
     assert values[0] <= 11 * (6 + 12)
 
 
-def test_2d_call_evaluates_each_frequency_node_once():
-    # x carries the frequency nodes, each distinct one once per call, so
-    # eps(i xi) is computed once per node and level, not once per rectangle
-    # or t node; row gathers them for the (nc, 1, n) t nodes
+def test_2d_call_hands_each_rectangle_its_nodes():
+    # each level is one call f(x, t): x (nc, n, 1) the frequency nodes and
+    # t (nc, 1, n) the t nodes of each of the nc unsettled rectangles, both
+    # read-only; the first call covers the whole layout, and every node lies
+    # in [0, cutoff]
     calls = []
 
-    def f(x, t, row):
-        calls.append((x.shape, t.shape, row.shape))
-        assert np.unique(x).size == x.size
-        assert np.all(np.isin(np.arange(len(x)), row))
-        return np.exp(-x[row] - t) * np.cos(5.0 * t)
+    def f(x, t):
+        calls.append((x.shape, t.shape))
+        assert not (x.flags.writeable or t.flags.writeable)
+        assert 0.0 <= x.min() and x.max() <= panel_edges()[-1]
+        assert 0.0 <= t.min() and t.max() <= panel_edges()[-1]
+        return np.exp(-x - t) * np.cos(5.0 * t)
 
     integrate_decaying_2d(f, 1e-11)
     assert len(calls) > 2
-    for x_shape, t_shape, row_shape in calls:
-        assert x_shape[2] == t_shape[1] == 1
-        assert x_shape[1] == t_shape[2]
-        assert row_shape == (t_shape[0],)
+    assert calls[0] == ((62, 6, 1), (62, 1, 6))
+    for (nc, n, one), t_shape in calls:
+        assert one == 1 and t_shape == (nc, 1, n)
+    assert [n for (_, n, _), _ in calls] == [6 * 2**k for k in range(len(calls))]
 
 
 def test_2d_levels_are_read_only_and_shared_by_calls_on_the_same_cells():
@@ -347,10 +341,10 @@ def test_2d_levels_are_read_only_and_shared_by_calls_on_the_same_cells():
     # not write them, and a second integral that settles the same cells at
     # every level is handed the same objects
     def recording(calls):
-        def f(x, t, row):
-            assert not any(array.flags.writeable for array in (x, t, row))
-            calls.append((x, t, row))
-            return np.exp(-x[row] - t) * np.cos(5.0 * t)
+        def f(x, t):
+            assert not any(array.flags.writeable for array in (x, t))
+            calls.append((x, t))
+            return np.exp(-x - t) * np.cos(5.0 * t)
 
         return f
 
@@ -367,6 +361,5 @@ def test_2d_drude_like_near_pole(g):
     # int_0^inf e^-x g/(x + g) dx = g e^g E1(g); a Drude eps has the same
     # pole just left of the frequency origin
     special = pytest.importorskip("scipy.special")
-    f = on_rectangles(lambda x, t: np.exp(-x - t) * g / (x + g))
-    value = integrate_decaying_2d(f, 1e-11)
+    value = integrate_decaying_2d(lambda x, t: np.exp(-x - t) * g / (x + g), 1e-11)
     assert value == pytest.approx(g * math.exp(g) * special.exp1(g), rel=1e-9)
