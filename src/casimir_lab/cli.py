@@ -46,12 +46,13 @@ from .campaign import (
     save_sweeps_csv,
     subtract_drift,
 )
-from .constants import CONSTANTS_VERSION
+from .constants import CONSTANTS_VERSION, ELEMENTARY_CHARGE, HBAR
 from .dielectric import (
     GOLD_GAMMA_EV,
     GOLD_GAMMA_RANGE_EV,
     GOLD_OMEGA_P_EV,
     GOLD_OMEGA_P_RANGE_EV,
+    MAX_FREQUENCY,
     DrudeModel,
     PlasmaModel,
     ev_to_angular_frequency,
@@ -63,6 +64,10 @@ from .lifshitz import force_sphere_plane_grid, sensitivity_band
 
 FORCE_CSV_HEADER = ["separation_um", "force_pn", "f_times_d_pn_um", "f_times_d2_pn_um2"]
 BAND_CSV_HEADER = ["separation_um", "f_min_pn", "f_center_pn", "f_max_pn"]
+
+#: The largest energy a model flag in eV takes: the models' MAX_FREQUENCY in
+#: eV, rounded down, so every value it passes builds its model.
+_MAX_EV = math.floor(MAX_FREQUENCY * HBAR / ELEMENTARY_CHARGE)
 
 
 def finite_float(text):
@@ -100,11 +105,14 @@ def _write_manifest(args, inputs, outputs, config=None, seed=None):
 
 def _require_positive_flags(args, *dests):
     """ValidationError naming the first flag of ``dests`` (each dest spelt
-    as its flag) whose value is not positive."""
+    as its flag) whose value is not positive or, for an energy in eV (a dest
+    ending in ``_ev``), above ``_MAX_EV``."""
     for dest in dests:
-        if getattr(args, dest) <= 0.0:
-            flag = "--" + dest.replace("_", "-")
-            raise ValidationError(f"{flag} must be positive, got {getattr(args, dest)}")
+        value, flag = getattr(args, dest), "--" + dest.replace("_", "-")
+        if dest.endswith("_ev") and not value <= _MAX_EV:
+            raise ValidationError(f"{flag} must be positive and at most {_MAX_EV} eV, got {value}")
+        if value <= 0.0:
+            raise ValidationError(f"{flag} must be positive, got {value}")
 
 
 def _grid_from_args(args):

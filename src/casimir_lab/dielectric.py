@@ -58,10 +58,11 @@ GOLD_GAMMA_RANGE_EV = (0.02, 0.061)
 
 #: The largest plasma frequency and dissipation rate, in rad/s (~66 keV;
 #: gold's omega_p is 1.1e16), and the largest constant permittivity a model
-#: takes.  Up to them every engine entry stays finite and warning-free over
-#: its whole domain (gaps 1 nm to 1 km, T 0 to 1e6 K); far past them
-#: omega_p^2, the plasma zero mode (omega_p/c)^2 or the Fresnel lift
-#: (eps - 1)(xi/c)^2 overflows a float.
+#: or eps'' an optical table row takes.  Up to them every engine entry stays
+#: finite and warning-free over its whole domain (gaps 1 nm to 1 km, T 0 to
+#: 1e6 K); far past them omega_p^2, the plasma zero mode (omega_p/c)^2, the
+#: Fresnel lift (eps - 1)(xi/c)^2 or a table's Kramers-Kronig weights
+#: overflow a float.
 MAX_FREQUENCY = 1e20
 MAX_PERMITTIVITY = 1e100
 
@@ -117,10 +118,10 @@ class OpticalTable:
     """Measured imaginary permittivity on a strictly increasing frequency grid.
 
     At least two rows; every value finite, the frequencies positive and
-    eps'' non-negative.  A ValidationError names the first bad row by its
-    0-based index, as Measurements does, and keeps it.  ``==`` and ``hash``
-    are identity, as a field-wise comparison of arrays has no single truth
-    value; a TabulatedModel holding it stays hashable.
+    eps'' in [0, MAX_PERMITTIVITY].  A ValidationError names the first bad
+    row by its 0-based index, as Measurements does, and keeps it.  ``==``
+    and ``hash`` are identity, as a field-wise comparison of arrays has no
+    single truth value; a TabulatedModel holding it stays hashable.
     """
 
     omega: np.ndarray     # rad/s
@@ -132,7 +133,8 @@ class OpticalTable:
             ((frequencies, self.omega), ("eps''", self.eps_imag)),
             ((frequencies, "positive", lambda w: w <= 0.0),
              (frequencies, "strictly increasing", lambda w: np.r_[False, w[1:] <= w[:-1]]),
-             ("eps''", "non-negative", lambda eps: eps < 0.0)),
+             ("eps''", "non-negative", lambda eps: eps < 0.0),
+             ("eps''", f"at most {MAX_PERMITTIVITY:g}", lambda eps: eps > MAX_PERMITTIVITY)),
         )
         if omega.size < 2:
             raise ValidationError(f"optical table needs at least 2 rows, got {omega.size}")

@@ -26,20 +26,22 @@ model axis rides through every row family next to the kinds, and more than
 three models take fewer rows to a family to hold its memory.  A gap's rows
 stop below x_n = 2 xi_n d / c = DEFAULT_CUTOFF/2 = 40, where its terms fall
 under exp(-40) of the sum.  A row n >= 1 starts at y = x_n, clear of the
-y ln y endpoint at y = 0, so a family of them passes its smallest x_n to the
-quadrature, which thins its graded opening; the n = 0 rows, at x = 0, fill
-families of their own on the full opening.  At T = 0 the gaps
-computed directly take one 2-D integral per chunk of ``_T0_GAPS``
-consecutive gaps, each gap settled on its own scale in one kernel call per
-level, and the chunk size bounds the peak memory.  A T = 0 curve of at least
-2 ``_T0_NODES`` = 24 gaps, not all equal, is interpolated in ln d from
-``_T0_NODES`` Chebyshev points over its range where the interpolant's error
-estimate allows (:func:`_t0_curve`); shorter curves, scalars and every T > 0
-curve are computed gap by gap.  The ladder rows and the T = 0 levels read
-y, y^2 and exp(-y) from one node table and share one Fresnel formula and one
-kernel; the whole-grid temporaries of the Fresnel coefficients and kernels
-live in buffers reused across doubling levels and by every family or chunk
-of a curve.
+y ln y endpoint at y = 0: from x_n = ``_LAGUERRE_X`` = 1 it decays like
+exp(-t) in t = y - x_n and tries the Gauss-Laguerre pair, which accepts or
+refuses each row on its own value; the rest, and every refused row, go to
+the panels, a family passing its smallest x_n to thin the graded opening,
+and the n = 0 rows, at x = 0, fill families of their own on the full
+opening.  At T = 0 the gaps computed directly take one 2-D integral per
+chunk of ``_T0_GAPS`` consecutive gaps, each gap settled on its own scale in
+one kernel call per level, and the chunk size bounds the peak memory.  A
+T = 0 curve of at least 2 ``_T0_NODES`` = 24 gaps, not all equal, is
+interpolated in ln d from ``_T0_NODES`` Chebyshev points over its range
+where the interpolant's error estimate allows (:func:`_t0_curve`); shorter
+curves, scalars and every T > 0 curve are computed gap by gap.  The ladder
+rows and the T = 0 levels read y, y^2 and exp(-y) from one node table and
+share one Fresnel formula and one kernel; the whole-grid temporaries of the
+Fresnel coefficients and kernels live in buffers reused across doubling
+levels and by every family or chunk of a curve.
 
 The one accuracy setting, ``rel_tol`` in (0, 1e-3] (default 1e-8), is what
 every quadrature settles to.  Before any eps(i xi) or integral runs, a
@@ -71,7 +73,6 @@ import math
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import pairwise
 from typing import NamedTuple
 
 import numpy as np
@@ -89,6 +90,7 @@ from .errors import ConvergenceError, PfaValidityWarning, ValidationError
 from .errors import require_at_least, require_finite, require_positive, require_tolerance
 from .errors import require_within
 from .quadrature import DEFAULT_CUTOFF, integrate_decaying, integrate_decaying_2d
+from .quadrature import integrate_laguerre
 
 __all__ = [
     "ReflectionPair",
@@ -114,14 +116,19 @@ PFA_RATIO_LIMIT = 1e-3
 #: shorter, so a ladder's memory is bounded at any T.  Every model of a
 #: ladder rides in each family, and one of more than three models holds
 #: 3 _LADDER_ROWS (model, row) pairs to a family; the n = 0 rows fill
-#: families of their own.  Peak memory grows with it: against one gap per
-#: family, 80 rows add ~0.5 MB (1.4 %) to the band workload's peak RSS, 200
-#: rows ~1.7 MB.  One ladder for the band's five Drude models and one for
-#: its three plasma models, both 240 (model, row) pairs to a family, add
-#: ~0.43 MB against a ladder per model; 80-row families of the five Drude
-#: models would add ~0.74 MB.  With the plasma band's 90 n = 0 (model, row)
-#: pairs in one family, band peak RSS read -0.05 to +0.09 MB (0.3 %).
+#: families of their own.  Peak memory grows with it only a little, as most
+#: rows take 48 Gauss-Laguerre nodes in one call, not panel levels of ~40
+#: and ~80: the band workload's peak RSS reads ~35.0 MB at 1 row, ~34.9 MB
+#: at 20 and 80 and ~35.7 MB at 200 (with every row on the panels: ~34.7,
+#: ~34.6, ~35.1 and ~36.4 MB).
 _LADDER_ROWS = 80
+
+#: The smallest x_n of a row n >= 1 that tries the Gauss-Laguerre pair
+#: before the panels: in t = y - x_n the row decays like exp(-t) and its
+#: y ln y endpoint sits at t = -x_n, which slows the pair's convergence as
+#: x_n falls (at 1 K and rel_tol 1e-8 it refused nearly every row it was
+#: tried on with x_n in [0.5, 1)).
+_LAGUERRE_X = 1.0
 
 #: Gaps one T = 0 integral settles together, each on its own scale, in one
 #: kernel call per level on the curve's tables.  Peak memory grows with it:
@@ -327,14 +334,19 @@ def _matsubara_ladder(d, T, models, rel_tol, kinds):
     DEFAULT_CUTOFF/2.  The rows and node tables do not depend on the model,
     only the Fresnel inputs 1/eps and (eps - 1)(xi_n/c)^2 do, computed once
     per model and n (n = 0 by :func:`_zero_mode`); every model rides in each
-    family, each (kind, model) settled on its own scale.  A family holds
-    ``_LADDER_ROWS`` (gap, n) rows, or 3 ``_LADDER_ROWS`` (model, row) pairs
-    for more than three models: first the n = 0 rows, on the full panel
-    layout, unless every zero mode is the Drude r = (0, 1) and its zeta(3)
-    closed form, then the n >= 1 rows gap after gap, each family on the
-    layout of its smallest x.  A curve with a gap whose ladder needs more
-    than ``_MAX_MATSUBARA`` terms is refused with a ValidationError before
-    eps(i xi) or any integral runs.
+    family.  A family holds ``_LADDER_ROWS`` (gap, n) rows, or 3
+    ``_LADDER_ROWS`` (model, row) pairs for more than three models.  First
+    the n = 0 rows run on the full panel layout, unless every zero mode is
+    the Drude r = (0, 1) and its zeta(3) closed form.  Then the n >= 1 rows
+    at x_n >= ``_LAGUERRE_X``, gap after gap, run on the Gauss-Laguerre pair
+    of :func:`integrate_laguerre`, one kernel call of 48 nodes a family,
+    which keeps each row whose 16- and 32-node sums agree to rel_tol of its
+    own value in every (kind, model).  Last the rows below ``_LAGUERRE_X``
+    and every refused one, gap after gap, run on the panels, each family on
+    the layout of its smallest x.  On the panels each (kind, model) settles
+    on its own scale, and only they raise ConvergenceError.  A curve with a
+    gap whose ladder needs more than ``_MAX_MATSUBARA`` terms is refused
+    with a ValidationError before eps(i xi) or any integral runs.
     """
     dx = 4.0 * math.pi * BOLTZMANN * T * d / (HBAR * _C)
     # past x_n = 40 terms are below exp(-40) of the sum, the T = 0 layout's
@@ -365,20 +377,36 @@ def _matsubara_ladder(d, T, models, rel_tol, kinds):
     gap = np.concatenate([np.arange(n_zero), np.repeat(np.arange(d.size), n_rows)])
     n = np.arange(gap.size) - n_zero - starts[gap] + 1
     n[:n_zero] = 0
+    x_row = dx[gap] * n
     rows, buffers = np.empty((len(kinds), len(models), gap.size)), _Buffers()
     size = max(1, min(_LADDER_ROWS, 3 * _LADDER_ROWS // len(models)))
-    edges = sorted({*range(0, n_zero, size), *range(n_zero, gap.size, size), gap.size})
-    for start, stop in pairwise(edges):
-        chunk = slice(start, stop)
-        x = (dx[gap[chunk]] * n[chunk])[:, None]
-        inv = inv_n[:, n[chunk], None]
-        lift = lift_n[:, n[chunk], None] * (2.0 * d[gap[chunk], None]) ** 2
+
+    def integrand(family):
+        x = x_row[family, None]
+        inv = inv_n[:, n[family], None]
+        lift = lift_n[:, n[family], None] * (2.0 * d[gap[family], None]) ** 2
+        return lambda t: _integrand(_table(x, t), inv, lift, kinds, buffers)
+
+    def families(index):
+        return (index[start:start + size] for start in range(0, index.size, size))
+
+    def settle(family):
         # a row in t = y - x_n has its y ln y endpoint at t = -x_n, so the
         # smallest x_n of the family is how far the graded opening may thin
-        with _located(d[gap[chunk]], T, kinds, named):
-            rows[..., chunk] = integrate_decaying(
-                lambda t: _integrand(_table(x, t), inv, lift, kinds, buffers), rel_tol, x.min()
-            )
+        with _located(d[gap[family]], T, kinds, named):
+            rows[..., family] = integrate_decaying(integrand(family), rel_tol, x_row[family].min())
+
+    # the n = 0 rows first: run after the Gauss-Laguerre families, they left
+    # ~0.2 MB more of the heap resident for the T = 0 curves that follow
+    for family in families(np.arange(n_zero)):
+        settle(family)
+    panel = [np.flatnonzero((x_row < _LAGUERRE_X) & (n > 0))]
+    for family in families(np.flatnonzero(x_row >= _LAGUERRE_X)):
+        accepted, integrals = integrate_laguerre(integrand(family), rel_tol)
+        rows[..., family[accepted]] = integrals
+        panel.append(family[~accepted])
+    for family in families(np.sort(np.concatenate(panel))):
+        settle(family)
     zero_modes = rows[..., :n_zero] if n_zero else [[[_DRUDE_ZERO_MODE[k]]] for k in kinds]
     return 0.5 * np.asarray(zero_modes) + np.add.reduceat(rows[..., n_zero:], starts, axis=-1)
 

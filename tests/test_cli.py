@@ -16,11 +16,13 @@ import numpy as np
 import pytest
 
 import casimir_lab
+from casimir_lab import cli
 from casimir_lab.cli import build_parser, main
 from casimir_lab.constants import ev_to_angular_frequency
 from casimir_lab.dielectric import (
     GOLD_GAMMA_RANGE_EV,
     GOLD_OMEGA_P_RANGE_EV,
+    MAX_FREQUENCY,
     gold_drude,
     gold_plasma,
 )
@@ -637,22 +639,45 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, named",
         [
-            (["force", "--model", "drude", "--wp-ev", "1e150"], "plasma frequency"),
-            (["force", "--model", "plasma", "--wp-ev", "1e150"], "plasma frequency"),
-            (["force", "--model", "drude", "--temp", "0", "--wp-ev", "1e150"], "plasma frequency"),
-            (["force", "--model", "drude", "--gamma-ev", "1e150"], "dissipation rate"),
-            (["band", "--wp-max-ev", "1e200"], "plasma frequency"),
+            (["force", "--model", "drude", "--wp-ev", "1e150"], "--wp-ev"),
+            (["force", "--model", "plasma", "--wp-ev", "1e150"], "--wp-ev"),
+            (["force", "--model", "drude", "--temp", "0", "--wp-ev", "1e150"], "--wp-ev"),
+            (["force", "--model", "drude", "--gamma-ev", "1e150"], "--gamma-ev"),
+            (["band", "--wp-max-ev", "1e200"], "--wp-max-ev"),
+            (["band", "--wp-min-ev", "1e200", "--wp-max-ev", "1e300"], "--wp-min-ev"),
+            (["band", "--family", "plasma", "--gamma-min-ev", "7e4"], "--gamma-min-ev"),
+            (["band", "--gamma-max-ev", "1e300"], "--gamma-max-ev"),
         ],
-        ids=["drude", "plasma", "t0", "gamma", "band"],
+        ids=[
+            "drude", "plasma", "t0", "gamma", "band", "band-wp-min", "band-gamma-min", "band-gamma"
+        ],
     )
     def test_an_overflowing_model_parameter_is_two_and_writes_nothing(
         self, tmp_path, capsys, argv, named
     ):
-        # these ended in an OverflowError traceback with exit 1
+        # these ended in an OverflowError traceback with exit 1, then named
+        # the model field in rad/s, "plasma frequency ... at most 1e+20"
         out = tmp_path / "out.csv"
         assert main(argv + ["--points", "2", "--out", str(out)]) == 2
-        assert f"error: {named} must be positive and at most 1e+20" in capsys.readouterr().err
+        value = argv[argv.index(named) + 1]
+        err = capsys.readouterr().err
+        assert f"error: {named} must be positive and at most 65821 eV, got {float(value)}" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--wp-ev", "--gamma-ev"])
+    def test_a_fit_model_parameter_past_its_bound_is_named_by_its_flag(
+        self, tmp_path, capsys, campaign_csv, flag
+    ):
+        report = tmp_path / "report.json"
+        argv = ["fit", "--data", str(campaign_csv), flag, "1e150", "--out", str(report)]
+        assert main(argv) == 2
+        assert f"error: {flag} must be positive and at most 65821 eV" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_the_ev_bound_builds_its_models(self):
+        # every eV value the flags pass stays within the models' bound in rad/s
+        assert ev_to_angular_frequency(cli._MAX_EV) <= MAX_FREQUENCY
+        assert ev_to_angular_frequency(cli._MAX_EV + 1) > MAX_FREQUENCY
 
     def test_an_overflowing_fit_is_two_without_a_warning(self, tmp_path, capsys, campaign_csv):
         # the patch column's norm overflowed: a RuntimeWarning, then exit 4,
@@ -751,9 +776,10 @@ class TestExitCodes:
 
 
 def test_a_cli_run_imports_neither_numpy_polynomial_nor_numpy_ma(tmp_path):
-    # numpy.polynomial (the Gauss-Legendre rule) and numpy.ma (the first
-    # np.unique call in a process) cost a fresh interpreter ~20 ms together;
-    # a clean process is needed, since pytest's plugins may import both
+    # numpy.polynomial (the Gauss-Legendre and Gauss-Laguerre rules) and
+    # numpy.ma (the first np.unique call in a process) cost a fresh
+    # interpreter ~20 ms together; a clean process is needed, since pytest's
+    # plugins may import both.  The bands run the Gauss-Laguerre pair
     src = str(Path(casimir_lab.__file__).resolve().parents[1])
     script = (
         "import sys\n"
@@ -763,6 +789,8 @@ def test_a_cli_run_imports_neither_numpy_polynomial_nor_numpy_ma(tmp_path):
         "    ['simulate', '--seed', '1', '--out', 'campaign.csv'],\n"
         "    ['fit', '--data', 'campaign.csv', '--models', 'all', '--out', 'report.json'],\n"
         "    ['force', '--all-models', '--out', 'curves.csv'],\n"
+        "    ['band', '--family', 'drude', '--out', 'band_drude.csv'],\n"
+        "    ['band', '--family', 'plasma', '--out', 'band_plasma.csv'],\n"
         "):\n"
         "    assert main(argv) == 0, argv\n"
         "print(sorted(m for m in ('numpy.polynomial', 'numpy.ma') if m in sys.modules))\n"

@@ -369,6 +369,17 @@ class TestOpticalTable:
         with pytest.raises(ValidationError):
             OpticalTable(omega=np.array([1e15, 2e15]), eps_imag=np.array([1.0, -0.1]))
 
+    def test_rejects_absorption_past_the_permittivity_bound(self):
+        # 1e300 overflowed the Kramers-Kronig weights omega * eps'' with two
+        # RuntimeWarnings, then a force ended in ConvergenceError "achieved inf"
+        w = np.geomspace(1e14, 1e17, 50)
+        eps_imag = np.full(50, dielectric.MAX_PERMITTIVITY)
+        OpticalTable(omega=w, eps_imag=eps_imag)
+        eps_imag[7:] = 1e300
+        named = r"^eps'' must be at most 1e\+100, got 1e\+300 \(row 7\)$"
+        with pytest.raises(ValidationError, match=named):
+            OpticalTable(omega=w, eps_imag=eps_imag)
+
     def test_arrays_are_read_only(self):
         t = OpticalTable(omega=np.array([1e15, 2e15]), eps_imag=np.array([1.0, 0.5]))
         with pytest.raises(ValueError):

@@ -799,14 +799,20 @@ class TestDomain:
 
     @pytest.mark.parametrize("T", [0.0, 300.0])
     def test_a_table_past_the_constant_bound_keeps_its_static_zero_mode(self, T):
-        # the permittivity bound is on a ConstantModel a caller builds, not on
-        # the static eps (~4.6e101 here) of a table without a continuation,
-        # whose zero mode has no lift to overflow
+        # the permittivity bound is on a ConstantModel a caller builds and on
+        # each eps'' of a table, not on the static eps (~4.4e100 here) of a
+        # table without a continuation, whose zero mode has no lift to
+        # overflow; a table at the eps'' bound gives a finite force, warning-free
         w = np.geomspace(1e14, 1e17, 50)
-        model = TabulatedModel(OpticalTable(omega=w, eps_imag=np.full(50, 1e101)), None)
+        eps_imag = np.full(50, dielectric.MAX_PERMITTIVITY)
+        model = TabulatedModel(OpticalTable(omega=w, eps_imag=eps_imag), None)
         assert static_eps(model) > dielectric.MAX_PERMITTIVITY
         energy, pressure, curvature = self.kinds_at(1e-6, T, model)
         assert -np.inf < energy < 0.0 < pressure < np.inf and 0.0 < curvature < np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            force = force_sphere_plane(1e-6, T, R_SPHERE, model)
+        assert 0.0 < force < np.inf
 
 
 class TestCurvesAsArrays:
@@ -898,26 +904,36 @@ class TestCurvesAsArrays:
         # 7-row chunks: the gaps' 24, 12, 4 and 1 rows (x_n below 40) fill
         # six chunks gap after gap, so the 2 um ladder starts in the chunk
         # where the 1 um one ends, and ends in the one it shares with 5 and
-        # 30 um
+        # 30 um.  Every x_n is past 1, so the chunks try the Gauss-Laguerre
+        # pair, and only the rows it refuses go to the panels, 7 to a family
         monkeypatch.setattr(lifshitz, "_LADDER_ROWS", 7)
-        calls = []
-        integrate = lifshitz.integrate_decaying
+        calls, tried = [], []
+        integrate, laguerre = lifshitz.integrate_decaying, lifshitz.integrate_laguerre
 
         def counting(f, rel_tol, offset=0.0):
             calls.append(offset)
             return integrate(f, rel_tol, offset)
 
+        def trying(f, rel_tol):
+            accepted, integrals = laguerre(f, rel_tol)
+            tried.append(accepted)
+            return accepted, integrals
+
         monkeypatch.setattr(lifshitz, "integrate_decaying", counting)
+        monkeypatch.setattr(lifshitz, "integrate_laguerre", trying)
         gaps = np.array([1e-6, 2e-6, 5e-6, 30e-6])
         x_1 = 4.0 * math.pi * BOLTZMANN * 300.0 * gaps / (HBAR * SPEED_OF_LIGHT)
         rows = np.maximum(np.ceil(40.0 / x_1) - 1.0, 1.0).astype(int)
-        assert rows.tolist() == [24, 12, 4, 1]
+        assert rows.tolist() == [24, 12, 4, 1] and x_1.min() > lifshitz._LAGUERRE_X
         # the Drude zero mode is a closed form, the plasma one a family
         for model, zero_families in ((gold_drude(), 0), (gold_plasma(), 1)):
             calls.clear()
+            tried.clear()
             got = force_sphere_plane_grid(gaps, 300.0, R_SPHERE, model)
             assert calls.count(0.0) == zero_families
-            assert len(calls) - zero_families == math.ceil(rows.sum() / 7)
+            assert [accepted.size for accepted in tried] == [7] * 5 + [6]
+            refused = sum(np.count_nonzero(~accepted) for accepted in tried)
+            assert len(calls) - zero_families == math.ceil(refused / 7)
             want = [force_sphere_plane(d, 300.0, R_SPHERE, model) for d in gaps]
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
@@ -1136,6 +1152,41 @@ class TestLadderLayout:
         want = lifshitz._matsubara_ladder(gaps, T, (model,), 1e-12, kinds)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
+    @pytest.mark.parametrize("T", [1.0, 4.0, 10.0, 300.0])
+    @pytest.mark.parametrize(
+        "model",
+        [gold_drude(), gold_plasma(), ConstantModel(eps=2.0), bound_charge_table()],
+        ids=["drude", "plasma", "constant", "table"],
+    )
+    def test_laguerre_rows_meet_rel_tol_against_a_tight_panel_pass(self, monkeypatch, model, T):
+        # from x_n = 1 the rows try the Gauss-Laguerre pair, and a row it
+        # refuses joins the panels; every kind must stay within rel_tol of
+        # a ladder whose rows all run on the panels at 1e-12.  From x_n =
+        # 1e-3 the pair meets rows it cannot resolve: each accepted there
+        # left the 1-10 K ladders 100 to 70,000 times rel_tol off
+        gaps = np.array([0.7, 2.0, 5.0, 12.0]) * 1e-6
+        accepted = []
+        laguerre = lifshitz.integrate_laguerre
+
+        def counting(f, rel_tol):
+            resolved, integrals = laguerre(f, rel_tol)
+            accepted.append(np.count_nonzero(resolved))
+            return resolved, integrals
+
+        monkeypatch.setattr(lifshitz, "integrate_laguerre", counting)
+        kinds, got = lifshitz._KINDS, {}
+        for low in (lifshitz._LAGUERRE_X, 1e-3):
+            monkeypatch.setattr(lifshitz, "_LAGUERRE_X", low)
+            for tol in (1e-8, 1e-10):
+                got[low, tol] = lifshitz._lifshitz(gaps, T, model, tol, kinds)
+        assert sum(accepted) > 0
+        monkeypatch.setattr(lifshitz, "_LAGUERRE_X", math.inf)
+        want = lifshitz._lifshitz(gaps, T, model, 1e-12, kinds)
+        for (low, tol), values in got.items():
+            for kind, g, w in zip(kinds, values, want):
+                message = f"{kind}, x_n >= {low:g}, rel_tol {tol:g}"
+                np.testing.assert_allclose(g, w, rtol=tol, atol=0.0, err_msg=message)
+
     @pytest.mark.parametrize("T", [300.0, 1000.0])
     def test_one_term_ladders_give_the_thermal_asymptote(self, T):
         # x_1 = 4 pi k_B T d / (hbar c) is 49 at 30 um and 300 K, so each gap
@@ -1177,20 +1228,34 @@ class TestModelAxis:
     def test_four_models_share_families_of_240_model_rows(self, monkeypatch):
         # one family of n = 0 rows for all four models, as the plasma and
         # the constant zero modes are not the closed form; the rows run 60
-        # to a family
-        calls = []
-        integrate = lifshitz.integrate_decaying
+        # to a family, on the Gauss-Laguerre pair from x_n = 1 and on the
+        # panels below it and where the pair refuses a row
+        calls, tried = [], []
+        integrate, laguerre = lifshitz.integrate_decaying, lifshitz.integrate_laguerre
 
         def counting(f, rel_tol, offset=0.0):
             calls.append(offset)
             return integrate(f, rel_tol, offset)
 
+        def trying(f, rel_tol):
+            accepted, integrals = laguerre(f, rel_tol)
+            tried.append(accepted)
+            return accepted, integrals
+
         monkeypatch.setattr(lifshitz, "integrate_decaying", counting)
+        monkeypatch.setattr(lifshitz, "integrate_laguerre", trying)
         x_1 = 4.0 * math.pi * BOLTZMANN * 300.0 * self.GAPS / (HBAR * SPEED_OF_LIGHT)
-        rows = np.maximum(np.ceil(40.0 / x_1) - 1.0, 1.0).sum()
+        rows = np.maximum(np.ceil(40.0 / x_1) - 1.0, 1.0)
+        # x_n = n x_1 below 1: three rows at 0.2 um, one at 0.39 um
+        low = np.ceil(lifshitz._LAGUERRE_X / x_1) - 1.0
+        assert low.tolist() == [3, 1, 0, 0, 0, 0, 0]
         lifshitz._lifshitz_models(self.GAPS, 300.0, self.MODELS, 1e-8, ("energy",))
         assert calls.count(0.0) == 1
-        assert len(calls) - 1 == math.ceil(rows / 60) > math.ceil(rows / 80)
+        assert [accepted.size for accepted in tried[:-1]] == [60] * (len(tried) - 1)
+        assert sum(accepted.size for accepted in tried) == rows.sum() - low.sum()
+        assert len(tried) == math.ceil((rows.sum() - low.sum()) / 60)
+        refused = sum(np.count_nonzero(~accepted) for accepted in tried)
+        assert len(calls) - 1 == math.ceil((low.sum() + refused) / 60)
 
     @pytest.mark.parametrize(
         "models, kinds, named",

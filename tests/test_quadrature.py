@@ -12,10 +12,12 @@ the integrable y ln y endpoint behaviour the graded opening panels exist for.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.polynomial.laguerre import laggauss
 from numpy.polynomial.legendre import leggauss
 
 from casimir_lab.constants import ZETA3
@@ -23,9 +25,12 @@ from casimir_lab.errors import ConvergenceError
 from casimir_lab.quadrature import (
     _GRADED_OPENING,
     DEFAULT_CUTOFF,
+    LAGUERRE_PAIR,
+    gauss_laguerre,
     gauss_legendre,
     integrate_decaying,
     integrate_decaying_2d,
+    integrate_laguerre,
     panel_edges,
 )
 
@@ -47,6 +52,68 @@ def test_gauss_legendre_is_numpys_rule_to_the_bit(n):
     want_x, want_w = leggauss(n)
     assert np.array_equal(x, want_x)
     assert np.array_equal(w, want_w)
+
+
+@pytest.mark.parametrize("n", LAGUERRE_PAIR)
+def test_gauss_laguerre_is_numpys_rule(n):
+    # nodes to 1e-14 and the weights times e^t to 1e-12 relative, without
+    # importing numpy.polynomial; laggauss's own weights are ~4e-13 off
+    t, scaled = gauss_laguerre(n)
+    want_t, want_w = laggauss(n)
+    np.testing.assert_allclose(t, want_t, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(scaled, want_w * np.exp(want_t), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, *LAGUERRE_PAIR])
+def test_gauss_laguerre_integrates_the_moments_exactly(n):
+    # int_0^inf e^-t t^k dt = k! for every k <= 2n - 1, an oracle that
+    # shares no code with the rule
+    t, scaled = gauss_laguerre(n)
+    for k in range(2 * n):
+        got = math.fsum(float(w * math.exp(-x) * x**k) for x, w in zip(t, scaled))
+        assert got == pytest.approx(math.factorial(k), rel=1e-13, abs=0.0), k
+
+
+def test_laguerre_returns_only_the_rows_it_resolves():
+    # rows c e^-t (exact), e^-t/(t + 4) (converged) and a row that turns
+    # non-finite at one node; kinds in front: a NaN in one refuses row 1
+    def f(t):
+        rows = np.stack([2.0 * np.exp(-t), np.exp(-t) / (t + 4.0), np.exp(-t) / (t - t[3])])
+        second = rows.copy()
+        second[1, 5] = np.nan
+        return np.stack([rows, second])
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        accepted, integrals = integrate_laguerre(f, 1e-8)
+    assert accepted.tolist() == [True, False, False]
+    assert integrals.shape == (2, 1)
+    np.testing.assert_allclose(integrals, 2.0, rtol=1e-14, atol=0.0)
+    # alone, the second row is e^4 E_1(4)
+    accepted, integrals = integrate_laguerre(lambda t: f(t)[0, 1:2], 1e-8)
+    assert accepted.tolist() == [True]
+    assert integrals[0] == pytest.approx(0.2063456499010558, rel=1e-14, abs=0.0)
+
+
+def test_laguerre_refuses_a_row_it_has_not_resolved():
+    # a pole at t = -1 slows the pair: e^-t/(t + 1) integrates to
+    # e E_1(1) within ~3e-9, which passes at rel_tol 1e-4 but not at 1e-8
+    def f(t):
+        return (np.exp(-t) / (t + 1.0))[None]
+
+    assert integrate_laguerre(f, 1e-8)[0].tolist() == [False]
+    accepted, integrals = integrate_laguerre(f, 1e-4)
+    assert accepted.tolist() == [True]
+    assert integrals[0] == pytest.approx(0.5963473623231941, rel=1e-8, abs=0.0)
+
+
+def test_laguerre_refuses_a_row_on_its_own_scale():
+    # a small row beside a large one is held to its own value, not theirs
+    def f(t):
+        return np.stack([1e6 * np.exp(-t), 1e-6 * np.exp(-t) * np.cos(3.0 * t)])
+
+    accepted, _ = integrate_laguerre(f, 1e-8)
+    assert accepted.tolist() == [True, False]
 
 
 def test_panel_edges_start_graded_and_reach_cutoff():
