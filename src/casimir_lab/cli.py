@@ -21,7 +21,7 @@ Exit codes: 0 success, 2 usage or config error, 3 convergence failure,
 import argparse
 import functools
 import math
-import secrets
+import os
 import sys
 from dataclasses import replace
 
@@ -163,7 +163,9 @@ def cmd_simulate(args):
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     if config.seed is None:
-        config = replace(config, seed=secrets.randbits(64))
+        # the OS source secrets.randbits reads, without importing secrets:
+        # its hmac/hashlib chain maps OpenSSL into every command's process
+        config = replace(config, seed=int.from_bytes(os.urandom(8), "big"))
 
     drift = subtract_drift(generate_campaign(config))
     points = drift.campaign.points

@@ -56,12 +56,13 @@ GOLD_GAMMA_EV = 0.051
 GOLD_OMEGA_P_RANGE_EV = (6.85, 9.00)
 GOLD_GAMMA_RANGE_EV = (0.02, 0.061)
 
-#: The largest plasma frequency and dissipation rate, in rad/s (~66 keV;
-#: gold's omega_p is 1.1e16), and the largest constant permittivity a model
-#: or eps'' an optical table row takes.  Up to them every engine entry stays
-#: finite and warning-free over its whole domain (gaps 1 nm to 1 km, T 0 to
-#: 1e6 K); far past them omega_p^2, the plasma zero mode (omega_p/c)^2, the
-#: Fresnel lift (eps - 1)(xi/c)^2 or a table's Kramers-Kronig weights
+#: The largest plasma frequency, dissipation rate or optical table frequency,
+#: in rad/s (~66 keV, above tabulated x-ray data; gold's omega_p is 1.1e16),
+#: and the largest constant permittivity a model or eps'' an optical table
+#: row takes.  Up to them every engine entry stays finite and warning-free
+#: over its whole domain (gaps 1 nm to 1 km, T 0 to 1e6 K); far past them
+#: omega_p^2, the plasma zero mode (omega_p/c)^2, the Fresnel lift
+#: (eps - 1)(xi/c)^2 or a table's Kramers-Kronig weights (omega^2, omega eps'')
 #: overflow a float.
 MAX_FREQUENCY = 1e20
 MAX_PERMITTIVITY = 1e100
@@ -117,11 +118,12 @@ class ConstantModel:
 class OpticalTable:
     """Measured imaginary permittivity on a strictly increasing frequency grid.
 
-    At least two rows; every value finite, the frequencies positive and
-    eps'' in [0, MAX_PERMITTIVITY].  A ValidationError names the first bad
-    row by its 0-based index, as Measurements does, and keeps it.  ``==``
-    and ``hash`` are identity, as a field-wise comparison of arrays has no
-    single truth value; a TabulatedModel holding it stays hashable.
+    At least two rows; every value finite, the frequencies in
+    (0, MAX_FREQUENCY] and eps'' in [0, MAX_PERMITTIVITY], so the
+    Kramers-Kronig transform cannot overflow.  A ValidationError names the
+    first bad row by its 0-based index, as Measurements does, and keeps it.
+    ``==`` and ``hash`` are identity, as a field-wise comparison of arrays
+    has no single truth value; a TabulatedModel holding it stays hashable.
     """
 
     omega: np.ndarray     # rad/s
@@ -132,6 +134,7 @@ class OpticalTable:
         omega, eps_imag = require_table(
             ((frequencies, self.omega), ("eps''", self.eps_imag)),
             ((frequencies, "positive", lambda w: w <= 0.0),
+             (frequencies, f"at most {MAX_FREQUENCY:g}", lambda w: w > MAX_FREQUENCY),
              (frequencies, "strictly increasing", lambda w: np.r_[False, w[1:] <= w[:-1]]),
              ("eps''", "non-negative", lambda eps: eps < 0.0),
              ("eps''", f"at most {MAX_PERMITTIVITY:g}", lambda eps: eps > MAX_PERMITTIVITY)),

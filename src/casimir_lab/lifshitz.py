@@ -118,9 +118,9 @@ PFA_RATIO_LIMIT = 1e-3
 #: 3 _LADDER_ROWS (model, row) pairs to a family; the n = 0 rows fill
 #: families of their own.  Peak memory grows with it only a little, as most
 #: rows take 48 Gauss-Laguerre nodes in one call, not panel levels of ~40
-#: and ~80: the band workload's peak RSS reads ~35.0 MB at 1 row, ~34.9 MB
-#: at 20 and 80 and ~35.7 MB at 200 (with every row on the panels: ~34.7,
-#: ~34.6, ~35.1 and ~36.4 MB).
+#: and ~80: the band workload's peak RSS reads ~31.5 MB at 1, 20 and 80
+#: rows and ~32.1 MB at 200 (with every row on the panels: ~31.7, ~31.7,
+#: ~32.0 and ~33.3 MB).
 _LADDER_ROWS = 80
 
 #: The smallest x_n of a row n >= 1 that tries the Gauss-Laguerre pair
@@ -132,8 +132,8 @@ _LAGUERRE_X = 1.0
 
 #: Gaps one T = 0 integral settles together, each on its own scale, in one
 #: kernel call per level on the curve's tables.  Peak memory grows with it:
-#: against one gap a call, 3 gaps add ~0.4 MB (1.1 %) to the curves
-#: workload's peak RSS, 2 gaps ~0.25 MB, 4 ~0.65 MB and 6 ~1.3 MB.
+#: against one gap a call, 3 gaps add ~0.5 MB (1.6 % of its ~32 MB) to the
+#: curves workload's peak RSS, 2 gaps ~0.25 MB, 4 ~0.9 MB and 6 ~1.3 MB.
 _T0_GAPS = 3
 
 #: Chebyshev points in ln d a T = 0 curve of at least twice as many gaps is

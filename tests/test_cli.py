@@ -243,7 +243,14 @@ class TestSimulate:
         out = tmp_path / "campaign.csv"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         manifest = json.loads((tmp_path / "campaign.csv.manifest.json").read_text())
-        assert isinstance(manifest["seed"], int)
+        seed = manifest["seed"]
+        assert isinstance(seed, int) and 0 <= seed < 2**64
+        assert manifest["config"]["seed"] == seed
+        # the recorded seed reproduces the campaign byte for byte
+        again = tmp_path / "again.csv"
+        argv = ["simulate", "--config", str(cfg), "--seed", str(seed), "--out", str(again)]
+        assert main(argv) == 0
+        assert again.read_bytes() == out.read_bytes()
 
     @pytest.mark.parametrize(
         "field, value",
@@ -779,24 +786,32 @@ def test_a_cli_run_imports_neither_numpy_polynomial_nor_numpy_ma(tmp_path):
     # numpy.polynomial (the Gauss-Legendre and Gauss-Laguerre rules) and
     # numpy.ma (the first np.unique call in a process) cost a fresh
     # interpreter ~20 ms together; a clean process is needed, since pytest's
-    # plugins may import both.  The bands run the Gauss-Laguerre pair
+    # plugins may import both.  The bands run the Gauss-Laguerre pair.  A
+    # command that draws no seed also leaves out secrets, whose hmac and
+    # hashlib map OpenSSL's libcrypto (~3.6 MB of peak RSS); simulate loads
+    # them through numpy.random, so the campaign fit reads is written here
+    # and simulate runs last
+    assert main(["simulate", "--seed", "1", "--out", str(tmp_path / "campaign.csv")]) == 0
     src = str(Path(casimir_lab.__file__).resolve().parents[1])
     script = (
         "import sys\n"
         f"sys.path.insert(0, {src!r})\n"
         "from casimir_lab.cli import main\n"
+        "def loaded(*names):\n"
+        "    return sorted(m for m in names if m in sys.modules)\n"
         "for argv in (\n"
-        "    ['simulate', '--seed', '1', '--out', 'campaign.csv'],\n"
         "    ['fit', '--data', 'campaign.csv', '--models', 'all', '--out', 'report.json'],\n"
         "    ['force', '--all-models', '--out', 'curves.csv'],\n"
         "    ['band', '--family', 'drude', '--out', 'band_drude.csv'],\n"
         "    ['band', '--family', 'plasma', '--out', 'band_plasma.csv'],\n"
         "):\n"
         "    assert main(argv) == 0, argv\n"
-        "print(sorted(m for m in ('numpy.polynomial', 'numpy.ma') if m in sys.modules))\n"
+        "unseeded = loaded('secrets', 'hmac', '_hashlib')\n"
+        "assert main(['simulate', '--seed', '1', '--out', 'simulated.csv']) == 0\n"
+        "print(unseeded, loaded('numpy.polynomial', 'numpy.ma'))\n"
     )
     run = subprocess.run(
         [sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True
     )
     assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines()[-1] == "[]"
+    assert run.stdout.splitlines()[-1] == "[] []"

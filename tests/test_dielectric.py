@@ -380,6 +380,19 @@ class TestOpticalTable:
         with pytest.raises(ValidationError, match=named):
             OpticalTable(omega=w, eps_imag=eps_imag)
 
+    def test_rejects_frequencies_past_the_frequency_bound(self):
+        # rows up to 1e300 rad/s overflowed the Kramers-Kronig transform, so
+        # a force ended in ConvergenceError "achieved inf"
+        w = np.geomspace(1e14, dielectric.MAX_FREQUENCY, 50)
+        assert OpticalTable(omega=w, eps_imag=np.ones(50)).omega[-1] == dielectric.MAX_FREQUENCY
+        w[-1] = math.nextafter(dielectric.MAX_FREQUENCY, math.inf)
+        named = (
+            r"^optical table frequencies must be at most 1e\+20, "
+            r"got 1\.0000000000000002e\+20 \(row 49\)$"
+        )
+        with pytest.raises(ValidationError, match=named):
+            OpticalTable(omega=w, eps_imag=np.ones(50))
+
     def test_arrays_are_read_only(self):
         t = OpticalTable(omega=np.array([1e15, 2e15]), eps_imag=np.array([1.0, 0.5]))
         with pytest.raises(ValueError):
@@ -432,6 +445,15 @@ class TestTableLoader:
         path = tmp_path / "bad.csv"
         path.write_text(f"photon_energy_ev,eps_imag\n{row}\n0.2,1.0\n", encoding="utf-8")
         named = rf"^{re.escape(str(path))}: line 2: optical table frequencies must be positive"
+        with pytest.raises(ValidationError, match=named):
+            load_optical_table(path)
+
+    def test_rejects_energy_past_the_frequency_bound_naming_file_and_line(self, tmp_path):
+        # 1e6 eV is ~1.5e21 rad/s, past MAX_FREQUENCY
+        path = tmp_path / "bad.csv"
+        path.write_text("photon_energy_ev,eps_imag\n0.1,1.0\n1e6,1.0\n", encoding="utf-8")
+        reason = "optical table frequencies must be at most 1e+20, got "
+        named = rf"^{re.escape(str(path))}: line 3: {re.escape(reason)}"
         with pytest.raises(ValidationError, match=named):
             load_optical_table(path)
 

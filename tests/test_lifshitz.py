@@ -814,6 +814,21 @@ class TestDomain:
             force = force_sphere_plane(1e-6, T, R_SPHERE, model)
         assert 0.0 < force < np.inf
 
+    @pytest.mark.parametrize("T", [0.0, 300.0])
+    @pytest.mark.parametrize("eps_imag", [1.0, dielectric.MAX_PERMITTIVITY])
+    def test_a_table_at_the_frequency_bound_gives_a_finite_force(self, T, eps_imag):
+        # the same 50 rows over 1e14-1e300 rad/s overflowed the
+        # Kramers-Kronig weights: an overflow RuntimeWarning at 300 K, then
+        # ConvergenceError "achieved inf" at both temperatures
+        w = np.geomspace(1e14, dielectric.MAX_FREQUENCY, 50)
+        model = TabulatedModel(OpticalTable(omega=w, eps_imag=np.full(50, eps_imag)), None)
+        energy, pressure, curvature = self.kinds_at(1e-6, T, model)
+        assert -np.inf < energy < 0.0 < pressure < np.inf and 0.0 < curvature < np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            force = force_sphere_plane(1e-6, T, R_SPHERE, model)
+        assert 0.0 < force < np.inf
+
 
 class TestCurvesAsArrays:
     """A curve is one computation: a float gives a float, an array of gaps
