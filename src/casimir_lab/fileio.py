@@ -29,12 +29,15 @@ def _at(path, line, reason):
 
 
 def _text(path):
-    """The file at ``path`` decoded as UTF-8; a byte that is not is refused by its line."""
+    """The file at ``path`` decoded as UTF-8, a leading byte-order mark dropped
+    as spreadsheet exports write one; a byte that is not UTF-8 is refused by
+    its line."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
+        data = exc.object  # the bytes after the mark, which exc.start counts
         line = data.count(b"\n", 0, exc.start) + 1
         raise _at(path, line, f"not UTF-8: {exc.reason} 0x{data[exc.start]:02x}") from None
 

@@ -29,11 +29,10 @@ under exp(-40) of the sum.  A row n >= 1 starts at y = x_n, clear of the
 y ln y endpoint at y = 0: from x_n = ``_LAGUERRE_X`` = 1 it decays like
 exp(-t) in t = y - x_n and tries the Gauss-Laguerre pair, which accepts or
 refuses each row on its own value; the rest, and every refused row, go to
-the panels, a family passing its smallest x_n to thin the graded opening,
-and the n = 0 rows, at x = 0, fill families of their own on the full
-opening.  At T = 0 the gaps computed directly take one 2-D integral per
-chunk of ``_T0_GAPS`` consecutive gaps, each gap settled on its own scale in
-one kernel call per level, and the chunk size bounds the peak memory.  A
+the panels, where the n = 0 rows, at x = 0, fill families of their own.  At
+T = 0 the gaps computed directly take one 2-D integral per chunk of
+``_T0_GAPS`` consecutive gaps, each gap settled on its own scale in one
+kernel call per level, and the chunk size bounds the peak memory.  A
 T = 0 curve of at least 2 ``_T0_NODES`` = 24 gaps, not all equal, is
 interpolated in ln d from ``_T0_NODES`` Chebyshev points over its range
 where the interpolant's error estimate allows (:func:`_t0_curve`); shorter
@@ -336,17 +335,17 @@ def _matsubara_ladder(d, T, models, rel_tol, kinds):
     per model and n (n = 0 by :func:`_zero_mode`); every model rides in each
     family.  A family holds ``_LADDER_ROWS`` (gap, n) rows, or 3
     ``_LADDER_ROWS`` (model, row) pairs for more than three models.  First
-    the n = 0 rows run on the full panel layout, unless every zero mode is
-    the Drude r = (0, 1) and its zeta(3) closed form.  Then the n >= 1 rows
-    at x_n >= ``_LAGUERRE_X``, gap after gap, run on the Gauss-Laguerre pair
-    of :func:`integrate_laguerre`, one kernel call of 48 nodes a family,
-    which keeps each row whose 16- and 32-node sums agree to rel_tol of its
-    own value in every (kind, model).  Last the rows below ``_LAGUERRE_X``
-    and every refused one, gap after gap, run on the panels, each family on
-    the layout of its smallest x.  On the panels each (kind, model) settles
-    on its own scale, and only they raise ConvergenceError.  A curve with a
-    gap whose ladder needs more than ``_MAX_MATSUBARA`` terms is refused
-    with a ValidationError before eps(i xi) or any integral runs.
+    the n = 0 rows run on the panels, unless every zero mode is the Drude
+    r = (0, 1) and its zeta(3) closed form.  Then the n >= 1 rows at x_n >=
+    ``_LAGUERRE_X``, gap after gap, run on the Gauss-Laguerre pair of
+    :func:`integrate_laguerre`, one kernel call of 48 nodes a family, which
+    keeps each row whose 16- and 32-node sums agree to rel_tol of its own
+    value in every (kind, model).  Last the rows below ``_LAGUERRE_X`` and
+    every refused one, gap after gap, run on the panels.  On the panels
+    each (kind, model) settles on its own scale, and only they raise
+    ConvergenceError.  A curve with a gap whose ladder needs more than
+    ``_MAX_MATSUBARA`` terms is refused with a ValidationError before
+    eps(i xi) or any integral runs.
     """
     dx = 4.0 * math.pi * BOLTZMANN * T * d / (HBAR * _C)
     # past x_n = 40 terms are below exp(-40) of the sum, the T = 0 layout's
@@ -391,10 +390,8 @@ def _matsubara_ladder(d, T, models, rel_tol, kinds):
         return (index[start:start + size] for start in range(0, index.size, size))
 
     def settle(family):
-        # a row in t = y - x_n has its y ln y endpoint at t = -x_n, so the
-        # smallest x_n of the family is how far the graded opening may thin
         with _located(d[gap[family]], T, kinds, named):
-            rows[..., family] = integrate_decaying(integrand(family), rel_tol, x_row[family].min())
+            rows[..., family] = integrate_decaying(integrand(family), rel_tol)
 
     # the n = 0 rows first: run after the Gauss-Laguerre families, they left
     # ~0.2 MB more of the heap resident for the T = 0 curves that follow

@@ -8,12 +8,9 @@ cell, 6, 12, 24, ..., until its estimate is finite and stable relative to the
 total.  A cell is a panel in 1-D and a rectangle in 2-D; one loop refines both,
 and each doubling level evaluates every unsettled cell in one integrand call.
 
-An integrand that stays smooth for a distance ``offset`` from 0, such as a
-Matsubara row written in t = y - x_n, has no endpoint for the grading to
-resolve: the 1-D driver drops every graded edge below offset/8, so the
-first panel stays narrower than about ``offset``.
-
-Such a row also decays like exp(-t) on [0, inf), the weight of Gauss-Laguerre
+A row that decays like exp(-t) on [0, inf) and is smooth at t = 0, such as
+a Matsubara row written in t = y - x_n or the Kramers-Kronig tail of an
+optical table written in u = s v, suits the weight of Gauss-Laguerre
 quadrature, so :func:`integrate_laguerre` tries a family of rows on the
 16- and 32-node rules of ``LAGUERRE_PAIR`` in one integrand call of 48
 abscissae, and accepts each row on its own when the two sums agree to
@@ -28,7 +25,6 @@ total and is dropped: 62 rectangles, not 121 pairs.  A small cache keeps the
 read-only nodes of each 2-D level, keyed by its rectangles and node count.
 """
 
-from bisect import bisect_left
 from functools import lru_cache
 from itertools import pairwise
 
@@ -136,17 +132,9 @@ def panel_edges():
 
 
 _EDGES = panel_edges()
-#: Each panel's lower edge and half width, by the number of graded opening
-#: edges dropped; built at import, as one built mid-curve would outlive the
-#: curve's temporaries in the heap and fragment it.  The thinned layouts earn
-#: their keep on the Kramers-Kronig tail of a tabulated model: on the full
-#: layout eps of a 300-row table at 2000 frequencies takes ~14 % longer.  A
-#: ladder's panel families, few since the Gauss-Laguerre pair takes most
-#: rows, gain nothing measurable from them.
-_PANELS = tuple(
-    (np.array(edges[:-1]), 0.5 * np.diff(edges))
-    for edges in (_EDGES[:1] + _EDGES[1 + skip:] for skip in range(len(_GRADED_OPENING) + 1))
-)
+#: Each panel's lower edge and half width; built at import, as arrays built
+#: mid-curve would outlive the curve's temporaries in the heap and fragment it.
+_LOWER, _HALF = np.array(_EDGES[:-1]), 0.5 * np.diff(_EDGES)
 
 #: The Gauss-Laguerre rules a row is tried on, the smaller one first.  They
 #: are built on first use: the first eigvalsh of a process adds ~0.9 MB of
@@ -160,12 +148,10 @@ _RECTANGLES = tuple(np.array(column) for column in zip(*[
 ]))
 
 
-def _nodes(panels, n, skip=0):
-    """n Gauss-Legendre nodes on each listed panel of the layout without the
-    first ``skip`` graded edges, the weights, the half widths."""
-    lower, half = _PANELS[skip]
-    half, (x, w) = half[panels], gauss_legendre(n)
-    return lower[panels, None] + half[:, None] * (x + 1.0), w, half
+def _nodes(panels, n):
+    """n Gauss-Legendre nodes on each listed panel, the weights, the half widths."""
+    half, (x, w) = _HALF[panels], gauss_legendre(n)
+    return _LOWER[panels, None] + half[:, None] * (x + 1.0), w, half
 
 
 @lru_cache(maxsize=16)
@@ -221,7 +207,7 @@ def _settle(estimate, cells, rel_tol, node_cap):
         return estimates.sum(axis=-1).reshape(first.shape[:-1])[()]
 
 
-def integrate_decaying(f, rel_tol, offset=0.0):
+def integrate_decaying(f, rel_tol):
     """Integrate ``f`` over [0, DEFAULT_CUTOFF] to a relative tolerance.
 
     ``f`` maps a 1-D array of abscissae to values whose last axis matches it.
@@ -233,21 +219,13 @@ def integrate_decaying(f, rel_tol, offset=0.0):
     it holds kinds, each a family.  Each panel starts with 6 Gauss-Legendre
     nodes; one unsettled at 192 raises ConvergenceError.  The neglected tail
     beyond the cutoff is O(exp(-cutoff)).
-
-    ``offset`` >= 0 is how far from 0 every member of ``f`` stays smooth:
-    the distance to its nearest singularity (y = 0 for a kernel written in
-    t = y - offset) or the length over which it changes by a factor e.
-    Every graded opening edge below offset/8 is dropped; at 0, the default,
-    the full layout is used.
     """
-    skip = bisect_left(_GRADED_OPENING, offset / 8.0)
-
     def estimate(panels, n):
-        x, w, half = _nodes(panels, n, skip)
+        x, w, half = _nodes(panels, n)
         vals = np.asarray(f(x.ravel()))
         return half * (vals.reshape(vals.shape[:-1] + x.shape) @ w)
 
-    return _settle(estimate, np.arange(len(_EDGES) - 1 - skip), rel_tol, 192)
+    return _settle(estimate, np.arange(_HALF.size), rel_tol, 192)
 
 
 def integrate_decaying_2d(f, rel_tol):
@@ -296,5 +274,5 @@ def integrate_laguerre(f, rel_tol):
         rough = values[..., :small.size] @ small
         fine = values[..., small.size:] @ large
         resolved = np.abs(fine - rough) <= rel_tol * np.abs(fine)  # NaN is not
-    accepted = resolved.reshape(-1, resolved.shape[-1]).all(axis=0)
+    accepted = resolved.all(axis=tuple(range(resolved.ndim - 1)))
     return accepted, fine[..., accepted]

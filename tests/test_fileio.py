@@ -7,7 +7,8 @@ the csv module's field limit, bytes that are not UTF-8 or a value its
 container refuses; of two bad lines, the first is named, and lines are
 physical lines, so a quoted cell spanning two shifts none of them.  The
 JSON reader names the file and the line of a syntax error or of bytes that
-are not UTF-8, and the file of a document its builder refuses.
+are not UTF-8, and the file of a document its builder refuses.  Every
+reader drops a leading UTF-8 byte-order mark, as spreadsheet exports write.
 """
 
 import csv
@@ -16,7 +17,7 @@ import re
 import pytest
 
 from casimir_lab.analysis import load_measurements
-from casimir_lab.campaign import load_sweeps_csv
+from casimir_lab.campaign import CampaignConfig, load_config, load_sweeps_csv, save_config
 from casimir_lab.dielectric import load_optical_table
 from casimir_lab.errors import ValidationError
 from casimir_lab.fileio import read_json
@@ -69,6 +70,13 @@ def write(tmp_path, header, rows):
     path = tmp_path / "table.csv"
     path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
     return path
+
+
+def contents(table):
+    """A loaded table as lists, so two loads compare with ``==``."""
+    if isinstance(table, dict):
+        return table
+    return [column.tolist() for column in vars(table).values()]
 
 
 def at_line(path, line, reason):
@@ -136,6 +144,32 @@ def test_bytes_that_are_not_utf8_name_the_file_and_line(tmp_path, kind):
     path.write_bytes(path.read_bytes().replace(b"@", b"\xff"))
     with pytest.raises(ValidationError, match=at_line(path, 3, NOT_UTF8)):
         load(path)
+
+
+@pytest.mark.parametrize("kind", LOADERS)
+def test_a_byte_order_mark_is_dropped(tmp_path, kind):
+    load, header, good, _, _ = LOADERS[kind]
+    path = write(tmp_path, header, good)
+    plain = contents(load(path))
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert contents(load(path)) == plain
+
+
+@pytest.mark.parametrize("kind", LOADERS)
+def test_after_a_byte_order_mark_a_byte_that_is_not_utf8_names_its_line(tmp_path, kind):
+    load, header, good, _, _ = LOADERS[kind]
+    path = write(tmp_path, header, [good[0], f"@{good[1]}", *good[2:]])
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes().replace(b"@", b"\xff"))
+    with pytest.raises(ValidationError, match=at_line(path, 3, NOT_UTF8)):
+        load(path)
+
+
+def test_a_config_with_a_byte_order_mark_loads(tmp_path):
+    path = tmp_path / "config.json"
+    config = CampaignConfig(seed=7)
+    save_config(path, config)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert load_config(path) == config
 
 
 def test_json_reader_refuses_bytes_that_are_not_utf8(tmp_path):

@@ -75,6 +75,33 @@ def bound_charge_table():
     return TabulatedModel(table=table, extrapolation=None)
 
 
+def quadrature_calls(monkeypatch):
+    """Spy on a ladder's 1-D quadrature: one entry per call, "pair" for a
+    Gauss-Laguerre family, "zero" for a panel family of n = 0 rows, the only
+    rows whose every x is 0, and "panels" for any other panel family.  A
+    ``_table`` spy notes the x of each node table a call builds."""
+    calls, at_zero = [], []
+    table = lifshitz._table
+
+    def tabling(x, t):
+        at_zero.append(not np.any(x))
+        return table(x, t)
+
+    def spying(integrate, kind):
+        def spy(f, rel_tol):
+            at_zero.clear()
+            out = integrate(f, rel_tol)
+            calls.append(kind or ("zero" if all(at_zero) else "panels"))
+            return out
+
+        return spy
+
+    monkeypatch.setattr(lifshitz, "_table", tabling)
+    monkeypatch.setattr(lifshitz, "integrate_decaying", spying(lifshitz.integrate_decaying, None))
+    monkeypatch.setattr(lifshitz, "integrate_laguerre", spying(lifshitz.integrate_laguerre, "pair"))
+    return calls
+
+
 class TestReflectionCoefficients:
     def test_limits_at_large_transverse_wavevector(self):
         # k >> xi/c: kappa -> kappa0, TE reflection dies, TM -> static form
@@ -922,19 +949,14 @@ class TestCurvesAsArrays:
         # 30 um.  Every x_n is past 1, so the chunks try the Gauss-Laguerre
         # pair, and only the rows it refuses go to the panels, 7 to a family
         monkeypatch.setattr(lifshitz, "_LADDER_ROWS", 7)
-        calls, tried = [], []
-        integrate, laguerre = lifshitz.integrate_decaying, lifshitz.integrate_laguerre
-
-        def counting(f, rel_tol, offset=0.0):
-            calls.append(offset)
-            return integrate(f, rel_tol, offset)
+        calls, tried = quadrature_calls(monkeypatch), []
+        laguerre = lifshitz.integrate_laguerre
 
         def trying(f, rel_tol):
             accepted, integrals = laguerre(f, rel_tol)
             tried.append(accepted)
             return accepted, integrals
 
-        monkeypatch.setattr(lifshitz, "integrate_decaying", counting)
         monkeypatch.setattr(lifshitz, "integrate_laguerre", trying)
         gaps = np.array([1e-6, 2e-6, 5e-6, 30e-6])
         x_1 = 4.0 * math.pi * BOLTZMANN * 300.0 * gaps / (HBAR * SPEED_OF_LIGHT)
@@ -945,10 +967,11 @@ class TestCurvesAsArrays:
             calls.clear()
             tried.clear()
             got = force_sphere_plane_grid(gaps, 300.0, R_SPHERE, model)
-            assert calls.count(0.0) == zero_families
+            assert calls.count("zero") == zero_families
             assert [accepted.size for accepted in tried] == [7] * 5 + [6]
+            assert calls.count("pair") == len(tried)
             refused = sum(np.count_nonzero(~accepted) for accepted in tried)
-            assert len(calls) - zero_families == math.ceil(refused / 7)
+            assert calls.count("panels") == math.ceil(refused / 7)
             want = [force_sphere_plane(d, 300.0, R_SPHERE, model) for d in gaps]
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
@@ -959,13 +982,6 @@ class TestCurvesAsArrays:
         # the quadrature settles a family against its largest member; a
         # small ladder batched with a large one must still meet rel_tol
         monkeypatch.setattr(lifshitz, "_LADDER_ROWS", 10_000)
-        calls = []
-        integrate = lifshitz.integrate_decaying
-
-        def counting(f, rel_tol, offset=0.0):
-            calls.append(rel_tol)
-            return integrate(f, rel_tol, offset)
-
         gaps = np.array([0.2e-6, 12e-6, 1e-6, 5e-6])
         tight = 1e-12
         kinds = {
@@ -975,13 +991,16 @@ class TestCurvesAsArrays:
                 d, 300.0, R_SPHERE, model, rel_tol
             ),
         }
-        monkeypatch.setattr(lifshitz, "integrate_decaying", counting)
+        calls = quadrature_calls(monkeypatch)
         for kind, fn in kinds.items():
             want = [fn(float(d), tight) for d in gaps]
             calls.clear()
             batched = fn(gaps, 1e-8)
-            # rows, and plasma zero modes, one family each
-            assert len(calls) == families
+            # the pair's rows, the panels' rows and the plasma zero modes,
+            # one family each
+            assert calls.count("pair") == 1
+            assert calls.count("panels") == 1
+            assert calls.count("zero") == families - 1
             np.testing.assert_allclose(batched, want, rtol=1e-8, atol=0.0, err_msg=kind)
 
     def test_chunked_curve_matches_gap_by_gap(self):
@@ -1073,22 +1092,8 @@ class TestFusedPass:
 
 class TestLadderLayout:
     """The (gap, n) rows of a ladder start at y = x_n, away from the y ln y
-    endpoint, so their quadrature thins the graded opening; the zero modes,
+    endpoint, and from x_n = 1 try the Gauss-Laguerre pair; the zero modes,
     which do reach y = 0, settle in families of up to _LADDER_ROWS gaps."""
-
-    @staticmethod
-    def zero_mode_calls(monkeypatch):
-        """Patch the ladder's quadrature to record, per call, whether it ran
-        a family of n = 0 rows: the only rows at x = 0, so offset 0."""
-        calls = []
-        integrate = lifshitz.integrate_decaying
-
-        def counting(f, rel_tol, offset=0.0):
-            calls.append(offset == 0.0)
-            return integrate(f, rel_tol, offset)
-
-        monkeypatch.setattr(lifshitz, "integrate_decaying", counting)
-        return calls
 
     def test_a_curve_computes_two_thirds_of_the_values_and_one_zero_family(self, monkeypatch):
         # with the full graded opening on every row family and one zero-mode
@@ -1103,23 +1108,25 @@ class TestLadderLayout:
             return out
 
         monkeypatch.setattr(lifshitz, "_kernel", counting)
-        calls = self.zero_mode_calls(monkeypatch)
+        calls = quadrature_calls(monkeypatch)
         gaps = np.geomspace(0.7e-6, 7e-6, 30)
         forces = force_sphere_plane_grid(gaps, 300.0, R_SPHERE, gold_drude())
         assert np.all(forces > 0.0)
         assert sum(values) <= 2 * 130_932 / 3
-        assert calls.count(True) == 0, "the Drude zero mode is a closed form"
+        assert "pair" in calls
+        assert calls.count("zero") == 0, "the Drude zero mode is a closed form"
 
     def test_small_zero_families_match_gap_by_gap(self, monkeypatch):
         # a cap of 5 rows splits 12 gaps into three zero-mode families, and
         # packs the (gap, n) rows into chunks of 5, most gaps spanning several
         monkeypatch.setattr(lifshitz, "_LADDER_ROWS", 5)
-        calls = self.zero_mode_calls(monkeypatch)
+        calls = quadrature_calls(monkeypatch)
         gaps = np.geomspace(0.1e-6, 7e-6, 12)
         for model, zero_families in ((gold_drude(), 0), (gold_plasma(), 3)):
             calls.clear()
             got = force_sphere_plane_grid(gaps, 300.0, R_SPHERE, model)
-            assert calls.count(True) == zero_families
+            assert "panels" in calls and "pair" in calls
+            assert calls.count("zero") == zero_families
             want = [force_sphere_plane(d, 300.0, R_SPHERE, model) for d in gaps]
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
@@ -1129,21 +1136,17 @@ class TestLadderLayout:
         [gold_drude(), gold_plasma(), ConstantModel(eps=2.0), ConstantModel(eps=1.001)],
         ids=["drude", "plasma", "constant", "dilute"],
     )
-    def test_thinned_rows_match_a_tight_pass_on_the_full_opening(self, monkeypatch, model, T):
+    def test_ladders_match_a_tight_pass(self, model, T):
         # x_1 = 4 pi k_B T d / (hbar c) runs from ~4e-3 (1 K, 0.7 um) to ~20
-        # (300 K, 12 um), so the row families drop from one to all five
-        # graded edges.  A gap is left out where its ladder has more than
-        # 8,000 terms (1 K below ~0.7 um), which keeps the tight pass near
-        # 100 MB of whole-grid buffers
+        # (300 K, 12 um), so from all of a ladder's rows to none of them lie
+        # below x_n = 1 and run on the panels.  A gap is left out where its
+        # ladder has more than 8,000 terms (1 K below ~0.7 um), which keeps
+        # the tight pass near 100 MB of whole-grid buffers
         gaps = np.array([0.1, 0.2, 0.4, 0.7, 1.5, 3.0, 6.0, 12.0]) * 1e-6
         terms = 15.0 * HBAR * SPEED_OF_LIGHT / (2.0 * math.pi * BOLTZMANN * T * gaps)
         gaps = gaps[terms <= 8_000]
         kinds = ("energy", "curvature")
         got = lifshitz._lifshitz(gaps, T, model, 1e-8, kinds)
-        integrate = lifshitz.integrate_decaying
-        monkeypatch.setattr(
-            lifshitz, "integrate_decaying", lambda f, rel_tol, offset=0.0: integrate(f, rel_tol)
-        )
         want = lifshitz._lifshitz(gaps, T, model, 1e-12, kinds)
         for kind, g, w in zip(kinds, got, want):
             np.testing.assert_allclose(g, w, rtol=1e-10, atol=0.0, err_msg=kind)
@@ -1245,19 +1248,14 @@ class TestModelAxis:
         # the constant zero modes are not the closed form; the rows run 60
         # to a family, on the Gauss-Laguerre pair from x_n = 1 and on the
         # panels below it and where the pair refuses a row
-        calls, tried = [], []
-        integrate, laguerre = lifshitz.integrate_decaying, lifshitz.integrate_laguerre
-
-        def counting(f, rel_tol, offset=0.0):
-            calls.append(offset)
-            return integrate(f, rel_tol, offset)
+        calls, tried = quadrature_calls(monkeypatch), []
+        laguerre = lifshitz.integrate_laguerre
 
         def trying(f, rel_tol):
             accepted, integrals = laguerre(f, rel_tol)
             tried.append(accepted)
             return accepted, integrals
 
-        monkeypatch.setattr(lifshitz, "integrate_decaying", counting)
         monkeypatch.setattr(lifshitz, "integrate_laguerre", trying)
         x_1 = 4.0 * math.pi * BOLTZMANN * 300.0 * self.GAPS / (HBAR * SPEED_OF_LIGHT)
         rows = np.maximum(np.ceil(40.0 / x_1) - 1.0, 1.0)
@@ -1265,12 +1263,12 @@ class TestModelAxis:
         low = np.ceil(lifshitz._LAGUERRE_X / x_1) - 1.0
         assert low.tolist() == [3, 1, 0, 0, 0, 0, 0]
         lifshitz._lifshitz_models(self.GAPS, 300.0, self.MODELS, 1e-8, ("energy",))
-        assert calls.count(0.0) == 1
+        assert calls.count("zero") == 1
         assert [accepted.size for accepted in tried[:-1]] == [60] * (len(tried) - 1)
         assert sum(accepted.size for accepted in tried) == rows.sum() - low.sum()
-        assert len(tried) == math.ceil((rows.sum() - low.sum()) / 60)
+        assert len(tried) == calls.count("pair") == math.ceil((rows.sum() - low.sum()) / 60)
         refused = sum(np.count_nonzero(~accepted) for accepted in tried)
-        assert len(calls) - 1 == math.ceil((low.sum() + refused) / 60)
+        assert calls.count("panels") == math.ceil((low.sum() + refused) / 60)
 
     @pytest.mark.parametrize(
         "models, kinds, named",
@@ -1622,11 +1620,12 @@ class TestSensitivityBand:
             assert curves == list(models)
 
     def test_grid_is_the_pointwise_force(self):
-        # a row family is integrated on the panel layout of its smallest x_n,
-        # so in a grid the 2 um rows share the finer opening of the 0.8 um
-        # ones and round apart from the 2 um ladder alone; on the full layout
-        # the two agree bit for bit.  Over 40 random grids of 2 to 8 gaps,
-        # Drude and plasma, 474 gaps in all, they differ by at most 2 ulp
+        # a panel family settles against its largest member, so a gap whose
+        # rows share one with other gaps' may round apart from its ladder
+        # alone by a few ulp; the pair keeps each row on its own value, and
+        # at 300 K on 0.7-7 um it keeps every n >= 1 row: over 40 random
+        # grids of 2 to 8 gaps, Drude and plasma, 454 gaps in all, the two
+        # agree bit for bit
         grid = np.geomspace(0.8e-6, 5e-6, 3)
         forces = force_sphere_plane_grid(grid, 300.0, R_SPHERE, gold_drude())
         want = [force_sphere_plane(d, 300.0, R_SPHERE, gold_drude()) for d in grid]
@@ -1662,21 +1661,15 @@ class TestSensitivityBand:
 
     def test_a_band_integrates_its_zero_modes_in_one_family(self, monkeypatch):
         # the plasma band's three zero modes are n = 0 rows of one family,
-        # its only quadrature call at offset 0; the five Drude ones are the
+        # its only panel family of rows at x = 0; the five Drude ones are the
         # zeta(3) closed form and take none
-        offsets = []
-        integrate = lifshitz.integrate_decaying
-
-        def counting(f, rel_tol, offset=0.0):
-            offsets.append(offset)
-            return integrate(f, rel_tol, offset)
-
-        monkeypatch.setattr(lifshitz, "integrate_decaying", counting)
+        calls = quadrature_calls(monkeypatch)
         grid = np.geomspace(0.7e-6, 7e-6, 30)
         for family, zero_families in (("plasma", 1), ("drude", 0)):
-            offsets.clear()
+            calls.clear()
             sensitivity_band(grid, 300.0, self.WP, self.G, family, R_SPHERE)
-            assert offsets.count(0.0) == zero_families, family
+            assert "pair" in calls, family
+            assert calls.count("zero") == zero_families, family
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):

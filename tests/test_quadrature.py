@@ -116,6 +116,13 @@ def test_laguerre_refuses_a_row_on_its_own_scale():
     assert accepted.tolist() == [True, False]
 
 
+@pytest.mark.parametrize("leading", [(), (2,)], ids=["rows", "kinds-rows"])
+def test_laguerre_of_no_rows_accepts_none(leading):
+    accepted, integrals = integrate_laguerre(lambda t: np.zeros(leading + (0, t.size)), 1e-8)
+    assert accepted.shape == (0,) and accepted.dtype == bool
+    assert integrals.shape == leading + (0,)
+
+
 def test_panel_edges_start_graded_and_reach_cutoff():
     edges = panel_edges()
     assert edges[0] == 0.0
@@ -183,21 +190,15 @@ def shifted_bose_integrals(a):
 )
 def test_offset_layout_against_shifted_closed_forms(a):
     # written in t = y - a, each kernel's y ln y or 1/y endpoint sits at
-    # t = -a; just below and just above 8 e, the graded edge e is kept or
-    # dropped, and either way the thinned opening must still resolve it
+    # t = -a, from just inside the narrowest graded panel to past 1, where
+    # a Matsubara row tries the Gauss-Laguerre pair; the one layout must
+    # resolve every one of them
     def f(t):
         y = t + a
         return np.stack([y * np.log1p(-np.exp(-y)), y * y / np.expm1(y)])[:, None]
 
-    got = integrate_decaying(f, 1e-12, a)[:, 0]
+    got = integrate_decaying(f, 1e-12)[:, 0]
     np.testing.assert_allclose(got, shifted_bose_integrals(a), rtol=1e-12, atol=0.0)
-
-
-def test_zero_offset_is_the_default_layout():
-    def f(t):
-        return np.stack([t * np.log1p(-np.exp(-t)), np.exp(-t) * np.cos(20.0 * t)])
-
-    assert np.array_equal(integrate_decaying(f, 1e-12, 0.0), integrate_decaying(f, 1e-12))
 
 
 def test_vectorized_rows_match_scalar_rows():
