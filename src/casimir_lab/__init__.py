@@ -6,7 +6,7 @@ patch forces that share the measurement band, simulates seeded measurement
 campaigns, and ranks the theory candidates against calibrated force data.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .analysis import (
     FitResult,

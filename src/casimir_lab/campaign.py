@@ -4,8 +4,14 @@ One campaign walks a log-spaced separation grid many times.  At the two
 extreme separations every visit records a full force-vs-voltage sweep, the
 calibration input; everywhere the applied bias sits at the minimizing
 potential and a single force sample is taken.  Gaussian noise and a linear
-long-term drift are layered on top of the analytic force sum, all drawn
-from one seeded stream so a campaign is reproducible bit for bit.
+long-term drift are layered on top of the analytic force sum, the noise
+drawn from one seeded stream so a campaign is reproducible bit for bit.
+
+The stream is counter-based: its 64-bit word i is SplitMix64's finalizer
+(Steele, Lea & Flood, OOPSLA 2014) applied to key + (i + 1) gamma, the key
+mixed from the seed, and words 2m and 2m + 1 become normals 2m and 2m + 1
+by Box-Muller (Ann. Math. Stat. 29, 610, 1958).  Draw i therefore does not
+depend on how many draws are taken.
 
 The campaign is held as arrays, one row per pass over the grid:
 
@@ -56,6 +62,49 @@ __all__ = [
 SIGMA_FLOOR = 1e-18
 
 SWEEPS_CSV_HEADER = ["sweep_index", "separation_um", "voltage_v", "force_n", "sigma_n"]
+
+
+#: what every simulate manifest records next to the seed: the seed
+#: reproduces a campaign only with the same generator
+NOISE_GENERATOR = "splitmix64-box-muller"
+
+#: SplitMix64's increment, the odd 64-bit golden ratio
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _splitmix64(z):
+    """SplitMix64's finalizer on a uint64 array: a bijection of 64-bit words.
+    Every constant is a np.uint64 and every product wraps on an array, so
+    no numpy version promotes to float64 or warns of a scalar overflow."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _stream_key(seed):
+    """The stream's 64-bit key, shape (1,), of a non-negative int of any size.
+
+    The seed's 64-bit limbs, least significant first, are folded in one
+    finalizer at a time, starting from (limbs - 1) gamma.  A seed below
+    2**64 thus maps to its finalizer, a bijection; a start of 0, which the
+    finalizer fixes, would give 2**64 (limbs 0, 1) the key of seed 1.
+    """
+    n_limbs = max(1, -(-seed.bit_length() // 64))
+    key = np.array([n_limbs - 1], dtype=np.uint64) * _GAMMA
+    for j in range(n_limbs):
+        key = _splitmix64(key ^ np.uint64((seed >> 64 * j) & 0xFFFFFFFFFFFFFFFF))
+    return key
+
+
+def _standard_normals(seed, n):
+    """Draws 0..n-1 of the seed's N(0, 1) stream: the top 53 bits of words
+    2m and 2m + 1 are uniforms u1 in (0, 1] and u2 in [0, 1), paired by
+    Box-Muller into normals 2m (the cosine) and 2m + 1 (the sine)."""
+    words = np.arange(1, 2 * ((n + 1) // 2) + 1, dtype=np.uint64) * _GAMMA
+    u = (_splitmix64(words + _stream_key(seed)) >> np.uint64(11)) * 2.0**-53
+    radius = np.sqrt(-2.0 * np.log(1.0 - u[0::2]))
+    angle = 2.0 * np.pi * u[1::2]
+    return np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1).ravel()[:n]
 
 
 def default_sweep_voltages():
@@ -172,8 +221,10 @@ def generate_campaign(config):
         + constant offset + drift_rate * (sweep_index - mean index) + noise
 
     with the 1 + (delta/d)^2 fluctuation factor applied to both 1/d
-    electrostatic terms.  The noise is drawn from one numpy Generator in a
-    single call, its columns in schedule order (see the module docstring).
+    electrostatic terms.  The noise is the first n_sweeps (2 n_v + n_sep)
+    draws of the seed's SplitMix64 Box-Muller stream, scaled by noise_sigma,
+    its columns in schedule order (see the module docstring); draw i is the
+    same however many are taken.
 
     Returns
     -------
@@ -186,9 +237,9 @@ def generate_campaign(config):
     seps = config.separations()
     voltages = np.array(config.sweep_voltages)
     n_sep, n_v = seps.size, voltages.size
-    noise = np.random.default_rng(config.seed).normal(
-        0.0, config.noise_sigma, size=(config.n_sweeps, 2 * n_v + n_sep)
-    )
+    n_draws = 2 * n_v + n_sep
+    noise = config.noise_sigma * _standard_normals(config.seed, config.n_sweeps * n_draws)
+    noise = noise.reshape(config.n_sweeps, n_draws)
     curves = standard_model_curves(R=config.radius, delta=config.delta_true)
     truth = {c.model_id: c.evaluator for c in curves}[config.truth_model_id]
 

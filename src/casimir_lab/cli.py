@@ -11,8 +11,9 @@ File boundaries use micrometres, piconewtons, millivolts and electronvolts,
 matching the axes the results are usually plotted in; everything internal is
 SI.  Every command writes a `<output>.manifest.json` recording the resolved
 configuration (every setting flag as parsed; the campaign config for
-`simulate`), inputs, outputs, versions and seed, so any seeded run can be
-reproduced byte for byte from its manifest alone.
+`simulate`), inputs, outputs, versions and seed, and for `simulate` the
+noise generator, so any seeded run can be reproduced byte for byte from its
+manifest alone by the same tool version.
 
 Exit codes: 0 success, 2 usage or config error, 3 convergence failure,
 4 degenerate fit.
@@ -39,6 +40,7 @@ from .analysis import (
     standard_model_curves,
 )
 from .campaign import (
+    NOISE_GENERATOR,
     CampaignConfig,
     config_to_dict,
     generate_campaign,
@@ -88,7 +90,8 @@ _NOT_SETTINGS = ("subcommand", "func", "out", "data", "subtract")
 
 def _write_manifest(args, inputs, outputs, config=None, seed=None):
     """Write `<args.out>.manifest.json`; ``config`` defaults to every
-    setting flag of ``args`` as parsed, under its dest."""
+    setting flag of ``args`` as parsed, under its dest.  A seeded manifest
+    also names the noise generator the seed keys; no other has the key."""
     if config is None:
         config = {k: v for k, v in vars(args).items() if k not in _NOT_SETTINGS}
     manifest = {
@@ -100,6 +103,8 @@ def _write_manifest(args, inputs, outputs, config=None, seed=None):
         "tool_version": __version__,
         "seed": seed,
     }
+    if seed is not None:
+        manifest["noise_generator"] = NOISE_GENERATOR
     write_json(f"{args.out}.manifest.json", manifest)
 
 

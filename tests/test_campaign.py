@@ -5,8 +5,10 @@ and the statistical loops fast. The full-size campaign runs once in the
 acceptance suite.
 """
 
+import itertools
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -250,24 +252,71 @@ class TestSchedule:
 
     @pytest.mark.parametrize("overrides", [{}, {"n_separations": 2}])
     def test_noise_is_one_stream_in_schedule_order(self, overrides):
-        # oracle: draw the stream call by call, in schedule order (passes
-        # outermost, gaps inner, a gap's sweep before its point)
+        # oracle: walk the schedule call by call (passes outermost, gaps
+        # inner, a gap's sweep before its point), each sample taking the
+        # next draw i of the seed's stream, as the last of i + 1 draws
         cfg = small_config(drift_rate=3e-14, **overrides)
         noisy = generate_campaign(cfg)
         quiet = generate_campaign(replace(cfg, noise_sigma=0.0))
-        rng = np.random.default_rng(cfg.seed)
+        counter = itertools.count()
+
+        def draw():
+            i = next(counter)
+            return cfg.noise_sigma * campaign._standard_normals(cfg.seed, i + 1)[i]
+
         n_v = len(cfg.sweep_voltages)
         ends = (0, cfg.n_separations - 1)
         for k in range(cfg.n_sweeps):
             for i in range(cfg.n_separations):
                 if i in ends:
                     e = ends.index(i)
-                    draws = rng.normal(0.0, cfg.noise_sigma, size=n_v)
                     for j in range(n_v):
-                        expect = quiet.sweep_forces[k, e, j] + draws[j]
+                        expect = quiet.sweep_forces[k, e, j] + draw()
                         assert noisy.sweep_forces[k, e, j] == expect
-                draw = rng.normal(0.0, cfg.noise_sigma)
-                assert noisy.forces[k, i] == quiet.forces[k, i] + draw
+                assert noisy.forces[k, i] == quiet.forces[k, i] + draw()
+        assert next(counter) == noisy.forces.size + noisy.sweep_forces.size
+
+    def test_seeds_of_any_size_give_finite_distinct_campaigns(self):
+        # a seed past 2**64 is folded in limb by limb, the limb count with
+        # it, so 2**64 does not fold onto 1 nor 2**128 onto 2**64
+        seeds = (0, 1, 2**64 - 1, 2**64, 2**128)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            forces = [generate_campaign(small_config(seed=seed)).forces for seed in seeds]
+        for seed, f in zip(seeds, forces):
+            assert np.isfinite(f).all(), seed
+        for a, b in itertools.combinations(range(len(seeds)), 2):
+            assert np.any(forces[a] != forces[b]), (seeds[a], seeds[b])
+
+
+class TestNoiseStream:
+    def test_words_of_key_zero_are_the_reference_splitmix64_outputs(self):
+        # the first outputs of the reference SplitMix64 from state 0; seed 0
+        # has key 0, since the finalizer fixes 0
+        words = campaign._splitmix64(np.arange(1, 4, dtype=np.uint64) * campaign._GAMMA)
+        assert words.tolist() == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+        assert campaign._stream_key(0).tolist() == [0]
+
+    def test_seeds_a_multiple_of_gamma_apart_share_no_shifted_stream(self):
+        # unmixed, seed 2 gamma's words would be seed 0's shifted by one
+        # Box-Muller pair
+        shifted = campaign._standard_normals(2 * int(campaign._GAMMA) % 2**64, 10)
+        assert not np.isin(shifted, campaign._standard_normals(0, 20)).any()
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1, 2**70])
+    def test_draw_i_does_not_depend_on_how_many_are_taken(self, seed):
+        every = campaign._standard_normals(seed, 20_000)
+        for n in (1, 9, 10):
+            np.testing.assert_array_equal(campaign._standard_normals(seed, n), every[:n])
+        assert np.isfinite(every).all()
+
+    def test_draws_are_standard_normal_over_seeds(self):
+        stats = pytest.importorskip("scipy.stats")
+        draws = [campaign._standard_normals(seed, 20_000) for seed in range(200)]
+        assert stats.kstest(np.concatenate(draws), "norm").pvalue > 1e-6
+        # a stream that is normal per seed has uniform per-seed p-values
+        p_values = [stats.kstest(d, "norm").pvalue for d in draws]
+        assert stats.kstest(p_values, "uniform").pvalue > 1e-3
 
 
 class TestDriftSubtraction:

@@ -328,6 +328,23 @@ class TestSimulate:
         assert manifest["config"]["binned"] is True
         assert isinstance(manifest["config"]["drift_slope_n_per_sweep"], float)
 
+    def test_manifest_names_the_noise_generator_next_to_the_seed(self, tmp_path):
+        # a seed reproduces a campaign only with the generator that drew it;
+        # both sit at the top level, outside the campaign config
+        out = tmp_path / "campaign.csv"
+        cfg = self.small_cfg(tmp_path)
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "campaign.csv.manifest.json").read_text())
+        assert (manifest["seed"], manifest["noise_generator"]) == (7, "splitmix64-box-muller")
+        assert "noise_generator" not in manifest["config"]
+
+    @pytest.mark.parametrize("seed", [2**64, 2**128])
+    def test_a_seed_past_64_bits_is_taken_and_recorded(self, tmp_path, seed):
+        out = tmp_path / "campaign.csv"
+        argv = ["simulate", "--config", str(self.small_cfg(tmp_path)), "--seed", str(seed)]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert json.loads((tmp_path / "campaign.csv.manifest.json").read_text())["seed"] == seed
+
 
 @pytest.fixture(scope="module")
 def campaign_csv(tmp_path_factory):
@@ -786,32 +803,30 @@ def test_a_cli_run_imports_neither_numpy_polynomial_nor_numpy_ma(tmp_path):
     # numpy.polynomial (the Gauss-Legendre and Gauss-Laguerre rules) and
     # numpy.ma (the first np.unique call in a process) cost a fresh
     # interpreter ~20 ms together; a clean process is needed, since pytest's
-    # plugins may import both.  The bands run the Gauss-Laguerre pair.  A
-    # command that draws no seed also leaves out secrets, whose hmac and
-    # hashlib map OpenSSL's libcrypto (~3.6 MB of peak RSS); simulate loads
-    # them through numpy.random, so the campaign fit reads is written here
-    # and simulate runs last
-    assert main(["simulate", "--seed", "1", "--out", str(tmp_path / "campaign.csv")]) == 0
+    # plugins may import both.  The bands run the Gauss-Laguerre pair.  The
+    # campaign's noise is a SplitMix64 stream of numpy arithmetic, so no
+    # command loads numpy.random either, nor through it secrets, whose hmac
+    # and hashlib map OpenSSL's libcrypto (~3.6 MB of peak RSS); simulate
+    # runs first and writes the campaign fit reads
     src = str(Path(casimir_lab.__file__).resolve().parents[1])
     script = (
         "import sys\n"
         f"sys.path.insert(0, {src!r})\n"
         "from casimir_lab.cli import main\n"
-        "def loaded(*names):\n"
-        "    return sorted(m for m in names if m in sys.modules)\n"
         "for argv in (\n"
+        "    ['simulate', '--seed', '1', '--out', 'campaign.csv'],\n"
         "    ['fit', '--data', 'campaign.csv', '--models', 'all', '--out', 'report.json'],\n"
         "    ['force', '--all-models', '--out', 'curves.csv'],\n"
         "    ['band', '--family', 'drude', '--out', 'band_drude.csv'],\n"
         "    ['band', '--family', 'plasma', '--out', 'band_plasma.csv'],\n"
         "):\n"
         "    assert main(argv) == 0, argv\n"
-        "unseeded = loaded('secrets', 'hmac', '_hashlib')\n"
-        "assert main(['simulate', '--seed', '1', '--out', 'simulated.csv']) == 0\n"
-        "print(unseeded, loaded('numpy.polynomial', 'numpy.ma'))\n"
+        "names = ('numpy.random', 'secrets', 'hmac', '_hashlib',\n"
+        "         'numpy.polynomial', 'numpy.ma')\n"
+        "print(sorted(m for m in names if m in sys.modules))\n"
     )
     run = subprocess.run(
         [sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True
     )
     assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines()[-1] == "[] []"
+    assert run.stdout.splitlines()[-1] == "[]"
