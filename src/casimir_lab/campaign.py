@@ -61,6 +61,14 @@ __all__ = [
 #: force scale
 SIGMA_FLOOR = 1e-18
 
+#: The most noise draws, n_sweeps (2 len(sweep_voltages) + n_separations),
+#: a campaign takes: ~100 times the default campaign's 19,916.  The stream,
+#: the campaign's arrays and its rows grow with the draws, so near the cap
+#: `simulate` peaks at ~115 MB of RSS, ~280 MB with --no-bin and
+#: --sweeps-out and ~330 MB (~33 s) with 990,000 separations and two
+#: sweeps; numpy would try to allocate petabytes for 1e15.
+MAX_DRAWS = 2_000_000
+
 SWEEPS_CSV_HEADER = ["sweep_index", "separation_um", "voltage_v", "force_n", "sigma_n"]
 
 
@@ -163,6 +171,12 @@ class CampaignConfig:
             raise ValidationError(f"n_separations must be >= 2, got {self.n_separations}")
         if self.n_sweeps < 1:
             raise ValidationError(f"n_sweeps must be >= 1, got {self.n_sweeps}")
+        draws = self.n_sweeps * (2 * len(self.sweep_voltages) + self.n_separations)
+        if draws > MAX_DRAWS:
+            raise ValidationError(
+                f"n_sweeps * (2 len(sweep_voltages) + n_separations) must be at most "
+                f"{MAX_DRAWS} noise draws, got {draws}"
+            )
         if self.truth_model_id not in MODEL_IDS:
             raise ValidationError(
                 f"truth_model_id must be one of {MODEL_IDS}, got {self.truth_model_id!r}"

@@ -62,7 +62,7 @@ from .dielectric import (
 from .electrostatics import patch_force
 from .errors import ConvergenceError, DegenerateFitError, ValidationError
 from .fileio import write_json, write_table
-from .lifshitz import force_sphere_plane_grid, sensitivity_band
+from .lifshitz import GAPS, force_sphere_plane_grid, sensitivity_band
 
 FORCE_CSV_HEADER = ["separation_um", "force_pn", "f_times_d_pn_um", "f_times_d2_pn_um2"]
 BAND_CSV_HEADER = ["separation_um", "f_min_pn", "f_center_pn", "f_max_pn"]
@@ -70,6 +70,14 @@ BAND_CSV_HEADER = ["separation_um", "f_min_pn", "f_center_pn", "f_max_pn"]
 #: The largest energy a model flag in eV takes: the models' MAX_FREQUENCY in
 #: eV, rounded down, so every value it passes builds its model.
 _MAX_EV = math.floor(MAX_FREQUENCY * HBAR / ELEMENTARY_CHARGE)
+
+#: The most gaps --points takes.  The grid and the curves are a few arrays
+#: of this size and the ladder runs its rows in groups of bounded size, so
+#: 10,000 points over the whole gap domain at 300 K peak at ~42 MB of RSS
+#: for one model and ~49 MB (~40 s) for --all-models, against ~31 MB for
+#: 30 points, and a plasma curve at 0.08 K, ~9e4 Matsubara rows a gap,
+#: levels off at ~44 MB; numpy would try to allocate petabytes for 1e15.
+MAX_POINTS = 10_000
 
 
 def finite_float(text):
@@ -121,12 +129,17 @@ def _require_positive_flags(args, *dests):
 
 
 def _grid_from_args(args):
-    if args.dmin_um <= 0.0:
-        raise ValidationError(f"--dmin must be positive, got {args.dmin_um}")
+    """The log-spaced grid of --dmin, --dmax and --points, in m, each flag
+    checked against the engine's gap domain, in the um the user typed, or
+    against MAX_POINTS, before any array is built."""
+    for flag, value in (("--dmin", args.dmin_um), ("--dmax", args.dmax_um)):
+        if not GAPS[0] <= value * 1e-6 <= GAPS[1]:
+            lo, hi = (1e6 * gap for gap in GAPS)
+            raise ValidationError(f"{flag} must be within [{lo:g}, {hi:g}] um, got {value:g}")
     if args.dmax_um < args.dmin_um:
         raise ValidationError("--dmax must be >= --dmin")
-    if args.points < 1:
-        raise ValidationError(f"--points must be >= 1, got {args.points}")
+    if not 1 <= args.points <= MAX_POINTS:
+        raise ValidationError(f"--points must be within [1, {MAX_POINTS}], got {args.points}")
     if args.points > 1 and args.dmax_um == args.dmin_um:
         raise ValidationError("--points > 1 needs --dmax > --dmin")
     return np.geomspace(args.dmin_um * 1e-6, args.dmax_um * 1e-6, args.points)

@@ -19,8 +19,9 @@ rectangle (a tabulated model transforms each distinct frequency once).
 Every entry point takes a float or an array of gaps (a float gives a float,
 computed as a grid of one).  At T > 0 a curve is one ladder: one eps(i xi_n)
 evaluation per model, as xi_n does not depend on the gap, and the (gap, n)
-rows of the curve, n = 0 included, packed into families of ``_LADDER_ROWS``
-rows, so memory is bounded at any T.  The rows do not depend on the model
+rows n >= 1 of the curve packed into families of ``_LADDER_ROWS`` rows, in
+consecutive groups of gaps of under 2 ``_MAX_MATSUBARA`` rows, so memory is
+bounded at any T and any number of gaps.  The rows do not depend on the model
 either, so the parameter sets of a sensitivity band share one ladder: a
 model axis rides through every row family next to the kinds, and more than
 three models take fewer rows to a family to hold its memory.  A gap's rows
@@ -29,7 +30,8 @@ under exp(-40) of the sum.  A row n >= 1 starts at y = x_n, clear of the
 y ln y endpoint at y = 0: from x_n = ``_LAGUERRE_X`` = 1 it decays like
 exp(-t) in t = y - x_n and tries the Gauss-Laguerre pair, which accepts or
 refuses each row on its own value; the rest, and every refused row, go to
-the panels, where the n = 0 rows, at x = 0, fill families of their own.  At
+the panels.  The n = 0 terms are closed forms plus, for a lifted model,
+one TE correction row per gap that tries the pair the same way.  At
 T = 0 the gaps computed directly take one 2-D integral per chunk of
 ``_T0_GAPS`` consecutive gaps, each gap settled on its own scale in one
 kernel call per level, and the chunk size bounds the peak memory.  A
@@ -44,7 +46,7 @@ levels and by every family or chunk of a curve.
 
 The one accuracy setting, ``rel_tol`` in (0, 1e-3] (default 1e-8), is what
 every quadrature settles to.  Before any eps(i xi) or integral runs, a
-ValidationError refuses a gap outside ``_GAPS``, a temperature outside
+ValidationError refuses a gap outside ``GAPS``, a temperature outside
 ``_TEMPERATURES`` and, at T > 0, T d below ~7.29e-8 m K, where a ladder
 would need more than ``_MAX_MATSUBARA`` terms; no ladder is ever cut.
 
@@ -64,8 +66,13 @@ it picks the Fresnel inputs 1/eps and (eps - 1)(xi/c)^2 at xi = 0, finite
 for every model.  A dissipative free-electron metal, (0, 0), loses its
 zero-frequency TE mode entirely, a dissipationless one keeps it.  The
 finite-temperature force difference between those two descriptions is the
-physics this package exists to model.  A ladder whose zero modes are all
-the Drude r = (0, 1) takes their zeta(3) closed form, any other its rows.
+physics this package exists to model.  Without a lift r_te = 0 and r_tm is
+a constant rho, so the term is -Li3(rho^2), 2 Li3(rho^2) or 6 Li3(rho^2)
+by kind (Drude: rho = 1, zeta(3)).  With a lift (plasma, or a table that
+continues as one) r_tm = 1, and TE is the ideal zeta(3) value plus a
+smooth correction without the y ln y endpoint, one row per gap (Bordag,
+Klimchitskaya, Mohideen & Mostepanenko, Advances in the Casimir Effect,
+OUP 2009).  A 300 K ladder on 0.7-7 um thus runs no panel quadrature.
 """
 
 import math
@@ -114,12 +121,12 @@ PFA_RATIO_LIMIT = 1e-3
 #: rows are packed gap after gap into families of this many, the last one
 #: shorter, so a ladder's memory is bounded at any T.  Every model of a
 #: ladder rides in each family, and one of more than three models holds
-#: 3 _LADDER_ROWS (model, row) pairs to a family; the n = 0 rows fill
-#: families of their own.  Peak memory grows with it only a little, as most
-#: rows take 48 Gauss-Laguerre nodes in one call, not panel levels of ~40
-#: and ~80: the band workload's peak RSS reads ~31.5 MB at 1, 20 and 80
-#: rows and ~32.1 MB at 200 (with every row on the panels: ~31.7, ~31.7,
-#: ~32.0 and ~33.3 MB).
+#: 3 _LADDER_ROWS (model, row) pairs to a family; the TE corrections of the
+#: zero modes fill families of this many gaps.  Peak memory grows with it
+#: only a little, as the rows take 48 Gauss-Laguerre nodes in one call, not
+#: panel levels of ~40 and ~80: with no panel family and no LAPACK call the
+#: band workload's peak RSS reads ~31.0 MB at 80 rows (~31.5 MB before the
+#: zero modes left the panels).
 _LADDER_ROWS = 80
 
 #: The smallest x_n of a row n >= 1 that tries the Gauss-Laguerre pair
@@ -142,12 +149,13 @@ _T0_NODES = 12
 
 #: Matsubara terms, n = 0 included, one gap's ladder sums at most: a curve
 #: with a gap whose ladder needs more is refused, which sets the floor
-#: T d >= ~7.29e-8 m K at T > 0.
+#: T d >= ~7.29e-8 m K at T > 0.  A ladder runs its gaps in groups of under
+#: twice this many rows, so its memory does not grow with the gaps.
 _MAX_MATSUBARA = 100_000
 
 #: The gaps, in m, every engine entry takes: below 1 nm a continuum
 #: permittivity means nothing, far above 1 km the integrals overflow.
-_GAPS = (1e-9, 1e3)
+GAPS = (1e-9, 1e3)
 
 #: The temperatures, in K, every engine entry takes: far above any solid
 #: plate, and far below the ~1e150 K where the first Matsubara row overflows.
@@ -158,10 +166,18 @@ _C = SPEED_OF_LIGHT
 #: The kernel kinds, the m-th gaining a factor 1/d^m over the energy.
 _KINDS = ("energy", "pressure", "curvature")
 
-#: The Drude zero mode's y-integral of each kind: with r = (0, 1) at every
-#: gap the kernels are sums over j of y^(m+1) exp(-j y) times -1/j, 1 and j,
-#: so the integrals are -zeta(3), 2 zeta(3) and 6 zeta(3).
-_DRUDE_ZERO_MODE = {"energy": -ZETA3, "pressure": 2.0 * ZETA3, "curvature": 6.0 * ZETA3}
+#: The zero-mode y-integral of each kind per Li3(rho^2) of a constant
+#: reflection rho: with r = (0, rho) the kernels are sums over j of
+#: y^(m+1) rho^(2j) exp(-j y) times -1/j, 1 and j, so the integrals are
+#: -Li3(rho^2), 2 Li3(rho^2) and 6 Li3(rho^2); rho = 1 gives zeta(3).
+_LI3_FACTORS = {"energy": -1.0, "pressure": 2.0, "curvature": 6.0}
+
+#: (k, zeta(3 - k)/k!) of the terms k >= 3 of Li3(e^mu) in powers of mu that
+#: do not vanish, to k = 18, where |mu| <= ln 2 leaves them under 1e-19.
+_LI3_LOG_SERIES = tuple((k, zeta / math.factorial(k)) for k, zeta in (
+    (3, -1 / 2), (4, -1 / 12), (6, 1 / 120), (8, -1 / 252), (10, 1 / 240),
+    (12, -1 / 132), (14, 691 / 32760), (16, -1 / 12), (18, 3617 / 8160),
+))
 
 
 class ReflectionPair(NamedTuple):
@@ -271,6 +287,46 @@ def _zero_mode(model):
     raise TypeError(f"unknown dielectric model {type(model).__name__}")
 
 
+def _polylog3(z):
+    """Li3(z) = sum_j z^j / j^3 for 0 <= z <= 1, exactly ZETA3 at z = 1: the
+    series itself below z = 1/2; above it the series in mu = ln z,
+    Li3(e^mu) = zeta(3) + zeta(2) mu + (3/2 - ln(-mu)) mu^2/2
+    + sum_(k>=3) zeta(3 - k) mu^k/k!, which keeps the digits of 1 - z."""
+    if z < 0.5:
+        return math.fsum(z ** j / j ** 3 for j in range(1, 60))
+    if z == 1.0:
+        return ZETA3
+    mu = math.log(z)
+    tail = sum(c * mu ** k for k, c in _LI3_LOG_SERIES)
+    return ZETA3 + (math.pi ** 2 / 6.0 * mu + ((1.5 - math.log(-mu)) * mu * mu / 2.0 + tail))
+
+
+def _te_correction(table, p2, kinds):
+    """The TE zero-mode integrand of a lift p2 = P^2 > 0 (P = 2 d omega_p / c
+    for the plasma model) less that of an ideal mirror, one per kind: with
+    r = (y - kappa)/(y + kappa), kappa^2 = y^2 + P^2, s = r^2 exp(-y) and
+    s0 = exp(-y), the energy y ln((1 - s)/(1 - s0)), the pressure
+    y^2 [s/(1 - s) - s0/(1 - s0)] and the curvature
+    y^3 [s/(1 - s)^2 - s0/(1 - s0)^2].  Written in delta = s0 - s =
+    (1 - r^2) s0, 1 - r^2 = 4 y kappa/(y + kappa)^2, and b = 1 - s0, every
+    term has one sign: no cancellation, and no y ln y endpoint, so a row
+    decays like exp(-y) and is smooth at y = 0 for P not too small."""
+    y, y2, s0 = table
+    kappa = np.sqrt(y2 + p2)
+    delta = 4.0 * y * kappa / np.square(y + kappa) * s0
+    b = -np.expm1(-y)
+    out = []
+    for kind in kinds:
+        if kind == "energy":
+            out.append(y * np.log1p(delta / b))
+        elif kind == "pressure":
+            out.append(-y2 * delta / ((b + delta) * b))
+        else:
+            spread = b * (b + 2.0 * s0) + s0 * delta
+            out.append(-y2 * y * delta * spread / np.square((b + delta) * b))
+    return np.stack(out)
+
+
 def _kernel(r, table, kinds, buffers):
     """Energy y ln(1 - s), pressure y^2 s/(1 - s) or curvature y^3 s/(1 - s)^2
     integrand of each of ``kinds``, s = r^2 exp(-y), summed over TE and TM;
@@ -334,14 +390,18 @@ def _matsubara_ladder(d, T, models, rel_tol, kinds):
     only the Fresnel inputs 1/eps and (eps - 1)(xi_n/c)^2 do, computed once
     per model and n (n = 0 by :func:`_zero_mode`); every model rides in each
     family.  A family holds ``_LADDER_ROWS`` (gap, n) rows, or 3
-    ``_LADDER_ROWS`` (model, row) pairs for more than three models.  First
-    the n = 0 rows run on the panels, unless every zero mode is the Drude
-    r = (0, 1) and its zeta(3) closed form.  Then the n >= 1 rows at x_n >=
-    ``_LAGUERRE_X``, gap after gap, run on the Gauss-Laguerre pair of
-    :func:`integrate_laguerre`, one kernel call of 48 nodes a family, which
-    keeps each row whose 16- and 32-node sums agree to rel_tol of its own
-    value in every (kind, model).  Last the rows below ``_LAGUERRE_X`` and
-    every refused one, gap after gap, run on the panels.  On the panels
+    ``_LADDER_ROWS`` (model, row) pairs for more than three models.  The
+    n = 0 term is a closed form, -Li3(rho^2), 2 Li3(rho^2) or 6 Li3(rho^2)
+    of the TM reflection rho, plus for a model with a lift the ideal TE
+    value at rho = 1 and the :func:`_te_correction` row of each gap; those
+    rows of every lifted model run first, on the pair and then the panels
+    as below.  Then the n >= 1 rows, in consecutive groups of gaps of under
+    2 ``_MAX_MATSUBARA`` rows: those at x_n >= ``_LAGUERRE_X``, gap after
+    gap, run on the Gauss-Laguerre pair of :func:`integrate_laguerre`, one
+    kernel call of 48 nodes a family, which keeps each row whose 16- and
+    32-node sums agree to rel_tol of its own value in every (kind, model).
+    Last the rows below ``_LAGUERRE_X`` and every refused one, gap after
+    gap, run on the panels.  On the panels
     each (kind, model) settles on its own scale, and only they raise
     ConvergenceError.  A curve with a gap whose ladder needs more than
     ``_MAX_MATSUBARA`` terms is refused with a ValidationError before
@@ -361,51 +421,74 @@ def _matsubara_ladder(d, T, models, rel_tol, kinds):
     n_rows = n_rows.astype(int)
     xi = 2.0 * math.pi * BOLTZMANN * T / HBAR * np.arange(1, n_rows.max() + 1)
     eps = np.array([eps_imag_axis(model, xi) for model in models])
-    # column n of each model's 1/eps and lift, n = 0 its zero mode
-    zero = np.array([_zero_mode(model) for model in models])
-    inv_n = np.column_stack([zero[:, 0], 1.0 / eps])
-    lift_n = np.column_stack([zero[:, 1], (eps - 1.0) * (xi / _C) ** 2])
-    # an error names the model only where the ladder has more than one
-    named = models if len(models) > 1 else ()
-
-    # row r of the table is term n[r] of gap[r]: the n = 0 rows, unless
-    # they are all the closed form, then each gap's rows from n = 1.  The
-    # n = 0 rows reach the y ln y endpoint and fill families of their own
-    n_zero = d.size if zero.any() else 0
-    starts = np.cumsum(n_rows) - n_rows
-    gap = np.concatenate([np.arange(n_zero), np.repeat(np.arange(d.size), n_rows)])
-    n = np.arange(gap.size) - n_zero - starts[gap] + 1
-    n[:n_zero] = 0
-    x_row = dx[gap] * n
-    rows, buffers = np.empty((len(kinds), len(models), gap.size)), _Buffers()
-    size = max(1, min(_LADDER_ROWS, 3 * _LADDER_ROWS // len(models)))
-
-    def integrand(family):
-        x = x_row[family, None]
-        inv = inv_n[:, n[family], None]
-        lift = lift_n[:, n[family], None] * (2.0 * d[gap[family], None]) ** 2
-        return lambda t: _integrand(_table(x, t), inv, lift, kinds, buffers)
+    # column n - 1 of each model's 1/eps and lift, the inputs of row n
+    inv_eps, lift_xi = 1.0 / eps, (eps - 1.0) * (xi / _C) ** 2
+    buffers, size = _Buffers(), max(1, min(_LADDER_ROWS, 3 * _LADDER_ROWS // len(models)))
 
     def families(index):
         return (index[start:start + size] for start in range(0, index.size, size))
 
-    def settle(family):
-        with _located(d[gap[family]], T, kinds, named):
-            rows[..., family] = integrate_decaying(integrand(family), rel_tol)
+    def integrate(out, integrand, gap_of, paired, unpaired, named):
+        """out[..., i] for the rows i of ``paired``, tried on the Gauss-Laguerre
+        pair first, and of ``unpaired``: the rows the pair refuses join the
+        unpaired ones on the panels, gap after gap; ``gap_of`` maps a row to
+        its gap, and an error names the models of ``named``."""
+        panel = [unpaired]
+        for family in families(paired):
+            accepted, integrals = integrate_laguerre(integrand(family), rel_tol)
+            out[..., family[accepted]] = integrals
+            panel.append(family[~accepted])
+        for family in families(np.sort(np.concatenate(panel))):
+            with _located(d[gap_of[family]], T, kinds, named):
+                out[..., family] = integrate_decaying(integrand(family), rel_tol)
 
-    # the n = 0 rows first: run after the Gauss-Laguerre families, they left
-    # ~0.2 MB more of the heap resident for the T = 0 curves that follow
-    for family in families(np.arange(n_zero)):
-        settle(family)
-    panel = [np.flatnonzero((x_row < _LAGUERRE_X) & (n > 0))]
-    for family in families(np.flatnonzero(x_row >= _LAGUERRE_X)):
-        accepted, integrals = integrate_laguerre(integrand(family), rel_tol)
-        rows[..., family[accepted]] = integrals
-        panel.append(family[~accepted])
-    for family in families(np.sort(np.concatenate(panel))):
-        settle(family)
-    zero_modes = rows[..., :n_zero] if n_zero else [[[_DRUDE_ZERO_MODE[k]]] for k in kinds]
-    return 0.5 * np.asarray(zero_modes) + np.add.reduceat(rows[..., n_zero:], starts, axis=-1)
+    # the n = 0 terms: TM, and TE without a lift, in closed form; each
+    # gap's TE correction of every lifted model is a row in y, from y = 0
+    zero = np.array([_zero_mode(model) for model in models])
+    rho2 = ((1.0 - zero[:, 0]) / (1.0 + zero[:, 0])) ** 2
+    has_lift = zero[:, 1] > 0.0
+    li3 = np.array([_polylog3(z) for z in rho2]) + np.where(has_lift, ZETA3, 0.0)
+    sums = np.empty((len(kinds), len(models), d.size))
+    sums[...] = np.array([[[_LI3_FACTORS[kind]]] for kind in kinds]) * li3[:, None]
+    if has_lift.any():
+        lifted = np.flatnonzero(has_lift)
+        te = np.empty((len(kinds), lifted.size, d.size))
+        p2 = zero[lifted, 1, None, None]
+
+        def correction(family):
+            lift = p2 * (2.0 * d[family, None]) ** 2
+            return lambda t: _te_correction(_table(0.0, t), lift, kinds)
+
+        gaps = np.arange(d.size)
+        named = tuple(models[j] for j in lifted) if len(models) > 1 else ()
+        integrate(te, correction, gaps, gaps, gaps[:0], named)
+        sums[:, lifted] += te
+    sums *= 0.5
+
+    # the gaps run in consecutive groups of under 2 _MAX_MATSUBARA rows, as
+    # one gap may need _MAX_MATSUBARA, so the row arrays below are bounded
+    # however many gaps a curve has
+    named = models if len(models) > 1 else ()
+    cuts = np.flatnonzero(np.diff(np.cumsum(n_rows) // _MAX_MATSUBARA)) + 1
+    for first, stop in zip([0, *cuts], [*cuts, d.size]):
+        # row r is term n[r] of gap[r], each gap's rows from n = 1
+        counts = n_rows[first:stop]
+        starts = np.cumsum(counts) - counts
+        gap = np.repeat(np.arange(first, stop), counts)
+        n = np.arange(gap.size) - starts[gap - first] + 1
+        x_row = dx[gap] * n
+        rows = np.empty((len(kinds), len(models), gap.size))
+
+        def integrand(family):
+            x = x_row[family, None]
+            inv = inv_eps[:, n[family] - 1, None]
+            lift = lift_xi[:, n[family] - 1, None] * (2.0 * d[gap[family], None]) ** 2
+            return lambda t: _integrand(_table(x, t), inv, lift, kinds, buffers)
+
+        paired = x_row >= _LAGUERRE_X
+        integrate(rows, integrand, gap, np.flatnonzero(paired), np.flatnonzero(~paired), named)
+        sums[..., first:stop] += np.add.reduceat(rows, starts, axis=-1)
+    return sums
 
 
 @contextmanager
@@ -495,7 +578,7 @@ def _lifshitz_models(d, T, models, rel_tol, kinds):
     once, before any integral runs; the ladder refuses a T d below its floor
     before it computes anything.
     """
-    d = require_within("separation", d, *_GAPS)
+    d = require_within("separation", d, *GAPS)
     T = require_within("temperature", T, *_TEMPERATURES, scalar=True)
     rel_tol = require_tolerance(rel_tol)
     gaps = np.ravel(d)
@@ -554,7 +637,7 @@ def _pfa(d, R):
     """2 pi R, the PFA map's factor, after validating the radius and every
     gap of ``d`` and warning once when the largest d/R is too large."""
     R = require_positive("radius", R, scalar=True)
-    ratio = np.max(require_within("separation", d, *_GAPS), initial=0.0) / R
+    ratio = np.max(require_within("separation", d, *GAPS), initial=0.0) / R
     if ratio >= PFA_RATIO_LIMIT:
         warnings.warn(
             f"d/R = {ratio:.2e} exceeds {PFA_RATIO_LIMIT:.0e}; "

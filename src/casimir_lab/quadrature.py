@@ -15,7 +15,8 @@ quadrature, so :func:`integrate_laguerre` tries a family of rows on the
 16- and 32-node rules of ``LAGUERRE_PAIR`` in one integrand call of 48
 abscissae, and accepts each row on its own when the two sums agree to
 rel_tol of its own value in every kind; the caller runs the rows it refuses,
-a non-finite one among them, on the panels.
+a non-finite one among them, on the panels.  The pair's rules are module
+constants, so no rule of it is built and no LAPACK routine runs.
 
 The 2-D rectangles form an L-shaped layout.  Only the corner x = t = 0 needs
 the graded t-panels, so the x-panel at 0 pairs with every t-panel and one with
@@ -34,7 +35,6 @@ from .errors import ConvergenceError
 
 __all__ = [
     "gauss_legendre",
-    "gauss_laguerre",
     "panel_edges",
     "integrate_decaying",
     "integrate_decaying_2d",
@@ -89,37 +89,6 @@ def _legendre_series(x, c):
     return c0 + c1 * x
 
 
-@lru_cache(maxsize=None)
-def gauss_laguerre(n):
-    """Cached Gauss-Laguerre nodes t and weights times e^t on [0, inf), n >= 2:
-    sum_i (w_i e^t_i) f(t_i) integrates f(t) = e^-t p(t) exactly for a
-    polynomial p of degree up to 2n - 1.
-
-    Built as :func:`gauss_legendre` is, without ``numpy.polynomial``: the
-    eigenvalues of the Jacobi matrix of L_n (diagonal 2k + 1, off-diagonal
-    k), one Newton step, then the Christoffel weights w e^t = 1/sum_{k<n}
-    l_k(t)^2 with l_k = L_k e^(-t/2), which the three-term recurrence keeps
-    within [-1, 1], so w e^t keeps its relative precision where w underflows:
-    ~1e-14 at 32 nodes, where t/((n + 1)^2 l_(n+1)^2) from the same
-    recurrence is ~1e-12 off.
-    """
-    t = np.linalg.eigvalsh(np.diag(2.0 * np.arange(n) + 1.0) + np.diag(np.arange(1.0, n), -1))
-    _, l_prev, l_n = _laguerre_series(t, n)
-    t -= t * l_n / (n * (l_n - l_prev))  # L_n' = n (L_n - L_n-1) / t
-    return t, 1.0 / _laguerre_series(t, n)[0]
-
-
-def _laguerre_series(t, n):
-    """sum_{k<n} l_k^2, l_(n-1) and l_n at t, l_k = L_k(t) e^(-t/2), by
-    (k + 1) l_(k+1) = (2k + 1 - t) l_k - k l_(k-1)."""
-    l_prev = np.exp(-0.5 * t)
-    l_k, squares = (1.0 - t) * l_prev, l_prev * l_prev
-    for k in range(1, n):
-        squares += l_k * l_k
-        l_prev, l_k = l_k, ((2 * k + 1 - t) * l_k - k * l_prev) / (k + 1)
-    return squares, l_prev, l_k
-
-
 def panel_edges():
     """Panel edges on [0, DEFAULT_CUTOFF]: graded opening, then doubling widths."""
     edges = [0.0, *_GRADED_OPENING]
@@ -136,10 +105,52 @@ _EDGES = panel_edges()
 #: mid-curve would outlive the curve's temporaries in the heap and fragment it.
 _LOWER, _HALF = np.array(_EDGES[:-1]), 0.5 * np.diff(_EDGES)
 
-#: The Gauss-Laguerre rules a row is tried on, the smaller one first.  They
-#: are built on first use: the first eigvalsh of a process adds ~0.9 MB of
-#: RSS and up to ~5 ms, which a CLI command without a ladder need not pay.
-LAGUERRE_PAIR = (16, 32)
+#: The Gauss-Laguerre rules a row is tried on, the smaller one first: the
+#: nodes t and the weights times e^t of the 16- and 32-node rules, as the
+#: Jacobi-matrix eigenvalues with one Newton step and the Christoffel weights
+#: from the three-term recurrence give them (~1e-14 relative), stored rather
+#: than built, as a process's first eigvalsh loads LAPACK (~0.6 MB of RSS).
+LAGUERRE_PAIR = tuple((np.array(t), np.array(w)) for t, w in (
+    (  # 16 nodes
+        (
+            0.08764941047892753, 0.4626963289150805, 1.1410577748312265, 2.1292836450983805,
+            3.4370866338932067, 5.078018614549768, 7.070338535048234, 9.438314336391938,
+            12.214223368866158, 15.441527368781617, 19.180156856753136, 23.515905693991908,
+            28.57872974288214, 34.58339870228663, 41.94045264768833, 51.70116033954332,
+        ),
+        (
+            0.22503631486424625, 0.5258360527623431, 0.8319613916870872, 1.1460992409637512,
+            1.4717513169668084, 1.8131346873813494, 2.175517519694608, 2.5657627501650295,
+            2.9932150863713742, 3.4712344831020903, 4.020044086444668, 4.672516607732852,
+            5.487420657986157, 6.585361233289213, 8.276357984364235, 11.824277551658437,
+        ),
+    ),
+    (  # 32 nodes
+        (
+            0.044489365833267285, 0.2345261095196181, 0.5768846293018858, 1.0724487538178178,
+            1.7224087764446456, 2.5283367064257947, 3.4922132730219944, 4.616456769749767,
+            5.903958504174245, 7.358126733186241, 8.982940924212597, 10.78301863253997,
+            12.763697986742725, 14.931139755522556, 17.292454336715316, 19.855860940336054,
+            22.630889013196775, 25.628636022459247, 28.862101816323474, 32.346629153964734,
+            36.10049480575197, 40.14571977153944, 44.509207995754934, 49.22439498730864,
+            54.33372133339691, 59.89250916213402, 65.97537728793505, 72.68762809066271,
+            80.18744697791352, 88.7353404178924, 98.82954286828398, 111.7513980979377,
+        ),
+        (
+            0.11418710576810633, 0.2660652168976148, 0.41879313732485235, 0.5725328464998043,
+            0.7276487883809716, 0.8845367193402505, 1.0436188758920768, 1.2053492741523526,
+            1.370221338521782, 1.5387772564686448, 1.7116193526864592, 1.8894240634494834,
+            2.0729593402465336, 2.2631066339969657, 2.460889072488236, 2.6675081263971174,
+            2.8843920929220417, 3.113261327039587, 3.356217692595803, 3.6158698564842684,
+            3.8955130449485473, 4.199394104711589, 4.533114978534365, 4.904270287611251,
+            5.323500972023671, 5.806333214233623, 6.376614674159648, 7.073526580707236,
+            7.967693509295905, 9.205040331278198, 11.163013090767892, 15.390180415260634,
+        ),
+    ),
+))
+#: The abscissae of both rules, in the order of one integrate_laguerre call.
+_PAIR_NODES = np.concatenate([t for t, _ in LAGUERRE_PAIR])
+_PAIR_NODES.flags.writeable = False
 
 #: x-panel, t lower edge and t half width of each rectangle of the L layout.
 _RECTANGLES = tuple(np.array(column) for column in zip(*[
@@ -268,9 +279,9 @@ def integrate_laguerre(f, rel_tol):
     integrates the refused rows some other way.  Returns ``(accepted,
     integrals)``, the integrals shaped (..., accepted.sum()).
     """
-    (t_small, small), (t_large, large) = (gauss_laguerre(n) for n in LAGUERRE_PAIR)
+    (_, small), (_, large) = LAGUERRE_PAIR
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        values = np.asarray(f(np.concatenate([t_small, t_large])))
+        values = np.asarray(f(_PAIR_NODES))
         rough = values[..., :small.size] @ small
         fine = values[..., small.size:] @ large
         resolved = np.abs(fine - rough) <= rel_tol * np.abs(fine)  # NaN is not

@@ -18,6 +18,9 @@ Three oracles for the Casimir free energy between parallel plates:
 * a dilute non-dispersive dielectric at T = 0, whose energy tends to the
   pairwise-summed Casimir-Polder interaction.
 
+It also keeps the Gauss-Laguerre builder that the pair of rules
+`casimir_lab.quadrature.LAGUERRE_PAIR` stores as constants was taken from.
+
 The tests compare the engine against these, and bound the 300 K crossover
 of the Drude curves with the first, so no expected value is taken from the
 engine itself.
@@ -173,3 +176,32 @@ def dilute_dielectric_t0_energy(d, eta):
         E d^3 / (hbar c) = -23 eta^2 / (1920 pi^2) + O(eta^3).
     """
     return -23.0 * eta**2 * HBAR * SPEED_OF_LIGHT / (1920.0 * math.pi**2 * d**3)
+
+
+def gauss_laguerre(n):
+    """Gauss-Laguerre nodes t and weights times e^t on [0, inf), n >= 2:
+    sum_i (w_i e^t_i) f(t_i) integrates f(t) = e^-t p(t) exactly for a
+    polynomial p of degree up to 2n - 1.
+
+    Without ``numpy.polynomial``: the eigenvalues of the Jacobi matrix of
+    L_n (diagonal 2k + 1, off-diagonal k), one Newton step, then the
+    Christoffel weights w e^t = 1/sum_{k<n} l_k(t)^2 with l_k = L_k e^(-t/2),
+    which the three-term recurrence keeps within [-1, 1], so w e^t keeps its
+    relative precision where w underflows: ~1e-14 at 32 nodes, where
+    t/((n + 1)^2 l_(n+1)^2) from the same recurrence is ~1e-12 off.
+    """
+    t = np.linalg.eigvalsh(np.diag(2.0 * np.arange(n) + 1.0) + np.diag(np.arange(1.0, n), -1))
+    _, l_prev, l_n = _laguerre_series(t, n)
+    t -= t * l_n / (n * (l_n - l_prev))  # L_n' = n (L_n - L_n-1) / t
+    return t, 1.0 / _laguerre_series(t, n)[0]
+
+
+def _laguerre_series(t, n):
+    """sum_{k<n} l_k^2, l_(n-1) and l_n at t, l_k = L_k(t) e^(-t/2), by
+    (k + 1) l_(k+1) = (2k + 1 - t) l_k - k l_(k-1)."""
+    l_prev = np.exp(-0.5 * t)
+    l_k, squares = (1.0 - t) * l_prev, l_prev * l_prev
+    for k in range(1, n):
+        squares += l_k * l_k
+        l_prev, l_k = l_k, ((2 * k + 1 - t) * l_k - k * l_prev) / (k + 1)
+    return squares, l_prev, l_k

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import casimir_lab
-from casimir_lab import cli
+from casimir_lab import cli, lifshitz
 from casimir_lab.cli import build_parser, main
 from casimir_lab.constants import ev_to_angular_frequency
 from casimir_lab.dielectric import (
@@ -788,9 +788,15 @@ class TestExitCodes:
         assert "d = 2.000e-06 m, T = 0 K, energy" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_a_non_finite_ladder_estimate_is_three(self, tmp_path, capsys):
-        # the plasma zero mode's energy kernel rounds to log1p(-1) = -inf
-        # near y = 0 at the finest levels; it used to settle and write inf
+    def test_a_non_finite_ladder_estimate_is_three(self, tmp_path, capsys, monkeypatch):
+        # the full plasma zero-mode kernel rounds to log1p(-1) = -inf near
+        # y = 0 at the finest levels; it used to settle and write inf.  No
+        # flag reaches a non-finite estimate since the ladder integrates the
+        # TE correction alone, so the zero mode gets that kernel back here
+        def full_kernel(table, p2, kinds):
+            return lifshitz._integrand(table, 0.0, p2, kinds, lifshitz._Buffers())
+
+        monkeypatch.setattr(lifshitz, "_te_correction", full_kernel)
         out = tmp_path / "x.csv"
         argv = ["force", "--model", "plasma", "--dmin", "7", "--dmax", "7",
                 "--points", "1", "--rel-tol", "1e-16", "--out", str(out)]
@@ -800,7 +806,7 @@ class TestExitCodes:
 
 
 def test_a_cli_run_imports_neither_numpy_polynomial_nor_numpy_ma(tmp_path):
-    # numpy.polynomial (the Gauss-Legendre and Gauss-Laguerre rules) and
+    # numpy.polynomial (the Gauss-Legendre rule) and
     # numpy.ma (the first np.unique call in a process) cost a fresh
     # interpreter ~20 ms together; a clean process is needed, since pytest's
     # plugins may import both.  The bands run the Gauss-Laguerre pair.  The
@@ -830,3 +836,65 @@ def test_a_cli_run_imports_neither_numpy_polynomial_nor_numpy_ma(tmp_path):
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "[]"
+
+
+def test_a_300k_band_builds_no_quadrature_rule_and_calls_no_lapack(tmp_path):
+    # the zero modes are closed forms plus TE corrections the Gauss-Laguerre
+    # pair takes, and the pair's rules are stored, so a 300 K band builds no
+    # Gauss-Legendre rule and never calls eigvalsh, whose first call in a
+    # process loads LAPACK (~0.6 MB of peak RSS); a clean process is needed,
+    # since other tests build the rules
+    src = str(Path(casimir_lab.__file__).resolve().parents[1])
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "import numpy as np\n"
+        "calls = []\n"
+        "eigvalsh = np.linalg.eigvalsh\n"
+        "np.linalg.eigvalsh = lambda *a, **k: calls.append(a) or eigvalsh(*a, **k)\n"
+        "from casimir_lab import quadrature\n"
+        "from casimir_lab.cli import main\n"
+        "for family in ('plasma', 'drude'):\n"
+        "    assert main(['band', '--family', family, '--out', f'{family}.csv']) == 0\n"
+        "print(quadrature.gauss_legendre.cache_info().currsize, len(calls))\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "0 0"
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["force", "--model", "drude", "--points", str(10**15)],
+         "--points must be within [1, 10000]"),
+        (["band", "--points", str(cli.MAX_POINTS + 1)], "--points must be within [1, 10000]"),
+        (["force", "--model", "drude", "--dmin", "1e-20", "--points", "2"],
+         "--dmin must be within [0.001, 1e+09] um, got 1e-20"),
+        (["force", "--model", "drude", "--dmax", "1e300"],
+         "--dmax must be within [0.001, 1e+09] um, got 1e+300"),
+        (["band", "--dmin", "0.0005", "--points", "2"], "--dmin must be within"),
+    ],
+    ids=["force-points", "band-points", "dmin", "dmax", "band-dmin"],
+)
+def test_a_grid_flag_past_its_bound_is_two_and_named(tmp_path, capsys, argv, named):
+    # --points 1e15 ended in a numpy allocation traceback with exit 1, and a
+    # gap outside the engine's domain was named "separation", in m
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert f"error: {named}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field", ["n_sweeps", "n_separations"])
+def test_a_campaign_past_the_draw_cap_is_two_and_writes_nothing(tmp_path, capsys, field):
+    # 1e15 sweeps or gaps ended in a numpy allocation traceback with exit 1
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 1, field: 10**15}), encoding="utf-8")
+    out = tmp_path / "campaign.csv"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "n_sweeps * (2 len(sweep_voltages) + n_separations) must be at most 2000000" in err
+    assert not out.exists()

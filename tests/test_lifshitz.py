@@ -11,6 +11,7 @@ import functools
 import itertools
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -76,10 +77,11 @@ def bound_charge_table():
 
 
 def quadrature_calls(monkeypatch):
-    """Spy on a ladder's 1-D quadrature: one entry per call, "pair" for a
-    Gauss-Laguerre family, "zero" for a panel family of n = 0 rows, the only
-    rows whose every x is 0, and "panels" for any other panel family.  A
-    ``_table`` spy notes the x of each node table a call builds."""
+    """Spy on a ladder's 1-D quadrature: one entry per call, "zero" for a
+    family of n = 0 TE corrections, on the Gauss-Laguerre pair or the panels,
+    the only rows whose every x is 0, "pair" for any other Gauss-Laguerre
+    family and "panels" for any other panel family.  A ``_table`` spy notes
+    the x of each node table a call builds."""
     calls, at_zero = [], []
     table = lifshitz._table
 
@@ -91,13 +93,14 @@ def quadrature_calls(monkeypatch):
         def spy(f, rel_tol):
             at_zero.clear()
             out = integrate(f, rel_tol)
-            calls.append(kind or ("zero" if all(at_zero) else "panels"))
+            calls.append("zero" if all(at_zero) else kind)
             return out
 
         return spy
 
     monkeypatch.setattr(lifshitz, "_table", tabling)
-    monkeypatch.setattr(lifshitz, "integrate_decaying", spying(lifshitz.integrate_decaying, None))
+    panels = spying(lifshitz.integrate_decaying, "panels")
+    monkeypatch.setattr(lifshitz, "integrate_decaying", panels)
     monkeypatch.setattr(lifshitz, "integrate_laguerre", spying(lifshitz.integrate_laguerre, "pair"))
     return calls
 
@@ -336,15 +339,16 @@ class TestIndependentOracles:
     def test_drude_zero_mode_is_its_zeta3_closed_form(self, kind, value):
         # r = (0, 1): the kernels are sums over j of y^(m+1) exp(-j y) times
         # -1/j, 1 and j.  The quadrature of that kernel lands on the closed
-        # form, and a ladder whose only row is below exp(-49) of its n = 0
-        # term is half of it, for a Drude model and a table extrapolating as one
+        # form, Li3(1) = zeta(3) exactly, and a ladder whose only row is below
+        # exp(-49) of its n = 0 term is half of it, for a Drude model and a
+        # table extrapolating as one
         def zero_mode(y):
             r = lifshitz.ReflectionPair(np.zeros_like(y), np.ones_like(y))
             return lifshitz._kernel(r, lifshitz._table(0.0, y), (kind,), lifshitz._Buffers())
 
         quadrature = lifshitz.integrate_decaying(zero_mode, 1e-12)[0]
         assert quadrature == pytest.approx(value, rel=1e-13, abs=0.0)
-        assert lifshitz._DRUDE_ZERO_MODE[kind] == value
+        assert lifshitz._LI3_FACTORS[kind] * lifshitz._polylog3(1.0) == value
         models = (gold_drude(), TestCurvesAsArrays.drude_table())
         ladder = lifshitz._matsubara_ladder(np.array([30e-6]), 300.0, models, 1e-8, (kind,))
         np.testing.assert_allclose(ladder, 0.5 * value, rtol=1e-15, atol=0.0)
@@ -523,13 +527,22 @@ class TestConsistency:
         ids=["energy", "fused"],
     )
     def test_a_non_finite_estimate_is_refused_not_settled(self, d, kinds):
-        # below y ~ 1e-8 the plasma zero mode's energy kernel rounds to
-        # log1p(-1) = -inf at the 96- and 192-node levels; that used to
-        # settle, as the limit grew to inf with it, and give -inf energies
-        # or an error that "achieved nan", with RuntimeWarnings
-        with pytest.raises(ConvergenceError, match=r"T = 300 K, energy \(achieved inf") as err:
-            lifshitz._lifshitz(d, 300.0, gold_plasma(), 1e-16, kinds)
+        # the full plasma zero-mode kernel, r = (r_te, 1), rounds to
+        # log1p(-1) = -inf below y ~ 1e-8 at the 96- and 192-node levels; a
+        # settle there used to give -inf energies, or an error that "achieved
+        # nan", with RuntimeWarnings.  The ladder now integrates only the
+        # TE correction, which has no such kernel, so the panels get the
+        # kernel directly
+        p2 = (2.0 * np.atleast_1d(d)[:, None] * gold_plasma().omega_p / SPEED_OF_LIGHT) ** 2
+
+        def zero_mode(y):
+            table = lifshitz._table(0.0, y)
+            return lifshitz._integrand(table, 0.0, p2, kinds, lifshitz._Buffers())
+
+        with pytest.raises(ConvergenceError, match=r"did not settle .*\(achieved inf") as err:
+            lifshitz.integrate_decaying(zero_mode, 1e-16)
         assert err.value.achieved == math.inf
+        assert kinds[err.value.kind] == "energy"
 
     @pytest.mark.parametrize("model", [gold_drude(), gold_plasma()], ids=["drude", "plasma"])
     def test_ladder_meets_rel_tol_against_a_tight_ladder(self, model):
@@ -962,12 +975,15 @@ class TestCurvesAsArrays:
         x_1 = 4.0 * math.pi * BOLTZMANN * 300.0 * gaps / (HBAR * SPEED_OF_LIGHT)
         rows = np.maximum(np.ceil(40.0 / x_1) - 1.0, 1.0).astype(int)
         assert rows.tolist() == [24, 12, 4, 1] and x_1.min() > lifshitz._LAGUERRE_X
-        # the Drude zero mode is a closed form, the plasma one a family
+        # the Drude zero mode is a closed form; the plasma one adds a family
+        # of the four gaps' TE corrections, tried on the pair before the rows
         for model, zero_families in ((gold_drude(), 0), (gold_plasma(), 1)):
             calls.clear()
             tried.clear()
             got = force_sphere_plane_grid(gaps, 300.0, R_SPHERE, model)
             assert calls.count("zero") == zero_families
+            assert [accepted.size for accepted in tried[:zero_families]] == [4] * zero_families
+            del tried[:zero_families]
             assert [accepted.size for accepted in tried] == [7] * 5 + [6]
             assert calls.count("pair") == len(tried)
             refused = sum(np.count_nonzero(~accepted) for accepted in tried)
@@ -1092,8 +1108,9 @@ class TestFusedPass:
 
 class TestLadderLayout:
     """The (gap, n) rows of a ladder start at y = x_n, away from the y ln y
-    endpoint, and from x_n = 1 try the Gauss-Laguerre pair; the zero modes,
-    which do reach y = 0, settle in families of up to _LADDER_ROWS gaps."""
+    endpoint, and from x_n = 1 try the Gauss-Laguerre pair; the zero modes
+    are closed forms plus, for a lifted model, TE corrections that reach
+    y = 0 and try the pair in families of up to _LADDER_ROWS gaps."""
 
     def test_a_curve_computes_two_thirds_of_the_values_and_one_zero_family(self, monkeypatch):
         # with the full graded opening on every row family and one zero-mode
@@ -1117,8 +1134,9 @@ class TestLadderLayout:
         assert calls.count("zero") == 0, "the Drude zero mode is a closed form"
 
     def test_small_zero_families_match_gap_by_gap(self, monkeypatch):
-        # a cap of 5 rows splits 12 gaps into three zero-mode families, and
-        # packs the (gap, n) rows into chunks of 5, most gaps spanning several
+        # a cap of 5 rows splits 12 gaps into three families of plasma TE
+        # corrections, and packs the (gap, n) rows into chunks of 5, most
+        # gaps spanning several
         monkeypatch.setattr(lifshitz, "_LADDER_ROWS", 5)
         calls = quadrature_calls(monkeypatch)
         gaps = np.geomspace(0.1e-6, 7e-6, 12)
@@ -1129,6 +1147,22 @@ class TestLadderLayout:
             assert calls.count("zero") == zero_families
             want = [force_sphere_plane(d, 300.0, R_SPHERE, model) for d in gaps]
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    def test_a_long_curve_runs_in_groups_of_bounded_rows(self, monkeypatch):
+        # a gap may need _MAX_MATSUBARA rows and the gaps run in groups of
+        # under twice that, so with a cap of 1,000 the 64 gaps of ~730 rows
+        # at 10 K near 1 um peak no higher than 8 of them (traced: 0.39 MB
+        # each); with every row at once it was 0.80 MB against 2.1 MB
+        monkeypatch.setattr(lifshitz, "_MAX_MATSUBARA", 1000)
+        gaps = np.geomspace(1e-6, 1.1e-6, 64)
+        peaks, sums = [], []
+        for curve in (gaps[:8], gaps):
+            tracemalloc.start()
+            sums.append(lifshitz._matsubara_ladder(curve, 10.0, (gold_drude(),), 1e-8, ("energy",)))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] < 1.25 * peaks[0]
+        np.testing.assert_allclose(sums[1][..., :8], sums[0], rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("T", [1.0, 10.0, 77.0, 300.0])
     @pytest.mark.parametrize(
@@ -1244,10 +1278,10 @@ class TestModelAxis:
                 np.testing.assert_allclose(g, t, rtol=1e-8, atol=0.0, err_msg=message)
 
     def test_four_models_share_families_of_240_model_rows(self, monkeypatch):
-        # one family of n = 0 rows for all four models, as the plasma and
-        # the constant zero modes are not the closed form; the rows run 60
-        # to a family, on the Gauss-Laguerre pair from x_n = 1 and on the
-        # panels below it and where the pair refuses a row
+        # one family of n = 0 TE corrections, of the plasma model alone, as
+        # every other zero mode is a closed form; the rows run 60 to a
+        # family, on the Gauss-Laguerre pair from x_n = 1 and on the panels
+        # below it and where the pair refuses a row
         calls, tried = quadrature_calls(monkeypatch), []
         laguerre = lifshitz.integrate_laguerre
 
@@ -1264,6 +1298,8 @@ class TestModelAxis:
         assert low.tolist() == [3, 1, 0, 0, 0, 0, 0]
         lifshitz._lifshitz_models(self.GAPS, 300.0, self.MODELS, 1e-8, ("energy",))
         assert calls.count("zero") == 1
+        zero = tried.pop(0)
+        assert zero.size == self.GAPS.size
         assert [accepted.size for accepted in tried[:-1]] == [60] * (len(tried) - 1)
         assert sum(accepted.size for accepted in tried) == rows.sum() - low.sum()
         assert len(tried) == calls.count("pair") == math.ceil((rows.sum() - low.sum()) / 60)
@@ -1280,7 +1316,7 @@ class TestModelAxis:
                 ("curvature", "energy"),
                 "energy of DrudeModel(omega_p=1000000000000000.0, gamma=100000000000000.0)",
             ),
-            # the plasma zero-mode family, model 1 of the ladder
+            # the family of plasma TE corrections, model 1 of the ladder
             ((gold_drude(), gold_plasma()), ("pressure",), "pressure of PlasmaModel("),
         ],
         ids=["rows", "zero-mode"],
@@ -1660,9 +1696,10 @@ class TestSensitivityBand:
             sensitivity_band([1e-6], 300.0, ranges["omega_p"], ranges["gamma"], "drude", R_SPHERE)
 
     def test_a_band_integrates_its_zero_modes_in_one_family(self, monkeypatch):
-        # the plasma band's three zero modes are n = 0 rows of one family,
-        # its only panel family of rows at x = 0; the five Drude ones are the
-        # zeta(3) closed form and take none
+        # the TE corrections of the plasma band's three zero modes are one
+        # family of rows at x = 0, which the pair takes whole; the five Drude
+        # zero modes are the zeta(3) closed form and take none.  No row of
+        # either band runs on the panels
         calls = quadrature_calls(monkeypatch)
         grid = np.geomspace(0.7e-6, 7e-6, 30)
         for family, zero_families in (("plasma", 1), ("drude", 0)):
@@ -1670,6 +1707,7 @@ class TestSensitivityBand:
             sensitivity_band(grid, 300.0, self.WP, self.G, family, R_SPHERE)
             assert "pair" in calls, family
             assert calls.count("zero") == zero_families, family
+            assert "panels" not in calls, family
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -1678,3 +1716,47 @@ class TestSensitivityBand:
             sensitivity_band([1e-6], 300.0, self.WP, self.G, "lorentz", R_SPHERE)
         with pytest.raises(ValueError):
             sensitivity_band([1e-6], 300.0, (-1.0, 1e16), self.G, "drude", R_SPHERE)
+
+
+class TestZeroModeClosedForms:
+    """The n = 0 closed forms against references that share no code with them."""
+
+    @pytest.mark.parametrize("z", [0.01, 0.5, 1.0 - 1e-3, 1.0 - 1e-8, 1.0 - 1e-15])
+    def test_polylog3_matches_mpmath(self, z):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        want = float(mpmath.polylog(3, mpmath.mpf(z)))
+        assert lifshitz._polylog3(z) == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    def test_polylog3_is_zeta3_exactly_at_one(self):
+        assert lifshitz._polylog3(1.0) == ZETA3
+
+    @pytest.mark.parametrize("P", [0.09, 0.9, 64.0, 183.0, 640.0])
+    def test_te_correction_matches_scipy_quadrature(self, P):
+        # r_te = (y - kappa)/(y + kappa), kappa^2 = y^2 + P^2: each kind's
+        # integrand minus the ideal mirror's, summed by scipy from logs and
+        # ratios written without the engine's rearrangement
+        quad = pytest.importorskip("scipy.integrate").quad
+
+        def kernels(y):
+            kappa = math.hypot(y, P)
+            s = ((y - kappa) / (y + kappa)) ** 2 * math.exp(-y)
+            s0 = math.exp(-y)
+            lost = -math.expm1(-y) + 4.0 * y * kappa / (y + kappa) ** 2 * s0
+            ideal = -math.expm1(-y)
+            return (
+                y * (math.log(lost) - math.log(ideal)),
+                y**2 * (s / lost - s0 / ideal),
+                y**3 * (s / lost**2 - s0 / ideal**2),
+            )
+
+        got = [
+            lifshitz.integrate_decaying(
+                lambda t: lifshitz._te_correction(lifshitz._table(0.0, t), P * P, (kind,)), 1e-13
+            )[0]
+            for kind in lifshitz._KINDS
+        ]
+        for m, kind in enumerate(lifshitz._KINDS):
+            want = quad(lambda y: kernels(y)[m], 0.0, np.inf, epsabs=0.0, epsrel=1e-13,
+                        limit=200)[0]
+            assert got[m] == pytest.approx(want, rel=1e-12, abs=0.0), kind
