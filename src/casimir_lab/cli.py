@@ -178,6 +178,11 @@ def cmd_simulate(args):
     else:
         config = CampaignConfig(seed=None)
         inputs = []
+    if config.n_sweeps < 2:
+        # subtract_drift refuses it too, but only after the whole campaign ran
+        raise ValidationError(
+            f"n_sweeps must be >= 2 for drift estimation, got {config.n_sweeps}"
+        )
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     if config.seed is None:

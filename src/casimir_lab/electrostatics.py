@@ -28,6 +28,13 @@ __all__ = [
     "calibrate_from_sweep",
 ]
 
+#: Jacobi leaves an off-diagonal a_pq at most this times sqrt(|a_pp a_qq|).
+_EPS = np.finfo(float).eps
+
+#: The most Jacobi sweeps; the cyclic method converges quadratically, and a
+#: 2 x 2 or 3 x 3 matrix needs a few.
+_JACOBI_SWEEPS = 32
+
 
 @dataclass(frozen=True)
 class SweepSample:
@@ -74,8 +81,13 @@ def weighted_fit(basis, y, sigma, degenerate):
     the conditioning test sees degeneracy, not units.  Each column's norm is
     taken on the column divided by the power of two at or below its largest
     |entry|, an exact scaling that puts that entry in [1, 2), so no finite
-    column's norm overflows or underflows.  A zero or non-finite column, or
-    a condition number above 1e10, raises DegenerateFitError(degenerate).
+    column's norm overflows or underflows.  The Gram matrix of the unit
+    columns over sigma is diagonalised by Jacobi rotations, V diag(lambda)
+    V^T, so no LAPACK routine runs: its inverse V diag(1/lambda) V^T is the
+    covariance, and applied to the weighted right side gives the
+    coefficients, both rescaled by the column norms.  A zero or non-finite
+    column, a smallest eigenvalue <= 0 or a condition number
+    lambda_max/lambda_min above 1e10 raises DegenerateFitError(degenerate).
     A weighted system that is not finite, such as y/sigma or the unit
     columns over sigma, or a fit whose column norms, normal equations or
     results overflow a float, raises ValidationError: the data are out of
@@ -90,14 +102,54 @@ def weighted_fit(basis, y, sigma, degenerate):
         target = y / sigma
         gram = design.T @ design
         _require_finite_system(col_scale, design, target, gram)
-        if np.linalg.cond(gram) > 1e10:
+        eigenvalues, vectors = _jacobi_eigh(gram)
+        low, high = eigenvalues.min(), eigenvalues.max()
+        if not (low > 0.0 and high <= 1e10 * low):
             raise DegenerateFitError(degenerate)
-        coeffs = np.linalg.solve(gram, design.T @ target) / col_scale
-        cov = np.linalg.inv(gram) / np.outer(col_scale, col_scale)
+        inverse = (vectors / eigenvalues) @ vectors.T
+        coeffs = inverse @ (design.T @ target) / col_scale
+        cov = inverse / np.outer(col_scale, col_scale)
         resid = (y - basis @ coeffs) / sigma
         chi2 = float(resid @ resid)
     _require_finite_system(coeffs, cov, chi2)
     return coeffs, cov, chi2
+
+
+def _jacobi_eigh(matrix):
+    """(eigenvalues, eigenvectors as columns) of a small symmetric matrix by
+    cyclic Jacobi rotations (Golub & Van Loan, Matrix Computations, 8.5).
+    Each rotation zeroes its off-diagonal pair exactly; an entry a_pq of at
+    most machine epsilon times sqrt(|a_pp a_qq|) is left, which keeps the
+    small eigenvalues of a positive definite matrix to high relative
+    accuracy, and a sweep that rotates nothing ends the loop."""
+    a = matrix.tolist()
+    k = len(a)
+    v = [[float(i == j) for j in range(k)] for i in range(k)]
+    for _ in range(_JACOBI_SWEEPS):
+        rotated = False
+        for p in range(k - 1):
+            for q in range(p + 1, k):
+                apq = a[p][q]
+                if abs(apq) <= _EPS * math.sqrt(abs(a[p][p])) * math.sqrt(abs(a[q][q])):
+                    continue
+                rotated = True
+                theta = (a[q][q] - a[p][p]) / (2.0 * apq)
+                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
+                c = 1.0 / math.hypot(1.0, t)
+                s = t * c
+                a[p][p] -= t * apq
+                a[q][q] += t * apq
+                a[p][q] = a[q][p] = 0.0
+                for r in range(k):
+                    if r != p and r != q:
+                        arp, arq = a[r][p], a[r][q]
+                        a[r][p] = a[p][r] = c * arp - s * arq
+                        a[r][q] = a[q][r] = s * arp + c * arq
+                    vrp, vrq = v[r][p], v[r][q]
+                    v[r][p], v[r][q] = c * vrp - s * vrq, s * vrp + c * vrq
+        if not rotated:
+            break
+    return np.array([a[i][i] for i in range(k)]), np.array(v)
 
 
 def _require_finite_system(*arrays):

@@ -302,6 +302,20 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith(f"error: {named} is out of range in the bin ")
         assert not out.exists()
 
+    def test_a_single_sweep_is_refused_before_the_campaign_runs(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # drift estimation needs two sweeps; subtract_drift said so only
+        # after generate_campaign had run (5.7 s at 200,000 separations)
+        calls = []
+        monkeypatch.setattr(cli, "generate_campaign", lambda config: calls.append(config))
+        cfg = self.small_cfg(tmp_path, n_sweeps=1)
+        out = tmp_path / "campaign.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "n_sweeps must be >= 2" in capsys.readouterr().err
+        assert calls == []
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.json"]
+
     def test_refused_config_field_names_the_file(self, tmp_path, capsys):
         cfg = self.small_cfg(tmp_path, seed="abc")
         out = tmp_path / "campaign.csv"
@@ -863,6 +877,46 @@ def test_a_300k_band_builds_no_quadrature_rule_and_calls_no_lapack(tmp_path):
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "0 0"
+
+
+def test_no_command_calls_lapack(tmp_path):
+    # the Gauss rules are stored and the weighted fit diagonalises its Gram
+    # matrix by Jacobi rotations, so no command calls a numpy.linalg routine
+    # but norm, nor a LAPACK gufunc of numpy.linalg._umath_linalg: the first
+    # call of each in a process adds ~0.2-1 MB of peak RSS.  A clean process
+    # is needed, since in-process spies miss what other tests already built
+    src = str(Path(casimir_lab.__file__).resolve().parents[1])
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "import numpy as np\n"
+        "from numpy.linalg import _umath_linalg\n"
+        "calls = []\n"
+        "def spy(module, name):\n"
+        "    routine = getattr(module, name)\n"
+        "    setattr(module, name, lambda *a, **k: calls.append(name) or routine(*a, **k))\n"
+        "for name in np.linalg.__all__:\n"
+        "    if name != 'norm' and not isinstance(getattr(np.linalg, name), type):\n"
+        "        spy(np.linalg, name)\n"
+        "for name in dir(_umath_linalg):\n"
+        "    if isinstance(getattr(_umath_linalg, name), np.ufunc):\n"
+        "        spy(_umath_linalg, name)\n"
+        "from casimir_lab.cli import main\n"
+        "for argv in (\n"
+        "    ['simulate', '--seed', '1', '--out', 'campaign.csv'],\n"
+        "    ['fit', '--data', 'campaign.csv', '--models', 'all', '--out', 'report.json'],\n"
+        "    ['force', '--all-models', '--out', 'curves.csv'],\n"
+        "    ['band', '--family', 'drude', '--out', 'band_drude.csv'],\n"
+        "    ['band', '--family', 'plasma', '--out', 'band_plasma.csv'],\n"
+        "):\n"
+        "    assert main(argv) == 0, argv\n"
+        "print(sorted(set(calls)))\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize(

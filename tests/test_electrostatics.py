@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from casimir_lab.constants import VACUUM_PERMITTIVITY
 from casimir_lab.electrostatics import (
     SweepSample,
+    _jacobi_eigh,
     bias_force,
     calibrate_from_sweep,
     patch_force,
@@ -277,3 +278,46 @@ class TestWeightedFit:
         x = np.linspace(1.0, 2.0, 5)
         with pytest.raises(DegenerateFitError, match="^named$"):
             weighted_fit(np.column_stack([x, 3.0 * x]), x, np.ones(5), "named")
+
+    @pytest.mark.parametrize("cond, inside", [(1e9, True), (1e11, False)])
+    def test_the_condition_limit_of_1e10_holds_from_both_sides(self, cond, inside):
+        # two unit columns at an angle phi have the Gram eigenvalues
+        # 1 +- cos(phi), so cos(phi) = (cond - 1) / (cond + 1) sets the
+        # condition number; numpy's SVD-based cond measures what was built
+        x = np.linspace(-1.0, 1.0, 7)
+        u, w = np.ones_like(x) / math.sqrt(x.size), x / math.sqrt(x @ x)
+        cos = (cond - 1.0) / (cond + 1.0)
+        basis = np.column_stack([u, cos * u + math.sqrt(1.0 - cos * cos) * w])
+        measured = np.linalg.cond(basis.T @ basis)
+        assert cond / 2 < measured < cond * 2
+        y, sigma = basis @ [1.0, 2.0], np.ones_like(x)
+        if inside:
+            coeffs, _, _ = weighted_fit(basis, y, sigma, "named")
+            np.testing.assert_allclose(coeffs, [1.0, 2.0], rtol=1e-5)
+        else:
+            with pytest.raises(DegenerateFitError, match="^named$"):
+                weighted_fit(basis, y, sigma, "named")
+
+
+class TestJacobi:
+    """The fit's eigensolver against LAPACK's, which only the tests call."""
+
+    @pytest.mark.parametrize("cond", [1.0, 1e3, 1e6, 1e9, 1e12])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_matches_eigh_on_positive_definite_matrices(self, k, cond):
+        # on random matrices like these, eigh's eigenvalues are off a
+        # 40-digit mpmath solution by up to ~1.1e-15 lambda_max and Jacobi's
+        # by ~4e-16, so the 1e-15 bound sits near the oracle's own error
+        rng = np.random.default_rng(k)
+        q, _ = np.linalg.qr(rng.normal(size=(k, k)))
+        matrix = (q * np.geomspace(1.0, 1.0 / cond, k)) @ q.T
+        matrix = (matrix + matrix.T) / 2.0
+        eigenvalues, vectors = _jacobi_eigh(matrix)
+        top = eigenvalues.max()
+        np.testing.assert_allclose(
+            np.sort(eigenvalues), np.linalg.eigh(matrix)[0], rtol=0.0, atol=1e-15 * top
+        )
+        np.testing.assert_allclose(vectors.T @ vectors, np.eye(k), rtol=0.0, atol=4e-16 * k)
+        np.testing.assert_allclose(
+            (vectors * eigenvalues) @ vectors.T, matrix, rtol=0.0, atol=1e-15 * top
+        )
