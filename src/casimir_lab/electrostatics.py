@@ -83,11 +83,12 @@ def weighted_fit(basis, y, sigma, degenerate):
     |entry|, an exact scaling that puts that entry in [1, 2), so no finite
     column's norm overflows or underflows.  The Gram matrix of the unit
     columns over sigma is diagonalised by Jacobi rotations, V diag(lambda)
-    V^T, so no LAPACK routine runs: its inverse V diag(1/lambda) V^T is the
-    covariance, and applied to the weighted right side gives the
-    coefficients, both rescaled by the column norms.  A zero or non-finite
-    column, a smallest eigenvalue <= 0 or a condition number
-    lambda_max/lambda_min above 1e10 raises DegenerateFitError(degenerate).
+    V^T: its inverse V diag(1/lambda) V^T is the covariance, and applied to
+    the weighted right side gives the coefficients, both rescaled by the
+    column norms.  The products are einsums, so no LAPACK routine and no
+    BLAS matrix-matrix product runs.  A zero or non-finite column, a smallest
+    eigenvalue <= 0 or a condition number lambda_max/lambda_min above 1e10
+    raises DegenerateFitError(degenerate).
     A weighted system that is not finite, such as y/sigma or the unit
     columns over sigma, or a fit whose column norms, normal equations or
     results overflow a float, raises ValidationError: the data are out of
@@ -100,17 +101,17 @@ def weighted_fit(basis, y, sigma, degenerate):
         col_scale = peak * norm
         design = (basis / col_scale) / sigma[:, None]
         target = y / sigma
-        gram = design.T @ design
+        gram = np.einsum("ik,il->kl", design, design)
         _require_finite_system(col_scale, design, target, gram)
         eigenvalues, vectors = _jacobi_eigh(gram)
         low, high = eigenvalues.min(), eigenvalues.max()
         if not (low > 0.0 and high <= 1e10 * low):
             raise DegenerateFitError(degenerate)
-        inverse = (vectors / eigenvalues) @ vectors.T
-        coeffs = inverse @ (design.T @ target) / col_scale
+        inverse = np.einsum("ij,kj->ik", vectors / eigenvalues, vectors)
+        coeffs = np.einsum("kl,l->k", inverse, np.einsum("ik,i->k", design, target)) / col_scale
         cov = inverse / np.outer(col_scale, col_scale)
-        resid = (y - basis @ coeffs) / sigma
-        chi2 = float(resid @ resid)
+        resid = (y - np.einsum("ik,k->i", basis, coeffs)) / sigma
+        chi2 = float(np.einsum("i,i->", resid, resid))
     _require_finite_system(coeffs, cov, chi2)
     return coeffs, cov, chi2
 

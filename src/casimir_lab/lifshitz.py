@@ -11,10 +11,9 @@ xi_n = 2 pi n k_B T / hbar, and the prime halving the n = 0 term.  At T = 0
 the ladder becomes the integral (hbar / 2 pi) int_0^inf dxi of the same
 k-integral, on the L-shaped rectangle layout of :mod:`casimir_lab.quadrature`
 in the reduced variables x = 2 xi d / c and t = y - x, whose nodes are the
-same for every gap: a curve builds y, y^2 and exp(-y) of a level once
-and keeps them while its chunks run that level on the same rectangles, and
-each level computes eps(i xi) per gap at the frequency nodes of every
-rectangle (a tabulated model transforms each distinct frequency once).
+same for every gap: a curve builds y, y^2 and exp(-y) of a block of a
+level once and keeps them while its chunks run that block, and a table's
+eps(i xi) runs per gap on the block's distinct frequency nodes only.
 
 Every entry point takes a float or an array of gaps (a float gives a float,
 computed as a grid of one).  At T > 0 a curve is one ladder: one eps(i xi_n)
@@ -33,16 +32,17 @@ refuses each row on its own value; the rest, and every refused row, go to
 the panels.  The n = 0 terms are closed forms plus, for a lifted model,
 one TE correction row per gap that tries the pair the same way.  At
 T = 0 the gaps computed directly take one 2-D integral per chunk of
-``_T0_GAPS`` consecutive gaps, each gap settled on its own scale in one
-kernel call per level, and the chunk size bounds the peak memory.  A
-T = 0 curve of at least 2 ``_T0_NODES`` = 24 gaps, not all equal, is
-interpolated in ln d from ``_T0_NODES`` Chebyshev points over its range
-where the interpolant's error estimate allows (:func:`_t0_curve`); shorter
-curves, scalars and every T > 0 curve are computed gap by gap.  The ladder
-rows and the T = 0 levels read y, y^2 and exp(-y) from one node table and
-share one Fresnel formula and one kernel; the whole-grid temporaries of the
-Fresnel coefficients and kernels live in buffers reused across doubling
-levels and by every family or chunk of a curve.
+``_T0_GAPS`` consecutive gaps, each gap settled on its own scale, in one
+kernel call per block of a level; the chunk size and the node budget of a
+block bound the peak memory.  A T = 0 curve of at least 2 ``_T0_NODES`` =
+24 gaps, not all equal, is interpolated in ln d from ``_T0_NODES``
+Chebyshev points over its range where the interpolant's error estimate
+allows (:func:`_t0_curve`); shorter curves, scalars and every T > 0 curve
+are computed gap by gap.  The ladder rows and the T = 0 levels read y, y^2
+and exp(-y) from one node table and share one Fresnel formula and one
+kernel; the whole-grid temporaries of the Fresnel coefficients and kernels
+live in buffers reused across doubling levels and by every family or chunk
+of a curve.
 
 The one accuracy setting, ``rel_tol`` in (0, 1e-3] (default 1e-8), is what
 every quadrature settles to.  Before any eps(i xi) or integral runs, a
@@ -137,9 +137,9 @@ _LADDER_ROWS = 80
 _LAGUERRE_X = 1.0
 
 #: Gaps one T = 0 integral settles together, each on its own scale, in one
-#: kernel call per level on the curve's tables.  Peak memory grows with it:
-#: against one gap a call, 3 gaps add ~0.5 MB (1.6 % of its ~32 MB) to the
-#: curves workload's peak RSS, 2 gaps ~0.25 MB, 4 ~0.9 MB and 6 ~1.3 MB.
+#: kernel call per block of a level.  Peak memory grows with it: the verdict
+#: workload's peak RSS reads ~31.6 MB at 1 or 2 gaps, ~31.9 at 3, ~32.1 at 4
+#: and ~32.7 at 6 (the curves workload's ~31.4 MB up to 4, ~31.8 at 6).
 _T0_GAPS = 3
 
 #: Chebyshev points in ln d a T = 0 curve of at least twice as many gaps is
@@ -520,20 +520,22 @@ def _t0_direct(gaps, model, rel_tol, kinds, span=None):
     ``_T0_GAPS`` gaps, each gap settled on its own scale.  A ConvergenceError
     names the gap that failed, or the range of ``span`` when the gaps are
     interpolation nodes that serve that curve."""
-    # one set of buffers and one table per level serve all chunks
-    buffers, tables = _Buffers(), {}
+    # the buffers serve all chunks; a chunk keeps the entries of the chunk
+    # before on the blocks they share (the driver hands a block the same t,
+    # which its entry keeps alive); a table's eps sorts, so x is deduplicated
+    buffers, tables, distinct = _Buffers(), {}, isinstance(model, TabulatedModel)
     integrals = np.empty((len(kinds), gaps.size))
     for start in range(0, gaps.size, _T0_GAPS):
         chunk = gaps[start:start + _T0_GAPS]
-        column = chunk[:, None, None, None]
+        column, last, tables = chunk[:, None], tables, {}
 
-        # the driver hands a level that settles the same rectangles the same t
-        def integrand(x, t, column=column):
-            eps = eps_imag_axis(model, x * _C / (2.0 * column))
-            n = t.shape[-1]
-            if tables.get(n, (None,))[0] is not t:
-                tables[n] = t, _table(x, t)
-            return _integrand(tables[n][1], 1.0 / eps, (eps - 1.0) * x ** 2, kinds, buffers)
+        def integrand(x, t, column=column, last=last, tables=tables):
+            if id(t) not in tables and id(t) not in last:
+                nodes = np.unique(x, return_inverse=True) if distinct else (x.ravel(), slice(None))
+                tables[id(t)] = t, _table(x, t), *nodes
+            _, table, nodes, index = tables.setdefault(id(t), last.get(id(t)))
+            eps = eps_imag_axis(model, nodes * _C / (2.0 * column))[:, index].reshape(-1, *x.shape)
+            return _integrand(table, 1.0 / eps, (eps - 1.0) * x ** 2, kinds, buffers)
 
         with _located(chunk, 0.0, kinds, each_gap=True, span=span):
             integrals[:, start:start + _T0_GAPS] = integrate_decaying_2d(integrand, rel_tol)
@@ -559,11 +561,11 @@ def _t0_curve(gaps, model, rel_tol, kinds):
         theta = math.pi * (degrees + 0.5) / _T0_NODES
         nodes = np.exp(0.5 * (hi + lo) + 0.5 * (hi - lo) * np.cos(theta))
         at_nodes = _t0_direct(nodes, model, rel_tol, kinds, span=gaps)
-        coeffs = 2.0 / _T0_NODES * at_nodes @ np.cos(np.outer(theta, degrees))
+        coeffs = 2.0 / _T0_NODES * np.einsum("ij,jk", at_nodes, np.cos(np.outer(theta, degrees)))
         coeffs[:, 0] *= 0.5
         if np.all(np.abs(coeffs[:, -2:]).max(axis=1) <= rel_tol * np.abs(at_nodes).min(axis=1)):
             u = np.clip((2.0 * np.log(gaps) - hi - lo) / (hi - lo), -1.0, 1.0)
-            return coeffs @ np.cos(np.outer(degrees, np.arccos(u)))
+            return np.einsum("ij,jk", coeffs, np.cos(np.outer(degrees, np.arccos(u))))
     return _t0_direct(gaps, model, rel_tol, kinds)
 
 

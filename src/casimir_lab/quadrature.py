@@ -6,7 +6,7 @@ covers [0, cutoff] with a fixed panel layout, graded toward zero because several
 kernels have an integrable y*log(y) endpoint, and doubles the node count on each
 cell, 6, 12, 24, ..., until its estimate is finite and stable relative to the
 total.  A cell is a panel in 1-D and a rectangle in 2-D; one loop refines both,
-and each doubling level evaluates every unsettled cell in one integrand call.
+and a level evaluates its unsettled cells in one call, or blocks of them in 2-D.
 
 A row that decays like exp(-t) on [0, inf) and is smooth at t = 0, such as
 a Matsubara row written in t = y - x_n or the Kramers-Kronig tail of an
@@ -18,15 +18,15 @@ rel_tol of its own value in every kind; the caller runs the rows it refuses,
 a non-finite one among them, on the panels.
 
 Every Gauss rule, the Legendre rules of 6 to 192 nodes and the Laguerre
-pair, is a module constant, so no rule is built at run time and no LAPACK
-routine runs.
+pair, is a module constant, so no rule is built at run time, and no LAPACK
+routine and no BLAS matrix-matrix product runs.
 
 The 2-D rectangles form an L-shaped layout.  Only the corner x = t = 0 needs
 the graded t-panels, so the x-panel at 0 pairs with every t-panel and one with
 lower edge a > 0 with a merged t-panel [0, a], then the t-panels above a.  A
 rectangle with x_lo + t_lo >= cutoff/2 holds under exp(-cutoff/2) of the
 total and is dropped: 62 rectangles, not 121 pairs.  A small cache keeps the
-read-only nodes of each 2-D level, keyed by its rectangles and node count.
+read-only nodes of each 2-D block, keyed by its rectangles and node count.
 """
 
 from functools import lru_cache
@@ -52,6 +52,9 @@ DEFAULT_CUTOFF = 80.0
 
 #: Nodes per cell axis on the first pass; a smooth cell settles at 6 + 12.
 _NODE_START = 6
+
+#: Most 2-D nodes in one call, bar a lone rectangle: 62 at 6 x 6, 32 at 12 x 12.
+_NODE_BUDGET = 4608
 
 
 def panel_edges():
@@ -280,7 +283,7 @@ def _nodes(panels, n):
     return _LOWER[panels, None] + half[:, None] * (x + 1.0), w, half
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=64)
 def _level(cells, n):
     """x (nc, n, 1), t (nc, 1, n), half-width products, weights of tuple ``cells``."""
     # x before t: with t outermost an energy call of a 3-gap chunk gives
@@ -358,13 +361,13 @@ def integrate_decaying_2d(f, rel_tol):
     """Integrate f over [0, DEFAULT_CUTOFF]^2 to a relative tolerance.
 
     Cells are the rectangles of the L-shaped layout (module docstring); each
-    starts with 6 x 6 nodes, and one unsettled at 96 x 96 raises.  Each
-    doubling level makes one call ``f(x, t)``, which returns (nc, n, n)
-    values: ``x`` (nc, n, 1) holds the x nodes and ``t`` (nc, 1, n) the t
-    nodes of each of the nc unsettled rectangles, so they broadcast.
-    They are read-only, and a level on the same rectangles with the same n,
-    in any call, gets the same objects while among the 16 last used, so ``f``
-    may keep tables built on a ``t`` until it gets one that ``is not`` it.
+    starts with 6 x 6 nodes, and one unsettled at 96 x 96 raises.  A level
+    runs its unsettled rectangles in blocks, the most whose nodes fit
+    ``_NODE_BUDGET`` and one at least, each a call ``f(x, t)`` reduced before
+    the next: ``x`` (nc, n, 1) holds the x nodes and ``t`` (nc, 1, n) the t
+    nodes of the block's nc rectangles, which broadcast to its (nc, n, n)
+    values.  They are read-only, and a block of the same rectangles and n,
+    in any call, gets the same objects while among the 64 last used.
 
     Axes in front of those are leading axes, such as kinds x gaps: the result
     has their shape, and each element is an integral settled on its own
@@ -372,8 +375,11 @@ def integrate_decaying_2d(f, rel_tol):
     ConvergenceError's ``kind`` is the flat (C-order) index of the worst.
     """
     def estimate(cells, n):
-        x, t, area, w = _level(tuple(cells.tolist()), n)
-        return (area * (f(x, t) @ w @ w))[..., None, :]
+        size, parts = max(1, _NODE_BUDGET // (n * n)), []
+        for start in range(0, cells.size, size):
+            x, t, area, w = _level(tuple(cells[start:start + size].tolist()), n)
+            parts.append(area * (f(x, t) @ w @ w))
+        return np.concatenate(parts, axis=-1)[..., None, :]
 
     return _settle(estimate, np.arange(_RECTANGLES[0].size), rel_tol, 96)[..., 0][()]
 

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from casimir_lab import dielectric, lifshitz
+from casimir_lab import dielectric, lifshitz, quadrature
 from casimir_lab.constants import BOLTZMANN, HBAR, SPEED_OF_LIGHT, ZETA3
 from casimir_lab.dielectric import (
     ConstantModel,
@@ -1369,64 +1369,146 @@ class TestZeroTemperatureChunks:
             np.testing.assert_allclose(got[k], want, rtol=1e-8, atol=0.0, err_msg=kind)
             np.testing.assert_allclose(got[k], tight[k], rtol=1e-10, atol=0.0, err_msg=kind)
 
+    @staticmethod
+    def record_blocks(monkeypatch):
+        """Per chunk, the t of each block its levels hand the kernel, and
+        the t of each node table the curve builds."""
+        chunks, builds = [], []
+        table, integrate = lifshitz._table, lifshitz.integrate_decaying_2d
+
+        def counting_table(x, t):
+            builds.append(t)
+            return table(x, t)
+
+        def recording(f, rel_tol):
+            chunks.append([])
+
+            def spied(x, t):
+                chunks[-1].append(t)
+                return f(x, t)
+
+            return integrate(spied, rel_tol)
+
+        monkeypatch.setattr(lifshitz, "_table", counting_table)
+        monkeypatch.setattr(lifshitz, "integrate_decaying_2d", recording)
+        return chunks, builds
+
     @pytest.mark.parametrize("model", [gold_drude(), gold_plasma()], ids=["drude", "plasma"])
     def test_chunks_that_settle_different_rectangles_match_each_gap_alone(
         self, monkeypatch, model
     ):
         # 10 nm to 100 um in two chunks, which run the 24-node level on
-        # different rectangles, so the second chunk builds its own table.
+        # different rectangles, so the second chunk builds the tables of its
+        # own blocks there, and no block's table is built twice.
         # The Drude curve's 100 um gap is 1.2e-10 off the tight pass, within
         # rel_tol = 1e-8 and the same whichever chunk it settles in
         gaps = np.geomspace(1e-8, 1e-4, 6)
-        builds = []
-        table = lifshitz._table
-
-        def counting_table(x, t):
-            builds.append(t.shape[-1])
-            return table(x, t)
-
-        monkeypatch.setattr(lifshitz, "_table", counting_table)
+        chunks, builds = self.record_blocks(monkeypatch)
         got = lifshitz._lifshitz(gaps, 0.0, model, 1e-8, ("energy",))[0]
-        assert builds.count(24) == 2
+        assert len(chunks) == 2
+        first, second = ({id(t) for t in blocks if t.shape[-1] == 24} for blocks in chunks)
+        assert first and second and first.isdisjoint(second)
+        handed = {id(t) for blocks in chunks for t in blocks}
+        assert len(builds) == len(handed) and {id(t) for t in builds} == handed
         alone = [lifshitz._lifshitz(d, 0.0, model, 1e-8, ("energy",))[0] for d in gaps.tolist()]
         tight = lifshitz._lifshitz(gaps, 0.0, model, 1e-12, ("energy",))[0]
         np.testing.assert_allclose(got, alone, rtol=1e-8, atol=0.0)
         np.testing.assert_allclose(got, tight, rtol=1e-9, atol=0.0)
 
-    def test_a_curve_builds_each_level_once(self, monkeypatch):
-        # a level's nodes are the same for every gap, and on this curve each
-        # level runs on the same rectangles in every chunk: the 6- and 12-node
-        # levels on all of them, the 24-node one on a few, so the chunks
-        # share one table of each.  A 30-gap curve is interpolated from its
-        # 12 Chebyshev nodes in ln d, 4 chunks of 3; the direct path's 10
-        # chunks computed 455,760 and 946,080 kernel values, leading axes
-        # included.  23 gaps are fewer than twice the nodes: computed
-        # directly, 8 chunks, the last of 2 gaps
-        builds, values = [], []
-        table, kernel = lifshitz._table, lifshitz._kernel
-
-        def counting_table(x, t):
-            builds.append(t.shape[-1])
-            return table(x, t)
+    def test_a_curve_builds_each_block_once(self, monkeypatch):
+        # a block's nodes are the same for every gap, and on this curve each
+        # level runs on the same rectangles in every chunk: the 6-node level
+        # on all 62 in one block, the 12-node one on all of them in blocks of
+        # 32 and 30, the 24-node one on a few in one, so the chunks share
+        # one table of each block and every chunk hands the kernel the same
+        # blocks.  A 30-gap curve is interpolated from its 12 Chebyshev
+        # nodes in ln d, 4 chunks of 3; the direct path's 10 chunks computed
+        # 455,760 and 946,080 kernel values, leading axes included.  23 gaps
+        # are fewer than twice the nodes: computed directly, 8 chunks, the
+        # last of 2 gaps
+        chunks, builds = self.record_blocks(monkeypatch)
+        values = []
+        kernel = lifshitz._kernel
 
         def counting_kernel(*args):
             out = kernel(*args)
             values.append(out.size)
             return out
 
-        monkeypatch.setattr(lifshitz, "_table", counting_table)
         monkeypatch.setattr(lifshitz, "_kernel", counting_kernel)
-        for points, kinds, want in (
-            (30, ("energy",), 182_304),
-            (30, ("energy", "curvature"), 378_432),
-            (23, ("energy",), 349_416),
-            (23, ("energy", "curvature"), 725_328),
+        for points, kinds, want, n_chunks, few in (
+            (30, ("energy",), 182_304, 4, 7),
+            (30, ("energy", "curvature"), 378_432, 4, 8),
+            (23, ("energy",), 349_416, 8, 7),
+            (23, ("energy", "curvature"), 725_328, 8, 8),
         ):
-            builds.clear()
-            values.clear()
+            for spied in (chunks, builds, values):
+                spied.clear()
             lifshitz._lifshitz(np.linspace(0.7e-6, 7e-6, points), 0.0, gold_drude(), 1e-8, kinds)
-            assert sorted(builds) == [6, 12, 24], (points, kinds)
+            shapes = [t.shape[::2] for t in builds]
+            assert shapes == [(62, 6), (32, 12), (30, 12), (few, 24)], (points, kinds)
+            assert len(chunks) == n_chunks, (points, kinds)
+            assert all([id(t) for t in blocks] == list(map(id, builds)) for blocks in chunks)
             assert sum(values) == want, (points, kinds)
+
+
+class TestZeroTemperatureBlocks:
+    """A T = 0 level runs its unsettled rectangles in blocks of at most
+    ``quadrature._NODE_BUDGET`` nodes, so no kernel call holds a whole level
+    of a chunk, and the blocks do not change what a gap gets."""
+
+    KINDS = ("energy", "curvature")
+
+    @pytest.mark.parametrize(
+        "gaps, n_chunks",
+        [(np.linspace(0.7e-6, 7e-6, 30), 4), (np.geomspace(1e-8, 1e-4, 30), 4 + 10)],
+        ids=["interpolated", "direct"],
+    )
+    def test_no_kernel_call_exceeds_the_budget(self, monkeypatch, gaps, n_chunks):
+        # a fused curve's calls hold chunk x kinds x block values; the wide
+        # curve refuses its interpolant and computes its 30 gaps directly
+        sizes, chunks = [], []
+        integrand, integrate = lifshitz._integrand, lifshitz.integrate_decaying_2d
+
+        def spying(*args):
+            out = integrand(*args)
+            sizes.append(out.size)
+            return out
+
+        def counting(f, rel_tol):
+            chunks.append(rel_tol)
+            return integrate(f, rel_tol)
+
+        monkeypatch.setattr(lifshitz, "_integrand", spying)
+        monkeypatch.setattr(lifshitz, "integrate_decaying_2d", counting)
+        lifshitz._lifshitz(gaps, 0.0, gold_drude(), 1e-8, self.KINDS)
+        assert len(chunks) == n_chunks
+        bound = lifshitz._T0_GAPS * len(self.KINDS) * quadrature._NODE_BUDGET
+        assert 0 < max(sizes) <= bound
+
+    @pytest.mark.parametrize(
+        "model",
+        [gold_drude(), gold_plasma(), TestCurvesAsArrays.drude_table()],
+        ids=["drude", "plasma", "table"],
+    )
+    def test_a_huge_budget_gives_the_same_integrals(self, monkeypatch, model):
+        # one block a level: the same cells refine, and a rectangle's sum
+        # may move in its last bit with the number of rectangles in a call
+        gaps = np.geomspace(1e-8, 1e-4, 6)
+        calls = []
+        integrand = lifshitz._integrand
+
+        def counting(*args):
+            calls.append(None)
+            return integrand(*args)
+
+        monkeypatch.setattr(lifshitz, "_integrand", counting)
+        blocked = lifshitz._t0_direct(gaps, model, 1e-8, self.KINDS)
+        n_blocked = len(calls)
+        monkeypatch.setattr(quadrature, "_NODE_BUDGET", 10**9)
+        whole = lifshitz._t0_direct(gaps, model, 1e-8, self.KINDS)
+        assert len(calls) - n_blocked < n_blocked
+        np.testing.assert_allclose(blocked, whole, rtol=1e-14, atol=0.0)
 
 
 class TestZeroTemperatureInterpolant:

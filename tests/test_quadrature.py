@@ -24,6 +24,7 @@ from casimir_lab.constants import ZETA3
 from casimir_lab.errors import ConvergenceError
 from casimir_lab.quadrature import (
     _GRADED_OPENING,
+    _NODE_BUDGET,
     DEFAULT_CUTOFF,
     LAGUERRE_PAIR,
     gauss_legendre,
@@ -393,25 +394,36 @@ def test_smooth_panels_settle_at_the_6_and_12_node_passes():
 
 
 def test_2d_call_hands_each_rectangle_its_nodes():
-    # each level is one call f(x, t): x (nc, n, 1) the frequency nodes and
-    # t (nc, 1, n) the t nodes of each of the nc unsettled rectangles, both
-    # read-only; the first call covers the whole layout, and every node lies
-    # in [0, cutoff]
-    calls = []
+    # a level runs its unsettled rectangles in blocks, one call f(x, t) a
+    # block: x (nc, n, 1) the frequency nodes and t (nc, 1, n) the t nodes of
+    # each of the block's nc rectangles, both read-only, every node in
+    # [0, cutoff], and at most _NODE_BUDGET nodes unless nc is 1.  The first
+    # level covers the whole layout in one call; each level hands every
+    # rectangle it refines its nodes once, in as few blocks as the budget
+    # allows, and refines only rectangles of the level before
+    calls, levels = [], {}
 
     def f(x, t):
-        calls.append((x.shape, t.shape))
+        nc, n, one = x.shape
+        calls.append(n)
+        assert one == 1 and t.shape == (nc, 1, n)
         assert not (x.flags.writeable or t.flags.writeable)
         assert 0.0 <= x.min() and x.max() <= panel_edges()[-1]
         assert 0.0 <= t.min() and t.max() <= panel_edges()[-1]
+        assert nc * n * n <= _NODE_BUDGET or nc == 1
+        # a rectangle is named by the centres of its x- and t-panels
+        centres = 0.5 * (x[:, 0, 0] + x[:, -1, 0]), 0.5 * (t[:, 0, 0] + t[:, 0, -1])
+        levels.setdefault(n, []).extend(zip(*(np.round(c, 10).tolist() for c in centres)))
         return np.exp(-x - t) * np.cos(5.0 * t)
 
     integrate_decaying_2d(f, 1e-11)
-    assert len(calls) > 2
-    assert calls[0] == ((62, 6, 1), (62, 1, 6))
-    for (nc, n, one), t_shape in calls:
-        assert one == 1 and t_shape == (nc, 1, n)
-    assert [n for (_, n, _), _ in calls] == [6 * 2**k for k in range(len(calls))]
+    assert calls[0] == 6 and calls.count(6) == 1 and len(levels[6]) == 62
+    assert list(levels) == [6 * 2**k for k in range(len(levels))] and len(levels) > 2
+    assert calls == sorted(calls)
+    for n, cells in levels.items():
+        assert len(set(cells)) == len(cells), n
+        assert n == 6 or set(cells) <= set(levels[n // 2]), n
+        assert calls.count(n) == -(-len(cells) // max(1, _NODE_BUDGET // (n * n))), n
 
 
 def test_2d_levels_are_read_only_and_shared_by_calls_on_the_same_cells():
