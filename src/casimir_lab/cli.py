@@ -21,6 +21,7 @@ Exit codes: 0 success, 2 usage or config error, 3 convergence failure,
 
 import argparse
 import functools
+import gc
 import math
 import os
 import sys
@@ -366,15 +367,17 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    gc.freeze()  # the command's collections skip what was alive before it, ~1.5 ms a pass
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ConvergenceError, ValidationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, ConvergenceError):
             return 3
         return 4 if isinstance(exc, DegenerateFitError) else 2
+    finally:
+        gc.unfreeze()
 
 
 if __name__ == "__main__":

@@ -17,8 +17,8 @@ abscissae, and accepts each row on its own when the two sums agree to
 rel_tol of its own value in every kind; the caller runs the rows it refuses,
 a non-finite one among them, on the panels.
 
-Every Gauss rule, the Legendre rules of 6 to 192 nodes and the Laguerre
-pair, is a module constant, so no rule is built at run time, and no LAPACK
+The Gauss-Legendre rules are built by Newton on the Legendre recurrence on
+a rule's first use, and the Laguerre pair is a module constant, so no LAPACK
 routine and no BLAS matrix-matrix product runs.
 
 The 2-D rectangles form an L-shaped layout.  Only the corner x = t = 0 needs
@@ -29,12 +29,13 @@ total and is dropped: 62 rectangles, not 121 pairs.  A small cache keeps the
 read-only nodes of each 2-D block, keyed by its rectangles and node count.
 """
 
+import math
 from functools import lru_cache
 from itertools import pairwise
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, ValidationError, is_integer
 
 __all__ = [
     "gauss_legendre",
@@ -52,6 +53,9 @@ DEFAULT_CUTOFF = 80.0
 
 #: Nodes per cell axis on the first pass; a smooth cell settles at 6 + 12.
 _NODE_START = 6
+
+#: Most nodes per cell axis; a cell unsettled there raises ConvergenceError.
+_NODE_CAP, _NODE_CAP_2D = 192, 96
 
 #: Most 2-D nodes in one call, bar a lone rectangle: 62 at 6 x 6, 32 at 12 x 12.
 _NODE_BUDGET = 4608
@@ -73,151 +77,21 @@ _EDGES = panel_edges()
 #: mid-curve would outlive the curve's temporaries in the heap and fragment it.
 _LOWER, _HALF = np.array(_EDGES[:-1]), 0.5 * np.diff(_EDGES)
 
-#: The stored Gauss rules.  Built at run time, the rules cost a process a
-#: LAPACK eigensolver's first call (~0.6 MB of peak RSS) and ~1 ms, so they
-#: are tables, as QUADPACK keeps its rules.  _LEGENDRE_HALVES maps n = 6, 12,
-#: ..., 192 to the nodes x > 0 of numpy's ``leggauss(n)`` and their weights,
-#: copied bit for bit; leggauss symmetrises its rule exactly, so the other
-#: half is the mirror (:func:`gauss_legendre`).  LAGUERRE_PAIR holds the
-#: Gauss-Laguerre rules a row is tried on, the smaller one first: the nodes t
-#: and the weights times e^t of the 16- and 32-node rules, as the
+
+def _read_only(*arrays):
+    """``arrays``, each marked read-only, as a tuple."""
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+#: The stored Gauss-Laguerre rules a row is tried on, the smaller one first:
+#: the nodes t and the weights times e^t of the 16- and 32-node rules, as the
 #: Jacobi-matrix eigenvalues with one Newton step and the Christoffel weights
-#: from the three-term recurrence give them (~1e-14 relative).
-_LEGENDRE_HALVES = {
-    6: (
-        (
-            0.2386191860831969, 0.6612093864662645, 0.9324695142031519,
-        ),
-        (
-            0.46791393457269104, 0.3607615730481387, 0.17132449237917027,
-        ),
-    ),
-    12: (
-        (
-            0.1252334085114689, 0.3678314989981802, 0.5873179542866175, 0.7699026741943047,
-            0.9041172563704748, 0.9815606342467192,
-        ),
-        (
-            0.2491470458134027, 0.2334925365383546, 0.20316742672306573, 0.16007832854334642,
-            0.10693932599531907, 0.04717533638651141,
-        ),
-    ),
-    24: (
-        (
-            0.06405689286260563, 0.1911188674736163, 0.3150426796961634, 0.4337935076260451,
-            0.5454214713888396, 0.6480936519369755, 0.7401241915785544, 0.820001985973903,
-            0.8864155270044011, 0.9382745520027328, 0.9747285559713095, 0.9951872199970213,
-        ),
-        (
-            0.12793819534675202, 0.12583745634682825, 0.1216704729278033, 0.11550566805372552,
-            0.10744427011596556, 0.09761865210411393, 0.0861901615319532, 0.07334648141108016,
-            0.05929858491543636, 0.04427743881741941, 0.02853138862893356, 0.01234122979998869,
-        ),
-    ),
-    48: (
-        (
-            0.03238017096286937, 0.0970046992094627, 0.1612223560688917, 0.22476379039468905,
-            0.28736248735545555, 0.3487558862921607, 0.4086864819907167, 0.4669029047509584,
-            0.523160974722233, 0.5772247260839727, 0.6288673967765136, 0.6778723796326639,
-            0.7240341309238146, 0.7671590325157404, 0.8070662040294426, 0.8435882616243935,
-            0.8765720202742479, 0.9058791367155696, 0.9313866907065543, 0.9529877031604308,
-            0.9705915925462473, 0.9841245837228269, 0.9935301722663508, 0.9987710072524261,
-        ),
-        (
-            0.06473769681268365, 0.06446616443594982, 0.06392423858464787, 0.06311419228625373,
-            0.06203942315989242, 0.0607044391658936, 0.059114839698395344, 0.057277292100402916,
-            0.05519950369998403, 0.05289018948519344, 0.0503590355538542, 0.04761665849249024,
-            0.04467456085669423, 0.04154508294346455, 0.0382413510658305, 0.034777222564770394,
-            0.031167227832798097, 0.027426509708357034, 0.023570760839324047, 0.019616160457356056,
-            0.015579315722943226, 0.011477234579234614, 0.007327553901276135, 0.0031533460523098414,
-        ),
-    ),
-    96: (
-        (
-            0.016276744849602967, 0.04881298513604974, 0.08129749546442555, 0.11369585011066592,
-            0.14597371465489695, 0.17809688236761861, 0.2100313104605672, 0.24174315616384,
-            0.27319881259104917, 0.30436494435449635, 0.3352085228926254, 0.3656968614723136,
-            0.3957976498289086, 0.42547898840730053, 0.454709422167743, 0.48345797392059636,
-            0.5116941771546677, 0.5393881083243575, 0.5665104185613972, 0.593032364777572,
-            0.6189258401254686, 0.6441634037849671, 0.6687183100439161, 0.6925645366421715,
-            0.7156768123489676, 0.7380306437444001, 0.7596023411766475, 0.7803690438674332,
-            0.8003087441391408, 0.8194003107379316, 0.8376235112281871, 0.8549590334346014,
-            0.8713885059092965, 0.8868945174024204, 0.9014606353158523, 0.9150714231208981,
-            0.9277124567223087, 0.9393703397527552, 0.9500327177844377, 0.9596882914487426,
-            0.9683268284632642, 0.9759391745851365, 0.9825172635630147, 0.9880541263296237,
-            0.9925439003237626, 0.9959818429872093, 0.9983643758631817, 0.9996895038832307,
-        ),
-        (
-            0.03255061449236328, 0.03251611871386895, 0.0324471637140644, 0.03234382256857602,
-            0.03220620479403032, 0.032034456231992796, 0.03182875889441112, 0.03158933077072725,
-            0.03131642559686141, 0.03101033258631393, 0.030671376123669266, 0.03029991542082777,
-            0.029896344136328506, 0.029461089958168016, 0.02899461415055532, 0.028497411065085413,
-            0.02797000761684837, 0.027412962726029232, 0.02682686672559185, 0.026212340735672593,
-            0.025570036005349364, 0.024900633222483814, 0.02420484179236482, 0.023483399085926292,
-            0.022737069658329466, 0.02196664443874457, 0.021172939892191354, 0.020356797154333365,
-            0.019519081140145382, 0.01866067962741174, 0.017782502316045286, 0.016885479864245195,
-            0.015970562902562345, 0.015038721026994927, 0.014090941772314894, 0.013128229566961646,
-            0.012151604671088057, 0.01116210209983861, 0.010160770535008306, 0.009148671230783011,
-            0.0081268769256983, 0.007096470791153821, 0.006058545504235195, 0.005014202742928604,
-            0.003964554338444405, 0.0029107318179352943, 0.0018539607889441585, 0.0007967920655518723,
-        ),
-    ),
-    192: (
-        (
-            0.008159862838095288, 0.024477415255235203, 0.04078844847403865, 0.05708861829151206,
-            0.07337358339796854, 0.0896390065332716, 0.1058805556420004, 0.1220939050272288,
-            0.1382747365026109, 0.15441874054246624, 0.17052161742955838, 0.18657907840026114,
-            0.20258684678680755, 0.21854065915631715, 0.23443626644629842, 0.25026943509632393,
-            0.26603594817557663, 0.2817316065059672, 0.2973522297805232, 0.3128936576767521,
-            0.32835175096468167, 0.34372239260928317, 0.35900148886698247, 0.37418497037596854,
-            0.38926879324000774, 0.40424894010547613, 0.41912142123132207, 0.43388227555167513,
-            0.4485275717308174, 0.4630534092102369, 0.4774559192474836, 0.49173126594655214,
-            0.505875647279516, 0.5198852960991414, 0.533756481142212, 0.547485508023295,
-            0.5610687202186869, 0.5745025000402746, 0.5877832695990527, 0.6009074917580421,
-            0.6138716710743545, 0.626672354730151, 0.6393061334522506, 0.6517696424201391,
-            0.6640595621621395, 0.6761726194395048, 0.6881055881181968, 0.6998552900281192,
-            0.711418595809577, 0.722792425746735, 0.7339737505878552, 0.7449595923520933,
-            0.7557470251226408, 0.7663331758259995, 0.7767152249971829, 0.7868904075306401,
-            0.7968560134167008, 0.8066093884633471, 0.8161479350031199, 0.8254691125849696,
-            0.8345704386508696, 0.8434494891970096, 0.8521038994193961, 0.8605313643436844,
-            0.8687296394390773, 0.8766965412161265, 0.8844299478082758, 0.8919277995369952,
-            0.8991880994603513, 0.9062089139048715, 0.9129883729805598, 0.9195246710789272,
-            0.9258160673539062, 0.9318608861855217, 0.937657517626197, 0.9432044178295801,
-            0.9485001094617782, 0.9535431820948995, 0.9583322925828044, 0.9628661654189837,
-            0.9671435930764901, 0.971163436329871, 0.974924624559081, 0.9784261560354051,
-            0.9816670981895111, 0.9846465878619337, 0.9873638315366433, 0.9898181055591398,
-            0.9920087563423259, 0.9939352005680612, 0.9955969254054172, 0.9969934888089658,
-            0.9981245201227148, 0.9989897220082228, 0.9995888803394138, 0.9999219686591948,
-        ),
-        (
-            0.016319363456701312, 0.016315017035071853, 0.016306325349418088, 0.016293290714642385,
-            0.016275916602327297, 0.01625420763981128, 0.01622816960895613, 0.016197809444607185,
-            0.016163135232746182, 0.01612415620833785, 0.01608088275287016, 0.01603332639158935,
-            0.015981499790430613, 0.015925416752644323, 0.015865092215120086, 0.015800542244408355,
-            0.015731784032441253, 0.01565883589195404, 0.015581717251607466, 0.015500448650813453,
-            0.015415051734264712, 0.015325549246169754, 0.01523196502419571, 0.01513432399311923,
-            0.015032652158188158, 0.014926976598195453, 0.014817325458267397, 0.014703727942367198,
-            0.014586214305516836, 0.014464815845739772, 0.014339564895724584, 0.014210494814213603,
-            0.014077639977118736, 0.013941035768365776, 0.013800718570469916, 0.013656725754846891,
-            0.013509095671858744, 0.013357867640599602, 0.013203081938424803, 0.013044779790222552,
-            0.012883003357434619, 0.012717795726827318, 0.012549200899015941, 0.012377263776745617,
-            0.012202030152933408, 0.012023546698469516, 0.011841860949789848, 0.011657021296214062,
-            0.011469076967057668, 0.01127807801852142, 0.011084075320358454, 0.01088712054232772,
-            0.010687266140430099, 0.010484565342939879, 0.010279072136227087, 0.010070841250378998,
-            0.009859928144623642, 0.00964638899256095, 0.00943028066719876, 0.009211660725809114,
-            0.008990587394595038, 0.008767119553188143, 0.00854131671896186, 0.008313239031184623,
-            0.008082947235000528, 0.007850502665252432, 0.007615967230148036, 0.007379403394770511,
-            0.007140874164445354, 0.006900443067961452, 0.006658174140651377, 0.006414131907343962,
-            0.006168381365179925, 0.005920987966307889, 0.005672017600462953, 0.005421536577427671,
-            0.0051696116093902945, 0.004916309793197512, 0.004661698592528081, 0.004405845819973719,
-            0.0041488196190656535, 0.003890688446256221, 0.0036315210529105587, 0.0033713864673431,
-            0.0031103539770689593, 0.002848493111476016, 0.002585873625444454, 0.0023225654850491093,
-            0.0020586388581148754, 0.001794164116953707, 0.0015292118750178934, 0.0012638531320989556,
-            0.0009981598380226363, 0.0007322075666272851, 0.0004660944855913264, 0.00020025101475557657,
-        ),
-    ),
-}
-LAGUERRE_PAIR = tuple((np.array(t), np.array(w)) for t, w in (
+#: from the three-term recurrence give them (~1e-14 relative).  Built at run
+#: time, they would cost a process a LAPACK eigensolver's first call (~0.6 MB
+#: of peak RSS), so they are a table, as QUADPACK keeps its rules.
+LAGUERRE_PAIR = tuple(_read_only(np.array(t), np.array(w)) for t, w in (
     (  # 16 nodes
         (
             0.08764941047892753, 0.4626963289150805, 1.1410577748312265, 2.1292836450983805,
@@ -256,18 +130,43 @@ LAGUERRE_PAIR = tuple((np.array(t), np.array(w)) for t, w in (
     ),
 ))
 #: The abscissae of both rules, in the order of one integrate_laguerre call.
-_PAIR_NODES = np.concatenate([t for t, _ in LAGUERRE_PAIR])
-_PAIR_NODES.flags.writeable = False
+_PAIR_NODES, = _read_only(np.concatenate([t for t, _ in LAGUERRE_PAIR]))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: 6.0 and True are refused, not served 6 and 1
 def gauss_legendre(n):
-    """Gauss-Legendre nodes and weights on [-1, 1] for n = 6, 12, ..., 192:
-    numpy's ``leggauss(n)`` to the bit, without importing
-    ``numpy.polynomial`` (~7 ms a process).  The full arrays are built from
-    the stored half x > 0 on a rule's first use and cached."""
-    nodes, weights = (np.array(half) for half in _LEGENDRE_HALVES[n])
-    return np.concatenate((-nodes[::-1], nodes)), np.concatenate((weights[::-1], weights))
+    """Read-only, cached Gauss-Legendre nodes and weights on [-1, 1], integer n >= 1.
+
+    Newton on P_n by its three-term recurrence, on the roots x >= 0 at once,
+    from Tricomi's estimates, computed with math rather than numpy's SIMD cos
+    so that a rule's bits do not hang on the CPU's vector unit: three steps
+    take the nodes to within an ulp or two, and one more evaluation gives the
+    weights 2/((1 - x^2) P_n'(x)^2).  An odd n has the centre node 0, which
+    the recurrence keeps exactly; the other half is the mirror.  No LAPACK
+    routine runs, and numpy.polynomial (~7 ms a process) is not imported."""
+    if not (is_integer(n) and n >= 1):
+        raise ValidationError(f"n must be an integer >= 1, got {n!r}")
+    n = int(n)
+
+    def guess(k):  # Tricomi's estimate of the k-th largest root, to O(n^-5)
+        theta = math.pi * (4 * k - 1) / (4 * n + 2)
+        shift = (1 - 1 / n) / (8 * n * n) + (39 - 28 / math.sin(theta) ** 2) / (384 * n**4)
+        return (1 - shift) * math.cos(theta)
+
+    def legendre(x):  # P_n(x) and P_n'(x)
+        p_prev, p_n = 1.0, x
+        for k in range(1, n):  # (k + 1) P_k+1 = (2k + 1) x P_k - k P_k-1
+            xp = x * p_n
+            p_prev, p_n = p_n, xp + k / (k + 1) * (xp - p_prev)
+        return p_n, n * (x * p_n - p_prev) / (x * x - 1.0)
+
+    x = np.array([0.0] * (n % 2) + [guess(k) for k in range(n // 2, 0, -1)])
+    for _ in range(3):
+        p_n, slope = legendre(x)
+        x = x - p_n / slope
+    slope = legendre(x)[1]
+    w = 2.0 / ((1.0 - x * x) * slope * slope)
+    return _read_only(np.concatenate((-x[n % 2:][::-1], x)), np.concatenate((w[n % 2:][::-1], w)))
 
 
 #: x-panel, t lower edge and t half width of each rectangle of the L layout.
@@ -292,10 +191,7 @@ def _level(cells, n):
     cells = np.array(cells)
     (x, w, hx), (s, _) = _nodes(panel[cells], n), gauss_legendre(n)
     t = lower[cells, None] + half[cells, None] * (s + 1.0)
-    level = x[:, :, None], t[:, None, :], hx * half[cells], w
-    for array in level[:-1]:  # the weights are gauss_legendre's
-        array.flags.writeable = False
-    return level
+    return (*_read_only(x[:, :, None], t[:, None, :], hx * half[cells]), w)
 
 
 def _settle(estimate, cells, rel_tol, node_cap):
@@ -354,7 +250,7 @@ def integrate_decaying(f, rel_tol):
         vals = np.asarray(f(x.ravel()))
         return half * (vals.reshape(vals.shape[:-1] + x.shape) @ w)
 
-    return _settle(estimate, np.arange(_HALF.size), rel_tol, 192)
+    return _settle(estimate, np.arange(_HALF.size), rel_tol, _NODE_CAP)
 
 
 def integrate_decaying_2d(f, rel_tol):
@@ -381,7 +277,7 @@ def integrate_decaying_2d(f, rel_tol):
             parts.append(area * (f(x, t) @ w @ w))
         return np.concatenate(parts, axis=-1)[..., None, :]
 
-    return _settle(estimate, np.arange(_RECTANGLES[0].size), rel_tol, 96)[..., 0][()]
+    return _settle(estimate, np.arange(_RECTANGLES[0].size), rel_tol, _NODE_CAP_2D)[..., 0][()]
 
 
 def integrate_laguerre(f, rel_tol):

@@ -5,6 +5,7 @@ working directory. Grids are kept small; only the fit test reads a
 simulated campaign and that one uses a reduced sweep count.
 """
 
+import gc
 import json
 import math
 import subprocess
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 import casimir_lab
-from casimir_lab import cli, lifshitz
+from casimir_lab import cli, lifshitz, quadrature
 from casimir_lab.cli import build_parser, main
 from casimir_lab.constants import ev_to_angular_frequency
 from casimir_lab.dielectric import (
@@ -26,6 +27,7 @@ from casimir_lab.dielectric import (
     gold_drude,
     gold_plasma,
 )
+from casimir_lab.errors import ValidationError
 from casimir_lab.lifshitz import force_sphere_plane_grid, sensitivity_band
 
 
@@ -619,6 +621,27 @@ def test_force_and_band_csv_text(tmp_path):
     assert out.read_bytes() == csv_text(header, zip(*(c.tolist() for c in columns)))
 
 
+@pytest.mark.parametrize("failure", [None, ValidationError("refused"), SystemExit(2)],
+                         ids=["returns", "refused", "exits"])
+def test_a_command_runs_with_what_came_before_it_frozen(failure, monkeypatch, tmp_path):
+    # its garbage collections skip the objects alive before it started,
+    # and they are unfrozen again however the command ends
+    frozen, band = [], cli.sensitivity_band
+
+    def spy(*args):
+        frozen.append(gc.get_freeze_count())
+        if failure is not None:
+            raise failure
+        return band(*args)
+
+    monkeypatch.setattr(cli, "sensitivity_band", spy)
+    try:
+        main(["band", "--points", "2", "--out", str(tmp_path / "band.csv")])
+    except SystemExit:
+        pass
+    assert frozen[0] > 0 and gc.get_freeze_count() == 0
+
+
 class TestExitCodes:
     def test_unknown_flag_exits_two(self, tmp_path):
         with pytest.raises(SystemExit) as err:
@@ -794,10 +817,14 @@ class TestExitCodes:
         assert code == 3
         assert not out.exists()
 
-    def test_unsettled_t0_quadrature_is_three_and_names_the_gap(self, tmp_path, capsys):
+    def test_unsettled_t0_quadrature_is_three_and_names_the_gap(self, tmp_path, capsys,
+                                                                monkeypatch):
+        # rectangles capped at 12 x 12 nodes stop at the first refinement,
+        # whose changes are far above a rel_tol of 1e-12
+        monkeypatch.setattr(quadrature, "_NODE_CAP_2D", 12)
         out = tmp_path / "x.csv"
         argv = ["force", "--model", "plasma", "--temp", "0", "--dmin", "2", "--dmax", "2",
-                "--points", "1", "--rel-tol", "1e-16", "--out", str(out)]
+                "--points", "1", "--rel-tol", "1e-12", "--out", str(out)]
         assert main(argv) == 3
         assert "d = 2.000e-06 m, T = 0 K, energy" in capsys.readouterr().err
         assert not out.exists()
@@ -820,7 +847,7 @@ class TestExitCodes:
 
 
 def test_a_cli_run_imports_neither_numpy_polynomial_nor_numpy_ma(tmp_path):
-    # numpy.polynomial (the Gauss-Legendre rule) and
+    # numpy.polynomial (whose leggauss the Gauss-Legendre rules once were) and
     # numpy.ma (the first np.unique call in a process) cost a fresh
     # interpreter ~20 ms together; a clean process is needed, since pytest's
     # plugins may import both.  The bands run the Gauss-Laguerre pair.  The
@@ -855,9 +882,9 @@ def test_a_cli_run_imports_neither_numpy_polynomial_nor_numpy_ma(tmp_path):
 def test_a_300k_band_builds_no_quadrature_rule_and_calls_no_lapack(tmp_path):
     # the zero modes are closed forms plus TE corrections the Gauss-Laguerre
     # pair takes, and the pair's rules are stored, so a 300 K band builds no
-    # Gauss-Legendre rule and never calls eigvalsh, whose first call in a
-    # process loads LAPACK (~0.6 MB of peak RSS); a clean process is needed,
-    # since other tests build the rules
+    # Gauss-Legendre rule (Newton builds one on its first use) and never
+    # calls eigvalsh, whose first call in a process loads LAPACK (~0.6 MB of
+    # peak RSS); a clean process is needed, since other tests build the rules
     src = str(Path(casimir_lab.__file__).resolve().parents[1])
     script = (
         "import sys\n"
@@ -880,9 +907,10 @@ def test_a_300k_band_builds_no_quadrature_rule_and_calls_no_lapack(tmp_path):
 
 
 def test_no_command_calls_lapack(tmp_path):
-    # the Gauss rules are stored and the weighted fit diagonalises its Gram
-    # matrix by Jacobi rotations, so no command calls a numpy.linalg routine
-    # but norm, nor a LAPACK gufunc of numpy.linalg._umath_linalg: the first
+    # the Gauss-Legendre rules are built by Newton, the Gauss-Laguerre pair
+    # is stored and the weighted fit diagonalises its Gram matrix by Jacobi
+    # rotations, so no command calls a numpy.linalg routine but norm, nor a
+    # LAPACK gufunc of numpy.linalg._umath_linalg: the first
     # call of each in a process adds ~0.2-1 MB of peak RSS.  A clean process
     # is needed, since in-process spies miss what other tests already built
     src = str(Path(casimir_lab.__file__).resolve().parents[1])

@@ -76,6 +76,27 @@ def bound_charge_table():
     return TabulatedModel(table=table, extrapolation=None)
 
 
+#: A rel_tol that no integral settles under :func:`cap_the_quadrature`.
+UNSETTLED_TOL = 1e-12
+
+
+def cap_the_quadrature(monkeypatch):
+    """Cap every quadrature cell at 12 nodes a side and let the Gauss-Laguerre
+    pair accept no row, so every integral runs on the panels and stops at
+    the first refinement: the changes from 6 to 12 nodes exceed
+    UNSETTLED_TOL 6e3 to 9e5 fold in the tests that call this, so the
+    ConvergenceError does not hang on a rule's last bits."""
+    monkeypatch.setattr(quadrature, "_NODE_CAP", 12)
+    monkeypatch.setattr(quadrature, "_NODE_CAP_2D", 12)
+    pair = lifshitz.integrate_laguerre
+
+    def refusing(f, rel_tol):
+        accepted, integrals = pair(f, rel_tol)
+        return np.zeros_like(accepted), integrals[..., :0]
+
+    monkeypatch.setattr(lifshitz, "integrate_laguerre", refusing)
+
+
 def quadrature_calls(monkeypatch):
     """Spy on a ladder's 1-D quadrature: one entry per call, "zero" for a
     family of n = 0 TE corrections, on the Gauss-Laguerre pair or the panels,
@@ -503,22 +524,23 @@ class TestConsistency:
                 "pressure",
                 r"at d in \[1\.000e-06, 5\.000e-06\] m, T = 300 K, pressure",
             ),
-            # the three gaps share one T = 0 integral; 5 um is the one that
+            # the three gaps share one T = 0 integral; 1 um is the one that
             # is furthest from settling when each gap runs alone too
             (
                 np.array([1e-6, 5e-6, 2e-6]),
                 0.0,
                 "energy",
-                r"at d = 5\.000e-06 m, T = 0 K, energy \(",
+                r"at d = 1\.000e-06 m, T = 0 K, energy \(",
             ),
         ],
         ids=["t0-energy", "t0-curvature", "300k-chunk", "t0-chunk"],
     )
-    def test_unsettled_quadrature_names_where_it_ran(self, d, T, kind, where):
+    def test_unsettled_quadrature_names_where_it_ran(self, d, T, kind, where, monkeypatch):
         # T = 0 names the gap, T > 0 the gap range of the failing chunk
+        cap_the_quadrature(monkeypatch)
         with pytest.raises(ConvergenceError, match=where) as err:
-            lifshitz._lifshitz(d, T, gold_drude(), 1e-16, (kind,))
-        assert err.value.requested == 1e-16
+            lifshitz._lifshitz(d, T, gold_drude(), UNSETTLED_TOL, (kind,))
+        assert err.value.requested == UNSETTLED_TOL
         assert err.value.achieved > err.value.requested
 
     @pytest.mark.parametrize(
@@ -1085,17 +1107,19 @@ class TestFusedPass:
         assert fused == len(calls)
 
     @pytest.mark.parametrize("T", [0.0, 300.0], ids=["t0-quadrature", "300k-quadrature"])
-    def test_a_fused_error_names_the_kind_that_failed(self, T):
+    def test_a_fused_error_names_the_kind_that_failed(self, T, monkeypatch):
+        cap_the_quadrature(monkeypatch)
         with pytest.raises(ConvergenceError, match=rf"T = {T:g} K, (energy|curvature) \(") as err:
-            force_and_curvature_sphere_plane(1e-6, T, R_SPHERE, gold_drude(), 1e-16)
+            force_and_curvature_sphere_plane(1e-6, T, R_SPHERE, gold_drude(), UNSETTLED_TOL)
         assert err.value.achieved > err.value.requested
 
-    def test_a_t0_chunk_error_names_its_kind_and_gap(self):
-        # the worst (kind, gap) of a chunk is the energy at 5 um; decoding
-        # its flat index gap-major would name the curvature at 2 um instead
+    def test_a_t0_chunk_error_names_its_kind_and_gap(self, monkeypatch):
+        # the worst (kind, gap) of a chunk is the energy at 1 um, flat index
+        # 3; decoding it gap-major would name the energy at 5 um instead
+        cap_the_quadrature(monkeypatch)
         gaps = np.array([1e-6, 5e-6, 2e-6])
-        with pytest.raises(ConvergenceError, match=r"at d = 5\.000e-06 m, T = 0 K, energy \("):
-            lifshitz._lifshitz(gaps, 0.0, gold_drude(), 1e-16, ("curvature", "energy"))
+        with pytest.raises(ConvergenceError, match=r"at d = 1\.000e-06 m, T = 0 K, energy \("):
+            lifshitz._lifshitz(gaps, 0.0, gold_drude(), UNSETTLED_TOL, ("curvature", "energy"))
 
     def test_validates_and_warns_like_the_single_kinds(self):
         with pytest.raises(ValueError, match="radius"):
@@ -1313,18 +1337,20 @@ class TestModelAxis:
             # into the kinds it raised IndexError
             (
                 (gold_drude(), DrudeModel(omega_p=1.2e16, gamma=5e13), DrudeModel(1e15, 1e14)),
-                ("curvature", "energy"),
-                "energy of DrudeModel(omega_p=1000000000000000.0, gamma=100000000000000.0)",
+                ("energy", "curvature"),
+                "curvature of DrudeModel(omega_p=1000000000000000.0, gamma=100000000000000.0)",
             ),
             # the family of plasma TE corrections, model 1 of the ladder
             ((gold_drude(), gold_plasma()), ("pressure",), "pressure of PlasmaModel("),
         ],
         ids=["rows", "zero-mode"],
     )
-    def test_an_error_past_model_0_names_its_kind_and_model(self, models, kinds, named):
+    def test_an_error_past_model_0_names_its_kind_and_model(self, models, kinds, named,
+                                                            monkeypatch):
+        cap_the_quadrature(monkeypatch)
         gaps = np.array([1e-6, 5e-6, 2e-6])
         with pytest.raises(ConvergenceError, match=re.escape(f"T = 300 K, {named}")) as err:
-            lifshitz._lifshitz_models(gaps, 300.0, models, 1e-16, kinds)
+            lifshitz._lifshitz_models(gaps, 300.0, models, UNSETTLED_TOL, kinds)
         assert err.value.achieved > err.value.requested
 
     def test_an_error_names_the_model_that_failed_not_one_settled_at_zero(self):
@@ -1611,14 +1637,15 @@ class TestZeroTemperatureInterpolant:
         got = lifshitz._t0_curve(gaps, gold_drude(), 1e-8, kinds)
         np.testing.assert_array_equal(got, lifshitz._t0_direct(gaps, gold_drude(), 1e-8, kinds))
 
-    def test_an_error_at_a_node_names_the_curves_gap_range(self):
+    def test_an_error_at_a_node_names_the_curves_gap_range(self, monkeypatch):
         # the nodes are no gaps of the caller's: the message names the
         # range of the curve's gaps, not the node's own gap
+        cap_the_quadrature(monkeypatch)
         gaps = np.geomspace(1e-6, 5e-6, 30)
         where = r"at d in \[1\.000e-06, 5\.000e-06\] m, T = 0 K, energy \("
         with pytest.raises(ConvergenceError, match=where) as err:
-            lifshitz._lifshitz(gaps, 0.0, gold_drude(), 1e-16, ("energy",))
-        assert err.value.requested == 1e-16
+            lifshitz._lifshitz(gaps, 0.0, gold_drude(), UNSETTLED_TOL, ("energy",))
+        assert err.value.requested == UNSETTLED_TOL
         assert err.value.achieved > err.value.requested
 
 

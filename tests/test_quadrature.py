@@ -18,10 +18,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial.laguerre import laggauss
-from numpy.polynomial.legendre import leggauss
 
 from casimir_lab.constants import ZETA3
-from casimir_lab.errors import ConvergenceError
+from casimir_lab.errors import ConvergenceError, ValidationError
 from casimir_lab.quadrature import (
     _GRADED_OPENING,
     _NODE_BUDGET,
@@ -33,7 +32,7 @@ from casimir_lab.quadrature import (
     integrate_laguerre,
     panel_edges,
 )
-from oracles import gauss_laguerre
+from oracles import gauss_laguerre, gauss_legendre_40_digits
 
 ZETA4 = math.pi**4 / 90.0
 
@@ -45,14 +44,38 @@ def test_gauss_legendre_nodes_integrate_polynomials_exactly():
     assert np.sum(w * x**11) == pytest.approx(0.0, abs=1e-15)
 
 
-@pytest.mark.parametrize("n", [6 * 2**k for k in range(6)])
-def test_gauss_legendre_is_numpys_rule_to_the_bit(n):
-    # the rule repeats numpy's leggauss steps without importing
-    # numpy.polynomial; every node count the ladder uses must match exactly
+@pytest.mark.parametrize("n", [6 * 2**k for k in range(6)] + [1, 7, 25])
+def test_gauss_legendre_is_the_40_digit_rule_rounded(n):
+    # every node count the ladder uses, and odd ones with a centre node:
+    # the nodes within 2 ulp and the weights within 1e-12 of a 40-digit
+    # rule; numpy's leggauss weights are 4.2e-11 off at n = 192
     x, w = gauss_legendre(n)
-    want_x, want_w = leggauss(n)
-    assert np.array_equal(x, want_x)
-    assert np.array_equal(w, want_w)
+    want_x, want_w = gauss_legendre_40_digits(n)
+    assert np.all(np.abs(x - want_x) <= 2.0 * np.spacing(np.abs(want_x)))
+    np.testing.assert_allclose(w, want_w, rtol=1e-12, atol=0.0)
+    # exact for x^(2n - 2), the highest even degree the rule integrates
+    assert math.fsum(w * x ** (2 * n - 2)) == pytest.approx(2.0 / (2 * n - 1), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [0, -6, 6.0, 3.0, True, "6", None])
+def test_gauss_legendre_refuses_all_but_a_positive_integer(n):
+    with pytest.raises(ValidationError, match="n must be an integer >= 1"):
+        gauss_legendre(n)
+
+
+def test_gauss_legendre_takes_a_numpy_integer():
+    for got, want in zip(gauss_legendre(np.int64(12)), gauss_legendre(12)):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_stored_and_cached_rules_are_read_only():
+    # a caller writing into a cached rule would corrupt every later integral
+    # of the process, so an in-place write raises instead
+    rules = (gauss_legendre(6), *LAGUERRE_PAIR)
+    for array in (a for rule in rules for a in rule):
+        with pytest.raises(ValueError, match="read-only"):
+            array *= 2.0
+    assert math.fsum(gauss_legendre(6)[1]) == pytest.approx(2.0, rel=1e-15)
 
 
 def test_the_pair_is_the_builders_rules_to_the_bit():
